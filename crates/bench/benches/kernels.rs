@@ -308,6 +308,9 @@ fn main() {
         "bench": "kernels",
         "mode": mode,
         "dispatched_tier": kernel_tier().name(),
+        // The train step shards conv samples across the compute pool, so
+        // its time depends on the host's core count.
+        "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "gemm": gemm_results,
         "fused_epilogues": fused_results,
         "kernel_tiers": tier_results,

@@ -19,23 +19,29 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, _train: bool, scratch: &mut Scratch) -> Result<Tensor> {
-        // Forward-only loops (predict) never reach backward, so recycle any
-        // stale mask before replacing it.
+    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+        // Recycle a mask no backward consumed, then keep a new one only
+        // when training: an eval forward leaves no backward state.
         if let Some(old) = self.mask.take() {
             scratch.recycle(old);
         }
-        let mut mask = scratch.take_zeroed(x.len());
         let mut out = scratch.take(x.len());
         out.copy_from_slice(x.as_slice());
-        for (v, m) in out.iter_mut().zip(&mut mask) {
-            if *v > 0.0 {
-                *m = 1.0;
-            } else {
-                *v = 0.0;
+        if train {
+            let mut mask = scratch.take_zeroed(x.len());
+            for (v, m) in out.iter_mut().zip(&mut mask) {
+                if *v > 0.0 {
+                    *m = 1.0;
+                } else {
+                    *v = 0.0;
+                }
+            }
+            self.mask = Some(mask);
+        } else {
+            for v in &mut out {
+                *v = if *v > 0.0 { *v } else { 0.0 };
             }
         }
-        self.mask = Some(mask);
         Tensor::from_vec(x.shape().clone(), out)
     }
 
@@ -87,6 +93,18 @@ mod tests {
             .backward(&Tensor::from_slice(&[10.0, 10.0]), &mut s)
             .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 10.0]);
+    }
+
+    #[test]
+    fn eval_forward_matches_training_forward_and_keeps_no_mask() {
+        let mut r = ReLU::new();
+        let mut s = Scratch::new();
+        let x = Tensor::from_slice(&[-1.0, -0.0, 0.0, 2.0, f32::NAN, f32::INFINITY]);
+        let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let trained = bits(r.forward(&x, true, &mut s).unwrap());
+        let evaluated = bits(r.forward(&x, false, &mut s).unwrap());
+        assert_eq!(evaluated, trained);
+        assert!(r.backward(&x, &mut s).is_err(), "eval kept a mask");
     }
 
     #[test]

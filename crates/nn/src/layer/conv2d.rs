@@ -11,18 +11,14 @@ use rayon::prelude::*;
 
 /// Worker-group count for sample-level parallelism.
 fn sample_groups(batch: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(batch)
-        .max(1)
+    rayon::current_num_threads().min(batch).max(1)
 }
 
 /// A 2-D convolution over `[batch, in_c, H, W]` inputs.
 ///
 /// Weights are stored pre-flattened as `[out_c, in_c·kh·kw]` so forward is a
 /// single matmul against the im2col matrix of each sample. Batch rows are
-/// processed in parallel with rayon.
+/// sharded across the compute pool (the caller plus its parked workers).
 pub struct Conv2d {
     geom: Conv2dGeom,
     out_channels: usize,
@@ -30,7 +26,7 @@ pub struct Conv2d {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    // Flat pooled im2col cache from the last forward pass:
+    // Flat pooled im2col cache from the last training-mode forward pass:
     // `batch` back-to-back `[col_rows, n_pos]` matrices.
     cached_cols: Option<(Vec<f32>, usize)>,
 }
@@ -153,7 +149,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
         let batch = self.check_input(x)?;
         let g = self.geom;
         let sample_len = g.in_channels * g.in_h * g.in_w;
@@ -168,17 +164,20 @@ impl Layer for Conv2d {
         let out_c = self.out_channels;
 
         // Recycle last step's cols cache, then draw both the im2col matrix
-        // (all samples, back to back) and the output from the pool.
+        // and the output from the pool. Training keeps every sample's cols
+        // (back to back) for backward; an eval forward keeps nothing, so
+        // each worker group reuses one sample-sized buffer.
         if let Some((old, _)) = self.cached_cols.take() {
             scratch.recycle(old);
         }
-        let mut cols_flat = scratch.take(batch * cols_sample);
+        let groups = sample_groups(batch);
+        let cols_kept = if train { batch } else { groups };
+        let mut cols_flat = scratch.take(cols_kept * cols_sample);
         let mut out_flat = scratch.take(batch * out_sample);
 
         // Per-sample: cols = im2col(x_i); y_i = W · cols + b (fused BiasRow
         // epilogue). Samples are sharded across worker groups, each with its
         // own GEMM pack workspace and disjoint cols/out chunks.
-        let groups = sample_groups(batch);
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
         let mut items: Vec<(usize, &mut [f32], &mut [f32], &mut GemmWorkspace)> =
@@ -192,7 +191,8 @@ impl Layer for Conv2d {
                     break;
                 }
                 let take = per.min(batch - s0);
-                let (cchunk, ctail) = cols_rest.split_at_mut(take * cols_sample);
+                let cols_take = if train { take } else { 1 };
+                let (cchunk, ctail) = cols_rest.split_at_mut(cols_take * cols_sample);
                 let (ochunk, otail) = out_rest.split_at_mut(take * out_sample);
                 items.push((s0, cchunk, ochunk, ws));
                 s0 += take;
@@ -200,15 +200,14 @@ impl Layer for Conv2d {
                 out_rest = otail;
             }
         }
+        // Offset of the next sample's cols within its group's chunk.
+        let cols_step = if train { cols_sample } else { 0 };
         let results: Vec<Result<()>> = items
             .into_par_iter()
             .map(|(s0, cchunk, ochunk, ws)| {
-                for (si, (cols_i, out_i)) in cchunk
-                    .chunks_exact_mut(cols_sample)
-                    .zip(ochunk.chunks_exact_mut(out_sample))
-                    .enumerate()
-                {
+                for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
                     let i = s0 + si;
+                    let cols_i = &mut cchunk[si * cols_step..][..cols_sample];
                     ops::im2col_into(&xs[i * sample_len..(i + 1) * sample_len], &g, cols_i)?;
                     gemm::gemm(
                         ws,
@@ -230,7 +229,11 @@ impl Layer for Conv2d {
         for r in results {
             r?;
         }
-        self.cached_cols = Some((cols_flat, batch));
+        if train {
+            self.cached_cols = Some((cols_flat, batch));
+        } else {
+            scratch.recycle(cols_flat);
+        }
         Tensor::from_vec([batch, self.out_channels, oh, ow], out_flat)
     }
 
@@ -538,5 +541,65 @@ mod tests {
         let mut c = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut rng()).unwrap();
         let mut s = Scratch::new();
         assert!(c.backward(&Tensor::zeros([1, 2, 4, 4]), &mut s).is_err());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn eval_forward_matches_training_forward_and_keeps_no_backward_state() {
+        for batch in 1..=5 {
+            let mut c = Conv2d::new(2, 3, 6, 6, 3, 1, 1, &mut rng()).unwrap();
+            let mut s = Scratch::new();
+            let x = prionn_tensor::init::uniform([batch, 2, 6, 6], -1.0, 1.0, &mut rng());
+            let trained = c.forward(&x, true, &mut s).unwrap();
+            let evaluated = c.forward(&x, false, &mut s).unwrap();
+            assert_eq!(bits(&evaluated), bits(&trained), "batch {batch}");
+            let err = c.backward(&Tensor::zeros([batch, 3, 6, 6]), &mut s);
+            assert!(err.unwrap_err().to_string().contains("without forward"));
+        }
+    }
+
+    /// Run `f` on every pool thread at once. Until all of them are done no
+    /// worker is idle, so every `par_iter` inside `f` is run by its caller
+    /// alone. Only one test may do this: two at once could each hold some
+    /// of the workers at their barrier and wait for the rest forever.
+    fn on_a_saturated_pool<R: Send>(f: impl Fn() -> R + Sync) -> Vec<R> {
+        let threads = rayon::current_num_threads();
+        let gate = std::sync::Barrier::new(threads);
+        (0..threads)
+            .into_par_iter()
+            .map(|_| {
+                gate.wait();
+                let out = f();
+                gate.wait();
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn outputs_do_not_depend_on_which_thread_ran_a_chunk() {
+        for batch in 1..=5 {
+            let x = prionn_tensor::init::uniform([batch, 2, 6, 6], -1.0, 1.0, &mut rng());
+            let dy = prionn_tensor::init::uniform([batch, 3, 6, 6], -1.0, 1.0, &mut rng());
+            let step = || {
+                let mut c = Conv2d::new(2, 3, 6, 6, 3, 1, 1, &mut rng()).unwrap();
+                let mut s = Scratch::new();
+                let y = c.forward(&x, true, &mut s).unwrap();
+                let dx = c.backward(&dy, &mut s).unwrap();
+                [bits(&y), bits(&dx), bits(&c.grad_w), bits(&c.grad_b)]
+            };
+            // The caller ran every chunk itself …
+            let alone = on_a_saturated_pool(step);
+            // … against an idle pool whose workers are free to take chunks.
+            for _ in 0..8 {
+                let shared = step();
+                for (run, got) in alone.iter().enumerate() {
+                    assert_eq!(*got, shared, "batch {batch}, saturated run {run}");
+                }
+            }
+        }
     }
 }

@@ -44,8 +44,8 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool, scratch: &mut Scratch) -> Result<Tensor> {
-        // Recycle a stale argmax cache left by a forward-only pass (predict).
+    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+        // Recycle an argmax cache no backward consumed.
         if let Some((_, old)) = self.cache.take() {
             scratch.recycle_idx(old);
         }
@@ -66,7 +66,8 @@ impl Layer for MaxPool2d {
         }
         let xs = x.as_slice();
         let mut out = scratch.take(b * c * oh * ow);
-        let mut argmax = scratch.take_idx(out.len());
+        // Only backward reads the argmax table: an eval forward keeps none.
+        let mut argmax = train.then(|| scratch.take_idx(out.len()));
         for bi in 0..b {
             for ci in 0..c {
                 let plane = (bi * c + ci) * h * w;
@@ -87,12 +88,14 @@ impl Layer for MaxPool2d {
                             }
                         }
                         out[out_plane + oy * ow + ox] = best;
-                        argmax[out_plane + oy * ow + ox] = best_idx;
+                        if let Some(argmax) = &mut argmax {
+                            argmax[out_plane + oy * ow + ox] = best_idx;
+                        }
                     }
                 }
             }
         }
-        self.cache = Some((x.dims().to_vec(), argmax));
+        self.cache = argmax.map(|argmax| (x.dims().to_vec(), argmax));
         Tensor::from_vec([b, c, oh, ow], out)
     }
 
@@ -151,6 +154,21 @@ mod tests {
         let dy = Tensor::from_vec([1, 1, 1, 1], vec![5.0]).unwrap();
         let dx = p.backward(&dy, &mut s).unwrap();
         assert_eq!(dx.as_slice(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    fn eval_forward_matches_training_forward_and_keeps_no_argmax() {
+        let mut p = MaxPool2d::new(2).unwrap();
+        let mut s = Scratch::new();
+        let x =
+            Tensor::from_vec([1, 2, 2, 4], (0..16).map(|v| (v * 7 % 5) as f32).collect()).unwrap();
+        let trained = p.forward(&x, true, &mut s).unwrap();
+        let evaluated = p.forward(&x, false, &mut s).unwrap();
+        assert_eq!(evaluated, trained);
+        assert!(
+            p.backward(&Tensor::zeros([1, 2, 1, 2]), &mut s).is_err(),
+            "eval kept an argmax table"
+        );
     }
 
     #[test]

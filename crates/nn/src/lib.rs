@@ -19,8 +19,9 @@
 //!   training, prediction, and weight export/import,
 //! * [`arch`] — the paper's three architectures behind one [`arch::ArchConfig`].
 //!
-//! Parallelism: convolutions and dense matmuls fan out across rayon workers
-//! per batch row; all randomness is caller-seeded (`ChaCha8Rng`).
+//! Parallelism: convolutions (over sample groups) and large dense matmuls
+//! (over row panels) share the one process-wide compute pool behind
+//! `par_iter`; all randomness is caller-seeded (`ChaCha8Rng`).
 
 #![warn(missing_docs)]
 

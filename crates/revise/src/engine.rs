@@ -397,12 +397,15 @@ impl ReviseEngine {
         // queued but have a schedule entry ran to their natural end.
         let running: HashSet<u64> = sim.running_info().map(|r| r.id).collect();
         let queued: HashSet<u64> = sim.queued_jobs().map(|q| q.id).collect();
-        let done: Vec<u64> = inner
+        let mut done: Vec<u64> = inner
             .tracked
             .keys()
             .filter(|id| !running.contains(id) && !queued.contains(id))
             .copied()
             .collect();
+        // `tracked` is a HashMap: sort so jobs finishing in one tick enter
+        // the drift window in the same order on every replay.
+        done.sort_unstable();
         for id in done {
             if !sim.finished().iter().any(|e| e.id == id) {
                 continue; // tracked but not yet submitted to this sim

@@ -59,9 +59,12 @@ pub const KC: usize = 256;
 /// Column-panel width (a multiple of [`NR`]; covers every PRIONN layer).
 pub const NC: usize = 4096;
 
-/// Parallelising a GEMM below this many FLOPs costs more in thread spawn
-/// overhead than the split recovers.
-const PAR_FLOP_THRESHOLD: f64 = 8e6;
+/// Below this many FLOPs (about 200 µs of serial work) a split loses: the
+/// caller finishes its half before a parked pool worker is awake to take
+/// the other, then waits for it. Measured against the persistent pool on
+/// 2 cores (avx512), a 2-way split ran 0.7–0.9× the serial kernel at 8e6
+/// FLOPs, 1.1× at 1.7e7, 1.4× at 6.7e7 and 2.0× at 5.4e8.
+const PAR_FLOP_THRESHOLD: f64 = 1.6e7;
 
 /// How a logical `[rows, cols]` operand is laid out in its backing slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1154,14 +1157,8 @@ pub fn gemm(
     ws.stats.total_seconds += t0.elapsed().as_secs_f64();
 }
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-}
-
-/// Blocked GEMM that distributes row panels across rayon workers when the
-/// problem is large enough (and runs [`gemm`] serially otherwise).
+/// Blocked GEMM that distributes row panels across the compute pool when
+/// the problem is large enough (and runs [`gemm`] serially otherwise).
 ///
 /// Each worker packs A panels into its own [`GemmWorkspace`] from `scratch`;
 /// the B panel is packed once and shared read-only. The parallel path
@@ -1182,7 +1179,7 @@ pub fn gemm_parallel(
     epi: Epilogue<'_>,
 ) {
     let panels = m.div_ceil(MC);
-    let groups = hardware_threads().min(panels);
+    let groups = rayon::current_num_threads().min(panels);
     if groups <= 1 || n > NC || k == 0 || gemm_flops(m, n, k) < PAR_FLOP_THRESHOLD {
         gemm(
             scratch.gemm_mut(),

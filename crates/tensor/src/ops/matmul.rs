@@ -23,8 +23,8 @@ use std::cell::RefCell;
 
 thread_local! {
     /// Fallback workspace for the convenience APIs. Hot paths should thread
-    /// their own [`Scratch`] instead (worker threads spawned per rayon call
-    /// see a fresh, empty workspace here).
+    /// their own [`Scratch`] instead (each compute-pool worker has its own,
+    /// initially empty, workspace here).
     static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 

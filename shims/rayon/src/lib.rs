@@ -1,14 +1,21 @@
 //! Offline stand-in for `rayon` covering the workspace's usage:
 //! `par_iter()` on slices, `into_par_iter()` on ranges and vectors,
 //! `par_chunks_mut()`, plus `enumerate`/`map`/`for_each`/`collect`
-//! (collecting into both `Vec<T>` and `Result<Vec<T>, E>`).
+//! (collecting into both `Vec<T>` and `Result<Vec<T>, E>`), and
+//! `current_num_threads()`.
 //!
-//! Work is genuinely parallel: items are split into contiguous chunks and
-//! fanned out over `std::thread::scope` threads (one per available core),
-//! preserving input order in the collected output. There is no work
-//! stealing, which is fine for the near-uniform batch workloads here.
+//! Work is genuinely parallel: items are split into contiguous chunks, one
+//! per pool thread, and run on the calling thread plus the parked workers
+//! of one process-wide pool (`src/pool.rs` describes the protocol),
+//! preserving input order in the collected output. No call creates a thread
+//! once the pool has started. There is no work stealing between chunks,
+//! which is fine for the near-uniform batch workloads here.
 
-use std::num::NonZeroUsize;
+use std::sync::Mutex;
+
+mod pool;
+
+pub use pool::current_num_threads;
 
 pub mod prelude {
     pub use crate::{
@@ -17,15 +24,7 @@ pub mod prelude {
     };
 }
 
-fn n_threads(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items)
-        .max(1)
-}
-
-/// Run `f` over `items` on multiple threads, preserving order.
+/// Run `f` over `items` on the pool, preserving order.
 fn parallel_map_vec<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -33,42 +32,29 @@ where
     F: Fn(T) -> U + Sync,
 {
     let n = items.len();
-    let threads = n_threads(n);
+    let threads = current_num_threads().min(n);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
     let chunk = n.div_ceil(threads);
 
-    // Carve the input into owned per-thread chunks up front.
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(threads);
+    // Carve the input into owned chunks up front: the cut depends on `n`
+    // and the pool size only. Each slot is locked by the one thread that
+    // claimed its chunk, which swaps the inputs for the outputs.
+    let mut slots: Vec<Mutex<(Vec<T>, Vec<U>)>> = Vec::with_capacity(threads);
     let mut rest = items;
-    let mut start = 0;
     while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let tail = rest.split_off(take);
-        chunks.push((start, rest));
-        start += take;
+        let tail = rest.split_off(chunk.min(rest.len()));
+        slots.push(Mutex::new((rest, Vec::new())));
         rest = tail;
     }
-
-    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(offset, part)| {
-                scope.spawn(move || (offset, part.into_iter().map(f).collect::<Vec<U>>()))
-            })
-            .collect();
-        for handle in handles {
-            let (offset, vals) = handle.join().expect("rayon shim worker panicked");
-            for (i, v) in vals.into_iter().enumerate() {
-                out[offset + i] = Some(v);
-            }
-        }
+    pool::run(slots.len(), &|i| {
+        let mut slot = slots[i].lock().expect("chunk slot is locked once");
+        slot.1 = std::mem::take(&mut slot.0).into_iter().map(&f).collect();
     });
-    out.into_iter()
-        .map(|v| v.expect("rayon shim lost an item"))
+    slots
+        .into_iter()
+        .flat_map(|slot| slot.into_inner().expect("run re-raises chunk panics").1)
         .collect()
 }
 
@@ -299,5 +285,82 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 500);
+    }
+
+    #[test]
+    fn closures_borrow_the_callers_stack() {
+        let offsets = [100usize, 200, 300, 400, 500, 600, 700];
+        let mut sums = [0usize; 7];
+        let scale = 3usize;
+        sums.par_chunks_mut(1).enumerate().for_each(|(i, out)| {
+            out[0] = offsets[i] * scale;
+        });
+        assert_eq!(sums, [300, 600, 900, 1200, 1500, 1800, 2100]);
+    }
+
+    #[test]
+    fn a_chunk_panic_reaches_the_caller_and_the_pool_survives() {
+        let caught = std::panic::catch_unwind(|| {
+            (0..64usize).into_par_iter().for_each(|i| {
+                if i == 63 {
+                    panic!("chunk failed");
+                }
+            });
+        });
+        let payload = caught.expect_err("the panic crosses par_iter");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk failed"));
+        let v: Vec<usize> = (0..64usize).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(v, (1..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_par_iter_finishes() {
+        let rows: Vec<usize> = (0..16usize)
+            .into_par_iter()
+            .map(|r| {
+                let cells: Vec<usize> = (0..16usize).into_par_iter().map(|c| r * 16 + c).collect();
+                cells.into_iter().sum()
+            })
+            .collect();
+        let want: Vec<usize> = (0..16).map(|r| (0..16).map(|c| r * 16 + c).sum()).collect();
+        assert_eq!(rows, want);
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_their_own_ordered_result() {
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8usize)
+                .map(|t| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..50)
+                            .map(|round| {
+                                (0..257usize)
+                                    .into_par_iter()
+                                    .map(|i| t * 1_000_000 + round * 1_000 + i)
+                                    .collect::<Vec<usize>>()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for (t, handle) in handles.into_iter().enumerate() {
+                let rounds = handle.join().expect("submitter thread");
+                for (round, got) in rounds.into_iter().enumerate() {
+                    let want: Vec<usize> = (0..257)
+                        .map(|i| t * 1_000_000 + round * 1_000 + i)
+                        .collect();
+                    assert_eq!(got, want, "submitter {t} round {round}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn current_num_threads_is_the_hosts_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(crate::current_num_threads(), host);
     }
 }
