@@ -25,20 +25,13 @@ use std::time::{Duration, Instant};
 
 use prionn_fleet::router::{FleetError, Router, RouterConfig};
 use prionn_fleet::testkit::{demo_corpus, LocalFleet};
+use prionn_workload::stats::percentile;
 use serde_json::json;
 
 const FLEET_SHARDS: usize = 4;
 /// Closed-loop clients per shard: enough in-flight requests to keep every
 /// shard's batch fusion fed.
 const CLIENTS_PER_SHARD: usize = 8;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 struct LoadStats {
     rps: f64,
@@ -88,11 +81,10 @@ fn drive(router: &Router, scripts: &[String], total: usize, clients: usize) -> L
         errors += e;
         lat.extend(l);
     }
-    lat.sort_by(|a, b| a.total_cmp(b));
     LoadStats {
         rps: ok as f64 / wall,
-        p50_ms: percentile(&lat, 0.50) * 1e3,
-        p99_ms: percentile(&lat, 0.99) * 1e3,
+        p50_ms: percentile(&lat, 50.0) * 1e3,
+        p99_ms: percentile(&lat, 99.0) * 1e3,
         ok,
         errors,
     }

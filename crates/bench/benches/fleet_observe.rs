@@ -27,15 +27,8 @@ use prionn_observe::{
     CollectorConfig, FleetCollector, FlightConfig, FlightRecorder, ShardTarget, Tracer,
 };
 use prionn_telemetry::Telemetry;
+use prionn_workload::stats::percentile;
 use serde_json::json;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 /// `reqs` sequential single-script predicts; returns per-request seconds.
 fn drive(router: &Router, scripts: &[String], reqs: usize, seed: u64) -> Vec<f64> {
@@ -86,13 +79,11 @@ fn main() {
         lat_off.extend(drive(&router_off, &scripts, reqs, seed));
         lat_on.extend(drive(&router_on, &scripts, reqs, seed));
     }
-    lat_off.sort_by(|a, b| a.total_cmp(b));
-    lat_on.sort_by(|a, b| a.total_cmp(b));
 
-    let p50_off = percentile(&lat_off, 0.50) * 1e3;
-    let p50_on = percentile(&lat_on, 0.50) * 1e3;
-    let p95_off = percentile(&lat_off, 0.95) * 1e3;
-    let p95_on = percentile(&lat_on, 0.95) * 1e3;
+    let p50_off = percentile(&lat_off, 50.0) * 1e3;
+    let p50_on = percentile(&lat_on, 50.0) * 1e3;
+    let p95_off = percentile(&lat_off, 95.0) * 1e3;
+    let p95_on = percentile(&lat_on, 95.0) * 1e3;
     let overhead_pct = (p50_on / p50_off - 1.0) * 100.0;
     let spans_recorded = recorder.snapshot().len();
 

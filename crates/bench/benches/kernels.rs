@@ -1,7 +1,7 @@
 //! Kernel benchmark: blocked GEMM (all three matmul variants plus fused
 //! bias/ReLU epilogues) against the naive reference kernels, a per-tier
-//! SIMD dispatch sweep, the int8 quantized GEMM, and one full train step
-//! of the PRIONN 2D-CNN on a 64×64 input at batch 32.
+//! SIMD dispatch sweep, and one full train step of the PRIONN 2D-CNN on a
+//! 64×64 input at batch 32.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench kernels`)
 //! and writes `BENCH_kernels.json` to the working directory (override with
@@ -170,12 +170,7 @@ fn main() {
     // reported as skipped rather than mislabelled.
     let mut tier_results = Vec::new();
     let mut simd_256_min_ms = f64::INFINITY;
-    for tier in [
-        KernelTier::Avx512,
-        KernelTier::Avx2,
-        KernelTier::Autovec,
-        KernelTier::Portable,
-    ] {
+    for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
         force_kernel_tier(Some(tier));
         let effective = kernel_tier();
         if effective != tier {
@@ -217,45 +212,6 @@ fn main() {
     }
     force_kernel_tier(None);
 
-    // Int8 quantized GEMM (the serve-fleet inference path) against the f32
-    // blocked kernel at the same shapes. "GFLOP/s" counts the same 2·n³
-    // useful multiply-adds either way, so the ratio is a direct
-    // throughput-per-answer comparison.
-    let mut qgemm_results = Vec::new();
-    for &n in &[64usize, 256] {
-        let w = init::uniform([n, n], -1.0, 1.0, &mut ChaCha8Rng::seed_from_u64(7));
-        let x = init::uniform([n, n], -1.0, 1.0, &mut ChaCha8Rng::seed_from_u64(8));
-        let qw = ops::QuantizedWeights::quantize(w.as_slice(), n, n);
-        let (qa, aq) = ops::quantize_activations(x.as_slice());
-        let mut out = vec![0.0f32; n * n];
-        let flops = 2.0 * (n as f64).powi(3);
-        let (tq, _) = time_runs(gemm_reps, || {
-            ops::qgemm(&qa, aq, n, &qw, None, false, &mut out);
-            std::hint::black_box(&out);
-        });
-        let (tf, _) = time_runs(gemm_reps, || {
-            std::hint::black_box(ops::matmul(&x, &w).unwrap());
-        });
-        println!(
-            "  int8 {n}^3: {:.3} ms ({:.2} GFLOP/s)  f32 {:.3} ms  ratio {:.2}x, packed {} bytes",
-            tq * 1e3,
-            gflops(flops, tq),
-            tf * 1e3,
-            tf / tq,
-            qw.packed_bytes()
-        );
-        qgemm_results.push(json!({
-            "n": n,
-            "kernel_tier": kernel_tier().name(),
-            "int8_ms": tq * 1e3,
-            "int8_gflops": gflops(flops, tq),
-            "f32_ms": tf * 1e3,
-            "speedup_vs_f32": tf / tq,
-            "packed_bytes": qw.packed_bytes(),
-            "f32_bytes": n * n * 4,
-        }));
-    }
-
     // One optimiser step of the paper's 2D-CNN head: 4-channel 64×64 input,
     // batch 32, 960 runtime bins — the shape PRIONN retrains on.
     let cfg = ArchConfig::paper(4, 960);
@@ -291,15 +247,14 @@ fn main() {
 
     let pre_pr_train_ms = 207.00;
     let pre_pr_256_plain_ms = 2.641;
-    // Pre-SIMD baseline: the autovectorized blocked kernel at 256³,
-    // measured on this machine immediately before the explicit AVX2/AVX-512
-    // microkernels landed. The SIMD gate is anchored here, not on a
-    // same-run autovec measurement, so dispatch regressions (e.g. the
-    // microkernel silently falling back) fail loudly.
+    // Pre-SIMD baseline: the blocked kernel at 256³, measured on this
+    // machine immediately before the explicit AVX2/AVX-512 microkernels
+    // landed. The SIMD gate is anchored here, not on a same-run
+    // measurement, so dispatch regressions (e.g. the microkernel silently
+    // falling back) fail loudly.
     let pre_simd_256_blocked_ms = 0.734;
     let pre_simd_256_blocked_gflops = 45.68;
-    let simd_available =
-        kernel_tier() != KernelTier::Autovec && kernel_tier() != KernelTier::Portable;
+    let simd_available = kernel_tier() != KernelTier::Portable;
     let simd_speedup_256 = pre_simd_256_blocked_ms / simd_256_min_ms;
     // Best-of-reps blocked time vs the frozen pre-PR naive median: the min
     // is the noise-robust side of the ratio on a shared box.
@@ -314,7 +269,6 @@ fn main() {
         "gemm": gemm_results,
         "fused_epilogues": fused_results,
         "kernel_tiers": tier_results,
-        "int8_gemm": qgemm_results,
         "train_step_2dcnn_64x64_b32": {
             "ms": train_secs * 1e3,
             "pre_pr_ms": pre_pr_train_ms,

@@ -15,54 +15,13 @@
 //! and stay alive together; measurement rounds alternate traced/untraced
 //! so clock drift and cache state cancel instead of biasing one side.
 
-use prionn_core::{Prionn, PrionnConfig};
+use prionn_bench::support::serving_model;
+use prionn_fleet::testkit::demo_corpus;
 use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
 use prionn_serve::{Gateway, GatewayConfig};
+use prionn_workload::stats::percentile;
 use serde_json::json;
 use std::time::{Duration, Instant};
-
-fn corpus() -> Vec<String> {
-    let mut scripts = Vec::new();
-    for i in 0..16 {
-        scripts.push(format!(
-            "#!/bin/bash\n#SBATCH -N 2\n#SBATCH -t 02:00:00\nmodule load mkl\nsrun ./short_app run{i}\n"
-        ));
-        scripts.push(format!(
-            "#!/bin/bash\n#SBATCH -N 64\n#SBATCH -t 12:00:00\nmodule load big\nexport OMP_NUM_THREADS=4\nsrun ./long_app case{i}\nsync\n"
-        ));
-    }
-    scripts
-}
-
-fn trained_model(scripts: &[String]) -> Prionn {
-    let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-    // A realistically sized serving model (the paper's grids are larger
-    // still): the overhead ceiling is relative to real forward-pass work,
-    // not a toy model whose forward is cheaper than a syscall.
-    let cfg = PrionnConfig {
-        grid: (32, 32),
-        base_width: 4,
-        runtime_bins: 64,
-        predict_io: false,
-        epochs: 1,
-        batch_size: 32,
-        ..Default::default()
-    };
-    let mut model = Prionn::new(cfg, &refs).unwrap();
-    let runtimes: Vec<f64> = (0..refs.len())
-        .map(|i| if i % 2 == 0 { 100.0 } else { 700.0 })
-        .collect();
-    model.retrain(&refs, &runtimes, &[], &[]).unwrap();
-    model
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 /// `reqs` sequential single-script predicts; returns per-request seconds.
 fn drive(gw: &Gateway, scripts: &[String], reqs: usize) -> Vec<f64> {
@@ -87,8 +46,8 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     println!("observe bench ({mode} mode): {rounds} alternating rounds x {reqs} sequential requests per side");
 
-    let scripts = corpus();
-    let model = trained_model(&scripts);
+    let scripts = demo_corpus();
+    let model = serving_model(&scripts);
     let ck_path = std::env::temp_dir().join("prionn_bench_observe.ck");
     model.save(&ck_path).unwrap();
 
@@ -121,13 +80,11 @@ fn main() {
     }
     gw_off.shutdown();
     gw_on.shutdown();
-    lat_off.sort_by(|a, b| a.total_cmp(b));
-    lat_on.sort_by(|a, b| a.total_cmp(b));
 
-    let p50_off = percentile(&lat_off, 0.50) * 1e3;
-    let p50_on = percentile(&lat_on, 0.50) * 1e3;
-    let p95_off = percentile(&lat_off, 0.95) * 1e3;
-    let p95_on = percentile(&lat_on, 0.95) * 1e3;
+    let p50_off = percentile(&lat_off, 50.0) * 1e3;
+    let p50_on = percentile(&lat_on, 50.0) * 1e3;
+    let p95_off = percentile(&lat_off, 95.0) * 1e3;
+    let p95_on = percentile(&lat_on, 95.0) * 1e3;
     let overhead_pct = (p50_on / p50_off - 1.0) * 100.0;
     let spans_recorded = recorder.snapshot().len();
 

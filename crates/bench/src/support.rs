@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment modules.
 
 use prionn_core::metrics::relative_accuracy;
-use prionn_core::JobPrediction;
+use prionn_core::{JobPrediction, Prionn, PrionnConfig};
 use prionn_workload::stats::{boxplot_summary, BoxplotSummary};
 use prionn_workload::{JobRecord, Trace, TraceConfig, TracePreset};
 use serde_json::json;
@@ -112,6 +112,35 @@ pub fn write_results(name: &str, value: &serde_json::Value) {
     if let Ok(s) = serde_json::to_string_pretty(value) {
         let _ = std::fs::write(path, s);
     }
+}
+
+/// The model the serving benches (`serve`, `observe`) put behind their
+/// gateways: the paper's default architecture and heads, trained for one
+/// epoch on `scripts` (`prionn_fleet::testkit::demo_corpus`). A gate that
+/// divides by a predict has to divide by a predict of the size the paper
+/// serves — against a toy model's sub-millisecond forward it measures
+/// thread hand-offs instead.
+pub fn serving_model(scripts: &[String]) -> Prionn {
+    let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+    let cfg = PrionnConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    let mut model = Prionn::new(cfg, &refs).expect("build serving model");
+    let pick = |short: f64, long: f64| -> Vec<f64> {
+        (0..refs.len())
+            .map(|i| if i % 2 == 0 { short } else { long })
+            .collect()
+    };
+    model
+        .retrain(
+            &refs,
+            &pick(100.0, 700.0),
+            &pick(1e7, 1e11),
+            &pick(1e6, 1e10),
+        )
+        .expect("train serving model");
+    model
 }
 
 /// Wall-clock a closure in seconds.

@@ -282,31 +282,6 @@ impl Prionn {
         self.retrain_count
     }
 
-    /// Switch every head between f32 and int8 quantized eval-mode
-    /// inference (see `Sequential::set_quantized`). Meant for frozen
-    /// serving replicas: training passes stay f32 either way, and a
-    /// subsequent [`Prionn::apply_weights_checkpoint`] hot-swap
-    /// re-quantizes the incoming weights automatically, so a replica set
-    /// quantized once stays quantized across swaps. The mode is
-    /// process-local serving state — not persisted by [`Prionn::save`].
-    pub fn set_quantized_inference(&mut self, on: bool) {
-        self.runtime_model.set_quantized(on);
-        if let Some(m) = self.read_model.as_mut() {
-            m.set_quantized(on);
-        }
-        if let Some(m) = self.write_model.as_mut() {
-            m.set_quantized(on);
-        }
-        if let Some(m) = self.power_model.as_mut() {
-            m.set_quantized(on);
-        }
-    }
-
-    /// Whether any head currently serves through quantized weights.
-    pub fn quantized_inference(&self) -> bool {
-        self.runtime_model.quantized_layers() > 0
-    }
-
     /// Map scripts to the model's input tensor (the paper's "data mapping").
     pub fn map_scripts(&self, scripts: &[&str]) -> Result<Tensor> {
         let (h, w) = self.cfg.grid;
@@ -1289,54 +1264,6 @@ mod tests {
             .apply_weights_checkpoint(&prionn_store::Checkpoint::new())
             .is_err());
         assert_eq!(a.predict(&refs[..4]).unwrap(), before);
-    }
-
-    /// The acceptance bound for int8 serving: on the paper-style
-    /// relativeAccuracy evaluation (Equation 1), quantized predictions may
-    /// shift the mean score by at most 0.01 versus f32.
-    #[test]
-    fn quantized_inference_keeps_relative_accuracy_within_bound() {
-        use crate::metrics::relative_accuracy;
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let mut p = Prionn::new(tiny_cfg(), &refs).unwrap();
-        let runtimes: Vec<f64> = (0..refs.len())
-            .map(|i| if i % 2 == 0 { 100.0 } else { 800.0 })
-            .collect();
-        let reads: Vec<f64> = (0..refs.len())
-            .map(|i| if i % 2 == 0 { 1e7 } else { 1e12 })
-            .collect();
-        for _ in 0..8 {
-            p.retrain(&refs, &runtimes, &reads, &reads).unwrap();
-        }
-        let mean_acc = |preds: &[ResourcePrediction]| -> f64 {
-            preds
-                .iter()
-                .zip(&runtimes)
-                .map(|(pr, &t)| relative_accuracy(t, pr.runtime_minutes))
-                .sum::<f64>()
-                / preds.len() as f64
-        };
-        let f32_preds = p.predict(&refs).unwrap();
-        assert!(!p.quantized_inference());
-        p.set_quantized_inference(true);
-        assert!(p.quantized_inference());
-        let q_preds = p.predict(&refs).unwrap();
-        let delta = (mean_acc(&f32_preds) - mean_acc(&q_preds)).abs();
-        assert!(delta <= 0.01, "quantized relativeAccuracy delta {delta}");
-        // Quantization survives a weight hot-swap and keeps tracking the
-        // new weights.
-        p.retrain(&refs, &runtimes, &reads, &reads).unwrap();
-        let weights = p.weights_checkpoint().unwrap();
-        let mut replica = p.fork_replica().unwrap();
-        replica.set_quantized_inference(true);
-        replica.apply_weights_checkpoint(&weights).unwrap();
-        assert!(replica.quantized_inference());
-        let rq = replica.predict(&refs).unwrap();
-        let delta2 = (mean_acc(&p.predict(&refs).unwrap()) - mean_acc(&rq)).abs();
-        assert!(delta2 <= 0.01, "post-swap delta {delta2}");
-        p.set_quantized_inference(false);
-        assert!(!p.quantized_inference());
     }
 
     #[test]

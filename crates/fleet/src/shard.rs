@@ -8,7 +8,7 @@
 //! * a **reader** thread decoding frames and answering admin messages
 //!   (ping, stats, drain, weight swap) inline;
 //! * a bounded **work queue** feeding `workers_per_conn` threads that run
-//!   blocking [`Gateway::predict_prioritized`] calls — many workers
+//!   blocking [`Gateway::predict_traced`] calls — many workers
 //!   blocked in the gateway at once is exactly what feeds its micro-batch
 //!   fusion;
 //! * a **writer** thread that owns the send half behind a `BufWriter` and

@@ -122,7 +122,7 @@ impl LocalFleet {
     /// Boot `n` *observed* shards: each gets its own telemetry registry,
     /// flight recorder, namespaced [`Tracer`] (`2 + i`, so stitched span
     /// ids never collide with the router's namespace `1`), and an ops
-    /// endpoint on an ephemeral port — everything a [`FleetCollector`]
+    /// endpoint on an ephemeral port — everything a `FleetCollector`
     /// (`prionn_observe::FleetCollector`) needs to scrape.
     pub fn spawn_observed(n: usize) -> LocalFleet {
         Self::spawn_inner(n, demo_gateway_config(), ShardConfig::default(), true)

@@ -296,8 +296,8 @@ impl ForecastEngine {
         }
     }
 
-    /// The snapshot as a JSON-producing probe closure, shaped for
-    /// `prionn_observe::OpsOptions::forecast` (the `/forecast` route).
+    /// The snapshot as a JSON-producing probe closure, shaped for an entry
+    /// of `prionn_observe::OpsOptions::json_routes` (the `/forecast` route).
     pub fn ops_probe(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let engine = self.clone();
         Arc::new(move || engine.snapshot().to_json())

@@ -17,9 +17,6 @@ pub struct Dense {
     cached_input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
-    /// Packed int8 weights for eval-mode forwards; rebuilt from `w` on
-    /// every [`Layer::load_state`] while present (quantize-at-hot-swap).
-    qw: Option<ops::QuantizedWeights>,
 }
 
 impl Dense {
@@ -35,7 +32,6 @@ impl Dense {
             cached_input: None,
             in_features,
             out_features,
-            qw: None,
         }
     }
 
@@ -64,31 +60,19 @@ impl Layer for Dense {
                 rhs: x.dims().to_vec(),
             });
         }
-        // Recycle a stale cached input left by a forward-only pass (predict).
+        // Recycle a cached input left by a training forward that was never
+        // followed by a backward.
         if let Some(old) = self.cached_input.take() {
             scratch.recycle_tensor(old);
         }
-        // Quantized eval path: integer GEMM over packed int8 weights. No
-        // input cache — backprop through the int8 product is undefined, so
-        // a subsequent backward (which only train passes issue) must not
-        // silently use it.
-        if !train {
-            if let Some(qw) = &self.qw {
-                let rows = x.dims()[0];
-                let mut qa = scratch.take_u8(x.len());
-                let aq = ops::quantize_activations_into(x.as_slice(), &mut qa);
-                let mut out = scratch.take(rows * self.out_features);
-                ops::qgemm(&qa, aq, rows, qw, Some(self.b.as_slice()), false, &mut out);
-                scratch.recycle_u8(qa);
-                return Tensor::from_vec([rows, self.out_features], out);
-            }
-        }
         // Fused GEMM + bias epilogue: one pass over the output.
         let y = ops::matmul_bias_with(scratch, x, &self.w, &self.b)?;
-        // Cache the input in a pooled buffer rather than a fresh clone.
-        let mut cached = scratch.take(x.len());
-        cached.copy_from_slice(x.as_slice());
-        self.cached_input = Some(Tensor::from_vec(x.shape().clone(), cached)?);
+        if train {
+            // Cache the input in a pooled buffer rather than a fresh clone.
+            let mut cached = scratch.take(x.len());
+            cached.copy_from_slice(x.as_slice());
+            self.cached_input = Some(Tensor::from_vec(x.shape().clone(), cached)?);
+        }
         Ok(y)
     }
 
@@ -148,28 +132,7 @@ impl Layer for Dense {
         }
         self.w = w.clone();
         self.b = b.clone();
-        // Hot-swap invariant: new weights must never serve through stale
-        // int8 codes.
-        if self.qw.is_some() {
-            self.quantize();
-        }
         Ok(2)
-    }
-
-    fn quantize(&mut self) {
-        self.qw = Some(ops::QuantizedWeights::quantize(
-            self.w.as_slice(),
-            self.in_features,
-            self.out_features,
-        ));
-    }
-
-    fn dequantize(&mut self) {
-        self.qw = None;
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.qw.is_some()
     }
 }
 
@@ -272,47 +235,17 @@ mod tests {
     }
 
     #[test]
-    fn quantized_eval_forward_tracks_f32_closely() {
+    fn eval_forward_matches_training_forward_and_keeps_no_input() {
         let mut d = Dense::new(32, 24, &mut rng());
         let x = prionn_tensor::init::uniform([8, 32], -1.0, 1.0, &mut rng());
         let mut s = Scratch::new();
-        let f32_out = d.forward(&x, false, &mut s).unwrap();
-        d.quantize();
-        assert!(d.is_quantized());
-        let q_out = d.forward(&x, false, &mut s).unwrap();
-        assert_eq!(q_out.dims(), f32_out.dims());
-        let max_abs = f32_out
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |a, &v| a.max(v.abs()));
-        for (&a, &b) in f32_out.as_slice().iter().zip(q_out.as_slice()) {
-            assert!(
-                (a - b).abs() <= max_abs * 0.02 + 1e-3,
-                "f32 {a} vs int8 {b}"
-            );
-        }
-        // Training passes ignore the quantized path entirely.
-        let train_out = d.forward(&x, true, &mut s).unwrap();
-        assert_eq!(train_out, f32_out);
-        d.dequantize();
-        assert_eq!(d.forward(&x, false, &mut s).unwrap(), f32_out);
-    }
-
-    #[test]
-    fn load_state_requantizes_when_quantized() {
-        let donor = Dense::new(6, 5, &mut ChaCha8Rng::seed_from_u64(42));
-        let mut d = Dense::new(6, 5, &mut rng());
-        d.quantize();
-        let x = prionn_tensor::init::uniform([3, 6], -1.0, 1.0, &mut rng());
-        let mut s = Scratch::new();
-        let before = d.forward(&x, false, &mut s).unwrap();
-        d.load_state(&donor.state()).unwrap();
-        assert!(d.is_quantized(), "quantization survives a hot-swap");
-        let after = d.forward(&x, false, &mut s).unwrap();
-        assert_ne!(before, after, "stale int8 codes served after swap");
-        // And the swapped codes reflect the donor's weights.
-        let mut fresh = Dense::new(6, 5, &mut ChaCha8Rng::seed_from_u64(42));
-        fresh.quantize();
-        assert_eq!(after, fresh.forward(&x, false, &mut s).unwrap());
+        let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let trained = bits(d.forward(&x, true, &mut s).unwrap());
+        let evaluated = bits(d.forward(&x, false, &mut s).unwrap());
+        assert_eq!(evaluated, trained);
+        assert!(
+            d.backward(&Tensor::zeros([8, 24]), &mut s).is_err(),
+            "eval kept an input"
+        );
     }
 }

@@ -75,24 +75,4 @@ pub trait Layer: Send {
     fn load_state(&mut self, _state: &[Tensor]) -> Result<usize> {
         Ok(0)
     }
-
-    /// Switch eval-mode (`train == false`) forwards to an int8 quantized
-    /// weight path, where the layer supports one. Layers without a
-    /// quantized path (activations, pooling — and convolutions, whose
-    /// per-sample im2col GEMMs are too small to amortise requantization)
-    /// ignore the call and keep serving f32. Training passes always use
-    /// f32 weights regardless.
-    ///
-    /// Implementations must re-quantize inside [`Layer::load_state`] when
-    /// already quantized, so a weight hot-swap atomically refreshes the
-    /// packed int8 codes too.
-    fn quantize(&mut self) {}
-
-    /// Drop quantized weights and return eval forwards to f32.
-    fn dequantize(&mut self) {}
-
-    /// Whether an int8 quantized inference path is currently active.
-    fn is_quantized(&self) -> bool {
-        false
-    }
 }

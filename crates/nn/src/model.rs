@@ -251,26 +251,6 @@ impl Sequential {
         })
     }
 
-    /// Switch eval-mode inference between f32 and int8 quantized weights
-    /// on every layer that supports quantization (currently `Dense`; see
-    /// [`Layer::quantize`]). Layers re-quantize themselves inside
-    /// `load_state`, so a later [`Sequential::load_state_dict`] hot-swap
-    /// keeps serving fresh int8 codes without a separate call here.
-    pub fn set_quantized(&mut self, on: bool) {
-        for layer in &mut self.layers {
-            if on {
-                layer.quantize();
-            } else {
-                layer.dequantize();
-            }
-        }
-    }
-
-    /// Number of layers currently holding quantized weights.
-    pub fn quantized_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_quantized()).count()
-    }
-
     /// Pool and GEMM counters for the model's scratch workspace. The
     /// `grows` counter staying flat across steps is the zero-allocation
     /// signal; `gemm` carries kernel GFLOP/s and pack-time share.
@@ -321,12 +301,6 @@ impl Sequential {
                     p.set(p_sq.sqrt());
                     g.set(g_sq.sqrt());
                 }
-            }
-            // A quantized layer's packed codes are derived state: refresh
-            // them whenever the optimiser moves the f32 weights, so the
-            // eval path never serves stale codes after online retraining.
-            if layer.is_quantized() {
-                layer.quantize();
             }
         }
     }
@@ -669,41 +643,6 @@ mod tests {
         let mut state = m.state();
         state.push(Tensor::zeros([1]));
         assert!(m.load_state(&state).is_err());
-    }
-
-    #[test]
-    fn quantized_predict_is_close_and_hot_swap_requantizes() {
-        let mut m = xor_model(11);
-        let (x, y) = xor_data();
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        m.fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 300, 4, &mut rng)
-            .unwrap();
-        let f32_logits = m.predict(&x, 4).unwrap();
-        m.set_quantized(true);
-        assert_eq!(m.quantized_layers(), 2, "both dense layers quantize");
-        let q_logits = m.predict(&x, 4).unwrap();
-        let max_abs = f32_logits
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |a, &v| a.max(v.abs()));
-        for (&a, &b) in f32_logits.as_slice().iter().zip(q_logits.as_slice()) {
-            assert!((a - b).abs() <= max_abs * 0.05, "{a} vs {b}");
-        }
-        // The decisions survive quantization on this trained model.
-        assert_eq!(m.predict_classes(&x, 4).unwrap(), y);
-
-        // Hot-swap onto a different model's weights: the quantized path
-        // must follow the new weights, not the stale codes.
-        let donor = xor_model(99);
-        m.load_state_dict(&donor.state_dict()).unwrap();
-        assert_eq!(m.quantized_layers(), 2);
-        let mut donor_q = xor_model(99);
-        donor_q.set_quantized(true);
-        let (xq, _) = xor_data();
-        assert_eq!(m.predict(&xq, 4).unwrap(), donor_q.predict(&xq, 4).unwrap());
-        m.set_quantized(false);
-        assert_eq!(m.quantized_layers(), 0);
     }
 
     #[test]

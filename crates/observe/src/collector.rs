@@ -1,6 +1,6 @@
 //! The fleet collector: scrapes every shard's ops endpoint, merges the
 //! metrics into one fleet-wide surface, stitches cross-shard traces, and
-//! drives the [`SloEngine`](crate::slo::SloEngine) over the merged view.
+//! drives the [`SloEngine`] over the merged view.
 //!
 //! One background thread, plain `std::net` HTTP/1.0 GETs (the ops server
 //! speaks `Connection: close`, so "pooling" here means cached resolved

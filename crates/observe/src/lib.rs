@@ -65,7 +65,7 @@ pub use drift::{
     DriftConfig, DriftHead, DriftMonitor, DriftSnapshot, HeadSnapshot, OutcomeSample, OutcomeStatus,
 };
 pub use flight::{FlightConfig, FlightRecorder};
-pub use ops::{ForecastProbe, OpsOptions, OpsServer, Readiness, ReadyProbe, ReviseProbe};
+pub use ops::{JsonProbe, OpsOptions, OpsServer, Readiness, ReadyProbe};
 pub use slo::{BurnWindows, SloEngine, SloSource, SloSpec, SloStatus};
 pub use trace::{
     active, child_of_current, push_current, render_trace_tree, CurrentGuard, Span, SpanCtx,

@@ -12,8 +12,8 @@
 //! | `/readyz`  | readiness from the injected probe (gateway queue + replica liveness); `503` when not ready |
 //! | `/traces`  | recent span trees from the flight recorder, as JSON |
 //! | `/flight`  | triggers a flight dump to disk, returns the path |
-//! | `/forecast`| live IO-forecast snapshot from the injected probe, as JSON |
-//! | `/revise`  | in-flight revision engine snapshot from the injected probe, as JSON |
+//! | `/forecast`| live IO-forecast snapshot as JSON, when registered in [`OpsOptions::json_routes`] |
+//! | `/revise`  | in-flight revision engine snapshot as JSON, likewise |
 //! | `/fleet/metrics` | merged fleet-wide exposition from the attached [`FleetCollector`] |
 //! | `/fleet/healthz` | quorum-aware fleet health: `200` while enough shards scrape |
 //! | `/fleet/traces?trace_id=N` | one trace's spans stitched across every shard |
@@ -46,17 +46,12 @@ pub struct Readiness {
 /// The readiness probe: called per `/readyz` request.
 pub type ReadyProbe = Arc<dyn Fn() -> Readiness + Send + Sync>;
 
-/// The forecast probe: called per `/forecast` request, returns a JSON
-/// document (e.g. `prionn-forecast`'s `ForecastEngine::ops_probe`). A
-/// closure rather than a typed handle keeps `observe` below the forecast
-/// crate in the dependency graph.
-pub type ForecastProbe = Arc<dyn Fn() -> String + Send + Sync>;
-
-/// The revision probe: called per `/revise` request, returns a JSON
-/// document (e.g. `prionn-revise`'s `ReviseEngine::ops_probe`). Same
-/// closure-over-type pattern as [`ForecastProbe`]: `observe` stays below
-/// the revise crate in the dependency graph.
-pub type ReviseProbe = Arc<dyn Fn() -> String + Send + Sync>;
+/// A JSON snapshot probe: called per request to the route it is
+/// registered under, returns a JSON document (e.g. `prionn-forecast`'s
+/// `ForecastEngine::ops_probe`, `prionn-revise`'s
+/// `ReviseEngine::ops_probe`). A closure rather than a typed handle keeps
+/// `observe` below those crates in the dependency graph.
+pub type JsonProbe = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// What the ops endpoint exposes. Every field is optional; absent sources
 /// degrade their route to a clear `404`/empty answer rather than an error.
@@ -71,10 +66,11 @@ pub struct OpsOptions {
     pub drift: Option<DriftMonitor>,
     /// Readiness probe behind `/readyz` (absent = always ready).
     pub readiness: Option<ReadyProbe>,
-    /// Forecast snapshot probe behind `/forecast` (absent = `404`).
-    pub forecast: Option<ForecastProbe>,
-    /// Revision-engine snapshot probe behind `/revise` (absent = `404`).
-    pub revise: Option<ReviseProbe>,
+    /// JSON snapshot routes, `(path, probe)`: by convention `/forecast`
+    /// serves `ForecastEngine::ops_probe()` and `/revise` serves
+    /// `ReviseEngine::ops_probe()`. An unregistered path is a `404`; the
+    /// built-in routes win over an entry of the same path.
+    pub json_routes: Vec<(&'static str, JsonProbe)>,
     /// Fleet collector behind the `/fleet/*` routes (absent = `404`).
     pub fleet: Option<FleetCollector>,
     /// Most recent traces returned by `/traces` (default 64).
@@ -242,18 +238,6 @@ fn route(
                 "no flight recorder attached\n".into(),
             ),
         },
-        "/forecast" => match &opts.forecast {
-            Some(probe) => (OK, JSON, probe()),
-            None => (
-                "404 Not Found",
-                TEXT,
-                "no forecast engine attached\n".into(),
-            ),
-        },
-        "/revise" => match &opts.revise {
-            Some(probe) => (OK, JSON, probe()),
-            None => ("404 Not Found", TEXT, "no revise engine attached\n".into()),
-        },
         "/flight" => match &opts.recorder {
             Some(rec) => match rec.dump_to_file("ops endpoint /flight") {
                 Ok(path) => (
@@ -322,7 +306,10 @@ fn route(
                 "no fleet collector attached\n".into(),
             ),
         },
-        _ => ("404 Not Found", TEXT, "unknown route\n".into()),
+        _ => match opts.json_routes.iter().find(|(p, _)| *p == path) {
+            Some((_, probe)) => (OK, JSON, probe()),
+            None => ("404 Not Found", TEXT, "unknown route\n".into()),
+        },
     }
 }
 
@@ -425,37 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn forecast_route_serves_probe_json_or_404() {
-        let opts = OpsOptions::default();
-        let (status, _, body) = route("/forecast", None, &opts);
-        assert_eq!(status, "404 Not Found");
-        assert!(body.contains("no forecast engine"), "{body}");
+    fn json_routes_serve_probe_json_or_404() {
+        for path in ["/forecast", "/revise"] {
+            let opts = OpsOptions::default();
+            assert_eq!(route(path, None, &opts).0, "404 Not Found");
 
-        let opts = OpsOptions {
-            forecast: Some(Arc::new(|| "{\"alerting\":false}".to_string())),
-            ..OpsOptions::default()
-        };
-        let (status, ctype, body) = route("/forecast", None, &opts);
-        assert_eq!(status, "200 OK");
-        assert_eq!(ctype, "application/json");
-        assert_eq!(body, "{\"alerting\":false}");
-    }
-
-    #[test]
-    fn revise_route_serves_probe_json_or_404() {
-        let opts = OpsOptions::default();
-        let (status, _, body) = route("/revise", None, &opts);
-        assert_eq!(status, "404 Not Found");
-        assert!(body.contains("no revise engine"), "{body}");
-
-        let opts = OpsOptions {
-            revise: Some(Arc::new(|| "{\"inflight\":0}".to_string())),
-            ..OpsOptions::default()
-        };
-        let (status, ctype, body) = route("/revise", None, &opts);
-        assert_eq!(status, "200 OK");
-        assert_eq!(ctype, "application/json");
-        assert_eq!(body, "{\"inflight\":0}");
+            let opts = OpsOptions {
+                json_routes: vec![(path, Arc::new(|| "{\"inflight\":0}".to_string()))],
+                ..OpsOptions::default()
+            };
+            let (status, ctype, body) = route(path, None, &opts);
+            assert_eq!(status, "200 OK");
+            assert_eq!(ctype, "application/json");
+            assert_eq!(body, "{\"inflight\":0}");
+        }
     }
 
     #[test]

@@ -457,8 +457,8 @@ impl ReviseEngine {
         }
     }
 
-    /// A closure serving [`snapshot`](Self::snapshot) as JSON — plug into
-    /// `OpsOptions::revise` to serve `/revise`.
+    /// A closure serving [`snapshot`](Self::snapshot) as JSON — register it
+    /// under `/revise` in `OpsOptions::json_routes`.
     pub fn ops_probe(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let engine = self.clone();
         Arc::new(move || engine.snapshot().to_json())

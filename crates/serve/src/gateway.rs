@@ -71,7 +71,7 @@ pub type ServeResult<T> = Result<T, ServeError>;
 /// `ForecastEngine::pressure_probe()` in here.
 pub type PressureProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Request priority class for [`Gateway::predict_prioritized`].
+/// Request priority class for [`Gateway::predict_traced`].
 ///
 /// Priorities only matter while the [`PressureProbe`] reports forecast
 /// burst pressure: low-priority requests are shed outright and normal ones
@@ -88,23 +88,10 @@ pub enum Priority {
     Low,
 }
 
-/// Numeric precision replica workers serve predictions at.
-///
-/// The trainer's master model always stays f32 — precision only affects
-/// the forked replica copies. Int8 replicas quantize their dense-layer
-/// weights at spawn (via `Prionn::set_quantized_inference`) and re-quantize
-/// automatically on every weight hot-swap, so published f32 checkpoints
-/// never serve through stale int8 codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full-precision f32 inference (the default).
-    #[default]
-    F32,
-    /// Int8 quantized inference: ~4× smaller dense weights per replica and
-    /// an integer GEMM forward, at a small relative-accuracy cost (bounded
-    /// at ≤ 0.01 mean delta by the core acceptance test).
-    Int8,
-}
+/// Fraction of [`GatewayConfig::queue_cap`] normal-priority requests may
+/// still fill while a burst is forecast (the tightened cap never drops
+/// below 1).
+const PRESHED_QUEUE_FRAC: f64 = 0.5;
 
 /// Tuning knobs for [`Gateway::spawn`].
 #[derive(Clone)]
@@ -121,9 +108,6 @@ pub struct GatewayConfig {
     /// Bound on the shared request queue; admission control rejects
     /// requests beyond this with [`ServeError::Overloaded`].
     pub queue_cap: usize,
-    /// Deadline applied to every request that does not carry its own
-    /// (via [`Gateway::predict_with_deadline`]). `None` means no deadline.
-    pub default_deadline: Option<Duration>,
     /// Bound on the background retrain queue (latest-wins drop policy).
     pub retrain_queue_cap: usize,
     /// Metrics registry; a private one is created when `None`.
@@ -140,13 +124,6 @@ pub struct GatewayConfig {
     /// Forecast pressure probe; when present, admission tightens while it
     /// returns true (see [`Priority`]). `None` disables pre-shedding.
     pub pressure: Option<PressureProbe>,
-    /// Numeric precision for replica inference (see [`Precision`]). The
-    /// trainer keeps full f32 weights either way.
-    pub precision: Precision,
-    /// Fraction of [`queue_cap`](Self::queue_cap) normal-priority requests
-    /// may still fill while a burst is forecast (clamped to `(0, 1]`;
-    /// the tightened cap never drops below 1).
-    pub preshed_queue_frac: f64,
     /// Test hook (integration tests and failure drills): when true, a
     /// request containing the reserved script `__serve_test_panic__`
     /// panics the serving replica, exercising the panic-containment and
@@ -163,11 +140,8 @@ impl std::fmt::Debug for GatewayConfig {
             .field("max_batch", &self.max_batch)
             .field("max_wait", &self.max_wait)
             .field("queue_cap", &self.queue_cap)
-            .field("default_deadline", &self.default_deadline)
             .field("retrain_queue_cap", &self.retrain_queue_cap)
             .field("pressure", &self.pressure.as_ref().map(|_| "<probe>"))
-            .field("precision", &self.precision)
-            .field("preshed_queue_frac", &self.preshed_queue_frac)
             .field("test_panic_marker", &self.test_panic_marker)
             .finish_non_exhaustive()
     }
@@ -180,14 +154,11 @@ impl Default for GatewayConfig {
             max_batch: 16,
             max_wait: Duration::from_micros(2000),
             queue_cap: 128,
-            default_deadline: None,
             retrain_queue_cap: 8,
             telemetry: None,
             tracer: None,
             drift: None,
             pressure: None,
-            precision: Precision::F32,
-            preshed_queue_frac: 0.5,
             test_panic_marker: false,
         }
     }
@@ -361,7 +332,6 @@ pub struct Gateway {
     live_replicas: Arc<AtomicUsize>,
     configured_replicas: usize,
     queue_cap: usize,
-    default_deadline: Option<Duration>,
     pressure: Option<PressureProbe>,
     preshed_cap: usize,
     preshed_engaged: AtomicBool,
@@ -403,11 +373,6 @@ impl Gateway {
         for i in 0..cfg.replicas {
             let mut replica = Prionn::from_checkpoint(&master_ck).map_err(|e| spawn_err(&e))?;
             replica.set_telemetry(&telemetry);
-            if cfg.precision == Precision::Int8 {
-                // Quantize at fork time; every hot-swap applied below
-                // re-quantizes through `apply_weights_checkpoint`.
-                replica.set_quantized_inference(true);
-            }
             let rx = req_rx.clone();
             let bus = bus.clone();
             let stats = Arc::clone(&stats);
@@ -521,16 +486,8 @@ impl Gateway {
             live_replicas,
             configured_replicas: cfg.replicas,
             queue_cap: cfg.queue_cap.max(1),
-            default_deadline: cfg.default_deadline,
             pressure: cfg.pressure,
-            preshed_cap: {
-                let frac = if cfg.preshed_queue_frac > 0.0 && cfg.preshed_queue_frac <= 1.0 {
-                    cfg.preshed_queue_frac
-                } else {
-                    0.5
-                };
-                ((cfg.queue_cap.max(1) as f64 * frac) as usize).max(1)
-            },
+            preshed_cap: ((cfg.queue_cap.max(1) as f64 * PRESHED_QUEUE_FRAC) as usize).max(1),
             preshed_engaged: AtomicBool::new(false),
         })
     }
@@ -554,58 +511,36 @@ impl Gateway {
         Self::spawn(model, cfg)
     }
 
-    /// Predict resources for `scripts`, using the gateway's default
-    /// deadline (if any). Blocks until a replica serves the fused batch
-    /// containing this request.
+    /// Predict resources for `scripts` with no queueing deadline. Blocks
+    /// until a replica serves the fused batch containing this request.
     pub fn predict(&self, scripts: &[String]) -> ServeResult<Vec<ResourcePrediction>> {
-        self.predict_detailed(scripts, self.default_deadline)
-            .map(|r| r.predictions)
-    }
-
-    /// [`predict`](Self::predict) with an explicit queueing deadline: if no
-    /// replica picks the request up within `deadline`, it is shed with
-    /// [`ServeError::DeadlineExceeded`] instead of being served stale.
-    pub fn predict_with_deadline(
-        &self,
-        scripts: &[String],
-        deadline: Duration,
-    ) -> ServeResult<Vec<ResourcePrediction>> {
-        self.predict_detailed(scripts, Some(deadline))
-            .map(|r| r.predictions)
+        self.predict_detailed(scripts, None).map(|r| r.predictions)
     }
 
     /// Full-fidelity predict: returns the weight epoch alongside the
-    /// predictions so callers can correlate answers with hot-swaps.
+    /// predictions so callers can correlate answers with hot-swaps. If no
+    /// replica picks the request up within `deadline`, it is shed with
+    /// [`ServeError::DeadlineExceeded`] instead of being served stale.
     /// Admits at [`Priority::Normal`].
     pub fn predict_detailed(
         &self,
         scripts: &[String],
         deadline: Option<Duration>,
     ) -> ServeResult<PredictionReply> {
-        self.predict_prioritized(scripts, deadline, Priority::Normal)
+        self.predict_traced(scripts, deadline, Priority::Normal, SpanCtx::NONE)
     }
 
     /// [`predict_detailed`](Self::predict_detailed) with an explicit
-    /// [`Priority`]. While the configured [`PressureProbe`] reports a
-    /// forecast IO burst, [`Priority::Low`] requests are shed with
-    /// [`ServeError::ShedPreBurst`] and normal requests face the tightened
-    /// queue cap ([`GatewayConfig::preshed_queue_frac`]) — load is
-    /// shed *before* the burst arrives rather than during it.
-    pub fn predict_prioritized(
-        &self,
-        scripts: &[String],
-        deadline: Option<Duration>,
-        priority: Priority,
-    ) -> ServeResult<PredictionReply> {
-        self.predict_traced(scripts, deadline, priority, SpanCtx::NONE)
-    }
-
-    /// [`predict_prioritized`](Self::predict_prioritized) with a foreign
-    /// trace parent: when `parent` is set (e.g. extracted from a fleet
-    /// frame's trace-context extension), the request's root span adopts
-    /// the caller's trace id and parents under the caller's span, so the
-    /// shard-side tree stitches into the fleet-wide trace instead of
-    /// starting a disconnected one.
+    /// [`Priority`] and a foreign trace parent. While the configured
+    /// [`PressureProbe`] reports a forecast IO burst, [`Priority::Low`]
+    /// requests are shed with [`ServeError::ShedPreBurst`] and normal
+    /// requests face the tightened queue cap (half of
+    /// [`GatewayConfig::queue_cap`]) — load is shed *before* the burst
+    /// arrives rather than during it. When `parent` is set (e.g. extracted
+    /// from a fleet frame's trace-context extension), the request's root
+    /// span adopts the caller's trace id and parents under the caller's
+    /// span, so the shard-side tree stitches into the fleet-wide trace
+    /// instead of starting a disconnected one.
     pub fn predict_traced(
         &self,
         scripts: &[String],
@@ -1305,7 +1240,7 @@ mod tests {
         )
         .unwrap();
         let err = gw
-            .predict_with_deadline(&corpus()[..1], Duration::ZERO)
+            .predict_detailed(&corpus()[..1], Some(Duration::ZERO))
             .unwrap_err();
         assert_eq!(err, ServeError::DeadlineExceeded);
         assert_eq!(gw.stats().requests_shed_deadline.load(Ordering::SeqCst), 1);
@@ -1331,77 +1266,6 @@ mod tests {
         gw.shutdown();
     }
 
-    /// The precision knob end to end: an Int8 gateway serves predictions
-    /// within the quantization accuracy bound of an f32 gateway forked
-    /// from the same master, and a weight hot-swap serves the *new*
-    /// weights through freshly re-quantized int8 codes — never stale ones
-    /// and never raw f32.
-    #[test]
-    fn int8_replicas_track_f32_and_requantize_on_hot_swap() {
-        let mut master = tiny_model();
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let minutes: Vec<f64> = (0..8).map(|i| 10.0 + 7.0 * i as f64).collect();
-        let reads: Vec<f64> = (0..8).map(|i| 1e6 * (i + 1) as f64).collect();
-        let writes: Vec<f64> = (0..8).map(|i| 5e5 * (i + 1) as f64).collect();
-        master.retrain(&refs, &minutes, &reads, &writes).unwrap();
-
-        let quick = |precision| GatewayConfig {
-            replicas: 1,
-            max_wait: Duration::from_micros(100),
-            precision,
-            ..GatewayConfig::default()
-        };
-        let f32_gw = Gateway::spawn(master.fork_replica().unwrap(), quick(Precision::F32)).unwrap();
-        let int8_gw =
-            Gateway::spawn(master.fork_replica().unwrap(), quick(Precision::Int8)).unwrap();
-
-        let f32_preds = f32_gw.predict(&scripts).unwrap();
-        let q_preds = int8_gw.predict(&scripts).unwrap();
-        for (a, b) in f32_preds.iter().zip(&q_preds) {
-            let ra = prionn_core::relative_accuracy(a.runtime_minutes, b.runtime_minutes);
-            assert!(
-                ra >= 0.99,
-                "int8 runtime {} too far from f32 {} (relative accuracy {ra})",
-                b.runtime_minutes,
-                a.runtime_minutes
-            );
-        }
-
-        // Train the master further, hot-swap the int8 gateway, and wait
-        // for the replica to apply the new epoch.
-        master.retrain(&refs, &minutes, &reads, &writes).unwrap();
-        let epoch = int8_gw.hot_swap(&master).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let post_swap = loop {
-            let reply = int8_gw.predict_detailed(&scripts, None).unwrap();
-            if reply.epoch == epoch {
-                break reply.predictions;
-            }
-            assert!(Instant::now() < deadline, "replica never applied epoch");
-            std::thread::yield_now();
-        };
-
-        // The swapped replica must match an int8-quantized fork of the
-        // *new* master: fresh codes for fresh weights.
-        let mut q_ref = master.fork_replica().unwrap();
-        q_ref.set_quantized_inference(true);
-        let expect = q_ref.predict(&refs).unwrap();
-        for (got, want) in post_swap.iter().zip(&expect) {
-            let rel = (got.runtime_minutes - want.runtime_minutes).abs()
-                / want.runtime_minutes.abs().max(1e-9);
-            assert!(
-                rel < 1e-5,
-                "post-swap int8 prediction {} diverges from requantized master {}",
-                got.runtime_minutes,
-                want.runtime_minutes
-            );
-        }
-
-        f32_gw.shutdown();
-        int8_gw.shutdown();
-    }
-
     /// While the pressure probe reports a forecast burst, low-priority
     /// requests are shed outright, normal ones face the tightened cap, and
     /// the engage/release edges land in the event log exactly once each.
@@ -1414,8 +1278,7 @@ mod tests {
             tiny_model(),
             GatewayConfig {
                 replicas: 0,
-                queue_cap: 4,
-                preshed_queue_frac: 0.5, // tightened cap = 2
+                queue_cap: 4, // tightened cap = 2
                 telemetry: Some(telemetry.clone()),
                 pressure: Some(Arc::new(move || probe_flag.load(Ordering::SeqCst))),
                 ..GatewayConfig::default()
@@ -1436,7 +1299,7 @@ mod tests {
                         } else {
                             Priority::Normal
                         };
-                        gw.predict_prioritized(&scripts[..1], None, prio)
+                        gw.predict_traced(&scripts[..1], None, prio, SpanCtx::NONE)
                     })
                 })
                 .collect();
@@ -1451,12 +1314,10 @@ mod tests {
             // and a normal one hits the tightened cap (depth 3 >= 2).
             pressure.store(true, Ordering::SeqCst);
             let err = gw
-                .predict_prioritized(&scripts[..1], None, Priority::Low)
+                .predict_traced(&scripts[..1], None, Priority::Low, SpanCtx::NONE)
                 .unwrap_err();
             assert_eq!(err, ServeError::ShedPreBurst);
-            let err = gw
-                .predict_prioritized(&scripts[..1], None, Priority::Normal)
-                .unwrap_err();
+            let err = gw.predict_detailed(&scripts[..1], None).unwrap_err();
             assert_eq!(err, ServeError::ShedPreBurst);
             assert!(gw.preshed_active());
             assert_eq!(gw.stats().requests_shed_preburst.load(Ordering::SeqCst), 2);
@@ -1464,7 +1325,8 @@ mod tests {
 
             // Pressure off: admission is back to the full cap (depth 3 < 4).
             pressure.store(false, Ordering::SeqCst);
-            let c = s.spawn(|| gw.predict_prioritized(&scripts[..1], None, Priority::Low));
+            let c =
+                s.spawn(|| gw.predict_traced(&scripts[..1], None, Priority::Low, SpanCtx::NONE));
             while gw.queue_depth() < 4 {
                 assert!(
                     Instant::now() < deadline,

@@ -47,6 +47,6 @@
 mod gateway;
 
 pub use gateway::{
-    Gateway, GatewayConfig, GatewayStats, Precision, PredictionReply, PressureProbe, Priority,
-    ServeError, ServeResult,
+    Gateway, GatewayConfig, GatewayStats, PredictionReply, PressureProbe, Priority, ServeError,
+    ServeResult,
 };

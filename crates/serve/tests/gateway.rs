@@ -432,7 +432,7 @@ fn prometheus_export_carries_the_serve_metric_surface() {
     }
     // One shed via an already-expired deadline.
     let err = gw
-        .predict_with_deadline(&scripts[..1], Duration::ZERO)
+        .predict_detailed(&scripts[..1], Some(Duration::ZERO))
         .unwrap_err();
     assert_eq!(err, ServeError::DeadlineExceeded);
 

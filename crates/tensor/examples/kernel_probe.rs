@@ -76,12 +76,7 @@ fn bench_tier(tier: KernelTier, m: usize, n: usize, k: usize) {
 
 fn main() {
     for &(m, n, k) in &[(256usize, 256usize, 256usize), (64, 64, 64)] {
-        for tier in [
-            KernelTier::Avx512,
-            KernelTier::Avx2,
-            KernelTier::Autovec,
-            KernelTier::Portable,
-        ] {
+        for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
             bench_tier(tier, m, n, k);
         }
     }

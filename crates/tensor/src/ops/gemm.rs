@@ -34,10 +34,6 @@
 //!   `_mm512_fmadd_ps` per strip per row per k-step).
 //! * **avx2** — an explicit AVX2+FMA microkernel written with `std::arch`
 //!   intrinsics (`_mm256_fmadd_ps` over 12 YMM accumulators).
-//! * **autovec** — the packed block loop compiled under
-//!   `#[target_feature(enable = "avx2,fma")]` and left to LLVM's
-//!   auto-vectoriser; this was the only AVX2 path before the explicit
-//!   microkernels landed and is kept as the bench comparison baseline.
 //! * **portable** — the same block loop compiled for the baseline target;
 //!   runs on any CPU and is the reference the SIMD tiers are tested against.
 //!
@@ -518,32 +514,6 @@ fn block_loop_impl(
     }
 }
 
-/// Auto-vectorised AVX2+FMA instantiation of the block loop (monomorphised
-/// through the `#[inline(always)]` helpers above, so the portable microkernel
-/// compiles to FMAs). Retained as the [`KernelTier::Autovec`] comparison
-/// baseline for the explicit-intrinsics tier.
-///
-/// # Safety
-/// The caller must have verified that the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn block_loop_avx2(
-    apack: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    overwrite: bool,
-    epi: Epilogue<'_>,
-) {
-    block_loop_impl(apack, bpack, c, ldc, i0, j0, mc, nc, kc, overwrite, epi);
-}
-
 /// Explicit-intrinsics instantiation of the block loop: every full tile runs
 /// [`microkernel_avx2`]; write-back (with edge masking and fused epilogues)
 /// is shared with the portable path and inlines under the same features.
@@ -669,7 +639,7 @@ fn avx512_available() -> bool {
 ///
 /// The effective tier is chosen per call from, in priority order: a
 /// programmatic [`force_kernel_tier`] override, the `PRIONN_GEMM_KERNEL`
-/// environment variable (`avx512` / `avx2` / `autovec` / `portable`, read
+/// environment variable (`avx512` / `avx2` / `portable`, read
 /// once), then runtime CPU-feature detection (best available tier).
 /// Requesting a tier the CPU cannot run silently degrades to the best
 /// supported one — forcing a tier can never make a correct program crash.
@@ -679,29 +649,25 @@ pub enum KernelTier {
     Avx512,
     /// Explicit AVX2+FMA `std::arch` microkernel (6×16 YMM tile).
     Avx2,
-    /// Portable block loop compiled under `target_feature(avx2,fma)` and
-    /// auto-vectorised by LLVM (the pre-intrinsics kernel).
-    Autovec,
     /// Portable block loop compiled for the baseline target; runs anywhere.
     Portable,
 }
 
 impl KernelTier {
-    /// Stable lower-case name (`avx512`, `avx2`, `autovec`, `portable`) —
+    /// Stable lower-case name (`avx512`, `avx2`, `portable`) —
     /// the same spelling `PRIONN_GEMM_KERNEL` accepts and the bench JSON
     /// reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Avx512 => "avx512",
             KernelTier::Avx2 => "avx2",
-            KernelTier::Autovec => "autovec",
             KernelTier::Portable => "portable",
         }
     }
 }
 
 /// Process-wide tier override set by [`force_kernel_tier`].
-/// 0 = none, 1 = avx512, 2 = avx2, 3 = autovec, 4 = portable.
+/// 0 = none, 1 = avx512, 2 = avx2, 3 = portable.
 static TIER_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
 /// Force every subsequent GEMM call in this process onto one kernel tier
@@ -717,8 +683,7 @@ pub fn force_kernel_tier(tier: Option<KernelTier>) {
         None => 0,
         Some(KernelTier::Avx512) => 1,
         Some(KernelTier::Avx2) => 2,
-        Some(KernelTier::Autovec) => 3,
-        Some(KernelTier::Portable) => 4,
+        Some(KernelTier::Portable) => 3,
     };
     TIER_OVERRIDE.store(v, std::sync::atomic::Ordering::Relaxed);
 }
@@ -731,12 +696,11 @@ fn env_tier() -> Option<KernelTier> {
         || match std::env::var("PRIONN_GEMM_KERNEL").ok()?.as_str() {
             "avx512" => Some(KernelTier::Avx512),
             "avx2" => Some(KernelTier::Avx2),
-            "autovec" => Some(KernelTier::Autovec),
             "portable" => Some(KernelTier::Portable),
             other => {
                 eprintln!(
                     "PRIONN_GEMM_KERNEL: unknown tier {other:?} ignored \
-                     (expected avx512, avx2, autovec or portable)"
+                     (expected avx512, avx2 or portable)"
                 );
                 None
             }
@@ -749,8 +713,7 @@ pub fn kernel_tier() -> KernelTier {
     let requested = match TIER_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
         1 => Some(KernelTier::Avx512),
         2 => Some(KernelTier::Avx2),
-        3 => Some(KernelTier::Autovec),
-        4 => Some(KernelTier::Portable),
+        3 => Some(KernelTier::Portable),
         _ => env_tier(),
     };
     #[cfg(target_arch = "x86_64")]
@@ -764,13 +727,9 @@ pub fn kernel_tier() -> KernelTier {
         };
         match requested {
             None => best,
-            // Degrade an unsupported request to the best supported tier;
-            // autovec additionally needs AVX2 (it is the AVX2-compiled
-            // portable loop).
+            // Degrade an unsupported request to the best supported tier.
             Some(KernelTier::Avx512) if !avx512_available() => best,
-            Some(KernelTier::Avx2 | KernelTier::Autovec) if !avx2_fma_available() => {
-                KernelTier::Portable
-            }
+            Some(KernelTier::Avx2) if !avx2_fma_available() => KernelTier::Portable,
             Some(t) => t,
         }
     }
@@ -806,9 +765,6 @@ fn run_block_loop(
         KernelTier::Avx2 => unsafe {
             block_loop_simd(apack, bpack, c, ldc, i0, j0, mc, nc, kc, overwrite, epi);
         },
-        KernelTier::Autovec => unsafe {
-            block_loop_avx2(apack, bpack, c, ldc, i0, j0, mc, nc, kc, overwrite, epi);
-        },
         KernelTier::Portable => {
             block_loop_impl(apack, bpack, c, ldc, i0, j0, mc, nc, kc, overwrite, epi)
         }
@@ -826,20 +782,14 @@ pub const SMALL_K_MAX: usize = 2 * KC;
 
 /// True when [`gemm`] will run the skip-packing direct path: the whole
 /// problem fits the microkernel's register tiling without cache blocking
-/// (`m/n/k` small), B is row-major so its tile columns can be loaded
-/// straight from the operand, and the tier supports it (the autovec tier
-/// reproduces the pre-intrinsics kernel exactly, so it never short-cuts).
+/// (`m/n/k` small) and B is row-major so its tile columns can be loaded
+/// straight from the operand.
 ///
 /// Packing exists to make the streamed panels contiguous in L1/L2; at these
 /// sizes the operands already fit in cache and the pack traffic is pure
 /// overhead — it is what made 64³ matmuls lose to the naive kernel.
 pub fn small_path_applies(m: usize, n: usize, k: usize, lb: Layout) -> bool {
-    lb == Layout::RowMajor
-        && k > 0
-        && m <= SMALL_M_MAX
-        && n <= SMALL_N_MAX
-        && k <= SMALL_K_MAX
-        && kernel_tier() != KernelTier::Autovec
+    lb == Layout::RowMajor && k > 0 && m <= SMALL_M_MAX && n <= SMALL_N_MAX && k <= SMALL_K_MAX
 }
 
 /// Accumulate one `mr_eff × nr_eff` tile straight from the unpacked

@@ -74,7 +74,6 @@ impl ScratchStats {
 pub struct Scratch {
     free_f32: Vec<Vec<f32>>,
     free_idx: Vec<Vec<usize>>,
-    free_u8: Vec<Vec<u8>>,
     gemm: GemmWorkspace,
     workers: Vec<GemmWorkspace>,
     takes: u64,
@@ -145,24 +144,6 @@ impl Scratch {
         }
     }
 
-    /// Take a byte buffer of `len` elements (unspecified contents) — the
-    /// quantized-activation staging pool for the int8 inference path.
-    pub fn take_u8(&mut self, len: usize) -> Vec<u8> {
-        self.takes += 1;
-        match best_fit(&self.free_u8, len) {
-            Some(i) => {
-                self.hits += 1;
-                let mut buf = self.free_u8.swap_remove(i);
-                buf.resize(len, 0);
-                buf
-            }
-            None => {
-                self.grows += 1;
-                vec![0; len]
-            }
-        }
-    }
-
     /// Return a buffer to the pool, keeping its capacity for later takes.
     pub fn recycle(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
@@ -174,13 +155,6 @@ impl Scratch {
     pub fn recycle_idx(&mut self, buf: Vec<usize>) {
         if buf.capacity() > 0 {
             self.free_idx.push(buf);
-        }
-    }
-
-    /// Return a byte buffer to the pool.
-    pub fn recycle_u8(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 {
-            self.free_u8.push(buf);
         }
     }
 
@@ -233,14 +207,13 @@ impl Scratch {
     pub fn clear(&mut self) {
         self.free_f32.clear();
         self.free_idx.clear();
-        self.free_u8.clear();
         self.gemm = GemmWorkspace::new();
         self.workers.clear();
     }
 
     /// Number of buffers currently parked in the pools.
     pub fn pooled_buffers(&self) -> usize {
-        self.free_f32.len() + self.free_idx.len() + self.free_u8.len()
+        self.free_f32.len() + self.free_idx.len()
     }
 }
 
@@ -294,17 +267,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.grows, 2, "only the first round allocates");
         assert_eq!(st.takes, 6);
-    }
-
-    #[test]
-    fn u8_pool_round_trips() {
-        let mut s = Scratch::new();
-        let buf = s.take_u8(64);
-        let ptr = buf.as_ptr();
-        s.recycle_u8(buf);
-        let again = s.take_u8(48);
-        assert_eq!(again.as_ptr(), ptr);
-        assert_eq!(s.stats().hits, 1);
     }
 
     #[test]

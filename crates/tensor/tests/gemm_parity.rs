@@ -121,17 +121,12 @@ fn randomized_shapes_match_reference() {
 /// both the packed path and the skip-packing small path. Tiers the host
 /// cannot run degrade gracefully and exercise whatever tier dispatch
 /// lands on, so this test is meaningful on any x86-64 (and on other
-/// architectures, where every forced tier degrades to portable/autovec).
+/// architectures, where every forced tier degrades to portable).
 #[test]
 fn every_kernel_tier_matches_reference() {
     use prionn_tensor::ops::gemm::KernelTier;
     let mut rng = ChaCha8Rng::seed_from_u64(0x71E5);
-    for tier in [
-        KernelTier::Avx512,
-        KernelTier::Avx2,
-        KernelTier::Autovec,
-        KernelTier::Portable,
-    ] {
+    for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
         gemm::force_kernel_tier(Some(tier));
         let effective = gemm::kernel_tier();
         for (m, n, k) in shapes() {

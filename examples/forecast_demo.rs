@@ -76,7 +76,7 @@ fn main() {
         "127.0.0.1:0",
         OpsOptions {
             telemetry: Some(telemetry.clone()),
-            forecast: Some(engine.ops_probe()),
+            json_routes: vec![("/forecast", engine.ops_probe())],
             ..OpsOptions::default()
         },
     )

@@ -108,8 +108,7 @@ fn main() {
                 let (ready, detail) = probe_gw.readiness();
                 Readiness { ready, detail }
             })),
-            forecast: None,
-            revise: None,
+            json_routes: Vec::new(),
             fleet: None,
             max_traces: 64,
         },

@@ -132,7 +132,7 @@ fn main() {
         "127.0.0.1:0",
         OpsOptions {
             telemetry: Some(telemetry.clone()),
-            revise: Some(engine.ops_probe()),
+            json_routes: vec![("/revise", engine.ops_probe())],
             ..OpsOptions::default()
         },
     )
