@@ -1,7 +1,9 @@
 //! Kernel benchmark: blocked GEMM (all three matmul variants plus fused
 //! bias/ReLU epilogues) against the naive reference kernels, a per-tier
-//! SIMD dispatch sweep, and one full train step of the PRIONN 2D-CNN on a
-//! 64×64 input at batch 32.
+//! SIMD dispatch sweep, the convolution lowering (panels packed from the
+//! image against a materialised cols matrix) at the paper's four conv
+//! shapes, and one full train step of the PRIONN 2D-CNN on a 64×64 input at
+//! batch 32.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench kernels`)
 //! and writes `BENCH_kernels.json` to the working directory (override with
@@ -15,7 +17,9 @@
 //!      frozen pre-SIMD blocked baseline;
 //!   3. blocked ≥ naive (min-of-reps) at every measured size — the n=64
 //!      regression guard;
-//!   4. the steady-state train step stays allocation-free.
+//!   4. the steady-state train step stays allocation-free;
+//!   5. the conv1 forward packed from the image ≥ 1.2× the `im2col_into` +
+//!      `gemm` lowering it replaced, at batch 1 and 32.
 //!
 //! The `pre_pr_baseline` and `pre_simd_baseline` blocks freeze numbers
 //! measured on this machine immediately before the respective changes
@@ -23,8 +27,11 @@
 //! old code.
 
 use prionn_nn::{ArchConfig, LossTarget, ModelKind, Sgd, SoftmaxCrossEntropy};
-use prionn_tensor::ops::gemm::{force_kernel_tier, kernel_tier, KernelTier};
+use prionn_tensor::ops::gemm::{
+    self, force_kernel_tier, kernel_tier, Epilogue, GemmWorkspace, KernelTier, Layout,
+};
 use prionn_tensor::ops::matmul::reference;
+use prionn_tensor::ops::Conv2dGeom;
 use prionn_tensor::{init, ops, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -212,6 +219,102 @@ fn main() {
     }
     force_kernel_tier(None);
 
+    // Convolution lowering at the paper's four conv shapes: the forward
+    // `W · cols(x)` with panels packed straight from the image
+    // (`gemm_im2col`, what `Conv2d` runs) against the lowering it replaced
+    // (`im2col_into` a cols matrix, then `gemm`), one sample after another
+    // on this thread, at the serving and the retrain batch size.
+    let mut conv_results = Vec::new();
+    // (batch, fused_min_ms, reference_min_ms) of conv1 for the gate.
+    let mut conv1_mins: Vec<(usize, f64, f64)> = Vec::new();
+    for &(in_c, hw, out_c) in &[
+        (4usize, 64usize, 8usize),
+        (8, 32, 16),
+        (16, 16, 16),
+        (16, 8, 32),
+    ] {
+        let g = Conv2dGeom::new(in_c, hw, hw, 3, 3, 1, 1).unwrap();
+        let (k, n_pos) = (g.col_rows(), g.col_cols());
+        let w = init::uniform([out_c, k], -1.0, 1.0, &mut rng);
+        let bias = init::uniform([out_c], -1.0, 1.0, &mut rng);
+        let mut ws = GemmWorkspace::new();
+        let mut cols = vec![0.0f32; k * n_pos];
+        for &batch in &[1usize, 32] {
+            let x = init::uniform([batch, in_c * hw * hw], -1.0, 1.0, &mut rng);
+            let mut y = vec![0.0f32; batch * out_c * n_pos];
+            let flops = batch as f64 * gemm::gemm_flops(out_c, n_pos, k);
+            let reps = if batch == 1 {
+                gemm_reps * 20
+            } else {
+                gemm_reps
+            };
+            let (fused, fused_min) = time_runs(reps, || {
+                for (x_i, y_i) in x
+                    .as_slice()
+                    .chunks_exact(in_c * hw * hw)
+                    .zip(y.chunks_exact_mut(out_c * n_pos))
+                {
+                    gemm::gemm_im2col(
+                        &mut ws,
+                        out_c,
+                        w.as_slice(),
+                        Layout::RowMajor,
+                        x_i,
+                        &g,
+                        Layout::RowMajor,
+                        y_i,
+                        false,
+                        Epilogue::BiasRow(bias.as_slice()),
+                    );
+                }
+                std::hint::black_box(&y);
+            });
+            let (refr, refr_min) = time_runs(reps, || {
+                for (x_i, y_i) in x
+                    .as_slice()
+                    .chunks_exact(in_c * hw * hw)
+                    .zip(y.chunks_exact_mut(out_c * n_pos))
+                {
+                    ops::im2col_into(x_i, &g, &mut cols).unwrap();
+                    gemm::gemm(
+                        &mut ws,
+                        out_c,
+                        n_pos,
+                        k,
+                        w.as_slice(),
+                        Layout::RowMajor,
+                        &cols,
+                        Layout::RowMajor,
+                        y_i,
+                        false,
+                        Epilogue::BiasRow(bias.as_slice()),
+                    );
+                }
+                std::hint::black_box(&y);
+            });
+            println!(
+                "  conv {in_c}->{out_c}@{hw}x{hw} b{batch}: fused {:.3} ms ({:.2} GFLOP/s)  im2col+gemm {:.3} ms ({:.2})  speedup {:.2}x",
+                fused * 1e3,
+                gflops(flops, fused),
+                refr * 1e3,
+                gflops(flops, refr),
+                refr / fused
+            );
+            if in_c == 4 {
+                conv1_mins.push((batch, fused_min * 1e3, refr_min * 1e3));
+            }
+            conv_results.push(json!({
+                "shape": format!("{in_c}->{out_c}@{hw}x{hw}"),
+                "batch": batch,
+                "fused_ms": fused * 1e3,
+                "fused_gflops": gflops(flops, fused),
+                "im2col_gemm_ms": refr * 1e3,
+                "im2col_gemm_gflops": gflops(flops, refr),
+                "speedup_vs_im2col_gemm": refr / fused,
+            }));
+        }
+    }
+
     // One optimiser step of the paper's 2D-CNN head: 4-channel 64×64 input,
     // batch 32, 960 runtime bins — the shape PRIONN retrains on.
     let cfg = ArchConfig::paper(4, 960);
@@ -269,6 +372,7 @@ fn main() {
         "gemm": gemm_results,
         "fused_epilogues": fused_results,
         "kernel_tiers": tier_results,
+        "conv_lowering": conv_results,
         "train_step_2dcnn_64x64_b32": {
             "ms": train_secs * 1e3,
             "pre_pr_ms": pre_pr_train_ms,
@@ -339,6 +443,16 @@ fn main() {
                 failed = true;
             }
         }
+        for (batch, fused, refr) in &conv1_mins {
+            if refr / fused < 1.2 {
+                eprintln!(
+                    "FAIL: conv1 b{batch} packed from the image {fused:.3} ms is only {:.2}x \
+                     im2col+gemm {refr:.3} ms (< 1.2x floor)",
+                    refr / fused
+                );
+                failed = true;
+            }
+        }
         if steady_grows != warm_grows {
             eprintln!("FAIL: steady-state train step grew the scratch pool");
             failed = true;
@@ -348,7 +462,7 @@ fn main() {
         }
         println!(
             "enforce: 256^3 speedup {speedup_256_vs_pre_pr:.2}x >= 3.0x vs pre-PR naive, \
-             blocked >= naive at every size, zero-alloc hot path OK"
+             blocked >= naive at every size, conv1 lowering >= 1.2x, zero-alloc hot path OK"
         );
     }
 }

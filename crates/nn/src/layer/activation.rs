@@ -25,21 +25,22 @@ impl Layer for ReLU {
         if let Some(old) = self.mask.take() {
             scratch.recycle(old);
         }
-        let mut out = scratch.take(x.len());
-        out.copy_from_slice(x.as_slice());
+        // One pass over the input either way: read x, write the clamped
+        // value (and, when training, the mask) — `> 0` sends NaN and -0.0
+        // to +0.0.
+        let xs = x.as_slice();
+        let mut out = scratch.take(xs.len());
         if train {
-            let mut mask = scratch.take_zeroed(x.len());
-            for (v, m) in out.iter_mut().zip(&mut mask) {
-                if *v > 0.0 {
-                    *m = 1.0;
-                } else {
-                    *v = 0.0;
-                }
+            let mut mask = scratch.take(xs.len());
+            for ((o, m), &v) in out.iter_mut().zip(&mut mask).zip(xs) {
+                let positive = v > 0.0;
+                *o = if positive { v } else { 0.0 };
+                *m = if positive { 1.0 } else { 0.0 };
             }
             self.mask = Some(mask);
         } else {
-            for v in &mut out {
-                *v = if *v > 0.0 { *v } else { 0.0 };
+            for (o, &v) in out.iter_mut().zip(xs) {
+                *o = if v > 0.0 { v } else { 0.0 };
             }
         }
         Tensor::from_vec(x.shape().clone(), out)

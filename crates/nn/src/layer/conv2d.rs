@@ -1,5 +1,12 @@
-//! 2-D convolution layer (im2col + matmul), with a 1-D convenience
-//! constructor used by the paper's 1D-CNN architecture.
+//! 2-D convolution layer, with a 1-D convenience constructor used by the
+//! paper's 1D-CNN architecture.
+//!
+//! Lowered onto the blocked GEMM as `Y = W · cols(x)` per sample, where
+//! `cols(x)` is the im2col matrix that [`gemm::gemm_im2col`] packs straight
+//! from the image and never stores. Training keeps a copy of the *input*
+//! (`C·H·W` floats per sample) for backward, which reads the same operand
+//! transposed for `dW += dY · cols(x)ᵀ`; train and eval run the same
+//! forward.
 
 use super::Layer;
 use crate::Result;
@@ -17,8 +24,9 @@ fn sample_groups(batch: usize) -> usize {
 /// A 2-D convolution over `[batch, in_c, H, W]` inputs.
 ///
 /// Weights are stored pre-flattened as `[out_c, in_c·kh·kw]` so forward is a
-/// single matmul against the im2col matrix of each sample. Batch rows are
-/// sharded across the compute pool (the caller plus its parked workers).
+/// single matmul against the (virtual) im2col matrix of each sample. Batch
+/// rows are sharded across the compute pool (the caller plus its parked
+/// workers).
 pub struct Conv2d {
     geom: Conv2dGeom,
     out_channels: usize,
@@ -26,9 +34,9 @@ pub struct Conv2d {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    // Flat pooled im2col cache from the last training-mode forward pass:
-    // `batch` back-to-back `[col_rows, n_pos]` matrices.
-    cached_cols: Option<(Vec<f32>, usize)>,
+    // Pooled copy of the last training-mode forward's input; backward
+    // regenerates the im2col panels from it.
+    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -93,7 +101,7 @@ impl Conv2d {
             b: Tensor::zeros([out_channels]),
             grad_w: Tensor::zeros([out_channels, fan_in]),
             grad_b: Tensor::zeros([out_channels]),
-            cached_cols: None,
+            cached_input: None,
         })
     }
 
@@ -148,106 +156,27 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
-        let batch = self.check_input(x)?;
-        let g = self.geom;
-        let sample_len = g.in_channels * g.in_h * g.in_w;
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let n_pos = oh * ow;
-        let col_rows = g.col_rows();
-        let cols_sample = col_rows * n_pos;
-        let out_sample = self.out_channels * n_pos;
-        let xs = x.as_slice();
-        let w = self.w.as_slice();
-        let bias = self.b.as_slice();
-        let out_c = self.out_channels;
-
-        // Recycle last step's cols cache, then draw both the im2col matrix
-        // and the output from the pool. Training keeps every sample's cols
-        // (back to back) for backward; an eval forward keeps nothing, so
-        // each worker group reuses one sample-sized buffer.
-        if let Some((old, _)) = self.cached_cols.take() {
-            scratch.recycle(old);
-        }
-        let groups = sample_groups(batch);
-        let cols_kept = if train { batch } else { groups };
-        let mut cols_flat = scratch.take(cols_kept * cols_sample);
-        let mut out_flat = scratch.take(batch * out_sample);
-
-        // Per-sample: cols = im2col(x_i); y_i = W · cols + b (fused BiasRow
-        // epilogue). Samples are sharded across worker groups, each with its
-        // own GEMM pack workspace and disjoint cols/out chunks.
-        let (_, workers) = scratch.gemm_workspaces(groups);
-        let per = batch.div_ceil(groups);
-        let mut items: Vec<(usize, &mut [f32], &mut [f32], &mut GemmWorkspace)> =
-            Vec::with_capacity(groups);
-        {
-            let mut cols_rest: &mut [f32] = &mut cols_flat;
-            let mut out_rest: &mut [f32] = &mut out_flat;
-            let mut s0 = 0usize;
-            for ws in workers.iter_mut() {
-                if s0 == batch {
-                    break;
-                }
-                let take = per.min(batch - s0);
-                let cols_take = if train { take } else { 1 };
-                let (cchunk, ctail) = cols_rest.split_at_mut(cols_take * cols_sample);
-                let (ochunk, otail) = out_rest.split_at_mut(take * out_sample);
-                items.push((s0, cchunk, ochunk, ws));
-                s0 += take;
-                cols_rest = ctail;
-                out_rest = otail;
-            }
-        }
-        // Offset of the next sample's cols within its group's chunk.
-        let cols_step = if train { cols_sample } else { 0 };
-        let results: Vec<Result<()>> = items
-            .into_par_iter()
-            .map(|(s0, cchunk, ochunk, ws)| {
-                for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
-                    let i = s0 + si;
-                    let cols_i = &mut cchunk[si * cols_step..][..cols_sample];
-                    ops::im2col_into(&xs[i * sample_len..(i + 1) * sample_len], &g, cols_i)?;
-                    gemm::gemm(
-                        ws,
-                        out_c,
-                        n_pos,
-                        col_rows,
-                        w,
-                        Layout::RowMajor,
-                        cols_i,
-                        Layout::RowMajor,
-                        out_i,
-                        false,
-                        Epilogue::BiasRow(bias),
-                    );
-                }
-                Ok(())
-            })
-            .collect();
-        for r in results {
-            r?;
-        }
-        if train {
-            self.cached_cols = Some((cols_flat, batch));
-        } else {
-            scratch.recycle(cols_flat);
-        }
-        Tensor::from_vec([batch, self.out_channels, oh, ow], out_flat)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
+impl Conv2d {
+    /// Both backward entry points: `dW`/`db` always, `dX` only when
+    /// `want_dx` (the first parameterised layer of a training step has no
+    /// reader for it).
+    fn backward_impl(
+        &mut self,
+        grad_out: &Tensor,
+        scratch: &mut Scratch,
+        want_dx: bool,
+    ) -> Result<Option<Tensor>> {
         let g = self.geom;
         let (oh, ow) = (g.out_h(), g.out_w());
         let n_pos = oh * ow;
-        let Some((cols_flat, batch)) = self.cached_cols.take() else {
+        let Some(x) = self.cached_input.take() else {
             return Err(TensorError::InvalidArgument(
                 "conv2d backward without forward".into(),
             ));
         };
+        let batch = x.dims()[0];
         if grad_out.dims() != [batch, self.out_channels, oh, ow] {
-            self.cached_cols = Some((cols_flat, batch));
+            self.cached_input = Some(x);
             return Err(TensorError::ShapeMismatch {
                 op: "conv2d_backward",
                 lhs: vec![batch, self.out_channels, oh, ow],
@@ -255,29 +184,41 @@ impl Layer for Conv2d {
             });
         }
         let go = grad_out.as_slice();
+        let xs = x.as_slice();
         let w = self.w.as_slice();
         let out_c = self.out_channels;
         let col_rows = g.col_rows();
-        let cols_sample = col_rows * n_pos;
         let out_sample = out_c * n_pos;
         let sample_len = g.in_channels * g.in_h * g.in_w;
 
-        // Pooled per-group partial accumulators + per-group dcols workspace,
-        // and the flat dX output. All recycled (or returned) below.
+        // Pooled per-group partial accumulators and, for dX only, a
+        // per-group dcols workspace plus the flat output (empty, and no
+        // pool traffic, otherwise). All recycled (or returned) below.
         let groups = sample_groups(batch);
         let mut dw_parts: Vec<Vec<f32>> = (0..groups)
             .map(|_| scratch.take_zeroed(out_c * col_rows))
             .collect();
         let mut db_parts: Vec<Vec<f32>> = (0..groups).map(|_| scratch.take_zeroed(out_c)).collect();
-        let mut dcols_parts: Vec<Vec<f32>> =
-            (0..groups).map(|_| scratch.take(cols_sample)).collect();
-        let mut dx_flat = scratch.take(batch * sample_len);
+        let (dx_len, dcols_len) = if want_dx {
+            (sample_len, col_rows * n_pos)
+        } else {
+            (0, 0)
+        };
+        let mut take_if_dx = |len: usize| {
+            if want_dx {
+                scratch.take(len)
+            } else {
+                Vec::new()
+            }
+        };
+        let mut dcols_parts: Vec<Vec<f32>> = (0..groups).map(|_| take_if_dx(dcols_len)).collect();
+        let mut dx_flat = take_if_dx(batch * dx_len);
 
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
         type Item<'a> = (
             usize,
-            &'a [f32],
+            usize,
             &'a mut [f32],
             &'a mut [f32],
             &'a mut [f32],
@@ -286,7 +227,6 @@ impl Layer for Conv2d {
         );
         let mut items: Vec<Item<'_>> = Vec::with_capacity(groups);
         {
-            let mut cols_rest: &[f32] = &cols_flat;
             let mut dx_rest: &mut [f32] = &mut dx_flat;
             let mut s0 = 0usize;
             for (((ws, dw), db), dc) in workers
@@ -299,34 +239,27 @@ impl Layer for Conv2d {
                     break;
                 }
                 let take = per.min(batch - s0);
-                let (cchunk, ctail) = cols_rest.split_at(take * cols_sample);
-                let (xchunk, xtail) = dx_rest.split_at_mut(take * sample_len);
-                items.push((s0, cchunk, xchunk, dw, db, dc, ws));
+                let (xchunk, xtail) = dx_rest.split_at_mut(take * dx_len);
+                items.push((s0, take, xchunk, dw, db, dc, ws));
                 s0 += take;
-                cols_rest = ctail;
                 dx_rest = xtail;
             }
         }
         let results: Vec<Result<()>> = items
             .into_par_iter()
-            .map(|(s0, cchunk, xchunk, dw, db, dcols, ws)| {
-                for (si, (cols_i, dx_i)) in cchunk
-                    .chunks_exact(cols_sample)
-                    .zip(xchunk.chunks_exact_mut(sample_len))
-                    .enumerate()
-                {
-                    let i = s0 + si;
+            .map(|(s0, take, xchunk, dw, db, dcols, ws)| {
+                for i in s0..s0 + take {
                     let dy = &go[i * out_sample..(i + 1) * out_sample];
-                    // dW += dY · colsᵀ (accumulated across the group's
-                    // samples); db += row sums of dY; dX_i = col2im(Wᵀ · dY).
-                    gemm::gemm(
+                    // dW += dY · cols(x_i)ᵀ (accumulated across the group's
+                    // samples), the cols regenerated from the cached input
+                    // at pack time; db += row sums of dY.
+                    gemm::gemm_im2col(
                         ws,
                         out_c,
-                        col_rows,
-                        n_pos,
                         dy,
                         Layout::RowMajor,
-                        cols_i,
+                        &xs[i * sample_len..(i + 1) * sample_len],
+                        &g,
                         Layout::Transposed,
                         dw,
                         true,
@@ -337,20 +270,24 @@ impl Layer for Conv2d {
                             *b += v;
                         }
                     }
-                    gemm::gemm(
-                        ws,
-                        col_rows,
-                        n_pos,
-                        out_c,
-                        w,
-                        Layout::Transposed,
-                        dy,
-                        Layout::RowMajor,
-                        dcols,
-                        false,
-                        Epilogue::None,
-                    );
-                    ops::col2im_into(dcols, &g, dx_i)?;
+                    if want_dx {
+                        // dX_i = col2im(Wᵀ · dY).
+                        gemm::gemm(
+                            ws,
+                            col_rows,
+                            n_pos,
+                            out_c,
+                            w,
+                            Layout::Transposed,
+                            dy,
+                            Layout::RowMajor,
+                            dcols,
+                            false,
+                            Epilogue::None,
+                        );
+                        let dx_i = &mut xchunk[(i - s0) * sample_len..(i - s0 + 1) * sample_len];
+                        ops::col2im_into(dcols, &g, dx_i)?;
+                    }
                 }
                 Ok(())
             })
@@ -374,15 +311,91 @@ impl Layer for Conv2d {
                 *acc += v;
             }
         }
-        for buf in dw_parts
-            .into_iter()
-            .chain(db_parts)
-            .chain(dcols_parts)
-            .chain(std::iter::once(cols_flat))
-        {
+        for buf in dw_parts.into_iter().chain(db_parts).chain(dcols_parts) {
             scratch.recycle(buf);
         }
-        Tensor::from_vec([batch, g.in_channels, g.in_h, g.in_w], dx_flat)
+        scratch.recycle_tensor(x);
+        if !want_dx {
+            return Ok(None);
+        }
+        Tensor::from_vec([batch, g.in_channels, g.in_h, g.in_w], dx_flat).map(Some)
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+        let batch = self.check_input(x)?;
+        let g = self.geom;
+        let sample_len = g.in_channels * g.in_h * g.in_w;
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let out_c = self.out_channels;
+        let out_sample = out_c * oh * ow;
+        let xs = x.as_slice();
+        let w = self.w.as_slice();
+        let bias = self.b.as_slice();
+
+        // Recycle an input no backward consumed.
+        if let Some(old) = self.cached_input.take() {
+            scratch.recycle_tensor(old);
+        }
+        let mut out_flat = scratch.take(batch * out_sample);
+
+        // Per sample: y_i = W · cols(x_i) + b (fused BiasRow epilogue), the
+        // cols packed straight from the image. Samples are sharded across
+        // worker groups, each with its own GEMM pack workspace and a
+        // disjoint chunk of the output.
+        let groups = sample_groups(batch);
+        let (_, workers) = scratch.gemm_workspaces(groups);
+        let per = batch.div_ceil(groups);
+        let mut items: Vec<(usize, &mut [f32], &mut GemmWorkspace)> = Vec::with_capacity(groups);
+        {
+            let mut out_rest: &mut [f32] = &mut out_flat;
+            let mut s0 = 0usize;
+            for ws in workers.iter_mut() {
+                if s0 == batch {
+                    break;
+                }
+                let take = per.min(batch - s0);
+                let (ochunk, otail) = out_rest.split_at_mut(take * out_sample);
+                items.push((s0, ochunk, ws));
+                s0 += take;
+                out_rest = otail;
+            }
+        }
+        items.into_par_iter().for_each(|(s0, ochunk, ws)| {
+            for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
+                let i = s0 + si;
+                gemm::gemm_im2col(
+                    ws,
+                    out_c,
+                    w,
+                    Layout::RowMajor,
+                    &xs[i * sample_len..(i + 1) * sample_len],
+                    &g,
+                    Layout::RowMajor,
+                    out_i,
+                    false,
+                    Epilogue::BiasRow(bias),
+                );
+            }
+        });
+        if train {
+            // Backward regenerates the cols from the input, so the input is
+            // all that is kept (in a pooled buffer rather than a fresh clone).
+            let mut cached = scratch.take(x.len());
+            cached.copy_from_slice(xs);
+            self.cached_input = Some(Tensor::from_vec(x.shape().clone(), cached)?);
+        }
+        Tensor::from_vec([batch, out_c, oh, ow], out_flat)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
+        let dx = self.backward_impl(grad_out, scratch, true)?;
+        Ok(dx.expect("backward_impl returns dX when asked for it"))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<()> {
+        self.backward_impl(grad_out, scratch, false).map(|_| ())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {

@@ -77,6 +77,11 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
+        self.backward_params(grad_out, scratch)?;
+        ops::matmul_a_bt_with(scratch, grad_out, &self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<()> {
         let x = self
             .cached_input
             .take()
@@ -91,9 +96,8 @@ impl Layer for Dense {
                 *g += v;
             }
         }
-        let dx = ops::matmul_a_bt_with(scratch, grad_out, &self.w)?;
         scratch.recycle_tensor(x);
-        Ok(dx)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {

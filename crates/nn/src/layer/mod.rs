@@ -22,7 +22,7 @@ use prionn_tensor::{Scratch, Tensor};
 /// A differentiable network layer.
 ///
 /// Layers are stateful: `forward` caches whatever the subsequent `backward`
-/// needs (inputs, masks, im2col matrices), and `backward` populates parameter
+/// needs (inputs, masks, argmax tables), and `backward` populates parameter
 /// gradients that the optimiser reads via [`Layer::visit_params`].
 ///
 /// The contract callers rely on:
@@ -44,6 +44,16 @@ pub trait Layer: Send {
 
     /// Propagate the loss gradient; returns the gradient w.r.t. the input.
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor>;
+
+    /// [`Layer::backward`] for a caller with no use for the input gradient
+    /// (the first parameterised layer of a training step): parameter
+    /// gradients are populated exactly as `backward` would. Layers whose
+    /// input gradient is costly override this to skip computing it.
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<()> {
+        let dx = self.backward(grad_out, scratch)?;
+        scratch.recycle_tensor(dx);
+        Ok(())
+    }
 
     /// Visit `(parameter, gradient)` pairs in a stable order.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &Tensor)) {}

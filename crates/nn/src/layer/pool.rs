@@ -43,6 +43,20 @@ impl MaxPool2d {
     }
 }
 
+/// The largest of a 2×2 window's taps and its index, scanned like the
+/// general loop: the first one wins a tie, and a window with nothing above
+/// `-inf` reports `(-inf, 0)`.
+#[inline(always)]
+fn first_max(taps: [(f32, usize); 4]) -> (f32, usize) {
+    let mut best = (f32::NEG_INFINITY, 0usize);
+    for tap in taps {
+        if tap.0 > best.0 {
+            best = tap;
+        }
+    }
+    best
+}
+
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
         // Recycle an argmax cache no backward consumed.
@@ -68,29 +82,57 @@ impl Layer for MaxPool2d {
         let mut out = scratch.take(b * c * oh * ow);
         // Only backward reads the argmax table: an eval forward keeps none.
         let mut argmax = train.then(|| scratch.take_idx(out.len()));
-        for bi in 0..b {
-            for ci in 0..c {
-                let plane = (bi * c + ci) * h * w;
-                let out_plane = (bi * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..self.ph {
-                            let iy = oy * self.ph + dy;
-                            for dx in 0..self.pw {
-                                let ix = ox * self.pw + dx;
-                                let idx = plane + iy * w + ix;
-                                if xs[idx] > best {
-                                    best = xs[idx];
-                                    best_idx = idx;
-                                }
+        for pi in 0..b * c {
+            let plane = pi * h * w;
+            for oy in 0..oh {
+                let o0 = (pi * oh + oy) * ow;
+                let out_row = &mut out[o0..o0 + ow];
+                let mut arg_row = argmax.as_mut().map(|a| &mut a[o0..o0 + ow]);
+                if (self.ph, self.pw) == (2, 2) {
+                    // The paper's window: walk the two input rows in step,
+                    // taps in the general loop's order. Without an argmax
+                    // table to fill the scan vectorises.
+                    let top = plane + 2 * oy * w;
+                    let rows = xs[top..top + w]
+                        .chunks_exact(2)
+                        .zip(xs[top + w..top + 2 * w].chunks_exact(2));
+                    match arg_row {
+                        None => {
+                            for (o, (t, u)) in out_row.iter_mut().zip(rows) {
+                                *o = first_max([(t[0], 0), (t[1], 0), (u[0], 0), (u[1], 0)]).0;
                             }
                         }
-                        out[out_plane + oy * ow + ox] = best;
-                        if let Some(argmax) = &mut argmax {
-                            argmax[out_plane + oy * ow + ox] = best_idx;
+                        Some(arg_row) => {
+                            for (ox, (t, u)) in rows.enumerate() {
+                                let i = top + 2 * ox;
+                                (out_row[ox], arg_row[ox]) = first_max([
+                                    (t[0], i),
+                                    (t[1], i + 1),
+                                    (u[0], i + w),
+                                    (u[1], i + w + 1),
+                                ]);
+                            }
                         }
+                    }
+                    continue;
+                }
+                for (ox, o) in out_row.iter_mut().enumerate() {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..self.ph {
+                        let iy = oy * self.ph + dy;
+                        for dx in 0..self.pw {
+                            let ix = ox * self.pw + dx;
+                            let idx = plane + iy * w + ix;
+                            if xs[idx] > best {
+                                best = xs[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    *o = best;
+                    if let Some(arg_row) = &mut arg_row {
+                        arg_row[ox] = best_idx;
                     }
                 }
             }
@@ -169,6 +211,52 @@ mod tests {
             p.backward(&Tensor::zeros([1, 2, 1, 2]), &mut s).is_err(),
             "eval kept an argmax table"
         );
+    }
+
+    #[test]
+    fn two_by_two_path_keeps_the_general_scan_order_on_ties_nan_and_ragged_edges() {
+        // Values drawn from a tiny set so most windows hold a tie, plus NaN
+        // and -inf windows; 5x7 leaves a ragged row and column.
+        let (b, c, h, w) = (2usize, 3usize, 5usize, 7usize);
+        let pick = [1.0f32, 1.0, -2.0, 0.0, -0.0, f32::NAN, f32::NEG_INFINITY];
+        let data: Vec<f32> = (0..b * c * h * w)
+            .map(|i| pick[(i * 5 + i / 3) % 7])
+            .collect();
+        let x = Tensor::from_vec([b, c, h, w], data.clone()).unwrap();
+        let mut p = MaxPool2d::new(2).unwrap();
+        let mut s = Scratch::new();
+        let y = p.forward(&x, true, &mut s).unwrap();
+        let (oh, ow) = (h / 2, w / 2);
+        // One distinct gradient per output exposes the argmax through dX.
+        let dy = Tensor::from_vec(
+            [b, c, oh, ow],
+            (0..b * c * oh * ow).map(|i| (i + 1) as f32).collect(),
+        )
+        .unwrap();
+        let dx = p.backward(&dy, &mut s).unwrap();
+
+        let mut want_y = Vec::new();
+        let mut want_dx = vec![0.0f32; data.len()];
+        for plane in (0..b * c).map(|pi| pi * h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                    for idx in [0, 1, w, w + 1].map(|d| plane + 2 * oy * w + 2 * ox + d) {
+                        if data[idx] > best {
+                            (best, best_idx) = (data[idx], idx);
+                        }
+                    }
+                    want_dx[best_idx] += (want_y.len() + 1) as f32;
+                    want_y.push(best);
+                }
+            }
+        }
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(y.as_slice()), bits(&want_y));
+        assert_eq!(bits(dx.as_slice()), bits(&want_dx));
+        // The eval scan fills no argmax table and runs its own loop.
+        let y_eval = p.forward(&x, false, &mut s).unwrap();
+        assert_eq!(bits(y_eval.as_slice()), bits(&want_y));
     }
 
     #[test]

@@ -227,6 +227,16 @@ impl Sequential {
     /// Run the full backward pass from an output gradient, recycling
     /// intermediate gradients like [`Sequential::forward`] does activations.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
+        let dx = self.backward_sweep(grad, true)?;
+        Ok(dx.unwrap_or_else(|| grad.clone()))
+    }
+
+    /// The backward sweep. With `want_dx` it visits every layer and returns
+    /// the input gradient (`None` for an empty model). Without, it stops at
+    /// the first parameterised layer — which populates its parameter
+    /// gradients through [`Layer::backward_params`] — since nothing before
+    /// it has parameters and nobody reads the gradient it would hand them.
+    fn backward_sweep(&mut self, grad: &Tensor, want_dx: bool) -> Result<Option<Tensor>> {
         self.refresh_telemetry();
         let Sequential {
             layers,
@@ -234,21 +244,32 @@ impl Sequential {
             scratch,
         } = self;
         let insts = telemetry.as_ref().map(|mt| &mt.per_layer);
+        let stop = if want_dx {
+            Some(0)
+        } else {
+            layers.iter().position(|l| l.param_count() > 0)
+        };
+        let Some(stop) = stop else {
+            return Ok(None);
+        };
         let mut cur: Option<Tensor> = None;
-        for (i, layer) in layers.iter_mut().enumerate().rev() {
+        for (i, layer) in layers.iter_mut().enumerate().skip(stop).rev() {
             let t = insts.map(|_| std::time::Instant::now());
-            let next = layer.backward(cur.as_ref().unwrap_or(grad), scratch)?;
+            let grad_in = cur.as_ref().unwrap_or(grad);
+            let next = if want_dx || i > stop {
+                Some(layer.backward(grad_in, scratch)?)
+            } else {
+                layer.backward_params(grad_in, scratch)?;
+                None
+            };
             if let (Some(insts), Some(t)) = (insts, t) {
                 insts[i].backward.observe(t.elapsed().as_secs_f64());
             }
-            if let Some(prev) = cur.replace(next) {
+            if let Some(prev) = std::mem::replace(&mut cur, next) {
                 scratch.recycle_tensor(prev);
             }
         }
-        Ok(match cur {
-            Some(out) => out,
-            None => grad.clone(),
-        })
+        Ok(cur)
     }
 
     /// Pool and GEMM counters for the model's scratch workspace. The
@@ -316,9 +337,9 @@ impl Sequential {
         let out = self.forward(x, true)?;
         let (loss_val, grad) = loss.loss_and_grad(&out, target, &mut self.scratch)?;
         self.scratch.recycle_tensor(out);
-        let dx = self.backward(&grad)?;
+        let dx = self.backward_sweep(&grad, false)?;
+        debug_assert!(dx.is_none(), "a params-only sweep returns no dX");
         self.scratch.recycle_tensor(grad);
-        self.scratch.recycle_tensor(dx);
         self.step(opt);
         Ok(loss_val)
     }
@@ -770,6 +791,51 @@ mod tests {
             m.forward(&x, false).unwrap(),
             plain.forward(&x, false).unwrap()
         );
+    }
+
+    #[test]
+    fn train_batch_matches_forward_full_backward_and_step_bit_for_bit() {
+        use crate::layer::{Conv2d, Flatten, MaxPool2d, Reshape};
+        // A parameterless layer first, then the conv whose dX train_batch
+        // never computes.
+        let build = || {
+            let mut rng = ChaCha8Rng::seed_from_u64(21);
+            Sequential::new()
+                .push(Reshape::new([2, 6, 6]))
+                .push(Conv2d::new(2, 3, 6, 6, 3, 1, 1, &mut rng).unwrap())
+                .push(ReLU::new())
+                .push(MaxPool2d::new(2).unwrap())
+                .push(Flatten::new())
+                .push(Dense::new(27, 5, &mut rng))
+        };
+        let (mut fast, mut full) = (build(), build());
+        let (mut opt_fast, mut opt_full) =
+            (Sgd::with_momentum(0.1, 0.9), Sgd::with_momentum(0.1, 0.9));
+        let mut scratch = Scratch::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        for _ in 0..3 {
+            let x = prionn_tensor::init::uniform([5, 72], -1.0, 1.0, &mut rng);
+            let classes = [0usize, 4, 2, 1, 3];
+            let target = LossTarget::Classes(&classes);
+            let loss_fast = fast
+                .train_batch(&x, &target, &SoftmaxCrossEntropy, &mut opt_fast)
+                .unwrap();
+
+            let out = full.forward(&x, true).unwrap();
+            let (loss_full, grad) = SoftmaxCrossEntropy
+                .loss_and_grad(&out, &target, &mut scratch)
+                .unwrap();
+            let dx = full.backward(&grad).unwrap();
+            assert_eq!(dx.dims(), x.dims(), "the public backward still returns dX");
+            full.step(&mut opt_full);
+
+            assert_eq!(loss_fast.to_bits(), loss_full.to_bits());
+            for (a, b) in fast.state().iter().zip(&full.state()) {
+                let bits =
+                    |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+                assert_eq!(bits(a), bits(b));
+            }
+        }
     }
 
     #[test]

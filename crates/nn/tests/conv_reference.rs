@@ -1,9 +1,14 @@
-//! The im2col-based convolution against a naive direct reference
-//! implementation, across random geometries — property-tested.
+//! `Conv2d` against two references: bit-for-bit against the lowering it
+//! replaced (`im2col_into` + `gemm` + `col2im_into` on a materialised cols
+//! matrix) at the paper's shapes and at geometries that stress the panel
+//! generator, and — property-tested, within tolerance — against a naive
+//! direct convolution across random geometries.
 
 use prionn_nn::layer::Conv2d;
 use prionn_nn::Layer;
-use prionn_tensor::Tensor;
+use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, KernelTier, Layout};
+use prionn_tensor::ops::{col2im_into, im2col_into, Conv2dGeom};
+use prionn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -88,4 +93,187 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-4, "elem {i}: {a} vs {b}");
         }
     }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What `Conv2d` computed before it stopped materialising cols: per sample
+/// `im2col_into`, `y = W·cols + b`, `dW += dY·colsᵀ`, `dX = col2im(Wᵀ·dY)`,
+/// with `dW`/`db` accumulated per worker group and the groups then summed
+/// in order — the layer's reduction, which depends only on
+/// `(batch, current_num_threads())`.
+fn materialised_reference(
+    g: &Conv2dGeom,
+    w: &[f32],
+    b: &[f32],
+    x: &[f32],
+    dy: &[f32],
+    batch: usize,
+) -> [Vec<f32>; 4] {
+    let out_c = b.len();
+    let (col_rows, n_pos) = (g.col_rows(), g.col_cols());
+    let sample_len = x.len() / batch;
+    let out_sample = out_c * n_pos;
+    let groups = rayon::current_num_threads().min(batch).max(1);
+    let per = batch.div_ceil(groups);
+    let mut ws = GemmWorkspace::new();
+    let mut cols = vec![0.0f32; col_rows * n_pos];
+    let mut dcols = vec![0.0f32; col_rows * n_pos];
+    let mut y = vec![0.0f32; batch * out_sample];
+    let mut dx = vec![0.0f32; x.len()];
+    let mut dw = vec![0.0f32; out_c * col_rows];
+    let mut db = vec![0.0f32; out_c];
+    for group in (0..batch).step_by(per) {
+        let mut dw_part = vec![0.0f32; out_c * col_rows];
+        let mut db_part = vec![0.0f32; out_c];
+        for i in group..(group + per).min(batch) {
+            let x_i = &x[i * sample_len..(i + 1) * sample_len];
+            let dy_i = &dy[i * out_sample..(i + 1) * out_sample];
+            im2col_into(x_i, g, &mut cols).unwrap();
+            gemm::gemm(
+                &mut ws,
+                out_c,
+                n_pos,
+                col_rows,
+                w,
+                Layout::RowMajor,
+                &cols,
+                Layout::RowMajor,
+                &mut y[i * out_sample..(i + 1) * out_sample],
+                false,
+                Epilogue::BiasRow(b),
+            );
+            gemm::gemm(
+                &mut ws,
+                out_c,
+                col_rows,
+                n_pos,
+                dy_i,
+                Layout::RowMajor,
+                &cols,
+                Layout::Transposed,
+                &mut dw_part,
+                true,
+                Epilogue::None,
+            );
+            for (oc, acc) in db_part.iter_mut().enumerate() {
+                for &v in &dy_i[oc * n_pos..(oc + 1) * n_pos] {
+                    *acc += v;
+                }
+            }
+            gemm::gemm(
+                &mut ws,
+                col_rows,
+                n_pos,
+                out_c,
+                w,
+                Layout::Transposed,
+                dy_i,
+                Layout::RowMajor,
+                &mut dcols,
+                false,
+                Epilogue::None,
+            );
+            col2im_into(&dcols, g, &mut dx[i * sample_len..(i + 1) * sample_len]).unwrap();
+        }
+        for (acc, v) in dw.iter_mut().zip(&dw_part) {
+            *acc += v;
+        }
+        for (acc, v) in db.iter_mut().zip(&db_part) {
+            *acc += v;
+        }
+    }
+    [y, dw, db, dx]
+}
+
+/// The four 2D-CNN layers of the paper's model, the two strided `1×k`
+/// layers of `build_cnn1d`, and shapes chosen to break a panel generator:
+/// ragged last strips with output rows shorter than a strip, a rectangular
+/// kernel with unequal padding, stride 2 and 3, a kernel wider than the
+/// image plus its padding on one side, and enough channels for two K
+/// blocks (`k = 288`).
+fn geometries() -> Vec<(Conv2dGeom, usize)> {
+    let g =
+        |c, h, w, kh, kw, s, ph, pw| Conv2dGeom::with_padding(c, h, w, kh, kw, s, ph, pw).unwrap();
+    vec![
+        (g(4, 64, 64, 3, 3, 1, 1, 1), 8),
+        (g(8, 32, 32, 3, 3, 1, 1, 1), 16),
+        (g(16, 16, 16, 3, 3, 1, 1, 1), 16),
+        (g(16, 8, 8, 3, 3, 1, 1, 1), 32),
+        (g(4, 1, 4096, 1, 7, 4, 0, 3), 8),
+        (g(8, 1, 512, 1, 5, 4, 0, 2), 16),
+        (g(3, 7, 11, 2, 5, 1, 0, 2), 5),
+        (g(2, 9, 13, 3, 2, 2, 1, 0), 7),
+        (g(2, 10, 5, 3, 3, 3, 2, 2), 3),
+        (g(1, 3, 2, 3, 5, 1, 1, 2), 2),
+        (g(32, 6, 6, 3, 3, 1, 1, 1), 9),
+    ]
+}
+
+#[test]
+fn conv2d_is_bit_equal_to_the_materialised_cols_lowering_on_every_tier() {
+    for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
+        // Forcing a tier is process-wide; the proptest below compares
+        // within a tolerance every tier meets, so it may run beside this.
+        gemm::force_kernel_tier(Some(tier));
+        for (gi, (g, out_c)) in geometries().into_iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(100 + gi as u64);
+            let mut conv = Conv2d::from_geom(g, out_c, &mut rng).unwrap();
+            let mut state = conv.state();
+            state[1] = prionn_tensor::init::uniform([out_c], -1.0, 1.0, &mut rng);
+            conv.load_state(&state).unwrap();
+            for batch in 1..=5usize {
+                let x = prionn_tensor::init::uniform(
+                    [batch, g.in_channels, g.in_h, g.in_w],
+                    -1.0,
+                    1.0,
+                    &mut rng,
+                );
+                let dy = prionn_tensor::init::uniform(
+                    [batch, out_c, g.out_h(), g.out_w()],
+                    -1.0,
+                    1.0,
+                    &mut rng,
+                );
+                let want = materialised_reference(
+                    &g,
+                    state[0].as_slice(),
+                    state[1].as_slice(),
+                    x.as_slice(),
+                    dy.as_slice(),
+                    batch,
+                );
+                let mut scratch = Scratch::new();
+                let y = conv.forward(&x, true, &mut scratch).unwrap();
+                let dx = conv.backward(&dy, &mut scratch).unwrap();
+                let mut grads = Vec::new();
+                conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
+                let got = [
+                    y.as_slice(),
+                    grads[0].as_slice(),
+                    grads[1].as_slice(),
+                    dx.as_slice(),
+                ];
+                for (name, (got, want)) in ["y", "dW", "db", "dX"].iter().zip(got.iter().zip(&want))
+                {
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{name} differs: tier {} geometry {gi} ({g:?}) batch {batch}",
+                        gemm::kernel_tier().name()
+                    );
+                }
+                // The eval forward is the same code; pin it anyway.
+                let y_eval = conv.forward(&x, false, &mut scratch).unwrap();
+                assert_eq!(
+                    bits(y_eval.as_slice()),
+                    bits(&want[0]),
+                    "eval y, geometry {gi}"
+                );
+            }
+        }
+    }
+    gemm::force_kernel_tier(None);
 }

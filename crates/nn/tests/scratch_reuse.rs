@@ -3,7 +3,7 @@
 //! [`prionn_tensor::Scratch`] pool — `ScratchStats::grows` stays flat.
 
 use prionn_nn::layer::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, ReLU};
-use prionn_nn::{LossTarget, Sequential, Sgd, SoftmaxCrossEntropy};
+use prionn_nn::{ArchConfig, LossTarget, ModelKind, Sequential, Sgd, SoftmaxCrossEntropy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -83,4 +83,40 @@ fn gemm_throughput_counters_populate() {
     assert!(st.gemm_gflops() > 0.0);
     let share = st.gemm_pack_share();
     assert!((0.0..=1.0).contains(&share));
+}
+
+/// The paper-shaped step at the retrain batch size: pool-stable after one
+/// warm step, and nothing in the pool is anywhere near a batch of conv1 cols
+/// matrices (`4·9 × 64·64` floats per sample — what the layer cached before
+/// it packed GEMM panels straight from its input).
+#[test]
+fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
+    let batch = 32usize;
+    let mut model = ArchConfig::paper(4, 960).build(ModelKind::Cnn2d).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let x = prionn_tensor::init::uniform([batch, 4, 64, 64], -1.0, 1.0, &mut rng);
+    let classes: Vec<usize> = (0..batch).map(|i| i * 30).collect();
+    let target = LossTarget::Classes(&classes);
+    let mut opt = Sgd::new(0.01);
+    let loss = SoftmaxCrossEntropy;
+
+    model.train_batch(&x, &target, &loss, &mut opt).unwrap();
+    let warm = model.scratch_stats();
+    for _ in 0..3 {
+        model.train_batch(&x, &target, &loss, &mut opt).unwrap();
+    }
+    let after = model.scratch_stats();
+    assert_eq!(
+        after.grows, warm.grows,
+        "steps after the warm one allocated: {warm:?} -> {after:?}"
+    );
+    let conv1_cols = 4 * 9 * 64 * 64;
+    assert!(
+        after.largest_pooled < conv1_cols * batch,
+        "a pooled buffer of {} floats is as large as a batch of conv1 cols matrices ({})",
+        after.largest_pooled,
+        conv1_cols * batch
+    );
+    // The largest thing a step holds is conv1's output (8·64·64 per sample).
+    assert!(after.largest_pooled >= 8 * 64 * 64 * batch);
 }

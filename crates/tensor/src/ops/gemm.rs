@@ -37,9 +37,26 @@
 //! * **portable** — the same block loop compiled for the baseline target;
 //!   runs on any CPU and is the reference the SIMD tiers are tested against.
 //!
-//! Both explicit tiers also run a skip-packing direct path for small
-//! problems (n ≤ 96) where pack overhead used to lose to the naive kernel.
+//! Two things sit beside that loop nest:
+//!
+//! * **A virtual B operand** ([`gemm_im2col`]): the im2col matrix of an
+//!   image, or its transpose, whose `NR`-wide panel rows `pack B` cuts
+//!   straight out of the image rows. Convolution forward (`W · cols(x)`)
+//!   and filter gradient (`dY · cols(x)ᵀ`) run through it, so no cols
+//!   matrix is ever written, cached or read back.
+//! * **A skip-packing direct path** ([`small_path_applies`]) that loads B
+//!   tiles from a row-major operand: for small problems, where pack
+//!   overhead used to lose to the naive kernel, and for any GEMM at most one
+//!   row strip tall (`m ≤ MR`), where a packed B element would be used at
+//!   most `MR` times — the serving-batch `Dense` forward.
+//!
+//! Every path accumulates an element of C as one chain per `KC` block
+//! (fused multiply-add on the SIMD tiers, multiply then add on the portable
+//! one), blocks added in order. So on a given tier the bits of C depend on
+//! the operands alone: not on the path, not on `m`, not on whether B was
+//! stored or virtual.
 
+use crate::ops::im2col::Conv2dGeom;
 use crate::scratch::Scratch;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -264,10 +281,186 @@ fn pack_b(
     }
 }
 
-/// Rank-1-update microkernel: accumulate a full `MR × NR` tile over `kc`.
-///
-/// The `mul + add` in the inner loop contracts to FMA under the AVX2+FMA
-/// instantiation; the accumulator array maps onto 12 YMM registers.
+/// Where the packed kernel's B panels come from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// A stored matrix under a [`Layout`].
+    Matrix(&'a [f32], Layout),
+    /// The virtual im2col matrix of one `[C, H, W]` image (see
+    /// [`gemm_im2col`]): never stored, its panel rows are generated from
+    /// image rows at pack time.
+    Im2col(&'a [f32], &'a Conv2dGeom, Layout),
+}
+
+impl BSource<'_> {
+    #[allow(clippy::too_many_arguments)]
+    fn pack(self, dst: &mut [f32], k: usize, n: usize, p0: usize, j0: usize, kc: usize, nc: usize) {
+        match self {
+            BSource::Matrix(b, lb) => pack_b(dst, b, lb, k, n, p0, j0, kc, nc),
+            BSource::Im2col(x, g, Layout::RowMajor) => pack_b_im2col(dst, x, g, p0, j0, kc, nc),
+            BSource::Im2col(x, g, Layout::Transposed) => pack_b_im2col_t(dst, x, g, p0, j0, kc, nc),
+        }
+    }
+}
+
+/// `out = src` for slices known to be `NR` long: a few vector moves where
+/// `copy_from_slice` on a run-time length calls `memcpy`.
+#[inline(always)]
+fn copy_strip(out: &mut [f32], src: &[f32]) {
+    let out: &mut [f32; NR] = out.try_into().expect("caller matched the length");
+    *out = *<&[f32; NR]>::try_from(src).expect("caller matched the length");
+}
+
+/// One run of one im2col row: `out[i]` is tap `(kh, kw)` of channel plane
+/// `plane` at output position `(oy, ox0 + i)`; the caller keeps the run
+/// inside output row `oy`. Out-of-image taps are zero, as in
+/// [`im2col_into`](crate::ops::im2col_into).
+#[inline(always)]
+fn im2col_run(
+    out: &mut [f32],
+    plane: &[f32],
+    g: &Conv2dGeom,
+    kh: usize,
+    kw: usize,
+    oy: usize,
+    ox0: usize,
+) {
+    let run = out.len();
+    // Padded coordinates of the run's first tap.
+    let (iy, ix) = (oy * g.stride + kh, ox0 * g.stride + kw);
+    if iy < g.pad_h || iy - g.pad_h >= g.in_h {
+        out.fill(0.0);
+        return;
+    }
+    let src = &plane[(iy - g.pad_h) * g.in_w..(iy - g.pad_h + 1) * g.in_w];
+    if g.stride != 1 {
+        for (i, o) in out.iter_mut().enumerate() {
+            let ix = ix + i * g.stride;
+            *o = if ix >= g.pad_w && ix - g.pad_w < g.in_w {
+                src[ix - g.pad_w]
+            } else {
+                0.0
+            };
+        }
+    } else if ix >= g.pad_w && ix + run <= g.in_w + g.pad_w {
+        // Away from the borders a stride-1 run is one copy out of the image
+        // row, of fixed width when it is a whole strip.
+        let src = &src[ix - g.pad_w..ix - g.pad_w + run];
+        if run == NR {
+            copy_strip(out, src);
+        } else {
+            out.copy_from_slice(src);
+        }
+    } else {
+        // Input column of output column `ox` is `ox + kw - pad_w`: inside
+        // the image for `ox` in `[lo, hi)`, zero on either side.
+        let end = ox0 + run;
+        let lo = g.pad_w.saturating_sub(kw).clamp(ox0, end);
+        let hi = (g.in_w + g.pad_w).saturating_sub(kw).clamp(lo, end);
+        out[..lo - ox0].fill(0.0);
+        if lo < hi {
+            out[lo - ox0..hi - ox0].copy_from_slice(&src[lo + kw - g.pad_w..hi + kw - g.pad_w]);
+        }
+        out[hi - ox0..].fill(0.0);
+    }
+}
+
+/// [`pack_b`] for the virtual im2col matrix (`k` = tap rows, `n` = output
+/// positions): every `NR`-wide panel row is cut straight out of an image
+/// row, so the panels equal those of `im2col_into` + `pack_b` without the
+/// matrix in between.
+fn pack_b_im2col(
+    dst: &mut [f32],
+    x: &[f32],
+    g: &Conv2dGeom,
+    p0: usize,
+    j0: usize,
+    kc: usize,
+    nc: usize,
+) {
+    let ow = g.out_w();
+    let plane_len = g.in_h * g.in_w;
+    let taps = g.kernel_h * g.kernel_w;
+    for t in 0..nc.div_ceil(NR) {
+        let col0 = j0 + t * NR;
+        let nr_eff = NR.min(j0 + nc - col0);
+        let strip = &mut dst[t * kc * NR..(t + 1) * kc * NR];
+        if nr_eff < NR {
+            strip.fill(0.0);
+        }
+        // Walk the strip's positions one output row at a time, so the
+        // divisions happen per strip and not per panel row.
+        let (mut oy, mut ox, mut done) = (col0 / ow, col0 % ow, 0usize);
+        while done < nr_eff {
+            let run = (ow - ox).min(nr_eff - done);
+            let (mut c, mut kh, mut kw) = (p0 / taps, p0 % taps / g.kernel_w, p0 % g.kernel_w);
+            for p in 0..kc {
+                let plane = &x[c * plane_len..(c + 1) * plane_len];
+                let out = &mut strip[p * NR + done..p * NR + done + run];
+                im2col_run(out, plane, g, kh, kw, oy, ox);
+                kw += 1;
+                if kw == g.kernel_w {
+                    kw = 0;
+                    kh += 1;
+                    if kh == g.kernel_h {
+                        kh = 0;
+                        c += 1;
+                    }
+                }
+            }
+            done += run;
+            oy += 1;
+            ox = 0;
+        }
+    }
+}
+
+/// [`pack_b`] for the *transposed* virtual im2col matrix (`k` = output
+/// positions, `n` = tap rows) — the operand of `dW += dY · colsᵀ`. The `kc`
+/// positions of a strip's `NR` tap rows are generated contiguously, then
+/// interleaved into the panel.
+fn pack_b_im2col_t(
+    dst: &mut [f32],
+    x: &[f32],
+    g: &Conv2dGeom,
+    p0: usize,
+    j0: usize,
+    kc: usize,
+    nc: usize,
+) {
+    let ow = g.out_w();
+    let plane_len = g.in_h * g.in_w;
+    let taps = g.kernel_h * g.kernel_w;
+    let mut rows = [[0.0f32; KC]; NR];
+    for t in 0..nc.div_ceil(NR) {
+        let col0 = j0 + t * NR;
+        let nr_eff = NR.min(j0 + nc - col0);
+        for (cc, row) in rows.iter_mut().enumerate().take(nr_eff) {
+            let tap = col0 + cc;
+            let (c, kh, kw) = (tap / taps, tap % taps / g.kernel_w, tap % g.kernel_w);
+            let plane = &x[c * plane_len..(c + 1) * plane_len];
+            let (mut oy, mut ox, mut done) = (p0 / ow, p0 % ow, 0usize);
+            while done < kc {
+                let run = (ow - ox).min(kc - done);
+                im2col_run(&mut row[done..done + run], plane, g, kh, kw, oy, ox);
+                done += run;
+                oy += 1;
+                ox = 0;
+            }
+        }
+        let strip = &mut dst[t * kc * NR..(t + 1) * kc * NR];
+        for (p, out) in strip.chunks_exact_mut(NR).enumerate() {
+            for (o, row) in out.iter_mut().zip(&rows[..nr_eff]) {
+                *o = row[p];
+            }
+            out[nr_eff..].fill(0.0);
+        }
+    }
+}
+
+/// Rank-1-update microkernel of the portable tier: accumulate a full
+/// `MR × NR` tile over `kc`, multiply then add (two roundings per step —
+/// Rust never contracts them into an FMA).
 #[inline(always)]
 fn microkernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     for p in 0..kc {
@@ -773,36 +966,45 @@ fn run_block_loop(
     block_loop_impl(apack, bpack, c, ldc, i0, j0, mc, nc, kc, overwrite, epi);
 }
 
-/// Upper bound on `n` for the skip-packing small path.
+/// Upper bound on `n` for the skip-packing direct path when `m > MR`.
 pub const SMALL_N_MAX: usize = 96;
-/// Upper bound on `m` for the skip-packing small path.
+/// Upper bound on `m` for the skip-packing direct path.
 pub const SMALL_M_MAX: usize = 2 * MC;
-/// Upper bound on `k` for the skip-packing small path.
+/// Upper bound on `k` for the skip-packing direct path when `m > MR`.
 pub const SMALL_K_MAX: usize = 2 * KC;
 
-/// True when [`gemm`] will run the skip-packing direct path: the whole
-/// problem fits the microkernel's register tiling without cache blocking
-/// (`m/n/k` small) and B is row-major so its tile columns can be loaded
-/// straight from the operand.
+/// True when [`gemm`] will run the skip-packing direct path: B is row-major
+/// (so its tile columns load straight from the operand) and either
 ///
-/// Packing exists to make the streamed panels contiguous in L1/L2; at these
-/// sizes the operands already fit in cache and the pack traffic is pure
-/// overhead — it is what made 64³ matmuls lose to the naive kernel.
+/// * the whole problem is small (`m/n/k` within the `SMALL_*_MAX` bounds):
+///   the operands already sit in cache and pack traffic is pure overhead —
+///   it is what made 64³ matmuls lose to the naive kernel; or
+/// * C is one row strip tall (`m <= MR`), whatever `n` and `k`: a packed B
+///   element would be used at most `MR` times, so packing B costs a write
+///   and a second read of the whole operand for nothing — the serving-batch
+///   `Dense` forward, which is bound by streaming its weights.
+///
+/// Both paths accumulate in the same `KC` blocks, so which one served a
+/// call never shows in the result.
 pub fn small_path_applies(m: usize, n: usize, k: usize, lb: Layout) -> bool {
-    lb == Layout::RowMajor && k > 0 && m <= SMALL_M_MAX && n <= SMALL_N_MAX && k <= SMALL_K_MAX
+    lb == Layout::RowMajor
+        && k > 0
+        && (m <= MR || (m <= SMALL_M_MAX && n <= SMALL_N_MAX && k <= SMALL_K_MAX))
 }
 
-/// Accumulate one `mr_eff × nr_eff` tile straight from the unpacked
-/// operands (no A/B packing). Shared by the portable small loop and the
-/// ragged edges of the SIMD small loop.
+/// Accumulate one `mr_eff × nr_eff` tile over `kc` steps straight from the
+/// unpacked operands (no A/B packing). Shared by the portable direct loop
+/// and, with `FMA`, the ragged column tails of the SIMD one — fused there so
+/// a tail element rounds exactly like the zero-padded lanes of the packed
+/// microkernel.
 ///
-/// `a_base` points at logical `A[row0, 0]`; consecutive tile rows are
+/// `a_base` points at logical `A[row0, p0]`; consecutive tile rows are
 /// `row_stride` apart and consecutive k steps `k_stride` apart, which
 /// encodes both [`Layout`]s of A.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn small_tile_scalar(
-    k: usize,
+fn small_tile_scalar<const FMA: bool>(
+    kc: usize,
     n: usize,
     a_base: &[f32],
     row_stride: usize,
@@ -812,28 +1014,40 @@ fn small_tile_scalar(
     nr_eff: usize,
     acc: &mut [[f32; NR]; MR],
 ) {
-    for p in 0..k {
+    for p in 0..kc {
         let brow = &b_col[p * n..p * n + nr_eff];
         for (r, acc_row) in acc.iter_mut().enumerate().take(mr_eff) {
             let av = a_base[r * row_stride + p * k_stride];
             for (j, &bv) in brow.iter().enumerate() {
-                acc_row[j] += av * bv;
+                acc_row[j] = if FMA {
+                    av.mul_add(bv, acc_row[j])
+                } else {
+                    acc_row[j] + av * bv
+                };
             }
         }
     }
 }
 
-/// A-addressing for the small path: `(row_stride, k_stride, base offset of
-/// logical A[row0, 0])`.
+/// A-addressing for the direct path: `(row_stride, k_stride, offset of
+/// logical A[row0, p0])`.
 #[inline(always)]
-fn small_a_strides(la: Layout, m: usize, k: usize, row0: usize) -> (usize, usize, usize) {
+fn small_a_strides(
+    la: Layout,
+    m: usize,
+    k: usize,
+    row0: usize,
+    p0: usize,
+) -> (usize, usize, usize) {
     match la {
-        Layout::RowMajor => (k, 1, row0 * k),
-        Layout::Transposed => (1, m, row0),
+        Layout::RowMajor => (k, 1, row0 * k + p0),
+        Layout::Transposed => (1, m, p0 * m + row0),
     }
 }
 
-/// Portable skip-packing loop over all `MR × NR` tiles of C.
+/// Portable skip-packing loop over all `MR × NR` tiles of C, one `KC` block
+/// of the inner dimension at a time (the packed kernel's accumulation
+/// order).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn small_loop_impl(
@@ -847,40 +1061,46 @@ fn small_loop_impl(
     accumulate: bool,
     epi: Epilogue<'_>,
 ) {
-    for row0 in (0..m).step_by(MR) {
-        let mr_eff = MR.min(m - row0);
-        let (row_stride, k_stride, a_off) = small_a_strides(la, m, k, row0);
-        for col0 in (0..n).step_by(NR) {
-            let nr_eff = NR.min(n - col0);
-            let mut acc = [[0.0f32; NR]; MR];
-            small_tile_scalar(
-                k,
-                n,
-                &a[a_off..],
-                row_stride,
-                k_stride,
-                &b[col0..],
-                mr_eff,
-                nr_eff,
-                &mut acc,
-            );
-            write_back(c, n, row0, col0, mr_eff, nr_eff, &acc, !accumulate, epi);
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let overwrite = p0 == 0 && !accumulate;
+        let epi_here = if p0 + kc == k { epi } else { Epilogue::None };
+        for row0 in (0..m).step_by(MR) {
+            let mr_eff = MR.min(m - row0);
+            let (row_stride, k_stride, a_off) = small_a_strides(la, m, k, row0, p0);
+            for col0 in (0..n).step_by(NR) {
+                let nr_eff = NR.min(n - col0);
+                let mut acc = [[0.0f32; NR]; MR];
+                small_tile_scalar::<false>(
+                    kc,
+                    n,
+                    &a[a_off..],
+                    row_stride,
+                    k_stride,
+                    &b[p0 * n + col0..],
+                    mr_eff,
+                    nr_eff,
+                    &mut acc,
+                );
+                write_back(c, n, row0, col0, mr_eff, nr_eff, &acc, overwrite, epi_here);
+            }
         }
     }
 }
 
-/// Explicit AVX2+FMA tile for the small path: `MRE` full rows × 16 columns
-/// accumulated directly from the unpacked operands. `MRE` is const so the
-/// accumulators stay in registers for every ragged row count.
+/// Explicit AVX2+FMA tile for the direct path: `MRE` full rows × 16 columns
+/// accumulated over `kc` steps directly from the unpacked operands. `MRE`
+/// is const so the accumulators stay in registers for every ragged row
+/// count.
 ///
 /// # Safety
-/// AVX2+FMA must be available; `a_base` must cover `MRE` rows over `k`
-/// steps with the given strides and `b` must cover `k` rows of `n` floats
-/// starting at the tile's first column.
+/// AVX2+FMA must be available; `a_base` must cover `MRE` rows over `kc`
+/// steps with the given strides and `b_col` must cover `kc` rows of stride
+/// `n`, 16 floats each.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn small_tile_avx2<const MRE: usize>(
-    k: usize,
+    kc: usize,
     n: usize,
     a_base: *const f32,
     row_stride: usize,
@@ -891,7 +1111,7 @@ unsafe fn small_tile_avx2<const MRE: usize>(
     use std::arch::x86_64::*;
     let mut lo = [_mm256_setzero_ps(); MRE];
     let mut hi = [_mm256_setzero_ps(); MRE];
-    for p in 0..k {
+    for p in 0..kc {
         let bp = b_col.add(p * n);
         let b0 = _mm256_loadu_ps(bp);
         let b1 = _mm256_loadu_ps(bp.add(8));
@@ -908,11 +1128,13 @@ unsafe fn small_tile_avx2<const MRE: usize>(
 }
 
 /// SIMD skip-packing loop: full-width tiles run [`small_tile_avx2`]
-/// (specialised per ragged row count); column tails fall back to the scalar
-/// tile. Write-back/epilogues are shared with every other path.
+/// (specialised per ragged row count); column tails fall back to the fused
+/// scalar tile. Write-back/epilogues are shared with every other path.
 ///
 /// # Safety
-/// The caller must have verified that the CPU supports AVX2 and FMA.
+/// The caller must have verified that the CPU supports AVX2 and FMA, and
+/// `a`/`b`/`c` must cover their logical `m×k` / `k×n` / `m×n` shapes
+/// ([`check_operands`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -927,45 +1149,65 @@ unsafe fn small_loop_avx2(
     accumulate: bool,
     epi: Epilogue<'_>,
 ) {
-    for row0 in (0..m).step_by(MR) {
-        let mr_eff = MR.min(m - row0);
-        let (row_stride, k_stride, a_off) = small_a_strides(la, m, k, row0);
-        let a_base = a.as_ptr().add(a_off);
-        for col0 in (0..n).step_by(NR) {
-            let nr_eff = NR.min(n - col0);
-            let mut acc = [[0.0f32; NR]; MR];
-            if nr_eff == NR {
-                let b_col = b.as_ptr().add(col0);
-                match mr_eff {
-                    6 => small_tile_avx2::<6>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
-                    5 => small_tile_avx2::<5>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
-                    4 => small_tile_avx2::<4>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
-                    3 => small_tile_avx2::<3>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
-                    2 => small_tile_avx2::<2>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
-                    _ => small_tile_avx2::<1>(k, n, a_base, row_stride, k_stride, b_col, &mut acc),
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let overwrite = p0 == 0 && !accumulate;
+        let epi_here = if p0 + kc == k { epi } else { Epilogue::None };
+        for row0 in (0..m).step_by(MR) {
+            let mr_eff = MR.min(m - row0);
+            let (row_stride, k_stride, a_off) = small_a_strides(la, m, k, row0, p0);
+            // SAFETY: `a_off` addresses logical A[row0, p0], inside `a`
+            // because row0 < m, p0 < k and `a.len() >= m * k`.
+            let a_base = a.as_ptr().add(a_off);
+            for col0 in (0..n).step_by(NR) {
+                let nr_eff = NR.min(n - col0);
+                let mut acc = [[0.0f32; NR]; MR];
+                if nr_eff == NR {
+                    // SAFETY: the tile reads A[row0.., p0..p0 + kc] over
+                    // `mr_eff` rows and B[p0..p0 + kc, col0..col0 + NR];
+                    // row0 + mr_eff <= m, p0 + kc <= k and col0 + NR <= n
+                    // keep both inside the lengths `check_operands` asserted.
+                    let b_col = b.as_ptr().add(p0 * n + col0);
+                    match mr_eff {
+                        6 => small_tile_avx2::<6>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                        5 => small_tile_avx2::<5>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                        4 => small_tile_avx2::<4>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                        3 => small_tile_avx2::<3>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                        2 => small_tile_avx2::<2>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                        _ => small_tile_avx2::<1>(
+                            kc, n, a_base, row_stride, k_stride, b_col, &mut acc,
+                        ),
+                    }
+                } else {
+                    small_tile_scalar::<true>(
+                        kc,
+                        n,
+                        &a[a_off..],
+                        row_stride,
+                        k_stride,
+                        &b[p0 * n + col0..],
+                        mr_eff,
+                        nr_eff,
+                        &mut acc,
+                    );
                 }
-            } else {
-                small_tile_scalar(
-                    k,
-                    n,
-                    std::slice::from_raw_parts(
-                        a_base,
-                        (mr_eff - 1) * row_stride + (k - 1) * k_stride + 1,
-                    ),
-                    row_stride,
-                    k_stride,
-                    &b[col0..],
-                    mr_eff,
-                    nr_eff,
-                    &mut acc,
-                );
+                write_back_simd(c, n, row0, col0, mr_eff, nr_eff, &acc, overwrite, epi_here);
             }
-            write_back_simd(c, n, row0, col0, mr_eff, nr_eff, &acc, !accumulate, epi);
         }
     }
 }
 
-/// Dispatch the skip-packing small path onto the effective kernel tier.
+/// Dispatch the skip-packing direct path onto the effective kernel tier.
 #[allow(clippy::too_many_arguments)]
 fn run_small_loop(
     m: usize,
@@ -980,10 +1222,10 @@ fn run_small_loop(
 ) {
     #[cfg(target_arch = "x86_64")]
     if matches!(kernel_tier(), KernelTier::Avx512 | KernelTier::Avx2) {
-        // SAFETY: both explicit tiers imply AVX2+FMA per feature detection.
-        // The small path always uses the AVX2 tile: at n <= 96 the problem
-        // is load-latency bound, not FMA-width bound, so wider vectors buy
-        // nothing.
+        // SAFETY: both explicit tiers imply AVX2+FMA per feature detection,
+        // and `gemm` ran `check_operands` on these slices. The direct path
+        // always uses the AVX2 tile: it is bound by loading B, not by FMA
+        // width, so wider vectors buy nothing.
         unsafe {
             small_loop_avx2(m, n, k, a, la, b, c, accumulate, epi);
         }
@@ -1027,12 +1269,75 @@ fn gemm_k0(m: usize, n: usize, c: &mut [f32], accumulate: bool, epi: Epilogue<'_
     }
 }
 
+/// The packed kernel: B panels (from `b`) and A panels are packed per
+/// `KC` block into `ws`, then every `MR × NR` tile runs the microkernel.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed(
+    ws: &mut GemmWorkspace,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    la: Layout,
+    b: BSource<'_>,
+    c: &mut [f32],
+    accumulate: bool,
+    epi: Epilogue<'_>,
+) {
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            let first = p0 == 0;
+            let last = p0 + kc == k;
+            let tp = Instant::now();
+            ensure_len(
+                &mut ws.pack_b,
+                nc.div_ceil(NR) * kc * NR,
+                &mut ws.stats.pack_grows,
+            );
+            b.pack(&mut ws.pack_b, k, n, p0, j0, kc, nc);
+            ws.stats.pack_seconds += tp.elapsed().as_secs_f64();
+            for i0 in (0..m).step_by(MC) {
+                let mc = MC.min(m - i0);
+                let tp = Instant::now();
+                ensure_len(
+                    &mut ws.pack_a,
+                    mc.div_ceil(MR) * kc * MR,
+                    &mut ws.stats.pack_grows,
+                );
+                pack_a(&mut ws.pack_a, a, la, m, k, i0, p0, mc, kc);
+                ws.stats.pack_seconds += tp.elapsed().as_secs_f64();
+                let epi_here = if last { epi } else { Epilogue::None };
+                run_block_loop(
+                    &ws.pack_a,
+                    &ws.pack_b,
+                    c,
+                    n,
+                    i0,
+                    j0,
+                    mc,
+                    nc,
+                    kc,
+                    first && !accumulate,
+                    epi_here,
+                );
+            }
+        }
+    }
+}
+
 /// Serial blocked GEMM: `C = A·B` (or `C += A·B` with `accumulate`), with an
 /// optional fused epilogue applied to the final value of C.
 ///
 /// `a` is a logical `[m, k]` matrix and `b` a logical `[k, n]` matrix, each
 /// interpreted through its [`Layout`]; `c` is `[m, n]` row-major. Slices may
 /// be longer than required; the excess is ignored.
+///
+/// Which path runs — direct ([`small_path_applies`]) or packed — depends
+/// only on `(m, n, k, lb)`, and both accumulate each element as one fused
+/// chain per `KC` block, so a row of C has the same bits whether it was
+/// computed alone or inside a taller call.
 ///
 /// # Panics
 /// Panics when a slice is shorter than its logical shape requires.
@@ -1060,48 +1365,62 @@ pub fn gemm(
     } else if small_path_applies(m, n, k, lb) {
         run_small_loop(m, n, k, a, la, b, c, accumulate, epi);
     } else {
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            for p0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - p0);
-                let first = p0 == 0;
-                let last = p0 + kc == k;
-                let tp = Instant::now();
-                ensure_len(
-                    &mut ws.pack_b,
-                    nc.div_ceil(NR) * kc * NR,
-                    &mut ws.stats.pack_grows,
-                );
-                pack_b(&mut ws.pack_b, b, lb, k, n, p0, j0, kc, nc);
-                ws.stats.pack_seconds += tp.elapsed().as_secs_f64();
-                for i0 in (0..m).step_by(MC) {
-                    let mc = MC.min(m - i0);
-                    let tp = Instant::now();
-                    ensure_len(
-                        &mut ws.pack_a,
-                        mc.div_ceil(MR) * kc * MR,
-                        &mut ws.stats.pack_grows,
-                    );
-                    pack_a(&mut ws.pack_a, a, la, m, k, i0, p0, mc, kc);
-                    ws.stats.pack_seconds += tp.elapsed().as_secs_f64();
-                    let epi_here = if last { epi } else { Epilogue::None };
-                    run_block_loop(
-                        &ws.pack_a,
-                        &ws.pack_b,
-                        c,
-                        n,
-                        i0,
-                        j0,
-                        mc,
-                        nc,
-                        kc,
-                        first && !accumulate,
-                        epi_here,
-                    );
-                }
-            }
-        }
+        let b = BSource::Matrix(b, lb);
+        gemm_packed(ws, m, n, k, a, la, b, c, accumulate, epi);
     }
+    ws.stats.calls += 1;
+    ws.stats.flops += gemm_flops(m, n, k);
+    ws.stats.total_seconds += t0.elapsed().as_secs_f64();
+}
+
+/// [`gemm`] whose B operand is the im2col matrix of one image, without the
+/// matrix: `C = A · cols(x)` (`lb == RowMajor`: `k = g.col_rows()`,
+/// `n = g.col_cols()` — the convolution forward, `A` the flattened filters)
+/// or `C = A · cols(x)ᵀ` (`lb == Transposed`: `k = g.col_cols()`,
+/// `n = g.col_rows()` — the filter gradient, `A` the output gradient).
+///
+/// `x` is one `[C, H, W]` sample under `g`. `cols(x)` is what
+/// [`im2col_into`](crate::ops::im2col_into) would write; here its
+/// `NR`-wide panel rows are cut out of the image rows at pack time
+/// (contiguous copies for stride 1, zeros for the padding border), so the
+/// kernel sees byte-for-byte the panels of `im2col_into` + [`gemm`] and
+/// returns the same bits, while `C·kh·kw·oh·ow` floats are neither written
+/// nor read back. Always the packed kernel: there is no stored B to read
+/// directly.
+///
+/// # Panics
+/// Panics when `x` is not exactly `C·H·W` long or `a`/`c` are shorter than
+/// `m·k` / `m·n`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_im2col(
+    ws: &mut GemmWorkspace,
+    m: usize,
+    a: &[f32],
+    la: Layout,
+    x: &[f32],
+    g: &Conv2dGeom,
+    lb: Layout,
+    c: &mut [f32],
+    accumulate: bool,
+    epi: Epilogue<'_>,
+) {
+    let (k, n) = match lb {
+        Layout::RowMajor => (g.col_rows(), g.col_cols()),
+        Layout::Transposed => (g.col_cols(), g.col_rows()),
+    };
+    assert!(a.len() >= m * k, "gemm_im2col: A slice shorter than m*k");
+    assert!(
+        x.len() == g.in_channels * g.in_h * g.in_w,
+        "gemm_im2col: image is not C*H*W long"
+    );
+    assert!(c.len() >= m * n, "gemm_im2col: C slice shorter than m*n");
+    epi.check(m, n);
+    if m == 0 {
+        return;
+    }
+    let t0 = Instant::now();
+    let b = BSource::Im2col(x, g, lb);
+    gemm_packed(ws, m, n, k, a, la, b, c, accumulate, epi);
     ws.stats.calls += 1;
     ws.stats.flops += gemm_flops(m, n, k);
     ws.stats.total_seconds += t0.elapsed().as_secs_f64();

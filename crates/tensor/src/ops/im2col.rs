@@ -1,13 +1,20 @@
-//! im2col / col2im transforms used by the convolution layers.
+//! Convolution geometry, the reference im2col transform, and col2im.
 //!
-//! A 2-D convolution over one sample becomes a single matmul:
+//! A 2-D convolution over one sample is a single matmul against the im2col
+//! matrix of the input:
 //!
 //! ```text
 //! cols   = im2col(x)              // [C·kh·kw, oh·ow]
 //! y      = W · cols               // W: [out_c, C·kh·kw]
 //! ```
 //!
-//! and the backward pass reuses the same geometry via [`col2im`].
+//! The convolution layers never build `cols`:
+//! [`gemm_im2col`](crate::ops::gemm::gemm_im2col) packs its GEMM panels
+//! straight from the image under a [`Conv2dGeom`]. [`im2col`] /
+//! [`im2col_into`] stay as the definition of that matrix — the oracle the
+//! parity suites and benches compare the packed panels against — and
+//! [`col2im`] / [`col2im_into`] fold the input gradient `Wᵀ · dY` back onto
+//! the image in the backward pass.
 
 use crate::{Result, Tensor, TensorError};
 

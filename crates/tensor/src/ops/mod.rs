@@ -1,4 +1,4 @@
-//! Tensor kernels: matmul, elementwise arithmetic, reductions, im2col.
+//! Tensor kernels: matmul, elementwise arithmetic, reductions, conv geometry.
 
 pub mod elementwise;
 pub mod gemm;

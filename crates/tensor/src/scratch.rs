@@ -5,7 +5,7 @@
 //!
 //! * a **buffer pool** of `Vec<f32>` (and `Vec<usize>`) recycled between
 //!   [`Scratch::take`] / [`Scratch::recycle`] calls — layer outputs,
-//!   gradients, im2col matrices and cached activations all draw from it;
+//!   gradients and cached activations all draw from it;
 //! * **GEMM pack workspaces** ([`GemmWorkspace`]) — one for the serial
 //!   kernel plus one per parallel worker group;
 //! * **counters** ([`ScratchStats`]) that expose pool behaviour and kernel
@@ -40,6 +40,9 @@ pub struct ScratchStats {
     pub hits: u64,
     /// Requests that had to allocate a fresh buffer.
     pub grows: u64,
+    /// Capacity, in elements, of the largest f32 buffer parked in the pool
+    /// right now (a level, not a counter: `reset_stats` leaves it alone).
+    pub largest_pooled: usize,
     /// Aggregated GEMM kernel counters (main + worker workspaces).
     pub gemm: GemmStats,
 }
@@ -188,6 +191,7 @@ impl Scratch {
             takes: self.takes,
             hits: self.hits,
             grows: self.grows,
+            largest_pooled: self.free_f32.iter().map(Vec::capacity).max().unwrap_or(0),
             gemm,
         }
     }

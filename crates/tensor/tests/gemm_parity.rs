@@ -1,13 +1,25 @@
 //! Parity suite: the blocked GEMM (all three matmul variants plus the fused
 //! bias/ReLU epilogues) must match the naive reference kernels to within
 //! 1e-4 relative error on every shape, including tile-boundary tails and
-//! `m = 1` predict-shaped calls. CI fails if this suite is skipped.
+//! `m = 1` predict-shaped calls. Two bit-exact checks ride along: a row of
+//! C does not depend on how many rows the call had (direct `m <= MR` path
+//! against the packed kernel), and `gemm_im2col` equals `im2col_into` +
+//! `gemm`. CI fails if this suite is skipped.
 
 use prionn_tensor::ops::gemm::{self, Epilogue, Layout};
 use prionn_tensor::ops::matmul::reference;
 use prionn_tensor::{ops, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Held by the test that forces kernel tiers (a process-wide switch) and by
+/// the bit-exact tests, whose two sides must run on one tier.
+static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A failed assertion in one holder must not fail the others.
+    TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Assert elementwise `|a - b| <= 1e-4 * max(1, |b|)`.
 fn assert_close(actual: &[f32], expect: &[f32], what: &str) {
@@ -125,6 +137,7 @@ fn randomized_shapes_match_reference() {
 #[test]
 fn every_kernel_tier_matches_reference() {
     use prionn_tensor::ops::gemm::KernelTier;
+    let _tier = tier_lock();
     let mut rng = ChaCha8Rng::seed_from_u64(0x71E5);
     for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
         gemm::force_kernel_tier(Some(tier));
@@ -220,4 +233,149 @@ fn accumulate_adds_onto_existing_output() {
         .map(|(&p, &s)| p + s)
         .collect();
     assert_close(&c, &expect, "accumulate 19x23x310");
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A row of C is the same bits whether its call was one row strip tall
+/// (`m <= MR`: the direct, no-pack path for any `n`) or taller (`m = MR + 1`:
+/// the packed kernel once `n` or `k` leave the small-problem bounds) — what
+/// makes a prediction independent of the batch it was fused into.
+#[test]
+fn rows_of_a_short_call_are_bit_equal_to_the_same_rows_of_a_taller_call() {
+    let tall = gemm::MR + 1;
+    let _tier = tier_lock();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5407);
+    let mut ws = gemm::GemmWorkspace::new();
+    for k in [1usize, 255, 256, 257, 512, 700] {
+        for n in [1usize, 15, 16, 17, 96, 97, 960] {
+            let a = rand_tensor(&mut rng, tall, k);
+            let b = rand_tensor(&mut rng, k, n);
+            let bias_col = prionn_tensor::init::uniform([n], -1.0, 1.0, &mut rng);
+            let bias_row = prionn_tensor::init::uniform([tall], -1.0, 1.0, &mut rng);
+            let seed = rand_tensor(&mut rng, tall, n);
+            let epilogues = [
+                Epilogue::None,
+                Epilogue::BiasCol(bias_col.as_slice()),
+                Epilogue::BiasColRelu(bias_col.as_slice()),
+                Epilogue::BiasRow(bias_row.as_slice()),
+                Epilogue::BiasRowRelu(bias_row.as_slice()),
+            ];
+            for (ei, epi) in epilogues.into_iter().enumerate() {
+                for accumulate in [false, true] {
+                    let mut run = |m: usize| {
+                        let mut c = seed.as_slice()[..m * n].to_vec();
+                        gemm::gemm(
+                            &mut ws,
+                            m,
+                            n,
+                            k,
+                            a.as_slice(),
+                            Layout::RowMajor,
+                            b.as_slice(),
+                            Layout::RowMajor,
+                            &mut c,
+                            accumulate,
+                            epi,
+                        );
+                        c
+                    };
+                    let want = run(tall);
+                    for m in 1..=gemm::MR {
+                        assert_eq!(
+                            bits(&run(m)),
+                            bits(&want[..m * n]),
+                            "m={m} n={n} k={k} epilogue #{ei} accumulate={accumulate} (tier {})",
+                            gemm::kernel_tier().name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `gemm_im2col` against the matrix it stands for: `im2col_into`, then
+/// `gemm` with the cols as B (row-major for the forward product, transposed
+/// for the filter gradient). Geometries cover padding borders on every
+/// side, ragged last strips, output rows shorter than a strip, `stride > 1`
+/// and a `k` that spans two KC blocks in each layout.
+#[test]
+fn gemm_im2col_is_bit_equal_to_im2col_then_gemm() {
+    use prionn_tensor::ops::{im2col_into, Conv2dGeom};
+    let g =
+        |c, h, w, kh, kw, s, ph, pw| Conv2dGeom::with_padding(c, h, w, kh, kw, s, ph, pw).unwrap();
+    let _tier = tier_lock();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC015);
+    let mut ws = gemm::GemmWorkspace::new();
+    for (gi, geom) in [
+        g(4, 64, 64, 3, 3, 1, 1, 1),
+        g(3, 7, 11, 2, 5, 1, 0, 2),
+        g(2, 9, 13, 3, 2, 2, 1, 0),
+        g(2, 10, 5, 3, 3, 3, 2, 2),
+        g(1, 3, 2, 3, 5, 1, 1, 2),
+        g(32, 6, 6, 3, 3, 1, 1, 1),
+        g(1, 1, 40, 1, 1, 1, 0, 0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (rows, cols) = (geom.col_rows(), geom.col_cols());
+        let x = prionn_tensor::init::uniform(
+            [geom.in_channels * geom.in_h * geom.in_w],
+            -1.0,
+            1.0,
+            &mut rng,
+        );
+        let mut mat = vec![0.0f32; rows * cols];
+        im2col_into(x.as_slice(), &geom, &mut mat).unwrap();
+        for m in [1usize, 7, 19] {
+            let bias = prionn_tensor::init::uniform([m], -1.0, 1.0, &mut rng);
+            for (lb, k, n) in [
+                (Layout::RowMajor, rows, cols),
+                (Layout::Transposed, cols, rows),
+            ] {
+                let a = rand_tensor(&mut rng, m, k);
+                let seed = rand_tensor(&mut rng, m, n);
+                for accumulate in [false, true] {
+                    let epi = Epilogue::BiasRowRelu(bias.as_slice());
+                    let mut want = seed.as_slice().to_vec();
+                    gemm::gemm(
+                        &mut ws,
+                        m,
+                        n,
+                        k,
+                        a.as_slice(),
+                        Layout::RowMajor,
+                        &mat,
+                        lb,
+                        &mut want,
+                        accumulate,
+                        epi,
+                    );
+                    let mut got = seed.as_slice().to_vec();
+                    gemm::gemm_im2col(
+                        &mut ws,
+                        m,
+                        a.as_slice(),
+                        Layout::RowMajor,
+                        x.as_slice(),
+                        &geom,
+                        lb,
+                        &mut got,
+                        accumulate,
+                        epi,
+                    );
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "geometry {gi} ({geom:?}) m={m} {lb:?} accumulate={accumulate} (tier {})",
+                        gemm::kernel_tier().name()
+                    );
+                }
+            }
+        }
+    }
 }
