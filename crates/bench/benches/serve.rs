@@ -1,6 +1,6 @@
 //! Serving bench: 8 concurrent clients against the micro-batching gateway
-//! versus the same clients serialised through `PrionnService::predict`
-//! (the pre-gateway serving path, one forward pass per request).
+//! versus the same clients against the same gateway with `max_batch: 1` —
+//! fusion off, one forward pass per request, through the one code path.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench serve`)
 //! and writes `BENCH_serve.json` to the workspace root (override with
@@ -8,10 +8,10 @@
 //!
 //! * `--smoke`   — fewer requests per client, for CI;
 //! * `--enforce` — exit non-zero unless the gateway sustains ≥1.5× the
-//!   serialized throughput AND its p50 latency beats the serialized p50.
+//!   unfused throughput AND its p50 latency beats the unfused p50.
 //!
 //! Both sides serve the *same* trained weights (handed over via the
-//! checkpoint wire format), so the comparison isolates the serving layer.
+//! checkpoint wire format), so the comparison isolates batch fusion.
 //! The win comes from batch fusion: one batch-N forward amortises the data
 //! mapping and GEMM overhead that batch-1 requests pay N times, and its
 //! conv layers split across the compute pool where a batch-1 forward has
@@ -21,17 +21,34 @@
 //! the second core, 1.65–1.86× on 2 cores when the pool worker gets it.
 
 use prionn_bench::support::serving_model;
-use prionn_core::{PrionnService, ServiceOptions};
 use prionn_fleet::testkit::demo_corpus;
 use prionn_serve::{Gateway, GatewayConfig};
 use prionn_workload::stats::percentile;
 use serde_json::json;
-use std::sync::atomic::Ordering;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
-/// `--enforce` floor on gateway ÷ serialized throughput (see module docs).
+/// `--enforce` floor on gateway ÷ unfused throughput (see module docs).
 const SPEEDUP_FLOOR: f64 = 1.5;
+
+/// A gateway over the checkpointed weights, warmed at its batch shape:
+/// scratch buffers are sized per shape, so a one-script warm-up would leave
+/// the first fused batch (1 of 15 in smoke mode) paying for them.
+fn warm_gateway(ck_path: &Path, scripts: &[String], replicas: usize, max_batch: usize) -> Gateway {
+    let gateway = Gateway::spawn_from_checkpoint(
+        ck_path,
+        GatewayConfig {
+            replicas,
+            max_batch,
+            max_wait: Duration::from_micros(500),
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap();
+    gateway.predict(&scripts[..max_batch]).unwrap();
+    gateway
+}
 
 /// Run `CLIENTS` threads, each issuing `reqs` single-script predicts
 /// through `call`. Returns (wall seconds, per-request latencies).
@@ -81,37 +98,22 @@ fn main() {
     let ck_path = std::env::temp_dir().join("prionn_bench_serve.ck");
     model.save(&ck_path).unwrap();
 
-    // Baseline: the single-worker service, one forward pass per request.
-    let service =
-        PrionnService::spawn_from_checkpoint(&ck_path, ServiceOptions::default()).unwrap();
-    let (service_wall, service_lat) = drive_clients(&scripts, reqs, |one| {
-        service.predict(one).unwrap();
+    // Baseline: fusion off — one replica, one forward pass per request.
+    let unfused = warm_gateway(&ck_path, &scripts, 1, 1);
+    let (unfused_wall, unfused_lat) = drive_clients(&scripts, reqs, |one| {
+        unfused.predict(one).unwrap();
     });
-    service.shutdown();
+    unfused.shutdown();
 
     // Gateway: same weights, micro-batched. One replica — on a small host
     // the win must come from fusion, not parallelism.
-    let gateway = Gateway::spawn_from_checkpoint(
-        &ck_path,
-        GatewayConfig {
-            replicas: 1,
-            max_batch: CLIENTS,
-            max_wait: Duration::from_micros(500),
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap();
-    // Warm the replica at the fused batch shape: scratch buffers are sized
-    // per shape, so a one-script warm-up leaves the first measured batch
-    // (1 of 15 in smoke mode) paying for them.
-    gateway.predict(&scripts[..CLIENTS]).unwrap();
-    let warm_batches = gateway.stats().batches_served.load(Ordering::SeqCst);
-    let warm_fused = gateway.stats().scripts_predicted.load(Ordering::SeqCst);
+    let gateway = warm_gateway(&ck_path, &scripts, 1, CLIENTS);
+    let warm = gateway.stats();
     let (gateway_wall, gateway_lat) = drive_clients(&scripts, reqs, |one| {
         gateway.predict(one).unwrap();
     });
-    let batches = gateway.stats().batches_served.load(Ordering::SeqCst) - warm_batches;
-    let fused = gateway.stats().scripts_predicted.load(Ordering::SeqCst) - warm_fused;
+    let batches = gateway.stats().batches_served - warm.batches_served;
+    let fused = gateway.stats().scripts_predicted - warm.scripts_predicted;
     gateway.shutdown();
 
     // Replica sweep: the same load against 1, 2, and 4 replica workers,
@@ -123,17 +125,7 @@ fn main() {
     let mut sweep = Vec::new();
     let mut rps_at_1 = 0.0f64;
     for replicas in [1usize, 2, 4] {
-        let gw = Gateway::spawn_from_checkpoint(
-            &ck_path,
-            GatewayConfig {
-                replicas,
-                max_batch: CLIENTS,
-                max_wait: Duration::from_micros(500),
-                ..GatewayConfig::default()
-            },
-        )
-        .unwrap();
-        gw.predict(&scripts[..CLIENTS]).unwrap();
+        let gw = warm_gateway(&ck_path, &scripts, replicas, CLIENTS);
         let (wall, lat) = drive_clients(&scripts, reqs, |one| {
             gw.predict(one).unwrap();
         });
@@ -161,16 +153,16 @@ fn main() {
     let _ = std::fs::remove_file(&ck_path);
 
     let total = (CLIENTS * reqs) as f64;
-    let service_rps = total / service_wall;
+    let unfused_rps = total / unfused_wall;
     let gateway_rps = total / gateway_wall;
-    let speedup = gateway_rps / service_rps;
-    let service_p50 = percentile(&service_lat, 50.0) * 1e3;
+    let speedup = gateway_rps / unfused_rps;
+    let unfused_p50 = percentile(&unfused_lat, 50.0) * 1e3;
     let gateway_p50 = percentile(&gateway_lat, 50.0) * 1e3;
     let mean_batch = fused as f64 / batches.max(1) as f64;
 
     println!(
-        "  serialized service: {service_rps:.1} req/s  p50 {service_p50:.2} ms  p95 {:.2} ms",
-        percentile(&service_lat, 95.0) * 1e3
+        "  unfused gateway:    {unfused_rps:.1} req/s  p50 {unfused_p50:.2} ms  p95 {:.2} ms",
+        percentile(&unfused_lat, 95.0) * 1e3
     );
     println!(
         "  batched gateway:    {gateway_rps:.1} req/s  p50 {gateway_p50:.2} ms  p95 {:.2} ms  \
@@ -184,10 +176,10 @@ fn main() {
         "mode": mode,
         "clients": CLIENTS,
         "requests_per_client": reqs,
-        "serialized_service": {
-            "throughput_rps": service_rps,
-            "p50_ms": service_p50,
-            "p95_ms": percentile(&service_lat, 95.0) * 1e3,
+        "unfused": {
+            "throughput_rps": unfused_rps,
+            "p50_ms": unfused_p50,
+            "p95_ms": percentile(&unfused_lat, 95.0) * 1e3,
         },
         "gateway": {
             "replicas": 1,
@@ -199,7 +191,7 @@ fn main() {
             "mean_scripts_per_batch": mean_batch,
         },
         "throughput_speedup_vs_serialized": speedup,
-        "p50_speedup_vs_serialized": service_p50 / gateway_p50,
+        "p50_speedup_vs_serialized": unfused_p50 / gateway_p50,
         "cores": cores,
         "replica_sweep": sweep,
     });
@@ -214,21 +206,21 @@ fn main() {
     if enforce {
         if speedup < SPEEDUP_FLOOR {
             eprintln!(
-                "FAIL: gateway {gateway_rps:.1} req/s is only {speedup:.2}x the serialized \
-                 {service_rps:.1} req/s (< {SPEEDUP_FLOOR}x floor)"
+                "FAIL: gateway {gateway_rps:.1} req/s is only {speedup:.2}x the unfused \
+                 {unfused_rps:.1} req/s (< {SPEEDUP_FLOOR}x floor)"
             );
             std::process::exit(1);
         }
-        if gateway_p50 > service_p50 {
+        if gateway_p50 > unfused_p50 {
             eprintln!(
-                "FAIL: gateway p50 {gateway_p50:.2} ms is worse than serialized p50 \
-                 {service_p50:.2} ms"
+                "FAIL: gateway p50 {gateway_p50:.2} ms is worse than unfused p50 \
+                 {unfused_p50:.2} ms"
             );
             std::process::exit(1);
         }
         println!(
             "enforce: throughput {speedup:.2}x >= {SPEEDUP_FLOOR}x, p50 {gateway_p50:.2} ms <= \
-             {service_p50:.2} ms OK"
+             {unfused_p50:.2} ms OK"
         );
     }
 }

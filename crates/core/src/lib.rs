@@ -19,11 +19,9 @@ pub mod checkpoint;
 pub mod metrics;
 pub mod online;
 pub mod predictor;
-pub mod service;
 
 pub use baselines::{run_online_baseline, BaselineKind};
 pub use bins::ValueBins;
 pub use metrics::{mean_absolute_error, relative_accuracy, relative_accuracy_vec};
 pub use online::{resume_online_prionn, run_online_prionn, JobPrediction, OnlineConfig};
-pub use predictor::{HeadKind, Prionn, PrionnConfig, ResourcePrediction};
-pub use service::{PrionnService, ServiceOptions, ServiceStats, TrainingBatch};
+pub use predictor::{HeadKind, Prionn, PrionnConfig, ResourcePrediction, TrainingBatch};

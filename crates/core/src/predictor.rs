@@ -109,6 +109,20 @@ pub struct ResourcePrediction {
     pub write_bytes: f64,
 }
 
+/// One [`Prionn::retrain`] call's worth of completed jobs, owned, so it can
+/// be queued for a trainer on another thread.
+#[derive(Debug, Clone, Default)]
+pub struct TrainingBatch {
+    /// Job scripts.
+    pub scripts: Vec<String>,
+    /// True runtimes, minutes.
+    pub runtime_minutes: Vec<f64>,
+    /// True bytes read (empty when the IO heads are disabled).
+    pub read_bytes: Vec<f64>,
+    /// True bytes written (empty when the IO heads are disabled).
+    pub write_bytes: Vec<f64>,
+}
+
 /// The PRIONN tool: a shared script mapping feeding one classifier head per
 /// predicted resource. Retraining is warm-started — weights and optimiser
 /// state persist across [`Prionn::retrain`] calls, the property the paper

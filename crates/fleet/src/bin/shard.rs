@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! prionn-shard [--listen ADDR] [--ops ADDR] [--checkpoint PATH]
-//!              [--replicas N] [--workers N] [--trace-namespace N]
+//!              [--replicas N] [--trace-namespace N]
 //! ```
 //!
 //! The gateway records request span trees into a flight recorder served
@@ -43,9 +43,6 @@ fn main() {
     let replicas: usize = arg_value(&args, "--replicas")
         .map(|v| v.parse().expect("--replicas must be an integer"))
         .unwrap_or(1);
-    let workers: usize = arg_value(&args, "--workers")
-        .map(|v| v.parse().expect("--workers must be an integer"))
-        .unwrap_or(8);
     let trace_namespace: u16 = arg_value(&args, "--trace-namespace")
         .map(|v| v.parse().expect("--trace-namespace must be a u16"))
         .unwrap_or(2);
@@ -66,7 +63,6 @@ fn main() {
         Arc::clone(&gateway),
         ShardConfig {
             bind: listen,
-            workers_per_conn: workers,
             ..ShardConfig::default()
         },
     )

@@ -188,7 +188,9 @@ impl ErrorCode {
             ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
             ServeError::ShedPreBurst => ErrorCode::ShedPreBurst,
             ServeError::Stopped => ErrorCode::Stopped,
-            ServeError::Model(_) | ServeError::Spawn(_) => ErrorCode::Model,
+            ServeError::Model(_) | ServeError::Spawn(_) | ServeError::Snapshot(_) => {
+                ErrorCode::Model
+            }
         }
     }
 

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use prionn_core::ResourcePrediction;
-use prionn_observe::Tracer;
+use prionn_observe::{Span, Tracer};
 use prionn_serve::Priority;
 use prionn_store::wire::{encode_frame, read_frame, Frame, MAX_FRAME_PAYLOAD};
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -454,11 +454,6 @@ impl Router {
         deadline: Option<Duration>,
         priority: Priority,
     ) -> Result<FleetReply, FleetError> {
-        if self.shards.is_empty() {
-            return Err(FleetError::EmptyFleet);
-        }
-        self.metrics.requests.inc();
-        let started = Instant::now();
         let deadline_ms = deadline.map_or(0, |d| d.as_millis().min(u32::MAX as u128) as u32);
         let payload = encode_predict(priority, deadline_ms, scripts);
         // Waiting for a response should outlast the in-shard deadline;
@@ -475,88 +470,131 @@ impl Router {
         if root.is_recording() {
             root.set_detail(format!("user={user} scripts={}", scripts.len()));
         }
-        let mut attempts = 0usize;
-        let mut last = String::from("no shard tried");
-        let mut failed_over = false;
-        for shard in self.ring.owners(user) {
-            let mut hop = root.child("hop");
-            let trace = hop.is_recording().then(|| TraceContext {
-                trace_id: hop.ctx().trace_id,
-                parent_span_id: hop.ctx().span_id,
-                hop: attempts.min(u8::MAX as usize) as u8,
-            });
-            attempts += 1;
-            match self.try_predict_on(shard, &payload, timeout, trace) {
-                Ok((epoch, predictions)) => {
-                    if failed_over {
-                        self.metrics.failovers.inc();
-                    }
-                    self.shards[shard].served.inc();
-                    if hop.is_recording() {
-                        hop.set_detail(format!("shard={shard} served"));
-                        root.set_detail(format!(
-                            "user={user} scripts={} served_by={shard}",
-                            scripts.len()
-                        ));
-                    }
-                    self.metrics
-                        .latency
-                        .observe(started.elapsed().as_secs_f64());
-                    return Ok(FleetReply {
-                        predictions,
-                        epoch,
-                        shard,
-                    });
+        let walked = self.walk_ring(user, &root, |shard, trace| {
+            self.try_on(shard, &PREDICT, &payload, timeout, trace)
+        });
+        if root.is_recording() {
+            match &walked {
+                Ok((shard, _)) => root.set_detail(format!(
+                    "user={user} scripts={} served_by={shard}",
+                    scripts.len()
+                )),
+                Err(FleetError::Unavailable { attempts, .. }) => {
+                    root.set_detail(format!("user={user} unavailable after {attempts} attempts"));
                 }
-                Err(TryError::Reject(code, message)) => {
-                    self.metrics.count_shed(code);
-                    if hop.is_recording() {
-                        hop.set_detail(format!("shard={shard} reject={code}"));
-                    }
-                    self.metrics
-                        .latency
-                        .observe(started.elapsed().as_secs_f64());
-                    return Err(FleetError::Rejected {
-                        shard,
-                        code,
-                        message,
-                    });
-                }
-                Err(TryError::Failover(reason)) => {
-                    if hop.is_recording() {
-                        hop.set_detail(format!("shard={shard} failover: {reason}"));
-                    }
-                    last = reason;
-                    failed_over = true;
-                }
+                Err(_) => {}
             }
         }
-        self.metrics.shed_unavailable.inc();
-        if root.is_recording() {
-            root.set_detail(format!("user={user} unavailable after {attempts} attempts"));
+        walked.map(|(shard, (epoch, predictions))| FleetReply {
+            predictions,
+            epoch,
+            shard,
+        })
+    }
+
+    /// Route an in-flight revision request, hashing on the job id so a
+    /// job's revisions land on one shard (one drift window calibrates
+    /// all of its intervals). Fails over along the ring like predicts;
+    /// typed refusals surface unchanged. Untraced.
+    pub fn revise(&self, req: &ReviseRequest) -> Result<FleetRevision, FleetError> {
+        let payload = encode_revise(req);
+        let untraced = Tracer::disabled().root("fleet_revise");
+        self.walk_ring(req.obs.job_id, &untraced, |shard, trace| {
+            self.try_on(shard, &REVISE, &payload, self.cfg.request_timeout, trace)
+        })
+        .map(|(shard, revision)| FleetRevision { revision, shard })
+    }
+
+    /// The one ring walk: try `key`'s owners in failover order until one
+    /// serves (`Ok` with the shard that did) or refuses with a typed code,
+    /// or all are unavailable. Does the request, failover, shed, served and
+    /// latency accounting, and opens one `hop` child of `root` per shard
+    /// tried, handing its context to `attempt` to put on the wire.
+    fn walk_ring<T>(
+        &self,
+        key: u64,
+        root: &Span,
+        attempt: impl Fn(usize, Option<TraceContext>) -> Result<T, TryError>,
+    ) -> Result<(usize, T), FleetError> {
+        if self.shards.is_empty() {
+            return Err(FleetError::EmptyFleet);
         }
+        self.metrics.requests.inc();
+        let started = Instant::now();
+        let walk = || {
+            let mut attempts = 0usize;
+            let mut last = String::from("no shard tried");
+            for shard in self.ring.owners(key) {
+                let mut hop = root.child("hop");
+                let trace = hop.is_recording().then(|| TraceContext {
+                    trace_id: hop.ctx().trace_id,
+                    parent_span_id: hop.ctx().span_id,
+                    hop: attempts.min(u8::MAX as usize) as u8,
+                });
+                attempts += 1;
+                match attempt(shard, trace) {
+                    Ok(served) => {
+                        if attempts > 1 {
+                            self.metrics.failovers.inc();
+                        }
+                        self.shards[shard].served.inc();
+                        if hop.is_recording() {
+                            hop.set_detail(format!("shard={shard} served"));
+                        }
+                        return Ok((shard, served));
+                    }
+                    Err(TryError::Reject(code, message)) => {
+                        self.metrics.count_shed(code);
+                        if hop.is_recording() {
+                            hop.set_detail(format!("shard={shard} reject={code}"));
+                        }
+                        return Err(FleetError::Rejected {
+                            shard,
+                            code,
+                            message,
+                        });
+                    }
+                    Err(TryError::Failover(reason)) => {
+                        if hop.is_recording() {
+                            hop.set_detail(format!("shard={shard} failover: {reason}"));
+                        }
+                        last = reason;
+                    }
+                }
+            }
+            self.metrics.shed_unavailable.inc();
+            Err(FleetError::Unavailable { attempts, last })
+        };
+        let walked = walk();
         self.metrics
             .latency
             .observe(started.elapsed().as_secs_f64());
-        Err(FleetError::Unavailable { attempts, last })
+        walked
     }
 
-    fn try_predict_on(
+    /// One attempt on one shard: send `payload` as an `exchange` request
+    /// and classify the reply frame — the exchange's reply kind decodes to
+    /// the answer; availability errors (`Stopped`, and `Draining` for
+    /// predicts: a draining shard still revises) and anything
+    /// unintelligible walk the ring; every other typed error surfaces as a
+    /// refusal.
+    fn try_on<T>(
         &self,
         shard: usize,
+        exchange: &Exchange<T>,
         payload: &[u8],
         timeout: Duration,
         trace: Option<TraceContext>,
-    ) -> Result<(u64, Vec<ResourcePrediction>), TryError> {
+    ) -> Result<T, TryError> {
         let conn = self.conn_for(shard).map_err(TryError::Failover)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let framed;
         let (kind, bytes): (u8, &[u8]) = match &trace {
             Some(ctx) => {
                 framed = encode_with_trace(ctx, payload);
-                (KIND_PREDICT | KIND_TRACE_FLAG, &framed)
+                (exchange.ask | KIND_TRACE_FLAG, &framed)
             }
-            None => (KIND_PREDICT, payload),
+            None => (exchange.ask, payload),
         };
         let frame = match conn.request(kind, id, bytes, timeout) {
             Ok(f) => f,
@@ -568,105 +606,17 @@ impl Router {
             }
         };
         match frame.kind {
-            KIND_PREDICTIONS => match decode_predictions(&frame.payload) {
-                Ok(ok) => Ok(ok),
-                Err(e) => Err(TryError::Failover(format!(
-                    "shard {shard}: bad predictions payload: {e}"
-                ))),
-            },
-            KIND_ERROR => match decode_error(&frame.payload) {
-                // Availability errors walk the ring; load/validity errors
-                // surface typed.
-                Ok((ErrorCode::Draining, msg)) => {
-                    self.metrics.count_shed(ErrorCode::Draining);
-                    Err(TryError::Failover(format!("shard {shard} draining: {msg}")))
-                }
-                Ok((ErrorCode::Stopped, msg)) => {
-                    self.metrics.count_shed(ErrorCode::Stopped);
-                    Err(TryError::Failover(format!("shard {shard} stopped: {msg}")))
-                }
-                Ok((code, msg)) => Err(TryError::Reject(code, msg)),
-                Err(e) => Err(TryError::Failover(format!(
-                    "shard {shard}: bad error payload: {e}"
-                ))),
-            },
-            other => Err(TryError::Failover(format!(
-                "shard {shard}: unexpected frame kind {other}"
-            ))),
-        }
-    }
-
-    /// Route an in-flight revision request, hashing on the job id so a
-    /// job's revisions land on one shard (one drift window calibrates
-    /// all of its intervals). Fails over along the ring like predicts;
-    /// typed refusals surface unchanged.
-    pub fn revise(&self, req: &ReviseRequest) -> Result<FleetRevision, FleetError> {
-        if self.shards.is_empty() {
-            return Err(FleetError::EmptyFleet);
-        }
-        self.metrics.requests.inc();
-        let started = Instant::now();
-        let payload = encode_revise(req);
-        let mut attempts = 0usize;
-        let mut last = String::from("no shard tried");
-        let mut failed_over = false;
-        for shard in self.ring.owners(req.obs.job_id) {
-            attempts += 1;
-            match self.try_revise_on(shard, &payload) {
-                Ok(revision) => {
-                    if failed_over {
-                        self.metrics.failovers.inc();
-                    }
-                    self.shards[shard].served.inc();
-                    self.metrics
-                        .latency
-                        .observe(started.elapsed().as_secs_f64());
-                    return Ok(FleetRevision { revision, shard });
-                }
-                Err(TryError::Reject(code, message)) => {
-                    self.metrics.count_shed(code);
-                    self.metrics
-                        .latency
-                        .observe(started.elapsed().as_secs_f64());
-                    return Err(FleetError::Rejected {
-                        shard,
-                        code,
-                        message,
-                    });
-                }
-                Err(TryError::Failover(reason)) => {
-                    last = reason;
-                    failed_over = true;
-                }
-            }
-        }
-        self.metrics.shed_unavailable.inc();
-        self.metrics
-            .latency
-            .observe(started.elapsed().as_secs_f64());
-        Err(FleetError::Unavailable { attempts, last })
-    }
-
-    fn try_revise_on(&self, shard: usize, payload: &[u8]) -> Result<RevisionReply, TryError> {
-        let conn = self.conn_for(shard).map_err(TryError::Failover)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = match conn.request(KIND_REVISE, id, payload, self.cfg.request_timeout) {
-            Ok(f) => f,
-            Err(fail) => {
-                if matches!(fail, ConnFailure::Closed) {
-                    self.mark_down(shard);
-                }
-                return Err(TryError::Failover(fail.describe(shard)));
-            }
-        };
-        match frame.kind {
-            KIND_REVISION => decode_revision(&frame.payload).map_err(|e| {
-                TryError::Failover(format!("shard {shard}: bad revision payload: {e}"))
+            k if k == exchange.reply => (exchange.decode)(&frame.payload).map_err(|e| {
+                let what = exchange.what;
+                TryError::Failover(format!("shard {shard}: bad {what} payload: {e}"))
             }),
             KIND_ERROR => match decode_error(&frame.payload) {
-                Ok((ErrorCode::Stopped, msg)) => {
-                    self.metrics.count_shed(ErrorCode::Stopped);
-                    Err(TryError::Failover(format!("shard {shard} stopped: {msg}")))
+                Ok((code, msg))
+                    if code == ErrorCode::Stopped
+                        || (code == ErrorCode::Draining && exchange.ask == KIND_PREDICT) =>
+                {
+                    self.metrics.count_shed(code);
+                    Err(TryError::Failover(format!("shard {shard} {code}: {msg}")))
                 }
                 Ok((code, msg)) => Err(TryError::Reject(code, msg)),
                 Err(e) => Err(TryError::Failover(format!(
@@ -819,6 +769,29 @@ enum TryError {
     /// Availability failure — try the next shard in ring order.
     Failover(String),
 }
+
+/// The wire shape of one kind of request that walks the ring.
+struct Exchange<T> {
+    ask: u8,
+    reply: u8,
+    /// The reply's name in diagnostics.
+    what: &'static str,
+    decode: fn(&[u8]) -> prionn_store::Result<T>,
+}
+
+const PREDICT: Exchange<(u64, Vec<ResourcePrediction>)> = Exchange {
+    ask: KIND_PREDICT,
+    reply: KIND_PREDICTIONS,
+    what: "predictions",
+    decode: decode_predictions,
+};
+
+const REVISE: Exchange<RevisionReply> = Exchange {
+    ask: KIND_REVISE,
+    reply: KIND_REVISION,
+    what: "revision",
+    decode: decode_revision,
+};
 
 fn describe_error_frame(frame: &Frame) -> String {
     match decode_error(&frame.payload) {

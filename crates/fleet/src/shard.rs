@@ -3,17 +3,19 @@
 //! A [`ShardServer`] listens on a `std::net::TcpListener` (the same
 //! dependency-free pattern as the observe crate's `OpsServer`) and speaks
 //! the [`proto`](crate::proto) frame protocol. Each accepted connection
-//! gets:
+//! is two threads:
 //!
-//! * a **reader** thread decoding frames and answering admin messages
-//!   (ping, stats, drain, weight swap) inline;
-//! * a bounded **work queue** feeding `workers_per_conn` threads that run
-//!   blocking [`Gateway::predict_traced`] calls — many workers
-//!   blocked in the gateway at once is exactly what feeds its micro-batch
-//!   fusion;
-//! * a **writer** thread that owns the send half behind a `BufWriter` and
+//! * a **reader** decoding frames, answering admin messages (ping, stats,
+//!   drain, weight swap, revise) inline, and handing each predict straight
+//!   to [`Gateway::submit`] — which never blocks, so one connection can
+//!   have as many requests inside the gateway as its queue admits, and
+//!   that is what feeds micro-batch fusion. The gateway's bounded queue is
+//!   the only queue in front of a replica: when it is full the request is
+//!   answered [`ErrorCode::Overloaded`] at once;
+//! * a **writer** that owns the send half behind a `BufWriter` and
 //!   flushes once per drain of its reply channel, so responses completing
-//!   close together share one syscall.
+//!   close together share one syscall. A predict's completion, run by the
+//!   gateway, encodes the reply frame and hands it the bytes.
 //!
 //! Because every frame carries a correlation id, responses may be written
 //! in completion order: the connection is fully pipelined.
@@ -33,20 +35,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use prionn_observe::{DriftHead, SpanCtx};
 use prionn_revise::{ConformalCalibrator, PredictionInterval, ReviseConfig, Reviser};
-use prionn_serve::{Gateway, Priority};
+use prionn_serve::{Gateway, PredictRequest};
 use prionn_store::wire::{encode_frame, read_frame, Frame};
 use prionn_store::{Checkpoint, StoreError};
 use prionn_telemetry::{Counter, Gauge};
 
 use crate::proto::{
     decode_predict, decode_revise, encode_error, encode_predictions, encode_revision, encode_stats,
-    encode_swap_ack, strip_trace, ErrorCode, RevisionReply, ShardStats, TraceContext, KIND_DRAIN,
-    KIND_DRAIN_ACK, KIND_ERROR, KIND_PING, KIND_PONG, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE,
-    KIND_REVISION, KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK, KIND_SWAP_WEIGHTS,
+    encode_swap_ack, strip_trace, ErrorCode, RevisionReply, ShardStats, KIND_DRAIN, KIND_DRAIN_ACK,
+    KIND_ERROR, KIND_PING, KIND_PONG, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION,
+    KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK, KIND_SWAP_WEIGHTS,
 };
 
 /// Tuning knobs for [`ShardServer::spawn`].
@@ -54,26 +56,16 @@ use crate::proto::{
 pub struct ShardConfig {
     /// Bind address; use `127.0.0.1:0` for an ephemeral port.
     pub bind: String,
-    /// Worker threads per connection running blocking gateway predicts.
-    /// More workers = more requests in flight per connection = larger
-    /// fused batches inside the gateway.
-    pub workers_per_conn: usize,
     /// Cap on one frame's payload; oversized frames are answered with a
     /// typed error and the connection is closed (framing is lost).
     pub max_payload: usize,
-    /// Bound on the per-connection work queue (decoded predicts waiting
-    /// for a worker). Backpressures the reader instead of buffering
-    /// without bound.
-    pub work_queue_cap: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             bind: "127.0.0.1:0".to_string(),
-            workers_per_conn: 8,
             max_payload: prionn_store::wire::MAX_FRAME_PAYLOAD,
-            work_queue_cap: 64,
         }
     }
 }
@@ -207,29 +199,17 @@ impl ShardServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let _ = stream.set_nodelay(true);
-                    accept_inner.metrics.connections.add(1.0);
-                    let token = accept_inner.conn_tokens.fetch_add(1, Ordering::Relaxed);
-                    accept_inner
-                        .conns
-                        .lock()
-                        .insert(token, stream.try_clone().expect("clone accepted stream"));
-                    let conn_inner = Arc::clone(&accept_inner);
-                    let handle = std::thread::Builder::new()
-                        .name("prionn-shard-conn".to_string())
-                        .spawn(move || {
-                            serve_connection(stream, &conn_inner);
-                            // Close our registry dup too, or the peer
-                            // never sees EOF; then forget the token.
-                            if let Some(s) = conn_inner.conns.lock().remove(&token) {
-                                let _ = s.shutdown(std::net::Shutdown::Both);
-                            }
-                            conn_inner.metrics.connections.add(-1.0);
-                        })
-                        .expect("spawn connection thread");
-                    let mut handles = accept_inner.conn_handles.lock();
-                    handles.retain(|h| !h.is_finished());
-                    handles.push(handle);
+                    // Out of descriptors or threads (a client opening many
+                    // connections gets there): that one connection closes,
+                    // the shard keeps accepting.
+                    match open_connection(stream, &accept_inner) {
+                        Ok(handle) => {
+                            let mut handles = accept_inner.conn_handles.lock();
+                            handles.retain(|h| !h.is_finished());
+                            handles.push(handle);
+                        }
+                        Err(e) => accept_inner.conn_failed(&e),
+                    }
                 }
             })?;
         Ok(ShardServer {
@@ -314,22 +294,51 @@ impl Drop for ShardServer {
 /// What the writer thread sends: an already-encoded frame.
 type OutFrame = Vec<u8>;
 
-/// One decoded predict waiting for a worker.
-struct WorkItem {
-    id: u64,
-    priority: Priority,
-    deadline: Option<Duration>,
-    scripts: Vec<String>,
-    /// Trace context from the frame's extension, if the caller sent one.
-    trace: Option<TraceContext>,
+impl ShardInner {
+    /// Record a connection lost to descriptor or thread exhaustion.
+    fn conn_failed(&self, e: &std::io::Error) {
+        self.gateway
+            .telemetry()
+            .events()
+            .record("fleet_shard_conn_failed", e.to_string(), 0);
+    }
+
+    /// Forget a connection: close the registry's dup of its stream (or the
+    /// peer never sees EOF) and drop it from the gauge.
+    fn close_connection(&self, token: u64) {
+        if let Some(s) = self.conns.lock().remove(&token) {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+        self.metrics.connections.add(-1.0);
+    }
 }
 
-fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) {
+/// Register an accepted stream and start its reader thread.
+fn open_connection(stream: TcpStream, inner: &Arc<ShardInner>) -> std::io::Result<JoinHandle<()>> {
+    let _ = stream.set_nodelay(true);
+    let registered = stream.try_clone()?;
+    let token = inner.conn_tokens.fetch_add(1, Ordering::Relaxed);
+    inner.conns.lock().insert(token, registered);
+    inner.metrics.connections.add(1.0);
+    let conn_inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name("prionn-shard-conn".to_string())
+        .spawn(move || {
+            if let Err(e) = serve_connection(stream, &conn_inner) {
+                conn_inner.conn_failed(&e);
+            }
+            conn_inner.close_connection(token);
+        })
+        // The closure, and the stream in it, died with the failed spawn.
+        .inspect_err(|_| inner.close_connection(token))
+}
+
+/// Run one connection on the calling (reader) thread until EOF, a framing
+/// error, or shutdown closes the socket. `Err` only when the connection
+/// could not be set up.
+fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) -> std::io::Result<()> {
     let (reply_tx, reply_rx) = unbounded::<OutFrame>();
-    let write_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
+    let write_stream = stream.try_clone()?;
 
     // Writer: drain the reply channel, flush once per lull.
     let writer_metrics_tx = inner.metrics.frames_tx.clone();
@@ -359,63 +368,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) {
                 }
             }
             let _ = out.flush();
-        })
-        .expect("spawn writer thread");
-
-    // Workers: blocking gateway predicts.
-    let (work_tx, work_rx) = bounded::<WorkItem>(inner.cfg.work_queue_cap.max(1));
-    let workers: Vec<JoinHandle<()>> = (0..inner.cfg.workers_per_conn.max(1))
-        .map(|w| {
-            let rx: Receiver<WorkItem> = work_rx.clone();
-            let tx: Sender<OutFrame> = reply_tx.clone();
-            let inner = Arc::clone(inner);
-            std::thread::Builder::new()
-                .name(format!("prionn-shard-worker-{w}"))
-                .spawn(move || {
-                    while let Ok(item) = rx.recv() {
-                        // Adopt the caller's trace so the gateway span
-                        // tree stitches under the router's hop span.
-                        let parent = item
-                            .trace
-                            .map(|t| SpanCtx {
-                                trace_id: t.trace_id,
-                                span_id: t.parent_span_id,
-                            })
-                            .unwrap_or(SpanCtx::NONE);
-                        let reply = match inner.gateway.predict_traced(
-                            &item.scripts,
-                            item.deadline,
-                            item.priority,
-                            parent,
-                        ) {
-                            Ok(reply) => {
-                                inner.requests_served.fetch_add(1, Ordering::SeqCst);
-                                encode_frame(
-                                    KIND_PREDICTIONS,
-                                    item.id,
-                                    &encode_predictions(reply.epoch, &reply.predictions),
-                                )
-                            }
-                            Err(e) => {
-                                inner.requests_shed.fetch_add(1, Ordering::SeqCst);
-                                encode_frame(
-                                    KIND_ERROR,
-                                    item.id,
-                                    &encode_error(ErrorCode::from_serve_error(&e), &e.to_string()),
-                                )
-                            }
-                        };
-                        let left = inner.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-                        inner.metrics.in_flight.set(left as f64);
-                        if tx.send(reply).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn worker thread")
-        })
-        .collect();
-    drop(work_rx);
+        })?;
 
     // Reader: decode frames until EOF, error, or shutdown closes the
     // socket under us.
@@ -429,7 +382,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) {
                     .metrics
                     .bytes_rx
                     .add((prionn_store::wire::FRAME_HEADER_LEN + frame.payload.len()) as u64);
-                if !dispatch_frame(frame, inner, &work_tx, &reply_tx) {
+                if !dispatch_frame(frame, inner, &reply_tx) {
                     break;
                 }
             }
@@ -456,22 +409,15 @@ fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) {
         }
     }
 
-    // Teardown: workers finish queued items, writer flushes their replies.
-    drop(work_tx);
-    for w in workers {
-        let _ = w.join();
-    }
+    // Teardown: every predict still inside the gateway holds a sender, so
+    // the writer outlives them all and flushes their replies.
     drop(reply_tx);
     let _ = writer.join();
+    Ok(())
 }
 
 /// Handle one decoded frame. Returns false when the connection must close.
-fn dispatch_frame(
-    frame: Frame,
-    inner: &Arc<ShardInner>,
-    work_tx: &Sender<WorkItem>,
-    reply_tx: &Sender<OutFrame>,
-) -> bool {
+fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFrame>) -> bool {
     let id = frame.id;
     let send = |f: OutFrame| reply_tx.send(f).is_ok();
     // Peel the optional trace-context extension off the payload before
@@ -510,19 +456,39 @@ fn dispatch_frame(
                 Ok((priority, deadline_ms, scripts)) => {
                     let n = inner.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                     inner.metrics.in_flight.set(n as f64);
-                    let item = WorkItem {
-                        id,
-                        priority,
+                    let req = PredictRequest {
+                        scripts,
                         deadline: (deadline_ms > 0)
                             .then(|| Duration::from_millis(deadline_ms as u64)),
-                        scripts,
-                        trace,
+                        priority,
+                        // Adopt the caller's trace so the gateway span
+                        // tree stitches under the router's hop span.
+                        trace: trace.map_or(SpanCtx::NONE, |t| SpanCtx {
+                            trace_id: t.trace_id,
+                            span_id: t.parent_span_id,
+                        }),
                     };
-                    if work_tx.send(item).is_err() {
-                        let left = inner.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-                        inner.metrics.in_flight.set(left as f64);
-                        return false;
-                    }
+                    // The completion runs on a gateway thread (or here, for
+                    // an admission refusal): encode, settle, hand over.
+                    let shard = Arc::clone(inner);
+                    let reply_tx = reply_tx.clone();
+                    inner.gateway.submit(req, move |result| {
+                        let (kind, payload) = match result {
+                            Ok(reply) => {
+                                shard.requests_served.fetch_add(1, Ordering::SeqCst);
+                                let payload = encode_predictions(reply.epoch, &reply.predictions);
+                                (KIND_PREDICTIONS, payload)
+                            }
+                            Err(e) => {
+                                shard.requests_shed.fetch_add(1, Ordering::SeqCst);
+                                let code = ErrorCode::from_serve_error(&e);
+                                (KIND_ERROR, encode_error(code, &e.to_string()))
+                            }
+                        };
+                        let left = shard.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
+                        shard.metrics.in_flight.set(left as f64);
+                        let _ = reply_tx.send(encode_frame(kind, id, &payload));
+                    });
                     true
                 }
                 Err(e) => {
@@ -558,7 +524,6 @@ fn dispatch_frame(
                         read_bytes: interval_for(DriftHead::Read, revised.read_bytes),
                         write_bytes: interval_for(DriftHead::Write, revised.write_bytes),
                     };
-                    inner.requests_served.fetch_add(1, Ordering::SeqCst);
                     inner.revisions_served.fetch_add(1, Ordering::SeqCst);
                     send(encode_frame(KIND_REVISION, id, &encode_revision(&reply)))
                 }

@@ -231,8 +231,8 @@ impl LocalFleet {
     /// stop its gateway, with no drain. Simulates process loss.
     pub fn kill(&mut self, i: usize) {
         if let Some(shard) = self.shards[i].take() {
-            // Gateway first: it fails queued requests (typed Stopped), so
-            // shard workers blocked in predict return and the server's
+            // Gateway first: it completes queued requests (typed Stopped),
+            // which releases each connection's writer, so the server's
             // thread joins cannot wedge.
             shard.gateway.shutdown();
             shard.server.shutdown();

@@ -9,7 +9,8 @@ use std::time::Duration;
 use prionn_core::ResourcePrediction;
 use prionn_fleet::proto::{
     decode_error, decode_predictions, decode_revision, encode_predict, encode_revise, ErrorCode,
-    ReviseRequest, KIND_ERROR, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION,
+    ReviseRequest, KIND_ERROR, KIND_PING, KIND_PONG, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE,
+    KIND_REVISION,
 };
 use prionn_fleet::router::{FleetError, Router, RouterConfig};
 use prionn_fleet::shard::ShardConfig;
@@ -412,4 +413,185 @@ fn abrupt_kill_fails_over_and_recovery_restores_routing() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Read frames off a raw connection until `want` have arrived, keyed by
+/// correlation id.
+fn read_replies(s: &mut TcpStream, want: usize) -> std::collections::HashMap<u64, Frame> {
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut replies = std::collections::HashMap::new();
+    while replies.len() < want {
+        let frame = read_frame(s, MAX_FRAME_PAYLOAD)
+            .expect("readable reply")
+            .expect("connection closed with replies outstanding");
+        assert!(
+            replies.insert(frame.id, frame).is_none(),
+            "id answered twice"
+        );
+    }
+    replies
+}
+
+#[test]
+fn one_connection_pipelines_past_eight_requests_into_the_gateway() {
+    // A long linger and a batch as large as the burst: the replica waits
+    // for the whole burst, so how much of it fuses shows how much of it the
+    // connection got inside the gateway at once.
+    const BURST: u64 = 64;
+    let fleet = LocalFleet::spawn_with(
+        1,
+        prionn_serve::GatewayConfig {
+            max_batch: BURST as usize,
+            max_wait: Duration::from_secs(2),
+            ..demo_gateway_config()
+        },
+        ShardConfig::default(),
+    );
+    let scripts = demo_corpus();
+
+    let mut s = TcpStream::connect(&fleet.endpoints()[0]).unwrap();
+    let mut burst = Vec::new();
+    for id in 1..=BURST {
+        let one = std::slice::from_ref(&scripts[id as usize % scripts.len()]);
+        burst.extend(encode_frame(
+            KIND_PREDICT,
+            id,
+            &encode_predict(Priority::Normal, 0, one),
+        ));
+    }
+    s.write_all(&burst).unwrap();
+
+    let replies = read_replies(&mut s, BURST as usize);
+    for id in 1..=BURST {
+        let frame = &replies[&id];
+        assert_eq!(frame.kind, KIND_PREDICTIONS, "request {id}");
+        assert_eq!(decode_predictions(&frame.payload).unwrap().1.len(), 1);
+    }
+    let stats = fleet.shard(0).gateway.stats();
+    assert_eq!(stats.requests_admitted, BURST as usize);
+    assert_eq!(stats.scripts_predicted, BURST as usize);
+    // 64 scripts in fewer than 8 forward passes: some pass fused more than
+    // 8, so more than 8 requests of this one connection were queued at once.
+    assert!(
+        stats.batches_served < 8,
+        "{} batches for {BURST} pipelined requests",
+        stats.batches_served
+    );
+}
+
+#[test]
+fn full_queue_answers_overloaded_on_the_wire_and_the_connection_lives_on() {
+    // replicas: 0 = accept-and-queue only, so the two slots stay taken.
+    let fleet = LocalFleet::spawn_with(
+        1,
+        prionn_serve::GatewayConfig {
+            replicas: 0,
+            queue_cap: 2,
+            ..demo_gateway_config()
+        },
+        ShardConfig::default(),
+    );
+    let scripts = demo_corpus();
+    let predict = |id: u64| {
+        encode_frame(
+            KIND_PREDICT,
+            id,
+            &encode_predict(Priority::Normal, 0, &scripts[..1]),
+        )
+    };
+
+    let mut s = TcpStream::connect(&fleet.endpoints()[0]).unwrap();
+    for id in 1..=5 {
+        s.write_all(&predict(id)).unwrap();
+    }
+    // The reader never blocks on the full queue: 3, 4 and 5 are refused at
+    // once, while 1 and 2 are still waiting for a replica.
+    let refused = read_replies(&mut s, 3);
+    for id in 3..=5 {
+        let frame = &refused[&id];
+        assert_eq!(frame.kind, KIND_ERROR, "request {id}");
+        let (code, _) = decode_error(&frame.payload).unwrap();
+        assert_eq!(code, ErrorCode::Overloaded);
+    }
+    assert_eq!(fleet.shard(0).gateway.queue_depth(), 2);
+    assert_eq!(fleet.shard(0).server.in_flight(), 2);
+
+    // Same connection, still in frame: an admin request is answered.
+    s.write_all(&encode_frame(KIND_PING, 6, &[])).unwrap();
+    assert_eq!(read_replies(&mut s, 1)[&6].kind, KIND_PONG);
+
+    // Shutdown completes the two queued requests with a typed Stopped.
+    fleet.shard(0).gateway.shutdown();
+    let stopped = read_replies(&mut s, 2);
+    for id in 1..=2 {
+        let (code, _) = decode_error(&stopped[&id].payload).unwrap();
+        assert_eq!(code, ErrorCode::Stopped);
+    }
+    assert_eq!(fleet.shard(0).server.in_flight(), 0);
+}
+
+#[test]
+fn replica_panic_behind_a_shard_reaches_the_router_typed_not_as_a_timeout() {
+    let fleet = LocalFleet::spawn_with(
+        1,
+        prionn_serve::GatewayConfig {
+            test_panic_marker: true,
+            ..demo_gateway_config()
+        },
+        ShardConfig::default(),
+    );
+    let router = router_for(&fleet); // request_timeout: 30 s
+    let scripts = demo_corpus();
+
+    // The request that kills the only replica, then one that finds it dead:
+    // each is completed with `Stopped` by the gateway, which the router
+    // treats as unavailability — and learns at once, not 30 s later.
+    for script in ["__serve_test_panic__", scripts[0].as_str()] {
+        let started = std::time::Instant::now();
+        let err = router.predict(1, &[script.to_string()]).unwrap_err();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "waited {:?} for a dead replica",
+            started.elapsed()
+        );
+        match err {
+            FleetError::Unavailable { attempts, last } => {
+                assert_eq!(attempts, 1);
+                assert!(last.contains("stopped"), "{last}");
+            }
+            other => panic!("expected Unavailable, got {other}"),
+        }
+    }
+    // The shard itself is up and says what happened.
+    let stats = router.shard_stats(0).unwrap();
+    assert_eq!(stats.live_replicas, 0);
+    assert_eq!(stats.requests_shed, 2);
+}
+
+#[test]
+fn revisions_are_not_counted_as_predict_requests() {
+    let fleet = LocalFleet::spawn(1);
+    let router = router_for(&fleet);
+    let scripts = demo_corpus();
+    router.predict(1, &scripts[..1]).unwrap();
+    let req = ReviseRequest {
+        obs: ProgressObs {
+            job_id: 9,
+            elapsed_seconds: 600.0,
+            read_bytes_so_far: 1.0e8,
+            write_bytes_so_far: 1.0e8,
+        },
+        initial: ResourcePrediction {
+            runtime_minutes: 60.0,
+            read_bytes: 1.0e9,
+            write_bytes: 1.0e9,
+        },
+        coverage: 0.9,
+    };
+    for _ in 0..5 {
+        router.revise(&req).unwrap();
+    }
+    let stats = router.shard_stats(0).unwrap();
+    assert_eq!(stats.requests_served, 1, "predicts only");
+    assert_eq!(stats.revisions_served, 5);
 }

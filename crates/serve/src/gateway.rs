@@ -1,7 +1,7 @@
 //! The gateway implementation: admission, replica workers, trainer thread.
 
 use std::panic::AssertUnwindSafe;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
-use prionn_core::{Prionn, PrionnService, ResourcePrediction, TrainingBatch};
+use prionn_core::{Prionn, ResourcePrediction, TrainingBatch};
 use prionn_observe::{trace, DriftHead, DriftMonitor, OutcomeStatus, Span, SpanCtx, Tracer};
 use prionn_store::broadcast::WeightBus;
 use prionn_store::Checkpoint;
@@ -38,6 +38,8 @@ pub enum ServeError {
     Model(String),
     /// The gateway could not be constructed.
     Spawn(String),
+    /// The trainer thread could not write a [`Gateway::snapshot`] file.
+    Snapshot(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -56,6 +58,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Stopped => write!(f, "gateway stopped"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::Spawn(e) => write!(f, "gateway spawn failed: {e}"),
+            ServeError::Snapshot(e) => write!(f, "snapshot failed: {e}"),
         }
     }
 }
@@ -71,12 +74,14 @@ pub type ServeResult<T> = Result<T, ServeError>;
 /// `ForecastEngine::pressure_probe()` in here.
 pub type PressureProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Request priority class for [`Gateway::predict_traced`].
+/// Request priority class of a [`PredictRequest`].
 ///
 /// Priorities only matter while the [`PressureProbe`] reports forecast
-/// burst pressure: low-priority requests are shed outright and normal ones
-/// face a tightened queue cap. Without pressure both classes are admitted
-/// identically.
+/// burst pressure: low-priority requests are shed outright
+/// ([`ServeError::ShedPreBurst`]) and normal ones face a tightened queue
+/// cap (half of [`GatewayConfig::queue_cap`]) — load is shed *before* the
+/// burst arrives rather than during it. Without pressure both classes are
+/// admitted identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Interactive / scheduler-critical work; admitted under pressure up
@@ -164,34 +169,35 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Cheap cross-thread counters mirroring the telemetry instruments, for
-/// assertions and quick logging without parsing the Prometheus text.
-#[derive(Debug, Default)]
+/// A point-in-time view of the gateway's counters, read from the
+/// telemetry instruments (see [`Gateway::stats`]) — for assertions and
+/// quick logging without parsing the Prometheus text.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
     /// Requests accepted into the queue.
-    pub requests_admitted: AtomicUsize,
+    pub requests_admitted: usize,
     /// Requests rejected at admission because the queue was full.
-    pub requests_shed_overload: AtomicUsize,
+    pub requests_shed_overload: usize,
     /// Requests shed by a replica because their deadline had passed.
-    pub requests_shed_deadline: AtomicUsize,
+    pub requests_shed_deadline: usize,
     /// Requests shed pre-emptively while an IO burst was forecast.
-    pub requests_shed_preburst: AtomicUsize,
-    /// Fused forward passes run across all replicas.
-    pub batches_served: AtomicUsize,
-    /// Scripts predicted across all replicas.
-    pub scripts_predicted: AtomicUsize,
+    pub requests_shed_preburst: usize,
+    /// Fused forward passes served across all replicas.
+    pub batches_served: usize,
+    /// Scripts fused into forward passes across all replicas.
+    pub scripts_predicted: usize,
     /// Background retrains completed by the trainer thread.
-    pub retrains_done: AtomicUsize,
-    /// Retrain batches queued but not yet trained on.
-    pub retrains_pending: AtomicUsize,
+    pub retrains_done: usize,
+    /// Retrain batches submitted and not yet trained on or evicted.
+    pub retrains_pending: usize,
     /// Retrain batches evicted by newer ones (latest-wins queue).
-    pub retrains_dropped: AtomicUsize,
+    pub retrains_dropped: usize,
     /// Weight checkpoints published on the bus (trainer + manual swaps).
-    pub swaps_published: AtomicUsize,
+    pub swaps_published: usize,
     /// Swap applications performed by replicas (≤ replicas × published).
-    pub swaps_applied: AtomicUsize,
+    pub swaps_applied: usize,
     /// Replica or trainer threads lost to a panic.
-    pub replica_panics: AtomicUsize,
+    pub replica_panics: usize,
 }
 
 /// A prediction plus the weight epoch that produced it.
@@ -207,14 +213,67 @@ pub struct PredictionReply {
     pub epoch: u64,
 }
 
-/// One queued predict call.
+/// One predict request, as [`Gateway::submit`] takes it.
+#[derive(Debug, Clone, Default)]
+pub struct PredictRequest {
+    /// The job scripts to predict; moved into the queue, never cloned.
+    pub scripts: Vec<String>,
+    /// If no replica picks the request up within this long, it is shed
+    /// with [`ServeError::DeadlineExceeded`] instead of being served
+    /// stale. `None` waits as long as it takes.
+    pub deadline: Option<Duration>,
+    /// Admission class while a burst is forecast (see [`Priority`]).
+    pub priority: Priority,
+    /// A foreign trace parent ([`SpanCtx::NONE`] for none), e.g. from a
+    /// fleet frame's trace-context extension: the request's root span
+    /// adopts its trace id and parents under it, so the tree stitches into
+    /// the fleet-wide trace instead of starting a disconnected one.
+    pub trace: SpanCtx,
+}
+
+/// The one-shot completion of a queued request.
+type Completion = Box<dyn FnOnce(ServeResult<PredictionReply>) + Send>;
+
+/// What an admitted request is owed: its open spans, its latency
+/// observation and its completion.
+struct Pending {
+    /// The request's `predict` root span and the `queued` child covering
+    /// admission to completion.
+    root: Span,
+    queued: Span,
+    predict_seconds: Histogram,
+    done: Completion,
+}
+
+/// One queued predict request. Settling it closes its spans, observes
+/// `serve_predict_seconds` and runs the completion; a job dropped
+/// unsettled (replica panic, shutdown, dead-mode drain) settles itself
+/// with [`ServeError::Stopped`], so the completion runs exactly once on
+/// every path.
 struct Job {
     scripts: Vec<String>,
-    reply: Sender<ServeResult<PredictionReply>>,
     enqueued: Instant,
     deadline: Option<Instant>,
-    /// The caller's trace context ([`SpanCtx::NONE`] when untraced).
+    /// The root span's context ([`SpanCtx::NONE`] when untraced).
     trace: SpanCtx,
+    pending: Option<Pending>,
+}
+
+impl Job {
+    fn settle(&mut self, result: ServeResult<PredictionReply>) {
+        let Some(p) = self.pending.take() else { return };
+        drop(p.queued);
+        p.predict_seconds
+            .observe(self.enqueued.elapsed().as_secs_f64());
+        drop(p.root);
+        (p.done)(result);
+    }
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.settle(Err(ServeError::Stopped));
+    }
 }
 
 /// Telemetry instruments shared by the admission path and the workers.
@@ -232,13 +291,16 @@ struct Instruments {
     queue_depth: Gauge,
     swap_epoch: Gauge,
     retrain_seconds: Histogram,
+    retrains_total: Counter,
     retrain_queue_depth: Gauge,
     retrains_dropped: Counter,
+    /// One counter per replica, indexed by replica number.
+    swaps_applied: Vec<Counter>,
     replica_panics: Counter,
 }
 
 impl Instruments {
-    fn build(t: &Telemetry, max_batch: usize) -> Self {
+    fn build(t: &Telemetry, max_batch: usize, replicas: usize) -> Self {
         Instruments {
             predict_seconds: t.histogram(
                 "serve_predict_seconds",
@@ -284,6 +346,10 @@ impl Instruments {
                 "serve_retrain_seconds",
                 "Background retrain duration on the trainer thread",
             ),
+            retrains_total: t.counter(
+                "serve_retrains_total",
+                "Background retrains completed successfully",
+            ),
             retrain_queue_depth: t.gauge(
                 "serve_retrain_queue_depth",
                 "Retrain batches queued behind the trainer",
@@ -292,6 +358,15 @@ impl Instruments {
                 "serve_retrains_dropped_total",
                 "Retrain batches evicted by newer ones (latest-wins queue)",
             ),
+            swaps_applied: (0..replicas)
+                .map(|i| {
+                    t.counter_with(
+                        "serve_swaps_applied_total",
+                        "Weight swaps applied, per replica",
+                        &[("replica", &i.to_string())],
+                    )
+                })
+                .collect(),
             replica_panics: t.counter(
                 "serve_replica_panics_total",
                 "Replica or trainer threads lost to a panic",
@@ -304,6 +379,11 @@ impl Instruments {
 enum TrainerCmd {
     /// A retrain batch was enqueued; drain one from the retrain queue.
     Tick,
+    /// Write the master model to `path` and report the outcome.
+    Snapshot {
+        path: PathBuf,
+        reply: Sender<ServeResult<()>>,
+    },
     /// Exit after the commands queued so far.
     Shutdown,
 }
@@ -322,7 +402,6 @@ pub struct Gateway {
     trainer_handle: Mutex<Option<JoinHandle<()>>>,
     replica_handles: Mutex<Vec<JoinHandle<()>>>,
     bus: WeightBus,
-    stats: Arc<GatewayStats>,
     last_error: Arc<Mutex<Option<String>>>,
     stopped: Arc<AtomicBool>,
     telemetry: Telemetry,
@@ -337,15 +416,22 @@ pub struct Gateway {
     preshed_engaged: AtomicBool,
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+/// Count a thread lost to a panic and keep its message for `last_error`.
+fn record_panic(
+    who: &str,
+    payload: &(dyn std::any::Any + Send),
+    instr: &Instruments,
+    last_error: &Mutex<Option<String>>,
+) {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s.as_str()
     } else {
-        "non-string panic payload".to_string()
-    }
+        "non-string panic payload"
+    };
+    instr.replica_panics.inc();
+    *last_error.lock() = Some(format!("{who} panicked: {message}"));
 }
 
 impl Gateway {
@@ -358,12 +444,11 @@ impl Gateway {
 
         let telemetry = cfg.telemetry.clone().unwrap_or_default();
         let tracer = cfg.tracer.clone().unwrap_or_default();
-        let instruments = Instruments::build(&telemetry, cfg.max_batch);
+        let instruments = Instruments::build(&telemetry, cfg.max_batch, cfg.replicas);
         let (req_tx, req_rx) = bounded::<Job>(cfg.queue_cap.max(1));
         let (retrain_tx, retrain_rx) = bounded::<TrainingBatch>(cfg.retrain_queue_cap.max(1));
         let (trainer_tx, trainer_rx) = unbounded::<TrainerCmd>();
         let bus = WeightBus::new();
-        let stats = Arc::new(GatewayStats::default());
         let last_error = Arc::new(Mutex::new(None));
         let stopped = Arc::new(AtomicBool::new(false));
         let live_replicas = Arc::new(AtomicUsize::new(cfg.replicas));
@@ -375,17 +460,11 @@ impl Gateway {
             replica.set_telemetry(&telemetry);
             let rx = req_rx.clone();
             let bus = bus.clone();
-            let stats = Arc::clone(&stats);
             let last_error = Arc::clone(&last_error);
             let live = Arc::clone(&live_replicas);
             let instr = instruments.clone();
             let replica_tracer = tracer.clone();
             let panic_marker = cfg.test_panic_marker;
-            let swaps_applied = telemetry.counter_with(
-                "serve_swaps_applied_total",
-                "Weight swaps applied, per replica",
-                &[("replica", &i.to_string())],
-            );
             let handle = std::thread::Builder::new()
                 .name(format!("prionn-serve-replica-{i}"))
                 .spawn(move || {
@@ -396,28 +475,25 @@ impl Gateway {
                             &bus,
                             max_batch,
                             cfg.max_wait,
-                            &stats,
                             &last_error,
                             &instr,
-                            &swaps_applied,
+                            &instr.swaps_applied[i],
                             &replica_tracer,
                             panic_marker,
                         );
                     }));
                     if let Err(payload) = result {
-                        stats.replica_panics.fetch_add(1, Ordering::SeqCst);
-                        instr.replica_panics.inc();
-                        *last_error.lock() = Some(format!(
-                            "replica {i} panicked: {}",
-                            panic_message(payload.as_ref())
-                        ));
+                        let who = format!("replica {i}");
+                        record_panic(&who, payload.as_ref(), &instr, &last_error);
                         // If this was the last live replica, nothing will
-                        // ever answer queued requests: fail them fast until
-                        // the gateway drops its sender at shutdown. Without
-                        // this, callers block on replies that never come.
+                        // ever serve the queue: drop every request that
+                        // still arrives (a dropped job completes with
+                        // `Stopped`) until the gateway drops its sender at
+                        // shutdown. Without this, callers wait on
+                        // completions that never run.
                         if live.fetch_sub(1, Ordering::SeqCst) == 1 {
                             while let Ok(job) = rx.recv() {
-                                let _ = job.reply.send(Err(ServeError::Stopped));
+                                drop(job);
                             }
                         }
                     } else {
@@ -434,7 +510,6 @@ impl Gateway {
             let rx = trainer_rx;
             let batches = retrain_rx.clone();
             let bus = bus.clone();
-            let stats = Arc::clone(&stats);
             let last_error = Arc::clone(&last_error);
             let instr = instruments.clone();
             let events = telemetry.clone();
@@ -448,7 +523,6 @@ impl Gateway {
                             &rx,
                             &batches,
                             &bus,
-                            &stats,
                             &last_error,
                             &instr,
                             &events,
@@ -456,12 +530,16 @@ impl Gateway {
                         );
                     }));
                     if let Err(payload) = result {
-                        stats.replica_panics.fetch_add(1, Ordering::SeqCst);
-                        instr.replica_panics.inc();
-                        *last_error.lock() = Some(format!(
-                            "trainer panicked: {}",
-                            panic_message(payload.as_ref())
-                        ));
+                        record_panic("trainer", payload.as_ref(), &instr, &last_error);
+                        // A queued snapshot command holds its caller's
+                        // reply sender: keep dropping commands until
+                        // shutdown so that caller fails with `Stopped`
+                        // instead of waiting for ever.
+                        while let Ok(cmd) = rx.recv() {
+                            if matches!(cmd, TrainerCmd::Shutdown) {
+                                break;
+                            }
+                        }
                     }
                 })
                 .map_err(|e| spawn_err(&e))?
@@ -476,7 +554,6 @@ impl Gateway {
             trainer_handle: Mutex::new(Some(trainer_handle)),
             replica_handles: Mutex::new(replica_handles),
             bus,
-            stats,
             last_error,
             stopped,
             telemetry,
@@ -493,21 +570,10 @@ impl Gateway {
     }
 
     /// Spawn a gateway from a checkpoint file written by
-    /// [`Prionn::save`](prionn_core::Prionn) / `prionn-store`.
+    /// [`Prionn::save`](prionn_core::Prionn) or [`Gateway::snapshot`] —
+    /// the warm restart: the trainer continues from the restored weights.
     pub fn spawn_from_checkpoint(path: impl AsRef<Path>, cfg: GatewayConfig) -> ServeResult<Self> {
         let model = Prionn::load(path).map_err(|e| ServeError::Spawn(e.to_string()))?;
-        Self::spawn(model, cfg)
-    }
-
-    /// Spawn a gateway from the live model inside a running
-    /// [`PrionnService`], without stopping the service: the model is
-    /// exported between requests on the service worker, so the fork never
-    /// observes a half-applied retrain.
-    pub fn spawn_from_service(service: &PrionnService, cfg: GatewayConfig) -> ServeResult<Self> {
-        let ck = service
-            .model_checkpoint()
-            .map_err(|e| ServeError::Spawn(e.to_string()))?;
-        let model = Prionn::from_checkpoint(&ck).map_err(|e| ServeError::Spawn(e.to_string()))?;
         Self::spawn(model, cfg)
     }
 
@@ -517,116 +583,142 @@ impl Gateway {
         self.predict_detailed(scripts, None).map(|r| r.predictions)
     }
 
-    /// Full-fidelity predict: returns the weight epoch alongside the
-    /// predictions so callers can correlate answers with hot-swaps. If no
-    /// replica picks the request up within `deadline`, it is shed with
-    /// [`ServeError::DeadlineExceeded`] instead of being served stale.
-    /// Admits at [`Priority::Normal`].
+    /// Blocking [`submit`](Self::submit) at [`Priority::Normal`]: returns
+    /// the weight epoch alongside the predictions so callers can correlate
+    /// answers with hot-swaps. If no replica picks the request up within
+    /// `deadline`, it is shed with [`ServeError::DeadlineExceeded`] instead
+    /// of being served stale.
     pub fn predict_detailed(
         &self,
         scripts: &[String],
         deadline: Option<Duration>,
     ) -> ServeResult<PredictionReply> {
-        self.predict_traced(scripts, deadline, Priority::Normal, SpanCtx::NONE)
+        let (tx, rx) = bounded(1);
+        self.submit(
+            PredictRequest {
+                scripts: scripts.to_vec(),
+                deadline,
+                ..PredictRequest::default()
+            },
+            move |result| {
+                let _ = tx.send(result);
+            },
+        );
+        rx.recv().unwrap_or(Err(ServeError::Stopped))
     }
 
-    /// [`predict_detailed`](Self::predict_detailed) with an explicit
-    /// [`Priority`] and a foreign trace parent. While the configured
-    /// [`PressureProbe`] reports a forecast IO burst, [`Priority::Low`]
-    /// requests are shed with [`ServeError::ShedPreBurst`] and normal
-    /// requests face the tightened queue cap (half of
-    /// [`GatewayConfig::queue_cap`]) — load is shed *before* the burst
-    /// arrives rather than during it. When `parent` is set (e.g. extracted
-    /// from a fleet frame's trace-context extension), the request's root
-    /// span adopts the caller's trace id and parents under the caller's
-    /// span, so the shard-side tree stitches into the fleet-wide trace
-    /// instead of starting a disconnected one.
-    pub fn predict_traced(
-        &self,
-        scripts: &[String],
-        deadline: Option<Duration>,
-        priority: Priority,
-        parent: SpanCtx,
-    ) -> ServeResult<PredictionReply> {
-        if scripts.is_empty() {
-            return Ok(PredictionReply {
+    /// The one door onto the queue: admit `req` or refuse it, without
+    /// blocking, and run `done` exactly once with the outcome —
+    ///
+    /// * on the calling thread, before `submit` returns, when the request
+    ///   is refused at admission ([`ServeError::Overloaded`],
+    ///   [`ServeError::ShedPreBurst`], [`ServeError::Stopped`]) or is empty;
+    /// * on a replica thread after the fused forward pass, or when the
+    ///   request's deadline passed in the queue
+    ///   ([`ServeError::DeadlineExceeded`]);
+    /// * with [`ServeError::Stopped`], on whichever thread drops it, when a
+    ///   queued request is discarded unanswered (replica panic, shutdown
+    ///   with no replica, every replica dead).
+    ///
+    /// `done` must be cheap and non-blocking — it runs on the thread that
+    /// serves every other request — and must not call back into the
+    /// gateway. Hand the result to a channel or another thread.
+    /// [`Priority`] has what admission does while a burst is forecast.
+    pub fn submit<F>(&self, req: PredictRequest, done: F)
+    where
+        F: FnOnce(ServeResult<PredictionReply>) + Send + 'static,
+    {
+        if req.scripts.is_empty() {
+            return done(Ok(PredictionReply {
                 predictions: Vec::new(),
                 epoch: self.bus.epoch(),
-            });
+            }));
         }
         if self.stopped.load(Ordering::SeqCst) {
-            return Err(ServeError::Stopped);
+            return done(Err(ServeError::Stopped));
         }
         let under_pressure = self.refresh_pressure();
-        if under_pressure && priority == Priority::Low {
-            self.stats
-                .requests_shed_preburst
-                .fetch_add(1, Ordering::SeqCst);
+        if under_pressure && req.priority == Priority::Low {
             self.instruments.shed_preburst.inc();
-            return Err(ServeError::ShedPreBurst);
+            return done(Err(ServeError::ShedPreBurst));
         }
         // The request's trace root: records on every exit path (shed,
         // stopped, served) so failed requests leave evidence too.
-        let mut root = if parent.is_none() {
+        let mut root = if req.trace.is_none() {
             self.tracer.root("predict")
         } else {
-            self.tracer.span_within(parent, "predict")
+            self.tracer.span_within(req.trace, "predict")
         };
         if root.is_recording() {
-            root.set_detail(format!("scripts={}", scripts.len()));
+            root.set_detail(format!("scripts={}", req.scripts.len()));
         }
         let now = Instant::now();
-        let (reply_tx, reply_rx) = unbounded();
-        let job = Job {
-            scripts: scripts.to_vec(),
-            reply: reply_tx,
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            trace: root.ctx(),
+        let mut admission = root.child("admission");
+        // Admission happens under the sender lock so shutdown's
+        // take-then-drain cannot race a straggling enqueue. Every send
+        // happens under it too, which makes the depth checks exact: the
+        // queue can only have shrunk by the time the job is sent.
+        let guard = self.req_tx.lock();
+        let admitted = match guard.as_ref() {
+            None => Err(ServeError::Stopped),
+            Some(tx) => self
+                .admit(under_pressure, self.req_rx.len(), &mut admission)
+                .map(|()| tx),
         };
-        {
-            // Admission happens under the sender lock so shutdown's
-            // take-then-drain cannot race a straggling enqueue.
-            let mut admission = root.child("admission");
-            let guard = self.req_tx.lock();
-            let Some(tx) = guard.as_ref() else {
-                return Err(ServeError::Stopped);
-            };
-            // Pre-burst tightening: while a burst is forecast, normal
-            // requests only fill a fraction of the queue, keeping headroom
-            // for the burst itself.
-            if under_pressure && self.req_rx.len() >= self.preshed_cap {
-                self.stats
-                    .requests_shed_preburst
-                    .fetch_add(1, Ordering::SeqCst);
-                self.instruments.shed_preburst.inc();
-                admission.set_detail("shed=preburst");
-                return Err(ServeError::ShedPreBurst);
+        match admitted {
+            Ok(tx) => {
+                // Counted before the send, so a reader of the counters who
+                // has seen this request's answer has seen its admission.
+                self.instruments.requests_total.inc();
+                let job = Job {
+                    scripts: req.scripts,
+                    enqueued: now,
+                    deadline: req.deadline.map(|d| now + d),
+                    trace: root.ctx(),
+                    pending: Some(Pending {
+                        queued: root.child("queued"),
+                        root,
+                        predict_seconds: self.instruments.predict_seconds.clone(),
+                        done: Box::new(done),
+                    }),
+                };
+                let unsent = tx.try_send(job).err();
+                drop(guard);
+                drop(admission);
+                self.instruments.queue_depth.set(self.req_rx.len() as f64);
+                // The depth check rules a failed send out; were it ever
+                // wrong, the job still must not complete under the lock.
+                drop(unsent);
             }
-            match tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.stats
-                        .requests_shed_overload
-                        .fetch_add(1, Ordering::SeqCst);
-                    self.instruments.shed_overload.inc();
-                    admission.set_detail("shed=overloaded");
-                    return Err(ServeError::Overloaded {
-                        queue_cap: self.queue_cap,
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::Stopped),
+            Err(e) => {
+                // Released first: the completion never runs under the lock.
+                drop(guard);
+                drop(admission);
+                drop(root);
+                done(Err(e));
             }
         }
-        self.stats.requests_admitted.fetch_add(1, Ordering::SeqCst);
-        self.instruments.requests_total.inc();
-        self.instruments.queue_depth.set(self.req_rx.len() as f64);
-        let timer = self.instruments.predict_seconds.start_timer();
-        let queued = root.child("queued");
-        let out = reply_rx.recv().map_err(|_| ServeError::Stopped)?;
-        drop(queued);
-        timer.stop();
-        out
+    }
+
+    /// The queue-depth half of admission: `Ok` when a request may join a
+    /// queue currently `depth` deep.
+    fn admit(&self, under_pressure: bool, depth: usize, admission: &mut Span) -> ServeResult<()> {
+        // Pre-burst tightening: while a burst is forecast, normal requests
+        // only fill a fraction of the queue, keeping headroom for the
+        // burst itself.
+        if under_pressure && depth >= self.preshed_cap {
+            self.instruments.shed_preburst.inc();
+            admission.set_detail("shed=preburst");
+            return Err(ServeError::ShedPreBurst);
+        }
+        if depth >= self.queue_cap {
+            self.instruments.shed_overload.inc();
+            admission.set_detail("shed=overloaded");
+            return Err(ServeError::Overloaded {
+                queue_cap: self.queue_cap,
+            });
+        }
+        Ok(())
     }
 
     /// Queue a retrain batch for the background trainer. Never blocks:
@@ -637,27 +729,48 @@ impl Gateway {
     /// After a successful retrain the trainer publishes the new weights;
     /// replicas pick them up before their next batch.
     pub fn retrain_async(&self, mut batch: TrainingBatch) {
-        let pending = self.stats.retrains_pending.fetch_add(1, Ordering::SeqCst) + 1;
-        self.instruments.retrain_queue_depth.set(pending as f64);
+        self.instruments.retrain_queue_depth.add(1.0);
         loop {
             match self.retrain_tx.try_send(batch) {
                 Ok(()) => break,
                 Err(TrySendError::Full(b)) => {
+                    // Evict the oldest queued batch. The trainer may drain
+                    // the queue concurrently, in which case the eviction
+                    // misses and the retry simply succeeds.
                     if self.retrain_rx.try_recv().is_ok() {
-                        self.stats.retrains_dropped.fetch_add(1, Ordering::SeqCst);
                         self.instruments.retrains_dropped.inc();
-                        let left = self.stats.retrains_pending.fetch_sub(1, Ordering::SeqCst) - 1;
-                        self.instruments.retrain_queue_depth.set(left as f64);
+                        self.instruments.retrain_queue_depth.add(-1.0);
                     }
                     batch = b;
                 }
                 Err(TrySendError::Disconnected(_)) => {
-                    self.stats.retrains_pending.fetch_sub(1, Ordering::SeqCst);
+                    self.instruments.retrain_queue_depth.add(-1.0);
                     return;
                 }
             }
         }
         let _ = self.trainer_tx.send(TrainerCmd::Tick);
+    }
+
+    /// Write the trainer's master model — architecture, word2vec and the
+    /// weights of the latest completed retrain — to `path`, atomically
+    /// (tmp + rename, via [`Prionn::save`](prionn_core::Prionn)). The
+    /// trainer thread, which owns that model, does the write: first in,
+    /// first out behind the retrains already queued, and never in the way
+    /// of a predict. Blocks the caller until the file is written; a gateway
+    /// [spawned from it](Self::spawn_from_checkpoint) predicts
+    /// bit-identically to this one at the snapshot's epoch. A failed write
+    /// returns [`ServeError::Snapshot`], is kept in
+    /// [`last_error`](Self::last_error) and leaves the gateway serving;
+    /// either way a `snapshot` / `snapshot_failed` span event records it.
+    pub fn snapshot(&self, path: impl AsRef<Path>) -> ServeResult<()> {
+        let (reply, written) = bounded(1);
+        let cmd = TrainerCmd::Snapshot {
+            path: path.as_ref().to_path_buf(),
+            reply,
+        };
+        self.trainer_tx.send(cmd).map_err(|_| ServeError::Stopped)?;
+        written.recv().unwrap_or(Err(ServeError::Stopped))
     }
 
     /// Publish `model`'s weights to every replica as a new epoch. Returns
@@ -675,7 +788,6 @@ impl Gateway {
     /// [`Prionn::weights_checkpoint`] section format) as a new epoch.
     pub fn hot_swap_checkpoint(&self, ck: Checkpoint) -> u64 {
         let epoch = self.bus.publish(ck);
-        self.stats.swaps_published.fetch_add(1, Ordering::SeqCst);
         self.instruments.swap_epoch.set(epoch as f64);
         if let Some(d) = &self.drift {
             d.mark_weight_update();
@@ -693,9 +805,27 @@ impl Gateway {
         self.req_rx.len()
     }
 
-    /// Cross-thread counters (cheap; no parsing needed).
-    pub fn stats(&self) -> &GatewayStats {
-        &self.stats
+    /// The counters as of now. A view, not a second ledger: every field is
+    /// read from the telemetry instrument (or the weight bus) that records
+    /// it, so this and a `/metrics` scrape cannot disagree — and gateways
+    /// given one [`GatewayConfig::telemetry`] registry share the view.
+    pub fn stats(&self) -> GatewayStats {
+        let i = &self.instruments;
+        let count = |c: &Counter| c.value() as usize;
+        GatewayStats {
+            requests_admitted: count(&i.requests_total),
+            requests_shed_overload: count(&i.shed_overload),
+            requests_shed_deadline: count(&i.shed_deadline),
+            requests_shed_preburst: count(&i.shed_preburst),
+            batches_served: count(&i.batches_total),
+            scripts_predicted: i.batch_scripts.sum() as usize,
+            retrains_done: count(&i.retrains_total),
+            retrains_pending: i.retrain_queue_depth.value() as usize,
+            retrains_dropped: count(&i.retrains_dropped),
+            swaps_published: self.bus.epoch() as usize,
+            swaps_applied: i.swaps_applied.iter().map(count).sum(),
+            replica_panics: count(&i.replica_panics),
+        }
     }
 
     /// The metrics registry serving this gateway (shared with the model
@@ -820,7 +950,7 @@ impl Gateway {
     }
 
     /// Most recent background failure (replica panic, rejected hot-swap,
-    /// failed retrain), if any. Mirrors [`PrionnService::last_error`].
+    /// failed retrain or snapshot), if any.
     pub fn last_error(&self) -> Option<String> {
         self.last_error.lock().clone()
     }
@@ -835,10 +965,11 @@ impl Gateway {
         drop(tx);
         let mut handles = self.replica_handles.lock();
         if handles.is_empty() {
-            // No replica will ever answer the queue: fail queued callers
-            // so they unblock. New enqueues are impossible (sender taken).
+            // No replica will ever serve the queue: drop what is queued,
+            // which completes each request with `Stopped`. New enqueues
+            // are impossible (sender taken).
             while let Ok(job) = self.req_rx.try_recv() {
-                let _ = job.reply.send(Err(ServeError::Stopped));
+                drop(job);
             }
         }
         for handle in handles.drain(..) {
@@ -859,7 +990,8 @@ impl Drop for Gateway {
 }
 
 /// Worker loop for one replica: collect a micro-batch, catch up to the
-/// latest published weights, run one fused forward, split the replies.
+/// latest published weights, run one fused forward, settle each request
+/// with its share of the answers.
 #[allow(clippy::too_many_arguments)]
 fn replica_loop(
     mut model: Prionn,
@@ -867,7 +999,6 @@ fn replica_loop(
     bus: &WeightBus,
     max_batch: usize,
     max_wait: Duration,
-    stats: &GatewayStats,
     last_error: &Mutex<Option<String>>,
     instr: &Instruments,
     swaps_applied: &Counter,
@@ -914,12 +1045,11 @@ fn replica_loop(
         // Shed expired requests before spending a forward pass on them.
         let now = Instant::now();
         let mut live = Vec::with_capacity(jobs.len());
-        for job in jobs {
+        for mut job in jobs {
             if job.deadline.is_some_and(|d| now > d) {
-                stats.requests_shed_deadline.fetch_add(1, Ordering::SeqCst);
                 instr.shed_deadline.inc();
                 tracer.instant(job.trace, "shed", "reason=deadline", vec![]);
-                let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
+                job.settle(Err(ServeError::DeadlineExceeded));
             } else {
                 live.push(job);
             }
@@ -938,7 +1068,7 @@ fn replica_loop(
         for job in &live {
             fused.add_link(job.trace);
         }
-        // Held until the replies are sent: each caller's tree shows a
+        // Held until the requests are settled: each caller's tree shows a
         // `fused` span covering its share of the batch.
         let _job_spans: Vec<Span> = live
             .iter()
@@ -981,7 +1111,6 @@ fn replica_loop(
                 match model.apply_weights_checkpoint(payload) {
                     Ok(()) => {
                         local_epoch = latest.epoch;
-                        stats.swaps_applied.fetch_add(1, Ordering::SeqCst);
                         swaps_applied.inc();
                         swap_span.set_detail(format!("epoch={}", latest.epoch));
                     }
@@ -1019,23 +1148,18 @@ fn replica_loop(
                 // Post-batch epoch check: this loop owns the weights, so
                 // the epoch cannot have moved under the forward pass.
                 debug_assert_eq!(epoch, local_epoch, "weights mutated mid-batch");
-                stats.batches_served.fetch_add(1, Ordering::SeqCst);
-                stats.scripts_predicted.fetch_add(total, Ordering::SeqCst);
                 instr.batches_total.inc();
-                for job in live {
+                for mut job in live {
                     let rest = preds.split_off(job.scripts.len());
-                    let part = std::mem::replace(&mut preds, rest);
-                    let _ = job.reply.send(Ok(PredictionReply {
-                        predictions: part,
-                        epoch,
-                    }));
+                    let predictions = std::mem::replace(&mut preds, rest);
+                    job.settle(Ok(PredictionReply { predictions, epoch }));
                 }
             }
             Err(e) => {
                 let msg = e.to_string();
                 *last_error.lock() = Some(format!("replica predict failed: {msg}"));
-                for job in live {
-                    let _ = job.reply.send(Err(ServeError::Model(msg.clone())));
+                for mut job in live {
+                    job.settle(Err(ServeError::Model(msg.clone())));
                 }
             }
         }
@@ -1043,14 +1167,14 @@ fn replica_loop(
 }
 
 /// Trainer loop: drain retrain batches (latest-wins queue), retrain the
-/// master model, publish the new weights as the next epoch.
+/// master model, publish the new weights as the next epoch; write the
+/// master model out when a snapshot is asked for.
 #[allow(clippy::too_many_arguments)]
 fn trainer_loop(
     master: &mut Prionn,
     cmd_rx: &Receiver<TrainerCmd>,
     batches: &Receiver<TrainingBatch>,
     bus: &WeightBus,
-    stats: &GatewayStats,
     last_error: &Mutex<Option<String>>,
     instr: &Instruments,
     telemetry: &Telemetry,
@@ -1075,15 +1199,12 @@ fn trainer_loop(
                 instr
                     .retrain_seconds
                     .observe(started.elapsed().as_secs_f64());
-                let left = stats.retrains_pending.fetch_sub(1, Ordering::SeqCst) - 1;
-                instr.retrain_queue_depth.set(left as f64);
                 match result {
                     Ok(()) => {
-                        stats.retrains_done.fetch_add(1, Ordering::SeqCst);
+                        instr.retrains_total.inc();
                         match master.weights_checkpoint() {
                             Ok(ck) => {
                                 let epoch = bus.publish(ck);
-                                stats.swaps_published.fetch_add(1, Ordering::SeqCst);
                                 instr.swap_epoch.set(epoch as f64);
                                 if let Some(d) = drift {
                                     d.mark_weight_update();
@@ -1103,6 +1224,26 @@ fn trainer_loop(
                         *last_error.lock() = Some(format!("background retrain failed: {e}"));
                     }
                 }
+                // Last: a reader who sees the backlog reach zero sees the
+                // outcome of every batch that was in it.
+                instr.retrain_queue_depth.add(-1.0);
+            }
+            TrainerCmd::Snapshot { path, reply } => {
+                let started = Instant::now();
+                let result = master.save(&path);
+                let micros = started.elapsed().as_micros() as u64;
+                let events = telemetry.events();
+                let _ = reply.send(match result {
+                    Ok(()) => {
+                        events.record("snapshot", format!("path={}", path.display()), micros);
+                        Ok(())
+                    }
+                    Err(e) => {
+                        events.record("snapshot_failed", e.to_string(), micros);
+                        *last_error.lock() = Some(format!("snapshot failed: {e}"));
+                        Err(ServeError::Snapshot(e.to_string()))
+                    }
+                });
             }
             TrainerCmd::Shutdown => break,
         }
@@ -1112,6 +1253,7 @@ fn trainer_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvTimeoutError;
     use prionn_core::PrionnConfig;
 
     fn tiny_cfg() -> PrionnConfig {
@@ -1139,10 +1281,42 @@ mod tests {
         Prionn::new(tiny_cfg(), &refs).unwrap()
     }
 
+    type Results = Receiver<ServeResult<PredictionReply>>;
+
+    /// `submit` one script without blocking. The receiver yields every
+    /// result the completion is run with and disconnects once the
+    /// completion is gone, which is what lets [`the_only_result`] tell
+    /// "once" from "twice" and from "never".
+    fn submit_one(gw: &Gateway, priority: Priority, deadline: Option<Duration>) -> Results {
+        let (tx, rx) = unbounded();
+        gw.submit(
+            PredictRequest {
+                scripts: corpus()[..1].to_vec(),
+                deadline,
+                priority,
+                ..PredictRequest::default()
+            },
+            move |result| {
+                let _ = tx.send(result);
+            },
+        );
+        rx
+    }
+
+    fn the_only_result(rx: &Results) -> ServeResult<PredictionReply> {
+        let wait = Duration::from_secs(30);
+        let result = rx.recv_timeout(wait).expect("completion never ran");
+        assert_eq!(
+            rx.recv_timeout(wait).err(),
+            Some(RecvTimeoutError::Disconnected),
+            "completion ran twice, or outlived its run"
+        );
+        result
+    }
+
     /// A replica panic must surface through `last_error`, fail queued and
     /// future callers fast (no wedged `recv`), and leave `shutdown`
-    /// working. This is the serve-side mirror of the service worker's
-    /// panic test.
+    /// working.
     #[test]
     fn replica_panic_surfaces_and_never_wedges() {
         let gw = Gateway::spawn(
@@ -1156,8 +1330,8 @@ mod tests {
         )
         .unwrap();
 
-        // The killing request itself fails fast: its reply sender dies
-        // with the unwinding replica.
+        // The killing request itself fails fast: the unwinding replica
+        // drops its job, which completes it with `Stopped`.
         let err = gw
             .predict(&["__serve_test_panic__".to_string()])
             .unwrap_err();
@@ -1179,7 +1353,7 @@ mod tests {
             assert!(Instant::now() < deadline, "panic never surfaced");
             std::thread::yield_now();
         }
-        assert_eq!(gw.stats().replica_panics.load(Ordering::SeqCst), 1);
+        assert_eq!(gw.stats().replica_panics, 1);
 
         // Shutdown must not wedge on the dead replica.
         gw.shutdown();
@@ -1212,8 +1386,8 @@ mod tests {
 
             let err = gw.predict(&corpus()[..1]).unwrap_err();
             assert_eq!(err, ServeError::Overloaded { queue_cap: 2 });
-            assert_eq!(gw.stats().requests_shed_overload.load(Ordering::SeqCst), 1);
-            assert_eq!(gw.stats().requests_admitted.load(Ordering::SeqCst), 2);
+            assert_eq!(gw.stats().requests_shed_overload, 1);
+            assert_eq!(gw.stats().requests_admitted, 2);
 
             // Shutdown unblocks both queued callers with a typed error.
             gw.shutdown();
@@ -1243,8 +1417,8 @@ mod tests {
             .predict_detailed(&corpus()[..1], Some(Duration::ZERO))
             .unwrap_err();
         assert_eq!(err, ServeError::DeadlineExceeded);
-        assert_eq!(gw.stats().requests_shed_deadline.load(Ordering::SeqCst), 1);
-        assert_eq!(gw.stats().batches_served.load(Ordering::SeqCst), 0);
+        assert_eq!(gw.stats().requests_shed_deadline, 1);
+        assert_eq!(gw.stats().batches_served, 0);
         gw.shutdown();
     }
 
@@ -1262,7 +1436,7 @@ mod tests {
         let reply = gw.predict_detailed(&[], None).unwrap();
         assert!(reply.predictions.is_empty());
         assert_eq!(reply.epoch, 0);
-        assert_eq!(gw.stats().requests_admitted.load(Ordering::SeqCst), 0);
+        assert_eq!(gw.stats().requests_admitted, 0);
         gw.shutdown();
     }
 
@@ -1285,80 +1459,44 @@ mod tests {
             },
         )
         .unwrap();
-        let scripts = corpus();
 
-        std::thread::scope(|s| {
-            // No pressure: both priorities queue freely.
-            let clients: Vec<_> = (0..3)
-                .map(|i| {
-                    let scripts = &scripts;
-                    let gw = &gw;
-                    s.spawn(move || {
-                        let prio = if i == 0 {
-                            Priority::Low
-                        } else {
-                            Priority::Normal
-                        };
-                        gw.predict_traced(&scripts[..1], None, prio, SpanCtx::NONE)
-                    })
-                })
-                .collect();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while gw.queue_depth() < 3 {
-                assert!(Instant::now() < deadline, "clients never queued");
-                std::thread::yield_now();
-            }
-            assert!(!gw.preshed_active());
+        // No pressure: both priorities queue freely.
+        let mut queued: Vec<Results> = [Priority::Low, Priority::Normal, Priority::Normal]
+            .into_iter()
+            .map(|priority| submit_one(&gw, priority, None))
+            .collect();
+        assert_eq!(gw.queue_depth(), 3);
+        assert!(!gw.preshed_active());
 
-            // Pressure on: a low-priority request is shed before queueing,
-            // and a normal one hits the tightened cap (depth 3 >= 2).
-            pressure.store(true, Ordering::SeqCst);
-            let err = gw
-                .predict_traced(&scripts[..1], None, Priority::Low, SpanCtx::NONE)
-                .unwrap_err();
-            assert_eq!(err, ServeError::ShedPreBurst);
-            let err = gw.predict_detailed(&scripts[..1], None).unwrap_err();
-            assert_eq!(err, ServeError::ShedPreBurst);
-            assert!(gw.preshed_active());
-            assert_eq!(gw.stats().requests_shed_preburst.load(Ordering::SeqCst), 2);
-            assert_eq!(gw.stats().requests_shed_overload.load(Ordering::SeqCst), 0);
+        // Pressure on: a low-priority request is shed before queueing,
+        // and a normal one hits the tightened cap (depth 3 >= 2). Both
+        // completions have run by the time `submit` returns.
+        pressure.store(true, Ordering::SeqCst);
+        for priority in [Priority::Low, Priority::Normal] {
+            let refused = submit_one(&gw, priority, None);
+            let result = refused.try_recv().expect("refusal completes inside submit");
+            assert_eq!(result.unwrap_err(), ServeError::ShedPreBurst);
+        }
+        assert!(gw.preshed_active());
+        assert_eq!(gw.stats().requests_shed_preburst, 2);
+        assert_eq!(gw.stats().requests_shed_overload, 0);
 
-            // Pressure off: admission is back to the full cap (depth 3 < 4).
-            pressure.store(false, Ordering::SeqCst);
-            let c =
-                s.spawn(|| gw.predict_traced(&scripts[..1], None, Priority::Low, SpanCtx::NONE));
-            while gw.queue_depth() < 4 {
-                assert!(
-                    Instant::now() < deadline,
-                    "post-release client never queued"
-                );
-                std::thread::yield_now();
-            }
-            assert!(!gw.preshed_active());
+        // Pressure off: admission is back to the full cap (depth 3 < 4).
+        pressure.store(false, Ordering::SeqCst);
+        queued.push(submit_one(&gw, Priority::Low, None));
+        assert_eq!(gw.queue_depth(), 4);
+        assert!(!gw.preshed_active());
 
-            gw.shutdown();
-            for client in clients {
-                assert_eq!(client.join().unwrap().unwrap_err(), ServeError::Stopped);
-            }
-            assert_eq!(c.join().unwrap().unwrap_err(), ServeError::Stopped);
-        });
+        gw.shutdown();
+        for rx in &queued {
+            assert_eq!(the_only_result(rx).unwrap_err(), ServeError::Stopped);
+        }
 
         // Exactly one engage edge and one release edge.
         let events = telemetry.events().drain();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == "serve_preshed_engage")
-                .count(),
-            1
-        );
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == "serve_preshed_release")
-                .count(),
-            1
-        );
+        for edge in ["serve_preshed_engage", "serve_preshed_release"] {
+            assert_eq!(events.iter().filter(|e| e.name == edge).count(), 1);
+        }
         let text = telemetry.prometheus();
         assert!(
             text.contains(r#"serve_shed_total{reason="preburst"} 2"#),
@@ -1366,8 +1504,9 @@ mod tests {
         );
     }
 
-    /// After shutdown (observable via Drop too) the gateway answers
-    /// `Stopped` instead of queueing.
+    /// After shutdown the gateway answers `Stopped` through both doors
+    /// instead of queueing, and a second shutdown (explicit, then Drop) is
+    /// harmless.
     #[test]
     fn predict_after_shutdown_fails_fast() {
         let gw = Gateway::spawn(
@@ -1380,8 +1519,77 @@ mod tests {
         .unwrap();
         let scripts = corpus();
         assert_eq!(gw.predict(&scripts[..2]).unwrap().len(), 2);
-        // Exercise shutdown_inner idempotence through an explicit call
-        // followed by Drop.
         gw.shutdown();
+        assert_eq!(gw.predict(&scripts[..2]).unwrap_err(), ServeError::Stopped);
+        let refused = submit_one(&gw, Priority::Normal, None);
+        assert_eq!(the_only_result(&refused).unwrap_err(), ServeError::Stopped);
+        assert_eq!(gw.stats().requests_admitted, 1);
+        gw.shutdown();
+    }
+
+    /// The completion contract on the paths that reach a replica: a served
+    /// request and a deadline-shed one each complete exactly once.
+    #[test]
+    fn completion_runs_once_for_served_and_deadline_shed_requests() {
+        let gw = Gateway::spawn(
+            tiny_model(),
+            GatewayConfig {
+                replicas: 1,
+                max_wait: Duration::from_millis(5),
+                ..GatewayConfig::default()
+            },
+        )
+        .unwrap();
+        let served = submit_one(&gw, Priority::Normal, None);
+        let late = submit_one(&gw, Priority::Normal, Some(Duration::ZERO));
+        assert_eq!(the_only_result(&served).unwrap().predictions.len(), 1);
+        assert_eq!(
+            the_only_result(&late).unwrap_err(),
+            ServeError::DeadlineExceeded
+        );
+        assert_eq!(gw.stats().requests_admitted, 2);
+        gw.shutdown();
+    }
+
+    /// The completion contract where no replica ever sees the request: an
+    /// admission refusal completes on the caller's thread before `submit`
+    /// returns, and a request still queued at shutdown completes with
+    /// `Stopped` — each exactly once.
+    #[test]
+    fn completion_runs_once_for_refused_and_dropped_requests() {
+        let gw = Gateway::spawn(
+            tiny_model(),
+            GatewayConfig {
+                replicas: 0,
+                queue_cap: 1,
+                ..GatewayConfig::default()
+            },
+        )
+        .unwrap();
+        let queued = submit_one(&gw, Priority::Normal, None);
+        assert_eq!(gw.queue_depth(), 1);
+
+        let caller = std::thread::current().id();
+        let (tx, refused) = unbounded();
+        gw.submit(
+            PredictRequest {
+                scripts: corpus()[..1].to_vec(),
+                ..PredictRequest::default()
+            },
+            move |result| {
+                let _ = tx.send((std::thread::current().id(), result));
+            },
+        );
+        let (ran_on, result) = refused.try_recv().expect("refusal completes inside submit");
+        assert_eq!(ran_on, caller);
+        assert_eq!(result.unwrap_err(), ServeError::Overloaded { queue_cap: 1 });
+        assert!(refused.try_recv().is_err(), "completion ran twice");
+
+        assert!(queued.try_recv().is_err(), "nothing can have served it");
+        gw.shutdown();
+        assert_eq!(the_only_result(&queued).unwrap_err(), ServeError::Stopped);
+        // Only admitted requests are timed.
+        let text = gw.telemetry().prometheus();
+        assert!(text.contains("serve_predict_seconds_count 1"), "{text}");
     }
 }

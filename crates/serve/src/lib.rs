@@ -6,8 +6,10 @@
 //! a time, from many submitting threads at once. This crate bridges the two
 //! shapes with a [`Gateway`] that sits in front of [`prionn_core::Prionn`]:
 //!
-//! * **Micro-batching** — concurrent `predict` calls land in a shared
-//!   bounded queue. Replica workers drain it up to
+//! * **Micro-batching** — every request enters through
+//!   [`Gateway::submit`] (non-blocking, one-shot completion; `predict` is
+//!   blocking sugar over it) onto one shared bounded queue. Replica
+//!   workers drain it up to
 //!   [`GatewayConfig::max_batch`] scripts, lingering at most
 //!   [`GatewayConfig::max_wait`] past the first request's arrival, then run
 //!   one fused forward pass and split the answers back out per caller.
@@ -22,12 +24,12 @@
 //!   is spent on it, and shutdown drains in-flight requests before the
 //!   worker threads exit.
 //! * **Hot-swap** — a background trainer thread retrains on completed-job
-//!   batches (latest-wins bounded queue, same policy as
-//!   [`prionn_core::PrionnService`]) and publishes the new weights through
-//!   [`prionn_store::broadcast::WeightBus`] as an epoch-tagged immutable
-//!   checkpoint. Replicas apply the swap between batches, all-or-nothing,
-//!   so a prediction can never observe a half-updated model; every reply
-//!   carries the weight epoch that served it.
+//!   batches (latest-wins bounded queue) and publishes the new weights
+//!   through [`prionn_store::broadcast::WeightBus`] as an epoch-tagged
+//!   immutable checkpoint. Replicas apply the swap between batches,
+//!   all-or-nothing, so a prediction can never observe a half-updated
+//!   model; every reply carries the weight epoch that served it. The same
+//!   thread writes [`Gateway::snapshot`] files for warm restarts.
 //!
 //! ```no_run
 //! use prionn_core::{Prionn, PrionnConfig};
@@ -47,6 +49,6 @@
 mod gateway;
 
 pub use gateway::{
-    Gateway, GatewayConfig, GatewayStats, PredictionReply, PressureProbe, Priority, ServeError,
-    ServeResult,
+    Gateway, GatewayConfig, GatewayStats, PredictRequest, PredictionReply, PressureProbe, Priority,
+    ServeError, ServeResult,
 };

@@ -2,7 +2,6 @@
 //! under fire, background retrain with the latest-wins queue, and the
 //! Prometheus metric surface.
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use prionn_core::{Prionn, PrionnConfig, TrainingBatch};
@@ -121,14 +120,11 @@ fn fused_batches_match_serial_predictions_bitwise() {
     });
 
     let stats = gw.stats();
-    assert_eq!(stats.requests_admitted.load(Ordering::SeqCst), 32);
-    assert_eq!(stats.scripts_predicted.load(Ordering::SeqCst), 32);
+    assert_eq!(stats.requests_admitted, 32);
+    assert_eq!(stats.scripts_predicted, 32);
     // With one replica and eight concurrent clients at least some requests
     // must have coalesced into shared forward passes.
-    assert!(
-        stats.batches_served.load(Ordering::SeqCst) <= 32,
-        "batch accounting broken"
-    );
+    assert!(stats.batches_served <= 32, "batch accounting broken");
     gw.shutdown();
 }
 
@@ -214,7 +210,7 @@ fn hot_swap_never_exposes_a_torn_model() {
 
     assert_eq!(gw.epoch(), 20);
     assert!(
-        gw.stats().swaps_applied.load(Ordering::SeqCst) > 0,
+        gw.stats().swaps_applied > 0,
         "no replica ever applied a swap — the test exercised nothing"
     );
     assert!(gw.last_error().is_none(), "{:?}", gw.last_error());
@@ -243,13 +239,13 @@ fn background_retrain_publishes_and_replicas_catch_up() {
         gw.retrain_async(retrain_batch(i % 2 == 0));
     }
     let deadline = Instant::now() + Duration::from_secs(60);
-    while gw.stats().retrains_pending.load(Ordering::SeqCst) > 0 {
+    while gw.stats().retrains_pending > 0 {
         assert!(Instant::now() < deadline, "trainer never drained the queue");
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let done = gw.stats().retrains_done.load(Ordering::SeqCst);
-    let dropped = gw.stats().retrains_dropped.load(Ordering::SeqCst);
+    let done = gw.stats().retrains_done;
+    let dropped = gw.stats().retrains_dropped;
     assert_eq!(done + dropped, 3, "done={done} dropped={dropped}");
     assert!(done >= 1 && dropped >= 1, "done={done} dropped={dropped}");
     assert_eq!(gw.epoch() as usize, done, "one epoch per completed retrain");
@@ -302,7 +298,7 @@ fn mismatched_hot_swap_is_rejected_not_applied() {
     assert_eq!(reply.predictions, expected);
     let err = gw.last_error().expect("rejection must be reported");
     assert!(err.contains("hot-swap rejected"), "{err}");
-    assert_eq!(gw.stats().swaps_applied.load(Ordering::SeqCst), 0);
+    assert_eq!(gw.stats().swaps_applied, 0);
     gw.shutdown();
 }
 
@@ -426,7 +422,7 @@ fn prometheus_export_carries_the_serve_metric_surface() {
     gw.predict(&scripts[..2]).unwrap();
     gw.retrain_async(retrain_batch(false));
     let deadline = Instant::now() + Duration::from_secs(60);
-    while gw.stats().retrains_pending.load(Ordering::SeqCst) > 0 {
+    while gw.stats().retrains_pending > 0 {
         assert!(Instant::now() < deadline, "trainer never drained the queue");
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -39,7 +39,7 @@ fn rand_tensor(rng: &mut ChaCha8Rng, r: usize, c: usize) -> Tensor {
 
 /// Shapes covering the blocking structure: MR=6/NR=16 tile multiples, ragged
 /// tails in every dimension, k spanning multiple KC=256 blocks, and m=1
-/// single-row predict calls (the `PrionnService` hot shape).
+/// single-row predict calls (the batch-1 serving shape).
 fn shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (6, 16, 8),    // exactly one microkernel tile

@@ -1,5 +1,5 @@
 //! Dump the full telemetry surface: run a short train/predict session
-//! through [`PrionnService`] and the instrumented cluster simulator, then
+//! through a [`Gateway`] and the instrumented cluster simulator, then
 //! print the span-event log and both export formats (Prometheus text
 //! exposition and JSON).
 //!
@@ -13,13 +13,14 @@
 //! and the scheduler work counters. `docs/OBSERVABILITY.md` documents every
 //! metric that appears here.
 
-use prionn::core::{PrionnConfig, PrionnService, ServiceOptions, TrainingBatch};
+use prionn::core::{Prionn, PrionnConfig, TrainingBatch};
 use prionn::sched::{simulate_with_telemetry, SimJob};
+use prionn::serve::{Gateway, GatewayConfig};
 use prionn::telemetry::Telemetry;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
 
 fn main() {
-    // One registry shared by the service, the model inside it, and the
+    // One registry shared by the gateway, the models inside it, and the
     // simulator — exactly how an operator would wire a scrape endpoint.
     let telemetry = Telemetry::default();
 
@@ -30,7 +31,7 @@ fn main() {
     let jobs: Vec<_> = trace.executed_jobs().collect();
     let corpus: Vec<&str> = jobs.iter().map(|j| j.script.as_str()).collect();
 
-    // 2. The service, sized so the example finishes in seconds on one core.
+    // 2. The gateway, sized so the example finishes in seconds on one core.
     let cfg = PrionnConfig {
         grid: (32, 32),
         base_width: 2,
@@ -40,29 +41,34 @@ fn main() {
         batch_size: 8,
         ..Default::default()
     };
-    let options = ServiceOptions {
+    let model = Prionn::new(cfg, &corpus).expect("build model");
+    let gateway_cfg = GatewayConfig {
+        replicas: 1,
         telemetry: Some(telemetry.clone()),
-        ..Default::default()
+        ..GatewayConfig::default()
     };
-    let service = PrionnService::spawn_with_options(cfg, &corpus, options).expect("spawn service");
+    let gateway = Gateway::spawn(model, gateway_cfg).expect("spawn gateway");
 
     // 3. One retraining event fills the backward-pass timers and the
-    //    retrain histograms ...
+    //    retrain histogram; the snapshot queues behind it on the trainer
+    //    thread, so waiting for the file is waiting for the retrain ...
     let (history, incoming) = jobs.split_at(jobs.len() - 40);
-    service.retrain_async(TrainingBatch {
+    gateway.retrain_async(TrainingBatch {
         scripts: history.iter().map(|j| j.script.clone()).collect(),
         runtime_minutes: history.iter().map(|j| j.runtime_minutes()).collect(),
         read_bytes: history.iter().map(|j| j.bytes_read).collect(),
         write_bytes: history.iter().map(|j| j.bytes_written).collect(),
     });
 
-    // 4. ... then a stream of predict RPCs fills the latency histograms.
-    //    (The first predict doubles as a barrier: it is served only after
-    //    the queued batch has trained.)
+    let snapshot = std::env::temp_dir().join("prionn_metrics_dump.ckpt");
+    gateway.snapshot(&snapshot).expect("snapshot");
+    let _ = std::fs::remove_file(&snapshot);
+
+    // 4. ... then a stream of predicts fills the latency histograms.
     let mut predicted_minutes = Vec::with_capacity(incoming.len());
     for chunk in incoming.chunks(8) {
         let scripts: Vec<String> = chunk.iter().map(|j| j.script.clone()).collect();
-        let preds = service.predict(&scripts).expect("predict");
+        let preds = gateway.predict(&scripts).expect("predict");
         predicted_minutes.extend(preds.iter().map(|p| p.runtime_minutes));
     }
 
@@ -86,10 +92,10 @@ fn main() {
         schedule.entries.iter().map(|e| e.end).max().unwrap_or(0)
     );
 
-    // 6. The structured event log: timestamped spans for retrains and
-    //    snapshots, drained through the service API.
+    // 6. The structured event log: timestamped spans for retrains, weight
+    //    swaps and snapshots.
     println!("\n== span events ==");
-    for ev in service.drain_events() {
+    for ev in telemetry.events().drain() {
         println!(
             "  +{:>8} us  {:<10} {:>8} us  {}",
             ev.at_micros, ev.name, ev.duration_micros, ev.detail
@@ -103,5 +109,5 @@ fn main() {
     );
     println!("== json snapshot ==\n{}", telemetry.json());
 
-    service.shutdown();
+    gateway.shutdown();
 }

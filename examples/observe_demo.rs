@@ -22,7 +22,6 @@ use prionn::observe::{
 use prionn::serve::{Gateway, GatewayConfig, ServeError};
 use prionn::telemetry::Telemetry;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -169,7 +168,7 @@ fn main() {
     });
     let wall = started.elapsed().as_secs_f64();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while gateway.stats().retrains_pending.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while gateway.stats().retrains_pending > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
 
@@ -179,7 +178,7 @@ fn main() {
     println!(
         "{total} requests from {CLIENTS} clients in {wall:.2} s  ->  {:.0} req/s  |  retrains: {} done, epoch {}",
         total as f64 / wall,
-        stats.retrains_done.load(Ordering::SeqCst),
+        stats.retrains_done,
         gateway.epoch(),
     );
 

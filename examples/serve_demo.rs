@@ -15,7 +15,6 @@ use prionn::serve::{Gateway, GatewayConfig, ServeError};
 use prionn::telemetry::Telemetry;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
@@ -110,13 +109,13 @@ fn main() {
 
     // Let the trainer finish any queued window so the final stats settle.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while gateway.stats().retrains_pending.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while gateway.stats().retrains_pending > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
 
     let stats = gateway.stats();
     let total = CLIENTS * REQUESTS_PER_CLIENT;
-    let batches = stats.batches_served.load(Ordering::SeqCst);
+    let batches = stats.batches_served;
     println!("=== serve_demo ===");
     println!(
         "{total} requests from {CLIENTS} clients in {:.2} s  ->  {:.0} req/s",
@@ -125,14 +124,11 @@ fn main() {
     );
     println!(
         "fused into {batches} forward passes ({:.1} scripts/batch mean)",
-        stats.scripts_predicted.load(Ordering::SeqCst) as f64 / batches.max(1) as f64
+        stats.scripts_predicted as f64 / batches.max(1) as f64
     );
     println!(
         "retrains: {} done, {} dropped (latest-wins)  |  swaps: {} published, {} applied",
-        stats.retrains_done.load(Ordering::SeqCst),
-        stats.retrains_dropped.load(Ordering::SeqCst),
-        stats.swaps_published.load(Ordering::SeqCst),
-        stats.swaps_applied.load(Ordering::SeqCst),
+        stats.retrains_done, stats.retrains_dropped, stats.swaps_published, stats.swaps_applied,
     );
     println!(
         "weight epochs observed by clients: {:?} (latest published: {})",

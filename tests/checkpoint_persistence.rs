@@ -1,15 +1,16 @@
 //! Integration tests for the persistence subsystem: a full predictor
 //! survives the disk round trip bit-for-bit, corruption is always an error,
-//! and a `PrionnService` restored from a snapshot continues the online
-//! protocol warm-started.
+//! and a `Gateway` restored from a snapshot continues the online protocol
+//! warm-started.
 
-use prionn::core::{Prionn, PrionnConfig, PrionnService, ServiceOptions, TrainingBatch};
+use prionn::core::{Prionn, PrionnConfig, TrainingBatch};
+use prionn::serve::{Gateway, GatewayConfig};
 use prionn::store::Checkpoint;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 fn tiny_cfg() -> PrionnConfig {
     PrionnConfig {
@@ -94,36 +95,46 @@ fn restored_predictor_serves_bit_identical_predictions() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Block until the gateway's trainer has worked off its retrain backlog.
+fn wait_for_trainer(gateway: &Gateway) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while gateway.stats().retrains_pending > 0 {
+        assert!(Instant::now() < deadline, "trainer never drained the queue");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
-fn service_restored_from_snapshot_continues_the_protocol_warm() {
+fn gateway_restored_from_snapshot_continues_the_protocol_warm() {
     let (scripts, runtimes, _, _) = workload();
     let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
     let mut cfg = tiny_cfg();
     cfg.predict_io = false;
-
-    // First "process": train through the service, snapshot, shut down.
-    let path = tmp_path("service");
-    let _ = std::fs::remove_file(&path);
-    let options = ServiceOptions {
-        snapshot_path: Some(path.clone()),
-        ..Default::default()
+    let gateway_cfg = || GatewayConfig {
+        replicas: 1,
+        ..GatewayConfig::default()
     };
-    let svc = PrionnService::spawn_with_options(cfg, &refs, options).unwrap();
-    svc.retrain_async(TrainingBatch {
+
+    // First "process": train through the gateway, snapshot, shut down.
+    let path = tmp_path("gateway");
+    let _ = std::fs::remove_file(&path);
+    let gateway = Gateway::spawn(Prionn::new(cfg, &refs).unwrap(), gateway_cfg()).unwrap();
+    gateway.retrain_async(TrainingBatch {
         scripts: scripts.clone(),
         runtime_minutes: runtimes.clone(),
         ..Default::default()
     });
-    assert!(svc.snapshot_async());
-    let before = svc.predict(&scripts[..6]).unwrap(); // barrier + reference
-    assert_eq!(svc.stats().snapshots_taken.load(Ordering::SeqCst), 1);
-    svc.shutdown();
+    // The snapshot queues behind the retrain on the trainer thread, so it
+    // holds the retrained master model — the weights of epoch 1.
+    gateway.snapshot(&path).expect("snapshot");
+    let before = gateway.predict_detailed(&scripts[..6], None).unwrap();
+    assert_eq!(before.epoch, 1, "served by the retrained weights");
+    gateway.shutdown();
 
     // Second "process": warm restart. Identical predictions out of the box…
-    let restored = PrionnService::spawn_from_checkpoint(&path, ServiceOptions::default())
-        .expect("restore service");
+    let restored = Gateway::spawn_from_checkpoint(&path, gateway_cfg()).expect("restore gateway");
     let after = restored.predict(&scripts[..6]).unwrap();
-    for (b, a) in before.iter().zip(&after) {
+    for (b, a) in before.predictions.iter().zip(&after) {
         assert_eq!(b.runtime_minutes.to_bits(), a.runtime_minutes.to_bits());
     }
 
@@ -141,8 +152,9 @@ fn service_restored_from_snapshot_continues_the_protocol_warm() {
             ..Default::default()
         });
     }
-    let moved = restored.predict(&scripts[..6]).unwrap(); // barrier
-    assert!(restored.stats().retrains_done.load(Ordering::SeqCst) >= 1);
+    wait_for_trainer(&restored);
+    let moved = restored.predict(&scripts[..6]).unwrap();
+    assert!(restored.stats().retrains_done >= 1);
     assert!(
         restored.last_error().is_none(),
         "{:?}",
@@ -151,9 +163,9 @@ fn service_restored_from_snapshot_continues_the_protocol_warm() {
     assert!(
         moved
             .iter()
-            .zip(&before)
+            .zip(&before.predictions)
             .any(|(m, b)| m.runtime_minutes != b.runtime_minutes),
-        "retraining the restored service must update its weights"
+        "retraining the restored gateway must update its weights"
     );
     restored.shutdown();
     let _ = std::fs::remove_file(&path);
