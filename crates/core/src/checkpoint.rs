@@ -143,23 +143,20 @@ pub fn decode_config(payload: &[u8]) -> CkptResult<PrionnConfig> {
 
 /// Serialise one [`ValueBins`] (tag + bounds + bin count).
 pub fn encode_bins(buf: &mut Vec<u8>, bins: &ValueBins) {
-    match *bins {
-        ValueBins::Linear { lo, hi, n } => {
-            wire::put_u8(buf, 0);
-            wire::put_f64(buf, lo);
-            wire::put_f64(buf, hi);
-            wire::put_u64(buf, n as u64);
-        }
-        ValueBins::Log { lo, hi, n } => {
-            wire::put_u8(buf, 1);
-            wire::put_f64(buf, lo);
-            wire::put_f64(buf, hi);
-            wire::put_u64(buf, n as u64);
-        }
-    }
+    let (tag, lo, hi, n) = match *bins {
+        ValueBins::Linear { lo, hi, n } => (0, lo, hi, n),
+        ValueBins::Log { lo, hi, n } => (1, lo, hi, n),
+    };
+    wire::put_u8(buf, tag);
+    wire::put_f64(buf, lo);
+    wire::put_f64(buf, hi);
+    wire::put_u64(buf, n as u64);
 }
 
-/// Decode one [`ValueBins`] written by [`encode_bins`].
+/// Decode one [`ValueBins`] written by [`encode_bins`]. Bounds that
+/// [`ValueBins::encode`] could not clamp into (non-finite, not increasing,
+/// or a log scale starting at or below zero) are corruption, not a panic on
+/// the next retrain.
 pub fn decode_bins(r: &mut Reader<'_>) -> CkptResult<ValueBins> {
     let tag = r.get_u8("bins.tag")?;
     let lo = r.get_f64("bins.lo")?;
@@ -168,9 +165,17 @@ pub fn decode_bins(r: &mut Reader<'_>) -> CkptResult<ValueBins> {
     if n == 0 {
         return Err(StoreError::Corrupt("bins with zero bins".into()));
     }
+    if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+        return Err(StoreError::Corrupt(format!(
+            "bins bounds [{lo}, {hi}] are not finite and increasing"
+        )));
+    }
     match tag {
         0 => Ok(ValueBins::Linear { lo, hi, n }),
-        1 => Ok(ValueBins::Log { lo, hi, n }),
+        1 if lo > 0.0 => Ok(ValueBins::Log { lo, hi, n }),
+        1 => Err(StoreError::Corrupt(format!(
+            "log bins start at {lo}, not above zero"
+        ))),
         t => Err(StoreError::Corrupt(format!("unknown bins tag {t}"))),
     }
 }
@@ -286,17 +291,23 @@ mod tests {
     }
 
     #[test]
-    fn bins_decode_rejects_zero_bins() {
-        let mut buf = Vec::new();
-        encode_bins(
-            &mut buf,
-            &ValueBins::Linear {
-                lo: 0.0,
-                hi: 1.0,
-                n: 0,
-            },
-        );
-        assert!(decode_bins(&mut Reader::new(&buf)).is_err());
+    fn bins_decode_rejects_zero_bins_and_unclampable_bounds() {
+        let linear = |lo, hi, n| ValueBins::Linear { lo, hi, n };
+        let log = |lo, hi, n| ValueBins::Log { lo, hi, n };
+        for bad in [
+            linear(0.0, 1.0, 0),
+            linear(2.0, 1.0, 4),
+            linear(1.0, 1.0, 4),
+            linear(f64::NAN, 1.0, 4),
+            linear(0.0, f64::INFINITY, 4),
+            log(1e5, f64::NAN, 4),
+            log(0.0, 1e5, 4),
+            log(-1.0, 1e5, 4),
+        ] {
+            let mut buf = Vec::new();
+            encode_bins(&mut buf, &bad);
+            assert!(decode_bins(&mut Reader::new(&buf)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

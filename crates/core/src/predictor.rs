@@ -2,7 +2,10 @@
 
 use crate::bins::ValueBins;
 use crate::checkpoint::{self, CkptResult};
-use prionn_nn::{Adam, ArchConfig, ModelKind, Optimizer, Sequential, SoftmaxCrossEntropy};
+use prionn_nn::{
+    Adam, ArchConfig, Loss, LossTarget, ModelKind, MseLoss, Optimizer, Sequential,
+    SoftmaxCrossEntropy,
+};
 use prionn_store::{wire, Checkpoint, StoreError};
 use prionn_tensor::{Tensor, TensorError};
 use prionn_text::{
@@ -99,7 +102,7 @@ impl PrionnConfig {
 }
 
 /// One job's predicted resources.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourcePrediction {
     /// Runtime, minutes.
     pub runtime_minutes: f64,
@@ -123,24 +126,145 @@ pub struct TrainingBatch {
     pub write_bytes: Vec<f64>,
 }
 
-/// The PRIONN tool: a shared script mapping feeding one classifier head per
-/// predicted resource. Retraining is warm-started — weights and optimiser
-/// state persist across [`Prionn::retrain`] calls, the property the paper
-/// relies on to train on only 500 jobs at a time.
+/// Entries of the checkpoint's `bins` section, in its order. The section
+/// always holds all three, whichever heads are served; read and write share
+/// the IO entry.
+const RUNTIME_BINS: usize = 0;
+const IO_BINS: usize = 1;
+const POWER_BINS: usize = 2;
+
+/// `ln 961`: scales `log1p(minutes)` of the 960-minute cap into `[0, 1]`.
+fn log_minutes_scale() -> f64 {
+    (961.0f64).ln()
+}
+
+/// How a head's values become training targets and its outputs become
+/// values again — [`Head::fit`] and [`Head::predict`] hold the two
+/// directions side by side.
+#[derive(Clone, Copy)]
+enum Codec {
+    /// Classifier: a softmax over the bins of this `bins` entry.
+    Bins(usize),
+    /// Regressor ablation: one output trained with MSE on
+    /// `log1p(minutes) / ln 961`, decoded with `expm1`.
+    LogMinutes,
+}
+
+impl Codec {
+    /// Output width of a head using this codec.
+    fn width(self, bins: &[ValueBins; 3]) -> usize {
+        match self {
+            Codec::Bins(entry) => bins[entry].n_bins(),
+            Codec::LogMinutes => 1,
+        }
+    }
+}
+
+/// One predicted resource: a network over the shared mapped script, its
+/// optimiser, and its codec. [`Prionn`] keeps the heads its configuration
+/// asks for as rows of one table, and training, serving, checkpointing and
+/// hot-swapping are loops over that table — so a further resource is one
+/// more row in [`Prionn::from_transform`], not an edit per method.
+struct Head {
+    /// Names the row everywhere: checkpoint sections `model.<name>` and
+    /// `opt.<name>`, span `head:<name>`, telemetry label `model=<name>`.
+    name: &'static str,
+    model: Sequential,
+    opt: Adam,
+    codec: Codec,
+}
+
+impl Head {
+    fn model_section(&self) -> String {
+        format!("model.{}", self.name)
+    }
+
+    fn opt_section(&self) -> String {
+        format!("opt.{}", self.name)
+    }
+
+    /// Encode `values` as this head's targets and fit on them, warm;
+    /// returns the mean loss of each epoch.
+    fn fit(
+        &mut self,
+        x: &Tensor,
+        values: &[f64],
+        bins: &[ValueBins; 3],
+        cfg: &PrionnConfig,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Vec<f32>> {
+        let (classes, y): (Vec<usize>, Tensor);
+        let (target, loss): (LossTarget<'_>, &dyn Loss) = match self.codec {
+            Codec::Bins(entry) => {
+                classes = values.iter().map(|&v| bins[entry].encode(v)).collect();
+                (LossTarget::Classes(&classes), &SoftmaxCrossEntropy)
+            }
+            Codec::LogMinutes => {
+                let scale = log_minutes_scale() as f32;
+                let targets: Vec<f32> = values
+                    .iter()
+                    .map(|&m| (m.max(0.0) + 1.0).ln() as f32 / scale)
+                    .collect();
+                y = Tensor::from_vec([targets.len(), 1], targets)?;
+                (LossTarget::Values(&y), &MseLoss)
+            }
+        };
+        let (epochs, batch_size) = (cfg.epochs, cfg.batch_size);
+        self.model
+            .fit(x, &target, loss, &mut self.opt, epochs, batch_size, rng)
+    }
+
+    /// Forward `x` and decode the outputs to values. The `head:<name>` span
+    /// is pushed as the implicit context so the per-layer spans opened
+    /// inside `Sequential::forward` nest under it.
+    fn predict(
+        &mut self,
+        x: &Tensor,
+        bins: &[ValueBins; 3],
+        batch_size: usize,
+    ) -> Result<Vec<f64>> {
+        let span = prionn_observe::trace::child_of_current(|| format!("head:{}", self.name));
+        let _ctx = prionn_observe::trace::extend_current(
+            span.as_ref()
+                .map_or(prionn_observe::SpanCtx::NONE, |s| s.ctx()),
+        );
+        Ok(match self.codec {
+            Codec::Bins(entry) => self
+                .model
+                .predict_classes(x, batch_size)?
+                .into_iter()
+                .map(|c| bins[entry].decode(c))
+                .collect(),
+            Codec::LogMinutes => {
+                let scale = log_minutes_scale();
+                self.model
+                    .predict(x, batch_size)?
+                    .as_slice()
+                    .iter()
+                    .map(|&v| ((v as f64 * scale).exp() - 1.0).clamp(0.0, 960.0))
+                    .collect()
+            }
+        })
+    }
+}
+
+/// Model/architecture mismatches surface as tensor errors from the
+/// shape-validated loads; report them as checkpoint corruption.
+fn mismatch(what: &str, e: TensorError) -> StoreError {
+    StoreError::Corrupt(format!("{what}: {e}"))
+}
+
+/// The PRIONN tool: a shared script mapping feeding one head per predicted
+/// resource. Retraining is warm-started — weights and optimiser state
+/// persist across [`Prionn::retrain`] calls, the property the paper relies
+/// on to train on only 500 jobs at a time.
 pub struct Prionn {
     cfg: PrionnConfig,
     transform: Box<dyn CharTransform>,
-    runtime_bins: ValueBins,
-    io_bins: ValueBins,
-    runtime_model: Sequential,
-    read_model: Option<Sequential>,
-    write_model: Option<Sequential>,
-    power_model: Option<Sequential>,
-    power_bins: ValueBins,
-    opt_runtime: Adam,
-    opt_read: Adam,
-    opt_write: Adam,
-    opt_power: Adam,
+    /// The `bins` section: runtime, IO and power bin edges.
+    bins: [ValueBins; 3],
+    /// The served heads, in checkpoint order; runtime is always row 0.
+    heads: Vec<Head>,
     rng: ChaCha8Rng,
     retrain_count: usize,
     telemetry: Option<PredictorTelemetry>,
@@ -177,52 +301,52 @@ impl Prionn {
     /// transform. This is the checkpoint-restore path: the persisted
     /// word2vec table is rebuilt directly instead of retraining on a corpus.
     fn from_transform(cfg: PrionnConfig, transform: Box<dyn CharTransform>) -> Result<Self> {
-        let arch = |classes: usize, seed_salt: u64| -> ArchConfig {
-            ArchConfig {
-                emb_dim: transform.dim(),
-                grid_h: cfg.grid.0,
-                grid_w: cfg.grid.1,
-                classes,
-                base_width: cfg.base_width,
-                batch_norm: cfg.batch_norm,
-                seed: cfg.seed ^ seed_salt,
-            }
-        };
-        let runtime_classes = match cfg.head {
-            HeadKind::Classifier => cfg.runtime_bins,
-            HeadKind::Regressor => 1,
-        };
-        let runtime_model = arch(runtime_classes, 0x1).build(cfg.model)?;
-        let (read_model, write_model) = if cfg.predict_io {
-            (
-                Some(arch(cfg.io_bins, 0x2).build(cfg.model)?),
-                Some(arch(cfg.io_bins, 0x3).build(cfg.model)?),
-            )
-        } else {
-            (None, None)
-        };
-        let power_model = if cfg.predict_power {
-            Some(arch(cfg.io_bins, 0x4).build(cfg.model)?)
-        } else {
-            None
-        };
-        Ok(Prionn {
-            runtime_bins: ValueBins::runtime_minutes_with(cfg.runtime_bins),
-            io_bins: ValueBins::io_bytes(cfg.io_bins),
+        let bins = [
+            ValueBins::runtime_minutes_with(cfg.runtime_bins),
+            ValueBins::io_bytes(cfg.io_bins),
             // Whole-machine power spans ~100 W to ~1 MW; log bins as for IO.
-            power_bins: ValueBins::Log {
+            ValueBins::Log {
                 lo: 1e2,
                 hi: 1e6,
                 n: cfg.io_bins,
             },
-            runtime_model,
-            read_model,
-            write_model,
-            power_model,
-            opt_runtime: Adam::new(cfg.lr),
-            opt_read: Adam::new(cfg.lr),
-            opt_write: Adam::new(cfg.lr),
-            opt_power: Adam::new(cfg.lr),
+        ];
+        let runtime_codec = match cfg.head {
+            HeadKind::Classifier => Codec::Bins(RUNTIME_BINS),
+            HeadKind::Regressor => Codec::LogMinutes,
+        };
+        // The head table: name, weight-init seed salt, whether the
+        // configuration serves it, codec.
+        let rows = [
+            ("runtime", 0x1, true, runtime_codec),
+            ("read", 0x2, cfg.predict_io, Codec::Bins(IO_BINS)),
+            ("write", 0x3, cfg.predict_io, Codec::Bins(IO_BINS)),
+            ("power", 0x4, cfg.predict_power, Codec::Bins(POWER_BINS)),
+        ];
+        let mut heads = Vec::new();
+        for (name, seed_salt, served, codec) in rows {
+            if !served {
+                continue;
+            }
+            let arch = ArchConfig {
+                emb_dim: transform.dim(),
+                grid_h: cfg.grid.0,
+                grid_w: cfg.grid.1,
+                classes: codec.width(&bins),
+                base_width: cfg.base_width,
+                batch_norm: cfg.batch_norm,
+                seed: cfg.seed ^ seed_salt,
+            };
+            heads.push(Head {
+                name,
+                model: arch.build(cfg.model)?,
+                opt: Adam::new(cfg.lr),
+                codec,
+            });
+        }
+        Ok(Prionn {
+            bins,
+            heads,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             transform,
             cfg,
@@ -246,15 +370,8 @@ impl Prionn {
     /// persisted by [`Prionn::save`] and must be re-attached after a
     /// restore.
     pub fn set_telemetry(&mut self, registry: &prionn_telemetry::Telemetry) {
-        self.runtime_model.set_telemetry(registry, "runtime");
-        if let Some(m) = self.read_model.as_mut() {
-            m.set_telemetry(registry, "read");
-        }
-        if let Some(m) = self.write_model.as_mut() {
-            m.set_telemetry(registry, "write");
-        }
-        if let Some(m) = self.power_model.as_mut() {
-            m.set_telemetry(registry, "power");
+        for head in &mut self.heads {
+            head.model.set_telemetry(registry, head.name);
         }
         self.telemetry = Some(PredictorTelemetry {
             retrain_seconds: registry.histogram(
@@ -307,6 +424,52 @@ impl Prionn {
         }
     }
 
+    /// Table position of the head called `name`, or the error for asking a
+    /// head the configuration did not build.
+    fn row(&self, name: &str) -> Result<usize> {
+        let row = self.heads.iter().position(|h| h.name == name);
+        row.ok_or_else(|| TensorError::InvalidArgument(format!("{name} head disabled in config")))
+    }
+
+    /// Warm-started fit of every served head that `targets` names, in table
+    /// order on the shared RNG. Every target slice is checked before the
+    /// scripts are mapped or any head trains, so a malformed batch leaves
+    /// weights, optimiser moments and the RNG untouched. Returns the
+    /// final-epoch loss of each head fitted.
+    fn fit_heads(&mut self, scripts: &[&str], targets: &[(&str, &[f64])]) -> Result<Vec<f32>> {
+        if scripts.is_empty() {
+            return Err(TensorError::InvalidArgument(
+                "retrain on empty batch".into(),
+            ));
+        }
+        let target_of = |head: &Head| targets.iter().find(|(name, _)| *name == head.name);
+        for (_, values) in self.heads.iter().filter_map(target_of) {
+            if values.len() != scripts.len() {
+                return Err(TensorError::LengthMismatch {
+                    expected: scripts.len(),
+                    actual: values.len(),
+                });
+            }
+        }
+        let map_started = std::time::Instant::now();
+        let x = self.map_scripts(scripts)?;
+        if let Some(tel) = &self.telemetry {
+            tel.map_seconds.observe(map_started.elapsed().as_secs_f64());
+        }
+        let mut final_losses = Vec::new();
+        for head in &mut self.heads {
+            let Some((_, values)) = target_of(head) else {
+                continue;
+            };
+            // Window the kernel counters to this fit so the GEMM gauges
+            // report per-retrain efficiency.
+            head.model.reset_scratch_stats();
+            let losses = head.fit(&x, values, &self.bins, &self.cfg, &mut self.rng)?;
+            final_losses.push(losses.last().copied().unwrap_or(f32::NAN));
+        }
+        Ok(final_losses)
+    }
+
     /// Warm-started retraining on recently completed jobs. IO targets may be
     /// empty when the IO heads are disabled.
     pub fn retrain(
@@ -316,103 +479,26 @@ impl Prionn {
         read_bytes: &[f64],
         write_bytes: &[f64],
     ) -> Result<()> {
-        if scripts.is_empty() {
-            return Err(TensorError::InvalidArgument(
-                "retrain on empty batch".into(),
-            ));
-        }
-        if scripts.len() != runtime_minutes.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: scripts.len(),
-                actual: runtime_minutes.len(),
-            });
-        }
         let started = std::time::Instant::now();
-        let map_started = std::time::Instant::now();
-        let x = self.map_scripts(scripts)?;
-        if let Some(tel) = &self.telemetry {
-            tel.map_seconds.observe(map_started.elapsed().as_secs_f64());
-        }
-        // Window the kernel counters to this retrain so the GEMM gauges
-        // report per-retrain efficiency.
-        self.runtime_model.reset_scratch_stats();
-        let epoch_losses = match self.cfg.head {
-            HeadKind::Classifier => {
-                let runtime_classes: Vec<usize> = runtime_minutes
-                    .iter()
-                    .map(|&m| self.runtime_bins.encode(m))
-                    .collect();
-                self.runtime_model.fit_classes(
-                    &x,
-                    &runtime_classes,
-                    &SoftmaxCrossEntropy,
-                    &mut self.opt_runtime,
-                    self.cfg.epochs,
-                    self.cfg.batch_size,
-                    &mut self.rng,
-                )?
-            }
-            HeadKind::Regressor => {
-                let scale = (961.0f64).ln() as f32;
-                let targets: Vec<f32> = runtime_minutes
-                    .iter()
-                    .map(|&m| (m.max(0.0) + 1.0).ln() as f32 / scale)
-                    .collect();
-                let y = Tensor::from_vec([targets.len(), 1], targets)?;
-                self.runtime_model.fit_values(
-                    &x,
-                    &y,
-                    &prionn_nn::MseLoss,
-                    &mut self.opt_runtime,
-                    self.cfg.epochs,
-                    self.cfg.batch_size,
-                    &mut self.rng,
-                )?
-            }
-        };
-        if let Some(read_model) = self.read_model.as_mut() {
-            if read_bytes.len() != scripts.len() || write_bytes.len() != scripts.len() {
-                return Err(TensorError::LengthMismatch {
-                    expected: scripts.len(),
-                    actual: read_bytes.len().min(write_bytes.len()),
-                });
-            }
-            let read_classes: Vec<usize> =
-                read_bytes.iter().map(|&b| self.io_bins.encode(b)).collect();
-            read_model.fit_classes(
-                &x,
-                &read_classes,
-                &SoftmaxCrossEntropy,
-                &mut self.opt_read,
-                self.cfg.epochs,
-                self.cfg.batch_size,
-                &mut self.rng,
-            )?;
-            let write_model = self.write_model.as_mut().expect("io heads built together");
-            let write_classes: Vec<usize> = write_bytes
-                .iter()
-                .map(|&b| self.io_bins.encode(b))
-                .collect();
-            write_model.fit_classes(
-                &x,
-                &write_classes,
-                &SoftmaxCrossEntropy,
-                &mut self.opt_write,
-                self.cfg.epochs,
-                self.cfg.batch_size,
-                &mut self.rng,
-            )?;
-        }
+        let final_losses = self.fit_heads(
+            scripts,
+            &[
+                ("runtime", runtime_minutes),
+                ("read", read_bytes),
+                ("write", write_bytes),
+            ],
+        )?;
         self.retrain_count += 1;
-        if let Some(tel) = &self.telemetry {
+        // The gauges describe the runtime head: row 0, fitted first.
+        if let (Some(tel), Some(runtime)) = (&self.telemetry, self.heads.first()) {
             let secs = started.elapsed().as_secs_f64();
-            let last_loss = epoch_losses.last().copied().unwrap_or(f32::NAN);
+            let last_loss = final_losses.first().copied().unwrap_or(f32::NAN);
             tel.retrain_seconds.observe(secs);
             tel.retrains_total.inc();
             if last_loss.is_finite() {
                 tel.last_epoch_loss.set(last_loss as f64);
             }
-            let kstats = self.runtime_model.scratch_stats();
+            let kstats = runtime.model.scratch_stats();
             tel.gemm_gflops.set(kstats.gemm_gflops());
             tel.gemm_pack_share.set(kstats.gemm_pack_share());
             tel.registry.events().record(
@@ -434,188 +520,65 @@ impl Prionn {
             return Ok(Vec::new());
         }
         let started = std::time::Instant::now();
-        let tracing = prionn_observe::trace::active();
         let x = {
-            let _span = if tracing {
-                prionn_observe::trace::child_of_current(|| "map".to_string())
-            } else {
-                None
-            };
+            let _span = prionn_observe::trace::child_of_current(|| "map".to_string());
             self.map_scripts(scripts)?
         };
-        let bs = self.cfg.batch_size.max(1);
-        // Each head span is pushed as the implicit context so the per-layer
-        // spans opened inside `Sequential::forward` nest under it.
-        let head_span = |name: &'static str| -> Option<prionn_observe::Span> {
-            if tracing {
-                prionn_observe::trace::child_of_current(|| name.to_string())
-            } else {
-                None
+        let batch_size = self.cfg.batch_size.max(1);
+        let mut preds = vec![ResourcePrediction::default(); scripts.len()];
+        for head in &mut self.heads {
+            let field: fn(&mut ResourcePrediction) -> &mut f64 = match head.name {
+                "runtime" => |p| &mut p.runtime_minutes,
+                "read" => |p| &mut p.read_bytes,
+                "write" => |p| &mut p.write_bytes,
+                // Power has its own door, `predict_power`.
+                _ => continue,
+            };
+            let values = head.predict(&x, &self.bins, batch_size)?;
+            for (pred, value) in preds.iter_mut().zip(values) {
+                *field(pred) = value;
             }
-        };
-        let runtime: Vec<f64> = {
-            let span = head_span("head:runtime");
-            let _ctx = prionn_observe::trace::extend_current(
-                span.as_ref()
-                    .map_or(prionn_observe::SpanCtx::NONE, |s| s.ctx()),
-            );
-            match self.cfg.head {
-                HeadKind::Classifier => self
-                    .runtime_model
-                    .predict_classes(&x, bs)?
-                    .into_iter()
-                    .map(|c| self.runtime_bins.decode(c))
-                    .collect(),
-                HeadKind::Regressor => {
-                    let scale = (961.0f64).ln();
-                    self.runtime_model
-                        .predict(&x, bs)?
-                        .as_slice()
-                        .iter()
-                        .map(|&v| ((v as f64 * scale).exp() - 1.0).clamp(0.0, 960.0))
-                        .collect()
-                }
-            }
-        };
-        let read = match self.read_model.as_mut() {
-            Some(m) => {
-                let span = head_span("head:read");
-                let _ctx = prionn_observe::trace::extend_current(
-                    span.as_ref()
-                        .map_or(prionn_observe::SpanCtx::NONE, |s| s.ctx()),
-                );
-                Some(m.predict_classes(&x, bs)?)
-            }
-            None => None,
-        };
-        let write = match self.write_model.as_mut() {
-            Some(m) => {
-                let span = head_span("head:write");
-                let _ctx = prionn_observe::trace::extend_current(
-                    span.as_ref()
-                        .map_or(prionn_observe::SpanCtx::NONE, |s| s.ctx()),
-                );
-                Some(m.predict_classes(&x, bs)?)
-            }
-            None => None,
-        };
+        }
         if let Some(tel) = &self.telemetry {
             tel.predict_seconds.observe(started.elapsed().as_secs_f64());
             tel.predictions_total.add(scripts.len() as u64);
         }
-        Ok((0..scripts.len())
-            .map(|i| ResourcePrediction {
-                runtime_minutes: runtime[i],
-                read_bytes: read.as_ref().map_or(0.0, |r| self.io_bins.decode(r[i])),
-                write_bytes: write.as_ref().map_or(0.0, |w| self.io_bins.decode(w[i])),
-            })
-            .collect())
+        Ok(preds)
     }
 
     /// Train the power head (extension) on completed jobs' mean watt draw.
     /// Requires `predict_power` in the config.
     pub fn retrain_power(&mut self, scripts: &[&str], watts: &[f64]) -> Result<()> {
-        let Some(model) = self.power_model.as_mut() else {
-            return Err(TensorError::InvalidArgument(
-                "power head disabled (set predict_power)".into(),
-            ));
-        };
-        if scripts.is_empty() || scripts.len() != watts.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: scripts.len(),
-                actual: watts.len(),
-            });
-        }
-        let (h, w) = self.cfg.grid;
-        let x = match self.cfg.model {
-            ModelKind::Cnn2d => map_corpus_2d(scripts, self.transform.as_ref(), h, w)?,
-            _ => map_corpus_1d(scripts, self.transform.as_ref(), h, w)?,
-        };
-        let classes: Vec<usize> = watts.iter().map(|&p| self.power_bins.encode(p)).collect();
-        model.fit_classes(
-            &x,
-            &classes,
-            &SoftmaxCrossEntropy,
-            &mut self.opt_power,
-            self.cfg.epochs,
-            self.cfg.batch_size,
-            &mut self.rng,
-        )?;
+        self.row("power")?;
+        self.fit_heads(scripts, &[("power", watts)])?;
         Ok(())
     }
 
     /// Predict mean power draw (watts) for scripts (extension head).
     pub fn predict_power(&mut self, scripts: &[&str]) -> Result<Vec<f64>> {
-        let Some(model) = self.power_model.as_mut() else {
-            return Err(TensorError::InvalidArgument(
-                "power head disabled (set predict_power)".into(),
-            ));
-        };
+        let row = self.row("power")?;
         if scripts.is_empty() {
             return Ok(Vec::new());
         }
-        let (h, w) = self.cfg.grid;
-        let x = match self.cfg.model {
-            ModelKind::Cnn2d => map_corpus_2d(scripts, self.transform.as_ref(), h, w)?,
-            _ => map_corpus_1d(scripts, self.transform.as_ref(), h, w)?,
-        };
-        let classes = model.predict_classes(&x, self.cfg.batch_size.max(1))?;
-        Ok(classes
-            .into_iter()
-            .map(|c| self.power_bins.decode(c))
-            .collect())
-    }
-
-    /// Snapshot all learned parameters (runtime head first, then the IO
-    /// heads when present) for persistence or transfer to another node.
-    pub fn export_state(&self) -> Vec<Tensor> {
-        let mut state = self.runtime_model.state();
-        if let (Some(r), Some(w)) = (&self.read_model, &self.write_model) {
-            state.extend(r.state());
-            state.extend(w.state());
-        }
-        state
-    }
-
-    /// Restore parameters exported by [`Prionn::export_state`] from a model
-    /// with the identical configuration.
-    pub fn import_state(&mut self, state: &[Tensor]) -> Result<()> {
-        let runtime_len = self.runtime_model.state().len();
-        self.runtime_model
-            .load_state(&state[..runtime_len.min(state.len())])?;
-        if let (Some(r), Some(w)) = (self.read_model.as_mut(), self.write_model.as_mut()) {
-            let r_len = r.state().len();
-            let expected = runtime_len + 2 * r_len;
-            if state.len() != expected {
-                return Err(TensorError::LengthMismatch {
-                    expected,
-                    actual: state.len(),
-                });
-            }
-            r.load_state(&state[runtime_len..runtime_len + r_len])?;
-            w.load_state(&state[runtime_len + r_len..])?;
-        } else if state.len() != runtime_len {
-            return Err(TensorError::LengthMismatch {
-                expected: runtime_len,
-                actual: state.len(),
-            });
-        }
-        Ok(())
+        let x = self.map_scripts(scripts)?;
+        self.heads[row].predict(&x, &self.bins, self.cfg.batch_size.max(1))
     }
 
     /// Mean cross-entropy of the runtime head on a labelled batch, without
     /// updating weights. Diagnostic/tuning helper.
     pub fn probe_runtime_loss(&mut self, scripts: &[&str], runtime_minutes: &[f64]) -> Result<f64> {
+        let row = self.row("runtime")?;
         let x = self.map_scripts(scripts)?;
-        let logits = self.runtime_model.predict(&x, self.cfg.batch_size.max(1))?;
+        let logits = self.heads[row]
+            .model
+            .predict(&x, self.cfg.batch_size.max(1))?;
         let classes: Vec<usize> = runtime_minutes
             .iter()
-            .map(|&m| self.runtime_bins.encode(m))
+            .map(|&m| self.bins[RUNTIME_BINS].encode(m))
             .collect();
-        let (loss, _) = prionn_nn::Loss::loss_and_grad(
-            &SoftmaxCrossEntropy,
+        let (loss, _) = SoftmaxCrossEntropy.loss_and_grad(
             &logits,
-            &prionn_nn::LossTarget::Classes(&classes),
+            &LossTarget::Classes(&classes),
             &mut prionn_tensor::Scratch::new(),
         )?;
         Ok(loss as f64)
@@ -642,7 +605,9 @@ impl Prionn {
         Self::from_checkpoint(&Checkpoint::read(path)?)
     }
 
-    /// Assemble the in-memory checkpoint (see [`Prionn::save`]).
+    /// Assemble the in-memory checkpoint (see [`Prionn::save`]): `config`,
+    /// `transform`, `bins`, then `model.<name>` + `opt.<name>` per head in
+    /// table order, then `rng` and `trainer`.
     pub fn to_checkpoint(&self) -> CkptResult<Checkpoint> {
         let mut ck = Checkpoint::new();
         ck.insert("config", checkpoint::encode_config(&self.cfg))?;
@@ -653,45 +618,19 @@ impl Prionn {
             ck.insert("transform", buf)?;
         }
         let mut bins = Vec::new();
-        checkpoint::encode_bins(&mut bins, &self.runtime_bins);
-        checkpoint::encode_bins(&mut bins, &self.io_bins);
-        checkpoint::encode_bins(&mut bins, &self.power_bins);
+        for entry in &self.bins {
+            checkpoint::encode_bins(&mut bins, entry);
+        }
         ck.insert("bins", bins)?;
 
-        ck.insert(
-            "model.runtime",
-            checkpoint::encode_state_dict(&self.runtime_model.state_dict()),
-        )?;
-        ck.insert(
-            "opt.runtime",
-            checkpoint::encode_opt_state(&self.opt_runtime.export_state()),
-        )?;
-        if let (Some(read), Some(write)) = (&self.read_model, &self.write_model) {
+        for head in &self.heads {
             ck.insert(
-                "model.read",
-                checkpoint::encode_state_dict(&read.state_dict()),
+                head.model_section(),
+                checkpoint::encode_state_dict(&head.model.state_dict()),
             )?;
             ck.insert(
-                "opt.read",
-                checkpoint::encode_opt_state(&self.opt_read.export_state()),
-            )?;
-            ck.insert(
-                "model.write",
-                checkpoint::encode_state_dict(&write.state_dict()),
-            )?;
-            ck.insert(
-                "opt.write",
-                checkpoint::encode_opt_state(&self.opt_write.export_state()),
-            )?;
-        }
-        if let Some(power) = &self.power_model {
-            ck.insert(
-                "model.power",
-                checkpoint::encode_state_dict(&power.state_dict()),
-            )?;
-            ck.insert(
-                "opt.power",
-                checkpoint::encode_opt_state(&self.opt_power.export_state()),
+                head.opt_section(),
+                checkpoint::encode_opt_state(&head.opt.export_state()),
             )?;
         }
 
@@ -715,32 +654,17 @@ impl Prionn {
         Self::from_checkpoint(&self.to_checkpoint()?)
     }
 
-    /// Only the learned head weights, in checkpoint section format
-    /// (`model.runtime` [+ `model.read`/`model.write`/`model.power`]).
-    /// This is the hot-swap payload broadcast to serving replicas after a
-    /// retrain: weights are all a frozen serving replica needs, so the
-    /// optimiser moments, RNG stream, and transform table stay out of the
-    /// per-swap cost.
+    /// Only the learned head weights, in checkpoint section format (one
+    /// `model.<name>` per head). This is the hot-swap payload broadcast to
+    /// serving replicas after a retrain: weights are all a frozen serving
+    /// replica needs, so the optimiser moments, RNG stream, and transform
+    /// table stay out of the per-swap cost.
     pub fn weights_checkpoint(&self) -> CkptResult<Checkpoint> {
         let mut ck = Checkpoint::new();
-        ck.insert(
-            "model.runtime",
-            checkpoint::encode_state_dict(&self.runtime_model.state_dict()),
-        )?;
-        if let (Some(read), Some(write)) = (&self.read_model, &self.write_model) {
+        for head in &self.heads {
             ck.insert(
-                "model.read",
-                checkpoint::encode_state_dict(&read.state_dict()),
-            )?;
-            ck.insert(
-                "model.write",
-                checkpoint::encode_state_dict(&write.state_dict()),
-            )?;
-        }
-        if let Some(power) = &self.power_model {
-            ck.insert(
-                "model.power",
-                checkpoint::encode_state_dict(&power.state_dict()),
+                head.model_section(),
+                checkpoint::encode_state_dict(&head.model.state_dict()),
             )?;
         }
         Ok(ck)
@@ -752,67 +676,20 @@ impl Prionn {
     /// corrupt payload leaves the current weights fully intact — the
     /// all-or-nothing property the replica hot-swap protocol relies on.
     pub fn apply_weights_checkpoint(&mut self, ck: &Checkpoint) -> CkptResult<()> {
-        fn mismatch(what: &str, e: TensorError) -> StoreError {
-            StoreError::Corrupt(format!("{what}: {e}"))
+        let mut states = Vec::with_capacity(self.heads.len());
+        for head in &self.heads {
+            let section = head.model_section();
+            let dict = checkpoint::decode_state_dict(ck.require(&section)?)?;
+            head.model
+                .check_state_dict(&dict)
+                .map_err(|e| mismatch(&section, e))?;
+            states.push(dict.into_iter().map(|(_, t)| t).collect::<Vec<Tensor>>());
         }
-        let runtime = checkpoint::decode_state_dict(ck.require("model.runtime")?)?;
-        let io = if self.read_model.is_some() {
-            Some((
-                checkpoint::decode_state_dict(ck.require("model.read")?)?,
-                checkpoint::decode_state_dict(ck.require("model.write")?)?,
-            ))
-        } else {
-            None
-        };
-        let power = if self.power_model.is_some() {
-            Some(checkpoint::decode_state_dict(ck.require("model.power")?)?)
-        } else {
-            None
-        };
-        // load_state_dict validates a whole dict before touching its model,
-        // so each head is individually all-or-nothing; roll back the
-        // already-swapped heads if a later one rejects, keeping the swap
-        // atomic across heads too.
-        type HeadSwap<'a> = (&'static str, &'a mut Sequential, Vec<(String, Tensor)>);
-        let mut heads: Vec<HeadSwap<'_>> =
-            vec![("model.runtime", &mut self.runtime_model, runtime)];
-        if let Some((read, write)) = io {
-            heads.push((
-                "model.read",
-                self.read_model.as_mut().expect("checked above"),
-                read,
-            ));
-            heads.push((
-                "model.write",
-                self.write_model.as_mut().expect("io heads built together"),
-                write,
-            ));
-        }
-        if let Some(power) = power {
-            heads.push((
-                "model.power",
-                self.power_model.as_mut().expect("checked above"),
-                power,
-            ));
-        }
-        let mut prevs: Vec<Vec<(String, Tensor)>> = Vec::with_capacity(heads.len());
-        let mut failed: Option<(&'static str, TensorError)> = None;
-        for (what, model, dict) in heads.iter_mut() {
-            let prev = model.state_dict();
-            match model.load_state_dict(dict) {
-                Ok(()) => prevs.push(prev),
-                Err(e) => {
-                    failed = Some((*what, e));
-                    break;
-                }
-            }
-        }
-        if let Some((what, e)) = failed {
-            // `prevs` holds exactly the heads that already swapped.
-            for ((_, model, _), prev) in heads.iter_mut().zip(&prevs) {
-                model.load_state_dict(prev).expect("rollback of own state");
-            }
-            return Err(mismatch(what, e));
+        // Every dict passed its head's check, so no load below can fail.
+        for (head, state) in self.heads.iter_mut().zip(&states) {
+            head.model
+                .load_state(state)
+                .map_err(|e| mismatch(&head.model_section(), e))?;
         }
         Ok(())
     }
@@ -820,12 +697,6 @@ impl Prionn {
     /// Rebuild a predictor from an in-memory checkpoint (see
     /// [`Prionn::load`]).
     pub fn from_checkpoint(ck: &Checkpoint) -> CkptResult<Self> {
-        // Model/architecture mismatches surface as tensor errors from the
-        // shape-validated loads below; report them as checkpoint corruption.
-        fn mismatch(what: &str, e: TensorError) -> StoreError {
-            StoreError::Corrupt(format!("{what}: {e}"))
-        }
-
         let cfg = checkpoint::decode_config(ck.require("config")?)?;
         let transform: Box<dyn CharTransform> = match cfg.transform {
             TransformKind::Binary => Box::new(BinaryTransform),
@@ -845,48 +716,31 @@ impl Prionn {
         let mut p =
             Self::from_transform(cfg, transform).map_err(|e| mismatch("rebuild model", e))?;
 
-        let mut bins = wire::Reader::new(ck.require("bins")?);
-        p.runtime_bins = checkpoint::decode_bins(&mut bins)?;
-        p.io_bins = checkpoint::decode_bins(&mut bins)?;
-        p.power_bins = checkpoint::decode_bins(&mut bins)?;
-        bins.expect_end("bins")?;
+        let mut r = wire::Reader::new(ck.require("bins")?);
+        let bins = [
+            checkpoint::decode_bins(&mut r)?,
+            checkpoint::decode_bins(&mut r)?,
+            checkpoint::decode_bins(&mut r)?,
+        ];
+        r.expect_end("bins")?;
 
-        p.runtime_model
-            .load_state_dict(&checkpoint::decode_state_dict(
-                ck.require("model.runtime")?,
-            )?)
-            .map_err(|e| mismatch("model.runtime", e))?;
-        p.opt_runtime
-            .import_state(&checkpoint::decode_opt_state(ck.require("opt.runtime")?)?)
-            .map_err(|e| mismatch("opt.runtime", e))?;
-        if p.cfg.predict_io {
-            p.read_model
-                .as_mut()
-                .expect("predict_io builds the read head")
-                .load_state_dict(&checkpoint::decode_state_dict(ck.require("model.read")?)?)
-                .map_err(|e| mismatch("model.read", e))?;
-            p.opt_read
-                .import_state(&checkpoint::decode_opt_state(ck.require("opt.read")?)?)
-                .map_err(|e| mismatch("opt.read", e))?;
-            p.write_model
-                .as_mut()
-                .expect("predict_io builds the write head")
-                .load_state_dict(&checkpoint::decode_state_dict(ck.require("model.write")?)?)
-                .map_err(|e| mismatch("model.write", e))?;
-            p.opt_write
-                .import_state(&checkpoint::decode_opt_state(ck.require("opt.write")?)?)
-                .map_err(|e| mismatch("opt.write", e))?;
+        for head in &mut p.heads {
+            // The config fixed the head's output width when it was built;
+            // bins that count differently would decode a silently wrong value.
+            let (built, stored) = (head.codec.width(&p.bins), head.codec.width(&bins));
+            if stored != built {
+                return Err(StoreError::Corrupt(format!(
+                    "bins: {stored} bins for the {built}-wide {} head",
+                    head.name
+                )));
+            }
+            let opt = head.opt_section();
+            head.opt
+                .import_state(&checkpoint::decode_opt_state(ck.require(&opt)?)?)
+                .map_err(|e| mismatch(&opt, e))?;
         }
-        if p.cfg.predict_power {
-            p.power_model
-                .as_mut()
-                .expect("predict_power builds the power head")
-                .load_state_dict(&checkpoint::decode_state_dict(ck.require("model.power")?)?)
-                .map_err(|e| mismatch("model.power", e))?;
-            p.opt_power
-                .import_state(&checkpoint::decode_opt_state(ck.require("opt.power")?)?)
-                .map_err(|e| mismatch("opt.power", e))?;
-        }
+        p.bins = bins;
+        p.apply_weights_checkpoint(ck)?;
 
         let mut rng = wire::Reader::new(ck.require("rng")?);
         let seed: [u8; 32] = rng.get_array("rng.seed")?;
@@ -1038,6 +892,26 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_batch_trains_no_head() {
+        let scripts = corpus();
+        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+        let mut cfg = tiny_cfg();
+        cfg.predict_power = true;
+        cfg.epochs = 1;
+        let mut p = Prionn::new(cfg, &refs).unwrap();
+        let (runtimes, io) = (vec![60.0; refs.len()], vec![1e8; refs.len()]);
+        p.retrain(&refs, &runtimes, &io, &io).unwrap();
+        // The checkpoint holds every head's weights and Adam moments, the
+        // RNG stream position and the retrain counter.
+        let before = p.to_checkpoint().unwrap().to_bytes();
+        assert!(p.retrain(&refs, &runtimes, &io[..3], &io).is_err());
+        assert!(p.retrain(&refs, &runtimes, &io, &io[..3]).is_err());
+        assert!(p.retrain_power(&refs, &io[..3]).is_err());
+        assert!(p.retrain_power(&[], &[]).is_err());
+        assert!(p.to_checkpoint().unwrap().to_bytes() == before);
+    }
+
+    #[test]
     fn power_head_learns_to_separate_draws() {
         let scripts = corpus();
         let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
@@ -1065,38 +939,6 @@ mod tests {
         let mut p = Prionn::new(tiny_cfg(), &refs).unwrap();
         assert!(p.retrain_power(&refs, &vec![100.0; refs.len()]).is_err());
         assert!(p.predict_power(&refs[..1]).is_err());
-    }
-
-    #[test]
-    fn exported_state_transfers_predictions_to_a_fresh_model() {
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let mut a = Prionn::new(tiny_cfg(), &refs).unwrap();
-        let runtimes: Vec<f64> = (0..refs.len())
-            .map(|i| if i % 2 == 0 { 30.0 } else { 500.0 })
-            .collect();
-        let io: Vec<f64> = vec![1e9; refs.len()];
-        a.retrain(&refs, &runtimes, &io, &io).unwrap();
-
-        let mut cfg_b = tiny_cfg();
-        cfg_b.seed ^= 0xdead; // different init...
-        let mut b = Prionn::new(cfg_b, &refs).unwrap();
-        b.import_state(&a.export_state()).unwrap();
-        assert_eq!(
-            a.predict(&refs[..3]).unwrap(),
-            b.predict(&refs[..3]).unwrap()
-        );
-    }
-
-    #[test]
-    fn import_state_rejects_wrong_length() {
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let a = Prionn::new(tiny_cfg(), &refs).unwrap();
-        let mut b = Prionn::new(tiny_cfg(), &refs).unwrap();
-        let mut state = a.export_state();
-        state.pop();
-        assert!(b.import_state(&state).is_err());
     }
 
     fn tmp_ckpt_path(tag: &str) -> std::path::PathBuf {
@@ -1168,6 +1010,66 @@ mod tests {
             assert!(result.is_err(), "flipped byte {i} must not load");
             bytes[i] ^= 0x5a;
         }
+    }
+
+    /// `ck` with its `bins` section replaced.
+    fn with_bins(ck: &Checkpoint, bins: [ValueBins; 3]) -> Checkpoint {
+        let mut section = Vec::new();
+        for entry in &bins {
+            checkpoint::encode_bins(&mut section, entry);
+        }
+        let mut out = Checkpoint::new();
+        for name in ck.section_names() {
+            let payload = match name {
+                "bins" => section.clone(),
+                _ => ck.get(name).unwrap().to_vec(),
+            };
+            out.insert(name, payload).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn load_rejects_bins_the_heads_cannot_use() {
+        let scripts = corpus();
+        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+        let a = Prionn::new(tiny_cfg(), &refs).unwrap();
+        let ck = a.to_checkpoint().unwrap();
+        let good = a.bins.clone();
+        let runtime = |lo, hi, n| {
+            [
+                ValueBins::Linear { lo, hi, n },
+                good[1].clone(),
+                good[2].clone(),
+            ]
+        };
+        let io = |lo, hi, n| {
+            [
+                good[0].clone(),
+                ValueBins::Log { lo, hi, n },
+                good[2].clone(),
+            ]
+        };
+        for (why, bad) in [
+            ("inverted", runtime(960.0, 0.0, 16)),
+            ("NaN bound", io(1e5, f64::NAN, 8)),
+            ("log scale from zero", io(0.0, 1e14, 8)),
+            (
+                "one bin more than the runtime head is wide",
+                runtime(0.0, 960.0, 17),
+            ),
+            ("half the IO heads' width", io(1e5, 1e14, 4)),
+        ] {
+            assert!(
+                Prionn::from_checkpoint(&with_bins(&ck, bad)).is_err(),
+                "{why}"
+            );
+        }
+        // Other edges over the same count are a legal file, and train.
+        let mut b = Prionn::from_checkpoint(&with_bins(&ck, runtime(0.0, 480.0, 16))).unwrap();
+        let io = vec![1e9; refs.len()];
+        b.retrain(&refs, &vec![700.0; refs.len()], &io, &io)
+            .unwrap();
     }
 
     #[test]
@@ -1278,6 +1180,26 @@ mod tests {
             .apply_weights_checkpoint(&prionn_store::Checkpoint::new())
             .is_err());
         assert_eq!(a.predict(&refs[..4]).unwrap(), before);
+
+        // Four heads, and only the last section (power) is the wrong shape:
+        // the three good heads before it stay untouched as well.
+        let with_power = |base_width| PrionnConfig {
+            predict_power: true,
+            base_width,
+            ..tiny_cfg()
+        };
+        let mut four = Prionn::new(with_power(2), &refs).unwrap();
+        let before = four.weights_checkpoint().unwrap().to_bytes();
+        let wide_ck = Prionn::new(with_power(4), &refs)
+            .unwrap()
+            .weights_checkpoint()
+            .unwrap();
+        let mut mixed = good;
+        mixed
+            .insert("model.power", wide_ck.get("model.power").unwrap().to_vec())
+            .unwrap();
+        assert!(four.apply_weights_checkpoint(&mixed).is_err());
+        assert!(four.weights_checkpoint().unwrap().to_bytes() == before);
     }
 
     #[test]

@@ -72,11 +72,11 @@ impl ModelTelemetry {
 
 /// A feed-forward stack of layers trained with backprop.
 ///
-/// Weights persist across [`Sequential::fit_classes`] calls, which is what
-/// implements
-/// the paper's warm-started online retraining: PRIONN retrains the same model
-/// instance every 100 job submissions on the 500 most recently completed
-/// jobs, so "learned parameters pass to subsequent models".
+/// Weights persist across [`Sequential::fit`] calls, which is what
+/// implements the paper's warm-started online retraining: PRIONN retrains
+/// the same model instance every 100 job submissions on the 500 most
+/// recently completed jobs, so "learned parameters pass to subsequent
+/// models".
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -344,13 +344,15 @@ impl Sequential {
         Ok(loss_val)
     }
 
-    /// Train for `epochs` epochs over `(x, classes)` with shuffled
-    /// minibatches; returns the mean loss of each epoch.
+    /// Train for `epochs` epochs over `(x, target)` with shuffled
+    /// minibatches; returns the mean loss of each epoch. `target` holds one
+    /// class index or one value row per row of `x`, and every minibatch
+    /// gathers its share of whichever variant it was given.
     #[allow(clippy::too_many_arguments)]
-    pub fn fit_classes(
+    pub fn fit(
         &mut self,
         x: &Tensor,
-        classes: &[usize],
+        target: &LossTarget<'_>,
         loss: &dyn Loss,
         opt: &mut dyn Optimizer,
         epochs: usize,
@@ -358,10 +360,14 @@ impl Sequential {
         rng: &mut impl Rng,
     ) -> Result<Vec<f32>> {
         let n = x.dims()[0];
-        if classes.len() != n {
+        let rows = match target {
+            LossTarget::Classes(classes) => classes.len(),
+            LossTarget::Values(values) => values.dims()[0],
+        };
+        if rows != n {
             return Err(TensorError::LengthMismatch {
                 expected: n,
-                actual: classes.len(),
+                actual: rows,
             });
         }
         if batch_size == 0 {
@@ -375,56 +381,22 @@ impl Sequential {
             let mut batches = 0usize;
             for chunk in order.chunks(batch_size) {
                 let bx = Self::gather_rows(&mut self.scratch, x, chunk)?;
-                let mut by = self.scratch.take_idx(chunk.len());
-                for (slot, &i) in by.iter_mut().zip(chunk) {
-                    *slot = classes[i];
+                match target {
+                    LossTarget::Classes(classes) => {
+                        let mut by = self.scratch.take_idx(chunk.len());
+                        for (slot, &i) in by.iter_mut().zip(chunk) {
+                            *slot = classes[i];
+                        }
+                        total += self.train_batch(&bx, &LossTarget::Classes(&by), loss, opt)?;
+                        self.scratch.recycle_idx(by);
+                    }
+                    LossTarget::Values(values) => {
+                        let by = Self::gather_rows(&mut self.scratch, values, chunk)?;
+                        total += self.train_batch(&bx, &LossTarget::Values(&by), loss, opt)?;
+                        self.scratch.recycle_tensor(by);
+                    }
                 }
-                total += self.train_batch(&bx, &LossTarget::Classes(&by), loss, opt)?;
                 self.scratch.recycle_tensor(bx);
-                self.scratch.recycle_idx(by);
-                batches += 1;
-            }
-            epoch_losses.push(total / batches.max(1) as f32);
-        }
-        Ok(epoch_losses)
-    }
-
-    /// Train for `epochs` epochs over `(x, targets)` with shuffled
-    /// minibatches for a value-target loss (e.g. MSE); `targets` must have
-    /// the same leading dimension as `x`. Returns the mean loss per epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_values(
-        &mut self,
-        x: &Tensor,
-        targets: &Tensor,
-        loss: &dyn Loss,
-        opt: &mut dyn Optimizer,
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut impl Rng,
-    ) -> Result<Vec<f32>> {
-        let n = x.dims()[0];
-        if targets.dims()[0] != n {
-            return Err(TensorError::LengthMismatch {
-                expected: n,
-                actual: targets.dims()[0],
-            });
-        }
-        if batch_size == 0 {
-            return Err(TensorError::InvalidArgument("zero batch size".into()));
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epoch_losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            order.shuffle(rng);
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch_size) {
-                let bx = Self::gather_rows(&mut self.scratch, x, chunk)?;
-                let by = Self::gather_rows(&mut self.scratch, targets, chunk)?;
-                total += self.train_batch(&bx, &LossTarget::Values(&by), loss, opt)?;
-                self.scratch.recycle_tensor(bx);
-                self.scratch.recycle_tensor(by);
                 batches += 1;
             }
             epoch_losses.push(total / batches.max(1) as f32);
@@ -520,14 +492,11 @@ impl Sequential {
         dict
     }
 
-    /// Restore parameters from a [`Sequential::state_dict`] snapshot.
-    ///
-    /// Every entry is validated against this model before any layer is
-    /// touched: keys must match the model's own layer paths in order, and
-    /// each tensor must have the shape of the parameter it replaces.
-    pub fn load_state_dict(&mut self, dict: &[(String, Tensor)]) -> Result<()> {
-        // Validate the whole dict first so a mismatch cannot leave the model
-        // half-loaded.
+    /// Check a [`Sequential::state_dict`] snapshot against this model
+    /// without touching it: keys must match the model's own layer paths in
+    /// order, and each tensor must have the shape of the parameter it would
+    /// replace. A dict that passes cannot fail to load.
+    pub fn check_state_dict(&self, dict: &[(String, Tensor)]) -> Result<()> {
         let mut cursor = 0usize;
         for (i, layer) in self.layers.iter().enumerate() {
             let keys = layer.state_keys();
@@ -560,6 +529,14 @@ impl Sequential {
                 actual: dict.len(),
             });
         }
+        Ok(())
+    }
+
+    /// Restore parameters from a [`Sequential::state_dict`] snapshot. The
+    /// whole dict passes [`Sequential::check_state_dict`] before any layer
+    /// is touched, so a mismatch cannot leave the model half-loaded.
+    pub fn load_state_dict(&mut self, dict: &[(String, Tensor)]) -> Result<()> {
+        self.check_state_dict(dict)?;
         let tensors: Vec<Tensor> = dict.iter().map(|(_, t)| t.clone()).collect();
         self.load_state(&tensors)
     }
@@ -587,15 +564,21 @@ mod tests {
         (x, vec![0, 1, 1, 0])
     }
 
+    /// `epochs` of full-batch cross-entropy training on the XOR data.
+    fn fit_xor(m: &mut Sequential, opt: &mut Sgd, epochs: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
+        let (x, y) = xor_data();
+        let target = LossTarget::Classes(&y);
+        m.fit(&x, &target, &SoftmaxCrossEntropy, opt, epochs, 4, rng)
+            .unwrap()
+    }
+
     #[test]
     fn learns_xor() {
         let mut m = xor_model(3);
         let (x, y) = xor_data();
         let mut opt = Sgd::with_momentum(0.5, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let losses = m
-            .fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 300, 4, &mut rng)
-            .unwrap();
+        let losses = fit_xor(&mut m, &mut opt, 300, &mut rng);
         assert!(
             losses.last().unwrap() < &0.05,
             "final loss {:?}",
@@ -607,12 +590,9 @@ mod tests {
     #[test]
     fn loss_decreases_during_training() {
         let mut m = xor_model(4);
-        let (x, y) = xor_data();
         let mut opt = Sgd::with_momentum(0.5, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let losses = m
-            .fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 100, 4, &mut rng)
-            .unwrap();
+        let losses = fit_xor(&mut m, &mut opt, 100, &mut rng);
         assert!(losses.last().unwrap() < losses.first().unwrap());
     }
 
@@ -683,13 +663,19 @@ mod tests {
         let (x, _) = xor_data();
         let mut opt = Sgd::new(0.1);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let short = LossTarget::Classes(&[0, 1]);
         assert!(m
-            .fit_classes(&x, &[0, 1], &SoftmaxCrossEntropy, &mut opt, 1, 2, &mut rng)
+            .fit(&x, &short, &SoftmaxCrossEntropy, &mut opt, 1, 2, &mut rng)
+            .is_err());
+        let y = Tensor::zeros([3, 2]);
+        let short = LossTarget::Values(&y);
+        assert!(m
+            .fit(&x, &short, &crate::loss::MseLoss, &mut opt, 1, 2, &mut rng)
             .is_err());
     }
 
     #[test]
-    fn fit_values_learns_a_linear_map() {
+    fn fit_learns_a_linear_map_from_value_targets() {
         use crate::loss::MseLoss;
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut m = Sequential::new().push(Dense::new(2, 1, &mut rng));
@@ -702,8 +688,9 @@ mod tests {
         let y = Tensor::from_vec([40, 1], ys).unwrap();
         let mut opt = Sgd::new(0.3);
         let mut shuffle_rng = ChaCha8Rng::seed_from_u64(0);
+        let target = LossTarget::Values(&y);
         let losses = m
-            .fit_values(&x, &y, &MseLoss, &mut opt, 200, 8, &mut shuffle_rng)
+            .fit(&x, &target, &MseLoss, &mut opt, 200, 8, &mut shuffle_rng)
             .unwrap();
         assert!(
             losses.last().unwrap() < &1e-3,
@@ -740,30 +727,15 @@ mod tests {
     }
 
     #[test]
-    fn fit_values_rejects_mismatched_rows() {
-        use crate::loss::MseLoss;
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut m = Sequential::new().push(Dense::new(2, 1, &mut rng));
-        let x = Tensor::zeros([4, 2]);
-        let y = Tensor::zeros([3, 1]);
-        let mut opt = Sgd::new(0.1);
-        let mut srng = ChaCha8Rng::seed_from_u64(0);
-        assert!(m
-            .fit_values(&x, &y, &MseLoss, &mut opt, 1, 2, &mut srng)
-            .is_err());
-    }
-
-    #[test]
     fn telemetry_records_per_layer_timings_and_norms() {
         use prionn_telemetry::Telemetry;
         let t = Telemetry::new();
         let mut m = xor_model(3);
         m.set_telemetry(&t, "runtime");
-        let (x, y) = xor_data();
+        let (x, _) = xor_data();
         let mut opt = Sgd::with_momentum(0.5, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        m.fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 2, 4, &mut rng)
-            .unwrap();
+        fit_xor(&mut m, &mut opt, 2, &mut rng);
         let text = t.prometheus();
         assert!(
             text.contains("nn_layer_forward_seconds_bucket{layer=\"0.dense\",model=\"runtime\""),
@@ -784,9 +756,7 @@ mod tests {
         let mut plain = xor_model(3);
         let mut opt2 = Sgd::with_momentum(0.5, 0.9);
         let mut rng2 = ChaCha8Rng::seed_from_u64(0);
-        plain
-            .fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt2, 2, 4, &mut rng2)
-            .unwrap();
+        fit_xor(&mut plain, &mut opt2, 2, &mut rng2);
         assert_eq!(
             m.forward(&x, false).unwrap(),
             plain.forward(&x, false).unwrap()
@@ -843,15 +813,10 @@ mod tests {
         // Train briefly, snapshot loss; continue training; loss keeps falling
         // rather than restarting at the cold-start level.
         let mut m = xor_model(7);
-        let (x, y) = xor_data();
         let mut opt = Sgd::with_momentum(0.5, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let first = m
-            .fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 50, 4, &mut rng)
-            .unwrap();
-        let second = m
-            .fit_classes(&x, &y, &SoftmaxCrossEntropy, &mut opt, 50, 4, &mut rng)
-            .unwrap();
+        let first = fit_xor(&mut m, &mut opt, 50, &mut rng);
+        let second = fit_xor(&mut m, &mut opt, 50, &mut rng);
         assert!(second.first().unwrap() <= first.first().unwrap());
     }
 }

@@ -345,35 +345,7 @@ impl Histogram {
     /// substitute for exact traces.
     pub fn quantile(&self, q: f64) -> f64 {
         let counts = self.merged_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            let next = seen + c;
-            if (next as f64) >= rank && c > 0 {
-                let lo = if i == 0 {
-                    // First bucket: its lower edge is implicit; fall back to
-                    // half the first bound for the interpolation base.
-                    self.inner.bounds.first().map_or(0.0, |b| b / 2.0)
-                } else {
-                    self.inner.bounds[i - 1]
-                };
-                let hi = self
-                    .inner
-                    .bounds
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| self.inner.bounds.last().map_or(1.0, |b| b * 2.0));
-                let frac = (rank - seen as f64) / c as f64;
-                // Geometric interpolation matches the log-spaced layout.
-                return lo.max(1e-12) * (hi / lo.max(1e-12)).powf(frac);
-            }
-            seen = next;
-        }
-        self.inner.bounds.last().copied().unwrap_or(0.0)
+        bucket_quantile(&self.inner.bounds, &counts, counts.iter().sum(), q)
     }
 
     /// Mean of all observations (0 when empty).
@@ -394,6 +366,37 @@ impl std::fmt::Debug for Histogram {
             .field("sum", &self.sum())
             .finish()
     }
+}
+
+/// The bucket-quantile estimator behind both [`Histogram::quantile`] and
+/// [`HistogramSeries::quantile`](crate::merge::HistogramSeries::quantile):
+/// geometric interpolation (it matches the log-spaced layouts) inside the
+/// bucket of `counts` that holds rank `q · total`. A bucket with no finite
+/// upper bound in `bounds` — the live overflow bucket, the exposition's
+/// `+Inf` — ends at twice the last finite bound, and the first bucket
+/// starts at half its bound. Returns 0 when `total` is 0.
+pub(crate) fn bucket_quantile(bounds: &[f64], counts: &[u64], total: u64, q: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let finite = |i: usize| bounds.get(i).copied().filter(|b| b.is_finite());
+    let last = bounds.iter().rev().copied().find(|b| b.is_finite());
+    let rank = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
+    let mut seen = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        let next = seen.saturating_add(c);
+        if (next as f64) >= rank && c > 0 {
+            let lo = match i {
+                0 => finite(0).or(last).unwrap_or(1.0) / 2.0,
+                _ => finite(i - 1).or(last).unwrap_or(1.0),
+            };
+            let hi = finite(i).unwrap_or_else(|| last.unwrap_or(1.0) * 2.0);
+            let frac = (rank - seen as f64) / c as f64;
+            return lo.max(1e-12) * (hi / lo.max(1e-12)).powf(frac);
+        }
+        seen = next;
+    }
+    last.unwrap_or(0.0)
 }
 
 /// RAII timer from [`Histogram::start_timer`]: records elapsed seconds into

@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::instrument::bucket_quantile;
 use crate::registry::Labels;
 
 /// One counter or gauge sample: a name, its labels, a value.
@@ -88,49 +89,7 @@ impl HistogramSeries {
     /// quantiles agree on identical data. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let total = self.count.max(self.cumulative.last().copied().unwrap_or(0));
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let counts = self.bucket_counts();
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            let next = seen + c;
-            if (next as f64) >= rank && c > 0 {
-                let finite_last = self
-                    .les
-                    .iter()
-                    .rev()
-                    .find(|b| b.is_finite())
-                    .copied()
-                    .unwrap_or(1.0);
-                let lo = if i == 0 {
-                    self.les.first().map_or(0.0, |b| {
-                        if b.is_finite() {
-                            b / 2.0
-                        } else {
-                            finite_last / 2.0
-                        }
-                    })
-                } else {
-                    self.les[i - 1]
-                };
-                let hi = if self.les[i].is_finite() {
-                    self.les[i]
-                } else {
-                    finite_last * 2.0
-                };
-                let frac = (rank - seen as f64) / c as f64;
-                return lo.max(1e-12) * (hi / lo.max(1e-12)).powf(frac);
-            }
-            seen = next;
-        }
-        self.les
-            .iter()
-            .rev()
-            .find(|b| b.is_finite())
-            .copied()
-            .unwrap_or(0.0)
+        bucket_quantile(&self.les, &self.bucket_counts(), total, q)
     }
 }
 
@@ -625,6 +584,22 @@ mod tests {
         assert_eq!(hs.count, 2);
         assert!((hs.sum - 64.4).abs() < 1e-9);
         assert_eq!(hs.bucket_counts(), vec![1, 0, 0, 1]);
+    }
+
+    #[test]
+    fn federated_and_local_quantiles_agree_on_identical_data() {
+        let t = Telemetry::new();
+        let live = t.histogram("lat_seconds", "Latency");
+        // Below the first bound, across the middle, and into the overflow
+        // bucket: every branch of the estimator.
+        for v in [2e-7, 3e-4, 1e-3, 1.5e-3, 2e-3, 8e-3, 0.02, 0.3, 5.0, 100.0] {
+            live.observe(v);
+        }
+        let snap = MetricsSnapshot::parse(&t.prometheus());
+        let parsed = snap.histogram("lat_seconds", &[]).unwrap();
+        for q in [0.0, 0.05, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(parsed.quantile(q), live.quantile(q), "q = {q}");
+        }
     }
 
     #[test]

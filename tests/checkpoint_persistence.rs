@@ -95,6 +95,45 @@ fn restored_predictor_serves_bit_identical_predictions() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The section list is the on-disk format: if the predictor's head table
+/// ever reorders or renames a section, files already written stop loading.
+#[test]
+fn checkpoint_sections_keep_their_names_and_order() {
+    let (scripts, ..) = workload();
+    let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+    let sections = |predict_io, predict_power| -> Vec<String> {
+        let cfg = PrionnConfig {
+            predict_io,
+            predict_power,
+            ..tiny_cfg()
+        };
+        let model = Prionn::new(cfg, &refs[..8]).unwrap();
+        let ck = model.to_checkpoint().unwrap();
+        ck.section_names().map(str::to_string).collect()
+    };
+    #[rustfmt::skip]
+    assert_eq!(
+        sections(false, false),
+        ["config", "transform", "bins", "model.runtime", "opt.runtime", "rng", "trainer"]
+    );
+    #[rustfmt::skip]
+    assert_eq!(
+        sections(true, false),
+        [
+            "config", "transform", "bins", "model.runtime", "opt.runtime", "model.read",
+            "opt.read", "model.write", "opt.write", "rng", "trainer",
+        ]
+    );
+    #[rustfmt::skip]
+    assert_eq!(
+        sections(true, true),
+        [
+            "config", "transform", "bins", "model.runtime", "opt.runtime", "model.read",
+            "opt.read", "model.write", "opt.write", "model.power", "opt.power", "rng", "trainer",
+        ]
+    );
+}
+
 /// Block until the gateway's trainer has worked off its retrain backlog.
 fn wait_for_trainer(gateway: &Gateway) {
     let deadline = Instant::now() + Duration::from_secs(120);
