@@ -9,6 +9,7 @@
 //! ≤5% — see the overhead discussion in `DESIGN.md` §10.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use prionn_bench::support::distinct_script;
 use prionn_core::{Prionn, PrionnConfig};
 use prionn_store::Checkpoint;
 use prionn_telemetry::Telemetry;
@@ -64,20 +65,33 @@ fn bench_checkpoint(c: &mut Criterion) {
 fn bench_predict_telemetry_overhead(c: &mut Criterion) {
     let mut model = trained_model();
     let trace = Trace::generate(&TraceConfig::preset(TracePreset::CabLike, 40));
-    let jobs: Vec<_> = trace.executed_jobs().collect();
-    let scripts: Vec<&str> = jobs.iter().take(16).map(|j| j.script.as_str()).collect();
+    let corpus: Vec<String> = trace
+        .executed_jobs()
+        .take(16)
+        .map(|j| j.script.clone())
+        .collect();
+    // Every iteration forwards 16 scripts the model has not answered yet.
+    let mut sent = 0;
+    let mut predict_fresh = |model: &mut Prionn| {
+        let batch: Vec<String> = (sent..sent + corpus.len())
+            .map(|n| distinct_script(&corpus, n))
+            .collect();
+        sent += corpus.len();
+        let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+        model.predict(&refs).unwrap()
+    };
 
     let mut group = c.benchmark_group("predict");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(scripts.len() as u64));
+    group.throughput(Throughput::Elements(corpus.len() as u64));
 
     group.bench_function("uninstrumented", |b| {
-        b.iter(|| model.predict(&scripts).unwrap());
+        b.iter(|| predict_fresh(&mut model));
     });
     let registry = Telemetry::default();
     model.set_telemetry(&registry);
     group.bench_function("instrumented", |b| {
-        b.iter(|| model.predict(&scripts).unwrap());
+        b.iter(|| predict_fresh(&mut model));
     });
     group.finish();
 }

@@ -23,6 +23,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use prionn_bench::support::distinct_script;
 use prionn_fleet::router::{FleetError, Router, RouterConfig};
 use prionn_fleet::testkit::{demo_corpus, LocalFleet};
 use prionn_workload::stats::percentile;
@@ -42,7 +43,7 @@ struct LoadStats {
 }
 
 /// Drive `total` requests through `router` from `clients` closed-loop
-/// threads, users striding the full id space.
+/// threads, users striding the full id space, no two with the same script.
 fn drive(router: &Router, scripts: &[String], total: usize, clients: usize) -> LoadStats {
     let started = Instant::now();
     let results: Vec<(u64, u64, Vec<f64>)> = std::thread::scope(|s| {
@@ -55,10 +56,9 @@ fn drive(router: &Router, scripts: &[String], total: usize, clients: usize) -> L
                     let mut r = c;
                     while r < total {
                         let user = (r as u64).wrapping_mul(2_654_435_761) % 100_000;
-                        let one =
-                            std::slice::from_ref(&scripts[(user % scripts.len() as u64) as usize]);
+                        let one = [distinct_script(scripts, r)];
                         let t = Instant::now();
-                        match router.predict(user, one) {
+                        match router.predict(user, &one) {
                             Ok(_) => {
                                 ok += 1;
                                 lat.push(t.elapsed().as_secs_f64());

@@ -21,6 +21,7 @@
 
 use std::time::{Duration, Instant};
 
+use prionn_bench::support::distinct_script;
 use prionn_fleet::router::{Router, RouterConfig};
 use prionn_fleet::testkit::{demo_corpus, LocalFleet, ROUTER_TRACE_NAMESPACE};
 use prionn_observe::{
@@ -30,14 +31,22 @@ use prionn_telemetry::Telemetry;
 use prionn_workload::stats::percentile;
 use serde_json::json;
 
-/// `reqs` sequential single-script predicts; returns per-request seconds.
-fn drive(router: &Router, scripts: &[String], reqs: usize, seed: u64) -> Vec<f64> {
+/// `reqs` sequential single-script predicts, each a script `sent` has not
+/// numbered before; returns per-request seconds.
+fn drive(
+    router: &Router,
+    scripts: &[String],
+    reqs: usize,
+    seed: u64,
+    sent: &mut usize,
+) -> Vec<f64> {
     let mut lat = Vec::with_capacity(reqs);
     for r in 0..reqs {
         let user = (seed + r as u64).wrapping_mul(2_654_435_761) % 100_000;
-        let one = std::slice::from_ref(&scripts[r % scripts.len()]);
+        let one = [distinct_script(scripts, *sent)];
+        *sent += 1;
         let t = Instant::now();
-        router.predict(user, one).unwrap();
+        router.predict(user, &one).unwrap();
         lat.push(t.elapsed().as_secs_f64());
     }
     lat
@@ -70,14 +79,16 @@ fn main() {
     ))));
 
     // Warm both routers' connection pools and every shard's replica.
-    drive(&router_off, &scripts, 20, 0);
-    drive(&router_on, &scripts, 20, 0);
+    // Both routers reach the same shards, so one request count spans both.
+    let mut sent = 0;
+    drive(&router_off, &scripts, 20, 0, &mut sent);
+    drive(&router_on, &scripts, 20, 0, &mut sent);
 
     let (mut lat_off, mut lat_on) = (Vec::new(), Vec::new());
     for round in 0..rounds {
         let seed = (round * reqs) as u64;
-        lat_off.extend(drive(&router_off, &scripts, reqs, seed));
-        lat_on.extend(drive(&router_on, &scripts, reqs, seed));
+        lat_off.extend(drive(&router_off, &scripts, reqs, seed, &mut sent));
+        lat_on.extend(drive(&router_on, &scripts, reqs, seed, &mut sent));
     }
 
     let p50_off = percentile(&lat_off, 50.0) * 1e3;

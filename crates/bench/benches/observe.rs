@@ -15,7 +15,7 @@
 //! and stay alive together; measurement rounds alternate traced/untraced
 //! so clock drift and cache state cancel instead of biasing one side.
 
-use prionn_bench::support::serving_model;
+use prionn_bench::support::{distinct_script, serving_model};
 use prionn_fleet::testkit::demo_corpus;
 use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
 use prionn_serve::{Gateway, GatewayConfig};
@@ -23,13 +23,15 @@ use prionn_workload::stats::percentile;
 use serde_json::json;
 use std::time::{Duration, Instant};
 
-/// `reqs` sequential single-script predicts; returns per-request seconds.
-fn drive(gw: &Gateway, scripts: &[String], reqs: usize) -> Vec<f64> {
+/// `reqs` sequential single-script predicts, each a script `sent` has not
+/// numbered before; returns per-request seconds.
+fn drive(gw: &Gateway, scripts: &[String], reqs: usize, sent: &mut usize) -> Vec<f64> {
     let mut lat = Vec::with_capacity(reqs);
-    for r in 0..reqs {
-        let one = std::slice::from_ref(&scripts[r % scripts.len()]);
+    for _ in 0..reqs {
+        let one = [distinct_script(scripts, *sent)];
+        *sent += 1;
         let t = Instant::now();
-        gw.predict(one).unwrap();
+        gw.predict(&one).unwrap();
         lat.push(t.elapsed().as_secs_f64());
     }
     lat
@@ -70,13 +72,14 @@ fn main() {
     let _ = std::fs::remove_file(&ck_path);
 
     // Warm both replicas (first batch pays one-time scratch setup).
-    drive(&gw_off, &scripts, 20);
-    drive(&gw_on, &scripts, 20);
+    let mut sent = 0;
+    drive(&gw_off, &scripts, 20, &mut sent);
+    drive(&gw_on, &scripts, 20, &mut sent);
 
     let (mut lat_off, mut lat_on) = (Vec::new(), Vec::new());
     for _ in 0..rounds {
-        lat_off.extend(drive(&gw_off, &scripts, reqs));
-        lat_on.extend(drive(&gw_on, &scripts, reqs));
+        lat_off.extend(drive(&gw_off, &scripts, reqs, &mut sent));
+        lat_on.extend(drive(&gw_on, &scripts, reqs, &mut sent));
     }
     gw_off.shutdown();
     gw_on.shutdown();

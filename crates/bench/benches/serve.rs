@@ -20,7 +20,7 @@
 //! 1.16–1.24× (measured with the process pinned to one core); the rest is
 //! the second core, 1.65–1.86× on 2 cores when the pool worker gets it.
 
-use prionn_bench::support::serving_model;
+use prionn_bench::support::{distinct_script, serving_model};
 use prionn_fleet::testkit::demo_corpus;
 use prionn_serve::{Gateway, GatewayConfig};
 use prionn_workload::stats::percentile;
@@ -51,7 +51,8 @@ fn warm_gateway(ck_path: &Path, scripts: &[String], replicas: usize, max_batch: 
 }
 
 /// Run `CLIENTS` threads, each issuing `reqs` single-script predicts
-/// through `call`. Returns (wall seconds, per-request latencies).
+/// through `call`, no two with the same script. Returns (wall seconds,
+/// per-request latencies).
 fn drive_clients(
     scripts: &[String],
     reqs: usize,
@@ -65,10 +66,9 @@ fn drive_clients(
                 s.spawn(move || {
                     let mut lat = Vec::with_capacity(reqs);
                     for r in 0..reqs {
-                        let idx = (c * 7 + r) % scripts.len();
-                        let one = std::slice::from_ref(&scripts[idx]);
+                        let one = [distinct_script(scripts, c * reqs + r)];
                         let t = Instant::now();
-                        call(one);
+                        call(&one);
                         lat.push(t.elapsed().as_secs_f64());
                     }
                     lat

@@ -143,6 +143,14 @@ pub fn serving_model(scripts: &[String]) -> Prionn {
     model
 }
 
+/// The script of a bench's `n`-th request: `corpus[n % len]` plus a
+/// `# req <n>` line, so no two requests share a script. `Prionn::predict`
+/// answers a repeated script from memory; a bench cycling a small corpus
+/// would time that memo instead of the model.
+pub fn distinct_script(corpus: &[String], n: usize) -> String {
+    format!("{}# req {n}\n", corpus[n % corpus.len()])
+}
+
 /// Wall-clock a closure in seconds.
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();

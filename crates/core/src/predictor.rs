@@ -14,6 +14,7 @@ use prionn_text::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::{HashMap, HashSet};
 
 /// Result alias matching the tensor substrate.
 pub type Result<T> = prionn_tensor::Result<T>;
@@ -248,6 +249,45 @@ impl Head {
     }
 }
 
+/// Bound on the script bytes [`Memo`] holds as keys: ~16 k of the trace's
+/// ~250-byte scripts.
+const MEMO_KEY_BYTES: usize = 4 << 20;
+
+/// The answers the current weights already gave, keyed by the full script
+/// text. Exact because an eval forward keeps no state and a script's
+/// prediction bits depend on the weights alone, not on the batch it rode in
+/// (`arch.rs` pins that); so it must be dropped by every weight write.
+#[derive(Default)]
+struct Memo {
+    answers: HashMap<String, ResourcePrediction>,
+    key_bytes: usize,
+}
+
+impl Memo {
+    fn get(&self, script: &str) -> Option<ResourcePrediction> {
+        self.answers.get(script).copied()
+    }
+
+    /// Remember `script`'s answer (absent from the memo). Past the byte
+    /// bound the memo starts over; a script bigger than the bound is not
+    /// kept at all.
+    fn insert(&mut self, script: &str, pred: ResourcePrediction) {
+        if script.len() > MEMO_KEY_BYTES {
+            return;
+        }
+        if self.key_bytes + script.len() > MEMO_KEY_BYTES {
+            self.clear();
+        }
+        self.key_bytes += script.len();
+        self.answers.insert(script.to_owned(), pred);
+    }
+
+    fn clear(&mut self) {
+        self.answers.clear();
+        self.key_bytes = 0;
+    }
+}
+
 /// Model/architecture mismatches surface as tensor errors from the
 /// shape-validated loads; report them as checkpoint corruption.
 fn mismatch(what: &str, e: TensorError) -> StoreError {
@@ -265,6 +305,9 @@ pub struct Prionn {
     bins: [ValueBins; 3],
     /// The served heads, in checkpoint order; runtime is always row 0.
     heads: Vec<Head>,
+    /// What [`Prionn::predict`] already answered on the current weights;
+    /// never persisted, so every construction starts empty.
+    memo: Memo,
     rng: ChaCha8Rng,
     retrain_count: usize,
     telemetry: Option<PredictorTelemetry>,
@@ -277,6 +320,7 @@ struct PredictorTelemetry {
     retrains_total: prionn_telemetry::Counter,
     predict_seconds: prionn_telemetry::Histogram,
     predictions_total: prionn_telemetry::Counter,
+    memo_hits_total: prionn_telemetry::Counter,
     map_seconds: prionn_telemetry::Histogram,
     last_epoch_loss: prionn_telemetry::Gauge,
     gemm_gflops: prionn_telemetry::Gauge,
@@ -347,6 +391,7 @@ impl Prionn {
         Ok(Prionn {
             bins,
             heads,
+            memo: Memo::default(),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             transform,
             cfg,
@@ -364,7 +409,8 @@ impl Prionn {
     /// per-layer forward/backward timers and norm gauges (labelled
     /// `model=runtime|read|write|power`), and the predictor itself records
     /// `prionn_retrain_seconds`, `prionn_predict_seconds`,
-    /// `prionn_map_seconds`, the matching `_total` counters, the
+    /// `prionn_map_seconds`, the matching `_total` counters,
+    /// `prionn_predict_memo_hits_total`, the
     /// `prionn_last_epoch_loss` gauge, and one `retrain` span event per
     /// training event. Telemetry is process-local state: it is *not*
     /// persisted by [`Prionn::save`] and must be re-attached after a
@@ -387,6 +433,11 @@ impl Prionn {
             predictions_total: registry.counter(
                 "prionn_predictions_total",
                 "Scripts predicted (batch sizes summed)",
+            ),
+            memo_hits_total: registry.counter(
+                "prionn_predict_memo_hits_total",
+                "Scripts predict() answered without forwarding them: the current weights \
+                 already answered them, earlier or in the same batch",
             ),
             map_seconds: registry.histogram(
                 "prionn_map_seconds",
@@ -434,8 +485,8 @@ impl Prionn {
     /// Warm-started fit of every served head that `targets` names, in table
     /// order on the shared RNG. Every target slice is checked before the
     /// scripts are mapped or any head trains, so a malformed batch leaves
-    /// weights, optimiser moments and the RNG untouched. Returns the
-    /// final-epoch loss of each head fitted.
+    /// weights, optimiser moments, the RNG and the memo untouched. Returns
+    /// the final-epoch loss of each head fitted.
     fn fit_heads(&mut self, scripts: &[&str], targets: &[(&str, &[f64])]) -> Result<Vec<f32>> {
         if scripts.is_empty() {
             return Err(TensorError::InvalidArgument(
@@ -451,6 +502,7 @@ impl Prionn {
                 });
             }
         }
+        self.memo.clear();
         let map_started = std::time::Instant::now();
         let x = self.map_scripts(scripts)?;
         if let Some(tel) = &self.telemetry {
@@ -515,11 +567,49 @@ impl Prionn {
     }
 
     /// Predict resources for a batch of scripts.
+    ///
+    /// Each distinct script is forwarded once per set of weights: a script
+    /// the current weights already answered is filled in from memory, and
+    /// the rest are forwarded together, each once, in first-occurrence
+    /// order. The answers are the bits a forward would give, since a
+    /// script's prediction does not depend on the batch it rides in.
     pub fn predict(&mut self, scripts: &[&str]) -> Result<Vec<ResourcePrediction>> {
         if scripts.is_empty() {
             return Ok(Vec::new());
         }
         let started = std::time::Instant::now();
+        let known: Vec<Option<ResourcePrediction>> =
+            scripts.iter().map(|s| self.memo.get(s)).collect();
+        let mut seen = HashSet::new();
+        let misses: Vec<&str> = scripts
+            .iter()
+            .zip(&known)
+            .filter(|(s, hit)| hit.is_none() && seen.insert(**s))
+            .map(|(s, _)| *s)
+            .collect();
+        let mut fresh = HashMap::with_capacity(misses.len());
+        if !misses.is_empty() {
+            for (script, pred) in misses.iter().zip(self.forward(&misses)?) {
+                self.memo.insert(script, pred);
+                fresh.insert(*script, pred);
+            }
+        }
+        let preds: Vec<ResourcePrediction> = scripts
+            .iter()
+            .zip(known)
+            .map(|(s, hit)| hit.unwrap_or_else(|| fresh[s]))
+            .collect();
+        if let Some(tel) = &self.telemetry {
+            tel.predict_seconds.observe(started.elapsed().as_secs_f64());
+            tel.predictions_total.add(scripts.len() as u64);
+            tel.memo_hits_total
+                .add((scripts.len() - misses.len()) as u64);
+        }
+        Ok(preds)
+    }
+
+    /// Map `scripts` and run every head [`Prionn::predict`] answers from.
+    fn forward(&mut self, scripts: &[&str]) -> Result<Vec<ResourcePrediction>> {
         let x = {
             let _span = prionn_observe::trace::child_of_current(|| "map".to_string());
             self.map_scripts(scripts)?
@@ -538,10 +628,6 @@ impl Prionn {
             for (pred, value) in preds.iter_mut().zip(values) {
                 *field(pred) = value;
             }
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.predict_seconds.observe(started.elapsed().as_secs_f64());
-            tel.predictions_total.add(scripts.len() as u64);
         }
         Ok(preds)
     }
@@ -675,6 +761,7 @@ impl Prionn {
     /// shape-checked *before* any weight is written, so a mismatched or
     /// corrupt payload leaves the current weights fully intact — the
     /// all-or-nothing property the replica hot-swap protocol relies on.
+    /// An accepted payload also forgets every answer the old weights gave.
     pub fn apply_weights_checkpoint(&mut self, ck: &Checkpoint) -> CkptResult<()> {
         let mut states = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
@@ -686,6 +773,7 @@ impl Prionn {
             states.push(dict.into_iter().map(|(_, t)| t).collect::<Vec<Tensor>>());
         }
         // Every dict passed its head's check, so no load below can fail.
+        self.memo.clear();
         for (head, state) in self.heads.iter_mut().zip(&states) {
             head.model
                 .load_state(state)
@@ -848,10 +936,200 @@ mod tests {
                 "no layer spans under {head}"
             );
         }
-        // Untraced predictions record nothing new.
+        // A batch the memo answers whole maps nothing and runs no head: its
+        // root is the one span it records.
         let before = rec.snapshot().len();
-        p.predict(&refs[..2]).unwrap();
-        assert_eq!(rec.snapshot().len(), before);
+        let root = tracer.root("predict");
+        {
+            let _ctx = trace::push_current(&tracer, root.ctx());
+            p.predict(&refs[..2]).unwrap();
+        }
+        drop(root);
+        let spans = rec.snapshot();
+        assert_eq!(spans.len(), before + 1);
+        assert_eq!(spans.iter().filter(|s| s.name == "predict").count(), 2);
+        // Untraced predictions record nothing new.
+        p.predict(&refs[2..4]).unwrap();
+        assert_eq!(rec.snapshot().len(), before + 1);
+    }
+
+    /// Every field's bits, so a NaN or a signed zero cannot hide a mismatch.
+    fn bits(preds: &[ResourcePrediction]) -> Vec<[u64; 3]> {
+        preds
+            .iter()
+            .map(|p| {
+                [
+                    p.runtime_minutes.to_bits(),
+                    p.read_bytes.to_bits(),
+                    p.write_bytes.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// What a memo-free model answers: each script forwarded alone by a
+    /// fresh replica of `p`'s weights.
+    fn forwarded_alone(p: &Prionn, scripts: &[&str]) -> Vec<[u64; 3]> {
+        let preds: Vec<ResourcePrediction> = scripts
+            .iter()
+            .map(|s| p.fork_replica().unwrap().predict(&[s]).unwrap()[0])
+            .collect();
+        bits(&preds)
+    }
+
+    fn memo_hits(registry: &prionn_telemetry::Telemetry) -> u64 {
+        registry
+            .counter("prionn_predict_memo_hits_total", "")
+            .value()
+    }
+
+    fn trace_slice(n: usize) -> Vec<prionn_workload::JobRecord> {
+        use prionn_workload::{Trace, TraceConfig, TracePreset};
+        let trace = Trace::generate(&TraceConfig::preset(TracePreset::CabLike, n));
+        trace.executed_jobs().cloned().collect()
+    }
+
+    fn retrain_on(p: &mut Prionn, jobs: &[prionn_workload::JobRecord]) {
+        let scripts: Vec<&str> = jobs.iter().map(|j| j.script.as_str()).collect();
+        let runtimes: Vec<f64> = jobs.iter().map(|j| j.runtime_minutes()).collect();
+        let reads: Vec<f64> = jobs.iter().map(|j| j.bytes_read).collect();
+        let writes: Vec<f64> = jobs.iter().map(|j| j.bytes_written).collect();
+        p.retrain(&scripts, &runtimes, &reads, &writes).unwrap();
+    }
+
+    #[test]
+    fn memoised_answers_are_the_bits_a_memo_free_model_gives() {
+        let jobs = trace_slice(120);
+        let scripts: Vec<&str> = jobs.iter().map(|j| j.script.as_str()).collect();
+        let mut p = Prionn::new(tiny_cfg(), &scripts).unwrap();
+        let registry = prionn_telemetry::Telemetry::default();
+        p.set_telemetry(&registry);
+        retrain_on(&mut p, &jobs[..40]);
+        const RETRAIN_STEP: usize = 12;
+        let (mut steps, mut hits_before_retrain) = (0, 0);
+        for (step, start) in (0..scripts.len()).step_by(4).enumerate() {
+            // The trace's own resubmissions, one repeated inside the batch,
+            // and one script an earlier batch already asked about.
+            let mut batch = scripts[start..(start + 4).min(scripts.len())].to_vec();
+            batch.push(batch[0]);
+            batch.push(scripts[start / 2]);
+            if step == RETRAIN_STEP {
+                retrain_on(&mut p, &jobs[40..80]);
+                hits_before_retrain = memo_hits(&registry);
+            }
+            let want = forwarded_alone(&p, &batch);
+            assert_eq!(bits(&p.predict(&batch).unwrap()), want, "step {step}");
+            steps += 1;
+        }
+        // Every step repeats one script inside its batch; hits beyond that
+        // came from the memo, on both sides of the retrain.
+        let hits_after_retrain = memo_hits(&registry) - hits_before_retrain;
+        assert!(hits_before_retrain > RETRAIN_STEP as u64);
+        assert!(hits_after_retrain > (steps - RETRAIN_STEP) as u64);
+    }
+
+    #[test]
+    fn every_weight_write_forgets_the_old_answers() {
+        let scripts = corpus();
+        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+        let cfg = PrionnConfig {
+            predict_power: true,
+            ..tiny_cfg()
+        };
+        let mut p = Prionn::new(cfg, &refs).unwrap();
+        let registry = prionn_telemetry::Telemetry::default();
+        p.set_telemetry(&registry);
+        let io = vec![1e9; refs.len()];
+        let probe = &refs[..6];
+        p.retrain(&refs, &vec![30.0; refs.len()], &io, &io).unwrap();
+        let first = bits(&p.predict(probe).unwrap());
+
+        // retrain: the answers move with the weights.
+        let mut stale = p.fork_replica().unwrap();
+        p.retrain(&refs, &vec![900.0; refs.len()], &io, &io)
+            .unwrap();
+        let retrained = bits(&p.predict(probe).unwrap());
+        assert_eq!(retrained, forwarded_alone(&p, probe));
+        assert_ne!(retrained, first, "the retrain must move some answer");
+
+        // retrain_power: no served head moved, but the memo starts over.
+        let hits = memo_hits(&registry);
+        p.retrain_power(&refs, &vec![600.0; refs.len()]).unwrap();
+        assert_eq!(bits(&p.predict(probe).unwrap()), retrained);
+        assert_eq!(memo_hits(&registry), hits);
+
+        // An accepted hot-swap: `stale` answered on the old weights.
+        assert_eq!(bits(&stale.predict(probe).unwrap()), first);
+        stale
+            .apply_weights_checkpoint(&p.weights_checkpoint().unwrap())
+            .unwrap();
+        assert_eq!(bits(&stale.predict(probe).unwrap()), retrained);
+
+        // A rejected hot-swap keeps the weights and the answers.
+        let stale_registry = prionn_telemetry::Telemetry::default();
+        stale.set_telemetry(&stale_registry);
+        assert!(stale
+            .apply_weights_checkpoint(&prionn_store::Checkpoint::new())
+            .is_err());
+        assert_eq!(bits(&stale.predict(probe).unwrap()), retrained);
+        assert_eq!(memo_hits(&stale_registry), probe.len() as u64);
+
+        // A restore starts with nothing remembered.
+        let mut restored = Prionn::from_checkpoint(&p.to_checkpoint().unwrap()).unwrap();
+        let restored_registry = prionn_telemetry::Telemetry::default();
+        restored.set_telemetry(&restored_registry);
+        assert_eq!(bits(&restored.predict(probe).unwrap()), retrained);
+        assert_eq!(memo_hits(&restored_registry), 0);
+    }
+
+    #[test]
+    fn memo_holds_at_most_its_byte_bound() {
+        let mut p = Prionn::new(tiny_cfg(), &["#!/bin/bash\nsrun ./app\n"]).unwrap();
+        // 15 distinct ~300 KiB scripts: past the bound once.
+        let big = |i: usize| format!("#!/bin/bash\n# {i}\n{}", "srun ./app\n".repeat(28_000));
+        let scripts: Vec<String> = (0..15).map(big).collect();
+        for script in &scripts {
+            p.predict(&[script.as_str()]).unwrap();
+            assert!(p.memo.key_bytes <= MEMO_KEY_BYTES);
+            assert_eq!(
+                p.memo.key_bytes,
+                p.memo.answers.keys().map(String::len).sum::<usize>()
+            );
+        }
+        assert!(p.memo.answers.len() < scripts.len(), "never dropped");
+        assert!(p.memo.get(&scripts[14]).is_some());
+
+        // A script bigger than the whole bound is answered, not kept.
+        let huge = "x".repeat(MEMO_KEY_BYTES + 1);
+        let kept = p.memo.key_bytes;
+        let answer = bits(&p.predict(&[huge.as_str()]).unwrap());
+        assert_eq!(answer, forwarded_alone(&p, &[huge.as_str()]));
+        assert!(p.memo.get(&huge).is_none());
+        assert_eq!(p.memo.key_bytes, kept);
+    }
+
+    #[test]
+    fn memo_hits_count_scripts_answered_without_a_forward() {
+        let scripts = corpus();
+        let (a, b, c) = (
+            scripts[0].as_str(),
+            scripts[1].as_str(),
+            scripts[2].as_str(),
+        );
+        let mut p = Prionn::new(tiny_cfg(), &[a, b, c]).unwrap();
+        let registry = prionn_telemetry::Telemetry::default();
+        p.set_telemetry(&registry);
+        let predictions = registry.counter("prionn_predictions_total", "");
+        for (batch, hits, answered) in [
+            (vec![a, b], 0, 2),
+            // `a` from the memo, the second `c` rides the first's forward.
+            (vec![a, c, c], 2, 5),
+            (vec![b, c, a], 5, 8),
+        ] {
+            p.predict(&batch).unwrap();
+            assert_eq!(memo_hits(&registry), hits, "{batch:?}");
+            assert_eq!(predictions.value(), answered, "{batch:?}");
+        }
     }
 
     #[test]

@@ -294,36 +294,56 @@ mod tests {
     }
 
     #[test]
-    fn paper_cnn_prediction_does_not_depend_on_the_batch_it_rode_in() {
+    fn prediction_does_not_depend_on_the_batch_it_rode_in() {
         // Dense runs its direct path up to MR = 6 rows and the packed
         // kernel above; conv shards samples over worker groups. Neither may
-        // show in a script's logits.
-        let mut m = build_cnn2d(&ArchConfig::paper(4, 960)).unwrap();
+        // show in a script's outputs: `Prionn::predict` memoises a script's
+        // answer from whichever batch it first rode in.
         let x = prionn_tensor::init::uniform(
-            [8, 4, 64, 64],
+            [8, 4, 64 * 64],
             -1.0,
             1.0,
             &mut rand_chacha::ChaCha8Rng::seed_from_u64(5),
         );
         let row_len = 4 * 64 * 64;
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        let alone: Vec<Vec<u32>> = (0..8)
-            .map(|i| {
-                let xi = &x.as_slice()[i * row_len..(i + 1) * row_len];
-                let xi = Tensor::from_vec([1, 4, 64, 64], xi.to_vec()).unwrap();
-                bits(m.forward(&xi, false).unwrap().as_slice())
-            })
-            .collect();
-        for batch in 2..=8usize {
-            let xb = Tensor::from_vec([batch, 4, 64, 64], x.as_slice()[..batch * row_len].to_vec())
+        let kinds = [
+            (ModelKind::Nn, false),
+            (ModelKind::Cnn1d, false),
+            (ModelKind::Cnn2d, false),
+            (ModelKind::Cnn2d, true),
+        ];
+        for (kind, batch_norm) in kinds {
+            // The mapping's layout for this kind: a grid for the 2-D CNN.
+            let input = |rows: std::ops::Range<usize>| {
+                let data = x.as_slice()[rows.start * row_len..rows.end * row_len].to_vec();
+                match kind {
+                    ModelKind::Cnn2d => Tensor::from_vec([rows.len(), 4, 64, 64], data),
+                    _ => Tensor::from_vec([rows.len(), 4, 64 * 64], data),
+                }
+                .unwrap()
+            };
+            for classes in [1, 37, 64, 960] {
+                let why = format!("{kind:?} batch_norm={batch_norm} width {classes}");
+                let mut m = ArchConfig {
+                    batch_norm,
+                    ..ArchConfig::paper(4, classes)
+                }
+                .build(kind)
                 .unwrap();
-            let y = m.forward(&xb, false).unwrap();
-            for (i, want) in alone.iter().enumerate().take(batch) {
-                assert_eq!(
-                    &bits(&y.as_slice()[i * 960..(i + 1) * 960]),
-                    want,
-                    "script {i} inside a batch of {batch}"
-                );
+                let alone: Vec<Vec<u32>> = (0..8)
+                    .map(|i| bits(m.forward(&input(i..i + 1), false).unwrap().as_slice()))
+                    .collect();
+                for batch in 2..=8usize {
+                    let y = m.forward(&input(0..batch), false).unwrap();
+                    for (i, want) in alone.iter().enumerate().take(batch) {
+                        assert_eq!(
+                            &bits(&y.as_slice()[i * classes..(i + 1) * classes]),
+                            want,
+                            "{why}: script {i} inside a batch of {batch}"
+                        );
+                    }
+                }
             }
         }
     }
