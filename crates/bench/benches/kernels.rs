@@ -1,9 +1,9 @@
 //! Kernel benchmark: blocked GEMM (all three matmul variants plus fused
 //! bias/ReLU epilogues) against the naive reference kernels, a per-tier
-//! SIMD dispatch sweep, the convolution lowering (panels packed from the
-//! image against a materialised cols matrix) at the paper's four conv
-//! shapes, and one full train step of the PRIONN 2D-CNN on a 64×64 input at
-//! batch 32.
+//! SIMD dispatch sweep, the convolution scoreboard (forward, filter gradient
+//! and input gradient of the direct 3×3 kernels against the GEMM lowering,
+//! each beside its roofline line) at the paper's four conv shapes, and one
+//! full train step of the PRIONN 2D-CNN on a 64×64 input at batch 32.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench kernels`)
 //! and writes `BENCH_kernels.json` to the working directory (override with
@@ -18,8 +18,7 @@
 //!   3. blocked ≥ naive (min-of-reps) at every measured size — the n=64
 //!      regression guard;
 //!   4. the steady-state train step stays allocation-free;
-//!   5. the conv1 forward packed from the image ≥ 1.2× the `im2col_into` +
-//!      `gemm` lowering it replaced, at batch 1 and 32.
+//!   5. the direct 3×3 forward ≥ 1.5× `gemm_im2col` at conv1–3, batch 32.
 //!
 //! The `pre_pr_baseline` and `pre_simd_baseline` blocks freeze numbers
 //! measured on this machine immediately before the respective changes
@@ -31,7 +30,7 @@ use prionn_tensor::ops::gemm::{
     self, force_kernel_tier, kernel_tier, Epilogue, GemmWorkspace, KernelTier, Layout,
 };
 use prionn_tensor::ops::matmul::reference;
-use prionn_tensor::ops::Conv2dGeom;
+use prionn_tensor::ops::{conv3x3, Conv2dGeom};
 use prionn_tensor::{init, ops, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -219,14 +218,58 @@ fn main() {
     }
     force_kernel_tier(None);
 
-    // Convolution lowering at the paper's four conv shapes: the forward
-    // `W · cols(x)` with panels packed straight from the image
-    // (`gemm_im2col`, what `Conv2d` runs) against the lowering it replaced
-    // (`im2col_into` a cols matrix, then `gemm`), one sample after another
-    // on this thread, at the serving and the retrain batch size.
+    // Roofline inputs, measured in this run. The convolution rows below run
+    // one sample after another on this thread, so both are one core's:
+    // the FLOP rate of a serial 256³ GEMM and the bandwidth of a copy loop
+    // over buffers larger than L2.
+    let peak_gflops = {
+        let n = 256usize;
+        let a = init::uniform([n, n], -1.0, 1.0, &mut rng);
+        let b = init::uniform([n, n], -1.0, 1.0, &mut rng);
+        let mut c = vec![0.0f32; n * n];
+        let mut ws = GemmWorkspace::new();
+        let (_, min) = time_runs(gemm_reps, || {
+            gemm::gemm(
+                &mut ws,
+                n,
+                n,
+                n,
+                a.as_slice(),
+                Layout::RowMajor,
+                b.as_slice(),
+                Layout::RowMajor,
+                &mut c,
+                false,
+                Epilogue::None,
+            );
+            std::hint::black_box(&c);
+        });
+        gflops(gemm::gemm_flops(n, n, n), min)
+    };
+    let copy_gbs = {
+        let src = vec![1.0f32; 8 << 20];
+        let mut dst = vec![0.0f32; src.len()];
+        let (_, min) = time_runs(gemm_reps, || {
+            dst.copy_from_slice(std::hint::black_box(&src));
+            std::hint::black_box(&dst);
+        });
+        2.0 * 4.0 * src.len() as f64 / min / 1e9
+    };
+    println!(
+        "  roofline: serial 256^3 gemm {peak_gflops:.1} GFLOP/s, copy {copy_gbs:.1} GB/s (one core)"
+    );
+
+    // Convolution at the paper's four conv shapes, each pass two ways: the
+    // direct 3×3 kernels `Conv2d` runs (`conv3x3`), and the lowering they
+    // replaced (`gemm_im2col` for y and dW, `gemm` + `col2im_into` for dX),
+    // one sample after another on this thread, at the serving and the
+    // retrain batch size. Beside each row, the analytic line
+    // `max(flops / peak, bytes / bandwidth)`, bytes being each operand read
+    // or written once.
     let mut conv_results = Vec::new();
-    // (batch, fused_min_ms, reference_min_ms) of conv1 for the gate.
-    let mut conv1_mins: Vec<(usize, f64, f64)> = Vec::new();
+    // (shape, min-of-reps speedup) of the b32 forwards of conv1-3 for the
+    // gate.
+    let mut forward_gate: Vec<(String, f64)> = Vec::new();
     for &(in_c, hw, out_c) in &[
         (4usize, 64usize, 8usize),
         (8, 32, 16),
@@ -235,83 +278,145 @@ fn main() {
     ] {
         let g = Conv2dGeom::new(in_c, hw, hw, 3, 3, 1, 1).unwrap();
         let (k, n_pos) = (g.col_rows(), g.col_cols());
+        let (x_len, y_len) = (in_c * n_pos, out_c * n_pos);
         let w = init::uniform([out_c, k], -1.0, 1.0, &mut rng);
-        let bias = init::uniform([out_c], -1.0, 1.0, &mut rng);
+        let (w, bias) = (w.as_slice(), init::uniform([out_c], -1.0, 1.0, &mut rng));
+        let bias = bias.as_slice();
         let mut ws = GemmWorkspace::new();
-        let mut cols = vec![0.0f32; k * n_pos];
+        let mut dcols = vec![0.0f32; k * n_pos];
+        let mut dw = vec![0.0f32; out_c * k];
+        let shape = format!("{in_c}->{out_c}@{hw}x{hw}");
         for &batch in &[1usize, 32] {
-            let x = init::uniform([batch, in_c * hw * hw], -1.0, 1.0, &mut rng);
-            let mut y = vec![0.0f32; batch * out_c * n_pos];
+            let x = init::uniform([batch, x_len], -1.0, 1.0, &mut rng);
+            let dy = init::uniform([batch, y_len], -1.0, 1.0, &mut rng);
+            let mut y = vec![0.0f32; batch * y_len];
+            let mut dx = vec![0.0f32; batch * x_len];
+            let samples = || {
+                x.as_slice()
+                    .chunks_exact(x_len)
+                    .zip(dy.as_slice().chunks_exact(y_len))
+            };
             let flops = batch as f64 * gemm::gemm_flops(out_c, n_pos, k);
             let reps = if batch == 1 {
                 gemm_reps * 20
             } else {
                 gemm_reps
             };
-            let (fused, fused_min) = time_runs(reps, || {
-                for (x_i, y_i) in x
-                    .as_slice()
-                    .chunks_exact(in_c * hw * hw)
-                    .zip(y.chunks_exact_mut(out_c * n_pos))
-                {
-                    gemm::gemm_im2col(
-                        &mut ws,
-                        out_c,
-                        w.as_slice(),
-                        Layout::RowMajor,
-                        x_i,
-                        &g,
-                        Layout::RowMajor,
-                        y_i,
-                        false,
-                        Epilogue::BiasRow(bias.as_slice()),
-                    );
+            for pass in ["forward", "filter_grad", "input_grad"] {
+                let floats = match pass {
+                    "forward" => x_len + out_c * k + out_c + y_len,
+                    "filter_grad" => x_len + y_len + 2 * out_c * k,
+                    _ => out_c * k + y_len + x_len,
+                };
+                let bytes = 4.0 * (batch * floats) as f64;
+                let (direct, direct_min) = time_runs(reps, || {
+                    for (i, (x_i, dy_i)) in samples().enumerate() {
+                        match pass {
+                            "forward" => conv3x3::forward(
+                                &mut ws,
+                                &g,
+                                w,
+                                bias,
+                                x_i,
+                                &mut y[i * y_len..(i + 1) * y_len],
+                            ),
+                            "filter_grad" => conv3x3::filter_grad(&mut ws, &g, dy_i, x_i, &mut dw),
+                            _ => conv3x3::input_grad(
+                                &mut ws,
+                                &g,
+                                w,
+                                dy_i,
+                                &mut dx[i * x_len..(i + 1) * x_len],
+                            ),
+                        }
+                    }
+                    std::hint::black_box((&y, &dw, &dx));
+                });
+                let (lowering, lowering_min) = time_runs(reps, || {
+                    for (i, (x_i, dy_i)) in samples().enumerate() {
+                        match pass {
+                            "forward" => gemm::gemm_im2col(
+                                &mut ws,
+                                out_c,
+                                w,
+                                Layout::RowMajor,
+                                x_i,
+                                &g,
+                                Layout::RowMajor,
+                                &mut y[i * y_len..(i + 1) * y_len],
+                                false,
+                                Epilogue::BiasRow(bias),
+                            ),
+                            "filter_grad" => gemm::gemm_im2col(
+                                &mut ws,
+                                out_c,
+                                dy_i,
+                                Layout::RowMajor,
+                                x_i,
+                                &g,
+                                Layout::Transposed,
+                                &mut dw,
+                                true,
+                                Epilogue::None,
+                            ),
+                            _ => {
+                                gemm::gemm(
+                                    &mut ws,
+                                    k,
+                                    n_pos,
+                                    out_c,
+                                    w,
+                                    Layout::Transposed,
+                                    dy_i,
+                                    Layout::RowMajor,
+                                    &mut dcols,
+                                    false,
+                                    Epilogue::None,
+                                );
+                                ops::col2im_into(&dcols, &g, &mut dx[i * x_len..(i + 1) * x_len])
+                                    .unwrap();
+                            }
+                        }
+                    }
+                    std::hint::black_box((&y, &dw, &dx));
+                });
+                let (compute_s, memory_s) = (flops / (peak_gflops * 1e9), bytes / (copy_gbs * 1e9));
+                let model = compute_s.max(memory_s);
+                let bound = if compute_s >= memory_s {
+                    "compute"
+                } else {
+                    "memory"
+                };
+                println!(
+                    "  conv {shape} b{batch} {pass}: direct {:.3} ms ({:.1} GFLOP/s)  lowering {:.3} ms ({:.1})  \
+                     {:.2}x  | line {:.3} ms ({bound}), direct {:.1}x off it",
+                    direct * 1e3,
+                    gflops(flops, direct),
+                    lowering * 1e3,
+                    gflops(flops, lowering),
+                    lowering / direct,
+                    model * 1e3,
+                    direct / model,
+                );
+                if pass == "forward" && batch == 32 && in_c * out_c < 16 * 32 {
+                    forward_gate.push((shape.clone(), lowering_min / direct_min));
                 }
-                std::hint::black_box(&y);
-            });
-            let (refr, refr_min) = time_runs(reps, || {
-                for (x_i, y_i) in x
-                    .as_slice()
-                    .chunks_exact(in_c * hw * hw)
-                    .zip(y.chunks_exact_mut(out_c * n_pos))
-                {
-                    ops::im2col_into(x_i, &g, &mut cols).unwrap();
-                    gemm::gemm(
-                        &mut ws,
-                        out_c,
-                        n_pos,
-                        k,
-                        w.as_slice(),
-                        Layout::RowMajor,
-                        &cols,
-                        Layout::RowMajor,
-                        y_i,
-                        false,
-                        Epilogue::BiasRow(bias.as_slice()),
-                    );
-                }
-                std::hint::black_box(&y);
-            });
-            println!(
-                "  conv {in_c}->{out_c}@{hw}x{hw} b{batch}: fused {:.3} ms ({:.2} GFLOP/s)  im2col+gemm {:.3} ms ({:.2})  speedup {:.2}x",
-                fused * 1e3,
-                gflops(flops, fused),
-                refr * 1e3,
-                gflops(flops, refr),
-                refr / fused
-            );
-            if in_c == 4 {
-                conv1_mins.push((batch, fused_min * 1e3, refr_min * 1e3));
+                conv_results.push(json!({
+                    "shape": shape.as_str(),
+                    "batch": batch,
+                    "pass": pass,
+                    "direct_ms": direct * 1e3,
+                    "direct_gflops": gflops(flops, direct),
+                    "lowering_ms": lowering * 1e3,
+                    "lowering_gflops": gflops(flops, lowering),
+                    "speedup_vs_lowering": lowering / direct,
+                    "flops": flops,
+                    "bytes": bytes,
+                    "line_ms": model * 1e3,
+                    "line_bound": bound,
+                    "direct_over_line": direct / model,
+                }));
             }
-            conv_results.push(json!({
-                "shape": format!("{in_c}->{out_c}@{hw}x{hw}"),
-                "batch": batch,
-                "fused_ms": fused * 1e3,
-                "fused_gflops": gflops(flops, fused),
-                "im2col_gemm_ms": refr * 1e3,
-                "im2col_gemm_gflops": gflops(flops, refr),
-                "speedup_vs_im2col_gemm": refr / fused,
-            }));
         }
     }
 
@@ -372,6 +477,11 @@ fn main() {
         "gemm": gemm_results,
         "fused_epilogues": fused_results,
         "kernel_tiers": tier_results,
+        "conv_roofline": {
+            "note": "one core: min-of-reps serial 256^3 gemm and copy loop, measured in this run",
+            "peak_gflops": peak_gflops,
+            "copy_gbs": copy_gbs,
+        },
         "conv_lowering": conv_results,
         "train_step_2dcnn_64x64_b32": {
             "ms": train_secs * 1e3,
@@ -443,12 +553,10 @@ fn main() {
                 failed = true;
             }
         }
-        for (batch, fused, refr) in &conv1_mins {
-            if refr / fused < 1.2 {
+        for (shape, speedup) in &forward_gate {
+            if *speedup < 1.5 {
                 eprintln!(
-                    "FAIL: conv1 b{batch} packed from the image {fused:.3} ms is only {:.2}x \
-                     im2col+gemm {refr:.3} ms (< 1.2x floor)",
-                    refr / fused
+                    "FAIL: direct forward {shape} b32 is only {speedup:.2}x gemm_im2col (< 1.5x floor)"
                 );
                 failed = true;
             }
@@ -462,7 +570,7 @@ fn main() {
         }
         println!(
             "enforce: 256^3 speedup {speedup_256_vs_pre_pr:.2}x >= 3.0x vs pre-PR naive, \
-             blocked >= naive at every size, conv1 lowering >= 1.2x, zero-alloc hot path OK"
+             blocked >= naive at every size, direct conv1-3 forward >= 1.5x, zero-alloc hot path OK"
         );
     }
 }

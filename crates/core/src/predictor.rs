@@ -449,11 +449,11 @@ impl Prionn {
             ),
             gemm_gflops: registry.gauge(
                 "prionn_gemm_gflops",
-                "Runtime-head GEMM throughput (GFLOP/s) over the last retrain",
+                "Runtime-head GEMM and direct-conv throughput (GFLOP/s) over the last retrain",
             ),
             gemm_pack_share: registry.gauge(
                 "prionn_gemm_pack_share",
-                "Fraction of runtime-head GEMM time spent packing panels",
+                "Fraction of runtime-head kernel time spent packing GEMM panels",
             ),
             registry: registry.clone(),
         });

@@ -1,17 +1,19 @@
 //! 2-D convolution layer, with a 1-D convenience constructor used by the
 //! paper's 1D-CNN architecture.
 //!
-//! Lowered onto the blocked GEMM as `Y = W · cols(x)` per sample, where
-//! `cols(x)` is the im2col matrix that [`gemm::gemm_im2col`] packs straight
-//! from the image and never stores. Training keeps a copy of the *input*
-//! (`C·H·W` floats per sample) for backward, which reads the same operand
-//! transposed for `dW += dY · cols(x)ᵀ`; train and eval run the same
-//! forward.
+//! A 3×3, stride-1, pad-1 layer (every conv of the paper's 2D-CNN) runs the
+//! direct kernels of [`conv3x3`] per sample. Any other geometry (the strided
+//! `1×k` layers of the 1D-CNN) is lowered onto the blocked GEMM as
+//! `Y = W · cols(x)`, where `cols(x)` is the im2col matrix that
+//! [`gemm::gemm_im2col`] packs straight from the image and never stores,
+//! with `dX = col2im(Wᵀ · dY)`. Both give the same bits. Training keeps a
+//! copy of the *input* (`C·H·W` floats per sample) for backward; train and
+//! eval run the same forward.
 
 use super::Layer;
 use crate::Result;
 use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, Layout};
-use prionn_tensor::ops::{self, Conv2dGeom};
+use prionn_tensor::ops::{self, conv3x3, Conv2dGeom};
 use prionn_tensor::{Scratch, Tensor, TensorError};
 use rand::Rng;
 use rayon::prelude::*;
@@ -23,10 +25,9 @@ fn sample_groups(batch: usize) -> usize {
 
 /// A 2-D convolution over `[batch, in_c, H, W]` inputs.
 ///
-/// Weights are stored pre-flattened as `[out_c, in_c·kh·kw]` so forward is a
-/// single matmul against the (virtual) im2col matrix of each sample. Batch
-/// rows are sharded across the compute pool (the caller plus its parked
-/// workers).
+/// Weights are stored pre-flattened as `[out_c, in_c·kh·kw]`: the direct
+/// kernels' layout, and the A operand of the GEMM lowering. Batch rows are
+/// sharded across the compute pool (the caller plus its parked workers).
 pub struct Conv2d {
     geom: Conv2dGeom,
     out_channels: usize,
@@ -34,8 +35,8 @@ pub struct Conv2d {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    // Pooled copy of the last training-mode forward's input; backward
-    // regenerates the im2col panels from it.
+    // Pooled copy of the last training-mode forward's input, which
+    // backward reads again.
     cached_input: Option<Tensor>,
 }
 
@@ -190,29 +191,33 @@ impl Conv2d {
         let col_rows = g.col_rows();
         let out_sample = out_c * n_pos;
         let sample_len = g.in_channels * g.in_h * g.in_w;
+        let direct = conv3x3::applies(&g);
 
-        // Pooled per-group partial accumulators and, for dX only, a
-        // per-group dcols workspace plus the flat output (empty, and no
-        // pool traffic, otherwise). All recycled (or returned) below.
+        // Pooled per-group partial accumulators and, for dX only, the flat
+        // output plus (GEMM lowering only) a per-group dcols workspace
+        // (empty, and no pool traffic, otherwise). All recycled (or
+        // returned) below.
         let groups = sample_groups(batch);
         let mut dw_parts: Vec<Vec<f32>> = (0..groups)
             .map(|_| scratch.take_zeroed(out_c * col_rows))
             .collect();
         let mut db_parts: Vec<Vec<f32>> = (0..groups).map(|_| scratch.take_zeroed(out_c)).collect();
-        let (dx_len, dcols_len) = if want_dx {
-            (sample_len, col_rows * n_pos)
+        let dx_len = if want_dx { sample_len } else { 0 };
+        let dcols_len = if want_dx && !direct {
+            col_rows * n_pos
         } else {
-            (0, 0)
+            0
         };
-        let mut take_if_dx = |len: usize| {
-            if want_dx {
+        let mut take_nonempty = |len: usize| {
+            if len > 0 {
                 scratch.take(len)
             } else {
                 Vec::new()
             }
         };
-        let mut dcols_parts: Vec<Vec<f32>> = (0..groups).map(|_| take_if_dx(dcols_len)).collect();
-        let mut dx_flat = take_if_dx(batch * dx_len);
+        let mut dcols_parts: Vec<Vec<f32>> =
+            (0..groups).map(|_| take_nonempty(dcols_len)).collect();
+        let mut dx_flat = take_nonempty(batch * dx_len);
 
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
@@ -250,27 +255,39 @@ impl Conv2d {
             .map(|(s0, take, xchunk, dw, db, dcols, ws)| {
                 for i in s0..s0 + take {
                     let dy = &go[i * out_sample..(i + 1) * out_sample];
-                    // dW += dY · cols(x_i)ᵀ (accumulated across the group's
-                    // samples), the cols regenerated from the cached input
-                    // at pack time; db += row sums of dY.
-                    gemm::gemm_im2col(
-                        ws,
-                        out_c,
-                        dy,
-                        Layout::RowMajor,
-                        &xs[i * sample_len..(i + 1) * sample_len],
-                        &g,
-                        Layout::Transposed,
-                        dw,
-                        true,
-                        Epilogue::None,
-                    );
+                    let x_i = &xs[i * sample_len..(i + 1) * sample_len];
+                    // dW += dY ⋆ x_i (accumulated across the group's
+                    // samples): directly, or as dY · cols(x_i)ᵀ with the cols
+                    // regenerated from the cached input at pack time.
+                    if direct {
+                        conv3x3::filter_grad(ws, &g, dy, x_i, dw);
+                    } else {
+                        gemm::gemm_im2col(
+                            ws,
+                            out_c,
+                            dy,
+                            Layout::RowMajor,
+                            x_i,
+                            &g,
+                            Layout::Transposed,
+                            dw,
+                            true,
+                            Epilogue::None,
+                        );
+                    }
+                    // db += row sums of dY.
                     for (oc, b) in db.iter_mut().enumerate() {
                         for &v in &dy[oc * n_pos..(oc + 1) * n_pos] {
                             *b += v;
                         }
                     }
-                    if want_dx {
+                    if !want_dx {
+                        continue;
+                    }
+                    let dx_i = &mut xchunk[(i - s0) * sample_len..(i - s0 + 1) * sample_len];
+                    if direct {
+                        conv3x3::input_grad(ws, &g, w, dy, dx_i);
+                    } else {
                         // dX_i = col2im(Wᵀ · dY).
                         gemm::gemm(
                             ws,
@@ -285,7 +302,6 @@ impl Conv2d {
                             false,
                             Epilogue::None,
                         );
-                        let dx_i = &mut xchunk[(i - s0) * sample_len..(i - s0 + 1) * sample_len];
                         ops::col2im_into(dcols, &g, dx_i)?;
                     }
                 }
@@ -340,10 +356,11 @@ impl Layer for Conv2d {
         }
         let mut out_flat = scratch.take(batch * out_sample);
 
-        // Per sample: y_i = W · cols(x_i) + b (fused BiasRow epilogue), the
-        // cols packed straight from the image. Samples are sharded across
-        // worker groups, each with its own GEMM pack workspace and a
-        // disjoint chunk of the output.
+        // Per sample: y_i = W ∗ x_i + b, directly or as W · cols(x_i) with
+        // a fused BiasRow epilogue and the cols packed straight from the
+        // image. Samples are sharded across worker groups, each with its own
+        // workspace and a disjoint chunk of the output.
+        let direct = conv3x3::applies(&g);
         let groups = sample_groups(batch);
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
@@ -364,19 +381,23 @@ impl Layer for Conv2d {
         }
         items.into_par_iter().for_each(|(s0, ochunk, ws)| {
             for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
-                let i = s0 + si;
-                gemm::gemm_im2col(
-                    ws,
-                    out_c,
-                    w,
-                    Layout::RowMajor,
-                    &xs[i * sample_len..(i + 1) * sample_len],
-                    &g,
-                    Layout::RowMajor,
-                    out_i,
-                    false,
-                    Epilogue::BiasRow(bias),
-                );
+                let x_i = &xs[(s0 + si) * sample_len..(s0 + si + 1) * sample_len];
+                if direct {
+                    conv3x3::forward(ws, &g, w, bias, x_i, out_i);
+                } else {
+                    gemm::gemm_im2col(
+                        ws,
+                        out_c,
+                        w,
+                        Layout::RowMajor,
+                        x_i,
+                        &g,
+                        Layout::RowMajor,
+                        out_i,
+                        false,
+                        Epilogue::BiasRow(bias),
+                    );
+                }
             }
         });
         if train {

@@ -1,13 +1,15 @@
-//! `Conv2d` against two references: bit-for-bit against the lowering it
-//! replaced (`im2col_into` + `gemm` + `col2im_into` on a materialised cols
-//! matrix) at the paper's shapes and at geometries that stress the panel
-//! generator, and — property-tested, within tolerance — against a naive
-//! direct convolution across random geometries.
+//! `Conv2d` against two references: bit-for-bit against the lowering on a
+//! materialised cols matrix (`im2col_into` + `gemm` + `col2im_into`) at the
+//! paper's shapes, at geometries that stress the panel generator, and over
+//! a sweep of the 3×3 / stride 1 / pad 1 geometries the direct kernels
+//! take (non-finite operands included); and — property-tested, within
+//! tolerance — against a naive direct convolution across random
+//! geometries.
 
 use prionn_nn::layer::Conv2d;
 use prionn_nn::Layer;
 use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, KernelTier, Layout};
-use prionn_tensor::ops::{col2im_into, im2col_into, Conv2dGeom};
+use prionn_tensor::ops::{col2im_into, conv3x3, im2col_into, Conv2dGeom};
 use prionn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -95,8 +97,22 @@ proptest! {
     }
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// Held by every test that forces a kernel tier (a process-wide switch):
+/// a bit comparison must run both sides on one tier.
+static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A failed assertion in one holder must not fail the others.
+    TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The first element whose bits differ, a NaN matching any NaN: NaN
+/// payloads follow operand order, which neither side pins.
+fn first_difference(got: &[f32], want: &[f32]) -> Option<usize> {
+    assert_eq!(got.len(), want.len());
+    got.iter()
+        .zip(want)
+        .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()))
 }
 
 /// What `Conv2d` computed before it stopped materialising cols: per sample
@@ -192,8 +208,9 @@ fn materialised_reference(
 /// layers of `build_cnn1d`, and shapes chosen to break a panel generator:
 /// ragged last strips with output rows shorter than a strip, a rectangular
 /// kernel with unequal padding, stride 2 and 3, a kernel wider than the
-/// image plus its padding on one side, and enough channels for two K
-/// blocks (`k = 288`).
+/// image plus its padding on one side, enough channels for two K blocks
+/// (`k = 288`), and enough output channels for two K blocks of the dX GEMM
+/// (`out_c = 300`).
 fn geometries() -> Vec<(Conv2dGeom, usize)> {
     let g =
         |c, h, w, kh, kw, s, ph, pw| Conv2dGeom::with_padding(c, h, w, kh, kw, s, ph, pw).unwrap();
@@ -209,71 +226,168 @@ fn geometries() -> Vec<(Conv2dGeom, usize)> {
         (g(2, 10, 5, 3, 3, 3, 2, 2), 3),
         (g(1, 3, 2, 3, 5, 1, 1, 2), 2),
         (g(32, 6, 6, 3, 3, 1, 1, 1), 9),
+        (g(2, 5, 7, 3, 3, 1, 1, 1), 300),
     ]
 }
 
+/// Forward then backward of `conv` on `x` / `dy` under the current tier,
+/// each of y, dW, db and dX (and the eval forward's y) bit-compared with
+/// [`materialised_reference`]. Returns the reference.
+fn assert_matches_reference(
+    conv: &mut Conv2d,
+    g: &Conv2dGeom,
+    x: &Tensor,
+    dy: &Tensor,
+    what: &str,
+) -> [Vec<f32>; 4] {
+    let state = conv.state();
+    let batch = x.dims()[0];
+    let want = materialised_reference(
+        g,
+        state[0].as_slice(),
+        state[1].as_slice(),
+        x.as_slice(),
+        dy.as_slice(),
+        batch,
+    );
+    let mut scratch = Scratch::new();
+    let y = conv.forward(x, true, &mut scratch).unwrap();
+    let dx = conv.backward(dy, &mut scratch).unwrap();
+    let mut grads = Vec::new();
+    conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
+    // The eval forward is the same code; pin it anyway.
+    let y_eval = conv.forward(x, false, &mut scratch).unwrap();
+    let got = [
+        y.as_slice(),
+        grads[0].as_slice(),
+        grads[1].as_slice(),
+        dx.as_slice(),
+        y_eval.as_slice(),
+    ];
+    let tier = gemm::kernel_tier().name();
+    for (name, (got, want)) in ["y", "dW", "db", "dX", "eval y"]
+        .iter()
+        .zip(got.iter().zip(want.iter().chain([&want[0]])))
+    {
+        if let Some(i) = first_difference(got, want) {
+            panic!(
+                "{name} differs at {i} ({} vs {}): tier {tier}, {what}, batch {batch}",
+                got[i], want[i]
+            );
+        }
+    }
+    want
+}
+
+/// A layer on `g` with seeded weights and a random bias.
+fn layer(g: Conv2dGeom, out_c: usize, rng: &mut ChaCha8Rng) -> Conv2d {
+    let mut conv = Conv2d::from_geom(g, out_c, rng).unwrap();
+    let mut state = conv.state();
+    state[1] = prionn_tensor::init::uniform([out_c], -1.0, 1.0, rng);
+    conv.load_state(&state).unwrap();
+    conv
+}
+
+/// Uniform `[-1, 1)` input and output gradient for `batch` samples.
+fn operands(g: &Conv2dGeom, out_c: usize, batch: usize, rng: &mut ChaCha8Rng) -> (Tensor, Tensor) {
+    let x = prionn_tensor::init::uniform([batch, g.in_channels, g.in_h, g.in_w], -1.0, 1.0, rng);
+    let dy = prionn_tensor::init::uniform([batch, out_c, g.out_h(), g.out_w()], -1.0, 1.0, rng);
+    (x, dy)
+}
+
+const TIERS: [KernelTier; 3] = [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable];
+
 #[test]
 fn conv2d_is_bit_equal_to_the_materialised_cols_lowering_on_every_tier() {
-    for tier in [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable] {
-        // Forcing a tier is process-wide; the proptest below compares
+    let _tier = tier_lock();
+    for tier in TIERS {
+        // Forcing a tier is process-wide; the proptest above compares
         // within a tolerance every tier meets, so it may run beside this.
         gemm::force_kernel_tier(Some(tier));
         for (gi, (g, out_c)) in geometries().into_iter().enumerate() {
             let mut rng = ChaCha8Rng::seed_from_u64(100 + gi as u64);
-            let mut conv = Conv2d::from_geom(g, out_c, &mut rng).unwrap();
-            let mut state = conv.state();
-            state[1] = prionn_tensor::init::uniform([out_c], -1.0, 1.0, &mut rng);
-            conv.load_state(&state).unwrap();
+            let mut conv = layer(g, out_c, &mut rng);
             for batch in 1..=5usize {
-                let x = prionn_tensor::init::uniform(
-                    [batch, g.in_channels, g.in_h, g.in_w],
-                    -1.0,
-                    1.0,
-                    &mut rng,
-                );
-                let dy = prionn_tensor::init::uniform(
-                    [batch, out_c, g.out_h(), g.out_w()],
-                    -1.0,
-                    1.0,
-                    &mut rng,
-                );
-                let want = materialised_reference(
-                    &g,
-                    state[0].as_slice(),
-                    state[1].as_slice(),
-                    x.as_slice(),
-                    dy.as_slice(),
-                    batch,
-                );
-                let mut scratch = Scratch::new();
-                let y = conv.forward(&x, true, &mut scratch).unwrap();
-                let dx = conv.backward(&dy, &mut scratch).unwrap();
-                let mut grads = Vec::new();
-                conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
-                let got = [
-                    y.as_slice(),
-                    grads[0].as_slice(),
-                    grads[1].as_slice(),
-                    dx.as_slice(),
-                ];
-                for (name, (got, want)) in ["y", "dW", "db", "dX"].iter().zip(got.iter().zip(&want))
-                {
-                    assert_eq!(
-                        bits(got),
-                        bits(want),
-                        "{name} differs: tier {} geometry {gi} ({g:?}) batch {batch}",
-                        gemm::kernel_tier().name()
-                    );
-                }
-                // The eval forward is the same code; pin it anyway.
-                let y_eval = conv.forward(&x, false, &mut scratch).unwrap();
-                assert_eq!(
-                    bits(y_eval.as_slice()),
-                    bits(&want[0]),
-                    "eval y, geometry {gi}"
-                );
+                let (x, dy) = operands(&g, out_c, batch, &mut rng);
+                let what = format!("geometry {gi} ({g:?})");
+                assert_matches_reference(&mut conv, &g, &x, &dy, &what);
             }
         }
+    }
+    gemm::force_kernel_tier(None);
+}
+
+/// The direct 3×3 kernels over every width the tiles treat differently
+/// (whole vectors of 8 and 16 lanes, masked tails, rows left over by the
+/// row tiles) and a non-square image whose width is no multiple of 8 (a
+/// tail on every tier), every `in_c` and `out_c` of the
+/// sweep (whole channel tiles, remainders, and `out_c` over a vector),
+/// batches 1-5, on every tier. Each width takes seven `(in_c, out_c)`
+/// pairs, so every value of each list meets every width; the two largest
+/// images run batch 1 only, which keeps a debug-build run short.
+#[test]
+fn direct_3x3_kernels_are_bit_equal_to_the_materialised_lowering_across_a_sweep() {
+    const IN_C: [usize; 5] = [1, 3, 4, 8, 16];
+    const OUT_C: [usize; 7] = [1, 5, 8, 16, 17, 32, 33];
+    let images = [(8, 8), (16, 16), (24, 24), (40, 40), (64, 64), (13, 21)];
+    let _tier = tier_lock();
+    for tier in TIERS {
+        gemm::force_kernel_tier(Some(tier));
+        for (ii, &(h, w)) in images.iter().enumerate() {
+            for (ci, &out_c) in OUT_C.iter().enumerate() {
+                let in_c = IN_C[(ii + ci) % IN_C.len()];
+                let batch = if h * w > 600 { 1 } else { 1 + (ii + ci) % 5 };
+                let g = Conv2dGeom::new(in_c, h, w, 3, 3, 1, 1).unwrap();
+                assert!(conv3x3::applies(&g));
+                let mut rng = ChaCha8Rng::seed_from_u64((ii * 10 + ci) as u64);
+                let mut conv = layer(g, out_c, &mut rng);
+                let (x, dy) = operands(&g, out_c, batch, &mut rng);
+                let what = format!("{in_c}->{out_c}@{h}x{w}");
+                assert_matches_reference(&mut conv, &g, &x, &dy, &what);
+            }
+        }
+    }
+    gemm::force_kernel_tier(None);
+}
+
+/// Infinite filter taps and a NaN in dY. The forward multiplies the
+/// padding zeros like the cols matrix does (inf · 0 = NaN at the border);
+/// the input gradient must *skip* a tap whose dY position lies outside the
+/// output, as `col2im` does, and never multiply padding — or a border pixel
+/// turns NaN where the reference has a number.
+#[test]
+fn non_finite_operands_keep_the_reference_bits_and_the_dx_border_rule() {
+    let g = Conv2dGeom::new(3, 10, 24, 3, 3, 1, 1).unwrap();
+    let out_c = 5;
+    let _tier = tier_lock();
+    for tier in TIERS {
+        gemm::force_kernel_tier(Some(tier));
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut conv = layer(g, out_c, &mut rng);
+        let mut state = conv.state();
+        let k = g.col_rows();
+        let w = state[0].as_mut_slice();
+        // Tap (0, 0) of channel 0 for output 0, tap (2, 2) of channel 2 for
+        // output 3, tap (1, 0) of channel 1 for output 4.
+        w[0] = f32::INFINITY;
+        w[3 * k + 2 * 9 + 8] = f32::NEG_INFINITY;
+        w[4 * k + 9 + 3] = f32::INFINITY;
+        conv.load_state(&state).unwrap();
+        let (x, mut dy) = operands(&g, out_c, 2, &mut rng);
+        // One NaN inside sample 1's gradient of output 2.
+        let plane = g.in_h * g.in_w;
+        dy.as_mut_slice()[(out_c + 2) * plane + 4 * g.in_w + 7] = f32::NAN;
+        let want = assert_matches_reference(&mut conv, &g, &x, &dy, "non-finite operands");
+        // The case is live: the reference's dX has NaN, ±inf and finite
+        // pixels, and sample 0's last image row (where the inf tap (0, 0)
+        // has no dY row to read) stays finite.
+        let dx = &want[3];
+        assert!(dx.iter().any(|v| v.is_nan()));
+        assert!(dx.iter().any(|v| v.is_infinite()));
+        assert!(dx.iter().any(|v| v.is_finite()));
+        let last_row = &dx[(g.in_h - 1) * g.in_w..plane];
+        assert!(last_row.iter().all(|v| v.is_finite()), "{last_row:?}");
+        assert!(want[0].iter().any(|v| v.is_nan()), "inf times padding");
     }
     gemm::force_kernel_tier(None);
 }

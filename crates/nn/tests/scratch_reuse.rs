@@ -88,7 +88,9 @@ fn gemm_throughput_counters_populate() {
 /// The paper-shaped step at the retrain batch size: pool-stable after one
 /// warm step, and nothing in the pool is anywhere near a batch of conv1 cols
 /// matrices (`4·9 × 64·64` floats per sample — what the layer cached before
-/// it packed GEMM panels straight from its input).
+/// it packed GEMM panels straight from its input). Its four convs run the
+/// direct 3×3 kernels, which stage the padded image, `dYᵀ` and the padded
+/// `dY` in the workspaces' pack buffers: those stop growing too.
 #[test]
 fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
     let batch = 32usize;
@@ -109,6 +111,10 @@ fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
     assert_eq!(
         after.grows, warm.grows,
         "steps after the warm one allocated: {warm:?} -> {after:?}"
+    );
+    assert_eq!(
+        after.gemm.pack_grows, warm.gemm.pack_grows,
+        "steps after the warm one grew a workspace buffer: {warm:?} -> {after:?}"
     );
     let conv1_cols = 4 * 9 * 64 * 64;
     assert!(

@@ -9,8 +9,8 @@
 //! * [`Shape`] — a small owned dimension list (1–4 axes in practice),
 //! * [`Tensor`] — contiguous row-major storage plus a shape,
 //! * [`ops`] — cache-blocked GEMM (plain and transposed variants, fused
-//!   bias/ReLU epilogues), im2col/col2im for convolutions, elementwise
-//!   arithmetic, and reductions,
+//!   bias/ReLU epilogues), direct 3×3 convolution kernels, im2col/col2im
+//!   for the other convolutions, elementwise arithmetic, and reductions,
 //! * [`Scratch`] — a reusable buffer pool + GEMM pack workspace that keeps
 //!   the training hot path allocation-free,
 //! * [`init`] — seeded weight initialisers (uniform, normal, Xavier/Glorot,

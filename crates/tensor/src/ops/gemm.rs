@@ -41,9 +41,10 @@
 //!
 //! * **A virtual B operand** ([`gemm_im2col`]): the im2col matrix of an
 //!   image, or its transpose, whose `NR`-wide panel rows `pack B` cuts
-//!   straight out of the image rows. Convolution forward (`W · cols(x)`)
-//!   and filter gradient (`dY · cols(x)ᵀ`) run through it, so no cols
-//!   matrix is ever written, cached or read back.
+//!   straight out of the image rows. The forward (`W · cols(x)`) and filter
+//!   gradient (`dY · cols(x)ᵀ`) of every convolution the direct
+//!   [`conv3x3`](crate::ops::conv3x3) kernels do not take run through it,
+//!   so no cols matrix is ever written, cached or read back.
 //! * **A skip-packing direct path** ([`small_path_applies`]) that loads B
 //!   tiles from a row-major operand: for small problems, where pack
 //!   overhead used to lose to the naive kernel, and for any GEMM at most one
@@ -131,7 +132,9 @@ impl<'a> Epilogue<'a> {
     }
 }
 
-/// Per-workspace kernel counters, aggregated by [`Scratch::stats`].
+/// Per-workspace kernel counters, aggregated by [`Scratch::stats`]: every
+/// GEMM, and the [`conv3x3`](crate::ops::conv3x3) kernels with zero pack
+/// time.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct GemmStats {
     /// Number of GEMM calls that ran (or packed) through this workspace.
@@ -174,6 +177,18 @@ impl GemmWorkspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         GemmWorkspace::default()
+    }
+
+    /// The two pack buffers at `a_len` / `b_len` floats, contents
+    /// unspecified: where the [`conv3x3`](crate::ops::conv3x3) kernels stage
+    /// their padded and transposed operands. Growth counts in `pack_grows`.
+    pub(crate) fn buffers(&mut self, a_len: usize, b_len: usize) -> (&mut [f32], &mut [f32]) {
+        for (buf, len) in [(&mut self.pack_a, a_len), (&mut self.pack_b, b_len)] {
+            if buf.len() < len {
+                ensure_len(buf, len, &mut self.stats.pack_grows);
+            }
+        }
+        (&mut self.pack_a[..a_len], &mut self.pack_b[..b_len])
     }
 }
 

@@ -8,13 +8,14 @@
 //! y      = W · cols               // W: [out_c, C·kh·kw]
 //! ```
 //!
-//! The convolution layers never build `cols`:
-//! [`gemm_im2col`](crate::ops::gemm::gemm_im2col) packs its GEMM panels
-//! straight from the image under a [`Conv2dGeom`]. [`im2col`] /
-//! [`im2col_into`] stay as the definition of that matrix — the oracle the
-//! parity suites and benches compare the packed panels against — and
+//! The convolution layers never build `cols`: a 3×3 / stride-1 / pad-1
+//! geometry runs the direct kernels of [`conv3x3`](crate::ops::conv3x3),
+//! any other one [`gemm_im2col`](crate::ops::gemm::gemm_im2col), which
+//! packs its GEMM panels straight from the image under a [`Conv2dGeom`].
+//! [`im2col`] / [`im2col_into`] stay as the definition of that matrix — the
+//! oracle the parity suites and benches compare both against — and
 //! [`col2im`] / [`col2im_into`] fold the input gradient `Wᵀ · dY` back onto
-//! the image in the backward pass.
+//! the image in the GEMM lowering's backward pass.
 
 use crate::{Result, Tensor, TensorError};
 

@@ -1,5 +1,7 @@
-//! Tensor kernels: matmul, elementwise arithmetic, reductions, conv geometry.
+//! Tensor kernels: matmul, direct 3×3 convolution, elementwise arithmetic,
+//! reductions, conv geometry.
 
+pub mod conv3x3;
 pub mod elementwise;
 pub mod gemm;
 pub mod im2col;

@@ -48,8 +48,9 @@ pub struct ScratchStats {
 }
 
 impl ScratchStats {
-    /// Average GEMM throughput in GFLOP/s since the last stats reset
-    /// (0 when no kernel time has been recorded).
+    /// Average kernel throughput (GEMM and the direct 3×3 convolution
+    /// kernels) in GFLOP/s since the last stats reset (0 when no kernel time
+    /// has been recorded).
     pub fn gemm_gflops(&self) -> f64 {
         if self.gemm.total_seconds > 0.0 {
             self.gemm.flops / self.gemm.total_seconds / 1e9
@@ -58,7 +59,8 @@ impl ScratchStats {
         }
     }
 
-    /// Fraction of GEMM wall time spent packing panels, in `[0, 1]`.
+    /// Fraction of kernel wall time spent packing GEMM panels, in `[0, 1]`
+    /// (the direct convolution kernels pack nothing).
     ///
     /// Worker pack time overlaps the measured total on multi-core runs, so
     /// treat values near 1 as "pack dominated" rather than exact.
