@@ -96,7 +96,8 @@ pub fn encode_config(cfg: &PrionnConfig) -> Vec<u8> {
     wire::put_u8(&mut buf, head_tag(cfg.head));
     wire::put_u64(&mut buf, cfg.io_bins as u64);
     wire::put_bool(&mut buf, cfg.predict_io);
-    wire::put_bool(&mut buf, cfg.predict_power);
+    // The removed power head's switch: the slot stays, always 0.
+    wire::put_bool(&mut buf, false);
     wire::put_u64(&mut buf, cfg.epochs as u64);
     wire::put_u64(&mut buf, cfg.batch_size as u64);
     put_f32(&mut buf, cfg.lr);
@@ -122,8 +123,17 @@ pub fn decode_config(payload: &[u8]) -> CkptResult<PrionnConfig> {
         runtime_bins: r.get_usize("config.runtime_bins")?,
         head: head_from_tag(r.get_u8("config.head")?)?,
         io_bins: r.get_usize("config.io_bins")?,
-        predict_io: r.get_bool("config.predict_io")?,
-        predict_power: r.get_bool("config.predict_power")?,
+        predict_io: {
+            let predict_io = r.get_bool("config.predict_io")?;
+            if r.get_bool("config.predict_power")? {
+                return Err(StoreError::Corrupt(
+                    "config.predict_power is set, but the power head was removed: \
+                     this build cannot serve the checkpoint"
+                        .into(),
+                ));
+            }
+            predict_io
+        },
         epochs: r.get_usize("config.epochs")?,
         batch_size: r.get_usize("config.batch_size")?,
         lr: get_f32(&mut r, "config.lr")?,
@@ -258,7 +268,7 @@ mod tests {
         cfg.model = ModelKind::Cnn1d;
         cfg.head = HeadKind::Regressor;
         cfg.batch_norm = true;
-        cfg.predict_power = true;
+        cfg.predict_io = false;
         cfg.lr = 2.5e-4;
         cfg.seed = 0xfeed_beef;
         cfg.w2v.window = 5;
@@ -277,6 +287,21 @@ mod tests {
         let mut bad_tag = encode_config(&cfg);
         bad_tag[0] = 99;
         assert!(decode_config(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn a_set_power_head_byte_is_a_typed_error_naming_the_removed_head() {
+        let mut bytes = encode_config(&PrionnConfig::default());
+        // Layout: transform u8, model u8, grid 2×u64, base_width u64,
+        // batch_norm u8, runtime_bins u64, head u8, io_bins u64,
+        // predict_io u8, then the power slot.
+        let power_slot = 1 + 1 + 16 + 8 + 1 + 8 + 1 + 8 + 1;
+        assert_eq!(bytes[power_slot], 0, "always written as 0");
+        bytes[power_slot] = 1;
+        match decode_config(&bytes) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("power head"), "{msg}"),
+            other => panic!("expected a Corrupt error, got {other:?}"),
+        }
     }
 
     #[test]

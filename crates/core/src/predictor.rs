@@ -51,9 +51,6 @@ pub struct PrionnConfig {
     pub io_bins: usize,
     /// Whether to build and train the two IO heads.
     pub predict_io: bool,
-    /// Whether to build the power head (watt bins) — the paper's named
-    /// future-work resource, implemented here as an extension.
-    pub predict_power: bool,
     /// Epochs per retraining event (paper: 10).
     pub epochs: usize,
     /// Minibatch size.
@@ -78,7 +75,6 @@ impl Default for PrionnConfig {
             head: HeadKind::Classifier,
             io_bins: 128,
             predict_io: true,
-            predict_power: false,
             epochs: 10,
             batch_size: 32,
             lr: 1e-3,
@@ -129,10 +125,12 @@ pub struct TrainingBatch {
 
 /// Entries of the checkpoint's `bins` section, in its order. The section
 /// always holds all three, whichever heads are served; read and write share
-/// the IO entry.
+/// the IO entry. The third entry is a reserved slot: it held the bins of a
+/// head that no longer exists and is still written (with the value it always
+/// had), decoded and validated, so checkpoint bytes stay as they were — but
+/// no head reads it.
 const RUNTIME_BINS: usize = 0;
 const IO_BINS: usize = 1;
-const POWER_BINS: usize = 2;
 
 /// `ln 961`: scales `log1p(minutes)` of the 960-minute cap into `[0, 1]`.
 fn log_minutes_scale() -> f64 {
@@ -161,6 +159,9 @@ impl Codec {
     }
 }
 
+/// Selects the [`ResourcePrediction`] field a head fills.
+type Field = fn(&mut ResourcePrediction) -> &mut f64;
+
 /// One predicted resource: a network over the shared mapped script, its
 /// optimiser, and its codec. [`Prionn`] keeps the heads its configuration
 /// asks for as rows of one table, and training, serving, checkpointing and
@@ -170,6 +171,8 @@ struct Head {
     /// Names the row everywhere: checkpoint sections `model.<name>` and
     /// `opt.<name>`, span `head:<name>`, telemetry label `model=<name>`.
     name: &'static str,
+    /// The [`ResourcePrediction`] field this head's values fill.
+    field: Field,
     model: Sequential,
     opt: Adam,
     codec: Codec,
@@ -301,7 +304,7 @@ fn mismatch(what: &str, e: TensorError) -> StoreError {
 pub struct Prionn {
     cfg: PrionnConfig,
     transform: Box<dyn CharTransform>,
-    /// The `bins` section: runtime, IO and power bin edges.
+    /// The `bins` section: runtime and IO bin edges, then the reserved slot.
     bins: [ValueBins; 3],
     /// The served heads, in checkpoint order; runtime is always row 0.
     heads: Vec<Head>,
@@ -348,7 +351,7 @@ impl Prionn {
         let bins = [
             ValueBins::runtime_minutes_with(cfg.runtime_bins),
             ValueBins::io_bytes(cfg.io_bins),
-            // Whole-machine power spans ~100 W to ~1 MW; log bins as for IO.
+            // The reserved slot, with the value it has always been written with.
             ValueBins::Log {
                 lo: 1e2,
                 hi: 1e6,
@@ -359,16 +362,16 @@ impl Prionn {
             HeadKind::Classifier => Codec::Bins(RUNTIME_BINS),
             HeadKind::Regressor => Codec::LogMinutes,
         };
-        // The head table: name, weight-init seed salt, whether the
-        // configuration serves it, codec.
-        let rows = [
-            ("runtime", 0x1, true, runtime_codec),
-            ("read", 0x2, cfg.predict_io, Codec::Bins(IO_BINS)),
-            ("write", 0x3, cfg.predict_io, Codec::Bins(IO_BINS)),
-            ("power", 0x4, cfg.predict_power, Codec::Bins(POWER_BINS)),
+        // The head table: name, the prediction field it fills, weight-init
+        // seed salt, whether the configuration serves it, codec.
+        #[rustfmt::skip]
+        let rows: [(&str, Field, u64, bool, Codec); 3] = [
+            ("runtime", |p| &mut p.runtime_minutes, 0x1, true, runtime_codec),
+            ("read", |p| &mut p.read_bytes, 0x2, cfg.predict_io, Codec::Bins(IO_BINS)),
+            ("write", |p| &mut p.write_bytes, 0x3, cfg.predict_io, Codec::Bins(IO_BINS)),
         ];
         let mut heads = Vec::new();
-        for (name, seed_salt, served, codec) in rows {
+        for (name, field, seed_salt, served, codec) in rows {
             if !served {
                 continue;
             }
@@ -383,6 +386,7 @@ impl Prionn {
             };
             heads.push(Head {
                 name,
+                field,
                 model: arch.build(cfg.model)?,
                 opt: Adam::new(cfg.lr),
                 codec,
@@ -407,7 +411,7 @@ impl Prionn {
 
     /// Attach a telemetry registry. Each head's [`Sequential`] gains
     /// per-layer forward/backward timers and norm gauges (labelled
-    /// `model=runtime|read|write|power`), and the predictor itself records
+    /// `model=runtime|read|write`), and the predictor itself records
     /// `prionn_retrain_seconds`, `prionn_predict_seconds`,
     /// `prionn_map_seconds`, the matching `_total` counters,
     /// `prionn_predict_memo_hits_total`, the
@@ -473,13 +477,6 @@ impl Prionn {
                 map_corpus_1d(scripts, self.transform.as_ref(), h, w)
             }
         }
-    }
-
-    /// Table position of the head called `name`, or the error for asking a
-    /// head the configuration did not build.
-    fn row(&self, name: &str) -> Result<usize> {
-        let row = self.heads.iter().position(|h| h.name == name);
-        row.ok_or_else(|| TensorError::InvalidArgument(format!("{name} head disabled in config")))
     }
 
     /// Warm-started fit of every served head that `targets` names, in table
@@ -608,7 +605,7 @@ impl Prionn {
         Ok(preds)
     }
 
-    /// Map `scripts` and run every head [`Prionn::predict`] answers from.
+    /// Map `scripts` and run every head.
     fn forward(&mut self, scripts: &[&str]) -> Result<Vec<ResourcePrediction>> {
         let x = {
             let _span = prionn_observe::trace::child_of_current(|| "map".to_string());
@@ -617,45 +614,19 @@ impl Prionn {
         let batch_size = self.cfg.batch_size.max(1);
         let mut preds = vec![ResourcePrediction::default(); scripts.len()];
         for head in &mut self.heads {
-            let field: fn(&mut ResourcePrediction) -> &mut f64 = match head.name {
-                "runtime" => |p| &mut p.runtime_minutes,
-                "read" => |p| &mut p.read_bytes,
-                "write" => |p| &mut p.write_bytes,
-                // Power has its own door, `predict_power`.
-                _ => continue,
-            };
             let values = head.predict(&x, &self.bins, batch_size)?;
             for (pred, value) in preds.iter_mut().zip(values) {
-                *field(pred) = value;
+                *(head.field)(pred) = value;
             }
         }
         Ok(preds)
     }
 
-    /// Train the power head (extension) on completed jobs' mean watt draw.
-    /// Requires `predict_power` in the config.
-    pub fn retrain_power(&mut self, scripts: &[&str], watts: &[f64]) -> Result<()> {
-        self.row("power")?;
-        self.fit_heads(scripts, &[("power", watts)])?;
-        Ok(())
-    }
-
-    /// Predict mean power draw (watts) for scripts (extension head).
-    pub fn predict_power(&mut self, scripts: &[&str]) -> Result<Vec<f64>> {
-        let row = self.row("power")?;
-        if scripts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let x = self.map_scripts(scripts)?;
-        self.heads[row].predict(&x, &self.bins, self.cfg.batch_size.max(1))
-    }
-
     /// Mean cross-entropy of the runtime head on a labelled batch, without
     /// updating weights. Diagnostic/tuning helper.
     pub fn probe_runtime_loss(&mut self, scripts: &[&str], runtime_minutes: &[f64]) -> Result<f64> {
-        let row = self.row("runtime")?;
         let x = self.map_scripts(scripts)?;
-        let logits = self.heads[row]
+        let logits = self.heads[0]
             .model
             .predict(&x, self.cfg.batch_size.max(1))?;
         let classes: Vec<usize> = runtime_minutes
@@ -1032,11 +1003,7 @@ mod tests {
     fn every_weight_write_forgets_the_old_answers() {
         let scripts = corpus();
         let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let cfg = PrionnConfig {
-            predict_power: true,
-            ..tiny_cfg()
-        };
-        let mut p = Prionn::new(cfg, &refs).unwrap();
+        let mut p = Prionn::new(tiny_cfg(), &refs).unwrap();
         let registry = prionn_telemetry::Telemetry::default();
         p.set_telemetry(&registry);
         let io = vec![1e9; refs.len()];
@@ -1051,12 +1018,6 @@ mod tests {
         let retrained = bits(&p.predict(probe).unwrap());
         assert_eq!(retrained, forwarded_alone(&p, probe));
         assert_ne!(retrained, first, "the retrain must move some answer");
-
-        // retrain_power: no served head moved, but the memo starts over.
-        let hits = memo_hits(&registry);
-        p.retrain_power(&refs, &vec![600.0; refs.len()]).unwrap();
-        assert_eq!(bits(&p.predict(probe).unwrap()), retrained);
-        assert_eq!(memo_hits(&registry), hits);
 
         // An accepted hot-swap: `stale` answered on the old weights.
         assert_eq!(bits(&stale.predict(probe).unwrap()), first);
@@ -1174,7 +1135,6 @@ mod tests {
         let scripts = corpus();
         let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
         let mut cfg = tiny_cfg();
-        cfg.predict_power = true;
         cfg.epochs = 1;
         let mut p = Prionn::new(cfg, &refs).unwrap();
         let (runtimes, io) = (vec![60.0; refs.len()], vec![1e8; refs.len()]);
@@ -1184,39 +1144,8 @@ mod tests {
         let before = p.to_checkpoint().unwrap().to_bytes();
         assert!(p.retrain(&refs, &runtimes, &io[..3], &io).is_err());
         assert!(p.retrain(&refs, &runtimes, &io, &io[..3]).is_err());
-        assert!(p.retrain_power(&refs, &io[..3]).is_err());
-        assert!(p.retrain_power(&[], &[]).is_err());
+        assert!(p.retrain(&[], &[], &[], &[]).is_err());
         assert!(p.to_checkpoint().unwrap().to_bytes() == before);
-    }
-
-    #[test]
-    fn power_head_learns_to_separate_draws() {
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let mut cfg = tiny_cfg();
-        cfg.predict_io = false;
-        cfg.predict_power = true;
-        cfg.epochs = 10;
-        let mut p = Prionn::new(cfg, &refs).unwrap();
-        // short_app draws ~600 W (2 nodes), long_app ~19 kW (64 nodes).
-        let watts: Vec<f64> = (0..refs.len())
-            .map(|i| if i % 2 == 0 { 600.0 } else { 19_000.0 })
-            .collect();
-        for _ in 0..4 {
-            p.retrain_power(&refs, &watts).unwrap();
-        }
-        let preds = p.predict_power(&refs[..4]).unwrap();
-        assert!(preds[0] < preds[1], "low {} vs high {}", preds[0], preds[1]);
-        assert!(preds.iter().all(|&w| w > 0.0));
-    }
-
-    #[test]
-    fn power_head_disabled_errors() {
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let mut p = Prionn::new(tiny_cfg(), &refs).unwrap();
-        assert!(p.retrain_power(&refs, &vec![100.0; refs.len()]).is_err());
-        assert!(p.predict_power(&refs[..1]).is_err());
     }
 
     fn tmp_ckpt_path(tag: &str) -> std::path::PathBuf {
@@ -1351,25 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn power_head_state_survives_the_round_trip() {
-        let scripts = corpus();
-        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-        let mut cfg = tiny_cfg();
-        cfg.predict_io = false;
-        cfg.predict_power = true;
-        let mut a = Prionn::new(cfg, &refs).unwrap();
-        let watts: Vec<f64> = (0..refs.len())
-            .map(|i| if i % 2 == 0 { 600.0 } else { 19_000.0 })
-            .collect();
-        a.retrain_power(&refs, &watts).unwrap();
-        let mut b = Prionn::from_checkpoint(&a.to_checkpoint().unwrap()).unwrap();
-        assert_eq!(
-            a.predict_power(&refs[..4]).unwrap(),
-            b.predict_power(&refs[..4]).unwrap()
-        );
-    }
-
-    #[test]
     fn fork_replica_is_bit_identical_and_independent() {
         let scripts = corpus();
         let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
@@ -1436,8 +1346,12 @@ mod tests {
 
         // A payload whose runtime head is valid but whose read head is the
         // wrong shape must roll the runtime head back: no torn mix.
+        // The donor trains on other targets, so a torn write would show.
         let mut donor = Prionn::new(tiny_cfg(), &refs).unwrap();
-        donor.retrain(&refs, &runtimes, &io, &io).unwrap();
+        let other = vec![3e12; refs.len()];
+        donor
+            .retrain(&refs, &vec![900.0; refs.len()], &other, &other)
+            .unwrap();
         let good = donor.weights_checkpoint().unwrap();
         let wide_ck = wide.weights_checkpoint().unwrap();
         let mut mixed = prionn_store::Checkpoint::new();
@@ -1459,25 +1373,24 @@ mod tests {
             .is_err());
         assert_eq!(a.predict(&refs[..4]).unwrap(), before);
 
-        // Four heads, and only the last section (power) is the wrong shape:
-        // the three good heads before it stay untouched as well.
-        let with_power = |base_width| PrionnConfig {
-            predict_power: true,
-            base_width,
-            ..tiny_cfg()
-        };
-        let mut four = Prionn::new(with_power(2), &refs).unwrap();
-        let before = four.weights_checkpoint().unwrap().to_bytes();
-        let wide_ck = Prionn::new(with_power(4), &refs)
-            .unwrap()
-            .weights_checkpoint()
-            .unwrap();
-        let mut mixed = good;
+        // Only the last section (write) is the wrong shape: the runtime and
+        // read heads before it stay untouched as well.
+        let before = a.weights_checkpoint().unwrap();
+        let mut mixed = prionn_store::Checkpoint::new();
+        for section in ["model.runtime", "model.read"] {
+            assert!(good.get(section) != before.get(section), "{section}");
+            mixed
+                .insert(section, good.get(section).unwrap().to_vec())
+                .unwrap();
+        }
         mixed
-            .insert("model.power", wide_ck.get("model.power").unwrap().to_vec())
+            .insert("model.write", wide_ck.get("model.write").unwrap().to_vec())
             .unwrap();
-        assert!(four.apply_weights_checkpoint(&mixed).is_err());
-        assert!(four.weights_checkpoint().unwrap().to_bytes() == before);
+        assert!(a.apply_weights_checkpoint(&mixed).is_err());
+        let after = a.weights_checkpoint().unwrap();
+        for section in ["model.runtime", "model.read", "model.write"] {
+            assert!(after.get(section) == before.get(section), "{section}");
+        }
     }
 
     #[test]

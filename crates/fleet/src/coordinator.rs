@@ -37,8 +37,6 @@ pub struct ShardRollout {
 pub struct RolloutReport {
     /// Per-shard outcomes, in push order.
     pub shards: Vec<ShardRollout>,
-    /// Checkpoint image size pushed to each shard, in bytes.
-    pub payload_bytes: usize,
 }
 
 impl RolloutReport {
@@ -89,58 +87,13 @@ impl<'a> FleetCoordinator<'a> {
         for shard in 0..self.router.shard_count() {
             shards.push(self.push_bytes(shard, &bytes));
         }
-        RolloutReport {
-            shards,
-            payload_bytes: bytes.len(),
-        }
+        RolloutReport { shards }
     }
 
     /// Push `checkpoint` to one shard only (e.g. re-sync a shard that
     /// rejoined after missing a rollout).
     pub fn push_to_shard(&self, shard: usize, checkpoint: &Checkpoint) -> ShardRollout {
         self.push_bytes(shard, &checkpoint.to_bytes())
-    }
-
-    /// [`rollout`](Self::rollout) with a go/no-go gate consulted **before
-    /// every shard push**. `gate` returning `Some(reason)` pauses the
-    /// rollout right there: already-pushed shards keep the new epoch,
-    /// every remaining shard is reported with the gate's reason as its
-    /// error and is *not* contacted. Wire the gate to an SLO engine's
-    /// [`any_alert`](prionn_observe::SloEngine::any_alert) to stop
-    /// rolling new weights into a fleet whose error budget is already
-    /// burning.
-    pub fn rollout_gated(
-        &self,
-        checkpoint: &Checkpoint,
-        gate: &dyn Fn() -> Option<String>,
-    ) -> RolloutReport {
-        let bytes = checkpoint.to_bytes();
-        let mut shards = Vec::with_capacity(self.router.shard_count());
-        let mut paused: Option<String> = None;
-        for shard in 0..self.router.shard_count() {
-            if paused.is_none() {
-                if let Some(reason) = gate() {
-                    self.router.telemetry().events().record(
-                        "fleet_rollout_paused",
-                        format!("shard={shard} reason={reason}"),
-                        0,
-                    );
-                    paused = Some(reason);
-                }
-            }
-            match &paused {
-                Some(reason) => shards.push(ShardRollout {
-                    shard,
-                    epoch: None,
-                    error: Some(format!("rollout paused: {reason}")),
-                }),
-                None => shards.push(self.push_bytes(shard, &bytes)),
-            }
-        }
-        RolloutReport {
-            shards,
-            payload_bytes: bytes.len(),
-        }
     }
 
     fn push_bytes(&self, shard: usize, bytes: &[u8]) -> ShardRollout {

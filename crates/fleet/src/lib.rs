@@ -24,9 +24,7 @@
 //! * **Coordinator** ([`FleetCoordinator`]) — rolls a new checkpoint
 //!   across the fleet shard-by-shard over each shard's all-or-nothing
 //!   `WeightBus` swap, bounding the mixed-epoch window to one shard;
-//!   drains shards gracefully before removal. `rollout_gated` consults a
-//!   go/no-go gate (typically an SLO engine's burn-rate alert) before
-//!   every push.
+//!   drains shards gracefully before removal.
 //! * **Observability plane** — the router opens a client span per call
 //!   and injects its trace context into the frame (see
 //!   [`proto::KIND_TRACE_FLAG`]); shards adopt it as the root of their

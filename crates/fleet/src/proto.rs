@@ -12,7 +12,7 @@
 //! |------|---------|---------|
 //! | `0x01` | PredictRequest  | priority u8, deadline_ms u32, script count u32, then per script a length-prefixed string |
 //! | `0x02` | Predictions     | epoch u64, count u32, then per prediction 3×f64 (runtime minutes, read bytes, write bytes) |
-//! | `0x03` | Error           | code u8, length-prefixed message string |
+//! | `0x03` | Error           | code u8 (see [`ErrorCode`]; 3 is retired, was preburst — never reuse), length-prefixed message string |
 //! | `0x04` | ReviseRequest   | job id u64, elapsed seconds f64, read/write bytes-so-far 2×f64, initial prediction 3×f64, coverage f64 |
 //! | `0x05` | Revision        | epoch u64, then per head (runtime minutes, read bytes, write bytes) an interval lo/point/hi 3×f64 |
 //! | `0x10` | Ping            | empty |
@@ -143,7 +143,8 @@ pub fn strip_trace(kind: u8, payload: &[u8]) -> StoreResult<(u8, Option<TraceCon
 }
 
 /// Typed error codes a shard can answer with. The numeric values are wire
-/// format — append-only, never renumber.
+/// format — append-only, never renumber. Code 3 is retired (was preburst),
+/// never reuse: [`ErrorCode::from_u8`] no longer knows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -151,8 +152,6 @@ pub enum ErrorCode {
     Overloaded = 1,
     /// The request's deadline expired in the shard's queue.
     DeadlineExceeded = 2,
-    /// Shed pre-emptively under forecast burst pressure.
-    ShedPreBurst = 3,
     /// The shard's gateway has stopped (or lost every replica).
     Stopped = 4,
     /// The model failed on this batch.
@@ -171,7 +170,6 @@ impl ErrorCode {
         Some(match v {
             1 => ErrorCode::Overloaded,
             2 => ErrorCode::DeadlineExceeded,
-            3 => ErrorCode::ShedPreBurst,
             4 => ErrorCode::Stopped,
             5 => ErrorCode::Model,
             6 => ErrorCode::Draining,
@@ -186,7 +184,6 @@ impl ErrorCode {
         match e {
             ServeError::Overloaded { .. } => ErrorCode::Overloaded,
             ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
-            ServeError::ShedPreBurst => ErrorCode::ShedPreBurst,
             ServeError::Stopped => ErrorCode::Stopped,
             ServeError::Model(_) | ServeError::Spawn(_) | ServeError::Snapshot(_) => {
                 ErrorCode::Model
@@ -199,7 +196,6 @@ impl ErrorCode {
         match self {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::DeadlineExceeded => "deadline",
-            ErrorCode::ShedPreBurst => "preburst",
             ErrorCode::Stopped => "stopped",
             ErrorCode::Model => "model",
             ErrorCode::Draining => "draining",
@@ -797,6 +793,17 @@ mod tests {
     }
 
     #[test]
+    fn retired_code_3_is_not_decoded() {
+        assert_eq!(ErrorCode::from_u8(3), None);
+        let mut payload = vec![3u8];
+        put_str(&mut payload, "from an older shard");
+        assert!(matches!(
+            decode_error(&payload),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn every_serve_error_maps_to_a_code() {
         let cases = [
             (
@@ -804,7 +811,6 @@ mod tests {
                 ErrorCode::Overloaded,
             ),
             (ServeError::DeadlineExceeded, ErrorCode::DeadlineExceeded),
-            (ServeError::ShedPreBurst, ErrorCode::ShedPreBurst),
             (ServeError::Stopped, ErrorCode::Stopped),
             (ServeError::Model("boom".into()), ErrorCode::Model),
         ];

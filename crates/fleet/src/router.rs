@@ -10,7 +10,7 @@
 //! without head-of-line blocking on the response side.
 //!
 //! **Shed vs. failover.** A live shard answering with a typed error
-//! ([`ErrorCode::Overloaded`], deadline, pre-burst, model) is a *load
+//! ([`ErrorCode::Overloaded`], deadline, model) is a *load
 //! decision*: the router surfaces it to the caller unchanged rather than
 //! hammering the next shard — retrying an overload elsewhere just moves
 //! the hotspot. Only *availability* failures route around: connection
@@ -36,9 +36,9 @@ use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::proto::{
     decode_error, decode_predictions, decode_revision, decode_stats, decode_swap_ack,
     encode_predict, encode_revise, encode_with_trace, ErrorCode, ReviseRequest, RevisionReply,
-    ShardStats, TraceContext, KIND_DRAIN, KIND_DRAIN_ACK, KIND_ERROR, KIND_PING, KIND_PONG,
-    KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION, KIND_STATS, KIND_STATS_REPLY,
-    KIND_SWAP_ACK, KIND_SWAP_WEIGHTS, KIND_TRACE_FLAG,
+    ShardStats, TraceContext, KIND_DRAIN, KIND_DRAIN_ACK, KIND_ERROR, KIND_PREDICT,
+    KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION, KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK,
+    KIND_SWAP_WEIGHTS, KIND_TRACE_FLAG,
 };
 use crate::ring::HashRing;
 
@@ -305,35 +305,25 @@ struct RouterMetrics {
     latency: Histogram,
     failovers: Counter,
     reconnects: Counter,
-    /// Indexed so `shed[code as usize]` works; slot 0 unused.
+    /// `fleet_shed_total` indexed by wire code byte; the bytes
+    /// [`ErrorCode::from_u8`] does not know (0, and the retired 3) hold
+    /// the `unknown` series.
     shed: Vec<Counter>,
     shed_unavailable: Counter,
 }
 
 impl RouterMetrics {
     fn build(t: &Telemetry) -> Self {
-        let codes = [
-            ErrorCode::Overloaded,
-            ErrorCode::DeadlineExceeded,
-            ErrorCode::ShedPreBurst,
-            ErrorCode::Stopped,
-            ErrorCode::Model,
-            ErrorCode::Draining,
-            ErrorCode::BadRequest,
-            ErrorCode::TooLarge,
-        ];
-        let mut shed = vec![t.counter_with(
-            "fleet_shed_total",
-            "Requests answered with a typed shed, by reason",
-            &[("reason", "unknown")],
-        )];
-        for code in codes {
-            shed.push(t.counter_with(
+        let shed_total = |reason: &str| {
+            t.counter_with(
                 "fleet_shed_total",
                 "Requests answered with a typed shed, by reason",
-                &[("reason", code.label())],
-            ));
-        }
+                &[("reason", reason)],
+            )
+        };
+        let shed = (0..=ErrorCode::TooLarge as u8)
+            .map(|raw| shed_total(ErrorCode::from_u8(raw).map_or("unknown", |c| c.label())))
+            .collect();
         RouterMetrics {
             requests: t.counter("fleet_requests_total", "Predict requests routed"),
             latency: t.histogram(
@@ -349,16 +339,18 @@ impl RouterMetrics {
                 "New TCP connections dialed to shards",
             ),
             shed,
-            shed_unavailable: t.counter_with(
-                "fleet_shed_total",
-                "Requests answered with a typed shed, by reason",
-                &[("reason", "unavailable")],
-            ),
+            shed_unavailable: shed_total("unavailable"),
         }
     }
 
     fn count_shed(&self, code: ErrorCode) {
         self.shed[code as usize].inc();
+    }
+
+    /// An error frame this build cannot read, such as a retired code from
+    /// an older shard.
+    fn count_unknown_shed(&self) {
+        self.shed[0].inc();
     }
 }
 
@@ -440,9 +432,9 @@ impl Router {
         self.ring.owner(user)
     }
 
-    /// Predict with default priority and no deadline.
+    /// Predict with no deadline.
     pub fn predict(&self, user: u64, scripts: &[String]) -> Result<FleetReply, FleetError> {
-        self.predict_for_user(user, scripts, None, Priority::Normal)
+        self.predict_for_user(user, scripts, None)
     }
 
     /// Route a predict request for `user`, failing over along the ring on
@@ -452,10 +444,9 @@ impl Router {
         user: u64,
         scripts: &[String],
         deadline: Option<Duration>,
-        priority: Priority,
     ) -> Result<FleetReply, FleetError> {
         let deadline_ms = deadline.map_or(0, |d| d.as_millis().min(u32::MAX as u128) as u32);
-        let payload = encode_predict(priority, deadline_ms, scripts);
+        let payload = encode_predict(Priority::Normal, deadline_ms, scripts);
         // Waiting for a response should outlast the in-shard deadline;
         // otherwise the shard's typed DeadlineExceeded never reaches us.
         let timeout = match deadline {
@@ -619,22 +610,17 @@ impl Router {
                     Err(TryError::Failover(format!("shard {shard} {code}: {msg}")))
                 }
                 Ok((code, msg)) => Err(TryError::Reject(code, msg)),
-                Err(e) => Err(TryError::Failover(format!(
-                    "shard {shard}: bad error payload: {e}"
-                ))),
+                Err(e) => {
+                    self.metrics.count_unknown_shed();
+                    Err(TryError::Failover(format!(
+                        "shard {shard}: bad error payload: {e}"
+                    )))
+                }
             },
             other => Err(TryError::Failover(format!(
                 "shard {shard}: unexpected frame kind {other}"
             ))),
         }
-    }
-
-    /// Liveness probe: true when the shard answers a ping in time.
-    pub fn ping(&self, shard: usize) -> bool {
-        matches!(
-            self.admin_request(shard, KIND_PING, &[], self.cfg.request_timeout),
-            Ok(f) if f.kind == KIND_PONG
-        )
     }
 
     /// Fetch a shard's health snapshot.

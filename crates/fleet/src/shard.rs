@@ -224,12 +224,6 @@ impl ShardServer {
         self.addr
     }
 
-    /// True once [`drain`](Self::drain) has been called (locally or over
-    /// the wire).
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
-    }
-
     /// Predict requests currently inside the gateway.
     pub fn in_flight(&self) -> usize {
         self.inner.in_flight.load(Ordering::SeqCst)
@@ -453,14 +447,15 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
                 ));
             }
             match decode_predict(payload) {
-                Ok((priority, deadline_ms, scripts)) => {
+                // The priority byte is validated by the decoder and
+                // otherwise unused: admission treats every request alike.
+                Ok((_priority, deadline_ms, scripts)) => {
                     let n = inner.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                     inner.metrics.in_flight.set(n as f64);
                     let req = PredictRequest {
                         scripts,
                         deadline: (deadline_ms > 0)
                             .then(|| Duration::from_millis(deadline_ms as u64)),
-                        priority,
                         // Adopt the caller's trace so the gateway span
                         // tree stitches under the router's hop span.
                         trace: trace.map_or(SpanCtx::NONE, |t| SpanCtx {

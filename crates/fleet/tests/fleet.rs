@@ -43,9 +43,7 @@ fn wire_predictions_match_local_gateway() {
     let scripts = demo_corpus();
 
     let local = fleet.shard(0).gateway.predict(&scripts[..4]).unwrap();
-    let remote = router
-        .predict_for_user(7, &scripts[..4], None, Priority::Normal)
-        .unwrap();
+    let remote = router.predict_for_user(7, &scripts[..4], None).unwrap();
     assert_eq!(remote.predictions.len(), 4);
     assert_eq!(remote.shard, 0);
     for (l, r) in local.iter().zip(remote.predictions.iter()) {
@@ -135,7 +133,7 @@ fn drain_sheds_typed_and_failover_keeps_users_served() {
     let (u0, u1) = (user_on(0), user_on(1));
 
     router.drain_shard(1).unwrap();
-    assert!(fleet.shard(1).server.is_draining());
+    assert!(router.shard_stats(1).unwrap().draining);
 
     // The drained shard answers raw predicts with a typed Draining error.
     let frame = raw_roundtrip(
@@ -164,6 +162,38 @@ fn drain_sheds_typed_and_failover_keeps_users_served() {
         r1.shard, 0,
         "user {u1} must fail over off the draining shard"
     );
+}
+
+/// An older shard may still answer with the retired error code 3. This
+/// build cannot read it: the router counts it as `reason="unknown"` and
+/// walks the ring past that shard instead of surfacing a typed refusal.
+#[test]
+fn a_retired_error_code_counts_as_unknown_and_fails_over() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let old_shard = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let request = read_frame(&mut conn, MAX_FRAME_PAYLOAD).unwrap().unwrap();
+        let mut payload = vec![3u8];
+        prionn_store::wire::put_str(&mut payload, "retired code");
+        conn.write_all(&encode_frame(KIND_ERROR, request.id, &payload))
+            .unwrap();
+    });
+    let router = Router::new(RouterConfig {
+        request_timeout: Duration::from_secs(30),
+        ..RouterConfig::for_endpoints(vec![addr])
+    });
+    let err = router.predict(1, &demo_corpus()[..1]).unwrap_err();
+    assert!(
+        matches!(err, FleetError::Unavailable { attempts: 1, .. }),
+        "{err}"
+    );
+    let text = router.telemetry().prometheus();
+    assert!(
+        text.contains(r#"fleet_shed_total{reason="unknown"} 1"#),
+        "{text}"
+    );
+    old_shard.join().unwrap();
 }
 
 #[test]

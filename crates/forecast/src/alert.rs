@@ -3,9 +3,8 @@
 //! burst records one `forecast_burst_alert` event in the shared telemetry
 //! span log (and bumps `forecast_burst_alerts_total`); crossing back out
 //! records `forecast_burst_clear`. A forecast sitting above threshold does
-//! not flood the event ring, and consumers (the serve gateway's pre-shed
-//! hook, the `/forecast` ops route) read the level-triggered
-//! [`BurstAlerter::alerting`] flag.
+//! not flood the event ring, and consumers (the `/forecast` ops route) read
+//! the level-triggered [`BurstAlerter::alerting`] flag.
 
 use std::collections::VecDeque;
 

@@ -1,9 +1,8 @@
 //! [`ForecastEngine`]: the aggregator, a forecaster, and the alerter glued
 //! behind one shared, thread-safe handle — the object the scheduler
 //! simulator feeds (job started / finished), the minute clock drives
-//! ([`ForecastEngine::tick`]), the serve gateway's pre-shed hook polls
-//! ([`ForecastEngine::pressure_probe`]), and the `/forecast` ops route
-//! snapshots ([`ForecastEngine::ops_probe`]).
+//! ([`ForecastEngine::tick`]), and the `/forecast` ops route snapshots
+//! ([`ForecastEngine::ops_probe`]).
 
 use std::sync::{Arc, Mutex};
 
@@ -265,20 +264,6 @@ impl ForecastEngine {
         last
     }
 
-    /// Level-triggered burst pressure: true while a burst is forecast
-    /// within the lead horizon. This is what the serve gateway's pre-shed
-    /// admission hook polls.
-    pub fn pressure(&self) -> bool {
-        lock(&self.inner).alerter.alerting()
-    }
-
-    /// The pressure flag as a shareable probe closure, shaped for
-    /// `prionn_serve::GatewayConfig::pressure`.
-    pub fn pressure_probe(&self) -> Arc<dyn Fn() -> bool + Send + Sync> {
-        let engine = self.clone();
-        Arc::new(move || engine.pressure())
-    }
-
     /// Point-in-time readout of the whole engine.
     pub fn snapshot(&self) -> ForecastSnapshot {
         let s = lock(&self.inner);
@@ -330,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn ticks_observe_the_aggregate_and_raise_pressure() {
+    fn ticks_observe_the_aggregate_and_raise_the_alert() {
         let t = Telemetry::new();
         let engine = ForecastEngine::new(&t, cfg());
         // Calm minutes 0..10, then a 200 B/s burst from minute 10.
@@ -339,21 +324,20 @@ mod tests {
 
         let at9 = engine.tick_to(10).unwrap();
         assert!((at9.aggregate - 10.0).abs() < 1e-9);
-        assert!(!engine.pressure());
+        assert!(!at9.alerting);
 
         // With alpha=1 EWMA the forecast equals the last observation:
         // minute 10 observes 210 B/s > the 100 B/s override -> alert.
         let at10 = engine.tick();
         assert!((at10.aggregate - 210.0).abs() < 1e-9);
         assert_eq!(at10.transition, Some(AlertTransition::Raised));
-        assert!(engine.pressure());
-        assert!(engine.pressure_probe()());
+        assert!(at10.alerting && engine.snapshot().alerting);
 
-        // The burst ends at minute 20: pressure clears.
+        // The burst ends at minute 20: the alert clears.
         let at20 = engine.tick_to(21).unwrap();
         assert!((at20.aggregate - 10.0).abs() < 1e-9);
         assert_eq!(at20.transition, Some(AlertTransition::Cleared));
-        assert!(!engine.pressure());
+        assert!(!at20.alerting && !engine.snapshot().alerting);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!   same machinery as `prionn-observe`'s drift alerts) plus the
 //!   `forecast_*` gauge/counter/histogram surface.
 //! * [`engine`] — [`ForecastEngine`]: everything behind one thread-safe
-//!   handle, exposing a pressure probe for `prionn-serve`'s pre-shed
-//!   admission hook and a JSON snapshot probe for `prionn-observe`'s
+//!   handle, exposing a JSON snapshot probe for `prionn-observe`'s
 //!   `/forecast` ops route.
 //!
 //! ```
@@ -47,8 +46,8 @@
 //! ```
 //!
 //! The crate depends only on `prionn-sched` and `prionn-telemetry`, so it
-//! slots below `observe`/`serve` in the dependency graph; the serving
-//! stack consumes it through probe closures rather than a hard dependency.
+//! slots below `observe`/`serve` in the dependency graph; the ops endpoint
+//! consumes it through a probe closure rather than a hard dependency.
 //! See `DESIGN.md` §14 and `docs/OBSERVABILITY.md`.
 
 #![warn(missing_docs)]

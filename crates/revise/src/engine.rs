@@ -18,7 +18,7 @@
 //!    stays honest;
 //! 4. completed jobs are swept, their truth checked against the last
 //!    served interval (the empirical-coverage gauges), and their outcome
-//!    fed back to the gateway's drift monitor.
+//!    fed back to the attached drift monitor.
 //!
 //! Everything exports under the `revise_*` metric prefix and the
 //! [`ops_probe`](ReviseEngine::ops_probe) JSON served at `/revise`.
@@ -29,7 +29,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use prionn_core::ResourcePrediction;
 use prionn_observe::{DriftHead, DriftMonitor, OutcomeStatus};
 use prionn_sched::{KilledJob, SimEngine};
-use prionn_serve::Gateway;
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::conformal::{ConformalCalibrator, PredictionInterval};
@@ -211,7 +210,6 @@ struct Tracked {
 struct EngineInner {
     stream: ProgressStream,
     tracked: HashMap<u64, Tracked>,
-    gateway: Option<Arc<Gateway>>,
     drift: Option<DriftMonitor>,
     calibrator: ConformalCalibrator,
     covered: u64,
@@ -247,7 +245,6 @@ impl ReviseEngine {
             inner: Arc::new(Mutex::new(EngineInner {
                 stream,
                 tracked: HashMap::new(),
-                gateway: None,
                 drift: None,
                 calibrator: ConformalCalibrator::default(),
                 covered: 0,
@@ -264,19 +261,9 @@ impl ReviseEngine {
         self.reviser.config()
     }
 
-    /// Attach the serving gateway: outcomes (completed and killed) are fed
-    /// back through [`Gateway::record_outcome_with_status`], and the
-    /// gateway's drift monitor becomes the calibration source.
-    pub fn attach_gateway(&self, gateway: Arc<Gateway>) {
-        let mut inner = lock(&self.inner);
-        if let Some(d) = gateway.drift() {
-            inner.drift = Some(d.clone());
-        }
-        inner.gateway = Some(gateway);
-    }
-
-    /// Attach a drift monitor directly (no gateway): it becomes both the
-    /// calibration source and the outcome sink.
+    /// Attach a drift monitor (a serving gateway's, to calibrate on what it
+    /// served): it becomes both the calibration source and the outcome
+    /// sink.
     pub fn attach_drift(&self, drift: &DriftMonitor) {
         lock(&self.inner).drift = Some(drift.clone());
     }
@@ -380,7 +367,6 @@ impl ReviseEngine {
             // The partial outcome still scores the submission-time
             // prediction: truth-as-observed at termination.
             record_outcome(
-                inner.gateway.as_deref(),
                 inner.drift.as_ref(),
                 &job.prediction,
                 elapsed_min,
@@ -426,7 +412,6 @@ impl ReviseEngine {
                     .set(inner.covered as f64 / inner.observed as f64);
             }
             record_outcome(
-                inner.gateway.as_deref(),
                 inner.drift.as_ref(),
                 &t.job.prediction,
                 truth_minutes,
@@ -465,10 +450,8 @@ impl ReviseEngine {
     }
 }
 
-/// Route an outcome to the gateway when attached (it forwards to its
-/// drift monitor), else straight to the drift monitor, else nowhere.
+/// Feed an outcome to the attached drift monitor, if any.
 fn record_outcome(
-    gateway: Option<&Gateway>,
     drift: Option<&DriftMonitor>,
     prediction: &ResourcePrediction,
     runtime_minutes: f64,
@@ -476,23 +459,20 @@ fn record_outcome(
     write_bytes: f64,
     status: OutcomeStatus,
 ) {
-    if let Some(gw) = gateway {
-        gw.record_outcome_with_status(prediction, runtime_minutes, read_bytes, write_bytes, status);
-    } else if let Some(d) = drift {
-        d.record_with_status(
-            DriftHead::Runtime,
-            runtime_minutes,
-            prediction.runtime_minutes,
-            status,
-        );
-        d.record_with_status(DriftHead::Read, read_bytes, prediction.read_bytes, status);
-        d.record_with_status(
-            DriftHead::Write,
-            write_bytes,
-            prediction.write_bytes,
-            status,
-        );
-    }
+    let Some(d) = drift else { return };
+    d.record_with_status(
+        DriftHead::Runtime,
+        runtime_minutes,
+        prediction.runtime_minutes,
+        status,
+    );
+    d.record_with_status(DriftHead::Read, read_bytes, prediction.read_bytes, status);
+    d.record_with_status(
+        DriftHead::Write,
+        write_bytes,
+        prediction.write_bytes,
+        status,
+    );
 }
 
 #[cfg(test)]

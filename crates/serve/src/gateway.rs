@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use prionn_core::{Prionn, ResourcePrediction, TrainingBatch};
-use prionn_observe::{trace, DriftHead, DriftMonitor, OutcomeStatus, Span, SpanCtx, Tracer};
+use prionn_observe::{trace, DriftHead, DriftMonitor, Span, SpanCtx, Tracer};
 use prionn_store::broadcast::WeightBus;
 use prionn_store::Checkpoint;
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -27,10 +27,6 @@ pub enum ServeError {
     /// The request sat in the queue past its deadline and was shed before
     /// a forward pass was spent on it.
     DeadlineExceeded,
-    /// Shed by the pre-burst admission tightener: an IO burst is forecast
-    /// (the configured [`PressureProbe`] returned true) and the request
-    /// was either low-priority or beyond the tightened queue cap.
-    ShedPreBurst,
     /// The gateway has shut down (or every replica died) before the
     /// request could be served.
     Stopped,
@@ -49,12 +45,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "gateway overloaded: request queue full ({queue_cap})")
             }
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded in queue"),
-            ServeError::ShedPreBurst => {
-                write!(
-                    f,
-                    "shed pre-emptively: IO burst forecast, admission tightened"
-                )
-            }
             ServeError::Stopped => write!(f, "gateway stopped"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::Spawn(e) => write!(f, "gateway spawn failed: {e}"),
@@ -68,38 +58,24 @@ impl std::error::Error for ServeError {}
 /// Result alias for gateway operations.
 pub type ServeResult<T> = Result<T, ServeError>;
 
-/// Forecast pressure probe: returns true while an IO burst is forecast
-/// within the lead horizon. A closure rather than a typed handle so the
-/// gateway stays decoupled from `prionn-forecast` — wire
-/// `ForecastEngine::pressure_probe()` in here.
-pub type PressureProbe = Arc<dyn Fn() -> bool + Send + Sync>;
-
-/// Request priority class of a [`PredictRequest`].
+/// The priority byte of a fleet predict frame.
 ///
-/// Priorities only matter while the [`PressureProbe`] reports forecast
-/// burst pressure: low-priority requests are shed outright
-/// ([`ServeError::ShedPreBurst`]) and normal ones face a tightened queue
-/// cap (half of [`GatewayConfig::queue_cap`]) — load is shed *before* the
-/// burst arrives rather than during it. Without pressure both classes are
-/// admitted identically.
+/// The wire accepts and validates it (0 = normal, 1 = low; anything else
+/// is a bad request), but it does not affect admission: every request is
+/// admitted the same way. The type stays only because the wire codec's
+/// signature is pinned by the repository benchmark, and it leaves in a
+/// change that touches only that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
-    /// Interactive / scheduler-critical work; admitted under pressure up
-    /// to the tightened queue cap.
+    /// Wire byte 0.
     #[default]
     Normal,
-    /// Batch / speculative work; shed at admission while a burst is
-    /// forecast.
+    /// Wire byte 1.
     Low,
 }
 
-/// Fraction of [`GatewayConfig::queue_cap`] normal-priority requests may
-/// still fill while a burst is forecast (the tightened cap never drops
-/// below 1).
-const PRESHED_QUEUE_FRAC: f64 = 0.5;
-
 /// Tuning knobs for [`Gateway::spawn`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct GatewayConfig {
     /// Number of replica worker threads, each owning a private model copy.
     /// `0` is allowed (accept-and-queue only, useful for tests and staged
@@ -126,30 +102,12 @@ pub struct GatewayConfig {
     /// weight epoch on it and [`Gateway::record_outcome`] feeds completed
     /// jobs into its rolling-accuracy windows.
     pub drift: Option<DriftMonitor>,
-    /// Forecast pressure probe; when present, admission tightens while it
-    /// returns true (see [`Priority`]). `None` disables pre-shedding.
-    pub pressure: Option<PressureProbe>,
     /// Test hook (integration tests and failure drills): when true, a
     /// request containing the reserved script `__serve_test_panic__`
     /// panics the serving replica, exercising the panic-containment and
     /// flight-dump paths. Never enable in production.
     #[doc(hidden)]
     pub test_panic_marker: bool,
-}
-
-impl std::fmt::Debug for GatewayConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Manual impl: the pressure probe is an opaque closure.
-        f.debug_struct("GatewayConfig")
-            .field("replicas", &self.replicas)
-            .field("max_batch", &self.max_batch)
-            .field("max_wait", &self.max_wait)
-            .field("queue_cap", &self.queue_cap)
-            .field("retrain_queue_cap", &self.retrain_queue_cap)
-            .field("pressure", &self.pressure.as_ref().map(|_| "<probe>"))
-            .field("test_panic_marker", &self.test_panic_marker)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for GatewayConfig {
@@ -163,7 +121,6 @@ impl Default for GatewayConfig {
             telemetry: None,
             tracer: None,
             drift: None,
-            pressure: None,
             test_panic_marker: false,
         }
     }
@@ -180,8 +137,6 @@ pub struct GatewayStats {
     pub requests_shed_overload: usize,
     /// Requests shed by a replica because their deadline had passed.
     pub requests_shed_deadline: usize,
-    /// Requests shed pre-emptively while an IO burst was forecast.
-    pub requests_shed_preburst: usize,
     /// Fused forward passes served across all replicas.
     pub batches_served: usize,
     /// Scripts fused into forward passes across all replicas.
@@ -222,8 +177,6 @@ pub struct PredictRequest {
     /// with [`ServeError::DeadlineExceeded`] instead of being served
     /// stale. `None` waits as long as it takes.
     pub deadline: Option<Duration>,
-    /// Admission class while a burst is forecast (see [`Priority`]).
-    pub priority: Priority,
     /// A foreign trace parent ([`SpanCtx::NONE`] for none), e.g. from a
     /// fleet frame's trace-context extension: the request's root span
     /// adopts its trace id and parents under it, so the tree stitches into
@@ -286,8 +239,6 @@ struct Instruments {
     batches_total: Counter,
     shed_overload: Counter,
     shed_deadline: Counter,
-    shed_preburst: Counter,
-    preshed_active: Gauge,
     queue_depth: Gauge,
     swap_epoch: Gauge,
     retrain_seconds: Histogram,
@@ -327,15 +278,6 @@ impl Instruments {
                 "serve_shed_total",
                 "Requests shed by admission control",
                 &[("reason", "deadline")],
-            ),
-            shed_preburst: t.counter_with(
-                "serve_shed_total",
-                "Requests shed by admission control",
-                &[("reason", "preburst")],
-            ),
-            preshed_active: t.gauge(
-                "serve_preshed_active",
-                "1 while forecast pressure is tightening admission, else 0",
             ),
             queue_depth: t.gauge("serve_queue_depth", "Requests currently queued"),
             swap_epoch: t.gauge(
@@ -411,9 +353,6 @@ pub struct Gateway {
     live_replicas: Arc<AtomicUsize>,
     configured_replicas: usize,
     queue_cap: usize,
-    pressure: Option<PressureProbe>,
-    preshed_cap: usize,
-    preshed_engaged: AtomicBool,
 }
 
 /// Count a thread lost to a panic and keep its message for `last_error`.
@@ -563,9 +502,6 @@ impl Gateway {
             live_replicas,
             configured_replicas: cfg.replicas,
             queue_cap: cfg.queue_cap.max(1),
-            pressure: cfg.pressure,
-            preshed_cap: ((cfg.queue_cap.max(1) as f64 * PRESHED_QUEUE_FRAC) as usize).max(1),
-            preshed_engaged: AtomicBool::new(false),
         })
     }
 
@@ -583,7 +519,7 @@ impl Gateway {
         self.predict_detailed(scripts, None).map(|r| r.predictions)
     }
 
-    /// Blocking [`submit`](Self::submit) at [`Priority::Normal`]: returns
+    /// Blocking [`submit`](Self::submit): returns
     /// the weight epoch alongside the predictions so callers can correlate
     /// answers with hot-swaps. If no replica picks the request up within
     /// `deadline`, it is shed with [`ServeError::DeadlineExceeded`] instead
@@ -612,7 +548,7 @@ impl Gateway {
     ///
     /// * on the calling thread, before `submit` returns, when the request
     ///   is refused at admission ([`ServeError::Overloaded`],
-    ///   [`ServeError::ShedPreBurst`], [`ServeError::Stopped`]) or is empty;
+    ///   [`ServeError::Stopped`]) or is empty;
     /// * on a replica thread after the fused forward pass, or when the
     ///   request's deadline passed in the queue
     ///   ([`ServeError::DeadlineExceeded`]);
@@ -623,7 +559,6 @@ impl Gateway {
     /// `done` must be cheap and non-blocking — it runs on the thread that
     /// serves every other request — and must not call back into the
     /// gateway. Hand the result to a channel or another thread.
-    /// [`Priority`] has what admission does while a burst is forecast.
     pub fn submit<F>(&self, req: PredictRequest, done: F)
     where
         F: FnOnce(ServeResult<PredictionReply>) + Send + 'static,
@@ -636,11 +571,6 @@ impl Gateway {
         }
         if self.stopped.load(Ordering::SeqCst) {
             return done(Err(ServeError::Stopped));
-        }
-        let under_pressure = self.refresh_pressure();
-        if under_pressure && req.priority == Priority::Low {
-            self.instruments.shed_preburst.inc();
-            return done(Err(ServeError::ShedPreBurst));
         }
         // The request's trace root: records on every exit path (shed,
         // stopped, served) so failed requests leave evidence too.
@@ -661,9 +591,7 @@ impl Gateway {
         let guard = self.req_tx.lock();
         let admitted = match guard.as_ref() {
             None => Err(ServeError::Stopped),
-            Some(tx) => self
-                .admit(under_pressure, self.req_rx.len(), &mut admission)
-                .map(|()| tx),
+            Some(tx) => self.admit(self.req_rx.len(), &mut admission).map(|()| tx),
         };
         match admitted {
             Ok(tx) => {
@@ -702,15 +630,7 @@ impl Gateway {
 
     /// The queue-depth half of admission: `Ok` when a request may join a
     /// queue currently `depth` deep.
-    fn admit(&self, under_pressure: bool, depth: usize, admission: &mut Span) -> ServeResult<()> {
-        // Pre-burst tightening: while a burst is forecast, normal requests
-        // only fill a fraction of the queue, keeping headroom for the
-        // burst itself.
-        if under_pressure && depth >= self.preshed_cap {
-            self.instruments.shed_preburst.inc();
-            admission.set_detail("shed=preburst");
-            return Err(ServeError::ShedPreBurst);
-        }
+    fn admit(&self, depth: usize, admission: &mut Span) -> ServeResult<()> {
         if depth >= self.queue_cap {
             self.instruments.shed_overload.inc();
             admission.set_detail("shed=overloaded");
@@ -816,7 +736,6 @@ impl Gateway {
             requests_admitted: count(&i.requests_total),
             requests_shed_overload: count(&i.shed_overload),
             requests_shed_deadline: count(&i.shed_deadline),
-            requests_shed_preburst: count(&i.shed_preburst),
             batches_served: count(&i.batches_total),
             scripts_predicted: i.batch_scripts.sum() as usize,
             retrains_done: count(&i.retrains_total),
@@ -854,78 +773,19 @@ impl Gateway {
         read_bytes: f64,
         write_bytes: f64,
     ) {
-        self.record_outcome_with_status(
-            prediction,
-            runtime_minutes,
-            read_bytes,
-            write_bytes,
-            OutcomeStatus::Completed,
-        );
-    }
-
-    /// [`record_outcome`](Self::record_outcome) with an explicit terminal
-    /// status. Jobs the kill/requeue policy terminated still carry an
-    /// observed (partial) truth; folding them into the drift windows keeps
-    /// the rolling statistics — and the conformal calibration built on
-    /// them — free of survivorship bias.
-    pub fn record_outcome_with_status(
-        &self,
-        prediction: &ResourcePrediction,
-        runtime_minutes: f64,
-        read_bytes: f64,
-        write_bytes: f64,
-        status: OutcomeStatus,
-    ) {
         let Some(d) = &self.drift else { return };
-        d.record_with_status(
+        d.record(
             DriftHead::Runtime,
             runtime_minutes,
             prediction.runtime_minutes,
-            status,
         );
-        d.record_with_status(DriftHead::Read, read_bytes, prediction.read_bytes, status);
-        d.record_with_status(
-            DriftHead::Write,
-            write_bytes,
-            prediction.write_bytes,
-            status,
-        );
+        d.record(DriftHead::Read, read_bytes, prediction.read_bytes);
+        d.record(DriftHead::Write, write_bytes, prediction.write_bytes);
     }
 
     /// Replica worker threads still alive (panics decrement this).
     pub fn live_replicas(&self) -> usize {
         self.live_replicas.load(Ordering::SeqCst)
-    }
-
-    /// Poll the pressure probe, record engage/release edges in the event
-    /// log, and return the current verdict. `false` without a probe.
-    fn refresh_pressure(&self) -> bool {
-        let Some(probe) = &self.pressure else {
-            return false;
-        };
-        let now = probe();
-        let was = self.preshed_engaged.swap(now, Ordering::SeqCst);
-        if now != was {
-            self.instruments
-                .preshed_active
-                .set(if now { 1.0 } else { 0.0 });
-            self.telemetry.events().record(
-                if now {
-                    "serve_preshed_engage"
-                } else {
-                    "serve_preshed_release"
-                },
-                format!("tightened_cap={}/{}", self.preshed_cap, self.queue_cap),
-                0,
-            );
-        }
-        now
-    }
-
-    /// True while forecast pressure is tightening admission (the verdict
-    /// from the most recent admission attempt).
-    pub fn preshed_active(&self) -> bool {
-        self.preshed_engaged.load(Ordering::SeqCst)
     }
 
     /// Readiness verdict for ops probes (`/readyz`): ready while the
@@ -1287,13 +1147,12 @@ mod tests {
     /// result the completion is run with and disconnects once the
     /// completion is gone, which is what lets [`the_only_result`] tell
     /// "once" from "twice" and from "never".
-    fn submit_one(gw: &Gateway, priority: Priority, deadline: Option<Duration>) -> Results {
+    fn submit_one(gw: &Gateway, deadline: Option<Duration>) -> Results {
         let (tx, rx) = unbounded();
         gw.submit(
             PredictRequest {
                 scripts: corpus()[..1].to_vec(),
                 deadline,
-                priority,
                 ..PredictRequest::default()
             },
             move |result| {
@@ -1440,70 +1299,6 @@ mod tests {
         gw.shutdown();
     }
 
-    /// While the pressure probe reports a forecast burst, low-priority
-    /// requests are shed outright, normal ones face the tightened cap, and
-    /// the engage/release edges land in the event log exactly once each.
-    #[test]
-    fn forecast_pressure_sheds_low_priority_and_tightens_the_cap() {
-        let pressure = Arc::new(AtomicBool::new(false));
-        let probe_flag = Arc::clone(&pressure);
-        let telemetry = Telemetry::new();
-        let gw = Gateway::spawn(
-            tiny_model(),
-            GatewayConfig {
-                replicas: 0,
-                queue_cap: 4, // tightened cap = 2
-                telemetry: Some(telemetry.clone()),
-                pressure: Some(Arc::new(move || probe_flag.load(Ordering::SeqCst))),
-                ..GatewayConfig::default()
-            },
-        )
-        .unwrap();
-
-        // No pressure: both priorities queue freely.
-        let mut queued: Vec<Results> = [Priority::Low, Priority::Normal, Priority::Normal]
-            .into_iter()
-            .map(|priority| submit_one(&gw, priority, None))
-            .collect();
-        assert_eq!(gw.queue_depth(), 3);
-        assert!(!gw.preshed_active());
-
-        // Pressure on: a low-priority request is shed before queueing,
-        // and a normal one hits the tightened cap (depth 3 >= 2). Both
-        // completions have run by the time `submit` returns.
-        pressure.store(true, Ordering::SeqCst);
-        for priority in [Priority::Low, Priority::Normal] {
-            let refused = submit_one(&gw, priority, None);
-            let result = refused.try_recv().expect("refusal completes inside submit");
-            assert_eq!(result.unwrap_err(), ServeError::ShedPreBurst);
-        }
-        assert!(gw.preshed_active());
-        assert_eq!(gw.stats().requests_shed_preburst, 2);
-        assert_eq!(gw.stats().requests_shed_overload, 0);
-
-        // Pressure off: admission is back to the full cap (depth 3 < 4).
-        pressure.store(false, Ordering::SeqCst);
-        queued.push(submit_one(&gw, Priority::Low, None));
-        assert_eq!(gw.queue_depth(), 4);
-        assert!(!gw.preshed_active());
-
-        gw.shutdown();
-        for rx in &queued {
-            assert_eq!(the_only_result(rx).unwrap_err(), ServeError::Stopped);
-        }
-
-        // Exactly one engage edge and one release edge.
-        let events = telemetry.events().drain();
-        for edge in ["serve_preshed_engage", "serve_preshed_release"] {
-            assert_eq!(events.iter().filter(|e| e.name == edge).count(), 1);
-        }
-        let text = telemetry.prometheus();
-        assert!(
-            text.contains(r#"serve_shed_total{reason="preburst"} 2"#),
-            "{text}"
-        );
-    }
-
     /// After shutdown the gateway answers `Stopped` through both doors
     /// instead of queueing, and a second shutdown (explicit, then Drop) is
     /// harmless.
@@ -1521,7 +1316,7 @@ mod tests {
         assert_eq!(gw.predict(&scripts[..2]).unwrap().len(), 2);
         gw.shutdown();
         assert_eq!(gw.predict(&scripts[..2]).unwrap_err(), ServeError::Stopped);
-        let refused = submit_one(&gw, Priority::Normal, None);
+        let refused = submit_one(&gw, None);
         assert_eq!(the_only_result(&refused).unwrap_err(), ServeError::Stopped);
         assert_eq!(gw.stats().requests_admitted, 1);
         gw.shutdown();
@@ -1540,8 +1335,8 @@ mod tests {
             },
         )
         .unwrap();
-        let served = submit_one(&gw, Priority::Normal, None);
-        let late = submit_one(&gw, Priority::Normal, Some(Duration::ZERO));
+        let served = submit_one(&gw, None);
+        let late = submit_one(&gw, Some(Duration::ZERO));
         assert_eq!(the_only_result(&served).unwrap().predictions.len(), 1);
         assert_eq!(
             the_only_result(&late).unwrap_err(),
@@ -1566,7 +1361,7 @@ mod tests {
             },
         )
         .unwrap();
-        let queued = submit_one(&gw, Priority::Normal, None);
+        let queued = submit_one(&gw, None);
         assert_eq!(gw.queue_depth(), 1);
 
         let caller = std::thread::current().id();

@@ -49,6 +49,6 @@
 mod gateway;
 
 pub use gateway::{
-    Gateway, GatewayConfig, GatewayStats, PredictRequest, PredictionReply, PressureProbe, Priority,
-    ServeError, ServeResult,
+    Gateway, GatewayConfig, GatewayStats, PredictRequest, PredictionReply, Priority, ServeError,
+    ServeResult,
 };

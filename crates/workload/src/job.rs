@@ -33,9 +33,9 @@ pub struct JobRecord {
     /// True bytes written over the job's lifetime.
     pub bytes_written: f64,
     /// Mean power draw over the job's lifetime, watts (0 for cancelled
-    /// jobs). Power is the paper's named future-work resource; the
-    /// generator provides ground truth so the extension head can be
-    /// evaluated.
+    /// jobs). Power is the paper's named future-work resource; no model
+    /// here predicts it, but the draw stays in the generator so traces keep
+    /// their bits.
     #[serde(default)]
     pub mean_power_watts: f64,
     /// Cancelled before execution (excluded from evaluation, as in §2.3).

@@ -36,8 +36,7 @@
 //! * [`forecast`] — cluster-scale IO burst forecasting: the incremental
 //!   per-minute aggregator (O(log n) per job arrival/completion), the
 //!   EWMA / Holt / seasonal-naive forecaster family, and edge-triggered
-//!   pre-burst alerts that tighten gateway admission (see `DESIGN.md`
-//!   §14);
+//!   burst alerts served at `/forecast` (see `DESIGN.md` §14);
 //! * [`revise`] — continuous in-flight re-prediction: progress taps on
 //!   the simulator, recency-weighted revision, split-conformal
 //!   `[lo, point, hi]` intervals calibrated on the drift window,

@@ -101,10 +101,9 @@ fn restored_predictor_serves_bit_identical_predictions() {
 fn checkpoint_sections_keep_their_names_and_order() {
     let (scripts, ..) = workload();
     let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-    let sections = |predict_io, predict_power| -> Vec<String> {
+    let sections = |predict_io| -> Vec<String> {
         let cfg = PrionnConfig {
             predict_io,
-            predict_power,
             ..tiny_cfg()
         };
         let model = Prionn::new(cfg, &refs[..8]).unwrap();
@@ -113,23 +112,15 @@ fn checkpoint_sections_keep_their_names_and_order() {
     };
     #[rustfmt::skip]
     assert_eq!(
-        sections(false, false),
+        sections(false),
         ["config", "transform", "bins", "model.runtime", "opt.runtime", "rng", "trainer"]
     );
     #[rustfmt::skip]
     assert_eq!(
-        sections(true, false),
+        sections(true),
         [
             "config", "transform", "bins", "model.runtime", "opt.runtime", "model.read",
             "opt.read", "model.write", "opt.write", "rng", "trainer",
-        ]
-    );
-    #[rustfmt::skip]
-    assert_eq!(
-        sections(true, true),
-        [
-            "config", "transform", "bins", "model.runtime", "opt.runtime", "model.read",
-            "opt.read", "model.write", "opt.write", "model.power", "opt.power", "rng", "trainer",
         ]
     );
 }
