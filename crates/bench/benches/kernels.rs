@@ -2,8 +2,10 @@
 //! bias/ReLU epilogues) against the naive reference kernels, a per-tier
 //! SIMD dispatch sweep, the convolution scoreboard (forward, filter gradient
 //! and input gradient of the direct 3×3 kernels against the GEMM lowering,
-//! each beside its roofline line) at the paper's four conv shapes, and one
-//! full train step of the PRIONN 2D-CNN on a 64×64 input at batch 32.
+//! each beside its roofline line) at the paper's four conv shapes, the fused
+//! ReLU + 2×2 max-pool tail of each conv stage beside its bandwidth line,
+//! and one full train step of the PRIONN 2D-CNN on a 64×64 input at batch
+//! 32.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench kernels`)
 //! and writes `BENCH_kernels.json` to the working directory (override with
@@ -18,20 +20,23 @@
 //!   3. blocked ≥ naive (min-of-reps) at every measured size — the n=64
 //!      regression guard;
 //!   4. the steady-state train step stays allocation-free;
-//!   5. the direct 3×3 forward ≥ 1.5× `gemm_im2col` at conv1–3, batch 32.
+//!   5. the direct 3×3 forward ≥ 1.5× `gemm_im2col` at conv1–3, batch 32;
+//!   6. the fused ReLU + pool forward+backward at conv1's output, batch 32,
+//!      within 3× its bandwidth line.
 //!
 //! The `pre_pr_baseline` and `pre_simd_baseline` blocks freeze numbers
 //! measured on this machine immediately before the respective changes
 //! landed, so the committed JSON documents each speedup without rebuilding
 //! old code.
 
-use prionn_nn::{ArchConfig, LossTarget, ModelKind, Sgd, SoftmaxCrossEntropy};
+use prionn_nn::layer::ReluPool;
+use prionn_nn::{ArchConfig, Layer, LossTarget, ModelKind, Sgd, SoftmaxCrossEntropy};
 use prionn_tensor::ops::gemm::{
     self, force_kernel_tier, kernel_tier, Epilogue, GemmWorkspace, KernelTier, Layout,
 };
 use prionn_tensor::ops::matmul::reference;
 use prionn_tensor::ops::{conv3x3, Conv2dGeom};
-use prionn_tensor::{init, ops, Tensor};
+use prionn_tensor::{init, ops, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
@@ -420,6 +425,73 @@ fn main() {
         }
     }
 
+    // The fused ReLU + 2×2 max-pool after each conv, on that conv's output,
+    // as `Sequential` runs it (a training forward, then backward), at the
+    // serving and the retrain batch size. It does no arithmetic worth
+    // counting, so its line is bandwidth only: the bytes it must move over
+    // the one-core copy rate. At batch 32 the layer shards samples over the
+    // compute pool, so it can beat that line.
+    let mut relu_pool_results = Vec::new();
+    let mut relu_pool_gate = f64::INFINITY;
+    for &(c, hw) in &[(8usize, 64usize), (16, 32), (16, 16), (32, 8)] {
+        let shape = format!("{c}@{hw}x{hw}");
+        for &batch in &[1usize, 32] {
+            let x = init::uniform([batch, c, hw, hw], -1.0, 1.0, &mut rng);
+            let dy = init::uniform([batch, c, hw / 2, hw / 2], -1.0, 1.0, &mut rng);
+            let (mut layer, mut scratch) = (ReluPool::new(), Scratch::new());
+            let reps = if batch == 1 {
+                gemm_reps * 20
+            } else {
+                gemm_reps * 4
+            };
+            let mut forward = Vec::with_capacity(reps);
+            let mut backward = Vec::with_capacity(reps);
+            for _ in 0..reps {
+                let t = Instant::now();
+                let y = layer.forward(&x, true, &mut scratch).unwrap();
+                forward.push(t.elapsed().as_secs_f64());
+                scratch.recycle_tensor(y);
+                let t = Instant::now();
+                let dx = layer.backward(&dy, &mut scratch).unwrap();
+                backward.push(t.elapsed().as_secs_f64());
+                scratch.recycle_tensor(dx);
+            }
+            let median_min = |v: &mut Vec<f64>| {
+                v.sort_by(|a, b| a.total_cmp(b));
+                (v[v.len() / 2], v[0])
+            };
+            let ((fwd, fwd_min), (bwd, bwd_min)) =
+                (median_min(&mut forward), median_min(&mut backward));
+            // x and dX at 4 bytes per input; y, dY and the code written and
+            // read back at 4 + 4 + 1 + 1 per pooled output.
+            let n = (batch * c * hw * hw) as f64;
+            let bytes = 8.0 * n + 10.0 * n / 4.0;
+            let line = bytes / (copy_gbs * 1e9);
+            println!(
+                "  relu_pool {shape} b{batch}: forward {:.3} ms  backward {:.3} ms  \
+                 | line {:.3} ms (memory), fused {:.2}x off it",
+                fwd * 1e3,
+                bwd * 1e3,
+                line * 1e3,
+                (fwd + bwd) / line,
+            );
+            if (c, hw, batch) == (8, 64, 32) {
+                relu_pool_gate = (fwd_min + bwd_min) / line;
+            }
+            relu_pool_results.push(json!({
+                "shape": shape.as_str(),
+                "batch": batch,
+                "forward_ms": fwd * 1e3,
+                "backward_ms": bwd * 1e3,
+                "fused_ms": (fwd + bwd) * 1e3,
+                "bytes": bytes,
+                "line_ms": line * 1e3,
+                "line_bound": "memory",
+                "fused_over_line": (fwd + bwd) / line,
+            }));
+        }
+    }
+
     // One optimiser step of the paper's 2D-CNN head: 4-channel 64×64 input,
     // batch 32, 960 runtime bins — the shape PRIONN retrains on.
     let cfg = ArchConfig::paper(4, 960);
@@ -483,6 +555,7 @@ fn main() {
             "copy_gbs": copy_gbs,
         },
         "conv_lowering": conv_results,
+        "relu_pool": relu_pool_results,
         "train_step_2dcnn_64x64_b32": {
             "ms": train_secs * 1e3,
             "pre_pr_ms": pre_pr_train_ms,
@@ -561,6 +634,13 @@ fn main() {
                 failed = true;
             }
         }
+        if relu_pool_gate > 3.0 {
+            eprintln!(
+                "FAIL: fused relu_pool 8@64x64 b32 forward+backward is {relu_pool_gate:.2}x \
+                 its bandwidth line (> 3x ceiling)"
+            );
+            failed = true;
+        }
         if steady_grows != warm_grows {
             eprintln!("FAIL: steady-state train step grew the scratch pool");
             failed = true;
@@ -570,7 +650,8 @@ fn main() {
         }
         println!(
             "enforce: 256^3 speedup {speedup_256_vs_pre_pr:.2}x >= 3.0x vs pre-PR naive, \
-             blocked >= naive at every size, direct conv1-3 forward >= 1.5x, zero-alloc hot path OK"
+             blocked >= naive at every size, direct conv1-3 forward >= 1.5x, \
+             relu_pool {relu_pool_gate:.2}x its line (<= 3x), zero-alloc hot path OK"
         );
     }
 }

@@ -12,7 +12,7 @@
 //! Output heads are classifiers, as in the paper: each output node maps to a
 //! value bin (e.g. 960 runtime-minute bins for the Cab cluster's 16 h cap).
 
-use crate::layer::{BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Reshape};
+use crate::layer::{BatchNorm, Conv2d, Dense, Flatten, ReLU, ReluPool, Reshape};
 use crate::model::Sequential;
 use crate::Result;
 use prionn_tensor::TensorError;
@@ -129,7 +129,8 @@ pub fn build_nn(cfg: &ArchConfig) -> Result<Sequential> {
 }
 
 /// The 1-D CNN: reshape to `[emb, 1, H·W]`, two strided `1×k` convolutions
-/// with pooling, then two fully connected layers.
+/// each followed by ReLU and `1×2` max pooling (one [`ReluPool`]), then two
+/// fully connected layers.
 pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
     cfg.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -137,24 +138,17 @@ pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
     let w = cfg.base_width;
 
     let conv1 = Conv2d::new_1d(cfg.emb_dim, w, len, 7, 4, 3, &mut rng)?;
-    let l1 = conv1.out_hw().1;
-    let pool1 = MaxPool2d::with_window(1, 2)?;
-    let l1p = l1 / 2;
-
+    let l1p = conv1.out_hw().1 / 2;
     let conv2 = Conv2d::new_1d(w, 2 * w, l1p, 5, 4, 2, &mut rng)?;
-    let l2 = conv2.out_hw().1;
-    let pool2 = MaxPool2d::with_window(1, 2)?;
-    let l2p = l2 / 2;
+    let l2p = conv2.out_hw().1 / 2;
 
     let flat = 2 * w * l2p;
     Ok(Sequential::new()
         .push(Reshape::new([cfg.emb_dim, 1, len]))
         .push(conv1)
-        .push(ReLU::new())
-        .push(pool1)
+        .push(ReluPool::one_d())
         .push(conv2)
-        .push(ReLU::new())
-        .push(pool2)
+        .push(ReluPool::one_d())
         .push(Flatten::new())
         .push(Dense::new(flat, 16 * w, &mut rng))
         .push(ReLU::new())
@@ -162,7 +156,8 @@ pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
 }
 
 /// The 2-D CNN (PRIONN's production model): four `3×3` convolutions, each
-/// followed by ReLU and `2×2` max pooling, then four fully connected layers.
+/// followed by ReLU and `2×2` max pooling (one [`ReluPool`]), then four fully
+/// connected layers.
 pub fn build_cnn2d(cfg: &ArchConfig) -> Result<Sequential> {
     cfg.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -188,8 +183,7 @@ pub fn build_cnn2d(cfg: &ArchConfig) -> Result<Sequential> {
         if bn {
             m.push_boxed(Box::new(BatchNorm::new(out_c)?));
         }
-        m.push_boxed(Box::new(ReLU::new()));
-        m.push_boxed(Box::new(MaxPool2d::new(2)?));
+        m.push_boxed(Box::new(ReluPool::new()));
         Ok(())
     };
     stage(&mut m, conv1, w)?;
@@ -277,6 +271,110 @@ mod tests {
         assert_eq!(m.forward(&x, true).unwrap().dims(), &[2, 10]);
         let plain = build_cnn2d(&cfg()).unwrap();
         assert!(m.param_count() > plain.param_count(), "BN adds gamma/beta");
+    }
+
+    #[test]
+    fn state_dict_keys_keep_the_unfused_layer_numbering() {
+        // Each `relu_pool` stands where a relu and a maxpool2d stood and
+        // counts as both, so checkpoints written before the fusion load.
+        let keys = |kind, batch_norm| -> Vec<String> {
+            let cfg = ArchConfig {
+                batch_norm,
+                ..ArchConfig::paper(4, 960)
+            };
+            let m = cfg.build(kind).unwrap();
+            m.state_dict().into_iter().map(|(k, _)| k).collect()
+        };
+        let expand = |layers: &[(usize, &str)]| -> Vec<String> {
+            let mut out = Vec::new();
+            for &(i, name) in layers {
+                let fields: &[&str] = match name {
+                    "batchnorm" => &["gamma", "beta", "running_mean", "running_var"],
+                    _ => &["w", "b"],
+                };
+                out.extend(fields.iter().map(|f| format!("{i}.{name}.{f}")));
+            }
+            out
+        };
+        assert_eq!(
+            keys(ModelKind::Cnn2d, false),
+            expand(&[
+                (0, "conv2d"),
+                (3, "conv2d"),
+                (6, "conv2d"),
+                (9, "conv2d"),
+                (13, "dense"),
+                (15, "dense"),
+                (17, "dense"),
+                (19, "dense"),
+            ])
+        );
+        assert_eq!(
+            keys(ModelKind::Cnn1d, false),
+            expand(&[(1, "conv2d"), (4, "conv2d"), (8, "dense"), (10, "dense")])
+        );
+        assert_eq!(
+            keys(ModelKind::Cnn2d, true),
+            expand(&[
+                (0, "conv2d"),
+                (1, "batchnorm"),
+                (4, "conv2d"),
+                (5, "batchnorm"),
+                (8, "conv2d"),
+                (9, "batchnorm"),
+                (12, "conv2d"),
+                (13, "batchnorm"),
+                (17, "dense"),
+                (19, "dense"),
+                (21, "dense"),
+                (23, "dense"),
+            ])
+        );
+    }
+
+    #[test]
+    fn telemetry_labels_and_spans_use_the_state_dict_index() {
+        use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
+        let t = prionn_telemetry::Telemetry::new();
+        let mut m = build_cnn2d(&cfg()).unwrap();
+        m.set_telemetry(&t, "runtime");
+        let rec = FlightRecorder::new(FlightConfig::default());
+        let tracer = Tracer::new(&rec);
+        let root = tracer.root("fused_forward");
+        {
+            let _ctx = prionn_observe::trace::push_current(&tracer, root.ctx());
+            m.forward(&Tensor::zeros([1, 4, 32, 32]), false).unwrap();
+        }
+        let spans: Vec<String> = rec.snapshot().into_iter().map(|s| s.name).collect();
+        let labels = [
+            "0.conv2d",
+            "1.relu_pool",
+            "3.conv2d",
+            "4.relu_pool",
+            "6.conv2d",
+            "7.relu_pool",
+            "9.conv2d",
+            "10.relu_pool",
+            "12.flatten",
+            "13.dense",
+            "14.relu",
+            "15.dense",
+            "16.relu",
+            "17.dense",
+            "18.relu",
+            "19.dense",
+        ];
+        let want: Vec<String> = labels.iter().map(|l| format!("layer:{l}")).collect();
+        assert_eq!(&spans[..want.len()], &want[..]);
+        let text = t.prometheus();
+        for label in labels {
+            assert!(
+                text.contains(&format!(
+                    "nn_layer_forward_seconds_count{{layer=\"{label}\""
+                )),
+                "no series for {label}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use super::Layer;
 use crate::Result;
 use prionn_tensor::{Scratch, Tensor, TensorError};
 
-/// Rectified linear unit, applied elementwise to any rank.
+/// Rectified linear unit, applied elementwise to any rank: the dense stack's
+/// activation. A conv stage's ReLU is part of its [`ReluPool`](super::ReluPool).
 #[derive(Default)]
 pub struct ReLU {
     // 1.0 where the input was positive, 0.0 elsewhere.

@@ -10,18 +10,13 @@
 //! copy of the *input* (`C·H·W` floats per sample) for backward; train and
 //! eval run the same forward.
 
-use super::Layer;
+use super::{sample_groups, Layer};
 use crate::Result;
 use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, Layout};
 use prionn_tensor::ops::{self, conv3x3, Conv2dGeom};
 use prionn_tensor::{Scratch, Tensor, TensorError};
 use rand::Rng;
 use rayon::prelude::*;
-
-/// Worker-group count for sample-level parallelism.
-fn sample_groups(batch: usize) -> usize {
-    rayon::current_num_threads().min(batch).max(1)
-}
 
 /// A 2-D convolution over `[batch, in_c, H, W]` inputs.
 ///

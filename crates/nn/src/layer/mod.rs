@@ -13,16 +13,23 @@ pub use batchnorm::BatchNorm;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
-pub use pool::MaxPool2d;
+pub use pool::ReluPool;
 pub use shape_ops::{Flatten, Reshape};
 
 use crate::Result;
 use prionn_tensor::{Scratch, Tensor};
 
+/// Worker-group count for sample-level parallelism: one group per pool
+/// thread, never more than there are samples, so a batch of one stays on
+/// the calling thread.
+fn sample_groups(batch: usize) -> usize {
+    rayon::current_num_threads().min(batch).max(1)
+}
+
 /// A differentiable network layer.
 ///
 /// Layers are stateful: `forward` caches whatever the subsequent `backward`
-/// needs (inputs, masks, argmax tables), and `backward` populates parameter
+/// needs (inputs, masks, pooling codes), and `backward` populates parameter
 /// gradients that the optimiser reads via [`Layer::visit_params`].
 ///
 /// The contract callers rely on:
@@ -66,9 +73,18 @@ pub trait Layer: Send {
     /// Short human-readable layer name for summaries.
     fn name(&self) -> &'static str;
 
+    /// How many positions of the layer index this layer occupies. A fused
+    /// layer that stands in for several counts as all of them, so the
+    /// layers after it keep the index — and with it the checkpoint keys and
+    /// telemetry labels — they had before the fusion.
+    fn positions(&self) -> usize {
+        1
+    }
+
     /// Stable names for the tensors yielded by [`Layer::state`], in the
     /// same order. Parameterless layers return the empty slice. Checkpoint
-    /// code keys persisted tensors by `{layer_index}.{name}.{state_key}`,
+    /// code keys persisted tensors by `{layer_index}.{name}.{state_key}`
+    /// (the index counts [`Layer::positions`]),
     /// so these strings are part of the on-disk format — never reorder or
     /// rename them without bumping the checkpoint format version.
     fn state_keys(&self) -> &'static [&'static str] {

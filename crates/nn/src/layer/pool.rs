@@ -1,71 +1,191 @@
-//! Max pooling.
+//! ReLU and max pooling in one pass: the tail of every convolution stage.
+//!
+//! [`ReluPool`] gives the bits of a `ReLU` layer followed by a
+//! non-overlapping first-max pool, without the pair's intermediates (a mask
+//! float per conv output, a `usize` argmax per pooled output, a zero-filled
+//! dX to scatter into and then mask). Forward keeps one byte per pooled
+//! output; backward writes every input gradient once.
+//!
+//! Why the bits agree. ReLU maps a tap `v` to `r = v > 0 ? v : +0.0`, so
+//! every `r` is `+0.0` or positive, never NaN. The pool's scan (`best =
+//! -inf`, take a tap when `r > best`) therefore ends on the first tap that
+//! holds the window's largest `r`, tap 0 when none is positive — the scan
+//! `best = +0.0`, take a tap when `v > best`, which never forms `r`. The
+//! pair's dX at a tap is `(0.0 + g) · m` where the pool routed `g`, else
+//! `0.0 · m = +0.0`, with `m = 1.0` iff `v > 0`; at the winner that is
+//! `best > 0`. The byte keeps the winning tap and that bit, so `-0.0` and NaN
+//! gradients come out as the pair's too.
 
-use super::Layer;
+use super::{sample_groups, Layer};
 use crate::Result;
 use prionn_tensor::{Scratch, Tensor, TensorError};
+use rayon::prelude::*;
 
-/// Max pooling over `[batch, C, H, W]` with a `ph × pw` window and matching
-/// stride (the standard non-overlapping configuration).
+/// Code bit: the window's winner was positive (the ReLU mask at the winning
+/// tap). The low bits hold the winner's tap index, row-major in the window.
+const POSITIVE: u8 = 0x80;
+
+/// ReLU then max pooling over `[batch, C, H, W]` with a `rows × 2` window
+/// and matching stride: `2 × 2` for the 2-D CNN, `1 × 2` for the 1-D CNN's
+/// `[batch, C, 1, L]` sequences. Spatial dims that do not divide evenly are
+/// truncated (floor); the dropped edge gets a `+0.0` gradient.
 ///
-/// Spatial dims that do not divide evenly are truncated (floor), matching
-/// common framework defaults.
-pub struct MaxPool2d {
-    ph: usize,
-    pw: usize,
-    // (input shape, linear index of the max tap for each output element)
-    cache: Option<(Vec<usize>, Vec<usize>)>,
+/// Batch rows are sharded across the compute pool by `Conv2d`'s rule, so a
+/// batch of one runs on the calling thread.
+pub struct ReluPool {
+    rows: usize,
+    // Input dims of the last training forward, until backward consumes them.
+    in_dims: Option<[usize; 4]>,
+    // One code per pooled output of that forward; the layer keeps the
+    // capacity across steps.
+    codes: Vec<u8>,
 }
 
-impl MaxPool2d {
-    /// A square `p × p` pool.
-    pub fn new(p: usize) -> Result<Self> {
-        Self::with_window(p, p)
+impl ReluPool {
+    /// ReLU and a `2 × 2` pool.
+    pub fn new() -> Self {
+        Self::with_rows(2)
     }
 
-    /// A `ph × pw` pool. A height of 1 gives the 1-D pooling used by the
-    /// paper's 1D-CNN.
-    pub fn with_window(ph: usize, pw: usize) -> Result<Self> {
-        if ph == 0 || pw == 0 {
-            return Err(TensorError::InvalidArgument(
-                "zero-sized pool window".into(),
-            ));
+    /// ReLU and a `1 × 2` pool along the sequence axis.
+    pub fn one_d() -> Self {
+        Self::with_rows(1)
+    }
+
+    fn with_rows(rows: usize) -> Self {
+        ReluPool {
+            rows,
+            in_dims: None,
+            codes: Vec::new(),
         }
-        Ok(MaxPool2d {
-            ph,
-            pw,
-            cache: None,
-        })
     }
 
     /// Output spatial dims for a given input.
-    pub fn out_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
-        (in_h / self.ph, in_w / self.pw)
+    fn out_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
+        (in_h / self.rows, in_w / 2)
     }
 }
 
-/// The largest of a 2×2 window's taps and its index, scanned like the
-/// general loop: the first one wins a tie, and a window with nothing above
-/// `-inf` reports `(-inf, 0)`.
+impl Default for ReluPool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The pooled value and code of one window: its largest tap clamped at
+/// `+0.0`, and the first tap holding that value (tap 0 when none is
+/// positive). Branch-free, so the loops over a row of windows vectorise.
 #[inline(always)]
-fn first_max(taps: [(f32, usize); 4]) -> (f32, usize) {
-    let mut best = (f32::NEG_INFINITY, 0usize);
-    for tap in taps {
-        if tap.0 > best.0 {
-            best = tap;
-        }
+fn window<const N: usize>(taps: [f32; N]) -> (f32, u8) {
+    let (mut best, mut tap) = (0.0f32, 0u8);
+    for (k, v) in taps.into_iter().enumerate() {
+        let take = v > best;
+        best = if take { v } else { best };
+        tap = if take { k as u8 } else { tap };
     }
-    best
+    (best, tap | if best > 0.0 { POSITIVE } else { 0 })
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
-        // Recycle an argmax cache no backward consumed.
-        if let Some((_, old)) = self.cache.take() {
-            scratch.recycle_idx(old);
+/// Pool one output row from its windows, writing codes when kept.
+#[inline(always)]
+fn pool_row<const N: usize>(
+    windows: impl Iterator<Item = [f32; N]>,
+    out: &mut [f32],
+    codes: Option<&mut [u8]>,
+) {
+    match codes {
+        Some(codes) => {
+            for ((o, c), taps) in out.iter_mut().zip(codes).zip(windows) {
+                (*o, *c) = window(taps);
+            }
         }
+        None => {
+            for (o, taps) in out.iter_mut().zip(windows) {
+                *o = window(taps).0;
+            }
+        }
+    }
+}
+
+/// Chunk lengths, in input and output elements, of each worker group's
+/// share of a batch of `b` samples.
+fn group_chunks(b: usize, in_sample: usize, out_sample: usize) -> (usize, usize) {
+    let per = b.div_ceil(sample_groups(b)).max(1);
+    ((per * in_sample).max(1), (per * out_sample).max(1))
+}
+
+/// Forward over `rows × 2` windows of whole `h × w` channel planes: `x`
+/// holds the planes, `out` and `codes` their pooled planes.
+fn forward_planes(
+    rows: usize,
+    x: &[f32],
+    (h, w): (usize, usize),
+    out: &mut [f32],
+    mut codes: Option<&mut [u8]>,
+) {
+    let (oh, ow) = (h / rows, w / 2);
+    for (pi, (xp, op)) in x
+        .chunks_exact(h * w)
+        .zip(out.chunks_exact_mut(oh * ow))
+        .enumerate()
+    {
+        for (oy, out_row) in op.chunks_exact_mut(ow).enumerate() {
+            let o0 = (pi * oh + oy) * ow;
+            let code_row = codes.as_deref_mut().map(|c| &mut c[o0..o0 + ow]);
+            let top = &xp[rows * oy * w..][..w];
+            if rows == 2 {
+                let bot = &xp[(2 * oy + 1) * w..][..w];
+                let taps = top
+                    .chunks_exact(2)
+                    .zip(bot.chunks_exact(2))
+                    .map(|(t, u)| [t[0], t[1], u[0], u[1]]);
+                pool_row(taps, out_row, code_row);
+            } else {
+                pool_row(top.chunks_exact(2).map(|t| [t[0], t[1]]), out_row, code_row);
+            }
+        }
+    }
+}
+
+/// Backward over whole channel planes: every element of `dx` is written
+/// once, one input row at a time. Each window's gradient `(0.0 + g) · mask`
+/// lands on its winning tap and `+0.0` on the others, chosen by selects: a
+/// branch on the winner would mispredict on every other window.
+fn backward_planes(rows: usize, g: &[f32], codes: &[u8], (h, w): (usize, usize), dx: &mut [f32]) {
+    let (oh, ow) = (h / rows, w / 2);
+    for ((gp, cp), dp) in g
+        .chunks_exact(oh * ow)
+        .zip(codes.chunks_exact(oh * ow))
+        .zip(dx.chunks_exact_mut(h * w))
+    {
+        let (windowed, ragged) = dp.split_at_mut(rows * oh * w);
+        for ((g_row, c_row), d_rows) in gp
+            .chunks_exact(ow)
+            .zip(cp.chunks_exact(ow))
+            .zip(windowed.chunks_exact_mut(rows * w))
+        {
+            for (dy, d_row) in d_rows.chunks_exact_mut(w).enumerate() {
+                let left = 2 * dy as u8;
+                for (d, (&g, &c)) in d_row.chunks_exact_mut(2).zip(g_row.iter().zip(c_row)) {
+                    let v = (0.0 + g) * if c & POSITIVE != 0 { 1.0 } else { 0.0 };
+                    let tap = c & !POSITIVE;
+                    d[0] = if tap == left { v } else { 0.0 };
+                    d[1] = if tap == left + 1 { v } else { 0.0 };
+                }
+                d_row[2 * ow..].fill(0.0);
+            }
+        }
+        ragged.fill(0.0);
+    }
+}
+
+impl Layer for ReluPool {
+    fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+        // An eval forward leaves no backward state.
+        self.in_dims = None;
         if x.rank() != 4 {
             return Err(TensorError::RankMismatch {
-                op: "maxpool",
+                op: "relu_pool",
                 expected: 4,
                 actual: x.rank(),
             });
@@ -74,93 +194,67 @@ impl Layer for MaxPool2d {
         let (oh, ow) = self.out_hw(h, w);
         if oh == 0 || ow == 0 {
             return Err(TensorError::InvalidArgument(format!(
-                "pool {}x{} larger than input {h}x{w}",
-                self.ph, self.pw
+                "pool {}x2 larger than input {h}x{w}",
+                self.rows
             )));
         }
-        let xs = x.as_slice();
-        let mut out = scratch.take(b * c * oh * ow);
-        // Only backward reads the argmax table: an eval forward keeps none.
-        let mut argmax = train.then(|| scratch.take_idx(out.len()));
-        for pi in 0..b * c {
-            let plane = pi * h * w;
-            for oy in 0..oh {
-                let o0 = (pi * oh + oy) * ow;
-                let out_row = &mut out[o0..o0 + ow];
-                let mut arg_row = argmax.as_mut().map(|a| &mut a[o0..o0 + ow]);
-                if (self.ph, self.pw) == (2, 2) {
-                    // The paper's window: walk the two input rows in step,
-                    // taps in the general loop's order. Without an argmax
-                    // table to fill the scan vectorises.
-                    let top = plane + 2 * oy * w;
-                    let rows = xs[top..top + w]
-                        .chunks_exact(2)
-                        .zip(xs[top + w..top + 2 * w].chunks_exact(2));
-                    match arg_row {
-                        None => {
-                            for (o, (t, u)) in out_row.iter_mut().zip(rows) {
-                                *o = first_max([(t[0], 0), (t[1], 0), (u[0], 0), (u[1], 0)]).0;
-                            }
-                        }
-                        Some(arg_row) => {
-                            for (ox, (t, u)) in rows.enumerate() {
-                                let i = top + 2 * ox;
-                                (out_row[ox], arg_row[ox]) = first_max([
-                                    (t[0], i),
-                                    (t[1], i + 1),
-                                    (u[0], i + w),
-                                    (u[1], i + w + 1),
-                                ]);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                for (ox, o) in out_row.iter_mut().enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..self.ph {
-                        let iy = oy * self.ph + dy;
-                        for dx in 0..self.pw {
-                            let ix = ox * self.pw + dx;
-                            let idx = plane + iy * w + ix;
-                            if xs[idx] > best {
-                                best = xs[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    *o = best;
-                    if let Some(arg_row) = &mut arg_row {
-                        arg_row[ox] = best_idx;
-                    }
-                }
-            }
+        let (in_sample, out_sample) = (c * h * w, c * oh * ow);
+        let mut out = scratch.take(b * out_sample);
+        if train {
+            self.codes.resize(b * out_sample, 0);
         }
-        self.cache = argmax.map(|argmax| (x.dims().to_vec(), argmax));
+        let (x_chunk, out_chunk) = group_chunks(b, in_sample, out_sample);
+        let mut code_chunks = train.then(|| self.codes.chunks_mut(out_chunk));
+        let items: Vec<_> = x
+            .as_slice()
+            .chunks(x_chunk)
+            .zip(out.chunks_mut(out_chunk))
+            .map(|(xs, os)| (xs, os, code_chunks.as_mut().and_then(Iterator::next)))
+            .collect();
+        let rows = self.rows;
+        items
+            .into_par_iter()
+            .for_each(|(xs, os, cs)| forward_planes(rows, xs, (h, w), os, cs));
+        if train {
+            self.in_dims = Some([b, c, h, w]);
+        }
         Tensor::from_vec([b, c, oh, ow], out)
     }
 
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
-        let (in_dims, argmax) = self.cache.take().ok_or_else(|| {
-            TensorError::InvalidArgument("maxpool backward without forward".into())
+        let [b, c, h, w] = self.in_dims.take().ok_or_else(|| {
+            TensorError::InvalidArgument("relu_pool backward without forward".into())
         })?;
-        if grad_out.len() != argmax.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: argmax.len(),
-                actual: grad_out.len(),
+        let (oh, ow) = self.out_hw(h, w);
+        if grad_out.dims() != [b, c, oh, ow] {
+            return Err(TensorError::ShapeMismatch {
+                op: "relu_pool_backward",
+                lhs: vec![b, c, oh, ow],
+                rhs: grad_out.dims().to_vec(),
             });
         }
-        let mut dx = scratch.take_zeroed(in_dims.iter().product());
-        for (&idx, &g) in argmax.iter().zip(grad_out.as_slice()) {
-            dx[idx] += g;
-        }
-        scratch.recycle_idx(argmax);
-        Tensor::from_vec(in_dims, dx)
+        let (in_sample, out_sample) = (c * h * w, c * oh * ow);
+        let mut dx = scratch.take(b * in_sample);
+        let (dx_chunk, g_chunk) = group_chunks(b, in_sample, out_sample);
+        let items: Vec<_> = grad_out
+            .as_slice()
+            .chunks(g_chunk)
+            .zip(self.codes.chunks(g_chunk))
+            .zip(dx.chunks_mut(dx_chunk))
+            .collect();
+        let rows = self.rows;
+        items
+            .into_par_iter()
+            .for_each(|((gs, cs), ds)| backward_planes(rows, gs, cs, (h, w), ds));
+        Tensor::from_vec([b, c, h, w], dx)
     }
 
     fn name(&self) -> &'static str {
-        "maxpool2d"
+        "relu_pool"
+    }
+
+    fn positions(&self) -> usize {
+        2
     }
 }
 
@@ -169,127 +263,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pools_known_maxima() {
-        let mut p = MaxPool2d::new(2).unwrap();
+    fn eval_forward_matches_training_forward_and_keeps_no_codes() {
+        let mut p = ReluPool::new();
         let mut s = Scratch::new();
         let x = Tensor::from_vec(
-            [1, 1, 4, 4],
-            vec![
-                1., 2., 5., 3., //
-                4., 0., 1., 2., //
-                9., 1., 0., 0., //
-                1., 1., 0., 7.,
-            ],
+            [1, 2, 2, 4],
+            (0..16).map(|v| (v * 7 % 5) as f32 - 2.0).collect(),
         )
         .unwrap();
-        let y = p.forward(&x, true, &mut s).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.as_slice(), &[4., 5., 9., 7.]);
-    }
-
-    #[test]
-    fn backward_routes_gradient_to_argmax() {
-        let mut p = MaxPool2d::new(2).unwrap();
-        let mut s = Scratch::new();
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 3., 2., 0.]).unwrap();
-        p.forward(&x, true, &mut s).unwrap();
-        let dy = Tensor::from_vec([1, 1, 1, 1], vec![5.0]).unwrap();
-        let dx = p.backward(&dy, &mut s).unwrap();
-        assert_eq!(dx.as_slice(), &[0., 5., 0., 0.]);
-    }
-
-    #[test]
-    fn eval_forward_matches_training_forward_and_keeps_no_argmax() {
-        let mut p = MaxPool2d::new(2).unwrap();
-        let mut s = Scratch::new();
-        let x =
-            Tensor::from_vec([1, 2, 2, 4], (0..16).map(|v| (v * 7 % 5) as f32).collect()).unwrap();
         let trained = p.forward(&x, true, &mut s).unwrap();
         let evaluated = p.forward(&x, false, &mut s).unwrap();
         assert_eq!(evaluated, trained);
         assert!(
             p.backward(&Tensor::zeros([1, 2, 1, 2]), &mut s).is_err(),
-            "eval kept an argmax table"
+            "eval kept codes"
         );
     }
 
     #[test]
-    fn two_by_two_path_keeps_the_general_scan_order_on_ties_nan_and_ragged_edges() {
-        // Values drawn from a tiny set so most windows hold a tie, plus NaN
-        // and -inf windows; 5x7 leaves a ragged row and column.
-        let (b, c, h, w) = (2usize, 3usize, 5usize, 7usize);
-        let pick = [1.0f32, 1.0, -2.0, 0.0, -0.0, f32::NAN, f32::NEG_INFINITY];
-        let data: Vec<f32> = (0..b * c * h * w)
-            .map(|i| pick[(i * 5 + i / 3) % 7])
-            .collect();
-        let x = Tensor::from_vec([b, c, h, w], data.clone()).unwrap();
-        let mut p = MaxPool2d::new(2).unwrap();
-        let mut s = Scratch::new();
-        let y = p.forward(&x, true, &mut s).unwrap();
-        let (oh, ow) = (h / 2, w / 2);
-        // One distinct gradient per output exposes the argmax through dX.
-        let dy = Tensor::from_vec(
-            [b, c, oh, ow],
-            (0..b * c * oh * ow).map(|i| (i + 1) as f32).collect(),
-        )
-        .unwrap();
-        let dx = p.backward(&dy, &mut s).unwrap();
-
-        let mut want_y = Vec::new();
-        let mut want_dx = vec![0.0f32; data.len()];
-        for plane in (0..b * c).map(|pi| pi * h * w) {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
-                    for idx in [0, 1, w, w + 1].map(|d| plane + 2 * oy * w + 2 * ox + d) {
-                        if data[idx] > best {
-                            (best, best_idx) = (data[idx], idx);
-                        }
-                    }
-                    want_dx[best_idx] += (want_y.len() + 1) as f32;
-                    want_y.push(best);
-                }
-            }
-        }
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(y.as_slice()), bits(&want_y));
-        assert_eq!(bits(dx.as_slice()), bits(&want_dx));
-        // The eval scan fills no argmax table and runs its own loop.
-        let y_eval = p.forward(&x, false, &mut s).unwrap();
-        assert_eq!(bits(y_eval.as_slice()), bits(&want_y));
-    }
-
-    #[test]
-    fn truncates_ragged_edges() {
-        let mut p = MaxPool2d::new(2).unwrap();
-        let mut s = Scratch::new();
-        let x = Tensor::zeros([1, 1, 5, 5]);
-        let y = p.forward(&x, true, &mut s).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn one_d_window() {
-        let mut p = MaxPool2d::with_window(1, 2).unwrap();
-        let mut s = Scratch::new();
-        let x = Tensor::from_vec([1, 1, 1, 4], vec![1., 9., 2., 3.]).unwrap();
-        let y = p.forward(&x, true, &mut s).unwrap();
-        assert_eq!(y.as_slice(), &[9., 3.]);
-    }
-
-    #[test]
-    fn rejects_oversized_window() {
-        let mut p = MaxPool2d::new(4).unwrap();
+    fn rejects_oversized_window_and_wrong_rank() {
+        let mut p = ReluPool::new();
         let mut s = Scratch::new();
         assert!(p
-            .forward(&Tensor::zeros([1, 1, 2, 2]), true, &mut s)
+            .forward(&Tensor::zeros([1, 1, 1, 2]), true, &mut s)
             .is_err());
+        assert!(p.forward(&Tensor::zeros([1, 4, 4]), true, &mut s).is_err());
     }
 
     #[test]
-    fn backward_without_forward_errors() {
-        let mut p = MaxPool2d::new(2).unwrap();
+    fn backward_without_forward_or_with_the_wrong_shape_errors() {
+        let mut p = ReluPool::new();
         let mut s = Scratch::new();
+        assert!(p.backward(&Tensor::zeros([1, 1, 1, 1]), &mut s).is_err());
+        p.forward(&Tensor::zeros([1, 1, 4, 4]), true, &mut s)
+            .unwrap();
         assert!(p.backward(&Tensor::zeros([1, 1, 1, 1]), &mut s).is_err());
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! This crate provides everything those models need and nothing more:
 //!
-//! * [`layer`] — the [`Layer`] trait plus `Dense`, `Conv2d`
-//!   (with a 1-D convenience constructor), `MaxPool2d`, `ReLU`, `Dropout`,
-//!   `Flatten`, and `Reshape`,
+//! * [`layer`] — the [`Layer`] trait plus `Dense`, `Conv2d` (with a 1-D
+//!   convenience constructor), `ReluPool` (ReLU and max pooling in one
+//!   pass), `ReLU`, `BatchNorm`, `Dropout`, `Flatten`, and `Reshape`,
 //! * [`loss`] — softmax cross-entropy (classifier head) and MSE (regression
 //!   ablation),
 //! * [`optim`] — SGD with momentum and Adam, with state keyed by parameter

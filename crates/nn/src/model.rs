@@ -15,9 +15,20 @@ use rand::Rng;
 struct LayerInstruments {
     forward: Histogram,
     backward: Histogram,
-    /// Absent for parameterless layers (ReLU, pooling, reshapes).
+    /// Absent for parameterless layers (ReLU, ReLU + pooling, reshapes).
     param_norm: Option<Gauge>,
     grad_norm: Option<Gauge>,
+}
+
+/// Each layer beside its index: its first position, every layer counting
+/// [`Layer::positions`]. State keys, telemetry labels and trace spans all
+/// name a layer by this index.
+fn indexed(layers: &[Box<dyn Layer>]) -> impl Iterator<Item = (usize, &dyn Layer)> {
+    layers.iter().scan(0usize, |next, l| {
+        let i = *next;
+        *next += l.positions();
+        Some((i, l.as_ref()))
+    })
 }
 
 /// Telemetry wiring for one model: the registry handle, the `model` label
@@ -30,9 +41,7 @@ struct ModelTelemetry {
 
 impl ModelTelemetry {
     fn build_layers(&mut self, layers: &[Box<dyn Layer>]) {
-        self.per_layer = layers
-            .iter()
-            .enumerate()
+        self.per_layer = indexed(layers)
             .map(|(i, l)| {
                 let layer = format!("{i}.{}", l.name());
                 let labels = [
@@ -95,11 +104,12 @@ impl Sequential {
     /// Attach a telemetry registry: every layer gains
     /// `nn_layer_forward_seconds` / `nn_layer_backward_seconds` histograms
     /// and `nn_param_norm` / `nn_grad_norm` gauges, all labelled
-    /// `{model=<model_label>, layer=<index>.<name>}`. Instruments are
-    /// resolved once here; the hot loops only pay one `Instant::now()` pair
-    /// per layer plus a striped atomic add. Call with the same registry to
-    /// share one exposition endpoint across models; layers pushed after
-    /// attachment are picked up automatically.
+    /// `{model=<model_label>, layer=<index>.<name>}` (the index counts
+    /// [`Layer::positions`], so a `relu_pool` at 1 is followed by a layer at
+    /// 3). Instruments are resolved once here; the hot loops only pay one
+    /// `Instant::now()` pair per layer plus a striped atomic add. Call with
+    /// the same registry to share one exposition endpoint across models;
+    /// layers pushed after attachment are picked up automatically.
     pub fn set_telemetry(&mut self, registry: &Telemetry, model_label: &str) {
         let mut mt = ModelTelemetry {
             registry: registry.clone(),
@@ -172,7 +182,7 @@ impl Sequential {
     /// One-line-per-layer summary, e.g. for logging.
     pub fn summary(&self) -> String {
         let mut s = String::new();
-        for (i, l) in self.layers.iter().enumerate() {
+        for (i, l) in indexed(&self.layers) {
             s.push_str(&format!(
                 "{i:>2}: {:<10} params={}\n",
                 l.name(),
@@ -190,8 +200,9 @@ impl Sequential {
     /// When the calling thread carries an implicit trace context (the
     /// serving gateway sets one around each fused batch via
     /// `prionn_observe::trace::push_current`), every layer additionally
-    /// records a `layer:<index>.<name>` child span; without a context the
-    /// only cost is one thread-local check per layer.
+    /// records a `layer:<index>.<name>` child span (indexed as in
+    /// [`Sequential::state_dict`]); without a context the only cost is one
+    /// thread-local check per layer.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
         self.refresh_telemetry();
         let Sequential {
@@ -202,13 +213,15 @@ impl Sequential {
         let insts = telemetry.as_ref().map(|mt| &mt.per_layer);
         let tracing = prionn_observe::trace::active();
         let mut cur: Option<Tensor> = None;
+        let mut at = 0usize;
         for (i, layer) in layers.iter_mut().enumerate() {
             let t = insts.map(|_| std::time::Instant::now());
             let span = if tracing {
-                prionn_observe::trace::child_of_current(|| format!("layer:{i}.{}", layer.name()))
+                prionn_observe::trace::child_of_current(|| format!("layer:{at}.{}", layer.name()))
             } else {
                 None
             };
+            at += layer.positions();
             let next = layer.forward(cur.as_ref().unwrap_or(x), train, scratch)?;
             drop(span);
             if let (Some(insts), Some(t)) = (insts, t) {
@@ -468,7 +481,8 @@ impl Sequential {
     }
 
     /// Snapshot all learned parameters keyed by stable layer paths of the
-    /// form `{layer_index}.{layer_name}.{state_key}` (e.g. `3.dense.w`).
+    /// form `{layer_index}.{layer_name}.{state_key}` (e.g. `3.dense.w`), the
+    /// index counting [`Layer::positions`].
     ///
     /// Unlike the positional [`Sequential::state`], the keys make persisted
     /// checkpoints self-describing: loading against a different architecture
@@ -476,7 +490,7 @@ impl Sequential {
     /// tensors to the wrong layers.
     pub fn state_dict(&self) -> Vec<(String, Tensor)> {
         let mut dict = Vec::new();
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (i, layer) in indexed(&self.layers) {
             let keys = layer.state_keys();
             let tensors = layer.state();
             debug_assert_eq!(
@@ -498,7 +512,7 @@ impl Sequential {
     /// replace. A dict that passes cannot fail to load.
     pub fn check_state_dict(&self, dict: &[(String, Tensor)]) -> Result<()> {
         let mut cursor = 0usize;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (i, layer) in indexed(&self.layers) {
             let keys = layer.state_keys();
             let current = layer.state();
             for (key, cur) in keys.iter().zip(&current) {
@@ -765,7 +779,7 @@ mod tests {
 
     #[test]
     fn train_batch_matches_forward_full_backward_and_step_bit_for_bit() {
-        use crate::layer::{Conv2d, Flatten, MaxPool2d, Reshape};
+        use crate::layer::{Conv2d, Flatten, ReluPool, Reshape};
         // A parameterless layer first, then the conv whose dX train_batch
         // never computes.
         let build = || {
@@ -773,8 +787,7 @@ mod tests {
             Sequential::new()
                 .push(Reshape::new([2, 6, 6]))
                 .push(Conv2d::new(2, 3, 6, 6, 3, 1, 1, &mut rng).unwrap())
-                .push(ReLU::new())
-                .push(MaxPool2d::new(2).unwrap())
+                .push(ReluPool::new())
                 .push(Flatten::new())
                 .push(Dense::new(27, 5, &mut rng))
         };

@@ -2,7 +2,7 @@
 //! with the softmax cross-entropy loss — the strongest single correctness
 //! guarantee for the backprop implementation.
 
-use prionn_nn::layer::{Conv2d, Dense, Flatten, MaxPool2d, ReLU};
+use prionn_nn::layer::{Conv2d, Dense, Flatten, Layer, ReluPool};
 use prionn_nn::{Loss, LossTarget, Sequential, SoftmaxCrossEntropy};
 use prionn_tensor::{ops, Scratch, Tensor};
 use rand::SeedableRng;
@@ -11,8 +11,7 @@ use rand_chacha::ChaCha8Rng;
 fn model(rng: &mut ChaCha8Rng) -> Sequential {
     Sequential::new()
         .push(Conv2d::new(2, 3, 8, 8, 3, 1, 1, rng).unwrap())
-        .push(ReLU::new())
-        .push(MaxPool2d::new(2).unwrap())
+        .push(ReluPool::new())
         .push(Flatten::new())
         .push(Dense::new(3 * 4 * 4, 10, rng))
 }
@@ -202,4 +201,49 @@ fn training_reduces_loss_on_the_full_stack() {
         assert!((s - 1.0).abs() < 1e-4);
     }
     let _ = ops::sum(&out);
+}
+
+/// The fused ReLU + pool alone, for both windows, against central
+/// differences of `L = Σ r·y` at every input coordinate. The inputs are a
+/// shuffled grid of values 0.1 apart, none within 0.05 of zero, so no step
+/// crosses a ReLU kink or flips a pooling winner; odd extents leave a
+/// ragged edge whose gradient must be zero.
+#[test]
+fn relu_pool_gradient_matches_finite_differences() {
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    for (mut layer, dims) in [
+        (ReluPool::new(), [2usize, 3, 5, 7]),
+        (ReluPool::one_d(), [2, 3, 1, 9]),
+    ] {
+        let n: usize = dims.iter().product();
+        let values = (0..n)
+            .map(|i| ((i * 37) % n) as f32 * 0.1 - n as f32 * 0.05 + 0.05)
+            .collect();
+        let x = Tensor::from_vec(dims, values).unwrap();
+        let mut scratch = Scratch::new();
+        let y = layer.forward(&x, true, &mut scratch).unwrap();
+        let r = prionn_tensor::init::uniform(y.dims().to_vec(), -1.0, 1.0, &mut rng);
+        let dx = layer.backward(&r, &mut scratch).unwrap();
+        let mut loss = |x: &Tensor| -> f64 {
+            let y = layer.forward(x, false, &mut scratch).unwrap();
+            y.as_slice()
+                .iter()
+                .zip(r.as_slice())
+                .map(|(&a, &b)| a as f64 * b as f64)
+                .sum()
+        };
+        let eps = 1e-2f32;
+        for i in 0..n {
+            let mut xp = x.clone();
+            xp.as_mut_slice()[i] += eps;
+            let up = loss(&xp);
+            xp.as_mut_slice()[i] -= 2.0 * eps;
+            let numeric = (up - loss(&xp)) / (2.0 * eps as f64);
+            let analytic = dx.as_slice()[i] as f64;
+            assert!(
+                (numeric - analytic).abs() < 1e-3,
+                "{dims:?} input {i}: numeric {numeric} vs analytic {analytic}"
+            );
+        }
+    }
 }

@@ -2,17 +2,16 @@
 //! training steps over fixed shapes must be served entirely from the
 //! [`prionn_tensor::Scratch`] pool — `ScratchStats::grows` stays flat.
 
-use prionn_nn::layer::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, ReLU};
+use prionn_nn::layer::{Conv2d, Dense, Dropout, Flatten, ReluPool};
 use prionn_nn::{ArchConfig, LossTarget, ModelKind, Sequential, Sgd, SoftmaxCrossEntropy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn small_cnn(rng: &mut ChaCha8Rng) -> Sequential {
-    // 1x8x8 input -> conv(4,k3,p1) -> relu -> pool2 -> flatten -> dense(10).
+    // 1x8x8 input -> conv(4,k3,p1) -> relu+pool2 -> dropout -> flatten -> dense(10).
     Sequential::new()
         .push(Conv2d::new(1, 4, 8, 8, 3, 1, 1, rng).unwrap())
-        .push(ReLU::new())
-        .push(MaxPool2d::new(2).unwrap())
+        .push(ReluPool::new())
         .push(Dropout::new(0.25, 42).unwrap())
         .push(Flatten::new())
         .push(Dense::new(4 * 4 * 4, 10, rng))
@@ -125,4 +124,44 @@ fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
     );
     // The largest thing a step holds is conv1's output (8·64·64 per sample).
     assert!(after.largest_pooled >= 8 * 64 * 64 * batch);
+}
+
+/// The other two models whose conv stages end in a `ReluPool` — the 1-D CNN
+/// and the batch-norm 2-D CNN — are pool-stable after one warm step too.
+/// (The pooling codes are the layer's own bytes, kept across steps.)
+#[test]
+fn fused_relu_pool_models_are_pool_stable() {
+    for (kind, batch_norm) in [(ModelKind::Cnn1d, false), (ModelKind::Cnn2d, true)] {
+        let cfg = ArchConfig {
+            grid_h: 32,
+            grid_w: 32,
+            base_width: 2,
+            batch_norm,
+            ..ArchConfig::paper(4, 10)
+        };
+        let mut model = cfg.build(kind).unwrap();
+        let dims = match kind {
+            ModelKind::Cnn2d => vec![6, 4, 32, 32],
+            _ => vec![6, 4, 32 * 32],
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let x = prionn_tensor::init::uniform(dims, -1.0, 1.0, &mut rng);
+        let classes: Vec<usize> = (0..6).collect();
+        let target = LossTarget::Classes(&classes);
+        let mut opt = Sgd::new(0.01);
+        model
+            .train_batch(&x, &target, &SoftmaxCrossEntropy, &mut opt)
+            .unwrap();
+        let warm = model.scratch_stats();
+        for _ in 0..3 {
+            model
+                .train_batch(&x, &target, &SoftmaxCrossEntropy, &mut opt)
+                .unwrap();
+        }
+        let after = model.scratch_stats();
+        assert_eq!(
+            after.grows, warm.grows,
+            "{kind:?} batch_norm={batch_norm}: steps after the warm one allocated"
+        );
+    }
 }
