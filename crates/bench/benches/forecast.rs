@@ -120,6 +120,7 @@ fn main() {
     let report = json!({
         "bench": "forecast",
         "mode": mode,
+        "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "horizon_minutes": HORIZON_MINUTES,
         "concurrent_jobs": jobs,
         "populate_adds_per_sec": adds_per_sec,

@@ -297,6 +297,7 @@ fn main() {
     let report = json!({
         "bench": "revise",
         "mode": mode,
+        "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "hot_path_revisions": hot_iters,
         "revisions_per_sec": revisions_per_sec,
         "empirical_coverage": coverage,

