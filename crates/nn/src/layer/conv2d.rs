@@ -3,12 +3,12 @@
 //!
 //! A 3×3, stride-1, pad-1 layer (every conv of the paper's 2D-CNN) runs the
 //! direct kernels of [`conv3x3`] per sample. Any other geometry (the strided
-//! `1×k` layers of the 1D-CNN) is lowered onto the blocked GEMM as
-//! `Y = W · cols(x)`, where `cols(x)` is the im2col matrix that
-//! [`gemm::gemm_im2col`] packs straight from the image and never stores,
-//! with `dX = col2im(Wᵀ · dY)`. Both give the same bits. Training keeps a
-//! copy of the *input* (`C·H·W` floats per sample) for backward; train and
-//! eval run the same forward.
+//! `1×k` layers of the 1D-CNN) is lowered onto plain GEMMs over the im2col
+//! matrix of one sample at a time: `Y = W · cols(x)`, `dW += dY · cols(x)ᵀ`
+//! and `dX = col2im(Wᵀ · dY)`, with one pooled cols buffer per worker group.
+//! Both give the same bits. Training keeps a copy of the *input* (`C·H·W`
+//! floats per sample) for backward, which rebuilds the cols from it; train
+//! and eval run the same forward.
 
 use super::{sample_groups, Layer};
 use crate::Result;
@@ -152,6 +152,27 @@ impl Conv2d {
     }
 }
 
+/// A pooled buffer of `len` floats, or an empty `Vec` (no pool traffic)
+/// when `len` is 0.
+fn take_nonempty(scratch: &mut Scratch, len: usize) -> Vec<f32> {
+    if len > 0 {
+        scratch.take(len)
+    } else {
+        Vec::new()
+    }
+}
+
+/// One im2col buffer per worker group for the GEMM lowering; empty when
+/// the direct 3×3 kernels take `g`.
+fn take_cols_parts(scratch: &mut Scratch, g: &Conv2dGeom, groups: usize) -> Vec<Vec<f32>> {
+    let len = if conv3x3::applies(g) {
+        0
+    } else {
+        g.col_rows() * g.col_cols()
+    };
+    (0..groups).map(|_| take_nonempty(scratch, len)).collect()
+}
+
 impl Conv2d {
     /// Both backward entry points: `dW`/`db` always, `dX` only when
     /// `want_dx` (the first parameterised layer of a training step has no
@@ -188,31 +209,18 @@ impl Conv2d {
         let sample_len = g.in_channels * g.in_h * g.in_w;
         let direct = conv3x3::applies(&g);
 
-        // Pooled per-group partial accumulators and, for dX only, the flat
-        // output plus (GEMM lowering only) a per-group dcols workspace
-        // (empty, and no pool traffic, otherwise). All recycled (or
-        // returned) below.
+        // Pooled per-group partial accumulators, per-group cols buffers
+        // (GEMM lowering only) and, for dX only, the flat output. A buffer
+        // of length 0 is an empty Vec with no pool traffic. All recycled
+        // (or returned) below.
         let groups = sample_groups(batch);
         let mut dw_parts: Vec<Vec<f32>> = (0..groups)
             .map(|_| scratch.take_zeroed(out_c * col_rows))
             .collect();
         let mut db_parts: Vec<Vec<f32>> = (0..groups).map(|_| scratch.take_zeroed(out_c)).collect();
         let dx_len = if want_dx { sample_len } else { 0 };
-        let dcols_len = if want_dx && !direct {
-            col_rows * n_pos
-        } else {
-            0
-        };
-        let mut take_nonempty = |len: usize| {
-            if len > 0 {
-                scratch.take(len)
-            } else {
-                Vec::new()
-            }
-        };
-        let mut dcols_parts: Vec<Vec<f32>> =
-            (0..groups).map(|_| take_nonempty(dcols_len)).collect();
-        let mut dx_flat = take_nonempty(batch * dx_len);
+        let mut cols_parts = take_cols_parts(scratch, &g, groups);
+        let mut dx_flat = take_nonempty(scratch, batch * dx_len);
 
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
@@ -229,41 +237,43 @@ impl Conv2d {
         {
             let mut dx_rest: &mut [f32] = &mut dx_flat;
             let mut s0 = 0usize;
-            for (((ws, dw), db), dc) in workers
+            for (((ws, dw), db), cols) in workers
                 .iter_mut()
                 .zip(dw_parts.iter_mut())
                 .zip(db_parts.iter_mut())
-                .zip(dcols_parts.iter_mut())
+                .zip(cols_parts.iter_mut())
             {
                 if s0 == batch {
                     break;
                 }
                 let take = per.min(batch - s0);
                 let (xchunk, xtail) = dx_rest.split_at_mut(take * dx_len);
-                items.push((s0, take, xchunk, dw, db, dc, ws));
+                items.push((s0, take, xchunk, dw, db, cols, ws));
                 s0 += take;
                 dx_rest = xtail;
             }
         }
         let results: Vec<Result<()>> = items
             .into_par_iter()
-            .map(|(s0, take, xchunk, dw, db, dcols, ws)| {
+            .map(|(s0, take, xchunk, dw, db, cols, ws)| {
                 for i in s0..s0 + take {
                     let dy = &go[i * out_sample..(i + 1) * out_sample];
                     let x_i = &xs[i * sample_len..(i + 1) * sample_len];
                     // dW += dY ⋆ x_i (accumulated across the group's
                     // samples): directly, or as dY · cols(x_i)ᵀ with the cols
-                    // regenerated from the cached input at pack time.
+                    // rebuilt from the cached input.
                     if direct {
                         conv3x3::filter_grad(ws, &g, dy, x_i, dw);
                     } else {
-                        gemm::gemm_im2col(
+                        ops::im2col_into(x_i, &g, cols)?;
+                        gemm::gemm(
                             ws,
                             out_c,
+                            col_rows,
+                            n_pos,
                             dy,
                             Layout::RowMajor,
-                            x_i,
-                            &g,
+                            cols,
                             Layout::Transposed,
                             dw,
                             true,
@@ -283,7 +293,8 @@ impl Conv2d {
                     if direct {
                         conv3x3::input_grad(ws, &g, w, dy, dx_i);
                     } else {
-                        // dX_i = col2im(Wᵀ · dY).
+                        // dX_i = col2im(Wᵀ · dY), through the cols buffer
+                        // dW has finished reading.
                         gemm::gemm(
                             ws,
                             col_rows,
@@ -293,11 +304,11 @@ impl Conv2d {
                             Layout::Transposed,
                             dy,
                             Layout::RowMajor,
-                            dcols,
+                            cols,
                             false,
                             Epilogue::None,
                         );
-                        ops::col2im_into(dcols, &g, dx_i)?;
+                        ops::col2im_into(cols, &g, dx_i)?;
                     }
                 }
                 Ok(())
@@ -322,7 +333,7 @@ impl Conv2d {
                 *acc += v;
             }
         }
-        for buf in dw_parts.into_iter().chain(db_parts).chain(dcols_parts) {
+        for buf in dw_parts.into_iter().chain(db_parts).chain(cols_parts) {
             scratch.recycle(buf);
         }
         scratch.recycle_tensor(x);
@@ -339,8 +350,9 @@ impl Layer for Conv2d {
         let g = self.geom;
         let sample_len = g.in_channels * g.in_h * g.in_w;
         let (oh, ow) = (g.out_h(), g.out_w());
+        let n_pos = oh * ow;
         let out_c = self.out_channels;
-        let out_sample = out_c * oh * ow;
+        let out_sample = out_c * n_pos;
         let xs = x.as_slice();
         let w = self.w.as_slice();
         let bias = self.b.as_slice();
@@ -352,52 +364,67 @@ impl Layer for Conv2d {
         let mut out_flat = scratch.take(batch * out_sample);
 
         // Per sample: y_i = W ∗ x_i + b, directly or as W · cols(x_i) with
-        // a fused BiasRow epilogue and the cols packed straight from the
-        // image. Samples are sharded across worker groups, each with its own
-        // workspace and a disjoint chunk of the output.
+        // a fused BiasRow epilogue. Samples are sharded across worker
+        // groups, each with its own workspace, cols buffer and a disjoint
+        // chunk of the output.
         let direct = conv3x3::applies(&g);
         let groups = sample_groups(batch);
+        let mut cols_parts = take_cols_parts(scratch, &g, groups);
         let (_, workers) = scratch.gemm_workspaces(groups);
         let per = batch.div_ceil(groups);
-        let mut items: Vec<(usize, &mut [f32], &mut GemmWorkspace)> = Vec::with_capacity(groups);
+        type Item<'a> = (usize, &'a mut [f32], &'a mut [f32], &'a mut GemmWorkspace);
+        let mut items: Vec<Item<'_>> = Vec::with_capacity(groups);
         {
             let mut out_rest: &mut [f32] = &mut out_flat;
             let mut s0 = 0usize;
-            for ws in workers.iter_mut() {
+            for (ws, cols) in workers.iter_mut().zip(cols_parts.iter_mut()) {
                 if s0 == batch {
                     break;
                 }
                 let take = per.min(batch - s0);
                 let (ochunk, otail) = out_rest.split_at_mut(take * out_sample);
-                items.push((s0, ochunk, ws));
+                items.push((s0, ochunk, cols, ws));
                 s0 += take;
                 out_rest = otail;
             }
         }
-        items.into_par_iter().for_each(|(s0, ochunk, ws)| {
-            for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
-                let x_i = &xs[(s0 + si) * sample_len..(s0 + si + 1) * sample_len];
-                if direct {
-                    conv3x3::forward(ws, &g, w, bias, x_i, out_i);
-                } else {
-                    gemm::gemm_im2col(
-                        ws,
-                        out_c,
-                        w,
-                        Layout::RowMajor,
-                        x_i,
-                        &g,
-                        Layout::RowMajor,
-                        out_i,
-                        false,
-                        Epilogue::BiasRow(bias),
-                    );
+        let results: Vec<Result<()>> = items
+            .into_par_iter()
+            .map(|(s0, ochunk, cols, ws)| {
+                for (si, out_i) in ochunk.chunks_exact_mut(out_sample).enumerate() {
+                    let x_i = &xs[(s0 + si) * sample_len..(s0 + si + 1) * sample_len];
+                    if direct {
+                        conv3x3::forward(ws, &g, w, bias, x_i, out_i);
+                    } else {
+                        ops::im2col_into(x_i, &g, cols)?;
+                        gemm::gemm(
+                            ws,
+                            out_c,
+                            n_pos,
+                            g.col_rows(),
+                            w,
+                            Layout::RowMajor,
+                            cols,
+                            Layout::RowMajor,
+                            out_i,
+                            false,
+                            Epilogue::BiasRow(bias),
+                        );
+                    }
                 }
-            }
-        });
+                Ok(())
+            })
+            .collect();
+        for buf in cols_parts {
+            scratch.recycle(buf);
+        }
+        for r in results {
+            r?;
+        }
         if train {
-            // Backward regenerates the cols from the input, so the input is
-            // all that is kept (in a pooled buffer rather than a fresh clone).
+            // Backward rebuilds any cols it needs from the input, so the
+            // input is all that is kept (in a pooled buffer rather than a
+            // fresh clone).
             let mut cached = scratch.take(x.len());
             cached.copy_from_slice(xs);
             self.cached_input = Some(Tensor::from_vec(x.shape().clone(), cached)?);

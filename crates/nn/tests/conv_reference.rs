@@ -1,15 +1,16 @@
-//! `Conv2d` against two references: bit-for-bit against the lowering on a
-//! materialised cols matrix (`im2col_into` + `gemm` + `col2im_into`) at the
-//! paper's shapes, at geometries that stress the panel generator, and over
-//! a sweep of the 3×3 / stride 1 / pad 1 geometries the direct kernels
-//! take (non-finite operands included); and — property-tested, within
+//! `Conv2d` against two references: bit-for-bit against the GEMM lowering
+//! (a per-element im2col written out here + `gemm` + `col2im_into`, with
+//! the layer's per-group reduction) at the paper's shapes, at odd
+//! geometries, and over a sweep of
+//! the 3×3 / stride 1 / pad 1 geometries the direct kernels take
+//! (non-finite operands included); and — property-tested, within
 //! tolerance — against a naive direct convolution across random
 //! geometries.
 
 use prionn_nn::layer::Conv2d;
 use prionn_nn::Layer;
 use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, KernelTier, Layout};
-use prionn_tensor::ops::{col2im_into, conv3x3, im2col_into, Conv2dGeom};
+use prionn_tensor::ops::{col2im_into, conv3x3, Conv2dGeom};
 use prionn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -69,11 +70,11 @@ proptest! {
     fn conv2d_matches_naive_reference(
         in_c in 1usize..3,
         out_c in 1usize..4,
-        h in 4usize..10,
-        wid in 4usize..10,
-        k in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
+        h in 1usize..10,
+        wid in 1usize..10,
+        k in 1usize..6,
+        stride in 1usize..4,
+        pad in 0usize..3,
         seed in 0u64..500,
     ) {
         prop_assume!(h + 2 * pad >= k && wid + 2 * pad >= k);
@@ -115,11 +116,35 @@ fn first_difference(got: &[f32], want: &[f32]) -> Option<usize> {
         .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()))
 }
 
-/// What `Conv2d` computed before it stopped materialising cols: per sample
-/// `im2col_into`, `y = W·cols + b`, `dW += dY·colsᵀ`, `dX = col2im(Wᵀ·dY)`,
-/// with `dW`/`db` accumulated per worker group and the groups then summed
-/// in order — the layer's reduction, which depends only on
-/// `(batch, current_num_threads())`.
+/// The im2col matrix of one sample, each entry read from its signed input
+/// coordinate on its own: independent of the run copies `im2col_into` makes.
+fn im2col(x: &[f32], g: &Conv2dGeom, out: &mut [f32]) {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    out.fill(0.0);
+    for c in 0..g.in_channels {
+        for kh in 0..g.kernel_h {
+            for kw in 0..g.kernel_w {
+                let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * g.stride + kh) as isize - g.pad_h as isize;
+                        let ix = (ox * g.stride + kw) as isize - g.pad_w as isize;
+                        if (0..g.in_h as isize).contains(&iy) && (0..g.in_w as isize).contains(&ix)
+                        {
+                            out[(row * oh + oy) * ow + ox] =
+                                x[(c * g.in_h + iy as usize) * g.in_w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The GEMM lowering, written out: per sample [`im2col`],
+/// `y = W·cols + b`, `dW += dY·colsᵀ`, `dX = col2im(Wᵀ·dY)`, with `dW`/`db`
+/// accumulated per worker group and the groups then summed in order — the
+/// layer's reduction, which depends only on `(batch, current_num_threads())`.
 fn materialised_reference(
     g: &Conv2dGeom,
     w: &[f32],
@@ -147,7 +172,7 @@ fn materialised_reference(
         for i in group..(group + per).min(batch) {
             let x_i = &x[i * sample_len..(i + 1) * sample_len];
             let dy_i = &dy[i * out_sample..(i + 1) * out_sample];
-            im2col_into(x_i, g, &mut cols).unwrap();
+            im2col(x_i, g, &mut cols);
             gemm::gemm(
                 &mut ws,
                 out_c,
@@ -205,12 +230,12 @@ fn materialised_reference(
 }
 
 /// The four 2D-CNN layers of the paper's model, the two strided `1×k`
-/// layers of `build_cnn1d`, and shapes chosen to break a panel generator:
-/// ragged last strips with output rows shorter than a strip, a rectangular
-/// kernel with unequal padding, stride 2 and 3, a kernel wider than the
-/// image plus its padding on one side, enough channels for two K blocks
-/// (`k = 288`), and enough output channels for two K blocks of the dX GEMM
-/// (`out_c = 300`).
+/// layers of `build_cnn1d`, and odd shapes: output rows shorter than a GEMM
+/// strip, a rectangular kernel with unequal padding, stride 2 and 3, a
+/// kernel wider than the image plus its padding on one side, kernel
+/// columns that reach no image column on a 1-wide image (5×5 pad 2, and
+/// 3×3 stride 3 pad 1), enough channels for two K blocks (`k = 288`), and
+/// enough output channels for two K blocks of the dX GEMM (`out_c = 300`).
 fn geometries() -> Vec<(Conv2dGeom, usize)> {
     let g =
         |c, h, w, kh, kw, s, ph, pw| Conv2dGeom::with_padding(c, h, w, kh, kw, s, ph, pw).unwrap();
@@ -225,6 +250,8 @@ fn geometries() -> Vec<(Conv2dGeom, usize)> {
         (g(2, 9, 13, 3, 2, 2, 1, 0), 7),
         (g(2, 10, 5, 3, 3, 3, 2, 2), 3),
         (g(1, 3, 2, 3, 5, 1, 1, 2), 2),
+        (g(1, 5, 1, 5, 5, 1, 2, 2), 3),
+        (g(2, 3, 1, 3, 3, 3, 1, 1), 2),
         (g(32, 6, 6, 3, 3, 1, 1, 1), 9),
         (g(2, 5, 7, 3, 3, 1, 1, 1), 300),
     ]

@@ -9,9 +9,10 @@
 //! a transposed `dYᵀ`), a masked tail where the width is not a multiple of
 //! `N`.
 //!
-//! The kernels return the bits of the lowering they replace (`gemm_im2col`
-//! for `y` and `dW`, `gemm` + `col2im` for `dX`), because each replays that
-//! lowering's per-element operation sequence:
+//! The kernels return the bits of the GEMM lowering every other geometry
+//! runs (`im2col_into` + `gemm` for `y` and `dW`, `gemm` + `col2im_into`
+//! for `dX`), because each replays that lowering's per-element operation
+//! sequence:
 //!
 //! * **forward** — one multiply-add chain from zero over the taps in
 //!   `(c, ky, kx)` order, padding zeros multiplied like any other cols entry,

@@ -18,9 +18,8 @@
 //! * Transposed operands are handled at *pack time* ([`Layout`]): packing
 //!   already walks every element once, so transposition is free and all
 //!   three `matmul` variants share this one core.
-//! * Bias and bias+ReLU epilogues ([`Epilogue`]) are fused into the final
-//!   write-back of the last K block, saving one full pass over C for the
-//!   Dense and Conv2d forward paths.
+//! * Row and column bias epilogues ([`Epilogue`]) are fused into the final
+//!   write-back of the last K block, saving one full pass over C.
 //! * Pack buffers live in a caller-provided [`GemmWorkspace`] so steady-state
 //!   training never allocates; [`GemmStats`] records FLOPs and pack time for
 //!   the telemetry gauges.
@@ -37,27 +36,18 @@
 //! * **portable** — the same block loop compiled for the baseline target;
 //!   runs on any CPU and is the reference the SIMD tiers are tested against.
 //!
-//! Two things sit beside that loop nest:
-//!
-//! * **A virtual B operand** ([`gemm_im2col`]): the im2col matrix of an
-//!   image, or its transpose, whose `NR`-wide panel rows `pack B` cuts
-//!   straight out of the image rows. The forward (`W · cols(x)`) and filter
-//!   gradient (`dY · cols(x)ᵀ`) of every convolution the direct
-//!   [`conv3x3`](crate::ops::conv3x3) kernels do not take run through it,
-//!   so no cols matrix is ever written, cached or read back.
-//! * **A skip-packing direct path** ([`small_path_applies`]) that loads B
-//!   tiles from a row-major operand: for small problems, where pack
-//!   overhead used to lose to the naive kernel, and for any GEMM at most one
-//!   row strip tall (`m ≤ MR`), where a packed B element would be used at
-//!   most `MR` times — the serving-batch `Dense` forward.
+//! Beside that loop nest sits a **skip-packing direct path**
+//! ([`small_path_applies`]) that loads B tiles from a row-major operand:
+//! for small problems, where pack overhead used to lose to the naive
+//! kernel, and for any GEMM at most one row strip tall (`m ≤ MR`), where a
+//! packed B element would be used at most `MR` times — the serving-batch
+//! `Dense` forward.
 //!
 //! Every path accumulates an element of C as one chain per `KC` block
 //! (fused multiply-add on the SIMD tiers, multiply then add on the portable
 //! one), blocks added in order. So on a given tier the bits of C depend on
-//! the operands alone: not on the path, not on `m`, not on whether B was
-//! stored or virtual.
+//! the operands alone: not on the path, not on `m`.
 
-use crate::ops::im2col::Conv2dGeom;
 use crate::scratch::Scratch;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -98,14 +88,10 @@ pub enum Layout {
 pub enum Epilogue<'a> {
     /// Plain `C = A·B` (or `C += A·B` in accumulate mode).
     None,
-    /// `C[i,j] += bias[j]` — per-output-feature bias (Dense forward).
+    /// `C[i,j] += bias[j]` — one bias per column (Dense forward).
     BiasCol(&'a [f32]),
-    /// `C[i,j] = max(C[i,j] + bias[j], 0)` — fused Dense + ReLU.
-    BiasColRelu(&'a [f32]),
-    /// `C[i,j] += bias[i]` — per-output-channel bias (Conv2d forward).
+    /// `C[i,j] += bias[i]` — one bias per row.
     BiasRow(&'a [f32]),
-    /// `C[i,j] = max(C[i,j] + bias[i], 0)` — fused Conv2d + ReLU.
-    BiasRowRelu(&'a [f32]),
 }
 
 impl<'a> Epilogue<'a> {
@@ -114,7 +100,6 @@ impl<'a> Epilogue<'a> {
     fn offset_rows(self, row0: usize) -> Self {
         match self {
             Epilogue::BiasRow(b) => Epilogue::BiasRow(&b[row0..]),
-            Epilogue::BiasRowRelu(b) => Epilogue::BiasRowRelu(&b[row0..]),
             other => other,
         }
     }
@@ -122,10 +107,10 @@ impl<'a> Epilogue<'a> {
     fn check(&self, m: usize, n: usize) {
         match self {
             Epilogue::None => {}
-            Epilogue::BiasCol(b) | Epilogue::BiasColRelu(b) => {
+            Epilogue::BiasCol(b) => {
                 assert!(b.len() >= n, "gemm: column bias shorter than n");
             }
-            Epilogue::BiasRow(b) | Epilogue::BiasRowRelu(b) => {
+            Epilogue::BiasRow(b) => {
                 assert!(b.len() >= m, "gemm: row bias shorter than m");
             }
         }
@@ -296,183 +281,6 @@ fn pack_b(
     }
 }
 
-/// Where the packed kernel's B panels come from.
-#[derive(Clone, Copy)]
-enum BSource<'a> {
-    /// A stored matrix under a [`Layout`].
-    Matrix(&'a [f32], Layout),
-    /// The virtual im2col matrix of one `[C, H, W]` image (see
-    /// [`gemm_im2col`]): never stored, its panel rows are generated from
-    /// image rows at pack time.
-    Im2col(&'a [f32], &'a Conv2dGeom, Layout),
-}
-
-impl BSource<'_> {
-    #[allow(clippy::too_many_arguments)]
-    fn pack(self, dst: &mut [f32], k: usize, n: usize, p0: usize, j0: usize, kc: usize, nc: usize) {
-        match self {
-            BSource::Matrix(b, lb) => pack_b(dst, b, lb, k, n, p0, j0, kc, nc),
-            BSource::Im2col(x, g, Layout::RowMajor) => pack_b_im2col(dst, x, g, p0, j0, kc, nc),
-            BSource::Im2col(x, g, Layout::Transposed) => pack_b_im2col_t(dst, x, g, p0, j0, kc, nc),
-        }
-    }
-}
-
-/// `out = src` for slices known to be `NR` long: a few vector moves where
-/// `copy_from_slice` on a run-time length calls `memcpy`.
-#[inline(always)]
-fn copy_strip(out: &mut [f32], src: &[f32]) {
-    let out: &mut [f32; NR] = out.try_into().expect("caller matched the length");
-    *out = *<&[f32; NR]>::try_from(src).expect("caller matched the length");
-}
-
-/// One run of one im2col row: `out[i]` is tap `(kh, kw)` of channel plane
-/// `plane` at output position `(oy, ox0 + i)`; the caller keeps the run
-/// inside output row `oy`. Out-of-image taps are zero, as in
-/// [`im2col_into`](crate::ops::im2col_into).
-#[inline(always)]
-fn im2col_run(
-    out: &mut [f32],
-    plane: &[f32],
-    g: &Conv2dGeom,
-    kh: usize,
-    kw: usize,
-    oy: usize,
-    ox0: usize,
-) {
-    let run = out.len();
-    // Padded coordinates of the run's first tap.
-    let (iy, ix) = (oy * g.stride + kh, ox0 * g.stride + kw);
-    if iy < g.pad_h || iy - g.pad_h >= g.in_h {
-        out.fill(0.0);
-        return;
-    }
-    let src = &plane[(iy - g.pad_h) * g.in_w..(iy - g.pad_h + 1) * g.in_w];
-    if g.stride != 1 {
-        for (i, o) in out.iter_mut().enumerate() {
-            let ix = ix + i * g.stride;
-            *o = if ix >= g.pad_w && ix - g.pad_w < g.in_w {
-                src[ix - g.pad_w]
-            } else {
-                0.0
-            };
-        }
-    } else if ix >= g.pad_w && ix + run <= g.in_w + g.pad_w {
-        // Away from the borders a stride-1 run is one copy out of the image
-        // row, of fixed width when it is a whole strip.
-        let src = &src[ix - g.pad_w..ix - g.pad_w + run];
-        if run == NR {
-            copy_strip(out, src);
-        } else {
-            out.copy_from_slice(src);
-        }
-    } else {
-        // Input column of output column `ox` is `ox + kw - pad_w`: inside
-        // the image for `ox` in `[lo, hi)`, zero on either side.
-        let end = ox0 + run;
-        let lo = g.pad_w.saturating_sub(kw).clamp(ox0, end);
-        let hi = (g.in_w + g.pad_w).saturating_sub(kw).clamp(lo, end);
-        out[..lo - ox0].fill(0.0);
-        if lo < hi {
-            out[lo - ox0..hi - ox0].copy_from_slice(&src[lo + kw - g.pad_w..hi + kw - g.pad_w]);
-        }
-        out[hi - ox0..].fill(0.0);
-    }
-}
-
-/// [`pack_b`] for the virtual im2col matrix (`k` = tap rows, `n` = output
-/// positions): every `NR`-wide panel row is cut straight out of an image
-/// row, so the panels equal those of `im2col_into` + `pack_b` without the
-/// matrix in between.
-fn pack_b_im2col(
-    dst: &mut [f32],
-    x: &[f32],
-    g: &Conv2dGeom,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-) {
-    let ow = g.out_w();
-    let plane_len = g.in_h * g.in_w;
-    let taps = g.kernel_h * g.kernel_w;
-    for t in 0..nc.div_ceil(NR) {
-        let col0 = j0 + t * NR;
-        let nr_eff = NR.min(j0 + nc - col0);
-        let strip = &mut dst[t * kc * NR..(t + 1) * kc * NR];
-        if nr_eff < NR {
-            strip.fill(0.0);
-        }
-        // Walk the strip's positions one output row at a time, so the
-        // divisions happen per strip and not per panel row.
-        let (mut oy, mut ox, mut done) = (col0 / ow, col0 % ow, 0usize);
-        while done < nr_eff {
-            let run = (ow - ox).min(nr_eff - done);
-            let (mut c, mut kh, mut kw) = (p0 / taps, p0 % taps / g.kernel_w, p0 % g.kernel_w);
-            for p in 0..kc {
-                let plane = &x[c * plane_len..(c + 1) * plane_len];
-                let out = &mut strip[p * NR + done..p * NR + done + run];
-                im2col_run(out, plane, g, kh, kw, oy, ox);
-                kw += 1;
-                if kw == g.kernel_w {
-                    kw = 0;
-                    kh += 1;
-                    if kh == g.kernel_h {
-                        kh = 0;
-                        c += 1;
-                    }
-                }
-            }
-            done += run;
-            oy += 1;
-            ox = 0;
-        }
-    }
-}
-
-/// [`pack_b`] for the *transposed* virtual im2col matrix (`k` = output
-/// positions, `n` = tap rows) — the operand of `dW += dY · colsᵀ`. The `kc`
-/// positions of a strip's `NR` tap rows are generated contiguously, then
-/// interleaved into the panel.
-fn pack_b_im2col_t(
-    dst: &mut [f32],
-    x: &[f32],
-    g: &Conv2dGeom,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-) {
-    let ow = g.out_w();
-    let plane_len = g.in_h * g.in_w;
-    let taps = g.kernel_h * g.kernel_w;
-    let mut rows = [[0.0f32; KC]; NR];
-    for t in 0..nc.div_ceil(NR) {
-        let col0 = j0 + t * NR;
-        let nr_eff = NR.min(j0 + nc - col0);
-        for (cc, row) in rows.iter_mut().enumerate().take(nr_eff) {
-            let tap = col0 + cc;
-            let (c, kh, kw) = (tap / taps, tap % taps / g.kernel_w, tap % g.kernel_w);
-            let plane = &x[c * plane_len..(c + 1) * plane_len];
-            let (mut oy, mut ox, mut done) = (p0 / ow, p0 % ow, 0usize);
-            while done < kc {
-                let run = (ow - ox).min(kc - done);
-                im2col_run(&mut row[done..done + run], plane, g, kh, kw, oy, ox);
-                done += run;
-                oy += 1;
-                ox = 0;
-            }
-        }
-        let strip = &mut dst[t * kc * NR..(t + 1) * kc * NR];
-        for (p, out) in strip.chunks_exact_mut(NR).enumerate() {
-            for (o, row) in out.iter_mut().zip(&rows[..nr_eff]) {
-                *o = row[p];
-            }
-            out[nr_eff..].fill(0.0);
-        }
-    }
-}
-
 /// Rank-1-update microkernel of the portable tier: accumulate a full
 /// `MR × NR` tile over `kc`, multiply then add (two roundings per step —
 /// Rust never contracts them into an FMA).
@@ -596,9 +404,7 @@ fn write_back(
             v = match epi {
                 Epilogue::None => v,
                 Epilogue::BiasCol(bias) => v + bias[col0 + cc],
-                Epilogue::BiasColRelu(bias) => (v + bias[col0 + cc]).max(0.0),
                 Epilogue::BiasRow(bias) => v + bias[row0 + r],
-                Epilogue::BiasRowRelu(bias) => (v + bias[row0 + r]).max(0.0),
             };
             *out = v;
         }
@@ -606,7 +412,7 @@ fn write_back(
 }
 
 /// Vectorised write-back for a full-width (`nr_eff == NR`) accumulator
-/// tile: two 8-lane vectors per row carry the accumulate/bias/ReLU fusion,
+/// tile: two 8-lane vectors per row carry the accumulate and bias fusion,
 /// replacing the scalar read-modify-write loop on the hot path.
 ///
 /// # Safety
@@ -626,7 +432,6 @@ unsafe fn write_back_avx2(
     epi: Epilogue<'_>,
 ) {
     use std::arch::x86_64::*;
-    let zero = _mm256_setzero_ps();
     for (r, acc_row) in acc.iter().enumerate().take(mr_eff) {
         let cptr = c.as_mut_ptr().add((row0 + r) * ldc + col0);
         let mut v0 = _mm256_loadu_ps(acc_row.as_ptr());
@@ -641,21 +446,10 @@ unsafe fn write_back_avx2(
                 v0 = _mm256_add_ps(v0, _mm256_loadu_ps(bias.as_ptr().add(col0)));
                 v1 = _mm256_add_ps(v1, _mm256_loadu_ps(bias.as_ptr().add(col0 + 8)));
             }
-            Epilogue::BiasColRelu(bias) => {
-                v0 = _mm256_add_ps(v0, _mm256_loadu_ps(bias.as_ptr().add(col0)));
-                v1 = _mm256_add_ps(v1, _mm256_loadu_ps(bias.as_ptr().add(col0 + 8)));
-                v0 = _mm256_max_ps(v0, zero);
-                v1 = _mm256_max_ps(v1, zero);
-            }
             Epilogue::BiasRow(bias) => {
                 let br = _mm256_set1_ps(bias[row0 + r]);
                 v0 = _mm256_add_ps(v0, br);
                 v1 = _mm256_add_ps(v1, br);
-            }
-            Epilogue::BiasRowRelu(bias) => {
-                let br = _mm256_set1_ps(bias[row0 + r]);
-                v0 = _mm256_max_ps(_mm256_add_ps(v0, br), zero);
-                v1 = _mm256_max_ps(_mm256_add_ps(v1, br), zero);
             }
         }
         _mm256_storeu_ps(cptr, v0);
@@ -1276,16 +1070,14 @@ fn gemm_k0(m: usize, n: usize, c: &mut [f32], accumulate: bool, epi: Epilogue<'_
             *v = match epi {
                 Epilogue::None => *v,
                 Epilogue::BiasCol(bias) => *v + bias[j],
-                Epilogue::BiasColRelu(bias) => (*v + bias[j]).max(0.0),
                 Epilogue::BiasRow(bias) => *v + bias[i],
-                Epilogue::BiasRowRelu(bias) => (*v + bias[i]).max(0.0),
             };
         }
     }
 }
 
-/// The packed kernel: B panels (from `b`) and A panels are packed per
-/// `KC` block into `ws`, then every `MR × NR` tile runs the microkernel.
+/// The packed kernel: B and A panels are packed per `KC` block into `ws`,
+/// then every `MR × NR` tile runs the microkernel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
     ws: &mut GemmWorkspace,
@@ -1294,7 +1086,8 @@ fn gemm_packed(
     k: usize,
     a: &[f32],
     la: Layout,
-    b: BSource<'_>,
+    b: &[f32],
+    lb: Layout,
     c: &mut [f32],
     accumulate: bool,
     epi: Epilogue<'_>,
@@ -1311,7 +1104,7 @@ fn gemm_packed(
                 nc.div_ceil(NR) * kc * NR,
                 &mut ws.stats.pack_grows,
             );
-            b.pack(&mut ws.pack_b, k, n, p0, j0, kc, nc);
+            pack_b(&mut ws.pack_b, b, lb, k, n, p0, j0, kc, nc);
             ws.stats.pack_seconds += tp.elapsed().as_secs_f64();
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
@@ -1380,62 +1173,8 @@ pub fn gemm(
     } else if small_path_applies(m, n, k, lb) {
         run_small_loop(m, n, k, a, la, b, c, accumulate, epi);
     } else {
-        let b = BSource::Matrix(b, lb);
-        gemm_packed(ws, m, n, k, a, la, b, c, accumulate, epi);
+        gemm_packed(ws, m, n, k, a, la, b, lb, c, accumulate, epi);
     }
-    ws.stats.calls += 1;
-    ws.stats.flops += gemm_flops(m, n, k);
-    ws.stats.total_seconds += t0.elapsed().as_secs_f64();
-}
-
-/// [`gemm`] whose B operand is the im2col matrix of one image, without the
-/// matrix: `C = A · cols(x)` (`lb == RowMajor`: `k = g.col_rows()`,
-/// `n = g.col_cols()` — the convolution forward, `A` the flattened filters)
-/// or `C = A · cols(x)ᵀ` (`lb == Transposed`: `k = g.col_cols()`,
-/// `n = g.col_rows()` — the filter gradient, `A` the output gradient).
-///
-/// `x` is one `[C, H, W]` sample under `g`. `cols(x)` is what
-/// [`im2col_into`](crate::ops::im2col_into) would write; here its
-/// `NR`-wide panel rows are cut out of the image rows at pack time
-/// (contiguous copies for stride 1, zeros for the padding border), so the
-/// kernel sees byte-for-byte the panels of `im2col_into` + [`gemm`] and
-/// returns the same bits, while `C·kh·kw·oh·ow` floats are neither written
-/// nor read back. Always the packed kernel: there is no stored B to read
-/// directly.
-///
-/// # Panics
-/// Panics when `x` is not exactly `C·H·W` long or `a`/`c` are shorter than
-/// `m·k` / `m·n`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_im2col(
-    ws: &mut GemmWorkspace,
-    m: usize,
-    a: &[f32],
-    la: Layout,
-    x: &[f32],
-    g: &Conv2dGeom,
-    lb: Layout,
-    c: &mut [f32],
-    accumulate: bool,
-    epi: Epilogue<'_>,
-) {
-    let (k, n) = match lb {
-        Layout::RowMajor => (g.col_rows(), g.col_cols()),
-        Layout::Transposed => (g.col_cols(), g.col_rows()),
-    };
-    assert!(a.len() >= m * k, "gemm_im2col: A slice shorter than m*k");
-    assert!(
-        x.len() == g.in_channels * g.in_h * g.in_w,
-        "gemm_im2col: image is not C*H*W long"
-    );
-    assert!(c.len() >= m * n, "gemm_im2col: C slice shorter than m*n");
-    epi.check(m, n);
-    if m == 0 {
-        return;
-    }
-    let t0 = Instant::now();
-    let b = BSource::Im2col(x, g, lb);
-    gemm_packed(ws, m, n, k, a, la, b, c, accumulate, epi);
     ws.stats.calls += 1;
     ws.stats.flops += gemm_flops(m, n, k);
     ws.stats.total_seconds += t0.elapsed().as_secs_f64();
@@ -1730,7 +1469,7 @@ mod tests {
     }
 
     #[test]
-    fn epilogues_apply_bias_and_relu_once() {
+    fn epilogues_apply_bias_once() {
         let (m, n, k) = (7usize, 19usize, KC + 3); // spans two K blocks
         let a = fill(m * k, 8);
         let b = fill(k * n, 9);
@@ -1751,12 +1490,12 @@ mod tests {
             Layout::RowMajor,
             &mut c,
             false,
-            Epilogue::BiasColRelu(&bias_col),
+            Epilogue::BiasCol(&bias_col),
         );
         let want: Vec<f32> = plain
             .iter()
             .enumerate()
-            .map(|(i, v)| (v + bias_col[i % n]).max(0.0))
+            .map(|(i, v)| v + bias_col[i % n])
             .collect();
         assert_close(&c, &want);
 
@@ -1821,7 +1560,7 @@ mod tests {
             let want: Vec<f32> = naive(m, n, k, &a, &b)
                 .iter()
                 .enumerate()
-                .map(|(i, v)| (v + bias[i % n]).max(0.0))
+                .map(|(i, v)| v + bias[i % n])
                 .collect();
             let mut at = vec![0.0f32; m * k];
             for i in 0..m {
@@ -1843,7 +1582,7 @@ mod tests {
                     Layout::RowMajor,
                     &mut c,
                     false,
-                    Epilogue::BiasColRelu(&bias),
+                    Epilogue::BiasCol(&bias),
                 );
                 assert_close(&c, &want);
             }
@@ -1875,7 +1614,7 @@ mod tests {
             Layout::RowMajor,
             &mut serial,
             false,
-            Epilogue::BiasRowRelu(&bias),
+            Epilogue::BiasRow(&bias),
         );
         for groups in [1usize, 2, 3, 7] {
             let mut scratch = Scratch::new();
@@ -1892,7 +1631,7 @@ mod tests {
                 Layout::RowMajor,
                 &mut c,
                 false,
-                Epilogue::BiasRowRelu(&bias),
+                Epilogue::BiasRow(&bias),
             );
             assert_close(&c, &serial);
         }

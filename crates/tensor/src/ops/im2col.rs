@@ -1,4 +1,4 @@
-//! Convolution geometry, the reference im2col transform, and col2im.
+//! Convolution geometry, im2col and col2im.
 //!
 //! A 2-D convolution over one sample is a single matmul against the im2col
 //! matrix of the input:
@@ -8,16 +8,15 @@
 //! y      = W · cols               // W: [out_c, C·kh·kw]
 //! ```
 //!
-//! The convolution layers never build `cols`: a 3×3 / stride-1 / pad-1
-//! geometry runs the direct kernels of [`conv3x3`](crate::ops::conv3x3),
-//! any other one [`gemm_im2col`](crate::ops::gemm::gemm_im2col), which
-//! packs its GEMM panels straight from the image under a [`Conv2dGeom`].
-//! [`im2col`] / [`im2col_into`] stay as the definition of that matrix — the
-//! oracle the parity suites and benches compare both against — and
-//! [`col2im`] / [`col2im_into`] fold the input gradient `Wᵀ · dY` back onto
-//! the image in the GEMM lowering's backward pass.
+//! A 3×3 / stride-1 / pad-1 geometry runs the direct kernels of
+//! [`conv3x3`](crate::ops::conv3x3), which build no `cols`. Any other one is
+//! lowered onto plain [`gemm`](crate::ops::gemm::gemm) calls around these
+//! two transforms: [`im2col_into`] writes `cols` for the forward and the
+//! filter gradient, and [`col2im_into`] folds the input gradient
+//! `Wᵀ · dY` back onto the image. The parity suites hold `Conv2d` to that
+//! lowering, written out with a per-element im2col of their own.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, TensorError};
 
 /// Geometry of a 2-D convolution (one stride for both axes, independent
 /// zero padding per axis — a zero `pad_h` is what lets `1×k` kernels act as
@@ -131,17 +130,10 @@ impl Conv2dGeom {
     }
 }
 
-/// Unfold one `[C, H, W]` sample (flattened row-major) into a
-/// `[C·kh·kw, oh·ow]` matrix. Out-of-image taps contribute zeros.
-pub fn im2col(x: &[f32], g: &Conv2dGeom) -> Result<Tensor> {
-    let mut out = vec![0.0f32; g.col_rows() * g.col_cols()];
-    im2col_into(x, g, &mut out)?;
-    Tensor::from_vec([g.col_rows(), g.col_cols()], out)
-}
-
-/// [`im2col`] writing into a caller-provided buffer of exactly
-/// `col_rows · col_cols` elements (overwritten, including padding zeros),
-/// so hot loops can reuse one buffer across samples.
+/// Unfold one `[C, H, W]` sample (flattened row-major) into the
+/// `[C·kh·kw, oh·ow]` matrix `out`, which must be exactly
+/// `col_rows · col_cols` long and is overwritten. Out-of-image taps
+/// contribute zeros.
 pub fn im2col_into(x: &[f32], g: &Conv2dGeom, out: &mut [f32]) -> Result<()> {
     let expected = g.in_channels * g.in_h * g.in_w;
     if x.len() != expected {
@@ -159,24 +151,41 @@ pub fn im2col_into(x: &[f32], g: &Conv2dGeom, out: &mut [f32]) -> Result<()> {
             actual: out.len(),
         });
     }
-    out.fill(0.0);
-    let (pad_h, pad_w) = (g.pad_h as isize, g.pad_w as isize);
+    let plane_len = g.in_h * g.in_w;
     for c in 0..g.in_channels {
-        let plane = &x[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+        let plane = &x[c * plane_len..(c + 1) * plane_len];
         for kh in 0..g.kernel_h {
             for kw in 0..g.kernel_w {
                 let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                // Output column `ox` reads input column
+                // `ox·stride + kw − pad_w`: inside the image for `ox` in
+                // `[lo, hi)`, padding on either side.
+                let lo = g.pad_w.saturating_sub(kw).div_ceil(g.stride).min(ow);
+                let hi = (g.in_w + g.pad_w)
+                    .saturating_sub(kw)
+                    .div_ceil(g.stride)
+                    .clamp(lo, ow);
                 let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * g.stride) as isize + kh as isize - pad_h;
-                    if iy < 0 || iy >= g.in_h as isize {
-                        continue; // whole output row stays zero-padded
+                for (oy, run) in out_row.chunks_exact_mut(ow).enumerate() {
+                    let iy = oy * g.stride + kh;
+                    if iy < g.pad_h || iy - g.pad_h >= g.in_h {
+                        run.fill(0.0);
+                        continue;
                     }
-                    let src_row = &plane[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride) as isize + kw as isize - pad_w;
-                        if ix >= 0 && ix < g.in_w as isize {
-                            out_row[oy * ow + ox] = src_row[ix as usize];
+                    run[..lo].fill(0.0);
+                    run[hi..].fill(0.0);
+                    if lo == hi {
+                        // No output column of this tap reaches the image.
+                        continue;
+                    }
+                    let src = &plane[(iy - g.pad_h) * g.in_w..(iy - g.pad_h + 1) * g.in_w];
+                    let first = lo * g.stride + kw - g.pad_w;
+                    if g.stride == 1 {
+                        run[lo..hi].copy_from_slice(&src[first..first + hi - lo]);
+                    } else {
+                        let taps = src[first..].iter().step_by(g.stride);
+                        for (o, &v) in run[lo..hi].iter_mut().zip(taps) {
+                            *o = v;
                         }
                     }
                 }
@@ -186,24 +195,10 @@ pub fn im2col_into(x: &[f32], g: &Conv2dGeom, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-/// Fold a `[C·kh·kw, oh·ow]` gradient matrix back onto a `[C, H, W]` image,
-/// accumulating where receptive fields overlap. Exact adjoint of [`im2col`].
-pub fn col2im(cols: &Tensor, g: &Conv2dGeom) -> Result<Vec<f32>> {
-    if cols.rank() != 2 || cols.dims() != [g.col_rows(), g.col_cols()] {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: vec![g.col_rows(), g.col_cols()],
-            rhs: cols.dims().to_vec(),
-        });
-    }
-    let mut img = vec![0.0f32; g.in_channels * g.in_h * g.in_w];
-    col2im_into(cols.as_slice(), g, &mut img)?;
-    Ok(img)
-}
-
-/// [`col2im`] writing into a caller-provided `[C·H·W]` buffer (overwritten),
-/// taking the gradient matrix as a raw `col_rows · col_cols` slice so hot
-/// loops can fold sub-slices of a batched buffer without a `Tensor` wrapper.
+/// Fold a `[C·kh·kw, oh·ow]` gradient matrix (`data`, exactly
+/// `col_rows · col_cols` long) back onto the `[C, H, W]` image `img`
+/// (overwritten), accumulating where receptive fields overlap. Exact
+/// adjoint of [`im2col_into`].
 pub fn col2im_into(data: &[f32], g: &Conv2dGeom, img: &mut [f32]) -> Result<()> {
     if data.len() != g.col_rows() * g.col_cols() {
         return Err(TensorError::LengthMismatch {
@@ -270,24 +265,98 @@ mod tests {
         );
     }
 
+    /// `im2col_into` on a buffer full of NaN, so a position it fails to
+    /// overwrite shows.
+    fn cols_of(x: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+        let mut cols = vec![f32::NAN; g.col_rows() * g.col_cols()];
+        im2col_into(x, g, &mut cols).unwrap();
+        cols
+    }
+
+    /// Per-element, bounds-checked im2col: every entry decided on its own
+    /// from the signed input coordinate it reads.
+    fn reference_im2col(x: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut out = vec![0.0f32; g.col_rows() * oh * ow];
+        for c in 0..g.in_channels {
+            for kh in 0..g.kernel_h {
+                for kw in 0..g.kernel_w {
+                    let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * g.stride + kh) as isize - g.pad_h as isize;
+                            let ix = (ox * g.stride + kw) as isize - g.pad_w as isize;
+                            if (0..g.in_h as isize).contains(&iy)
+                                && (0..g.in_w as isize).contains(&ix)
+                            {
+                                out[(row * oh + oy) * ow + ox] =
+                                    x[(c * g.in_h + iy as usize) * g.in_w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn im2col_matches_the_per_element_reference() {
+        // Every accepted geometry over a small sweep, including padding at
+        // or past half the kernel, images narrower than the stride, and
+        // kernels wider than the image plus one side's padding: kernel
+        // columns no output column brings into the image, as in a 5×5
+        // pad-2 or a 3×3 stride-3 pad-1 kernel on a 1-wide image.
+        let mut checked = 0;
+        for in_h in 1..=4 {
+            for in_w in 1..=6 {
+                for kh in 1..=5 {
+                    for kw in 1..=5 {
+                        for stride in 1..=3 {
+                            for pad_h in 0..=2 {
+                                for pad_w in 0..=3 {
+                                    let Ok(g) = Conv2dGeom::with_padding(
+                                        2, in_h, in_w, kh, kw, stride, pad_h, pad_w,
+                                    ) else {
+                                        continue;
+                                    };
+                                    let x: Vec<f32> =
+                                        (0..2 * in_h * in_w).map(|i| i as f32 + 1.0).collect();
+                                    let got = cols_of(&x, &g);
+                                    let want = reference_im2col(&x, &g);
+                                    assert!(
+                                        got.iter()
+                                            .zip(&want)
+                                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                        "{g:?}"
+                                    );
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} geometries");
+    }
+
     #[test]
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1: im2col is the identity (one row).
         let g = Conv2dGeom::new(1, 2, 3, 1, 1, 1, 0).unwrap();
         let x = [1., 2., 3., 4., 5., 6.];
-        let cols = im2col(&x, &g).unwrap();
-        assert_eq!(cols.dims(), &[1, 6]);
-        assert_eq!(cols.as_slice(), &x);
+        assert_eq!((g.col_rows(), g.col_cols()), (1, 6));
+        assert_eq!(cols_of(&x, &g), x);
     }
 
     #[test]
     fn im2col_3x3_known_patch() {
         let g = Conv2dGeom::new(1, 3, 3, 2, 2, 1, 0).unwrap();
         let x = [1., 2., 3., 4., 5., 6., 7., 8., 9.];
-        let cols = im2col(&x, &g).unwrap();
-        assert_eq!(cols.dims(), &[4, 4]);
+        assert_eq!((g.col_rows(), g.col_cols()), (4, 4));
+        let c = cols_of(&x, &g);
         // First output position (top-left window): taps 1,2,4,5 down the rows.
-        let c = cols.as_slice();
         assert_eq!([c[0], c[4], c[8], c[12]], [1., 2., 4., 5.]);
         // Last output position (bottom-right window): taps 5,6,8,9.
         assert_eq!([c[3], c[7], c[11], c[15]], [5., 6., 8., 9.]);
@@ -297,18 +366,13 @@ mod tests {
     fn im2col_padding_zeros_border() {
         let g = Conv2dGeom::new(1, 2, 2, 3, 3, 1, 1).unwrap();
         let x = [1., 2., 3., 4.];
-        let cols = im2col(&x, &g).unwrap();
-        assert_eq!(cols.dims(), &[9, 4]);
+        assert_eq!((g.col_rows(), g.col_cols()), (9, 4));
+        let c = cols_of(&x, &g);
         // Kernel tap (0,0) at output (0,0) looks at padded (-1,-1) => 0.
-        assert_eq!(cols.as_slice()[0], 0.0);
+        assert_eq!(c[0], 0.0);
         // Kernel centre tap (1,1) at output (0,0) sees pixel (0,0) = 1.
-        assert_eq!(cols.as_slice()[4 * 4], 1.0);
-    }
-
-    #[test]
-    fn im2col_checks_input_len() {
-        let g = Conv2dGeom::new(1, 3, 3, 2, 2, 1, 0).unwrap();
-        assert!(im2col(&[0.0; 8], &g).is_err());
+        assert_eq!(c[4 * 4], 1.0);
+        assert!(c.iter().all(|v| !v.is_nan()), "every entry is written");
     }
 
     #[test]
@@ -319,18 +383,17 @@ mod tests {
         let x: Vec<f32> = (0..g.in_channels * g.in_h * g.in_w)
             .map(|i| ((i * 13 + 5) % 17) as f32 - 8.0)
             .collect();
-        let y_data: Vec<f32> = (0..g.col_rows() * g.col_cols())
+        let y: Vec<f32> = (0..g.col_rows() * g.col_cols())
             .map(|i| ((i * 7 + 2) % 19) as f32 - 9.0)
             .collect();
-        let y = Tensor::from_vec([g.col_rows(), g.col_cols()], y_data).unwrap();
-        let cols = im2col(&x, &g).unwrap();
-        let lhs: f64 = cols
-            .as_slice()
+        let lhs: f64 = cols_of(&x, &g)
             .iter()
-            .zip(y.as_slice())
+            .zip(&y)
             .map(|(&a, &b)| (a as f64) * (b as f64))
             .sum();
-        let back = col2im(&y, &g).unwrap();
+        // A stale image must not leak into the fold.
+        let mut back = vec![f32::NAN; x.len()];
+        col2im_into(&y, &g, &mut back).unwrap();
         let rhs: f64 = x
             .iter()
             .zip(&back)
@@ -343,37 +406,14 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_forms() {
-        let g = Conv2dGeom::new(2, 4, 5, 3, 3, 1, 1).unwrap();
-        let x: Vec<f32> = (0..g.in_channels * g.in_h * g.in_w)
-            .map(|i| ((i * 3 + 1) % 7) as f32 - 3.0)
-            .collect();
-        let cols = im2col(&x, &g).unwrap();
-        let mut buf = vec![9.0f32; g.col_rows() * g.col_cols()];
-        im2col_into(&x, &g, &mut buf).unwrap();
-        assert_eq!(buf, cols.as_slice());
-
-        let back = col2im(&cols, &g).unwrap();
-        let mut img = vec![-1.0f32; x.len()];
-        col2im_into(cols.as_slice(), &g, &mut img).unwrap();
-        assert_eq!(img, back);
-    }
-
-    #[test]
-    fn into_variants_check_buffer_lengths() {
+    fn transforms_check_buffer_lengths() {
         let g = Conv2dGeom::new(1, 3, 3, 2, 2, 1, 0).unwrap();
         let x = [0.0f32; 9];
-        let mut short = vec![0.0f32; 3];
-        assert!(im2col_into(&x, &g, &mut short).is_err());
-        let cols = vec![0.0f32; g.col_rows() * g.col_cols()];
-        let mut img = vec![0.0f32; 5];
-        assert!(col2im_into(&cols, &g, &mut img).is_err());
-    }
-
-    #[test]
-    fn col2im_shape_check() {
-        let g = Conv2dGeom::new(1, 3, 3, 2, 2, 1, 0).unwrap();
-        let bad = Tensor::zeros([3, 4]);
-        assert!(col2im(&bad, &g).is_err());
+        let mut cols = vec![0.0f32; g.col_rows() * g.col_cols()];
+        assert!(im2col_into(&x[..8], &g, &mut cols).is_err());
+        assert!(im2col_into(&x, &g, &mut cols[..3]).is_err());
+        let mut img = vec![0.0f32; 9];
+        assert!(col2im_into(&cols[..15], &g, &mut img).is_err());
+        assert!(col2im_into(&cols, &g, &mut img[..5]).is_err());
     }
 }

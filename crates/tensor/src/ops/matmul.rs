@@ -7,7 +7,8 @@
 //! * [`matmul_a_bt`] — `C = A · Bᵀ` (gradient w.r.t. inputs)
 //! * [`matmul_at_b`] — `C = Aᵀ · B` (gradient w.r.t. weights)
 //!
-//! plus fused forward-path epilogues [`matmul_bias`] / [`matmul_bias_relu`].
+//! plus [`matmul_bias`], the Dense forward with its bias fused into the
+//! write-back.
 //! All of them are thin shape-checked wrappers around
 //! [`gemm`](crate::ops::gemm::gemm): transposition happens at pack time, so
 //! every variant runs the same cache-blocked kernel at the same speed.
@@ -204,41 +205,11 @@ pub fn matmul_bias_with(
     b: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor> {
-    matmul_bias_impl(scratch, a, b, bias, false)
-}
-
-/// `C = relu(A · B + bias)` — the fused Dense + ReLU forward epilogue.
-pub fn matmul_bias_relu(a: &Tensor, b: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    with_local(|s| matmul_bias_relu_with(s, a, b, bias))
-}
-
-/// [`matmul_bias_relu`] drawing the output and pack buffers from `scratch`.
-pub fn matmul_bias_relu_with(
-    scratch: &mut Scratch,
-    a: &Tensor,
-    b: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor> {
-    matmul_bias_impl(scratch, a, b, bias, true)
-}
-
-fn matmul_bias_impl(
-    scratch: &mut Scratch,
-    a: &Tensor,
-    b: &Tensor,
-    bias: &Tensor,
-    relu: bool,
-) -> Result<Tensor> {
     let (m, ka) = check2("matmul_bias", a)?;
     let (kb, n) = check2("matmul_bias", b)?;
     check_inner("matmul_bias", a, b, ka, kb)?;
     check_bias(bias, n)?;
     let mut out = scratch.take(m * n);
-    let epi = if relu {
-        Epilogue::BiasColRelu(bias.as_slice())
-    } else {
-        Epilogue::BiasCol(bias.as_slice())
-    };
     gemm::gemm_parallel(
         scratch,
         m,
@@ -250,7 +221,7 @@ fn matmul_bias_impl(
         Layout::RowMajor,
         &mut out,
         false,
-        epi,
+        Epilogue::BiasCol(bias.as_slice()),
     );
     Tensor::from_vec([m, n], out)
 }
@@ -329,15 +300,6 @@ pub mod reference {
         let n = y.dims()[1];
         for (i, v) in y.as_mut_slice().iter_mut().enumerate() {
             *v += bias.as_slice()[i % n];
-        }
-        Ok(y)
-    }
-
-    /// Naive `C = relu(A · B + bias)`.
-    pub fn matmul_bias_relu(a: &Tensor, b: &Tensor, bias: &Tensor) -> Result<Tensor> {
-        let mut y = matmul_bias(a, b, bias)?;
-        for v in y.as_mut_slice() {
-            *v = v.max(0.0);
         }
         Ok(y)
     }
@@ -422,8 +384,6 @@ mod tests {
         let bias = Tensor::from_slice(&[10.0, -10.0]);
         let y = matmul_bias(&a, &b, &bias).unwrap();
         assert_eq!(y.as_slice(), &[11., -12., 13., -6.]);
-        let yr = matmul_bias_relu(&a, &b, &bias).unwrap();
-        assert_eq!(yr.as_slice(), &[11., 0., 13., 0.]);
     }
 
     #[test]

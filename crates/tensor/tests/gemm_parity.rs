@@ -1,10 +1,9 @@
 //! Parity suite: the blocked GEMM (all three matmul variants plus the fused
-//! bias/ReLU epilogues) must match the naive reference kernels to within
-//! 1e-4 relative error on every shape, including tile-boundary tails and
-//! `m = 1` predict-shaped calls. Two bit-exact checks ride along: a row of
+//! bias epilogue) must match the naive reference kernels to within 1e-4
+//! relative error on every shape, including tile-boundary tails and
+//! `m = 1` predict-shaped calls. One bit-exact check rides along: a row of
 //! C does not depend on how many rows the call had (direct `m <= MR` path
-//! against the packed kernel), and `gemm_im2col` equals `im2col_into` +
-//! `gemm`. CI fails if this suite is skipped.
+//! against the packed kernel). CI fails if this suite is skipped.
 
 use prionn_tensor::ops::gemm::{self, Epilogue, Layout};
 use prionn_tensor::ops::matmul::reference;
@@ -95,18 +94,6 @@ fn fused_bias_epilogues_match_reference_across_shapes() {
             reference::matmul_bias(&a, &b, &bias).unwrap().as_slice(),
             &format!("matmul_bias {m}x{n}x{k}"),
         );
-        let relu = ops::matmul_bias_relu(&a, &b, &bias).unwrap();
-        assert_close(
-            relu.as_slice(),
-            reference::matmul_bias_relu(&a, &b, &bias)
-                .unwrap()
-                .as_slice(),
-            &format!("matmul_bias_relu {m}x{n}x{k}"),
-        );
-        assert!(
-            relu.as_slice().iter().all(|&v| v >= 0.0),
-            "relu epilogue produced a negative at {m}x{n}x{k}"
-        );
     }
 }
 
@@ -159,11 +146,9 @@ fn every_kernel_tier_matches_reference() {
                 &what("matmul"),
             );
             assert_close(
-                ops::matmul_bias_relu(&a, &b, &bias).unwrap().as_slice(),
-                reference::matmul_bias_relu(&a, &b, &bias)
-                    .unwrap()
-                    .as_slice(),
-                &what("matmul_bias_relu"),
+                ops::matmul_bias(&a, &b, &bias).unwrap().as_slice(),
+                reference::matmul_bias(&a, &b, &bias).unwrap().as_slice(),
+                &what("matmul_bias"),
             );
         }
     }
@@ -259,9 +244,7 @@ fn rows_of_a_short_call_are_bit_equal_to_the_same_rows_of_a_taller_call() {
             let epilogues = [
                 Epilogue::None,
                 Epilogue::BiasCol(bias_col.as_slice()),
-                Epilogue::BiasColRelu(bias_col.as_slice()),
                 Epilogue::BiasRow(bias_row.as_slice()),
-                Epilogue::BiasRowRelu(bias_row.as_slice()),
             ];
             for (ei, epi) in epilogues.into_iter().enumerate() {
                 for accumulate in [false, true] {
@@ -291,89 +274,6 @@ fn rows_of_a_short_call_are_bit_equal_to_the_same_rows_of_a_taller_call() {
                             gemm::kernel_tier().name()
                         );
                     }
-                }
-            }
-        }
-    }
-}
-
-/// `gemm_im2col` against the matrix it stands for: `im2col_into`, then
-/// `gemm` with the cols as B (row-major for the forward product, transposed
-/// for the filter gradient). Geometries cover padding borders on every
-/// side, ragged last strips, output rows shorter than a strip, `stride > 1`
-/// and a `k` that spans two KC blocks in each layout.
-#[test]
-fn gemm_im2col_is_bit_equal_to_im2col_then_gemm() {
-    use prionn_tensor::ops::{im2col_into, Conv2dGeom};
-    let g =
-        |c, h, w, kh, kw, s, ph, pw| Conv2dGeom::with_padding(c, h, w, kh, kw, s, ph, pw).unwrap();
-    let _tier = tier_lock();
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC015);
-    let mut ws = gemm::GemmWorkspace::new();
-    for (gi, geom) in [
-        g(4, 64, 64, 3, 3, 1, 1, 1),
-        g(3, 7, 11, 2, 5, 1, 0, 2),
-        g(2, 9, 13, 3, 2, 2, 1, 0),
-        g(2, 10, 5, 3, 3, 3, 2, 2),
-        g(1, 3, 2, 3, 5, 1, 1, 2),
-        g(32, 6, 6, 3, 3, 1, 1, 1),
-        g(1, 1, 40, 1, 1, 1, 0, 0),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let (rows, cols) = (geom.col_rows(), geom.col_cols());
-        let x = prionn_tensor::init::uniform(
-            [geom.in_channels * geom.in_h * geom.in_w],
-            -1.0,
-            1.0,
-            &mut rng,
-        );
-        let mut mat = vec![0.0f32; rows * cols];
-        im2col_into(x.as_slice(), &geom, &mut mat).unwrap();
-        for m in [1usize, 7, 19] {
-            let bias = prionn_tensor::init::uniform([m], -1.0, 1.0, &mut rng);
-            for (lb, k, n) in [
-                (Layout::RowMajor, rows, cols),
-                (Layout::Transposed, cols, rows),
-            ] {
-                let a = rand_tensor(&mut rng, m, k);
-                let seed = rand_tensor(&mut rng, m, n);
-                for accumulate in [false, true] {
-                    let epi = Epilogue::BiasRowRelu(bias.as_slice());
-                    let mut want = seed.as_slice().to_vec();
-                    gemm::gemm(
-                        &mut ws,
-                        m,
-                        n,
-                        k,
-                        a.as_slice(),
-                        Layout::RowMajor,
-                        &mat,
-                        lb,
-                        &mut want,
-                        accumulate,
-                        epi,
-                    );
-                    let mut got = seed.as_slice().to_vec();
-                    gemm::gemm_im2col(
-                        &mut ws,
-                        m,
-                        a.as_slice(),
-                        Layout::RowMajor,
-                        x.as_slice(),
-                        &geom,
-                        lb,
-                        &mut got,
-                        accumulate,
-                        epi,
-                    );
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "geometry {gi} ({geom:?}) m={m} {lb:?} accumulate={accumulate} (tier {})",
-                        gemm::kernel_tier().name()
-                    );
                 }
             }
         }

@@ -1,20 +1,45 @@
 //! Tier-1 guard for the convolution kernels: the paper's four 3×3 convs
 //! (the 2D-CNN at a 64×64 grid, word2vec dim 4, base width 8), forward and
 //! full backward at batch 2 on the dispatched kernel tier, bit-equal to the
-//! lowering on a materialised cols matrix (`im2col_into` + `gemm` +
-//! `col2im_into`). The crate suite `prionn-nn/tests/conv_reference.rs`
+//! lowering on a materialised cols matrix (a per-element im2col written
+//! out here + `gemm` + `col2im_into`). The crate suite `prionn-nn/tests/conv_reference.rs`
 //! sweeps more shapes on every tier; this file makes the unchanged
 //! `cargo test -q` fail when a kernel drifts.
 
 use prionn::nn::layer::Conv2d;
 use prionn::nn::Layer;
 use prionn::tensor::ops::gemm::{self, Epilogue, GemmWorkspace, Layout};
-use prionn::tensor::ops::{col2im_into, im2col_into, Conv2dGeom};
+use prionn::tensor::ops::{col2im_into, Conv2dGeom};
 use prionn::tensor::{init, Scratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// `[y, dW, db, dX]` of the materialised lowering: per sample `im2col_into`,
+/// The im2col matrix of one sample, each entry read from its signed input
+/// coordinate on its own.
+fn im2col(x: &[f32], g: &Conv2dGeom, out: &mut [f32]) {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    out.fill(0.0);
+    for c in 0..g.in_channels {
+        for kh in 0..g.kernel_h {
+            for kw in 0..g.kernel_w {
+                let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * g.stride + kh) as isize - g.pad_h as isize;
+                        let ix = (ox * g.stride + kw) as isize - g.pad_w as isize;
+                        if (0..g.in_h as isize).contains(&iy) && (0..g.in_w as isize).contains(&ix)
+                        {
+                            out[(row * oh + oy) * ow + ox] =
+                                x[(c * g.in_h + iy as usize) * g.in_w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `[y, dW, db, dX]` of the materialised lowering: per sample [`im2col`],
 /// `y = W·cols + b`, `dW += dY·colsᵀ`, `db += row sums of dY`,
 /// `dX = col2im(Wᵀ·dY)`, with `dW` / `db` accumulated per worker group and
 /// the groups then summed in order, as `Conv2d` reduces them.
@@ -31,7 +56,7 @@ fn materialised(g: &Conv2dGeom, w: &[f32], b: &[f32], x: &[f32], dy: &[f32]) -> 
         let (mut dw_part, mut db_part) = (vec![0.0f32; out_c * k], vec![0.0f32; out_c]);
         for i in group..(group + per).min(batch) {
             let dy_i = &dy[i * y_len..(i + 1) * y_len];
-            im2col_into(&x[i * x_len..(i + 1) * x_len], g, &mut cols).unwrap();
+            im2col(&x[i * x_len..(i + 1) * x_len], g, &mut cols);
             let y_i = &mut y[i * y_len..(i + 1) * y_len];
             let (rm, tr) = (Layout::RowMajor, Layout::Transposed);
             gemm::gemm(
