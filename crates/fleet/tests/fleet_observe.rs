@@ -234,6 +234,27 @@ fn fleet_metrics_serves_bucket_exact_merged_histograms() {
         "{text}"
     );
 
+    // A valid exposition: every name has one `# TYPE` block and every
+    // series one sample, although shards and collector each register
+    // `telemetry_events_dropped_total`.
+    let mut types: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let mut series: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' ').map(|(s, _)| s))
+        .collect();
+    for names in [&mut types, &mut series] {
+        let total = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), total, "duplicated in /fleet/metrics:\n{text}");
+    }
+    assert!(types.contains(&"telemetry_events_dropped_total"), "{text}");
+
     plane.ops.shutdown();
     plane.collector.shutdown();
     plane.fleet.shutdown();

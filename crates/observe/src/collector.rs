@@ -16,9 +16,9 @@
 //!   histograms, summed counters, per-shard labelled gauges;
 //! * [`FleetCollector::healthz`] — quorum-aware: `200` while at least
 //!   `quorum` shards answered their latest scrape;
-//! * [`FleetCollector::trace_json`] — a trace id looked up across every
-//!   shard's `/traces` plus the collector-local recorder (where the
-//!   router's client spans land), merged into one span set.
+//! * [`FleetCollector::trace_json`] — a trace id looked up on every
+//!   shard's `/traces?trace_id=N` plus the collector-local recorder (where
+//!   the router's client spans land), merged into one span set.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use prionn_telemetry::{merge_shards, Counter, Gauge, MetricsSnapshot, Telemetry};
 
 use crate::flight::{span_json, FlightRecorder};
+use crate::ops::{trace_head, TRACE_TAIL};
 use crate::slo::{SloEngine, SloSource, SloSpec};
 
 /// One scrape target.
@@ -96,8 +97,8 @@ struct CollectorInner {
     slo: SloEngine,
     epoch: Instant,
     stop: AtomicBool,
-    /// Cached merged exposition from the latest round.
-    merged: Mutex<String>,
+    /// Merged shard view from the latest round.
+    merged: Mutex<MetricsSnapshot>,
     rounds: Counter,
     shards_up: Gauge,
 }
@@ -184,7 +185,7 @@ impl FleetCollector {
                 slo,
                 epoch: Instant::now(),
                 stop: AtomicBool::new(false),
-                merged: Mutex::new(String::new()),
+                merged: Mutex::new(MetricsSnapshot::default()),
                 rounds,
                 shards_up,
                 cfg,
@@ -211,16 +212,36 @@ impl FleetCollector {
     }
 
     /// The merged fleet view in Prometheus text exposition, with the
-    /// collector's own instruments appended — one scrape shows federated
-    /// shard metrics, scrape health, and SLO burn together.
+    /// collector's own instruments folded in — one scrape shows federated
+    /// shard metrics, scrape health, and SLO burn together. A counter the
+    /// shards also export (every registry's
+    /// `telemetry_events_dropped_total`) is summed into their total, so each
+    /// series is written once; the collector's gauges and histograms keep
+    /// their own labels.
     pub fn merged_prometheus(&self) -> String {
-        let merged = self
+        let mut view = self
             .inner
             .merged
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        format!("{merged}{}", self.inner.telemetry.prometheus())
+        let own = self.inner.telemetry.snapshot();
+        for c in own.counters {
+            match view
+                .counters
+                .iter_mut()
+                .find(|v| v.name == c.name && v.labels == c.labels)
+            {
+                Some(v) => v.value += c.value,
+                None => view.counters.push(c),
+            }
+        }
+        view.gauges.extend(own.gauges);
+        view.histograms.extend(own.histograms);
+        for (name, help) in own.help {
+            view.help.entry(name).or_insert(help);
+        }
+        view.to_prometheus()
     }
 
     /// Quorum-aware health: `(healthy, detail)`. Healthy while at least
@@ -250,21 +271,28 @@ impl FleetCollector {
             .count()
     }
 
-    /// Look one trace up across the fleet: every shard's `/traces` plus
-    /// the collector-local recorder, merged into
+    /// Look one trace up across the fleet: every shard's
+    /// `/traces?trace_id=N` plus the collector-local recorder, merged into
     /// `{"trace_id":N,"spans":[...],"shards_answered":K}`.
     pub fn trace_json(&self, trace_id: u64) -> String {
+        let head = trace_head(trace_id);
         let mut spans: Vec<String> = Vec::new();
         let mut answered = 0usize;
         for shard in &self.inner.shards {
             if let Some(body) = http_get(
                 &shard.target.ops_addr,
-                "/traces",
+                &format!("/traces?trace_id={trace_id}"),
                 self.inner.cfg.scrape_timeout,
                 &shard.addr,
             ) {
                 answered += 1;
-                spans.extend(extract_trace_spans(&body, trace_id));
+                if let Some(found) = body
+                    .strip_prefix(&head)
+                    .and_then(|b| b.strip_suffix(TRACE_TAIL))
+                    .filter(|found| !found.is_empty())
+                {
+                    spans.push(found.to_string());
+                }
             }
         }
         if let Some(rec) = &self.inner.cfg.local_recorder {
@@ -275,7 +303,7 @@ impl FleetCollector {
             }
         }
         format!(
-            "{{\"trace_id\":{trace_id},\"shards_answered\":{answered},\"spans\":[{}]}}",
+            "{head}{}],\"shards_answered\":{answered}}}",
             spans.join(",")
         )
     }
@@ -334,7 +362,7 @@ fn scrape_round(inner: &CollectorInner) -> usize {
     let now_s = inner.epoch.elapsed().as_secs_f64();
     feed_slos(inner, &merged.snapshot, now_s);
     inner.slo.evaluate(now_s);
-    *inner.merged.lock().unwrap_or_else(|e| e.into_inner()) = merged.to_prometheus();
+    *inner.merged.lock().unwrap_or_else(|e| e.into_inner()) = merged.snapshot;
     up
 }
 
@@ -424,114 +452,9 @@ fn http_get(
     result
 }
 
-/// Pull the span objects for `trace_id` out of a `/traces` JSON document
-/// without a full JSON parser: find `"trace_id":<id>,"spans":[`, then
-/// bracket-match to the array's end, honouring strings and escapes.
-fn extract_trace_spans(traces_json: &str, trace_id: u64) -> Vec<String> {
-    let needle = format!("\"trace_id\":{trace_id},\"spans\":[");
-    let Some(at) = traces_json.find(&needle) else {
-        return Vec::new();
-    };
-    let body = &traces_json[at + needle.len()..];
-    let Some(end) = matching_bracket_end(body) else {
-        return Vec::new();
-    };
-    split_top_level_objects(&body[..end])
-}
-
-/// Index of the `]` closing an array whose `[` was just consumed.
-fn matching_bracket_end(s: &str) -> Option<usize> {
-    let mut depth = 1i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Split `{...},{...},...` into its top-level object strings.
-fn split_top_level_objects(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut start = None;
-    for (i, c) in s.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => {
-                if depth == 0 && c == '{' {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' | ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(from) = start.take() {
-                        out.push(s[from..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_span_extraction_handles_nesting_and_strings() {
-        let doc = concat!(
-            "{\"traces\":[",
-            "{\"trace_id\":7,\"spans\":[",
-            "{\"span_id\":1,\"name\":\"a[}]\",\"links\":[{\"trace_id\":9,\"span_id\":2}]},",
-            "{\"span_id\":2,\"name\":\"b\\\"]\",\"links\":[]}",
-            "]},",
-            "{\"trace_id\":8,\"spans\":[{\"span_id\":3,\"name\":\"c\",\"links\":[]}]}",
-            "]}"
-        );
-        let spans = extract_trace_spans(doc, 7);
-        assert_eq!(spans.len(), 2, "{spans:?}");
-        assert!(spans[0].contains("\"span_id\":1"));
-        assert!(spans[1].contains("\"span_id\":2"));
-        assert!(extract_trace_spans(doc, 8).len() == 1);
-        assert!(extract_trace_spans(doc, 99).is_empty());
-    }
 
     #[test]
     fn healthz_quorum_math() {

@@ -24,7 +24,8 @@
 //!   `/fleet/traces` when a [`FleetCollector`] is attached.
 //! * [`collector`] — the fleet plane: scrapes every shard's ops endpoint
 //!   on a cadence, merges counters/gauges/histograms bucket-exactly, and
-//!   stitches cross-shard traces back into one tree by trace id.
+//!   stitches cross-shard traces back into one tree by asking every shard's
+//!   `/traces?trace_id=N` for the one trace.
 //! * [`slo`] — declarative SLO specs evaluated with multi-window
 //!   burn-rate alerting (fast 5m/1h pair, slow 6h), exported as `slo_*`
 //!   metrics and edge-triggered events a rollout can gate on.

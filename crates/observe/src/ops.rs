@@ -10,13 +10,13 @@
 //! | `/metrics` | Prometheus text exposition from the attached [`Telemetry`] |
 //! | `/healthz` | liveness: `200 ok` while the server thread runs |
 //! | `/readyz`  | readiness from the injected probe (gateway queue + replica liveness); `503` when not ready |
-//! | `/traces`  | recent span trees from the flight recorder, as JSON |
+//! | `/traces`  | recent span trees from the flight recorder, as JSON; `?trace_id=N` answers that one trace from the whole ring |
 //! | `/flight`  | triggers a flight dump to disk, returns the path |
 //! | `/forecast`| live IO-forecast snapshot as JSON, when registered in [`OpsOptions::json_routes`] |
 //! | `/revise`  | in-flight revision engine snapshot as JSON, likewise |
 //! | `/fleet/metrics` | merged fleet-wide exposition from the attached [`FleetCollector`] |
 //! | `/fleet/healthz` | quorum-aware fleet health: `200` while enough shards scrape |
-//! | `/fleet/traces?trace_id=N` | one trace's spans stitched across every shard |
+//! | `/fleet/traces?trace_id=N` | one trace's spans stitched across every shard, each asked for that trace on its `/traces?trace_id=N` |
 //!
 //! Anything else is `404`. The server binds before [`OpsServer::start`]
 //! returns, so tests and scripts can read the bound port immediately.
@@ -27,11 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use prionn_telemetry::Telemetry;
+use prionn_telemetry::{json_str, Telemetry};
 
 use crate::collector::FleetCollector;
 use crate::drift::DriftMonitor;
-use crate::flight::{json_str, span_json, FlightRecorder};
+use crate::flight::{span_json, FlightRecorder};
 use crate::trace::SpanRecord;
 
 /// A readiness verdict from the injected probe.
@@ -223,8 +223,8 @@ fn route(
             }
             None => (OK, TEXT, "ready\n".into()),
         },
-        "/traces" => match &opts.recorder {
-            Some(rec) => {
+        "/traces" => match (&opts.recorder, query_param(query, "trace_id")) {
+            (Some(rec), None) => {
                 let max = if opts.max_traces == 0 {
                     64
                 } else {
@@ -232,7 +232,15 @@ fn route(
                 };
                 (OK, JSON, traces_json(&rec.snapshot(), max))
             }
-            None => (
+            (Some(rec), Some(id)) => match id.parse::<u64>() {
+                Ok(id) => {
+                    let spans = rec.snapshot();
+                    let spans = spans.iter().filter(|s| s.trace_id == id);
+                    (OK, JSON, trace_json(id, spans))
+                }
+                Err(_) => ("400 Bad Request", TEXT, "pass ?trace_id=<u64>\n".into()),
+            },
+            (None, _) => (
                 "404 Not Found",
                 TEXT,
                 "no flight recorder attached\n".into(),
@@ -322,7 +330,8 @@ fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
-/// Group spans by trace and render the most recent `max` traces as JSON.
+/// Group spans by trace and render the most recent `max` traces as JSON,
+/// `{"traces":[<trace_json>,...]}`.
 fn traces_json(spans: &[SpanRecord], max: usize) -> String {
     use std::collections::BTreeMap;
     let mut by_trace: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
@@ -338,24 +347,28 @@ fn traces_json(spans: &[SpanRecord], max: usize) -> String {
         .collect();
     traces.sort_by_key(|(start, id, _)| (std::cmp::Reverse(*start), *id));
     traces.truncate(max);
-
-    let mut out = String::from("{\"traces\":[");
-    for (i, (_, id, spans)) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"trace_id\":{id},\"spans\":["));
-        for (j, s) in spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&span_json(s));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let traces: Vec<String> = traces
+        .into_iter()
+        .map(|(_, id, spans)| trace_json(id, spans))
+        .collect();
+    format!("{{\"traces\":[{}]}}", traces.join(","))
 }
+
+/// One trace as JSON: [`trace_head`], the spans' objects comma-separated,
+/// then [`TRACE_TAIL`]. `/traces?trace_id=N` answers exactly this, so the
+/// fleet collector splices shard answers by stripping the two.
+fn trace_json<'a>(trace_id: u64, spans: impl IntoIterator<Item = &'a SpanRecord>) -> String {
+    let spans: Vec<String> = spans.into_iter().map(span_json).collect();
+    format!("{}{}{TRACE_TAIL}", trace_head(trace_id), spans.join(","))
+}
+
+/// What [`trace_json`] writes before the first span.
+pub(crate) fn trace_head(trace_id: u64) -> String {
+    format!("{{\"trace_id\":{trace_id},\"spans\":[")
+}
+
+/// What [`trace_json`] writes after the last span.
+pub(crate) const TRACE_TAIL: &str = "]}";
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use prionn_observe::{
     DriftConfig, DriftHead, DriftMonitor, FlightConfig, FlightRecorder, OpsOptions, OpsServer,
-    Readiness, Tracer,
+    Readiness, SpanRecord, Tracer,
 };
 use prionn_telemetry::Telemetry;
 
@@ -289,4 +289,140 @@ fn forecast_metric_names_are_pinned_and_forecast_route_serves_json() {
     let resp = http_get(bare.addr(), "/forecast");
     assert!(resp.starts_with("HTTP/1.0 404"), "{resp}");
     bare.shutdown();
+}
+
+fn span(trace_id: u64, span_id: u64, name: &str, detail: &str, start: u64) -> SpanRecord {
+    SpanRecord {
+        trace_id,
+        span_id,
+        parent_id: 0,
+        name: name.into(),
+        detail: detail.into(),
+        links: vec![],
+        start_micros: start,
+        duration_micros: 1,
+    }
+}
+
+/// `/fleet/traces` must find a trace still in every shard's ring even when
+/// more than `max_traces` newer traces follow it: the collector asks each
+/// shard for the one trace instead of searching the capped `/traces` list.
+#[test]
+fn fleet_trace_lookup_reaches_traces_older_than_max_traces() {
+    use prionn_observe::{CollectorConfig, FleetCollector, ShardTarget};
+
+    let shards: Vec<OpsServer> = (0..2u64)
+        .map(|shard| {
+            let rec = FlightRecorder::new(FlightConfig::default());
+            rec.record(span(7, 100 + shard, "predict", "", 0));
+            for t in 0..4 {
+                rec.record(span(1000 + t, 200 + t, "predict", "", 10 + t));
+            }
+            OpsServer::start(
+                "127.0.0.1:0",
+                OpsOptions {
+                    recorder: Some(rec),
+                    max_traces: 2,
+                    ..OpsOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let collector = FleetCollector::new(CollectorConfig {
+        shards: shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardTarget {
+                name: i.to_string(),
+                ops_addr: s.addr().to_string(),
+            })
+            .collect(),
+        ..CollectorConfig::default()
+    });
+
+    let doc: serde_json::Value = serde_json::from_str(&collector.trace_json(7)).unwrap();
+    assert_eq!(doc.get("shards_answered").unwrap().as_u64(), Some(2));
+    let spans = doc.get("spans").unwrap().as_array().unwrap();
+    let mut ids: Vec<u64> = spans
+        .iter()
+        .map(|s| s.get("span_id").unwrap().as_u64().unwrap())
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [100, 101], "one span from each shard: {doc:?}");
+    for s in &shards {
+        s.shutdown();
+    }
+}
+
+/// Every string the JSON documents carry, with each character JSON must
+/// escape: quote, backslash, newline, tab and a bare control character.
+const HOSTILE: &str = "q\"b\\s\nl\tt\u{1}end";
+
+#[test]
+fn json_documents_parse_and_round_trip_hostile_strings() {
+    use serde_json::Value;
+
+    let telemetry = Telemetry::new();
+    telemetry
+        .counter_with("hostile_total", "", &[("path", HOSTILE)])
+        .inc();
+    telemetry.events().record(HOSTILE, HOSTILE, 3);
+    let rec = FlightRecorder::new(FlightConfig::default());
+    rec.attach_telemetry(&telemetry);
+    let writer = rec.clone();
+    std::thread::Builder::new()
+        .name(HOSTILE.into())
+        .spawn(move || writer.record(span(9, 1, HOSTILE, HOSTILE, writer.now_micros())))
+        .unwrap()
+        .join()
+        .unwrap();
+
+    let parse =
+        |s: &str| -> Value { serde_json::from_str(s).unwrap_or_else(|e| panic!("{e:?} in {s}")) };
+    let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+    let list = |v: &Value, key: &str| v.get(key).and_then(Value::as_array).unwrap().clone();
+    let check_registry = |doc: &Value| {
+        let metric = list(doc, "metrics")
+            .into_iter()
+            .find(|m| text(m, "name").as_deref() == Some("hostile_total"))
+            .expect("hostile_total in the metrics");
+        assert_eq!(
+            text(metric.get("labels").unwrap(), "path").as_deref(),
+            Some(HOSTILE)
+        );
+        let event = &list(doc, "events")[0];
+        assert_eq!(text(event, "name").as_deref(), Some(HOSTILE));
+        assert_eq!(text(event, "detail").as_deref(), Some(HOSTILE));
+    };
+    let check_span = |span: &Value| {
+        assert_eq!(text(span, "name").as_deref(), Some(HOSTILE));
+        assert_eq!(text(span, "detail").as_deref(), Some(HOSTILE));
+    };
+
+    check_registry(&parse(&telemetry.json()));
+
+    let dump = parse(&rec.dump_json(HOSTILE));
+    assert_eq!(text(&dump, "reason").as_deref(), Some(HOSTILE));
+    let thread = list(&dump, "threads")
+        .into_iter()
+        .find(|t| text(t, "thread").as_deref() == Some(HOSTILE))
+        .expect("the recording thread's label");
+    check_span(&list(&thread, "spans")[0]);
+    check_registry(dump.get("metrics").unwrap());
+
+    let server = OpsServer::start(
+        "127.0.0.1:0",
+        OpsOptions {
+            recorder: Some(rec.clone()),
+            ..OpsOptions::default()
+        },
+    )
+    .unwrap();
+    let traces = parse(body_of(&http_get(server.addr(), "/traces")));
+    check_span(&list(&list(&traces, "traces")[0], "spans")[0]);
+    let one = parse(body_of(&http_get(server.addr(), "/traces?trace_id=9")));
+    assert_eq!(one.get("trace_id").and_then(Value::as_u64), Some(9));
+    check_span(&list(&one, "spans")[0]);
+    server.shutdown();
 }

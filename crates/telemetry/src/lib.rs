@@ -17,7 +17,11 @@
 //! * [`SpanLog`] — a bounded ring of timestamped span events (one retrain,
 //!   one snapshot), drainable from the service API;
 //! * [`Telemetry`] — the registry tying them together, exporting snapshots
-//!   as JSON and Prometheus text exposition format.
+//!   as JSON and Prometheus text exposition format;
+//! * [`MetricsSnapshot`] — a typed point-in-time view, read from a live
+//!   registry ([`Telemetry::snapshot`]), parsed from an exposition, or
+//!   merged across processes; [`MetricsSnapshot::to_prometheus`] is the one
+//!   exposition writer, and [`json_str`] the one JSON string escaper.
 //!
 //! Design constraints, in order: hot-path updates must be allocation-free
 //! and lock-free (one striped atomic add); the whole crate must stand on
@@ -53,4 +57,4 @@ mod registry;
 pub use events::{SpanEvent, SpanGuard, SpanLog};
 pub use instrument::{Counter, Gauge, HistTimer, Histogram};
 pub use merge::{merge_histograms, merge_shards, MergedMetrics, MetricsSnapshot};
-pub use registry::{Labels, Telemetry};
+pub use registry::{json_str, Labels, Telemetry};

@@ -1,11 +1,12 @@
-//! Mergeable metric snapshots: parse the registry's own Prometheus text
-//! exposition back into typed series and combine snapshots from many
-//! processes into one fleet-wide view.
+//! Metric snapshots: the one Prometheus text writer
+//! ([`MetricsSnapshot::to_prometheus`]), its parser, and the merge that
+//! combines snapshots from many processes into one fleet-wide view.
 //!
-//! The fleet collector scrapes every shard's `/metrics` endpoint — each a
-//! [`Telemetry::prometheus`](crate::Telemetry::prometheus) rendering — and
-//! needs a *merged* surface to evaluate SLOs against. Merge semantics per
-//! instrument kind:
+//! A live registry renders by taking a
+//! [`Telemetry::snapshot`](crate::Telemetry::snapshot) and writing it out.
+//! The fleet collector scrapes every shard's `/metrics` endpoint, parses
+//! each back into a snapshot, and needs a *merged* surface to evaluate SLOs
+//! against. Merge semantics per instrument kind:
 //!
 //! * **counters** — summed across shards (totals are totals);
 //! * **histograms** — bucket-wise sum when the `le` layouts match exactly
@@ -122,7 +123,8 @@ pub fn merge_histograms(a: &HistogramSeries, b: &HistogramSeries) -> Option<Hist
     })
 }
 
-/// A parsed metrics exposition: typed series plus the HELP text seen.
+/// A point-in-time metric view: typed series plus the HELP text, read
+/// from a live registry, parsed from an exposition, or merged.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter samples.
@@ -131,7 +133,7 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<ScalarSeries>,
     /// Histogram families.
     pub histograms: Vec<HistogramSeries>,
-    /// `# HELP` text by metric name.
+    /// Unescaped, non-empty `# HELP` text by metric name.
     pub help: BTreeMap<String, String>,
 }
 
@@ -160,7 +162,20 @@ impl MetricsSnapshot {
             if let Some(rest) = line.strip_prefix("# HELP ") {
                 let mut it = rest.splitn(2, ' ');
                 if let (Some(name), Some(help)) = (it.next(), it.next()) {
-                    snap.help.insert(name.to_string(), help.to_string());
+                    let mut text = String::with_capacity(help.len());
+                    let mut chars = help.chars();
+                    while let Some(c) = chars.next() {
+                        if c != '\\' {
+                            text.push(c);
+                            continue;
+                        }
+                        match chars.next() {
+                            Some('n') => text.push('\n'),
+                            Some(other) => text.push(other),
+                            None => text.push('\\'),
+                        }
+                    }
+                    snap.help.insert(name.to_string(), text);
                 }
                 continue;
             }
@@ -333,24 +348,27 @@ pub fn merge_shards(shards: &[(String, MetricsSnapshot)]) -> MergedMetrics {
     }
 }
 
-impl MergedMetrics {
-    /// Render the merged view back into Prometheus text exposition,
-    /// grouped and sorted by metric name like the live registry's output.
+impl MetricsSnapshot {
+    /// Render the snapshot in the Prometheus text exposition format
+    /// (version 0.0.4): one `# HELP` / `# TYPE` header per metric name,
+    /// names in sorted order, series of one name in snapshot order,
+    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count` for
+    /// histograms. This is the workspace's only exposition writer: a live
+    /// registry renders through [`Telemetry::snapshot`](crate::Telemetry::snapshot),
+    /// a fleet view through [`merge_shards`].
     pub fn to_prometheus(&self) -> String {
-        #[derive(Clone)]
         enum Row<'a> {
             Scalar(&'a ScalarSeries, &'static str),
             Hist(&'a HistogramSeries),
         }
-        let snap = &self.snapshot;
         let mut rows: Vec<(&str, Row<'_>)> = Vec::new();
-        for c in &snap.counters {
+        for c in &self.counters {
             rows.push((&c.name, Row::Scalar(c, "counter")));
         }
-        for g in &snap.gauges {
+        for g in &self.gauges {
             rows.push((&g.name, Row::Scalar(g, "gauge")));
         }
-        for h in &snap.histograms {
+        for h in &self.histograms {
             rows.push((&h.name, Row::Hist(h)));
         }
         rows.sort_by(|a, b| a.0.cmp(b.0));
@@ -358,7 +376,8 @@ impl MergedMetrics {
         let mut last = "";
         for (name, row) in &rows {
             if *name != last {
-                if let Some(help) = snap.help.get(*name) {
+                if let Some(help) = self.help.get(*name) {
+                    let help = help.replace('\\', "\\\\").replace('\n', "\\n");
                     out.push_str(&format!("# HELP {name} {help}\n"));
                 }
                 let ty = match row {
@@ -374,7 +393,7 @@ impl MergedMetrics {
                         "{}{} {}\n",
                         s.name,
                         render_labels(&s.labels, None),
-                        fmt_value(s.value)
+                        fmt_f64(s.value)
                     ));
                 }
                 Row::Hist(h) => {
@@ -382,7 +401,7 @@ impl MergedMetrics {
                         let le = if le.is_infinite() {
                             "+Inf".to_string()
                         } else {
-                            fmt_value(*le)
+                            fmt_f64(*le)
                         };
                         out.push_str(&format!(
                             "{}_bucket{} {}\n",
@@ -395,7 +414,7 @@ impl MergedMetrics {
                         "{}_sum{} {}\n",
                         h.name,
                         render_labels(&h.labels, None),
-                        fmt_value(h.sum)
+                        fmt_f64(h.sum)
                     ));
                     out.push_str(&format!(
                         "{}_count{} {}\n",
@@ -410,13 +429,17 @@ impl MergedMetrics {
     }
 }
 
-fn fmt_value(v: f64) -> String {
+/// Format an `f64` the way both Prometheus and JSON accept: finite shortest
+/// round-trip form, never `NaN`/`inf` (mapped to 0).
+pub(crate) fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".into();
     }
     format!("{v}")
 }
 
+/// Render `{k="v",...}` (with `le` appended for histogram buckets), or the
+/// empty string when there is nothing to render.
 fn render_labels(labels: &Labels, le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
@@ -640,7 +663,7 @@ mod tests {
         );
         assert!(merged.skipped.is_empty());
         // Rendered output parses back to the same totals.
-        let reparsed = MetricsSnapshot::parse(&merged.to_prometheus());
+        let reparsed = MetricsSnapshot::parse(&merged.snapshot.to_prometheus());
         assert_eq!(reparsed.counter_sum("req_total", &[]), 7.0);
     }
 

@@ -9,6 +9,7 @@
 
 use crate::events::SpanLog;
 use crate::instrument::{Counter, Gauge, Histogram};
+use crate::merge::{fmt_f64, HistogramSeries, MetricsSnapshot, ScalarSeries};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -194,140 +195,119 @@ impl Telemetry {
         self.inner.start.elapsed().as_secs_f64()
     }
 
-    /// Render every registered metric in the Prometheus text exposition
-    /// format (version 0.0.4): `# HELP` / `# TYPE` headers per metric name,
-    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count` for
-    /// histograms.
-    pub fn prometheus(&self) -> String {
+    /// Read every registered instrument, in registration order, into a
+    /// [`MetricsSnapshot`]: histograms get `les` = bounds + `+Inf` and
+    /// cumulative counts; each name keeps the help it was first
+    /// registered with, and an empty help is left out.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let entries = self.inner.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        let mut last_name = "";
-        // Entries registered under one name share HELP/TYPE headers; sort a
-        // copy of indices by name to group them without disturbing
-        // registration order inside a group.
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| entries[a].name.cmp(&entries[b].name).then(a.cmp(&b)));
-        for &i in &order {
-            let e = &entries[i];
-            if e.name != last_name {
-                if !e.help.is_empty() {
-                    out.push_str(&format!("# HELP {} {}\n", e.name, escape_help(&e.help)));
-                }
-                out.push_str(&format!("# TYPE {} {}\n", e.name, e.inst.type_name()));
-                last_name = &e.name;
-            }
+        let mut snap = MetricsSnapshot::default();
+        for e in entries.iter() {
+            snap.help
+                .entry(e.name.clone())
+                .or_insert_with(|| e.help.clone());
+            let (name, labels) = (e.name.clone(), e.labels.clone());
             match &e.inst {
-                Instrument::Counter(c) => {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        c.value()
-                    ));
-                }
-                Instrument::Gauge(g) => {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        fmt_f64(g.value())
-                    ));
-                }
+                Instrument::Counter(c) => snap.counters.push(ScalarSeries {
+                    name,
+                    labels,
+                    value: c.value() as f64,
+                }),
+                Instrument::Gauge(g) => snap.gauges.push(ScalarSeries {
+                    name,
+                    labels,
+                    value: g.value(),
+                }),
                 Instrument::Histogram(h) => {
-                    let counts = h.merged_counts();
-                    let mut cum = 0u64;
-                    for (bound, count) in h.bounds().iter().zip(&counts) {
-                        cum += count;
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            e.name,
-                            label_block(&e.labels, Some(&fmt_f64(*bound))),
-                            cum
-                        ));
-                    }
-                    cum += counts.last().copied().unwrap_or(0);
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        e.name,
-                        label_block(&e.labels, Some("+Inf")),
-                        cum
-                    ));
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        fmt_f64(h.sum())
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        cum
-                    ));
+                    let mut count = 0u64;
+                    let cumulative = h
+                        .merged_counts()
+                        .iter()
+                        .map(|c| {
+                            count += c;
+                            count
+                        })
+                        .collect();
+                    let mut les = h.bounds().to_vec();
+                    les.push(f64::INFINITY);
+                    snap.histograms.push(HistogramSeries {
+                        name,
+                        labels,
+                        les,
+                        cumulative,
+                        sum: h.sum(),
+                        count,
+                    });
                 }
             }
         }
-        out
+        snap.help.retain(|_, help| !help.is_empty());
+        snap
+    }
+
+    /// Render every registered metric in the Prometheus text exposition
+    /// format: [`MetricsSnapshot::to_prometheus`] of [`snapshot`](Self::snapshot).
+    pub fn prometheus(&self) -> String {
+        self.snapshot().to_prometheus()
     }
 
     /// Render a point-in-time snapshot as a JSON object: uptime, every
     /// metric (histograms include p50/p90/p99 estimates), and a *peek* of
     /// the span log (events are not drained).
     pub fn json(&self) -> String {
-        let entries = self.inner.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"uptime_seconds\":{},\"metrics\":[",
-            fmt_f64(self.inner.start.elapsed().as_secs_f64())
-        ));
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"type\":\"{}\",\"labels\":{{",
-                json_str(&e.name),
-                e.inst.type_name()
-            ));
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            out.push_str("},");
-            match &e.inst {
-                Instrument::Counter(c) => out.push_str(&format!("\"value\":{}", c.value())),
-                Instrument::Gauge(g) => out.push_str(&format!("\"value\":{}", fmt_f64(g.value()))),
-                Instrument::Histogram(h) => {
-                    out.push_str(&format!(
-                        "\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                        h.count(),
-                        fmt_f64(h.sum()),
-                        fmt_f64(h.mean()),
-                        fmt_f64(h.quantile(0.5)),
-                        fmt_f64(h.quantile(0.9)),
-                        fmt_f64(h.quantile(0.99)),
-                    ));
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("],\"events\":[");
-        for (i, ev) in self.inner.events.peek().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_micros\":{},\"name\":{},\"detail\":{},\"duration_micros\":{}}}",
-                ev.at_micros,
-                json_str(&ev.name),
-                json_str(&ev.detail),
-                ev.duration_micros
+        let snap = self.snapshot();
+        let labels_json = |labels: &Labels| {
+            let pairs: Vec<String> = labels
+                .iter()
+                .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
+                .collect();
+            format!("{{{}}}", pairs.join(","))
+        };
+        let mut metrics: Vec<String> = Vec::new();
+        for (ty, s) in (snap.counters.iter().map(|s| ("counter", s)))
+            .chain(snap.gauges.iter().map(|s| ("gauge", s)))
+        {
+            metrics.push(format!(
+                "{{\"name\":{},\"type\":\"{ty}\",\"labels\":{},\"value\":{}}}",
+                json_str(&s.name),
+                labels_json(&s.labels),
+                fmt_f64(s.value)
             ));
         }
-        out.push_str("]}");
-        out
+        for h in &snap.histograms {
+            metrics.push(format!(
+                "{{\"name\":{},\"type\":\"histogram\",\"labels\":{},\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+                json_str(&h.name),
+                labels_json(&h.labels),
+                h.count,
+                fmt_f64(h.sum),
+                fmt_f64(h.sum / h.count.max(1) as f64),
+                fmt_f64(h.quantile(0.5)),
+                fmt_f64(h.quantile(0.9)),
+                fmt_f64(h.quantile(0.99)),
+            ));
+        }
+        let events: Vec<String> = self
+            .inner
+            .events
+            .peek()
+            .iter()
+            .map(|ev| {
+                format!(
+                    "{{\"at_micros\":{},\"name\":{},\"detail\":{},\"duration_micros\":{}}}",
+                    ev.at_micros,
+                    json_str(&ev.name),
+                    json_str(&ev.detail),
+                    ev.duration_micros
+                )
+            })
+            .collect();
+        format!(
+            "{{\"uptime_seconds\":{},\"metrics\":[{}],\"events\":[{}]}}",
+            fmt_f64(self.uptime_seconds()),
+            metrics.join(","),
+            events.join(",")
+        )
     }
 }
 
@@ -374,42 +354,14 @@ fn sanitize_name(name: &str) -> String {
     s
 }
 
-/// Render `{k="v",...}` (with `le` appended for histogram buckets), or the
-/// empty string when there is nothing to render.
-fn label_block(labels: &Labels, le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
-    }
-    format!("{{{}}}", parts.join(","))
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn escape_help(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Format an `f64` the way both Prometheus and JSON accept: finite shortest
-/// round-trip form, never `NaN`/`inf` (mapped to 0).
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".into();
-    }
-    format!("{v}")
-}
-
-fn json_str(s: &str) -> String {
+/// Quote `s` as a JSON string: `"` and `\` escaped, control characters
+/// as `\n`/`\r`/`\t` or `\u00XX`. The workspace's one JSON string escaper,
+/// shared by [`Telemetry::json`], flight dumps and the ops routes.
+///
+/// ```
+/// assert_eq!(prionn_telemetry::json_str("a\"b\n\u{1}"), r#""a\"b\n\u0001""#);
+/// ```
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
