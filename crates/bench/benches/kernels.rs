@@ -1,11 +1,11 @@
 //! Kernel benchmark: blocked GEMM (all three matmul variants plus the fused
 //! bias epilogue) against the naive reference kernels, a per-tier SIMD
 //! dispatch sweep, the convolution scoreboard (forward, filter gradient
-//! and input gradient of the direct 3×3 kernels against the GEMM lowering,
-//! each beside its roofline line) at the paper's four conv shapes, the fused
-//! ReLU + 2×2 max-pool tail of each conv stage beside its bandwidth line,
-//! and one full train step of the PRIONN 2D-CNN on a 64×64 input at batch
-//! 32.
+//! with the bias gradient, and input gradient of the direct 3×3 kernels
+//! against the GEMM lowering, each beside its roofline line) at the paper's
+//! four conv shapes, the fused ReLU + 2×2 max-pool tail of each conv stage
+//! beside its bandwidth line, and one full train step of the PRIONN 2D-CNN
+//! on a 64×64 input at batch 32.
 //!
 //! Runs as a custom harness (`cargo bench -p prionn-bench --bench kernels`)
 //! and writes `BENCH_kernels.json` to the working directory (override with
@@ -23,7 +23,10 @@
 //!   5. the direct 3×3 forward ≥ 1.5× its GEMM lowering (`im2col_into` +
 //!      `gemm`) at conv1–3, batch 32;
 //!   6. the fused ReLU + pool forward+backward at conv1's output, batch 32,
-//!      within 3× its bandwidth line.
+//!      within 3× its bandwidth line;
+//!   7. where two samples' channels fit one vector at conv1 (avx512), its
+//!      batch-32 filter gradient ≥ 1.3× the same kernel fed one sample at a
+//!      time.
 //!
 //! The `pre_pr_baseline` and `pre_simd_baseline` blocks freeze numbers
 //! measured on this machine immediately before the respective changes
@@ -259,15 +262,21 @@ fn main() {
     // Convolution at the paper's four conv shapes, each pass two ways: the
     // direct 3×3 kernels `Conv2d` runs (`conv3x3`), and the GEMM lowering it
     // runs for every other geometry (`im2col_into` + `gemm` for y and dW,
-    // `gemm` + `col2im_into` for dX),
-    // one sample after another on this thread, at the serving and the
-    // retrain batch size. Beside each row, the analytic line
-    // `max(flops / peak, bytes / bandwidth)`, bytes being each operand read
-    // or written once.
+    // `gemm` + `col2im_into` for dX), on this thread, at the serving and the
+    // retrain batch size. Forward and dX go one sample after another; the
+    // filter gradient takes the batch as `Conv2d` hands it a worker group
+    // (two samples to a vector where they fit), and both of its columns
+    // include the bias gradient. At conv1 its kernel is also timed alone,
+    // batch call against one sample per call. Beside each row, the analytic
+    // line `max(flops / peak, bytes / bandwidth)`, bytes being each operand
+    // read or written once.
     let mut conv_results = Vec::new();
     // (shape, min-of-reps speedup) of the b32 forwards of conv1-3 for the
     // gate.
     let mut forward_gate: Vec<(String, f64)> = Vec::new();
+    // Min-of-reps speedup of conv1's b32 filter-gradient kernel over the
+    // one-sample calls, where pairs run.
+    let mut pair_gate: Option<f64> = None;
     for &(in_c, hw, out_c) in &[
         (4usize, 64usize, 8usize),
         (8, 32, 16),
@@ -283,6 +292,7 @@ fn main() {
         let mut ws = GemmWorkspace::new();
         let mut cols = vec![0.0f32; k * n_pos];
         let mut dw = vec![0.0f32; out_c * k];
+        let mut db = vec![0.0f32; out_c];
         let shape = format!("{in_c}->{out_c}@{hw}x{hw}");
         for &batch in &[1usize, 32] {
             let x = init::uniform([batch, x_len], -1.0, 1.0, &mut rng);
@@ -308,27 +318,54 @@ fn main() {
                 };
                 let bytes = 4.0 * (batch * floats) as f64;
                 let (direct, direct_min) = time_runs(reps, || {
-                    for (i, (x_i, dy_i)) in samples().enumerate() {
-                        match pass {
-                            "forward" => conv3x3::forward(
-                                &mut ws,
-                                &g,
-                                w,
-                                bias,
-                                x_i,
-                                &mut y[i * y_len..(i + 1) * y_len],
-                            ),
-                            "filter_grad" => conv3x3::filter_grad(&mut ws, &g, dy_i, x_i, &mut dw),
-                            _ => conv3x3::input_grad(
-                                &mut ws,
-                                &g,
-                                w,
-                                dy_i,
-                                &mut dx[i * x_len..(i + 1) * x_len],
-                            ),
+                    if pass == "filter_grad" {
+                        let (x, dy) = (x.as_slice(), dy.as_slice());
+                        conv3x3::filter_grad(&mut ws, &g, dy, x, &mut dw);
+                        conv3x3::bias_grad(dy, n_pos, &mut db);
+                    } else {
+                        for (i, (x_i, dy_i)) in samples().enumerate() {
+                            match pass {
+                                "forward" => conv3x3::forward(
+                                    &mut ws,
+                                    &g,
+                                    w,
+                                    bias,
+                                    x_i,
+                                    &mut y[i * y_len..(i + 1) * y_len],
+                                ),
+                                _ => conv3x3::input_grad(
+                                    &mut ws,
+                                    &g,
+                                    w,
+                                    dy_i,
+                                    &mut dx[i * x_len..(i + 1) * x_len],
+                                ),
+                            }
                         }
                     }
-                    std::hint::black_box((&y, &dw, &dx));
+                    std::hint::black_box((&y, &dw, &db, &dx));
+                });
+                // conv1's dW kernel alone, the batch in one call against one
+                // sample per call, alternated so that a swing of the host's
+                // speed hits both alike: (medians, mins) in seconds.
+                let one_sample = (pass == "filter_grad" && (in_c, out_c) == (4, 8)).then(|| {
+                    let (mut batched, mut single) = (Vec::new(), Vec::new());
+                    for _ in 0..reps.max(15) {
+                        let t = Instant::now();
+                        conv3x3::filter_grad(&mut ws, &g, dy.as_slice(), x.as_slice(), &mut dw);
+                        batched.push(t.elapsed().as_secs_f64());
+                        let t = Instant::now();
+                        for (x_i, dy_i) in samples() {
+                            conv3x3::filter_grad(&mut ws, &g, dy_i, x_i, &mut dw);
+                        }
+                        single.push(t.elapsed().as_secs_f64());
+                        std::hint::black_box(&dw);
+                    }
+                    let median_min = |mut v: Vec<f64>| {
+                        v.sort_by(|a, b| a.total_cmp(b));
+                        (v[v.len() / 2], v[0])
+                    };
+                    (median_min(batched), median_min(single))
                 });
                 let (lowering, lowering_min) = time_runs(reps, || {
                     for (i, (x_i, dy_i)) in samples().enumerate() {
@@ -384,7 +421,10 @@ fn main() {
                             }
                         }
                     }
-                    std::hint::black_box((&y, &dw, &dx));
+                    if pass == "filter_grad" {
+                        conv3x3::bias_grad(dy.as_slice(), n_pos, &mut db);
+                    }
+                    std::hint::black_box((&y, &dw, &db, &dx));
                 });
                 let (compute_s, memory_s) = (flops / (peak_gflops * 1e9), bytes / (copy_gbs * 1e9));
                 let model = compute_s.max(memory_s);
@@ -407,7 +447,7 @@ fn main() {
                 if pass == "forward" && batch == 32 && in_c * out_c < 16 * 32 {
                     forward_gate.push((shape.clone(), lowering_min / direct_min));
                 }
-                conv_results.push(json!({
+                let mut row = json!({
                     "shape": shape.as_str(),
                     "batch": batch,
                     "pass": pass,
@@ -421,7 +461,25 @@ fn main() {
                     "line_ms": model * 1e3,
                     "line_bound": bound,
                     "direct_over_line": direct / model,
-                }));
+                });
+                if let Some(((batched, batched_min), (one, one_min))) = one_sample {
+                    println!(
+                        "  conv {shape} b{batch} filter_grad kernel alone: batch call {:.3} ms, \
+                         one sample per call {:.3} ms, {:.2}x",
+                        batched * 1e3,
+                        one * 1e3,
+                        one / batched
+                    );
+                    if let serde_json::Value::Object(row) = &mut row {
+                        row.insert("dw_batch_call_ms".into(), json!(batched * 1e3));
+                        row.insert("dw_one_sample_ms".into(), json!(one * 1e3));
+                        row.insert("speedup_vs_one_sample".into(), json!(one / batched));
+                    }
+                    if batch == 32 && kernel_tier() == KernelTier::Avx512 {
+                        pair_gate = Some(one_min / batched_min);
+                    }
+                }
+                conv_results.push(row);
             }
         }
     }
@@ -642,6 +700,17 @@ fn main() {
             );
             failed = true;
         }
+        match pair_gate {
+            Some(speedup) if speedup < 1.3 => {
+                eprintln!(
+                    "FAIL: conv1 b32 filter gradient in pairs is only {speedup:.2}x \
+                     the one-sample calls (< 1.3x floor)"
+                );
+                failed = true;
+            }
+            Some(_) => {}
+            None => println!("enforce: conv1 runs no pairs on this tier, pair gate skipped"),
+        }
         if steady_grows != warm_grows {
             eprintln!("FAIL: steady-state train step grew the scratch pool");
             failed = true;
@@ -652,7 +721,9 @@ fn main() {
         println!(
             "enforce: 256^3 speedup {speedup_256_vs_pre_pr:.2}x >= 3.0x vs pre-PR naive, \
              blocked >= naive at every size, direct conv1-3 forward >= 1.5x, \
-             relu_pool {relu_pool_gate:.2}x its line (<= 3x), zero-alloc hot path OK"
+             relu_pool {relu_pool_gate:.2}x its line (<= 3x), conv1 b32 pairs {} the one-sample \
+             calls, zero-alloc hot path OK",
+            pair_gate.map_or("not run against".into(), |s| format!("{s:.2}x (>= 1.3x)"))
         );
     }
 }

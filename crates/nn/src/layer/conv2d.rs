@@ -2,13 +2,15 @@
 //! paper's 1D-CNN architecture.
 //!
 //! A 3×3, stride-1, pad-1 layer (every conv of the paper's 2D-CNN) runs the
-//! direct kernels of [`conv3x3`] per sample. Any other geometry (the strided
-//! `1×k` layers of the 1D-CNN) is lowered onto plain GEMMs over the im2col
-//! matrix of one sample at a time: `Y = W · cols(x)`, `dW += dY · cols(x)ᵀ`
-//! and `dX = col2im(Wᵀ · dY)`, with one pooled cols buffer per worker group.
-//! Both give the same bits. Training keeps a copy of the *input* (`C·H·W`
-//! floats per sample) for backward, which rebuilds the cols from it; train
-//! and eval run the same forward.
+//! direct kernels of [`conv3x3`]: per sample, except `dW`, which takes a
+//! worker group's samples in one call (in pairs where two fit a vector).
+//! Any other geometry (the strided `1×k` layers of the 1D-CNN) is lowered
+//! onto plain GEMMs over the im2col matrix of one sample at a time:
+//! `Y = W · cols(x)`, `dW += dY · cols(x)ᵀ` and `dX = col2im(Wᵀ · dY)`,
+//! with one pooled cols buffer per worker group. Both give the same bits,
+//! and both take `db` from [`conv3x3::bias_grad`]. Training keeps a copy of
+//! the *input* (`C·H·W` floats per sample) for backward, which rebuilds the
+//! cols from it; train and eval run the same forward.
 
 use super::{sample_groups, Layer};
 use crate::Result;
@@ -256,15 +258,22 @@ impl Conv2d {
         let results: Vec<Result<()>> = items
             .into_par_iter()
             .map(|(s0, take, xchunk, dw, db, cols, ws)| {
-                for i in s0..s0 + take {
+                let group = s0..s0 + take;
+                let dys = &go[group.start * out_sample..group.end * out_sample];
+                // dW += dY ⋆ x over the group's samples, in order: directly
+                // (two samples to a vector where they fit), or per sample as
+                // dY · cols(x_i)ᵀ below, the cols rebuilt from the cached
+                // input.
+                if direct {
+                    let xg = &xs[group.start * sample_len..group.end * sample_len];
+                    conv3x3::filter_grad(ws, &g, dys, xg, dw);
+                }
+                // db += row sums of dY, one chain per channel.
+                conv3x3::bias_grad(dys, n_pos, db);
+                for i in group {
                     let dy = &go[i * out_sample..(i + 1) * out_sample];
-                    let x_i = &xs[i * sample_len..(i + 1) * sample_len];
-                    // dW += dY ⋆ x_i (accumulated across the group's
-                    // samples): directly, or as dY · cols(x_i)ᵀ with the cols
-                    // rebuilt from the cached input.
-                    if direct {
-                        conv3x3::filter_grad(ws, &g, dy, x_i, dw);
-                    } else {
+                    if !direct {
+                        let x_i = &xs[i * sample_len..(i + 1) * sample_len];
                         ops::im2col_into(x_i, &g, cols)?;
                         gemm::gemm(
                             ws,
@@ -279,12 +288,6 @@ impl Conv2d {
                             true,
                             Epilogue::None,
                         );
-                    }
-                    // db += row sums of dY.
-                    for (oc, b) in db.iter_mut().enumerate() {
-                        for &v in &dy[oc * n_pos..(oc + 1) * n_pos] {
-                            *b += v;
-                        }
                     }
                     if !want_dx {
                         continue;

@@ -377,6 +377,108 @@ fn direct_3x3_kernels_are_bit_equal_to_the_materialised_lowering_across_a_sweep(
     gemm::force_kernel_tier(None);
 }
 
+/// The filter gradient two samples to a vector: on each tier, `out_c` at
+/// and under half its lanes (so pairs run), 13×21 and 64×64 images and
+/// batches 2–7, which cut the worker groups into pairs, with and without
+/// an odd last sample.
+#[test]
+fn paired_filter_gradient_is_bit_equal_to_the_materialised_lowering_on_every_tier() {
+    let cases = [
+        (KernelTier::Avx512, [5, 8]),
+        (KernelTier::Avx2, [1, 4]),
+        (KernelTier::Portable, [1, 4]),
+    ];
+    let _tier = tier_lock();
+    for (tier, out_cs) in cases {
+        gemm::force_kernel_tier(Some(tier));
+        for (h, w) in [(13, 21), (64, 64)] {
+            for out_c in out_cs {
+                for batch in 2..=7usize {
+                    let in_c = 1 + batch % 2;
+                    let g = Conv2dGeom::new(in_c, h, w, 3, 3, 1, 1).unwrap();
+                    let mut rng = ChaCha8Rng::seed_from_u64((h * 100 + out_c * 10 + batch) as u64);
+                    let mut conv = layer(g, out_c, &mut rng);
+                    let (x, dy) = operands(&g, out_c, batch, &mut rng);
+                    let what = format!("pairs {in_c}->{out_c}@{h}x{w}");
+                    assert_matches_reference(&mut conv, &g, &x, &dy, &what);
+                }
+            }
+        }
+    }
+    gemm::force_kernel_tier(None);
+}
+
+/// `db` keeps one add chain per channel, over the positions in order and
+/// then the group's samples in order, on both lowerings and every tier:
+/// `dY` holds ±0.0, NaN, ±inf and magnitude-cancelling runs (1e8, 1,
+/// −1e8, …), whose sum changes when the chain is reordered. Twelve channels
+/// cover a whole vector of eight and the four left over; 13×21 and 34
+/// positions are no multiple of eight.
+#[test]
+fn bias_gradient_keeps_each_channel_one_ordered_chain_through_non_finite_and_cancelling_values() {
+    let out_c = 12;
+    let geometries = [
+        Conv2dGeom::new(2, 13, 21, 3, 3, 1, 1).unwrap(),
+        Conv2dGeom::with_padding(2, 1, 67, 1, 5, 2, 0, 2).unwrap(),
+    ];
+    let cancelling = [1e8f32, 1.0, -1e8, 0.375, -1.0, 1e8, -1e8, 1.0];
+    let _tier = tier_lock();
+    for tier in TIERS {
+        gemm::force_kernel_tier(Some(tier));
+        for g in geometries {
+            let batch = 5;
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            let mut conv = layer(g, out_c, &mut rng);
+            let (x, mut dy) = operands(&g, out_c, batch, &mut rng);
+            let n_pos = g.out_h() * g.out_w();
+            for (i, sample) in dy
+                .as_mut_slice()
+                .chunks_exact_mut(out_c * n_pos)
+                .enumerate()
+            {
+                for (o, row) in sample.chunks_exact_mut(n_pos).enumerate() {
+                    for (q, v) in row.iter_mut().enumerate() {
+                        *v = cancelling[(q * 3 + o + i) % cancelling.len()];
+                    }
+                    match o % 6 {
+                        0 => row[n_pos / 2] = f32::INFINITY,
+                        1 => {
+                            row[1] = f32::INFINITY;
+                            row[n_pos - 1] = f32::NEG_INFINITY;
+                        }
+                        2 => row[n_pos / 3] = f32::NAN,
+                        3 => row.fill(-0.0),
+                        _ => {}
+                    }
+                }
+            }
+            let what = format!("db chains ({g:?})");
+            let want = assert_matches_reference(&mut conv, &g, &x, &dy, &what);
+            // The case is live: NaN (inf − inf, and a NaN), +inf, +0 from
+            // the −0 channel, and cancelling channels whose sum depends on
+            // the order of the chain.
+            let db = &want[2];
+            assert!(db[1].is_nan() && db[2].is_nan() && db[8].is_nan());
+            assert_eq!(db[0], f32::INFINITY);
+            assert_eq!(db[9].to_bits(), 0.0f32.to_bits());
+            let mut channel_4: Vec<f32> = dy
+                .as_slice()
+                .chunks_exact(out_c * n_pos)
+                .flat_map(|sample| &sample[4 * n_pos..5 * n_pos])
+                .copied()
+                .collect();
+            channel_4.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
+            let smallest_first: f32 = channel_4.iter().sum();
+            assert_ne!(
+                db[4].to_bits(),
+                smallest_first.to_bits(),
+                "channel 4 is order-blind"
+            );
+        }
+    }
+    gemm::force_kernel_tier(None);
+}
+
 /// Infinite filter taps and a NaN in dY. The forward multiplies the
 /// padding zeros like the cols matrix does (inf · 0 = NaN at the border);
 /// the input gradient must *skip* a tap whose dY position lies outside the

@@ -1,13 +1,15 @@
 //! Direct kernels for every 3×3, stride-1, pad-1 convolution ([`applies`]):
 //! the forward `y = W∗x + b`, the filter gradient `dW += dY ⋆ x` and the
-//! input gradient `dX`, with no cols matrix, GEMM panel or `col2im`.
+//! input gradient `dX`, with no cols matrix, GEMM panel or `col2im`; and
+//! the bias gradient `db += Σ dY` of any convolution ([`bias_grad`]).
 //!
 //! Each kernel stages one zero-padded operand (the image, or `dY`) in the
 //! workspace's pack buffers, then reads its rows straight into registers: a
 //! tile of output channels × rows × one vector of `N` consecutive columns
 //! (forward, `dX`), or of the nine taps × output-channel vectors (`dW`, from
 //! a transposed `dYᵀ`), a masked tail where the width is not a multiple of
-//! `N`.
+//! `N`. Where two samples' output channels fit one vector, `dW` takes the
+//! samples in pairs, lane `2o + s` holding channel `o` of sample `s`.
 //!
 //! The kernels return the bits of the GEMM lowering every other geometry
 //! runs (`im2col_into` + `gemm` for `y` and `dW`, `gemm` + `col2im_into`
@@ -18,11 +20,15 @@
 //!   `(c, ky, kx)` order, padding zeros multiplied like any other cols entry,
 //!   folded every [`KC`] taps as `chain + y`, then `+ bias`;
 //! * **filter gradient** — one chain from zero per [`KC`] block of output
-//!   positions (row-major), then `+ dW`;
+//!   positions (row-major), then `+ dW`, sample after sample: a pair's
+//!   second sample keeps its block chains aside and folds them in block
+//!   order once the first sample's are all in;
 //! * **input gradient** — per tap an `out_c`-long chain from zero, added in
 //!   `(ky, kx)` order onto `+0`; a tap whose `dY` position lies outside the
 //!   output is skipped, exactly as `col2im` skips it, never multiplied as
-//!   padding (so a ±inf filter tap cannot turn a border pixel into NaN).
+//!   padding (so a ±inf filter tap cannot turn a border pixel into NaN);
+//! * **bias gradient** — one add chain per channel over the positions in
+//!   order, sample after sample, eight channels to a vector.
 //!
 //! The multiply-add is fused on the avx512 / avx2 tiers and `acc + a·b` on
 //! the portable one, matching each tier's GEMM microkernel; the tier is
@@ -30,6 +36,7 @@
 
 use crate::ops::gemm::{gemm_flops, kernel_tier, GemmWorkspace, KernelTier, KC};
 use crate::ops::im2col::Conv2dGeom;
+use std::ops::Range;
 use std::time::Instant;
 
 /// True when `g` is a 3×3, stride-1, pad-1 convolution: the geometries
@@ -60,7 +67,7 @@ pub fn forward(
     assert_eq!(y.len(), out_c * s.hw(), "conv3x3: y is not out_c·H·W long");
     let t0 = Instant::now();
     let (xp, _) = ws.buffers(s.c * s.plane, 0);
-    pad_planes(x, &s, xp);
+    pad_planes(tier, x, &s, xp);
     // SAFETY: the asserts above and `pad_planes` establish the lengths
     // `forward_impl` documents, for the lanes of the one `tier` read above;
     // `kernel_tier` only names a SIMD tier after runtime detection found its
@@ -74,11 +81,16 @@ pub fn forward(
             _ => forward_impl::<Portable, 4, 1>(&s, w, bias, xp, y),
         }
     }
-    record(ws, &s, t0);
+    record(ws, &s, 1, t0);
 }
 
-/// `dW += dY ⋆ x` for one sample: `dy` is `[out_c, H, W]`, `x` `[C, H, W]`,
-/// `dw` `[out_c, C·9]` (which, with `dy`, sets `out_c`).
+/// `dW += dY ⋆ x` over a run of samples, in order: `dy` holds their
+/// `[out_c, H, W]` output gradients and `x` their `[C, H, W]` inputs, back
+/// to back; `dw` is `[out_c, C·9]` (which, with `dy`, sets `out_c`).
+///
+/// When two samples' channels fit one vector of the tier (`2·out_c` ≤ 16
+/// on avx512, ≤ 8 otherwise), the samples go through the kernel in pairs
+/// and an odd last one alone; the bits are those of one sample at a time.
 ///
 /// # Panics
 /// Panics when `g` is not a geometry [`applies`] takes or a slice has the
@@ -90,32 +102,110 @@ pub fn filter_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, dy: &[f32], x: &[f32]
     let out_c = dw.len() / k;
     let s = Shape::new(g, out_c, lanes);
     assert_eq!(dw.len(), out_c * k, "conv3x3: dW is not out_c × C·9");
+    let (x_len, dy_len) = (s.c * s.hw(), out_c * s.hw());
+    let samples = x.len() / x_len;
+    assert_eq!(
+        x.len(),
+        samples * x_len,
+        "conv3x3: x is not samples × C·H·W"
+    );
     assert_eq!(
         dy.len(),
-        out_c * s.hw(),
-        "conv3x3: dY is not out_c·H·W long"
+        samples * dy_len,
+        "conv3x3: dY is not samples × out_c·H·W"
     );
-    assert_eq!(x.len(), s.c * s.hw(), "conv3x3: x is not C·H·W long");
     let t0 = Instant::now();
-    // dYᵀ rows are `out_c` rounded up to whole vectors; the extra lanes are
-    // computed from zeros and never stored.
-    let ld = out_c.next_multiple_of(lanes);
-    let (xp, dyt) = ws.buffers(s.c * s.plane, s.hw() * ld);
-    pad_planes(x, &s, xp);
-    if ld > out_c {
-        dyt.fill(0.0);
-    }
-    // SAFETY: as in `forward`, for the lengths `filter_grad_impl` documents.
-    unsafe {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => x86::filter_grad_avx512(&s, dy, ld, dyt, xp, dw),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => x86::filter_grad_avx2(&s, dy, ld, dyt, xp, dw),
-            _ => filter_grad_impl::<Portable, 4>(&s, dy, ld, dyt, xp, dw),
+    let paired = if 2 * out_c <= lanes {
+        samples / 2 * 2
+    } else {
+        0
+    };
+    // dYᵀ is staged one `KC` block of positions at a time, in rows of whole
+    // vectors: `out_c` channels of one sample, or `2·out_c` interleaved
+    // channels of two, rounded up. The extra lanes are computed from zeros
+    // and never stored. A pair's second sample parks its block chains after
+    // them.
+    if paired > 0 {
+        let later = s.hw().div_ceil(KC) * s.k * out_c;
+        let (xp, rest) = ws.buffers(2 * s.c * s.plane, KC * lanes + later);
+        let (dyt, later) = rest.split_at_mut(KC * lanes);
+        if lanes > 2 * out_c {
+            dyt.fill(0.0);
+        }
+        for (x, dy) in x[..paired * x_len]
+            .chunks_exact(2 * x_len)
+            .zip(dy.chunks_exact(2 * dy_len))
+        {
+            // SAFETY: as in `forward`, for the lengths
+            // `filter_grad_pair_impl` documents.
+            unsafe {
+                match tier {
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx512 => {
+                        x86::filter_grad_pair_avx512(&s, dy, x, dyt, xp, later, dw)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx2 => x86::filter_grad_pair_avx2(&s, dy, x, dyt, xp, later, dw),
+                    _ => filter_grad_pair_impl::<Portable, 4>(&s, dy, x, dyt, xp, later, dw),
+                }
+            }
         }
     }
-    record(ws, &s, t0);
+    if samples > paired {
+        let ld = out_c.next_multiple_of(lanes);
+        let (xp, dyt) = ws.buffers(s.c * s.plane, KC * ld);
+        if ld > out_c {
+            dyt.fill(0.0);
+        }
+        for (x, dy) in x
+            .chunks_exact(x_len)
+            .zip(dy.chunks_exact(dy_len))
+            .skip(paired)
+        {
+            pad_planes(tier, x, &s, xp);
+            // SAFETY: as in `forward`, for the lengths `filter_grad_impl`
+            // documents.
+            unsafe {
+                match tier {
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx512 => x86::filter_grad_avx512(&s, dy, ld, dyt, xp, dw),
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx2 => x86::filter_grad_avx2(&s, dy, ld, dyt, xp, dw),
+                    _ => filter_grad_impl::<Portable, 4>(&s, dy, ld, dyt, xp, dw),
+                }
+            }
+        }
+    }
+    record(ws, &s, samples, t0);
+}
+
+/// `db += Σ dY` over a run of samples, for a convolution of any geometry:
+/// `dy` holds their `[db.len(), n_pos]` output gradients back to back. Each
+/// channel is one add chain over its positions in order, sample after
+/// sample, so the bits are those of the plain scalar loop.
+///
+/// # Panics
+/// Panics when `dy` is not a whole number of `[db.len(), n_pos]` samples.
+pub fn bias_grad(dy: &[f32], n_pos: usize, db: &mut [f32]) {
+    let sample = db.len() * n_pos;
+    assert!(
+        if sample == 0 {
+            dy.is_empty()
+        } else {
+            dy.len().is_multiple_of(sample)
+        },
+        "conv3x3: dY is not samples × out_c·positions"
+    );
+    // SAFETY: the assert above establishes the lengths `bias_grad_impl`
+    // documents; `kernel_tier` only names a SIMD tier after runtime
+    // detection found its features, and avx512 implies avx2.
+    unsafe {
+        match kernel_tier() {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 | KernelTier::Avx2 => x86::bias_grad_avx2(dy, n_pos, db),
+            _ => bias_grad_impl::<Portable>(dy, n_pos, db),
+        }
+    }
 }
 
 /// `dX` for one sample: `w` is `[out_c, C·9]`, `dy` `[out_c, H, W]`, `dx`
@@ -138,7 +228,7 @@ pub fn input_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, w: &[f32], dy: &[f32],
     assert_eq!(dx.len(), s.c * s.hw(), "conv3x3: dX is not C·H·W long");
     let t0 = Instant::now();
     let (dyp, _) = ws.buffers(out_c * s.plane, 0);
-    pad_planes(dy, &s, dyp);
+    pad_planes(tier, dy, &s, dyp);
     // SAFETY: as in `forward`, for the lengths `input_grad_impl` documents.
     unsafe {
         match tier {
@@ -149,7 +239,7 @@ pub fn input_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, w: &[f32], dy: &[f32],
             _ => input_grad_impl::<Portable, 2, 1>(&s, w, dyp, dx),
         }
     }
-    record(ws, &s, t0);
+    record(ws, &s, 1, t0);
 }
 
 /// Vector width of `tier`'s kernels: 16 on avx512, else 8. A call reads
@@ -161,11 +251,12 @@ fn lanes(tier: KernelTier) -> usize {
     }
 }
 
-/// Count a kernel call in the workspace's GEMM counters: the convolution's
-/// `2·out_c·C·9·H·W` FLOPs and its wall time, with no pack time.
-fn record(ws: &mut GemmWorkspace, s: &Shape, t0: Instant) {
-    ws.stats.calls += 1;
-    ws.stats.flops += gemm_flops(s.out_c, s.hw(), s.k);
+/// Count a kernel call over `samples` samples in the workspace's GEMM
+/// counters as that many calls: each sample's `2·out_c·C·9·H·W` FLOPs, and
+/// the wall time, with no pack time.
+fn record(ws: &mut GemmWorkspace, s: &Shape, samples: usize, t0: Instant) {
+    ws.stats.calls += samples as u64;
+    ws.stats.flops += samples as f64 * gemm_flops(s.out_c, s.hw(), s.k);
     ws.stats.total_seconds += t0.elapsed().as_secs_f64();
 }
 
@@ -211,12 +302,44 @@ impl Shape {
 
 /// Copy `[planes, h, w]` into `dst` as zero-bordered planes of `s.plane`
 /// floats: pixel `(y, x)` of plane `p` lands at `p·plane + (y+1)·pw + x+1`.
-fn pad_planes(src: &[f32], s: &Shape, dst: &mut [f32]) {
-    dst.fill(0.0);
-    for (p, plane) in src.chunks_exact(s.hw()).enumerate() {
-        for (y, row) in plane.chunks_exact(s.w).enumerate() {
-            let at = p * s.plane + (y + 1) * s.pw + 1;
-            dst[at..at + s.w].copy_from_slice(row);
+/// Each float is written once: the image, or a zero of the one-pixel ring
+/// and the slack columns right of it.
+fn pad_planes(tier: KernelTier, src: &[f32], s: &Shape, dst: &mut [f32]) {
+    // SAFETY: `pad_planes_impl` reads and writes only inside the planes it
+    // is given; `tier` is the one `s` was built for.
+    unsafe {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => x86::pad_planes_avx512(src, s, dst),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => x86::pad_planes_avx2(src, s, dst),
+            _ => pad_planes_impl::<Portable>(src, s, dst),
+        }
+    }
+}
+
+/// [`pad_planes`] a vector at a time: each padded row is written with
+/// whole vectors from a masked load of the image row, so the ring costs no
+/// extra pass and no `memset` call per row.
+///
+/// # Safety
+/// `V`'s features are available and `s` was built with `V::N` lanes.
+#[inline(always)]
+unsafe fn pad_planes_impl<V: Lanes>(src: &[f32], s: &Shape, dst: &mut [f32]) {
+    for (plane, dst) in src.chunks_exact(s.hw()).zip(dst.chunks_exact_mut(s.plane)) {
+        dst[..s.pw].fill(0.0);
+        dst[(s.h + 1) * s.pw..].fill(0.0);
+        for (row, dst) in plane
+            .chunks_exact(s.w)
+            .zip(dst[s.pw..].chunks_exact_mut(s.pw))
+        {
+            // Padded column x holds image column x − 1, for x in 1..=w.
+            let at = row.as_ptr().wrapping_sub(1);
+            for x0 in (0..s.pw).step_by(V::N) {
+                let image = usize::from(x0 == 0)..(s.w + 1).saturating_sub(x0).min(V::N);
+                V::load_span(at.wrapping_add(x0), image)
+                    .store_first(dst.as_mut_ptr().add(x0), V::N.min(s.pw - x0));
+            }
         }
     }
 }
@@ -228,15 +351,22 @@ fn pad_planes(src: &[f32], s: &Shape, dst: &mut [f32]) {
 /// # Safety
 /// Every method runs only where the implementing tier's features were
 /// detected, and a pointer method touches only what it names (`N` floats
-/// at `p`, the first `n` of them for `*_first`, `R` vectors for
-/// `load_rows`, an 8×8 block for `transpose8`), which the caller keeps
-/// inside its buffers.
+/// at `p`, the first `n` of them for `*_first`, those in `lanes` for
+/// `load_span`, two for `splat2`, `R` vectors for `load_rows`, an 8×8 block
+/// for `transpose8` and one at each source for `transpose8_pair`, eight
+/// floats at each source and sixteen at `dst` for `interleave8`), which the
+/// caller keeps inside its buffers.
 trait Lanes: Copy {
     const N: usize;
     unsafe fn zero() -> Self;
     unsafe fn splat(p: *const f32) -> Self;
+    /// `p[0], p[1]` repeated across the lanes: one 64-bit broadcast.
+    unsafe fn splat2(p: *const f32) -> Self;
     unsafe fn load(p: *const f32) -> Self;
     unsafe fn load_first(p: *const f32, n: usize) -> Self;
+    /// Lanes `lanes` from `p`, zero elsewhere. `p` itself may lie outside
+    /// the buffer; only the lanes in `lanes` are read.
+    unsafe fn load_span(p: *const f32, lanes: Range<usize>) -> Self;
     unsafe fn store_first(self, p: *mut f32, n: usize);
     /// `self + a·b`.
     unsafe fn mul_add(self, a: Self, b: Self) -> Self;
@@ -247,6 +377,26 @@ trait Lanes: Copy {
     /// Write the transpose of the 8×8 block at `src` (rows `ss` apart) to
     /// `dst` (rows `ds` apart).
     unsafe fn transpose8(src: *const f32, ss: usize, dst: *mut f32, ds: usize);
+    /// Write `a[0], b[0], a[1], b[1], …, a[7], b[7]` to `dst`.
+    unsafe fn interleave8(a: *const f32, b: *const f32, dst: *mut f32);
+
+    /// For each column `j` of the 8×8 blocks at `a` and `b` (rows `ss`
+    /// apart), write `a[0][j], b[0][j], …, a[7][j], b[7][j]` as row `j` of
+    /// `dst` (rows `ds` apart): two [`transpose8`](Lanes::transpose8)s
+    /// through a stack tile, then [`interleave8`](Lanes::interleave8).
+    #[inline(always)]
+    unsafe fn transpose8_pair(a: *const f32, b: *const f32, ss: usize, dst: *mut f32, ds: usize) {
+        let mut tiles = [[0.0f32; 64]; 2];
+        Self::transpose8(a, ss, tiles[0].as_mut_ptr(), 8);
+        Self::transpose8(b, ss, tiles[1].as_mut_ptr(), 8);
+        for j in 0..8 {
+            Self::interleave8(
+                tiles[0].as_ptr().add(8 * j),
+                tiles[1].as_ptr().add(8 * j),
+                dst.add(j * ds),
+            );
+        }
+    }
 
     /// `R` vectors at `p`, `stride` floats apart.
     #[inline(always)]
@@ -278,6 +428,11 @@ impl Lanes for Portable {
     }
 
     #[inline(always)]
+    unsafe fn splat2(p: *const f32) -> Self {
+        Portable(std::array::from_fn(|i| *p.add(i % 2)))
+    }
+
+    #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         Portable(std::ptr::read_unaligned(p.cast::<[f32; 8]>()))
     }
@@ -287,6 +442,17 @@ impl Lanes for Portable {
         let mut v = [0.0; 8];
         std::ptr::copy_nonoverlapping(p, v.as_mut_ptr(), n);
         Portable(v)
+    }
+
+    #[inline(always)]
+    unsafe fn load_span(p: *const f32, lanes: Range<usize>) -> Self {
+        Portable(std::array::from_fn(|l| {
+            if lanes.contains(&l) {
+                *p.wrapping_add(l)
+            } else {
+                0.0
+            }
+        }))
     }
 
     #[inline(always)]
@@ -321,6 +487,14 @@ impl Lanes for Portable {
             for j in 0..8 {
                 *dst.add(j * ds + i) = *src.add(i * ss + j);
             }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn interleave8(a: *const f32, b: *const f32, dst: *mut f32) {
+        for i in 0..8 {
+            *dst.add(2 * i) = *a.add(i);
+            *dst.add(2 * i + 1) = *b.add(i);
         }
     }
 }
@@ -433,7 +607,7 @@ unsafe fn forward_tile<V: Lanes, const OC: usize, const R: usize>(
 /// vector of output channels.
 ///
 /// # Safety
-/// `V`'s features are available; `dy` is `out_c·h·w` floats, `dyt` `h·w`
+/// `V`'s features are available; `dy` is `out_c·h·w` floats, `dyt` `KC`
 /// rows of `ld` floats (`ld` a multiple of `V::N`, at least `out_c`, the
 /// lanes from `out_c` zero), `xp` `c` padded planes and `dw` `out_c·k`
 /// floats, for `s` built with `V::N` lanes.
@@ -446,13 +620,12 @@ unsafe fn filter_grad_impl<V: Lanes, const P: usize>(
     xp: &[f32],
     dw: &mut [f32],
 ) {
-    transpose::<V>(dy, s.out_c, s.hw(), dyt, ld);
-    let dyt = &*dyt;
     for q0 in (0..s.hw()).step_by(KC) {
         let q1 = (q0 + KC).min(s.hw());
+        stage_dyt::<V>(s, dy, q0..q1, dyt, ld);
         for c in 0..s.c {
             for o0 in (0..s.out_c).step_by(V::N) {
-                let acc = filter_grad_chains::<V, P>(s, ld, dyt, xp, c, o0, q0..q1);
+                let acc = filter_grad_chains::<V, P, 1>(s, ld, dyt, xp, c, o0, q0..q1);
                 // dW = chain + dW for the output channels that exist (16:
                 // the widest vector).
                 let mut lanes = [0.0f32; 16];
@@ -467,29 +640,168 @@ unsafe fn filter_grad_impl<V: Lanes, const P: usize>(
     }
 }
 
-/// `dst[j·ld + i] = src[i·cols + j]` for the `rows × cols` matrix `src`:
-/// 8×8 blocks in registers, the ragged edges one float at a time.
+/// The filter gradient of two samples, `a` then `b`, in one pass: lane
+/// `2o + s` of every vector holds output channel `o` of sample `s`. Each
+/// `KC` block's chain of `a` folds into `dW` as it ends, as in
+/// [`filter_grad_impl`]; `b`'s waits in `later` and folds, block by block,
+/// after all of `a`'s, so every `dW` element sees the sequence of two
+/// one-sample calls.
 ///
 /// # Safety
-/// `V`'s features are available; `src` is `rows·cols` floats and `dst`
-/// `cols` rows of `ld >= rows` floats.
+/// `V`'s features are available; `2·out_c <= V::N`; `dy` is `2·out_c·h·w`
+/// floats, `x` `2·c·h·w`, `dyt` `KC` rows of `V::N` floats (the lanes from
+/// `2·out_c` zero), `xp` `2·c` padded planes, `later` `ceil(h·w / KC)·k·out_c`
+/// and `dw` `out_c·k` floats, for `s` built with `V::N` lanes.
 #[inline(always)]
-unsafe fn transpose<V: Lanes>(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], ld: usize) {
-    let (rows8, cols8) = (rows / 8 * 8, cols / 8 * 8);
-    for i in (0..rows8).step_by(8) {
-        for j in (0..cols8).step_by(8) {
-            V::transpose8(
-                src.as_ptr().add(i * cols + j),
-                cols,
-                dst.as_mut_ptr().add(j * ld + i),
+unsafe fn filter_grad_pair_impl<V: Lanes, const P: usize>(
+    s: &Shape,
+    dy: &[f32],
+    x: &[f32],
+    dyt: &mut [f32],
+    xp: &mut [f32],
+    later: &mut [f32],
+    dw: &mut [f32],
+) {
+    stage_pair_image::<V>(s, x, xp);
+    let xp = &*xp;
+    let blocks = (0..s.hw())
+        .step_by(KC)
+        .zip(later.chunks_exact_mut(s.k * s.out_c));
+    for (q0, later) in blocks {
+        let q1 = (q0 + KC).min(s.hw());
+        stage_pair_dyt::<V>(s, dy, q0..q1, dyt);
+        for c in 0..s.c {
+            let acc = filter_grad_chains::<V, P, 2>(s, V::N, dyt, xp, c, 0, q0..q1);
+            let mut lanes = [0.0f32; 16];
+            for (t, a) in acc.iter().enumerate() {
+                a.store_first(lanes.as_mut_ptr(), V::N);
+                let at = c * 9 + t;
+                for (o, ab) in lanes[..2 * s.out_c].chunks_exact(2).enumerate() {
+                    dw[o * s.k + at] += ab[0];
+                    later[at * s.out_c + o] = ab[1];
+                }
+            }
+        }
+    }
+    for block in later.chunks_exact(s.k * s.out_c) {
+        for (at, chains) in block.chunks_exact(s.out_c).enumerate() {
+            for (o, &chain) in chains.iter().enumerate() {
+                dw[o * s.k + at] += chain;
+            }
+        }
+    }
+}
+
+/// Stage a pair's images for [`filter_grad_pair_impl`]: padded, and
+/// interleaved pixel by pixel (float `2i + s` of `xp` is padded pixel `i`
+/// of sample `s`), only the one-pixel ring and the slack columns zeroed.
+///
+/// # Safety
+/// As [`filter_grad_pair_impl`].
+#[inline(always)]
+unsafe fn stage_pair_image<V: Lanes>(s: &Shape, x: &[f32], xp: &mut [f32]) {
+    let (xa, xb) = x.split_at(s.c * s.hw());
+    for ((a, b), plane) in xa
+        .chunks_exact(s.hw())
+        .zip(xb.chunks_exact(s.hw()))
+        .zip(xp.chunks_exact_mut(2 * s.plane))
+    {
+        plane[..2 * s.pw].fill(0.0);
+        plane[2 * (s.h + 1) * s.pw..].fill(0.0);
+        let rows = plane[2 * s.pw..].chunks_exact_mut(2 * s.pw);
+        for ((a, b), row) in a.chunks_exact(s.w).zip(b.chunks_exact(s.w)).zip(rows) {
+            zero_row_padding::<2>(row, s.w);
+            let w8 = s.w / 8 * 8;
+            for i in (0..w8).step_by(8) {
+                V::interleave8(
+                    a.as_ptr().add(i),
+                    b.as_ptr().add(i),
+                    row.as_mut_ptr().add(2 * (i + 1)),
+                );
+            }
+            for i in w8..s.w {
+                row[2 * (i + 1)] = a[i];
+                row[2 * (i + 1) + 1] = b[i];
+            }
+        }
+    }
+}
+
+/// Zero the padding of one padded row of `PX`-float pixels: its left pixel
+/// and the slack right of its `w` image pixels. The left pixel and the
+/// first slack pixel are stored float by float; the rest of the slack,
+/// there only when `w` leaves a vector part-filled, is filled. (A `fill` of
+/// one pixel is a `memset` call, which costs as much as the row's copy.)
+#[inline(always)]
+fn zero_row_padding<const PX: usize>(row: &mut [f32], w: usize) {
+    let (left, image) = row.split_at_mut(PX);
+    let (first, rest) = image[PX * w..].split_at_mut(PX);
+    for (l, f) in left.iter_mut().zip(first) {
+        *l = 0.0;
+        *f = 0.0;
+    }
+    if !rest.is_empty() {
+        rest.fill(0.0);
+    }
+}
+
+/// Stage a pair's `dY` at the positions `qs` for [`filter_grad_pair_impl`]:
+/// `dyt[(q − qs.start)·N + 2o + s] = dY_s[o][q]`, through paired 8×8
+/// transposes where eight channels and positions are whole, the ragged
+/// edges one float at a time.
+///
+/// # Safety
+/// As [`filter_grad_pair_impl`], with `qs` inside the image.
+#[inline(always)]
+unsafe fn stage_pair_dyt<V: Lanes>(s: &Shape, dy: &[f32], qs: Range<usize>, dyt: &mut [f32]) {
+    let (hw, ld) = (s.hw(), V::N);
+    let (o8, q8) = (s.out_c / 8 * 8, qs.start + qs.len() / 8 * 8);
+    let samples = dy.split_at(s.out_c * hw);
+    for o0 in (0..o8).step_by(8) {
+        for q0 in (qs.start..q8).step_by(8) {
+            V::transpose8_pair(
+                samples.0.as_ptr().add(o0 * hw + q0),
+                samples.1.as_ptr().add(o0 * hw + q0),
+                hw,
+                dyt.as_mut_ptr().add((q0 - qs.start) * ld + 2 * o0),
                 ld,
             );
         }
     }
-    for i in 0..rows {
-        let js = if i < rows8 { cols8 } else { 0 };
-        for j in js..cols {
-            dst[j * ld + i] = src[i * cols + j];
+    for (si, d) in [samples.0, samples.1].into_iter().enumerate() {
+        for o in 0..s.out_c {
+            let from = if o < o8 { q8 } else { qs.start };
+            for q in from..qs.end {
+                dyt[(q - qs.start) * ld + 2 * o + si] = d[o * hw + q];
+            }
+        }
+    }
+}
+
+/// Stage one sample's `dY` at the positions `qs` for [`filter_grad_impl`]:
+/// `dyt[(q − qs.start)·ld + o] = dY[o][q]`, 8×8 blocks in registers, the
+/// ragged edges one float at a time.
+///
+/// # Safety
+/// As [`filter_grad_impl`], with `qs` inside the image.
+#[inline(always)]
+unsafe fn stage_dyt<V: Lanes>(s: &Shape, dy: &[f32], qs: Range<usize>, dyt: &mut [f32], ld: usize) {
+    let hw = s.hw();
+    let (o8, q8) = (s.out_c / 8 * 8, qs.start + qs.len() / 8 * 8);
+    for o0 in (0..o8).step_by(8) {
+        for q0 in (qs.start..q8).step_by(8) {
+            V::transpose8(
+                dy.as_ptr().add(o0 * hw + q0),
+                hw,
+                dyt.as_mut_ptr().add((q0 - qs.start) * ld + o0),
+                ld,
+            );
+        }
+    }
+    for o in 0..s.out_c {
+        let from = if o < o8 { q8 } else { qs.start };
+        for q in from..qs.end {
+            dyt[(q - qs.start) * ld + o] = dy[o * hw + q];
         }
     }
 }
@@ -497,43 +809,46 @@ unsafe fn transpose<V: Lanes>(src: &[f32], rows: usize, cols: usize, dst: &mut [
 /// The nine taps of channel `c` × one vector of output channels from `o0`:
 /// one chain each over the positions `qs`, taken `P` at a time inside an
 /// output row so that an image value loaded once feeds up to three taps.
+/// `S` is the samples per vector: 1, or 2 for the interleaved planes of a
+/// pair, whose pixel pairs are broadcast whole.
 ///
 /// # Safety
-/// As [`filter_grad_impl`], which keeps `o0 + N <= ld` and `qs` inside the
-/// image.
+/// As [`filter_grad_impl`] or [`filter_grad_pair_impl`], which keep
+/// `o0 + N <= ld` and `qs` inside the image.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn filter_grad_chains<V: Lanes, const P: usize>(
+unsafe fn filter_grad_chains<V: Lanes, const P: usize, const S: usize>(
     s: &Shape,
     ld: usize,
     dyt: &[f32],
     xp: &[f32],
     c: usize,
     o0: usize,
-    qs: std::ops::Range<usize>,
+    qs: Range<usize>,
 ) -> [V; 9] {
     let mut acc = [V::zero(); 9];
     let (mut oy, mut ox) = (qs.start / s.w, qs.start % s.w);
-    let xc = xp.as_ptr().add(c * s.plane);
+    let xc = xp.as_ptr().add(S * c * s.plane);
+    let pixel = |p: *const f32| if S == 2 { V::splat2(p) } else { V::splat(p) };
     let mut q = qs.start;
     while q < qs.end {
-        let dq = dyt.as_ptr().add(q * ld + o0);
+        let dq = dyt.as_ptr().add((q - qs.start) * ld + o0);
         // Tap (ky, kx) of output (oy, ox) is padded pixel (oy + ky, ox + kx).
-        let base = xc.add(oy * s.pw + ox);
+        let base = xc.add(S * (oy * s.pw + ox));
         let step = if ox + P <= s.w && q + P <= qs.end {
             let dv = V::load_rows::<P>(dq, ld);
             // Position-major, so consecutive multiply-adds feed nine
             // independent chains.
             for (j, &d) in dv.iter().enumerate() {
                 for (t, a) in acc.iter_mut().enumerate() {
-                    *a = a.mul_add(V::splat(base.add(t / 3 * s.pw + t % 3 + j)), d);
+                    *a = a.mul_add(pixel(base.add(S * (t / 3 * s.pw + t % 3 + j))), d);
                 }
             }
             P
         } else {
             let d = V::load(dq);
             for (t, a) in acc.iter_mut().enumerate() {
-                *a = a.mul_add(V::splat(base.add(t / 3 * s.pw + t % 3)), d);
+                *a = a.mul_add(pixel(base.add(S * (t / 3 * s.pw + t % 3))), d);
             }
             1
         };
@@ -545,6 +860,49 @@ unsafe fn filter_grad_chains<V: Lanes, const P: usize>(
         }
     }
     acc
+}
+
+/// The bias gradient, eight channels to a vector: per sample, each 8×8
+/// block of `dY` (channels × positions) is transposed into a stack tile
+/// and its position rows added in order onto the channels' sums; positions
+/// left over from whole blocks are gathered one column at a time, and
+/// channels left over from whole vectors sum one float at a time.
+///
+/// # Safety
+/// `V`'s features are available and `V::N` is 8; `dy` is a whole number of
+/// `db.len()·n_pos`-float samples.
+#[inline(always)]
+unsafe fn bias_grad_impl<V: Lanes>(dy: &[f32], n_pos: usize, db: &mut [f32]) {
+    let out_c = db.len();
+    if out_c * n_pos == 0 {
+        return;
+    }
+    let (o8, q8) = (out_c / 8 * 8, n_pos / 8 * 8);
+    let mut tile = [0.0f32; 64];
+    for o0 in (0..o8).step_by(8) {
+        let mut sum = V::load(db.as_ptr().add(o0));
+        for d in dy.chunks_exact(out_c * n_pos) {
+            let rows = d.as_ptr().add(o0 * n_pos);
+            for q0 in (0..q8).step_by(8) {
+                V::transpose8(rows.add(q0), n_pos, tile.as_mut_ptr(), 8);
+                for p in 0..8 {
+                    sum = sum.add(V::load(tile.as_ptr().add(8 * p)));
+                }
+            }
+            for q in q8..n_pos {
+                let column: [f32; 8] = std::array::from_fn(|l| *rows.add(l * n_pos + q));
+                sum = sum.add(V::load(column.as_ptr()));
+            }
+        }
+        sum.store_first(db.as_mut_ptr().add(o0), 8);
+    }
+    for (o, b) in db.iter_mut().enumerate().skip(o8) {
+        for d in dy.chunks_exact(out_c * n_pos) {
+            for &v in &d[o * n_pos..(o + 1) * n_pos] {
+                *b += v;
+            }
+        }
+    }
 }
 
 /// The input gradient over every tile: `CB` input channels × `R` rows ×
@@ -711,6 +1069,12 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn splat2(p: *const f32) -> Self {
+            let pair = std::ptr::read_unaligned(p.cast::<f64>());
+            F32x16(_mm512_castpd_ps(_mm512_set1_pd(pair)))
+        }
+
+        #[inline(always)]
         unsafe fn load(p: *const f32) -> Self {
             F32x16(_mm512_loadu_ps(p))
         }
@@ -718,6 +1082,12 @@ mod x86 {
         #[inline(always)]
         unsafe fn load_first(p: *const f32, n: usize) -> Self {
             F32x16(_mm512_maskz_loadu_ps(Self::first(n), p))
+        }
+
+        #[inline(always)]
+        unsafe fn load_span(p: *const f32, lanes: Range<usize>) -> Self {
+            let mask = Self::first(lanes.end) & !Self::first(lanes.start.min(lanes.end));
+            F32x16(_mm512_maskz_loadu_ps(mask, p))
         }
 
         #[inline(always)]
@@ -747,6 +1117,73 @@ mod x86 {
         #[inline(always)]
         unsafe fn transpose8(src: *const f32, ss: usize, dst: *mut f32, ds: usize) {
             F32x8::transpose8(src, ss, dst, ds);
+        }
+
+        #[inline(always)]
+        unsafe fn interleave8(a: *const f32, b: *const f32, dst: *mut f32) {
+            let (a, b) = (_mm256_loadu_ps(a), _mm256_loadu_ps(b));
+            // Lane 2i takes a[i] (index i), lane 2i + 1 takes b[i] (16 + i).
+            let at = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+            _mm512_storeu_ps(
+                dst,
+                _mm512_permutex2var_ps(_mm512_castps256_ps512(a), at, _mm512_castps256_ps512(b)),
+            );
+        }
+
+        #[inline(always)]
+        unsafe fn transpose8_pair(
+            a: *const f32,
+            b: *const f32,
+            ss: usize,
+            dst: *mut f32,
+            ds: usize,
+        ) {
+            // Row o as eight 64-bit pairs (a[o][j], b[o][j]), then an 8×8
+            // transpose of those pairs: unpack neighbouring rows, gather
+            // four rows' pairs per half, then the halves.
+            let at = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+            let r: [__m512d; 8] = std::array::from_fn(|o| {
+                let (a, b) = (
+                    _mm256_loadu_ps(a.add(o * ss)),
+                    _mm256_loadu_ps(b.add(o * ss)),
+                );
+                _mm512_castps_pd(_mm512_permutex2var_ps(
+                    _mm512_castps256_ps512(a),
+                    at,
+                    _mm512_castps256_ps512(b),
+                ))
+            });
+            let t: [__m512d; 8] = std::array::from_fn(|i| {
+                let (lo, hi) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+                if i % 2 == 0 {
+                    _mm512_unpacklo_pd(lo, hi)
+                } else {
+                    _mm512_unpackhi_pd(lo, hi)
+                }
+            });
+            // t[0] = r0.0 r1.0 r0.2 r1.2 r0.4 r1.4 r0.6 r1.6, t[1] the odd
+            // columns; t[2], t[3] rows 2-3 and so on.
+            let (first, second) = (
+                _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
+                _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15),
+            );
+            // u[4h + k]: rows 4h..4h + 4 of columns k and k + 4.
+            let u: [__m512d; 8] = std::array::from_fn(|i| {
+                let (h, k) = (i / 4, i % 4);
+                let (lo, hi) = (t[4 * h + k % 2], t[4 * h + 2 + k % 2]);
+                _mm512_permutex2var_pd(lo, if k < 2 { first } else { second }, hi)
+            });
+            for col in 0..4 {
+                let (top, bottom) = (u[col], u[4 + col]);
+                _mm512_storeu_ps(
+                    dst.add(col * ds),
+                    _mm512_castpd_ps(_mm512_shuffle_f64x2::<0x44>(top, bottom)),
+                );
+                _mm512_storeu_ps(
+                    dst.add((col + 4) * ds),
+                    _mm512_castpd_ps(_mm512_shuffle_f64x2::<0xEE>(top, bottom)),
+                );
+            }
         }
     }
 
@@ -789,6 +1226,12 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn splat2(p: *const f32) -> Self {
+            let pair = std::ptr::read_unaligned(p.cast::<f64>());
+            F32x8(_mm256_castpd_ps(_mm256_set1_pd(pair)))
+        }
+
+        #[inline(always)]
         unsafe fn load(p: *const f32) -> Self {
             F32x8(_mm256_loadu_ps(p))
         }
@@ -796,6 +1239,12 @@ mod x86 {
         #[inline(always)]
         unsafe fn load_first(p: *const f32, n: usize) -> Self {
             F32x8(_mm256_maskload_ps(p, Self::first(n)))
+        }
+
+        #[inline(always)]
+        unsafe fn load_span(p: *const f32, lanes: Range<usize>) -> Self {
+            let mask = (1u32 << lanes.end) - (1u32 << lanes.start.min(lanes.end));
+            F32x8(_mm256_maskload_ps(p, Self::lanes_of(mask)))
         }
 
         #[inline(always)]
@@ -862,6 +1311,31 @@ mod x86 {
                 );
             }
         }
+
+        #[inline(always)]
+        unsafe fn interleave8(a: *const f32, b: *const f32, dst: *mut f32) {
+            let (a, b) = (_mm256_loadu_ps(a), _mm256_loadu_ps(b));
+            // a0 b0 a1 b1 | a4 b4 a5 b5 and a2 b2 a3 b3 | a6 b6 a7 b7, then
+            // the 128-bit halves in order.
+            let (lo, hi) = (_mm256_unpacklo_ps(a, b), _mm256_unpackhi_ps(a, b));
+            _mm256_storeu_ps(dst, _mm256_permute2f128_ps::<0x20>(lo, hi));
+            _mm256_storeu_ps(dst.add(8), _mm256_permute2f128_ps::<0x31>(lo, hi));
+        }
+    }
+
+    /// # Safety
+    /// AVX-512F, AVX2 and FMA are available; lengths as
+    /// [`pad_planes_impl`].
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn pad_planes_avx512(src: &[f32], s: &Shape, dst: &mut [f32]) {
+        pad_planes_impl::<F32x16>(src, s, dst);
+    }
+
+    /// # Safety
+    /// AVX2 and FMA are available; lengths as [`pad_planes_impl`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn pad_planes_avx2(src: &[f32], s: &Shape, dst: &mut [f32]) {
+        pad_planes_impl::<F32x8>(src, s, dst);
     }
 
     /// # Safety
@@ -916,6 +1390,44 @@ mod x86 {
         dw: &mut [f32],
     ) {
         filter_grad_impl::<F32x8, 4>(s, dy, ld, dyt, xp, dw);
+    }
+
+    /// # Safety
+    /// AVX-512F, AVX2 and FMA are available; lengths as
+    /// [`filter_grad_pair_impl`].
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn filter_grad_pair_avx512(
+        s: &Shape,
+        dy: &[f32],
+        x: &[f32],
+        dyt: &mut [f32],
+        xp: &mut [f32],
+        later: &mut [f32],
+        dw: &mut [f32],
+    ) {
+        filter_grad_pair_impl::<F32x16, 8>(s, dy, x, dyt, xp, later, dw);
+    }
+
+    /// # Safety
+    /// AVX2 and FMA are available; lengths as [`filter_grad_pair_impl`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn filter_grad_pair_avx2(
+        s: &Shape,
+        dy: &[f32],
+        x: &[f32],
+        dyt: &mut [f32],
+        xp: &mut [f32],
+        later: &mut [f32],
+        dw: &mut [f32],
+    ) {
+        filter_grad_pair_impl::<F32x8, 4>(s, dy, x, dyt, xp, later, dw);
+    }
+
+    /// # Safety
+    /// AVX2 is available; lengths as [`bias_grad_impl`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn bias_grad_avx2(dy: &[f32], n_pos: usize, db: &mut [f32]) {
+        bias_grad_impl::<F32x8>(dy, n_pos, db);
     }
 
     /// # Safety
