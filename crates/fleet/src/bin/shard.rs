@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! prionn-shard [--listen ADDR] [--ops ADDR] [--checkpoint PATH]
-//!              [--replicas N] [--trace-namespace N]
+//!              [--trace-namespace N]
 //! ```
 //!
 //! The gateway records request span trees into a flight recorder served
@@ -12,12 +12,14 @@
 //! index`, so a collector can stitch cross-shard traces without id
 //! collisions; the router uses namespace 1).
 //!
-//! With `--checkpoint` the shard serves those weights; without it a small
-//! demo model is trained at startup (sub-second), which is what the CI
-//! fleet job and local experiments use. The bound addresses are printed
-//! as `SHARD_ADDR=<addr>` and `OPS_ADDR=<addr>` lines so a parent process
-//! can harvest the ephemeral ports. The shard then serves until stdin
-//! reaches EOF (parent exit or explicit close), drains, and shuts down.
+//! The gateway runs `testkit::demo_gateway_config()`: one replica. With
+//! `--checkpoint` the shard serves those weights; without it a small
+//! demo model is trained at startup (sub-second), which is what the
+//! process test `tests/shard_process.rs` and CI's federation drill use.
+//! The bound addresses are printed as `SHARD_ADDR=<addr>` and
+//! `OPS_ADDR=<addr>` lines so a parent process can harvest the ephemeral
+//! ports. The shard then serves until stdin reaches EOF (parent exit or
+//! explicit close), drains, and shuts down.
 
 use std::io::Read as _;
 use std::sync::Arc;
@@ -40,16 +42,12 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let ops_bind = arg_value(&args, "--ops").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let replicas: usize = arg_value(&args, "--replicas")
-        .map(|v| v.parse().expect("--replicas must be an integer"))
-        .unwrap_or(1);
     let trace_namespace: u16 = arg_value(&args, "--trace-namespace")
         .map(|v| v.parse().expect("--trace-namespace must be a u16"))
         .unwrap_or(2);
 
     let recorder = FlightRecorder::new(FlightConfig::default());
     let mut gateway_cfg = testkit::demo_gateway_config();
-    gateway_cfg.replicas = replicas;
     gateway_cfg.tracer = Some(Tracer::with_namespace(&recorder, trace_namespace));
 
     let gateway = match arg_value(&args, "--checkpoint") {

@@ -31,9 +31,9 @@
 //!   gateway span tree, so `prionn_observe::FleetCollector` can stitch
 //!   one fleet-wide trace and federate every shard's metrics.
 //!
-//! The `prionn-shard` binary serves one shard process; the `loadgen`
-//! binary drives scripted users against a local fleet, including a
-//! shard-kill + drain drill.
+//! The `prionn-shard` binary serves one shard process; the
+//! `tests/shard_process.rs` drill drains, SIGKILLs and replaces real
+//! shard processes behind a router and checks that no request is lost.
 
 #![warn(missing_docs)]
 

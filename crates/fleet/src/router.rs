@@ -119,19 +119,17 @@ pub struct FleetRevision {
     pub shard: usize,
 }
 
+/// Virtual nodes per shard on the hash ring.
+const VNODES: usize = 128;
+
+/// Pipelined connections the router keeps to each shard.
+const CONNS_PER_SHARD: usize = 2;
+
 /// Router construction knobs.
 #[derive(Clone)]
 pub struct RouterConfig {
     /// One endpoint (`host:port`) per shard, indexed by shard id.
     pub endpoints: Vec<String>,
-    /// Stable shard names for ring placement. Defaults to `shard-<i>`;
-    /// override when shards can be replaced at different addresses so
-    /// ring layout survives the address change.
-    pub shard_names: Option<Vec<String>>,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
-    /// Pipelined connections per shard.
-    pub conns_per_shard: usize,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
     /// Per-request response timeout (independent of the model deadline
@@ -156,9 +154,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             endpoints: Vec::new(),
-            shard_names: None,
-            vnodes: 128,
-            conns_per_shard: 2,
             connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(10),
             down_backoff: Duration::from_millis(250),
@@ -173,9 +168,6 @@ impl std::fmt::Debug for RouterConfig {
         // Manual impl: Tracer is an opaque handle.
         f.debug_struct("RouterConfig")
             .field("endpoints", &self.endpoints)
-            .field("shard_names", &self.shard_names)
-            .field("vnodes", &self.vnodes)
-            .field("conns_per_shard", &self.conns_per_shard)
             .field("connect_timeout", &self.connect_timeout)
             .field("request_timeout", &self.request_timeout)
             .field("down_backoff", &self.down_backoff)
@@ -370,17 +362,11 @@ impl Router {
     /// Build a router over `cfg.endpoints`. Does not dial anything yet —
     /// connections are established lazily on first use per shard.
     pub fn new(cfg: RouterConfig) -> Router {
-        let names: Vec<String> = match &cfg.shard_names {
-            Some(names) => names.clone(),
-            None => (0..cfg.endpoints.len())
-                .map(|i| format!("shard-{i}"))
-                .collect(),
-        };
-        assert_eq!(
-            names.len(),
-            cfg.endpoints.len(),
-            "shard_names must match endpoints one-to-one"
-        );
+        // Ring placement is by slot name, not address, so a replacement
+        // process at a new address keeps its slot's users.
+        let names: Vec<String> = (0..cfg.endpoints.len())
+            .map(|i| format!("shard-{i}"))
+            .collect();
         let telemetry = cfg.telemetry.clone().unwrap_or_default();
         let metrics = RouterMetrics::build(&telemetry);
         let shards = cfg
@@ -404,7 +390,7 @@ impl Router {
                 ),
             })
             .collect();
-        let ring = HashRing::new(&names, cfg.vnodes);
+        let ring = HashRing::new(&names, VNODES);
         let tracer = cfg.tracer.clone().unwrap_or_default();
         Router {
             ring,
@@ -671,12 +657,6 @@ impl Router {
         *state.down_until.lock() = None;
     }
 
-    /// Forget a shard's backoff so the next request re-dials immediately
-    /// (used after a known recovery instead of waiting out the backoff).
-    pub fn mark_up(&self, shard: usize) {
-        *self.shards[shard].down_until.lock() = None;
-    }
-
     fn mark_down(&self, shard: usize) {
         let state = &self.shards[shard];
         state.conns.lock().retain(|c| c.is_alive());
@@ -716,7 +696,7 @@ impl Router {
         {
             let mut conns = state.conns.lock();
             conns.retain(|c| c.is_alive());
-            if conns.len() >= self.cfg.conns_per_shard.max(1) {
+            if conns.len() >= CONNS_PER_SHARD {
                 let i = state.rr.fetch_add(1, Ordering::Relaxed) % conns.len();
                 return Ok(Arc::clone(&conns[i]));
             }

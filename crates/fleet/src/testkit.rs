@@ -1,11 +1,11 @@
-//! Support for fleet tests, benches, and the bundled binaries: a small
-//! trained model and a helper that boots an N-shard fleet in-process.
+//! Support for fleet tests, benches, and the `prionn-shard` binary: a
+//! small trained model and a helper that boots an N-shard fleet
+//! in-process.
 //!
 //! Everything here runs real components — real gateways, real TCP
 //! listeners on ephemeral loopback ports — just sized small enough to
-//! start in well under a second, so integration tests and the `loadgen`
-//! binary's default mode can stand up a whole fleet without fixtures on
-//! disk.
+//! start in well under a second, so integration tests can stand up a
+//! whole fleet without fixtures on disk.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,8 +95,9 @@ pub struct LocalShard {
 
 /// An N-shard fleet running in this process on ephemeral loopback ports.
 ///
-/// Shards can be killed abruptly ([`LocalFleet::kill`]) and respawned at
-/// a new port ([`LocalFleet::respawn`]) to drive failure drills.
+/// Shards can be torn down with no drain ([`LocalFleet::kill`]) and
+/// respawned at a new port ([`LocalFleet::respawn`]) to drive failure
+/// drills.
 pub struct LocalFleet {
     checkpoint: Checkpoint,
     gateway_cfg: GatewayConfig,
@@ -227,8 +228,10 @@ impl LocalFleet {
             .collect()
     }
 
-    /// Abruptly kill shard `i`: close its listener and connections and
-    /// stop its gateway, with no drain. Simulates process loss.
+    /// Tear shard `i` down in-process, with no drain: the gateway stops
+    /// first, so requests it has queued are answered `Stopped`, then the
+    /// listener and its connections close. This is not process loss;
+    /// `tests/shard_process.rs` SIGKILLs a real shard process for that.
     pub fn kill(&mut self, i: usize) {
         if let Some(shard) = self.shards[i].take() {
             // Gateway first: it completes queued requests (typed Stopped),

@@ -430,7 +430,6 @@ fn abrupt_kill_fails_over_and_recovery_restores_routing() {
     // traffic returns (ring layout never changed).
     let endpoint = fleet.respawn(victim);
     router.set_endpoint(victim, &endpoint);
-    router.mark_up(victim);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let reply = router.predict(user, &scripts[..1]).unwrap();

@@ -94,7 +94,12 @@ fn observed_plane(n: usize, quorum: usize, slos: Vec<SloSpec>) -> ObservedPlane 
 fn stitched_trace_is_retrievable_by_id_via_fleet_traces() {
     let mut plane = observed_plane(2, 1, Vec::new());
     let scripts = demo_corpus();
+    // Force a failover: the user's home shard is draining, so the first
+    // hop is refused and the second serves — two hops, one trace.
+    let home = plane.router.route(7).unwrap();
+    plane.router.drain_shard(home).unwrap();
     let reply = plane.router.predict(7, &scripts[..1]).unwrap();
+    assert_ne!(reply.shard, home, "drained shard must not serve");
 
     // The router's root span carries the fleet-wide trace id, minted in
     // the router's namespace so it cannot collide with shard-local ids.
@@ -114,10 +119,17 @@ fn stitched_trace_is_retrievable_by_id_via_fleet_traces() {
         "root span names the serving shard: {:?}",
         root.detail
     );
-    let hop = spans
+    let hops: Vec<_> = spans
         .iter()
-        .find(|s| s.name == "hop" && s.parent_id == root.span_id)
-        .expect("router recorded a hop child");
+        .filter(|s| s.name == "hop" && s.parent_id == root.span_id)
+        .collect();
+    assert!(hops.len() >= 2, "failover records >= 2 hops: {hops:?}");
+    let last_hop = hops.last().unwrap();
+    assert_eq!(
+        last_hop.detail,
+        format!("shard={} served", reply.shard),
+        "last hop is the serving one"
+    );
 
     let ops_addr = plane.ops.addr().to_string();
     let resp = http_get(
@@ -136,8 +148,8 @@ fn stitched_trace_is_retrievable_by_id_via_fleet_traces() {
         .expect("spans array");
 
     // Every stitched span belongs to the one trace, and the tree spans
-    // both processes: the router's client spans AND the shard's gateway
-    // spans, with the shard's root parented under the router's hop.
+    // both processes: the router's client spans AND the serving shard's
+    // gateway spans, with the shard's root parented under the last hop.
     for span in stitched {
         assert_eq!(
             span.get("trace_id").and_then(|v| v.as_u64()),
@@ -150,15 +162,19 @@ fn stitched_trace_is_retrievable_by_id_via_fleet_traces() {
         .filter_map(|s| s.get("name").and_then(|v| v.as_str()))
         .collect();
     assert!(names.contains(&"fleet_predict"), "{names:?}");
-    assert!(names.contains(&"hop"), "{names:?}");
-    let shard_root = stitched
+    assert!(
+        names.iter().filter(|&&n| n == "hop").count() >= 2,
+        "{names:?}"
+    );
+    let shard_roots: Vec<_> = stitched
         .iter()
-        .find(|s| s.get("name").and_then(|v| v.as_str()) == Some("predict"))
-        .expect("shard gateway span in the stitched tree");
+        .filter(|s| s.get("name").and_then(|v| v.as_str()) == Some("predict"))
+        .collect();
+    assert_eq!(shard_roots.len(), 1, "one gateway root: {shard_roots:?}");
     assert_eq!(
-        shard_root.get("parent_id").and_then(|v| v.as_u64()),
-        Some(hop.span_id),
-        "shard root adopts the router hop as parent"
+        shard_roots[0].get("parent_id").and_then(|v| v.as_u64()),
+        Some(last_hop.span_id),
+        "serving shard's root adopts the last router hop as parent"
     );
 
     // Unknown query → clear 400, not a panic or an empty 200.
