@@ -45,7 +45,7 @@ pub mod shard;
 pub mod testkit;
 
 pub use coordinator::{FleetCoordinator, RolloutReport, ShardRollout};
-pub use proto::{ErrorCode, ReviseRequest, RevisionReply, ShardStats, TraceContext};
+pub use proto::{ErrorCode, ShardStats, TraceContext};
 pub use ring::HashRing;
-pub use router::{FleetError, FleetReply, FleetRevision, Router, RouterConfig};
+pub use router::{FleetError, FleetReply, Router, RouterConfig};
 pub use shard::{ShardConfig, ShardServer};

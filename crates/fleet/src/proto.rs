@@ -13,12 +13,11 @@
 //! | `0x01` | PredictRequest  | priority u8, deadline_ms u32, script count u32, then per script a length-prefixed string |
 //! | `0x02` | Predictions     | epoch u64, count u32, then per prediction 3×f64 (runtime minutes, read bytes, write bytes) |
 //! | `0x03` | Error           | code u8 (see [`ErrorCode`]; 3 is retired, was preburst — never reuse), length-prefixed message string |
-//! | `0x04` | ReviseRequest   | job id u64, elapsed seconds f64, read/write bytes-so-far 2×f64, initial prediction 3×f64, coverage f64 |
-//! | `0x05` | Revision        | epoch u64, then per head (runtime minutes, read bytes, write bytes) an interval lo/point/hi 3×f64 |
+//! | `0x04`, `0x05` | —         | retired (were the revise request and reply) — never reuse |
 //! | `0x10` | Ping            | empty |
 //! | `0x11` | Pong            | empty |
 //! | `0x12` | StatsRequest    | empty |
-//! | `0x13` | Stats           | epoch u64, live_replicas u64, queue_depth u64, requests_served u64, draining bool, requests_shed u64, failover_arrivals u64, revisions_served u64 (last three optional — absent from pre-observability shards) |
+//! | `0x13` | Stats           | epoch u64, live_replicas u64, queue_depth u64, requests_served u64, draining bool, requests_shed u64, failover_arrivals u64 (49 bytes) |
 //! | `0x20` | SwapWeights     | a full checkpoint byte image (self-verifying: magic + per-section CRC) |
 //! | `0x21` | SwapAck         | epoch u64 the shard's weight bus assigned |
 //! | `0x30` | Drain           | empty |
@@ -30,7 +29,6 @@
 //! hop u8`. See [`strip_trace`] for the version-gating rules.
 
 use prionn_core::ResourcePrediction;
-use prionn_revise::{PredictionInterval, ProgressObs};
 use prionn_serve::{Priority, ServeError};
 use prionn_store::wire::{put_bool, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use prionn_store::{Result as StoreResult, StoreError};
@@ -41,10 +39,6 @@ pub const KIND_PREDICT: u8 = 0x01;
 pub const KIND_PREDICTIONS: u8 = 0x02;
 /// Frame kind: typed error response.
 pub const KIND_ERROR: u8 = 0x03;
-/// Frame kind: in-flight revision request.
-pub const KIND_REVISE: u8 = 0x04;
-/// Frame kind: revision response (calibrated intervals).
-pub const KIND_REVISION: u8 = 0x05;
 /// Frame kind: liveness ping.
 pub const KIND_PING: u8 = 0x10;
 /// Frame kind: ping response.
@@ -231,8 +225,6 @@ pub struct ShardStats {
     /// Requests that arrived with a ring-walk hop index > 0 — i.e. after
     /// at least one other shard refused them.
     pub failover_arrivals: u64,
-    /// In-flight revision requests answered since spawn.
-    pub revisions_served: u64,
 }
 
 /// Encode a predict request payload.
@@ -334,7 +326,7 @@ pub fn decode_error(payload: &[u8]) -> StoreResult<(ErrorCode, String)> {
 
 /// Encode a shard stats payload.
 pub fn encode_stats(s: &ShardStats) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(57);
+    let mut buf = Vec::with_capacity(49);
     put_u64(&mut buf, s.epoch);
     put_u64(&mut buf, s.live_replicas);
     put_u64(&mut buf, s.queue_depth);
@@ -342,30 +334,21 @@ pub fn encode_stats(s: &ShardStats) -> Vec<u8> {
     put_bool(&mut buf, s.draining);
     put_u64(&mut buf, s.requests_shed);
     put_u64(&mut buf, s.failover_arrivals);
-    put_u64(&mut buf, s.revisions_served);
     buf
 }
 
-/// Decode a shard stats payload. The shed/failover/revision counters were
-/// appended after the first release: a 33-byte payload from an old shard
-/// still decodes, with those counters reported as zero.
+/// Decode a shard stats payload.
 pub fn decode_stats(payload: &[u8]) -> StoreResult<ShardStats> {
     let mut r = Reader::new(payload);
-    let mut stats = ShardStats {
+    let stats = ShardStats {
         epoch: r.get_u64("stats epoch")?,
         live_replicas: r.get_u64("stats live replicas")?,
         queue_depth: r.get_u64("stats queue depth")?,
         requests_served: r.get_u64("stats requests served")?,
         draining: r.get_bool("stats draining")?,
-        requests_shed: 0,
-        failover_arrivals: 0,
-        revisions_served: 0,
+        requests_shed: r.get_u64("stats requests shed")?,
+        failover_arrivals: r.get_u64("stats failover arrivals")?,
     };
-    if r.remaining() > 0 {
-        stats.requests_shed = r.get_u64("stats requests shed")?;
-        stats.failover_arrivals = r.get_u64("stats failover arrivals")?;
-        stats.revisions_served = r.get_u64("stats revisions served")?;
-    }
     r.expect_end("stats response")?;
     Ok(stats)
 }
@@ -383,131 +366,6 @@ pub fn decode_swap_ack(payload: &[u8]) -> StoreResult<u64> {
     let epoch = r.get_u64("swap ack epoch")?;
     r.expect_end("swap ack")?;
     Ok(epoch)
-}
-
-/// An in-flight revision request: the submission-time prediction plus one
-/// partial-progress observation, served on [`KIND_REVISE`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReviseRequest {
-    /// The progress observation (job id, elapsed, IO-so-far).
-    pub obs: ProgressObs,
-    /// The submission-time prediction being revised.
-    pub initial: ResourcePrediction,
-    /// Nominal coverage for the conformal intervals, in `(0, 1)`.
-    pub coverage: f64,
-}
-
-/// A shard's answer to [`KIND_REVISE`]: the revised point predictions
-/// wrapped in split-conformal intervals calibrated on that shard's drift
-/// window, plus the weight epoch the shard was serving.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RevisionReply {
-    /// Weight epoch of the answering shard.
-    pub epoch: u64,
-    /// Revised runtime, minutes.
-    pub runtime_minutes: PredictionInterval,
-    /// Revised bytes read.
-    pub read_bytes: PredictionInterval,
-    /// Revised bytes written.
-    pub write_bytes: PredictionInterval,
-}
-
-/// Encode a revision request payload.
-pub fn encode_revise(req: &ReviseRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u64(&mut buf, req.obs.job_id);
-    put_f64(&mut buf, req.obs.elapsed_seconds);
-    put_f64(&mut buf, req.obs.read_bytes_so_far);
-    put_f64(&mut buf, req.obs.write_bytes_so_far);
-    put_f64(&mut buf, req.initial.runtime_minutes);
-    put_f64(&mut buf, req.initial.read_bytes);
-    put_f64(&mut buf, req.initial.write_bytes);
-    put_f64(&mut buf, req.coverage);
-    buf
-}
-
-/// Decode a revision request payload. Non-finite progress numbers and a
-/// coverage outside `(0, 1)` are corruption, not requests.
-pub fn decode_revise(payload: &[u8]) -> StoreResult<ReviseRequest> {
-    let mut r = Reader::new(payload);
-    let req = ReviseRequest {
-        obs: ProgressObs {
-            job_id: r.get_u64("revise job id")?,
-            elapsed_seconds: r.get_f64("revise elapsed seconds")?,
-            read_bytes_so_far: r.get_f64("revise read bytes so far")?,
-            write_bytes_so_far: r.get_f64("revise write bytes so far")?,
-        },
-        initial: ResourcePrediction {
-            runtime_minutes: r.get_f64("revise initial runtime")?,
-            read_bytes: r.get_f64("revise initial read bytes")?,
-            write_bytes: r.get_f64("revise initial write bytes")?,
-        },
-        coverage: r.get_f64("revise coverage")?,
-    };
-    r.expect_end("revise request")?;
-    for (name, v) in [
-        ("elapsed seconds", req.obs.elapsed_seconds),
-        ("read bytes so far", req.obs.read_bytes_so_far),
-        ("write bytes so far", req.obs.write_bytes_so_far),
-    ] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(StoreError::Corrupt(format!(
-                "revise {name} {v} is not a finite non-negative number"
-            )));
-        }
-    }
-    if !req.coverage.is_finite() || !(0.0..1.0).contains(&req.coverage) {
-        return Err(StoreError::Corrupt(format!(
-            "revise coverage {} is outside [0, 1)",
-            req.coverage
-        )));
-    }
-    Ok(req)
-}
-
-fn put_interval(buf: &mut Vec<u8>, iv: &PredictionInterval) {
-    put_f64(buf, iv.lo);
-    put_f64(buf, iv.point);
-    put_f64(buf, iv.hi);
-}
-
-fn get_interval(r: &mut Reader<'_>, head: &str) -> StoreResult<PredictionInterval> {
-    let iv = PredictionInterval {
-        lo: r.get_f64("revision interval lo")?,
-        point: r.get_f64("revision interval point")?,
-        hi: r.get_f64("revision interval hi")?,
-    };
-    if !(iv.lo.is_finite() && iv.point.is_finite() && iv.hi.is_finite()) || iv.lo > iv.hi {
-        return Err(StoreError::Corrupt(format!(
-            "revision {head} interval [{}, {}] is not a finite ordered pair",
-            iv.lo, iv.hi
-        )));
-    }
-    Ok(iv)
-}
-
-/// Encode a revision response payload.
-pub fn encode_revision(reply: &RevisionReply) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(80);
-    put_u64(&mut buf, reply.epoch);
-    put_interval(&mut buf, &reply.runtime_minutes);
-    put_interval(&mut buf, &reply.read_bytes);
-    put_interval(&mut buf, &reply.write_bytes);
-    buf
-}
-
-/// Decode a revision response payload. Intervals must be finite with
-/// `lo ≤ hi`; anything else is corruption.
-pub fn decode_revision(payload: &[u8]) -> StoreResult<RevisionReply> {
-    let mut r = Reader::new(payload);
-    let reply = RevisionReply {
-        epoch: r.get_u64("revision epoch")?,
-        runtime_minutes: get_interval(&mut r, "runtime")?,
-        read_bytes: get_interval(&mut r, "read bytes")?,
-        write_bytes: get_interval(&mut r, "write bytes")?,
-    };
-    r.expect_end("revision response")?;
-    Ok(reply)
 }
 
 #[cfg(test)]
@@ -561,31 +419,19 @@ mod tests {
             draining: true,
             requests_shed: 41,
             failover_arrivals: 6,
-            revisions_served: 17,
         };
         assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
     }
 
     #[test]
-    fn legacy_33_byte_stats_payload_still_decodes() {
-        // A pre-observability shard sends only the first five fields; the
-        // appended counters must read back as zero, not as Truncated.
-        let full = encode_stats(&ShardStats {
-            epoch: 7,
-            live_replicas: 2,
-            queue_depth: 3,
-            requests_served: 999,
-            draining: false,
-            requests_shed: 41,
-            failover_arrivals: 6,
-            revisions_served: 17,
-        });
-        let legacy = &full[..33];
-        let stats = decode_stats(legacy).unwrap();
-        assert_eq!(stats.requests_served, 999);
-        assert_eq!(stats.requests_shed, 0);
-        assert_eq!(stats.failover_arrivals, 0);
-        assert_eq!(stats.revisions_served, 0);
+    fn stats_payload_has_one_49_byte_layout() {
+        let full = encode_stats(&ShardStats::default());
+        assert_eq!(full.len(), 49);
+        // The five-field prefix is a cut payload, not an older layout.
+        assert!(matches!(
+            decode_stats(&full[..33]),
+            Err(StoreError::Truncated(_))
+        ));
     }
 
     #[test]
@@ -680,114 +526,6 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         assert!(matches!(
             decode_predictions(&buf),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    fn revise_request() -> ReviseRequest {
-        ReviseRequest {
-            obs: ProgressObs {
-                job_id: 99,
-                elapsed_seconds: 1800.0,
-                read_bytes_so_far: 2.5e9,
-                write_bytes_so_far: 1.0e8,
-            },
-            initial: ResourcePrediction {
-                runtime_minutes: 60.0,
-                read_bytes: 10.0e9,
-                write_bytes: 1.0e9,
-            },
-            coverage: 0.9,
-        }
-    }
-
-    #[test]
-    fn revise_roundtrip() {
-        let req = revise_request();
-        assert_eq!(decode_revise(&encode_revise(&req)).unwrap(), req);
-    }
-
-    #[test]
-    fn revision_roundtrip() {
-        let reply = RevisionReply {
-            epoch: 3,
-            runtime_minutes: PredictionInterval {
-                lo: 55.0,
-                point: 80.0,
-                hi: 130.0,
-            },
-            read_bytes: PredictionInterval {
-                lo: 8.0e9,
-                point: 10.0e9,
-                hi: 14.0e9,
-            },
-            write_bytes: PredictionInterval::degenerate(1.0e9),
-        };
-        assert_eq!(decode_revision(&encode_revision(&reply)).unwrap(), reply);
-    }
-
-    #[test]
-    fn revise_rejects_nonsense_numbers_as_corrupt() {
-        // Coverage of 1.0 would demand an infinite interval; NaN elapsed
-        // is not an observation. Both are typed Corrupt, not accepted.
-        let mut bad_coverage = revise_request();
-        bad_coverage.coverage = 1.0;
-        assert!(matches!(
-            decode_revise(&encode_revise(&bad_coverage)),
-            Err(StoreError::Corrupt(_))
-        ));
-
-        let mut nan_elapsed = revise_request();
-        nan_elapsed.obs.elapsed_seconds = f64::NAN;
-        assert!(matches!(
-            decode_revise(&encode_revise(&nan_elapsed)),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn revision_rejects_inverted_intervals_as_corrupt() {
-        let reply = RevisionReply {
-            epoch: 1,
-            runtime_minutes: PredictionInterval {
-                lo: 130.0,
-                point: 80.0,
-                hi: 55.0,
-            },
-            read_bytes: PredictionInterval::degenerate(1.0),
-            write_bytes: PredictionInterval::degenerate(1.0),
-        };
-        assert!(matches!(
-            decode_revision(&encode_revision(&reply)),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_revise_payloads_are_typed_truncated() {
-        let full = encode_revise(&revise_request());
-        for cut in [0, 7, 8, 20, full.len() - 1] {
-            assert!(
-                matches!(decode_revise(&full[..cut]), Err(StoreError::Truncated(_))),
-                "cut at {cut} should be Truncated"
-            );
-        }
-        let reply_full = encode_revision(&RevisionReply {
-            epoch: 1,
-            runtime_minutes: PredictionInterval::degenerate(5.0),
-            read_bytes: PredictionInterval::degenerate(5.0),
-            write_bytes: PredictionInterval::degenerate(5.0),
-        });
-        assert!(matches!(
-            decode_revision(&reply_full[..reply_full.len() - 3]),
-            Err(StoreError::Truncated(_))
-        ));
-        // Trailing garbage after a valid payload is Corrupt: the frame
-        // length said more bytes than the message has fields.
-        let mut padded = reply_full.clone();
-        padded.extend_from_slice(&[0, 0, 0]);
-        assert!(matches!(
-            decode_revision(&padded),
             Err(StoreError::Corrupt(_))
         ));
     }

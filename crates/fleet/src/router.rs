@@ -34,11 +34,10 @@ use prionn_store::wire::{encode_frame, read_frame, Frame, MAX_FRAME_PAYLOAD};
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::proto::{
-    decode_error, decode_predictions, decode_revision, decode_stats, decode_swap_ack,
-    encode_predict, encode_revise, encode_with_trace, ErrorCode, ReviseRequest, RevisionReply,
-    ShardStats, TraceContext, KIND_DRAIN, KIND_DRAIN_ACK, KIND_ERROR, KIND_PREDICT,
-    KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION, KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK,
-    KIND_SWAP_WEIGHTS, KIND_TRACE_FLAG,
+    decode_error, decode_predictions, decode_stats, decode_swap_ack, encode_predict,
+    encode_with_trace, ErrorCode, ShardStats, TraceContext, KIND_DRAIN, KIND_DRAIN_ACK, KIND_ERROR,
+    KIND_PREDICT, KIND_PREDICTIONS, KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK, KIND_SWAP_WEIGHTS,
+    KIND_TRACE_FLAG,
 };
 use crate::ring::HashRing;
 
@@ -106,15 +105,6 @@ pub struct FleetReply {
     pub predictions: Vec<ResourcePrediction>,
     /// The weight epoch the serving shard used.
     pub epoch: u64,
-    /// Which shard served the request (after any failover).
-    pub shard: usize,
-}
-
-/// A successful fleet revision.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetRevision {
-    /// The revised intervals and the serving shard's weight epoch.
-    pub revision: RevisionReply,
     /// Which shard served the request (after any failover).
     pub shard: usize,
 }
@@ -424,14 +414,15 @@ impl Router {
     }
 
     /// Route a predict request for `user`, failing over along the ring on
-    /// unavailability and returning typed errors on shed.
+    /// unavailability and returning typed errors on shed. A `deadline`
+    /// travels in whole milliseconds, rounded up.
     pub fn predict_for_user(
         &self,
         user: u64,
         scripts: &[String],
         deadline: Option<Duration>,
     ) -> Result<FleetReply, FleetError> {
-        let deadline_ms = deadline.map_or(0, |d| d.as_millis().min(u32::MAX as u128) as u32);
+        let deadline_ms = deadline.map_or(0, wire_deadline_ms);
         let payload = encode_predict(Priority::Normal, deadline_ms, scripts);
         // Waiting for a response should outlast the in-shard deadline;
         // otherwise the shard's typed DeadlineExceeded never reaches us.
@@ -447,14 +438,13 @@ impl Router {
         if root.is_recording() {
             root.set_detail(format!("user={user} scripts={}", scripts.len()));
         }
-        let walked = self.walk_ring(user, &root, |shard, trace| {
-            self.try_on(shard, &PREDICT, &payload, timeout, trace)
-        });
+        let walked = self.walk_ring(user, &root, &payload, timeout);
         if root.is_recording() {
             match &walked {
-                Ok((shard, _)) => root.set_detail(format!(
-                    "user={user} scripts={} served_by={shard}",
-                    scripts.len()
+                Ok(reply) => root.set_detail(format!(
+                    "user={user} scripts={} served_by={}",
+                    scripts.len(),
+                    reply.shard
                 )),
                 Err(FleetError::Unavailable { attempts, .. }) => {
                     root.set_detail(format!("user={user} unavailable after {attempts} attempts"));
@@ -462,37 +452,21 @@ impl Router {
                 Err(_) => {}
             }
         }
-        walked.map(|(shard, (epoch, predictions))| FleetReply {
-            predictions,
-            epoch,
-            shard,
-        })
+        walked
     }
 
-    /// Route an in-flight revision request, hashing on the job id so a
-    /// job's revisions land on one shard (one drift window calibrates
-    /// all of its intervals). Fails over along the ring like predicts;
-    /// typed refusals surface unchanged. Untraced.
-    pub fn revise(&self, req: &ReviseRequest) -> Result<FleetRevision, FleetError> {
-        let payload = encode_revise(req);
-        let untraced = Tracer::disabled().root("fleet_revise");
-        self.walk_ring(req.obs.job_id, &untraced, |shard, trace| {
-            self.try_on(shard, &REVISE, &payload, self.cfg.request_timeout, trace)
-        })
-        .map(|(shard, revision)| FleetRevision { revision, shard })
-    }
-
-    /// The one ring walk: try `key`'s owners in failover order until one
-    /// serves (`Ok` with the shard that did) or refuses with a typed code,
-    /// or all are unavailable. Does the request, failover, shed, served and
+    /// The ring walk: try `user`'s owners in failover order until one
+    /// serves the predict `payload` or refuses it with a typed code, or all
+    /// are unavailable. Does the request, failover, shed, served and
     /// latency accounting, and opens one `hop` child of `root` per shard
-    /// tried, handing its context to `attempt` to put on the wire.
-    fn walk_ring<T>(
+    /// tried, whose context rides the wire.
+    fn walk_ring(
         &self,
-        key: u64,
+        user: u64,
         root: &Span,
-        attempt: impl Fn(usize, Option<TraceContext>) -> Result<T, TryError>,
-    ) -> Result<(usize, T), FleetError> {
+        payload: &[u8],
+        timeout: Duration,
+    ) -> Result<FleetReply, FleetError> {
         if self.shards.is_empty() {
             return Err(FleetError::EmptyFleet);
         }
@@ -501,7 +475,7 @@ impl Router {
         let walk = || {
             let mut attempts = 0usize;
             let mut last = String::from("no shard tried");
-            for shard in self.ring.owners(key) {
+            for shard in self.ring.owners(user) {
                 let mut hop = root.child("hop");
                 let trace = hop.is_recording().then(|| TraceContext {
                     trace_id: hop.ctx().trace_id,
@@ -509,8 +483,8 @@ impl Router {
                     hop: attempts.min(u8::MAX as usize) as u8,
                 });
                 attempts += 1;
-                match attempt(shard, trace) {
-                    Ok(served) => {
+                match self.try_on(shard, payload, timeout, trace) {
+                    Ok((epoch, predictions)) => {
                         if attempts > 1 {
                             self.metrics.failovers.inc();
                         }
@@ -518,7 +492,11 @@ impl Router {
                         if hop.is_recording() {
                             hop.set_detail(format!("shard={shard} served"));
                         }
-                        return Ok((shard, served));
+                        return Ok(FleetReply {
+                            predictions,
+                            epoch,
+                            shard,
+                        });
                     }
                     Err(TryError::Reject(code, message)) => {
                         self.metrics.count_shed(code);
@@ -549,29 +527,26 @@ impl Router {
         walked
     }
 
-    /// One attempt on one shard: send `payload` as an `exchange` request
-    /// and classify the reply frame — the exchange's reply kind decodes to
-    /// the answer; availability errors (`Stopped`, and `Draining` for
-    /// predicts: a draining shard still revises) and anything
-    /// unintelligible walk the ring; every other typed error surfaces as a
-    /// refusal.
-    fn try_on<T>(
+    /// One attempt on one shard: send the predict `payload` and classify
+    /// the reply frame — predictions decode to the answer; availability
+    /// errors (`Stopped`, `Draining`) and anything unintelligible walk the
+    /// ring; every other typed error surfaces as a refusal.
+    fn try_on(
         &self,
         shard: usize,
-        exchange: &Exchange<T>,
         payload: &[u8],
         timeout: Duration,
         trace: Option<TraceContext>,
-    ) -> Result<T, TryError> {
+    ) -> Result<(u64, Vec<ResourcePrediction>), TryError> {
         let conn = self.conn_for(shard).map_err(TryError::Failover)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let framed;
         let (kind, bytes): (u8, &[u8]) = match &trace {
             Some(ctx) => {
                 framed = encode_with_trace(ctx, payload);
-                (exchange.ask | KIND_TRACE_FLAG, &framed)
+                (KIND_PREDICT | KIND_TRACE_FLAG, &framed)
             }
-            None => (exchange.ask, payload),
+            None => (KIND_PREDICT, payload),
         };
         let frame = match conn.request(kind, id, bytes, timeout) {
             Ok(f) => f,
@@ -583,15 +558,11 @@ impl Router {
             }
         };
         match frame.kind {
-            k if k == exchange.reply => (exchange.decode)(&frame.payload).map_err(|e| {
-                let what = exchange.what;
-                TryError::Failover(format!("shard {shard}: bad {what} payload: {e}"))
+            KIND_PREDICTIONS => decode_predictions(&frame.payload).map_err(|e| {
+                TryError::Failover(format!("shard {shard}: bad predictions payload: {e}"))
             }),
             KIND_ERROR => match decode_error(&frame.payload) {
-                Ok((code, msg))
-                    if code == ErrorCode::Stopped
-                        || (code == ErrorCode::Draining && exchange.ask == KIND_PREDICT) =>
-                {
+                Ok((code, msg)) if matches!(code, ErrorCode::Stopped | ErrorCode::Draining) => {
                     self.metrics.count_shed(code);
                     Err(TryError::Failover(format!("shard {shard} {code}: {msg}")))
                 }
@@ -736,28 +707,11 @@ enum TryError {
     Failover(String),
 }
 
-/// The wire shape of one kind of request that walks the ring.
-struct Exchange<T> {
-    ask: u8,
-    reply: u8,
-    /// The reply's name in diagnostics.
-    what: &'static str,
-    decode: fn(&[u8]) -> prionn_store::Result<T>,
+/// A deadline on the wire: whole milliseconds, rounded up and at least 1,
+/// because a shard reads 0 as "no deadline".
+fn wire_deadline_ms(d: Duration) -> u32 {
+    d.as_nanos().div_ceil(1_000_000).clamp(1, u32::MAX as u128) as u32
 }
-
-const PREDICT: Exchange<(u64, Vec<ResourcePrediction>)> = Exchange {
-    ask: KIND_PREDICT,
-    reply: KIND_PREDICTIONS,
-    what: "predictions",
-    decode: decode_predictions,
-};
-
-const REVISE: Exchange<RevisionReply> = Exchange {
-    ask: KIND_REVISE,
-    reply: KIND_REVISION,
-    what: "revision",
-    decode: decode_revision,
-};
 
 fn describe_error_frame(frame: &Frame) -> String {
     match decode_error(&frame.payload) {

@@ -6,7 +6,7 @@
 //! is two threads:
 //!
 //! * a **reader** decoding frames, answering admin messages (ping, stats,
-//!   drain, weight swap, revise) inline, and handing each predict straight
+//!   drain, weight swap) inline, and handing each predict straight
 //!   to [`Gateway::submit`] — which never blocks, so one connection can
 //!   have as many requests inside the gateway as its queue admits, and
 //!   that is what feeds micro-batch fusion. The gateway's bounded queue is
@@ -37,18 +37,16 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
-use prionn_observe::{DriftHead, SpanCtx};
-use prionn_revise::{ConformalCalibrator, PredictionInterval, ReviseConfig, Reviser};
+use prionn_observe::SpanCtx;
 use prionn_serve::{Gateway, PredictRequest};
 use prionn_store::wire::{encode_frame, read_frame, Frame};
 use prionn_store::{Checkpoint, StoreError};
 use prionn_telemetry::{Counter, Gauge};
 
 use crate::proto::{
-    decode_predict, decode_revise, encode_error, encode_predictions, encode_revision, encode_stats,
-    encode_swap_ack, strip_trace, ErrorCode, RevisionReply, ShardStats, KIND_DRAIN, KIND_DRAIN_ACK,
-    KIND_ERROR, KIND_PING, KIND_PONG, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE, KIND_REVISION,
-    KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK, KIND_SWAP_WEIGHTS,
+    decode_predict, encode_error, encode_predictions, encode_stats, encode_swap_ack, strip_trace,
+    ErrorCode, ShardStats, KIND_DRAIN, KIND_DRAIN_ACK, KIND_ERROR, KIND_PING, KIND_PONG,
+    KIND_PREDICT, KIND_PREDICTIONS, KIND_STATS, KIND_STATS_REPLY, KIND_SWAP_ACK, KIND_SWAP_WEIGHTS,
 };
 
 /// Tuning knobs for [`ShardServer::spawn`].
@@ -79,7 +77,6 @@ struct ShardMetrics {
     bytes_rx: Counter,
     bytes_tx: Counter,
     requests: Counter,
-    revisions: Counter,
     shed_draining: Counter,
     failover_arrivals: Counter,
     decode_errors: Counter,
@@ -116,10 +113,6 @@ impl ShardMetrics {
                 "fleet_shard_requests_total",
                 "Predict requests received over the wire",
             ),
-            revisions: t.counter(
-                "fleet_shard_revisions_total",
-                "In-flight revision requests answered over the wire",
-            ),
             shed_draining: t.counter_with(
                 "fleet_shard_shed_total",
                 "Requests shed at the shard server",
@@ -151,7 +144,6 @@ struct ShardInner {
     requests_served: AtomicU64,
     requests_shed: AtomicU64,
     failover_arrivals: AtomicU64,
-    revisions_served: AtomicU64,
     /// Live connection streams keyed by token, for prompt close at
     /// shutdown. A connection removes itself when its thread exits, so
     /// the map does not grow with connection churn.
@@ -184,7 +176,6 @@ impl ShardServer {
             requests_served: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
             failover_arrivals: AtomicU64::new(0),
-            revisions_served: AtomicU64::new(0),
             conns: Mutex::new(std::collections::HashMap::new()),
             conn_tokens: AtomicU64::new(0),
             conn_handles: Mutex::new(Vec::new()),
@@ -497,41 +488,6 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
                 }
             }
         }
-        KIND_REVISE => {
-            // Revisions are pure math over the drift window — no model
-            // inference, no queue. They are answered inline on the reader
-            // thread, and they keep serving while draining: in-flight
-            // jobs still need their intervals during a rollout.
-            inner.metrics.revisions.inc();
-            match decode_revise(payload) {
-                Ok(req) => {
-                    let reviser = Reviser::new(ReviseConfig::default());
-                    let revised = reviser.revise(&req.initial, &req.obs);
-                    let gw = &inner.gateway;
-                    let interval_for = |head: DriftHead, point: f64| match gw.drift() {
-                        Some(d) => ConformalCalibrator::from_window(&d.outcome_window(head))
-                            .interval(point, req.coverage),
-                        None => PredictionInterval::degenerate(point),
-                    };
-                    let reply = RevisionReply {
-                        epoch: gw.epoch(),
-                        runtime_minutes: interval_for(DriftHead::Runtime, revised.runtime_minutes),
-                        read_bytes: interval_for(DriftHead::Read, revised.read_bytes),
-                        write_bytes: interval_for(DriftHead::Write, revised.write_bytes),
-                    };
-                    inner.revisions_served.fetch_add(1, Ordering::SeqCst);
-                    send(encode_frame(KIND_REVISION, id, &encode_revision(&reply)))
-                }
-                Err(e) => {
-                    inner.metrics.decode_errors.inc();
-                    send(encode_frame(
-                        KIND_ERROR,
-                        id,
-                        &encode_error(ErrorCode::BadRequest, &e.to_string()),
-                    ))
-                }
-            }
-        }
         KIND_PING => send(encode_frame(KIND_PONG, id, &[])),
         KIND_STATS => {
             let gw = &inner.gateway;
@@ -543,7 +499,6 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
                 draining: inner.draining.load(Ordering::SeqCst),
                 requests_shed: inner.requests_shed.load(Ordering::SeqCst),
                 failover_arrivals: inner.failover_arrivals.load(Ordering::SeqCst),
-                revisions_served: inner.revisions_served.load(Ordering::SeqCst),
             };
             send(encode_frame(KIND_STATS_REPLY, id, &encode_stats(&stats)))
         }

@@ -6,16 +6,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prionn_core::ResourcePrediction;
 use prionn_fleet::proto::{
-    decode_error, decode_predictions, decode_revision, encode_predict, encode_revise, ErrorCode,
-    ReviseRequest, KIND_ERROR, KIND_PING, KIND_PONG, KIND_PREDICT, KIND_PREDICTIONS, KIND_REVISE,
-    KIND_REVISION,
+    decode_error, decode_predictions, encode_predict, ErrorCode, KIND_ERROR, KIND_PING, KIND_PONG,
+    KIND_PREDICT, KIND_PREDICTIONS,
 };
 use prionn_fleet::router::{FleetError, Router, RouterConfig};
 use prionn_fleet::shard::ShardConfig;
 use prionn_fleet::testkit::{demo_corpus, demo_gateway_config, LocalFleet};
-use prionn_revise::ProgressObs;
 use prionn_serve::Priority;
 use prionn_store::wire::{encode_frame, read_frame, Frame, MAX_FRAME_PAYLOAD};
 
@@ -274,131 +271,67 @@ fn oversized_frame_gets_typed_too_large_error() {
 }
 
 #[test]
-fn revise_round_trips_with_intervals_calibrated_on_the_shards_drift_window() {
-    // A shard whose gateway carries a drift monitor: outcomes recorded
-    // there calibrate the conformal intervals served on REVISE.
-    let telemetry = prionn_telemetry::Telemetry::default();
-    let drift =
-        prionn_observe::DriftMonitor::new(&telemetry, prionn_observe::DriftConfig::default());
+fn undecodable_payloads_get_typed_bad_request_and_the_connection_serves_on() {
+    let fleet = LocalFleet::spawn(1);
+    let scripts = demo_corpus();
+    let mut s = TcpStream::connect(&fleet.endpoints()[0]).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut ask = |kind: u8, id: u64, payload: &[u8]| {
+        s.write_all(&encode_frame(kind, id, payload)).unwrap();
+        read_frame(&mut s, MAX_FRAME_PAYLOAD)
+            .unwrap()
+            .expect("an answer, not a closed connection")
+    };
+    let bad_request = |frame: Frame| {
+        assert_eq!(frame.kind, KIND_ERROR);
+        let (code, msg) = decode_error(&frame.payload).unwrap();
+        assert_eq!(code, ErrorCode::BadRequest);
+        msg
+    };
+
+    // Truncated payload under a valid CRC, so it reaches the decoder: the
+    // Truncated decode error comes back as BadRequest.
+    let full = encode_predict(Priority::Normal, 0, &scripts[..1]);
+    let msg = bad_request(ask(KIND_PREDICT, 1, &full[..full.len() - 3]));
+    assert!(msg.contains("truncated"), "decode detail kept: {msg:?}");
+
+    // The retired revise kind is an unknown kind like any other.
+    let msg = bad_request(ask(0x04, 2, &[]));
+    assert!(
+        msg.contains("unknown frame kind 4"),
+        "kind named in {msg:?}"
+    );
+
+    assert_eq!(
+        ask(KIND_PREDICT, 3, &full).kind,
+        KIND_PREDICTIONS,
+        "connection survives bad frames and serves the next predict"
+    );
+}
+
+#[test]
+fn sub_millisecond_deadlines_are_shed_not_unbounded() {
+    // A 30 ms linger keeps a lone request queued well past a 1 ms deadline.
     let fleet = LocalFleet::spawn_with(
         1,
         prionn_serve::GatewayConfig {
-            drift: Some(drift),
+            max_wait: Duration::from_millis(30),
             ..demo_gateway_config()
         },
         ShardConfig::default(),
     );
     let router = router_for(&fleet);
-
-    // The model on this shard systematically underpredicts 2×: every
-    // recorded outcome's truth is double its prediction.
-    let gw = &fleet.shard(0).gateway;
-    for i in 0..64 {
-        let pred = ResourcePrediction {
-            runtime_minutes: 50.0 + i as f64,
-            read_bytes: 1.0e9,
-            write_bytes: 1.0e9,
-        };
-        gw.record_outcome(&pred, 2.0 * pred.runtime_minutes, 2.0e9, 2.0e9);
+    let scripts = demo_corpus();
+    for deadline in [Duration::from_micros(500), Duration::ZERO] {
+        match router.predict_for_user(1, &scripts[..1], Some(deadline)) {
+            Err(FleetError::Rejected {
+                code: ErrorCode::DeadlineExceeded,
+                shard: 0,
+                ..
+            }) => {}
+            other => panic!("a {deadline:?} deadline must be shed, got {other:?}"),
+        }
     }
-
-    // A job 30 minutes in, pacing at half its predicted IO rate.
-    let req = ReviseRequest {
-        obs: ProgressObs {
-            job_id: 42,
-            elapsed_seconds: 1800.0,
-            read_bytes_so_far: 2.5e8,
-            write_bytes_so_far: 2.5e8,
-        },
-        initial: ResourcePrediction {
-            runtime_minutes: 60.0,
-            read_bytes: 1.0e9,
-            write_bytes: 1.0e9,
-        },
-        coverage: 0.8,
-    };
-    let got = router.revise(&req).expect("revision over the wire");
-    assert_eq!(got.shard, 0);
-    let rt = got.revision.runtime_minutes;
-    assert!(
-        rt.point > req.initial.runtime_minutes,
-        "slow pace must revise the point upward, got {}",
-        rt.point
-    );
-    assert!(
-        rt.lo > rt.point,
-        "a 2x-underpredicting shard recentres the interval above its \
-         point: lo {} vs point {}",
-        rt.lo,
-        rt.point
-    );
-    assert!(rt.lo <= rt.hi);
-
-    // Same request straight over a raw socket decodes to the same answer.
-    let frame = raw_roundtrip(
-        &fleet.endpoints()[0],
-        &encode_frame(KIND_REVISE, 7, &encode_revise(&req)),
-    )
-    .expect("raw revise answer");
-    assert_eq!(frame.kind, KIND_REVISION);
-    let raw = decode_revision(&frame.payload).unwrap();
-    assert_eq!(raw, got.revision);
-}
-
-#[test]
-fn malformed_revise_payloads_get_typed_bad_request() {
-    let fleet = LocalFleet::spawn(1);
-    let addr = fleet.endpoints()[0].clone();
-    let req = ReviseRequest {
-        obs: ProgressObs {
-            job_id: 1,
-            elapsed_seconds: 600.0,
-            read_bytes_so_far: 1.0e8,
-            write_bytes_so_far: 1.0e8,
-        },
-        initial: ResourcePrediction {
-            runtime_minutes: 60.0,
-            read_bytes: 1.0e9,
-            write_bytes: 1.0e9,
-        },
-        coverage: 0.9,
-    };
-
-    // Truncated payload (framed with a valid CRC, so it reaches the
-    // decoder): the Truncated decode error comes back as BadRequest.
-    let full = encode_revise(&req);
-    let frame = raw_roundtrip(
-        &addr,
-        &encode_frame(KIND_REVISE, 1, &full[..full.len() - 8]),
-    )
-    .expect("typed answer to truncated revise");
-    assert_eq!(frame.kind, KIND_ERROR);
-    let (code, msg) = decode_error(&frame.payload).unwrap();
-    assert_eq!(code, ErrorCode::BadRequest);
-    assert!(msg.contains("truncated"), "decode detail kept: {msg:?}");
-
-    // Semantically corrupt payload (coverage 1.5): same typed path, and
-    // the connection keeps serving afterwards.
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let corrupt = encode_revise(&ReviseRequest {
-        coverage: 1.5,
-        ..req
-    });
-    s.write_all(&encode_frame(KIND_REVISE, 2, &corrupt))
-        .unwrap();
-    let frame = read_frame(&mut s, MAX_FRAME_PAYLOAD).unwrap().unwrap();
-    assert_eq!(frame.kind, KIND_ERROR);
-    let (code, msg) = decode_error(&frame.payload).unwrap();
-    assert_eq!(code, ErrorCode::BadRequest);
-    assert!(msg.contains("coverage"), "corrupt detail kept: {msg:?}");
-
-    s.write_all(&encode_frame(KIND_REVISE, 3, &full)).unwrap();
-    let frame = read_frame(&mut s, MAX_FRAME_PAYLOAD).unwrap().unwrap();
-    assert_eq!(
-        frame.kind, KIND_REVISION,
-        "connection survives a bad revise and serves the next one"
-    );
 }
 
 #[test]
@@ -595,32 +528,4 @@ fn replica_panic_behind_a_shard_reaches_the_router_typed_not_as_a_timeout() {
     let stats = router.shard_stats(0).unwrap();
     assert_eq!(stats.live_replicas, 0);
     assert_eq!(stats.requests_shed, 2);
-}
-
-#[test]
-fn revisions_are_not_counted_as_predict_requests() {
-    let fleet = LocalFleet::spawn(1);
-    let router = router_for(&fleet);
-    let scripts = demo_corpus();
-    router.predict(1, &scripts[..1]).unwrap();
-    let req = ReviseRequest {
-        obs: ProgressObs {
-            job_id: 9,
-            elapsed_seconds: 600.0,
-            read_bytes_so_far: 1.0e8,
-            write_bytes_so_far: 1.0e8,
-        },
-        initial: ResourcePrediction {
-            runtime_minutes: 60.0,
-            read_bytes: 1.0e9,
-            write_bytes: 1.0e9,
-        },
-        coverage: 0.9,
-    };
-    for _ in 0..5 {
-        router.revise(&req).unwrap();
-    }
-    let stats = router.shard_stats(0).unwrap();
-    assert_eq!(stats.requests_served, 1, "predicts only");
-    assert_eq!(stats.revisions_served, 5);
 }

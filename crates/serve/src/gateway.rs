@@ -758,11 +758,6 @@ impl Gateway {
         &self.tracer
     }
 
-    /// The drift monitor, when one was configured.
-    pub fn drift(&self) -> Option<&DriftMonitor> {
-        self.drift.as_ref()
-    }
-
     /// Feed a completed job back into the drift monitor: `prediction` is
     /// what the gateway answered at submission, the rest is ground truth
     /// observed at completion. No-op without a configured monitor.
