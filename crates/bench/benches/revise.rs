@@ -16,12 +16,16 @@
 //! Method: a population of jobs whose runtime predictions carry
 //! log-uniform multiplicative error (IO predictions tighter — volumes
 //! are easier than durations). Phase 1 times the pure revise+interval
-//! step. Phase 2 calibrates on half the population and scores coverage
-//! on the held-out half. Phase 3 replays the trace through a
-//! [`SimEngine`] with a [`ReviseEngine`] ticking on a 60s cadence —
-//! jobs whose revised interval `lo` crosses their requested walltime
-//! are killed early — against the walltime-limit baseline where the
-//! same doomed jobs burn their full allocation.
+//! step on a fixed calibrator (`revisions_per_sec`). Phase 2 calibrates
+//! on half the population and scores coverage on the held-out half.
+//! Phase 3 replays the trace through a [`SimEngine`] with a
+//! [`ReviseEngine`] ticking on a 60s cadence — jobs whose revised
+//! interval `lo` crosses their requested walltime are killed early —
+//! against the walltime-limit baseline where the same doomed jobs burn
+//! their full allocation; it times the whole tick as well
+//! (`tick_revisions_per_sec`: revisions ÷ seconds inside `tick`, which
+//! adds calibration upkeep, progress polling, scheduling updates and the
+//! completion sweep to the pure step).
 
 use prionn_core::{relative_accuracy, ResourcePrediction};
 use prionn_observe::{DriftHead, DriftMonitor};
@@ -231,6 +235,7 @@ fn main() {
     let truth_of = |id: u64| jobs.iter().find(|j| j.id == id).expect("trace job");
 
     let t = Instant::now();
+    let mut tick_secs = 0.0f64;
     let mut next = 0usize;
     let mut clock = 0u64;
     loop {
@@ -257,7 +262,9 @@ fn main() {
             });
             next += 1;
         }
+        let tick_started = Instant::now();
         let report = engine.tick(&mut sim);
+        tick_secs += tick_started.elapsed().as_secs_f64();
         for rev in &report.revisions {
             let j = truth_of(rev.job_id);
             // Past 25% of the job's actual life: does the revised point
@@ -280,6 +287,7 @@ fn main() {
     }
     let trace_secs = t.elapsed().as_secs_f64();
     let snap = engine.snapshot();
+    let tick_revisions_per_sec = snap.revisions_total as f64 / tick_secs;
     let revise_wasted_hours = baseline_wasted_hours - snap.cpu_hours_saved;
     let mean_ra_revised = ra_revised_sum / ra_count.max(1) as f64;
     let mean_ra_initial = ra_initial_sum / ra_count.max(1) as f64;
@@ -293,6 +301,11 @@ fn main() {
          over {ra_count} revisions",
         mean_ra_revised, mean_ra_initial
     );
+    println!(
+        "  tick: {} revisions in {tick_secs:.3}s inside ReviseEngine::tick \
+         ({tick_revisions_per_sec:.0}/s)",
+        snap.revisions_total
+    );
 
     let report = json!({
         "bench": "revise",
@@ -300,6 +313,7 @@ fn main() {
         "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "hot_path_revisions": hot_iters,
         "revisions_per_sec": revisions_per_sec,
+        "tick_revisions_per_sec": tick_revisions_per_sec,
         "empirical_coverage": coverage,
         "coverage_tolerance": 0.03,
         "coverage_ok": coverage_ok,

@@ -117,6 +117,19 @@ pub struct OutcomeSample {
     pub bin: usize,
 }
 
+/// A head's window change since a given sample count, from
+/// [`DriftMonitor::outcomes_since`].
+#[derive(Clone, Debug)]
+pub struct OutcomeDelta {
+    /// Samples ever recorded into the head.
+    pub samples: u64,
+    /// Samples the window holds now.
+    pub window_len: usize,
+    /// Samples newer than the given count still in the window, oldest
+    /// first: the last `min(samples − seen, window_len)` of it.
+    pub fresh: Vec<OutcomeSample>,
+}
+
 /// Drift-monitor tuning.
 #[derive(Clone, Debug)]
 pub struct DriftConfig {
@@ -377,19 +390,31 @@ impl DriftMonitor {
         secs
     }
 
-    /// Copy of `head`'s rolling outcome window, oldest first. This is the
-    /// accessor the split-conformal calibrator builds its score sample
-    /// from — one window, maintained here, consumed there.
+    /// Copy of `head`'s rolling outcome window, oldest first — one window,
+    /// maintained here, consumed by the split-conformal calibrator (which
+    /// follows it through [`outcomes_since`](Self::outcomes_since)).
     pub fn outcome_window(&self, head: DriftHead) -> Vec<OutcomeSample> {
         let s = lock(&self.inner.heads[head.index()]);
-        s.window
-            .iter()
-            .map(|&(_, (truth, predicted), bin)| OutcomeSample {
-                truth,
-                predicted,
-                bin,
-            })
-            .collect()
+        s.window.iter().map(outcome_sample).collect()
+    }
+
+    /// What `head`'s window gained since it had recorded `seen` samples:
+    /// the samples recorded so far, the window's length, and the samples
+    /// newer than `seen` that are still in the window, oldest first. Copies
+    /// nothing when no sample is newer.
+    pub fn outcomes_since(&self, head: DriftHead, seen: u64) -> OutcomeDelta {
+        let s = lock(&self.inner.heads[head.index()]);
+        let window_len = s.window.len();
+        let newer = s.samples.saturating_sub(seen).min(window_len as u64) as usize;
+        OutcomeDelta {
+            samples: s.samples,
+            window_len,
+            fresh: s
+                .window
+                .range(window_len - newer..)
+                .map(outcome_sample)
+                .collect(),
+        }
     }
 
     /// Point-in-time readout of every head plus the staleness clock.
@@ -414,6 +439,14 @@ impl DriftMonitor {
             staleness_seconds: self.refresh_staleness(),
             weight_updates: self.inner.weight_updates.value(),
         }
+    }
+}
+
+fn outcome_sample(&(_, (truth, predicted), bin): &(f64, (f64, f64), usize)) -> OutcomeSample {
+    OutcomeSample {
+        truth,
+        predicted,
+        bin,
     }
 }
 
@@ -624,6 +657,37 @@ mod tests {
         assert_eq!(w[0].predicted, 10.0);
         assert_eq!(w[3].truth, 50.0);
         assert!(d.outcome_window(DriftHead::Read).is_empty());
+    }
+
+    #[test]
+    fn outcomes_since_returns_the_fresh_tail_of_the_window() {
+        let t = Telemetry::new();
+        let d = DriftMonitor::new(
+            &t,
+            DriftConfig {
+                window: 4,
+                ..DriftConfig::default()
+            },
+        );
+        for i in 0..3u32 {
+            d.record(DriftHead::Runtime, f64::from(i), 1.0);
+        }
+        let delta = d.outcomes_since(DriftHead::Runtime, 1);
+        assert_eq!((delta.samples, delta.window_len), (3, 3));
+        let truths: Vec<f64> = delta.fresh.iter().map(|s| s.truth).collect();
+        assert_eq!(truths, [1.0, 2.0]);
+        let idle = d.outcomes_since(DriftHead::Runtime, 3);
+        assert!(idle.fresh.is_empty());
+        assert_eq!(idle.fresh.capacity(), 0, "nothing newer, nothing copied");
+        // Six more: more arrived than the window holds, so the whole
+        // window is fresh.
+        for i in 3..9u32 {
+            d.record(DriftHead::Runtime, f64::from(i), 1.0);
+        }
+        let burst = d.outcomes_since(DriftHead::Runtime, 3);
+        assert_eq!((burst.samples, burst.window_len), (9, 4));
+        let truths: Vec<f64> = burst.fresh.iter().map(|s| s.truth).collect();
+        assert_eq!(truths, [5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub mod trace;
 
 pub use collector::{CollectorConfig, FleetCollector, ShardTarget};
 pub use drift::{
-    DriftConfig, DriftHead, DriftMonitor, DriftSnapshot, HeadSnapshot, OutcomeSample, OutcomeStatus,
+    DriftConfig, DriftHead, DriftMonitor, DriftSnapshot, HeadSnapshot, OutcomeDelta, OutcomeSample,
+    OutcomeStatus,
 };
 pub use flight::{FlightConfig, FlightRecorder};
 pub use ops::{JsonProbe, OpsOptions, OpsServer, Readiness, ReadyProbe};

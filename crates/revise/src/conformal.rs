@@ -1,7 +1,7 @@
 //! Split-conformal prediction intervals over the drift monitor's window.
 //!
 //! The calibration set is the rolling outcome window `prionn-observe`'s
-//! [`DriftMonitor`](prionn_observe::DriftMonitor) already maintains per
+//! [`DriftMonitor`] already maintains per
 //! prediction head: recent `(truth, predicted)` pairs, killed and requeued
 //! jobs included. Each pair yields a *nonconformity score* — the
 //! multiplicative residual
@@ -25,6 +25,14 @@
 //! workload: an additive band wide enough for 16-hour jobs would be
 //! useless for 5-minute ones.
 //!
+//! The engine's calibrator *follows* the window
+//! ([`ConformalCalibrator::follow`]): each outcome recorded since the last
+//! tick goes into the sorted scores by binary search, each one that slid
+//! out of the window comes out the same way, and a tick with no new
+//! outcome costs one lock and a comparison. The quantiles depend only on
+//! the multiset of scores, so a followed calibrator answers bit for bit
+//! what [`ConformalCalibrator::from_window`] over the same window would.
+//!
 //! Two properties the property tests pin:
 //! * **coverage** — on held-out outcomes drawn from the same distribution,
 //!   the fraction of truths inside the interval is within a few percent of
@@ -32,7 +40,9 @@
 //! * **monotonicity** — raising the coverage level never narrows the
 //!   interval (immediate from the quantile ranks moving outward).
 
-use prionn_observe::OutcomeSample;
+use std::collections::VecDeque;
+
+use prionn_observe::{DriftHead, DriftMonitor, OutcomeSample};
 
 /// Floor for the prediction in the score denominator (and for interval
 /// arithmetic), so a zero prediction cannot produce infinite scores.
@@ -75,34 +85,93 @@ impl PredictionInterval {
     }
 }
 
+/// The raw nonconformity score of one outcome.
+fn score(s: &OutcomeSample) -> f64 {
+    s.truth / s.predicted.max(SCORE_EPSILON)
+}
+
+/// Scores that calibrate: finite and positive.
+fn usable(score: f64) -> bool {
+    score.is_finite() && score > 0.0
+}
+
+fn sort_scores(scores: &mut [f64]) {
+    scores.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
+}
+
 /// Split-conformal calibrator for one prediction head: a sorted sample of
-/// nonconformity scores and the quantile machinery over it. Rebuild it
-/// from the drift window whenever fresher outcomes should count (it is a
-/// cheap value type — one sorted `Vec`).
+/// nonconformity scores and the quantile machinery over it. Build one
+/// from a score sample or a window, or keep one up to date with a drift
+/// monitor's window through [`follow`](Self::follow).
 #[derive(Clone, Debug, Default)]
 pub struct ConformalCalibrator {
     /// Ascending nonconformity scores.
     scores: Vec<f64>,
+    /// The followed window's scores in arrival order, `None` where the
+    /// sample's score did not calibrate (empty unless following).
+    arrivals: VecDeque<Option<f64>>,
+    /// The followed head's sample count at the last `follow`.
+    seen: u64,
 }
 
 impl ConformalCalibrator {
     /// Calibrator over raw `truth / max(pred, ε)` scores. Non-finite and
     /// non-positive entries are dropped.
     pub fn from_scores(mut scores: Vec<f64>) -> Self {
-        scores.retain(|s| s.is_finite() && *s > 0.0);
-        scores.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-        ConformalCalibrator { scores }
+        scores.retain(|&s| usable(s));
+        sort_scores(&mut scores);
+        ConformalCalibrator {
+            scores,
+            ..ConformalCalibrator::default()
+        }
     }
 
-    /// Calibrator over a drift-monitor outcome window (the designed
-    /// source: `DriftMonitor::outcome_window(head)`).
+    /// Calibrator over a drift-monitor outcome window
+    /// (`DriftMonitor::outcome_window(head)`): the reference a followed
+    /// calibrator answers the same as.
     pub fn from_window(window: &[OutcomeSample]) -> Self {
-        Self::from_scores(
-            window
-                .iter()
-                .map(|s| s.truth / s.predicted.max(SCORE_EPSILON))
-                .collect(),
-        )
+        Self::from_scores(window.iter().map(score).collect())
+    }
+
+    /// Bring the calibrator up to date with `head`'s window on `drift`:
+    /// the outcomes recorded since the last call go in by binary search,
+    /// the ones the window evicted come out the same way, and when more
+    /// arrived than the window holds the scores are rebuilt from it. No
+    /// new outcome, no work. A calibrator follows one monitor; start from
+    /// `ConformalCalibrator::default()` to follow another.
+    pub fn follow(&mut self, drift: &DriftMonitor, head: DriftHead) {
+        let delta = drift.outcomes_since(head, self.seen);
+        let arrived = delta.samples.saturating_sub(self.seen);
+        if arrived == 0 {
+            return;
+        }
+        self.seen = delta.samples;
+        let fresh = delta
+            .fresh
+            .iter()
+            .map(|s| Some(score(s)).filter(|&v| usable(v)));
+        if arrived >= delta.window_len as u64 {
+            self.arrivals.clear();
+            self.arrivals.extend(fresh);
+            self.scores.clear();
+            self.scores.extend(self.arrivals.iter().flatten());
+            sort_scores(&mut self.scores);
+            return;
+        }
+        for v in fresh {
+            if let Some(v) = v {
+                let at = self.scores.partition_point(|&x| x < v);
+                self.scores.insert(at, v);
+            }
+            self.arrivals.push_back(v);
+        }
+        while self.arrivals.len() > delta.window_len {
+            if let Some(Some(v)) = self.arrivals.pop_front() {
+                let at = self.scores.partition_point(|&x| x < v);
+                debug_assert_eq!(self.scores[at], v, "evicted score was calibrating");
+                self.scores.remove(at);
+            }
+        }
     }
 
     /// Calibration-sample count.

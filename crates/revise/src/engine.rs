@@ -16,14 +16,19 @@
 //!    engine kills it now, reclaiming the nodes it would have burned, and
 //!    records the partial outcome (tagged killed/requeued) so calibration
 //!    stays honest;
-//! 4. completed jobs are swept, their truth checked against the last
-//!    served interval (the empirical-coverage gauges), and their outcome
-//!    fed back to the attached drift monitor.
+//! 4. tracked jobs the simulator reports as departed since the last tick
+//!    are swept, their truth checked against the last served interval
+//!    (the empirical-coverage gauges), and their outcome fed back to the
+//!    attached drift monitor.
+//!
+//! A tick costs what changed since the last one: the calibrator follows
+//! the drift window by sorted insert and evict (nothing when no outcome
+//! arrived), and the sweep visits only the simulator's departures.
 //!
 //! Everything exports under the `revise_*` metric prefix and the
 //! [`ops_probe`](ReviseEngine::ops_probe) JSON served at `/revise`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use prionn_core::ResourcePrediction;
@@ -176,9 +181,13 @@ impl Instruments {
                 "revise_cpu_hours_saved",
                 "Node-hours reclaimed by early termination vs. running to the walltime limit",
             ),
-            interval_width: t.histogram(
+            // Minutes, not seconds: log buckets from 1 min to 8192 min,
+            // past 8× the paper's 960-minute runtime cap.
+            interval_width: t.histogram_custom(
                 "revise_interval_width_minutes",
                 "Width (hi - lo) of served runtime prediction intervals, minutes",
+                &[],
+                || Histogram::with_log_buckets(1.0, 8192.0, 1),
             ),
             outcomes_covered: t.counter_with(
                 "revise_outcomes_total",
@@ -263,13 +272,17 @@ impl ReviseEngine {
 
     /// Attach a drift monitor (a serving gateway's, to calibrate on what it
     /// served): it becomes both the calibration source and the outcome
-    /// sink.
+    /// sink. The calibrator starts afresh on the new monitor's window.
     pub fn attach_drift(&self, drift: &DriftMonitor) {
-        lock(&self.inner).drift = Some(drift.clone());
+        let mut inner = lock(&self.inner);
+        inner.drift = Some(drift.clone());
+        inner.calibrator = ConformalCalibrator::default();
     }
 
     /// Start tracking a job. Call at submission, alongside
-    /// `SimEngine::submit`.
+    /// `SimEngine::submit`: completions are swept from the simulator's
+    /// departures, so a job tracked after it has left the machine is never
+    /// swept.
     pub fn track(&self, job: TrackedJob) {
         let mut inner = lock(&self.inner);
         inner.stream.register(job.id, job.truth);
@@ -285,12 +298,11 @@ impl ReviseEngine {
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
 
-        // Refresh the calibrator from the drift monitor's rolling window
+        // Catch the calibrator up with the drift monitor's rolling window
         // (killed/requeued outcomes included — that is the point of the
         // status-tagged record path).
         if let Some(d) = &inner.drift {
-            inner.calibrator =
-                ConformalCalibrator::from_window(&d.outcome_window(DriftHead::Runtime));
+            inner.calibrator.follow(d, DriftHead::Runtime);
         }
         self.instruments
             .calibration_samples
@@ -379,24 +391,16 @@ impl ReviseEngine {
             report.kills.push(killed);
         }
 
-        // Sweep completions: tracked jobs that are neither running nor
-        // queued but have a schedule entry ran to their natural end.
-        let running: HashSet<u64> = sim.running_info().map(|r| r.id).collect();
-        let queued: HashSet<u64> = sim.queued_jobs().map(|q| q.id).collect();
-        let mut done: Vec<u64> = inner
-            .tracked
-            .keys()
-            .filter(|id| !running.contains(id) && !queued.contains(id))
-            .copied()
-            .collect();
-        // `tracked` is a HashMap: sort so jobs finishing in one tick enter
-        // the drift window in the same order on every replay.
-        done.sort_unstable();
-        for id in done {
-            if !sim.finished().iter().any(|e| e.id == id) {
-                continue; // tracked but not yet submitted to this sim
-            }
-            let t = inner.tracked.remove(&id).expect("tracked");
+        // Sweep completions: tracked jobs that left the machine since the
+        // last tick (the kills above are untracked already). Sorted by id
+        // so jobs finishing in one tick enter the drift window in the same
+        // order on every replay.
+        let mut departed = sim.take_departures();
+        departed.sort_unstable();
+        for id in departed {
+            let Some(t) = inner.tracked.remove(&id) else {
+                continue;
+            };
             inner.stream.forget(id);
             let truth_minutes = t.job.truth.runtime_seconds as f64 / 60.0;
             if let Some(interval) = t.latest {
@@ -631,6 +635,40 @@ mod tests {
             text.contains("drift_outcomes_total{head=\"runtime\",status=\"completed\"} 65"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn wide_intervals_land_in_a_finite_width_bucket() {
+        let t = Telemetry::new();
+        let engine = ReviseEngine::new(&t, ReviseConfig::default());
+        // Scores 1 and 18 in equal parts: at 90% the interval is
+        // [p, 18·p], so a 120-minute point is 2,040 minutes wide.
+        let drift = DriftMonitor::with_defaults(&t);
+        for _ in 0..32 {
+            drift.record(DriftHead::Runtime, 100.0, 100.0);
+            drift.record(DriftHead::Runtime, 1800.0, 100.0);
+        }
+        engine.attach_drift(&drift);
+        engine.track(tracked(5, 120.0, 200_000, 7_200));
+        let mut sim = SimEngine::new(8);
+        sim.submit(SimJob {
+            id: 5,
+            submit: 0,
+            nodes: 2,
+            runtime: 7_200,
+            estimate: 7_200,
+        });
+        sim.advance_to(600);
+        let report = engine.tick(&mut sim);
+        let width = report.revisions[0].runtime_interval.width();
+        assert!((2_000.0..2_100.0).contains(&width), "width={width}");
+        let text = t.prometheus();
+        for bucket in [
+            "revise_interval_width_minutes_bucket{le=\"1024\"} 0",
+            "revise_interval_width_minutes_bucket{le=\"2048\"} 1",
+        ] {
+            assert!(text.contains(bucket), "missing {bucket}:\n{text}");
+        }
     }
 
     #[test]

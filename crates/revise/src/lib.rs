@@ -51,9 +51,9 @@
 //! assert!(interval.lo <= interval.hi);
 //! ```
 //!
-//! The fleet wire protocol serves revisions on the `REVISE` frame kind,
-//! the ops endpoint exposes `/revise`, and `docs/REVISION.md` covers the
-//! cadence, blending, and conformal math in detail.
+//! Revision runs in-process beside the scheduler, the ops endpoint
+//! exposes `/revise`, and `docs/REVISION.md` covers the cadence,
+//! blending, and conformal math in detail.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

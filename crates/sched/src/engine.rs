@@ -163,6 +163,9 @@ pub struct SimEngine {
     /// work into holes); reservations use `hi` via `end_estimated`
     /// (pessimistic: never let backfill push the queue head back).
     intervals: HashMap<u64, (u64, u64)>,
+    /// Ids of jobs that left the machine (natural end or `kill_running`)
+    /// since the last [`SimEngine::take_departures`], in departure order.
+    departed: Vec<u64>,
     telemetry: Option<SchedInstruments>,
 }
 
@@ -178,6 +181,7 @@ impl SimEngine {
             queue: VecDeque::new(),
             finished: Vec::new(),
             intervals: HashMap::new(),
+            departed: Vec::new(),
             telemetry: None,
         }
     }
@@ -230,28 +234,42 @@ impl SimEngine {
 
     /// Install a revised `[lo, hi]` runtime interval (seconds) for job
     /// `id`. A running job's planned end moves to `start + hi` (the
-    /// reservation end backfill must respect); a queued job will
-    /// fit-check against `lo` when considered for backfill and reserve
-    /// `hi` once started. Re-calling replaces the previous interval.
-    /// Returns true if the job is currently running or queued.
+    /// reservation end backfill must respect); any other job — queued or
+    /// not yet submitted — will fit-check against `lo` when considered
+    /// for backfill and reserve `hi` once started. Re-calling replaces the
+    /// previous interval. Returns true if the job is currently running or
+    /// queued.
     pub fn set_estimate_interval(&mut self, id: u64, lo_seconds: u64, hi_seconds: u64) -> bool {
         let lo = lo_seconds.max(1);
         let hi = hi_seconds.max(lo);
-        self.intervals.insert(id, (lo, hi));
         if let Some(r) = self.running.iter_mut().find(|r| r.id == id) {
             // Never plan an end in the past: a job that already outlived
-            // `hi` is treated as ending imminently.
+            // `hi` is treated as ending imminently. The side table is
+            // read only when a job starts or is tried for backfill, so a
+            // running job needs no entry.
             r.end_estimated = (r.start + hi).max(self.now + 1);
             return true;
         }
+        self.intervals.insert(id, (lo, hi));
         self.queue.iter().any(|q| q.id == id)
     }
 
     /// Terminate running job `id` now, freeing its nodes and running a
     /// scheduling pass over the reclaimed space. The job's schedule entry
-    /// is truncated to the kill time (it occupied nodes only that long).
-    /// Returns what was reclaimed, or `None` if `id` is not running.
+    /// is truncated to the kill time (it occupied nodes only that long),
+    /// and the job counts as a departure. Returns what was reclaimed, or
+    /// `None` if `id` is not running.
     pub fn kill_running(&mut self, id: u64) -> Option<KilledJob> {
+        let killed = self.evict(id)?;
+        self.departed.push(id);
+        self.try_schedule();
+        Some(killed)
+    }
+
+    /// Take a running job off its nodes: the part of a kill shared by
+    /// [`kill_running`](Self::kill_running) and
+    /// [`kill_and_requeue`](Self::kill_and_requeue).
+    fn evict(&mut self, id: u64) -> Option<KilledJob> {
         let idx = self.running.iter().position(|r| r.id == id)?;
         let r = self.running.swap_remove(idx);
         self.free_nodes += r.nodes;
@@ -269,23 +287,24 @@ impl SimEngine {
         {
             e.end = self.now.max(e.start);
         }
-        let killed = KilledJob {
+        Some(KilledJob {
             id: r.id,
             nodes: r.nodes,
             started: r.start,
             killed_at: self.now,
             projected_end: r.end_actual,
-        };
-        self.try_schedule();
-        Some(killed)
+        })
     }
 
     /// Kill running job `id` and put it back on the queue for a fresh
     /// attempt (submitted at the current time, full runtime again, with
-    /// `estimate_seconds` as its new planning estimate). Returns the kill
-    /// record, or `None` if `id` is not running.
+    /// `estimate_seconds` as its new planning estimate). The job goes back
+    /// to the queue, so it is no departure. Returns the kill record, or
+    /// `None` if `id` is not running.
     pub fn kill_and_requeue(&mut self, id: u64, estimate_seconds: u64) -> Option<KilledJob> {
-        let killed = self.kill_running(id)?;
+        let killed = self.evict(id)?;
+        // The pass a plain kill runs, before the retry joins the queue.
+        self.try_schedule();
         if let Some(tel) = &self.telemetry {
             tel.jobs_requeued.inc();
         }
@@ -314,6 +333,14 @@ impl SimEngine {
         &self.finished
     }
 
+    /// Hand over the ids of the jobs that left the machine since the last
+    /// call, in departure order: every natural end and every
+    /// [`kill_running`](Self::kill_running). A requeue puts the job back
+    /// in the queue and is no departure; forks start with none.
+    pub fn take_departures(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.departed)
+    }
+
     /// Advance the clock to `t`, completing every job whose actual end is
     /// `<= t` (in end-time order) and backfilling after each completion.
     pub fn advance_to(&mut self, t: u64) {
@@ -332,6 +359,7 @@ impl SimEngine {
                             let r = self.running.swap_remove(i);
                             self.free_nodes += r.nodes;
                             self.intervals.remove(&r.id);
+                            self.departed.push(r.id);
                         } else {
                             i += 1;
                         }
@@ -393,6 +421,7 @@ impl SimEngine {
         fork.telemetry = None;
         fork.finished.clear();
         fork.intervals.clear();
+        fork.departed.clear();
         for r in &mut fork.running {
             let end = r.start + predicted(r.id).max(1);
             let end = end.max(fork.now + 1);
@@ -796,6 +825,32 @@ mod tests {
         assert_eq!(s.entries[0].start, 30, "restarts at the kill time");
         assert_eq!(s.entries[0].end, 130, "full runtime again");
         assert!(t.prometheus().contains("sched_jobs_requeued_total 1"));
+    }
+
+    #[test]
+    fn departures_are_natural_ends_and_kills_but_not_requeues() {
+        let mut engine = SimEngine::new(10);
+        engine.submit(job(0, 0, 2, 50, 50));
+        engine.submit(job(1, 0, 2, 500, 500));
+        engine.submit(job(2, 0, 2, 500, 500));
+        engine.advance_to(10);
+        assert!(engine.take_departures().is_empty(), "nothing left yet");
+        engine.kill_running(2).expect("running");
+        engine.kill_and_requeue(1, 500).expect("running");
+        engine.advance_to(60);
+        assert_eq!(
+            engine.take_departures(),
+            [2, 0],
+            "the kill, then job 0's natural end; the requeue stays"
+        );
+        assert!(engine.take_departures().is_empty(), "handed over once");
+        engine.advance_to(10_000);
+        assert_eq!(engine.take_departures(), [1], "the retry's natural end");
+        engine.submit(job(3, 10_000, 2, 50, 50));
+        engine.advance_to(10_100);
+        let mut fork = engine.fork_with_predictions(|_| 1);
+        assert!(fork.take_departures().is_empty(), "forks start empty");
+        assert_eq!(engine.take_departures(), [3]);
     }
 
     #[test]
