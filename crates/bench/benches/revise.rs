@@ -8,8 +8,9 @@
 //!
 //! * `--smoke`   — smaller trace and fewer hot-path iterations, for CI;
 //! * `--enforce` — exit non-zero unless the run sustained ≥ 50k
-//!   revisions/sec, held empirical coverage within ±3% of nominal at
-//!   80/90/95%, terminated hopeless jobs early (saved CPU-hours > 0),
+//!   revisions/sec on the pure step and ≥ 500k inside
+//!   `ReviseEngine::tick`, held empirical coverage within ±3% of nominal
+//!   at 80/90/95%, terminated hopeless jobs early (saved CPU-hours > 0),
 //!   and revised predictions beat submission-only predictions on mean
 //!   relativeAccuracy for jobs past 25% progress.
 //!
@@ -24,8 +25,8 @@
 //! against the walltime-limit baseline where the same doomed jobs burn
 //! their full allocation; it times the whole tick as well
 //! (`tick_revisions_per_sec`: revisions ÷ seconds inside `tick`, which
-//! adds calibration upkeep, progress polling, scheduling updates and the
-//! completion sweep to the pure step).
+//! adds calibration upkeep, the pass over the running set, scheduling
+//! updates and the completion sweep to the pure step).
 
 use prionn_core::{relative_accuracy, ResourcePrediction};
 use prionn_observe::{DriftHead, DriftMonitor};
@@ -329,6 +330,7 @@ fn main() {
         "trace_empirical_coverage": snap.empirical_coverage.unwrap_or(-1.0),
         "floor": {
             "revisions_per_sec": 50_000,
+            "tick_revisions_per_sec": 500_000,
             "coverage_within": 0.03,
             "cpu_hours_saved_gt": 0.0,
         },
@@ -342,6 +344,13 @@ fn main() {
         let mut failed = false;
         if revisions_per_sec < 50_000.0 {
             eprintln!("FAIL: hot path sustained {revisions_per_sec:.0} revisions/s (< 50k floor)");
+            failed = true;
+        }
+        if tick_revisions_per_sec < 500_000.0 {
+            eprintln!(
+                "FAIL: ReviseEngine::tick sustained {tick_revisions_per_sec:.0} revisions/s \
+                 (< 500k floor)"
+            );
             failed = true;
         }
         if !coverage_ok {
@@ -363,7 +372,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "enforce: {revisions_per_sec:.0} revisions/s >= 50k, coverage within 3 points, \
+            "enforce: {revisions_per_sec:.0} revisions/s >= 50k, {tick_revisions_per_sec:.0} \
+             tick revisions/s >= 500k, coverage within 3 points, \
              {:.1} CPU-hours saved > 0, revised accuracy {mean_ra_revised:.4} > {mean_ra_initial:.4}",
             snap.cpu_hours_saved
         );

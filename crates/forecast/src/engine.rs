@@ -165,6 +165,29 @@ struct EngineInner {
     truncated_gauge: Gauge,
 }
 
+impl EngineInner {
+    /// One minute of [`ForecastEngine::tick`], under the caller's lock.
+    fn tick(&mut self) -> ForecastTick {
+        let minute = self.clock;
+        self.clock += 1;
+        let aggregate = self.aggregator.advance_to(minute as usize);
+        self.forecaster.observe(aggregate);
+        let lead = self.lead_minutes;
+        let forecast = self.forecaster.forecast(lead as usize);
+        let transition = self.alerter.observe(minute, aggregate, lead, forecast);
+        self.last_aggregate = aggregate;
+        self.last_forecast = forecast;
+        ForecastTick {
+            minute,
+            aggregate,
+            forecast,
+            threshold: self.alerter.threshold(),
+            alerting: self.alerter.alerting(),
+            transition,
+        }
+    }
+}
+
 /// The cluster-scale burst forecasting engine. Cloning shares state; all
 /// methods take `&self` and are thread-safe.
 #[derive(Clone)]
@@ -234,32 +257,18 @@ impl ForecastEngine {
     /// current minute, refresh the forecast at the lead horizon, and run
     /// the alerter. Returns the minute's readout.
     pub fn tick(&self) -> ForecastTick {
-        let mut s = lock(&self.inner);
-        let minute = s.clock;
-        s.clock += 1;
-        let aggregate = s.aggregator.advance_to(minute as usize);
-        s.forecaster.observe(aggregate);
-        let lead = s.lead_minutes;
-        let forecast = s.forecaster.forecast(lead as usize);
-        let transition = s.alerter.observe(minute, aggregate, lead, forecast);
-        s.last_aggregate = aggregate;
-        s.last_forecast = forecast;
-        ForecastTick {
-            minute,
-            aggregate,
-            forecast,
-            threshold: s.alerter.threshold(),
-            alerting: s.alerter.alerting(),
-            transition,
-        }
+        lock(&self.inner).tick()
     }
 
     /// [`tick`](Self::tick) repeatedly until the clock reaches `minute`
-    /// (exclusive), returning the last readout, if any ticks ran.
+    /// (exclusive), returning the last readout, if any ticks ran. One lock
+    /// covers every check and tick, so clones racing to the same target
+    /// never carry the clock past it.
     pub fn tick_to(&self, minute: u64) -> Option<ForecastTick> {
+        let mut s = lock(&self.inner);
         let mut last = None;
-        while lock(&self.inner).clock < minute {
-            last = Some(self.tick());
+        while s.clock < minute {
+            last = Some(s.tick());
         }
         last
     }
@@ -338,6 +347,42 @@ mod tests {
         assert!((at20.aggregate - 10.0).abs() < 1e-9);
         assert_eq!(at20.transition, Some(AlertTransition::Cleared));
         assert!(!at20.alerting && !engine.snapshot().alerting);
+    }
+
+    #[test]
+    fn clones_racing_to_the_same_minute_stop_there() {
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+        const ROUNDS: u64 = 2_000;
+        let t = Telemetry::new();
+        let engine = ForecastEngine::new(&t, cfg());
+        engine.job_started(&iv(0, 60 * 60, 5.0));
+        let samples = t.counter("forecast_samples_total", "");
+        // A spinning barrier: both threads leave it within nanoseconds of
+        // each other, so both find the clock one minute short.
+        let arrived = AtomicU64::new(0);
+        let meet = |all: u64| {
+            arrived.fetch_add(1, SeqCst);
+            while arrived.load(SeqCst) < all {
+                std::hint::spin_loop();
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let engine = engine.clone();
+                let (meet, samples) = (&meet, &samples);
+                scope.spawn(move || {
+                    for target in 1..=ROUNDS {
+                        meet(4 * target - 2);
+                        engine.tick_to(target);
+                        // Nobody ticks again until both have checked.
+                        meet(4 * target);
+                        assert_eq!(engine.snapshot().minute, target, "clock past the target");
+                        assert_eq!(samples.value(), target, "one sample per minute");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

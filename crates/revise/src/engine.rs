@@ -5,11 +5,13 @@
 //!
 //! 1. jobs are [`track`](ReviseEngine::track)ed at submission with the
 //!    prediction the gateway served and their requested walltime;
-//! 2. each [`tick`](ReviseEngine::tick) polls the
-//!    [`ProgressStream`], revises every due job
-//!    with the [`Reviser`], wraps the revised runtime in
-//!    a split-conformal interval calibrated on the drift monitor's
-//!    outcome window, and installs the `[lo, hi]` seconds into the
+//! 2. each [`tick`](ReviseEngine::tick) makes one pass over the
+//!    simulator's running set with one lookup per job: a tracked job at
+//!    least a cadence past its last observation (its start, if none) is
+//!    observed from its own [`JobTruth`], revised with the [`Reviser`],
+//!    and its revised runtime wrapped in a split-conformal interval
+//!    calibrated on the drift monitor's outcome window; then, in running
+//!    order, each due job's `[lo, hi]` seconds are installed into the
 //!    simulator (reserve against `hi`, backfill against `lo`);
 //! 3. a job whose interval `lo` exceeds its requested walltime is
 //!    *hopeless* — it will be killed at the walltime limit anyway, so the
@@ -23,7 +25,8 @@
 //!
 //! A tick costs what changed since the last one: the calibrator follows
 //! the drift window by sorted insert and evict (nothing when no outcome
-//! arrived), and the sweep visits only the simulator's departures.
+//! arrived), each running job costs one lookup of its record, and the
+//! sweep visits only the simulator's departures.
 //!
 //! Everything exports under the `revise_*` metric prefix and the
 //! [`ops_probe`](ReviseEngine::ops_probe) JSON served at `/revise`.
@@ -37,8 +40,8 @@ use prionn_sched::{KilledJob, SimEngine};
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::conformal::{ConformalCalibrator, PredictionInterval};
-use crate::progress::{JobTruth, ProgressStream};
-use crate::reviser::{ReviseConfig, Reviser};
+use crate::progress::JobTruth;
+use crate::reviser::{ProgressObs, ReviseConfig, Reviser};
 
 /// A job handed to the engine at submission time.
 #[derive(Clone, Copy, Debug)]
@@ -211,14 +214,28 @@ impl Instruments {
     }
 }
 
+/// Everything the engine keeps about one tracked job.
 struct Tracked {
     job: TrackedJob,
+    /// The last interval served, checked against the truth at completion.
     latest: Option<PredictionInterval>,
+    /// Simulated time of the last observation.
+    last_obs: Option<u64>,
+}
+
+/// A job observed in a tick's pass over the running set, waiting to have
+/// its interval installed and the kill policy applied.
+struct Due {
+    job: TrackedJob,
+    obs: ProgressObs,
+    revised: ResourcePrediction,
+    interval: PredictionInterval,
 }
 
 struct EngineInner {
-    stream: ProgressStream,
     tracked: HashMap<u64, Tracked>,
+    /// The due jobs of the current tick (kept to reuse its allocation).
+    due: Vec<Due>,
     drift: Option<DriftMonitor>,
     calibrator: ConformalCalibrator,
     covered: u64,
@@ -249,11 +266,10 @@ impl ReviseEngine {
     /// Build an engine registering its `revise_*` instruments in
     /// `telemetry`.
     pub fn new(telemetry: &Telemetry, cfg: ReviseConfig) -> Self {
-        let stream = ProgressStream::new(cfg.cadence_seconds);
         ReviseEngine {
             inner: Arc::new(Mutex::new(EngineInner {
-                stream,
                 tracked: HashMap::new(),
+                due: Vec::new(),
                 drift: None,
                 calibrator: ConformalCalibrator::default(),
                 covered: 0,
@@ -282,18 +298,25 @@ impl ReviseEngine {
     /// Start tracking a job. Call at submission, alongside
     /// `SimEngine::submit`: completions are swept from the simulator's
     /// departures, so a job tracked after it has left the machine is never
-    /// swept.
+    /// swept. Tracking an id again replaces its record.
     pub fn track(&self, job: TrackedJob) {
         let mut inner = lock(&self.inner);
-        inner.stream.register(job.id, job.truth);
-        inner.tracked.insert(job.id, Tracked { job, latest: None });
+        inner.tracked.insert(
+            job.id,
+            Tracked {
+                job,
+                latest: None,
+                last_obs: None,
+            },
+        );
         self.instruments.inflight.set(inner.tracked.len() as f64);
     }
 
-    /// One revision pass over `sim`: poll progress, revise due jobs,
-    /// install intervals, apply the kill policy, sweep completions.
+    /// One revision pass over `sim`: observe and revise due jobs, install
+    /// intervals, apply the kill policy, sweep completions.
     pub fn tick(&self, sim: &mut SimEngine) -> TickReport {
-        let cfg = self.reviser.config().clone();
+        let cfg = self.reviser.config();
+        let cadence = cfg.cadence_seconds.max(1);
         let mut report = TickReport::default();
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
@@ -309,12 +332,24 @@ impl ReviseEngine {
             .set(inner.calibrator.len() as f64);
         let calibrated = inner.calibrator.len() >= cfg.min_calibration;
 
-        for obs in inner.stream.poll(sim) {
-            let Some(t) = inner.tracked.get_mut(&obs.job_id) else {
+        // One pass over the running set, one lookup per job: observe every
+        // tracked job that has run and is a cadence past its last
+        // observation, revise it, and wrap it in an interval. Nothing here
+        // touches the simulator, so every job is observed before the first
+        // kill reshapes the running set.
+        let now = sim.now();
+        inner.due.clear();
+        for r in sim.running_info() {
+            let Some(t) = inner.tracked.get_mut(&r.id) else {
                 continue;
             };
+            let elapsed = now.saturating_sub(r.start);
+            if elapsed == 0 || now.saturating_sub(t.last_obs.unwrap_or(r.start)) < cadence {
+                continue;
+            }
+            t.last_obs = Some(now);
+            let obs = t.job.truth.progress(r.id, elapsed);
             let revised = self.reviser.revise(&t.job.prediction, &obs);
-            let elapsed_min = obs.elapsed_seconds / 60.0;
             let mut interval = if calibrated {
                 inner
                     .calibrator
@@ -324,21 +359,38 @@ impl ReviseEngine {
             };
             // The elapsed floor binds the interval too: the job has
             // already run this long.
-            interval.lo = interval.lo.max(elapsed_min);
+            interval.lo = interval.lo.max(obs.elapsed_seconds / 60.0);
             interval.hi = interval.hi.max(interval.lo);
             t.latest = Some(interval);
-            self.instruments.revisions.inc();
-            self.instruments.interval_width.observe(interval.width());
+            inner.due.push(Due {
+                job: t.job,
+                obs,
+                revised,
+                interval,
+            });
+        }
+        self.instruments.revisions.add(inner.due.len() as u64);
 
+        // Install and kill in running order: a kill runs a scheduling pass
+        // that reads the estimates installed before it.
+        report.revisions.reserve(inner.due.len());
+        for &Due {
+            job,
+            obs,
+            revised,
+            interval,
+        } in &inner.due
+        {
+            self.instruments.interval_width.observe(interval.width());
             let lo_seconds = (interval.lo * 60.0).ceil() as u64;
             let hi_seconds = ((interval.hi * 60.0).ceil() as u64).max(lo_seconds);
-            sim.set_estimate_interval(obs.job_id, lo_seconds, hi_seconds);
+            sim.set_estimate_interval(job.id, lo_seconds, hi_seconds);
 
             // Kill policy: a calibrated lower bound beyond the requested
             // walltime means the job cannot finish inside its limit.
-            let hopeless = cfg.kill_enabled && calibrated && lo_seconds > t.job.requested_seconds;
+            let hopeless = cfg.kill_enabled && calibrated && lo_seconds > job.requested_seconds;
             report.revisions.push(Revision {
-                job_id: obs.job_id,
+                job_id: job.id,
                 elapsed_seconds: obs.elapsed_seconds,
                 revised,
                 runtime_interval: interval,
@@ -347,11 +399,10 @@ impl ReviseEngine {
             if !hopeless {
                 continue;
             }
-            let job = t.job;
             let killed = if cfg.requeue_killed {
-                sim.kill_and_requeue(obs.job_id, hi_seconds)
+                sim.kill_and_requeue(job.id, hi_seconds)
             } else {
-                sim.kill_running(obs.job_id)
+                sim.kill_running(job.id)
             };
             let Some(killed) = killed else {
                 // Not actually running (already finished this instant);
@@ -381,13 +432,12 @@ impl ReviseEngine {
             record_outcome(
                 inner.drift.as_ref(),
                 &job.prediction,
-                elapsed_min,
+                obs.elapsed_seconds / 60.0,
                 obs.read_bytes_so_far,
                 obs.write_bytes_so_far,
                 status,
             );
-            inner.tracked.remove(&obs.job_id);
-            inner.stream.forget(obs.job_id);
+            inner.tracked.remove(&job.id);
             report.kills.push(killed);
         }
 
@@ -401,7 +451,6 @@ impl ReviseEngine {
             let Some(t) = inner.tracked.remove(&id) else {
                 continue;
             };
-            inner.stream.forget(id);
             let truth_minutes = t.job.truth.runtime_seconds as f64 / 60.0;
             if let Some(interval) = t.latest {
                 inner.observed += 1;
@@ -669,6 +718,114 @@ mod tests {
         ] {
             assert!(text.contains(bucket), "missing {bucket}:\n{text}");
         }
+    }
+
+    /// A job submitted at 0 on an idle 8-node machine, tracked with a
+    /// 1000 s truth of 1 GB read and 0.5 GB written.
+    fn one_running_job(cadence_seconds: u64) -> (ReviseEngine, SimEngine, TrackedJob) {
+        let engine = ReviseEngine::new(
+            &Telemetry::new(),
+            ReviseConfig {
+                cadence_seconds,
+                ..ReviseConfig::default()
+            },
+        );
+        let job = TrackedJob {
+            truth: JobTruth {
+                runtime_seconds: 1000,
+                read_bytes: 1.0e9,
+                write_bytes: 5.0e8,
+            },
+            ..tracked(1, 20.0, 1_200, 1_000)
+        };
+        engine.track(job);
+        let mut sim = SimEngine::new(8);
+        sim.submit(SimJob {
+            id: 1,
+            submit: 0,
+            nodes: 4,
+            runtime: 1000,
+            estimate: 1200,
+        });
+        (engine, sim, job)
+    }
+
+    #[test]
+    fn a_tick_observes_elapsed_time_and_linear_io() {
+        let (engine, mut sim, job) = one_running_job(60);
+        sim.advance_to(250);
+        let report = engine.tick(&mut sim);
+        assert_eq!(report.revisions.len(), 1);
+        let rev = report.revisions[0];
+        assert_eq!(rev.elapsed_seconds, 250.0);
+        // A quarter of the runtime: a quarter of each IO total so far.
+        let obs = job.truth.progress(1, 250);
+        assert!((obs.read_bytes_so_far - 0.25e9).abs() < 1.0);
+        assert!((obs.write_bytes_so_far - 0.125e9).abs() < 1.0);
+        assert_eq!(rev.revised, engine.reviser.revise(&job.prediction, &obs));
+        // Past the runtime the counters stop at the totals.
+        let done = job.truth.progress(1, 5_000);
+        assert_eq!(
+            (done.read_bytes_so_far, done.write_bytes_so_far),
+            (1.0e9, 5.0e8)
+        );
+    }
+
+    #[test]
+    fn cadence_rate_limits_observations() {
+        let (engine, mut sim, _) = one_running_job(100);
+        sim.advance_to(150);
+        assert_eq!(engine.tick(&mut sim).revisions.len(), 1);
+        sim.advance_to(200);
+        assert_eq!(
+            engine.tick(&mut sim).revisions.len(),
+            0,
+            "50s later: not due yet"
+        );
+        sim.advance_to(260);
+        assert_eq!(
+            engine.tick(&mut sim).revisions.len(),
+            1,
+            "110s later: due again"
+        );
+        assert_eq!(engine.snapshot().revisions_total, 2);
+    }
+
+    #[test]
+    fn untracked_and_queued_jobs_are_not_observed() {
+        let engine = ReviseEngine::new(
+            &Telemetry::new(),
+            ReviseConfig {
+                cadence_seconds: 10,
+                kill_enabled: false,
+                ..ReviseConfig::default()
+            },
+        );
+        // Job 1 runs but is not tracked; job 2 is tracked but queued
+        // behind job 1.
+        engine.track(tracked(2, 10.0, 600, 500));
+        let mut sim = SimEngine::new(4);
+        for (id, submit) in [(1, 0), (2, 1)] {
+            sim.submit(SimJob {
+                id,
+                submit,
+                nodes: 4,
+                runtime: 500,
+                estimate: 500,
+            });
+        }
+        sim.advance_to(100);
+        assert!(engine.tick(&mut sim).revisions.is_empty());
+        assert_eq!(engine.snapshot().inflight, 1);
+        // Once job 2 runs it is observed, and once it leaves it is dropped.
+        sim.advance_to(600);
+        let report = engine.tick(&mut sim);
+        assert_eq!(report.revisions.len(), 1);
+        assert_eq!(report.revisions[0].job_id, 2);
+        assert_eq!(report.revisions[0].elapsed_seconds, 100.0);
+        sim.advance_to(1_100);
+        assert_eq!(engine.tick(&mut sim).completions, 1);
+        assert_eq!(engine.snapshot().inflight, 0);
     }
 
     #[test]

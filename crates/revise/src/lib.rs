@@ -3,10 +3,9 @@
 //! PRIONN predicts a job exactly once, at submission. This crate closes
 //! the loop while the job *runs*:
 //!
-//! * [`progress`] — a [`ProgressStream`] taps the sched simulator for
-//!   partial-progress observations (elapsed wall time, IO-so-far) on a
-//!   configurable cadence, standing in for a real resource manager's
-//!   node-agent counters;
+//! * [`progress`] — a job's [`JobTruth`] synthesises its partial-progress
+//!   observations (elapsed wall time, IO-so-far) on the sched simulator,
+//!   standing in for a real resource manager's node-agent counters;
 //! * [`reviser`] — the [`Reviser`] re-predicts in-flight jobs by blending
 //!   the submission-time prediction with a progress extrapolation under a
 //!   recency weight `t / (t + half_life)` (monotone staleness decay),
@@ -17,7 +16,8 @@
 //!   prediction ships as a calibrated `[lo, point, hi]`
 //!   [`PredictionInterval`] at a configurable coverage level;
 //! * [`engine`] — the [`ReviseEngine`] drives the loop against a
-//!   [`SimEngine`](prionn_sched::SimEngine): intervals flow into
+//!   [`SimEngine`](prionn_sched::SimEngine), one pass over the running
+//!   set per tick and one lookup per job: intervals flow into
 //!   interval-aware EASY backfill (reserve against `hi`, backfill against
 //!   `lo`) and a kill/requeue policy terminates jobs whose revised `lo`
 //!   exceeds their requested walltime, reclaiming the node-hours the
@@ -65,5 +65,5 @@ pub mod reviser;
 
 pub use conformal::{ConformalCalibrator, PredictionInterval, SCORE_EPSILON};
 pub use engine::{ReviseEngine, ReviseSnapshot, Revision, TickReport, TrackedJob};
-pub use progress::{JobTruth, ProgressStream};
+pub use progress::JobTruth;
 pub use reviser::{ProgressObs, ReviseConfig, Reviser};

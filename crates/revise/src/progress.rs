@@ -1,24 +1,18 @@
 //! The progress tap on the scheduling simulator.
 //!
 //! A real resource manager reads a running job's elapsed time and IO
-//! counters from the node agents; the simulator knows both exactly. The
-//! [`ProgressStream`] bridges them: jobs register their ground truth at
-//! submission, and [`ProgressStream::poll`] turns the simulator's running
-//! set into [`ProgressObs`] records — elapsed wall time plus bytes read
-//! and written so far (IO accrues linearly over the job's life, matching
-//! the constant-bandwidth model `prionn-sched`'s IO timelines use). Each
-//! job is observed at most once per [`cadence`](ProgressStream::cadence)
-//! seconds of simulated time, so revision cost scales with the running
-//! set, not with the clock rate.
-
-use std::collections::HashMap;
-
-use prionn_sched::SimEngine;
+//! counters from the node agents; the simulator knows both exactly. A job
+//! hands the [`ReviseEngine`](crate::ReviseEngine) its [`JobTruth`] at
+//! submission, and each tick turns the truth of every due running job into
+//! a [`ProgressObs`] with [`JobTruth::progress`]: elapsed wall time plus
+//! bytes read and written so far (IO accrues linearly over the job's life,
+//! matching the constant-bandwidth model `prionn-sched`'s IO timelines
+//! use).
 
 use crate::reviser::ProgressObs;
 
-/// Ground truth a job registers with the stream so the tap can synthesise
-/// its node-agent counters.
+/// Ground truth a job hands the engine so the tap can synthesise its
+/// node-agent counters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobTruth {
     /// Actual total runtime, seconds.
@@ -29,156 +23,17 @@ pub struct JobTruth {
     pub write_bytes: f64,
 }
 
-/// Per-job progress observation source over a [`SimEngine`].
-#[derive(Clone, Debug, Default)]
-pub struct ProgressStream {
-    cadence_seconds: u64,
-    truth: HashMap<u64, JobTruth>,
-    last_obs: HashMap<u64, u64>,
-}
-
-impl ProgressStream {
-    /// A stream observing each running job at most once per
-    /// `cadence_seconds` of simulated time.
-    pub fn new(cadence_seconds: u64) -> Self {
-        ProgressStream {
-            cadence_seconds: cadence_seconds.max(1),
-            ..ProgressStream::default()
+impl JobTruth {
+    /// Job `job_id`'s counters `elapsed_seconds` after it started: IO so
+    /// far is the actual total times the fraction of the actual runtime
+    /// elapsed, capped at the total.
+    pub fn progress(&self, job_id: u64, elapsed_seconds: u64) -> ProgressObs {
+        let time_frac = (elapsed_seconds as f64 / self.runtime_seconds.max(1) as f64).min(1.0);
+        ProgressObs {
+            job_id,
+            elapsed_seconds: elapsed_seconds as f64,
+            read_bytes_so_far: self.read_bytes * time_frac,
+            write_bytes_so_far: self.write_bytes * time_frac,
         }
-    }
-
-    /// The observation cadence, seconds.
-    pub fn cadence(&self) -> u64 {
-        self.cadence_seconds
-    }
-
-    /// Register a job's ground truth. Call at submission, before the job
-    /// can start.
-    pub fn register(&mut self, job_id: u64, truth: JobTruth) {
-        self.truth.insert(job_id, truth);
-    }
-
-    /// Drop a job (completed, killed, or no longer interesting).
-    pub fn forget(&mut self, job_id: u64) {
-        self.truth.remove(&job_id);
-        self.last_obs.remove(&job_id);
-    }
-
-    /// Registered jobs.
-    pub fn registered(&self) -> usize {
-        self.truth.len()
-    }
-
-    /// Observe every registered running job that is due (started, nonzero
-    /// elapsed time, and at least one cadence past its previous
-    /// observation). Observations are synthesised from the registered
-    /// truth: IO-so-far accrues linearly over the job's actual runtime.
-    pub fn poll(&mut self, sim: &SimEngine) -> Vec<ProgressObs> {
-        let now = sim.now();
-        let mut out = Vec::new();
-        for r in sim.running_info() {
-            let Some(truth) = self.truth.get(&r.id) else {
-                continue;
-            };
-            let elapsed = now.saturating_sub(r.start);
-            if elapsed == 0 {
-                continue;
-            }
-            let last = self.last_obs.get(&r.id).copied().unwrap_or(r.start);
-            if now.saturating_sub(last) < self.cadence_seconds {
-                continue;
-            }
-            self.last_obs.insert(r.id, now);
-            let time_frac = (elapsed as f64 / truth.runtime_seconds.max(1) as f64).min(1.0);
-            out.push(ProgressObs {
-                job_id: r.id,
-                elapsed_seconds: elapsed as f64,
-                read_bytes_so_far: truth.read_bytes * time_frac,
-                write_bytes_so_far: truth.write_bytes * time_frac,
-            });
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use prionn_sched::SimJob;
-
-    fn truth() -> JobTruth {
-        JobTruth {
-            runtime_seconds: 1000,
-            read_bytes: 1.0e9,
-            write_bytes: 5.0e8,
-        }
-    }
-
-    #[test]
-    fn poll_reports_elapsed_and_linear_io() {
-        let mut sim = SimEngine::new(8);
-        let mut stream = ProgressStream::new(60);
-        stream.register(1, truth());
-        sim.submit(SimJob {
-            id: 1,
-            submit: 0,
-            nodes: 4,
-            runtime: 1000,
-            estimate: 1200,
-        });
-        sim.advance_to(250);
-        let obs = stream.poll(&sim);
-        assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].elapsed_seconds, 250.0);
-        assert!((obs[0].read_bytes_so_far - 0.25e9).abs() < 1.0);
-        assert!((obs[0].write_bytes_so_far - 0.125e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn cadence_rate_limits_observations() {
-        let mut sim = SimEngine::new(8);
-        let mut stream = ProgressStream::new(100);
-        stream.register(1, truth());
-        sim.submit(SimJob {
-            id: 1,
-            submit: 0,
-            nodes: 4,
-            runtime: 1000,
-            estimate: 1000,
-        });
-        sim.advance_to(150);
-        assert_eq!(stream.poll(&sim).len(), 1);
-        sim.advance_to(200);
-        assert_eq!(stream.poll(&sim).len(), 0, "50s later: not due yet");
-        sim.advance_to(260);
-        assert_eq!(stream.poll(&sim).len(), 1, "110s later: due again");
-    }
-
-    #[test]
-    fn unregistered_and_queued_jobs_are_invisible() {
-        let mut sim = SimEngine::new(4);
-        let mut stream = ProgressStream::new(10);
-        // Job 1 runs but is not registered; job 2 is registered but queued
-        // behind job 1.
-        stream.register(2, truth());
-        sim.submit(SimJob {
-            id: 1,
-            submit: 0,
-            nodes: 4,
-            runtime: 500,
-            estimate: 500,
-        });
-        sim.submit(SimJob {
-            id: 2,
-            submit: 1,
-            nodes: 4,
-            runtime: 500,
-            estimate: 500,
-        });
-        sim.advance_to(100);
-        assert!(stream.poll(&sim).is_empty());
-        assert_eq!(stream.registered(), 1);
-        stream.forget(2);
-        assert_eq!(stream.registered(), 0);
     }
 }

@@ -59,8 +59,8 @@ impl Default for ReviseConfig {
     }
 }
 
-/// One partial-progress observation of a running job, as produced by the
-/// [`ProgressStream`](crate::ProgressStream) tap on the simulator.
+/// One partial-progress observation of a running job, as the engine
+/// synthesises it on the simulator with [`JobTruth::progress`](crate::JobTruth::progress).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProgressObs {
     /// The running job.

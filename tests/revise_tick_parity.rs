@@ -1,26 +1,32 @@
 //! `ReviseEngine::tick` against its oracle.
 //!
 //! The engine keeps its calibrator up to date by following the drift
-//! window and sweeps completions from the simulator's departures. This
-//! suite replays a seeded straggler trace and holds every tick to the
-//! definitions those shortcuts replace:
+//! window, observes running jobs from one record per job, and sweeps
+//! completions from the simulator's departures. This suite replays a
+//! seeded straggler trace and holds every tick to the definitions those
+//! shortcuts replace:
 //!
+//! * **observations** — every tick revises exactly the tracked running
+//!   jobs that have run and are a cadence past their last observation
+//!   (their start, if none), in the simulator's running order, each from
+//!   the IO-so-far that accrues linearly over its actual runtime;
 //! * **intervals** — every revision's runtime interval is, bit for bit,
 //!   the one a calibrator rebuilt from the drift window before the tick
 //!   gives at the revised point, floored at the elapsed time;
 //! * **completions** — every tick's count is the number of tracked jobs
 //!   that are neither running nor queued and have a schedule entry.
 //!
-//! It runs once with killed jobs dropped and once with them requeued, and
-//! kills one tracked job behind the engine's back with
-//! `SimEngine::kill_running`.
+//! It runs once with killed jobs dropped and once with them requeued,
+//! ticks more often than the observation cadence, and kills one tracked
+//! job behind the engine's back with `SimEngine::kill_running`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use prionn::core::ResourcePrediction;
 use prionn::observe::{DriftConfig, DriftHead, DriftMonitor};
 use prionn::revise::{
-    ConformalCalibrator, JobTruth, PredictionInterval, ReviseConfig, ReviseEngine, TrackedJob,
+    ConformalCalibrator, JobTruth, PredictionInterval, ProgressObs, ReviseConfig, ReviseEngine,
+    Reviser, TrackedJob,
 };
 use prionn::sched::{SimEngine, SimJob};
 use prionn::telemetry::Telemetry;
@@ -28,6 +34,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const CADENCE_SECONDS: u64 = 60;
+/// Ticks come faster than the cadence, so a job observed on one tick is
+/// not due on the next.
+const TICK_SECONDS: u64 = 45;
 /// The tick before which the test kills one tracked job itself.
 const DIRECT_KILL_TICK: usize = 40;
 
@@ -87,6 +96,52 @@ fn bits(iv: &PredictionInterval) -> [u64; 3] {
     [iv.lo.to_bits(), iv.point.to_bits(), iv.hi.to_bits()]
 }
 
+fn prediction_bits(p: &ResourcePrediction) -> [u64; 3] {
+    [
+        p.runtime_minutes.to_bits(),
+        p.read_bytes.to_bits(),
+        p.write_bytes.to_bits(),
+    ]
+}
+
+fn prediction(j: &ReplayJob) -> ResourcePrediction {
+    ResourcePrediction {
+        runtime_minutes: j.predicted_seconds as f64 / 60.0,
+        read_bytes: 1.0e9,
+        write_bytes: 1.0e9,
+    }
+}
+
+/// The observations the engine must make this tick: tracked running jobs
+/// with nonzero elapsed time, a cadence past their last observation (their
+/// start, if none), in running order; IO so far is 1 GB each way times the
+/// elapsed fraction of the actual runtime, capped at 1.
+fn due_observations(
+    sim: &SimEngine,
+    jobs: &[ReplayJob],
+    tracked: &BTreeSet<u64>,
+    last_obs: &HashMap<u64, u64>,
+) -> Vec<ProgressObs> {
+    let now = sim.now();
+    sim.running_info()
+        .filter(|r| tracked.contains(&r.id))
+        .filter(|r| {
+            let last = last_obs.get(&r.id).copied().unwrap_or(r.start);
+            now > r.start && now - last >= CADENCE_SECONDS
+        })
+        .map(|r| {
+            let elapsed = now - r.start;
+            let frac = (elapsed as f64 / jobs[r.id as usize].truth_seconds.max(1) as f64).min(1.0);
+            ProgressObs {
+                job_id: r.id,
+                elapsed_seconds: elapsed as f64,
+                read_bytes_so_far: 1.0e9 * frac,
+                write_bytes_so_far: 1.0e9 * frac,
+            }
+        })
+        .collect()
+}
+
 /// Totals over one replay, for the checks that the trace exercised
 /// anything.
 #[derive(Debug, Default)]
@@ -127,10 +182,13 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
     };
     let engine = ReviseEngine::new(&telemetry, cfg.clone());
     engine.attach_drift(&drift);
+    let reviser = Reviser::new(cfg.clone());
     let mut sim = SimEngine::new(40);
 
-    // The jobs the engine tracks, as the old sweep saw them.
+    // The jobs the engine tracks, as the old sweep saw them, and when the
+    // oracle last saw each observed.
     let mut tracked: BTreeSet<u64> = BTreeSet::new();
+    let mut last_obs: HashMap<u64, u64> = HashMap::new();
     let mut totals = Totals::default();
     let mut next = 0;
     let mut clock = 0;
@@ -139,11 +197,7 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
             let j = jobs[next];
             engine.track(TrackedJob {
                 id: j.id,
-                prediction: ResourcePrediction {
-                    runtime_minutes: j.predicted_seconds as f64 / 60.0,
-                    read_bytes: 1.0e9,
-                    write_bytes: 1.0e9,
-                },
+                prediction: prediction(&j),
                 requested_seconds: j.requested_seconds,
                 truth: JobTruth {
                     runtime_seconds: j.truth_seconds,
@@ -172,7 +226,28 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
         }
 
         let reference = ConformalCalibrator::from_window(&drift.outcome_window(DriftHead::Runtime));
+        let now = sim.now();
+        let due = due_observations(&sim, jobs, &tracked, &last_obs);
         let report = engine.tick(&mut sim);
+
+        let revised: Vec<u64> = report.revisions.iter().map(|r| r.job_id).collect();
+        let want: Vec<u64> = due.iter().map(|o| o.job_id).collect();
+        assert_eq!(
+            revised, want,
+            "tick {tick}: revised jobs against the due set"
+        );
+        for (rev, obs) in report.revisions.iter().zip(&due) {
+            assert_eq!(rev.elapsed_seconds, obs.elapsed_seconds, "tick {tick}");
+            let want = reviser.revise(&prediction(&jobs[obs.job_id as usize]), obs);
+            assert_eq!(
+                prediction_bits(&rev.revised),
+                prediction_bits(&want),
+                "tick {tick}, job {}: revised {:?}, the synthesised observation gives {want:?}",
+                obs.job_id,
+                rev.revised
+            );
+            last_obs.insert(obs.job_id, now);
+        }
 
         for rev in &report.revisions {
             let want = oracle_interval(
@@ -194,6 +269,7 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
         }
         for killed in &report.kills {
             assert!(tracked.remove(&killed.id), "killed an untracked job");
+            last_obs.remove(&killed.id);
         }
         let running: BTreeSet<u64> = sim.running_info().map(|r| r.id).collect();
         let queued: BTreeSet<u64> = sim.queued_jobs().map(|q| q.id).collect();
@@ -210,6 +286,7 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
         );
         for id in &done {
             tracked.remove(id);
+            last_obs.remove(id);
         }
         totals.revisions += report.revisions.len();
         totals.kills += report.kills.len();
@@ -222,7 +299,7 @@ fn replay(jobs: &[ReplayJob], requeue_killed: bool) -> Totals {
         {
             break;
         }
-        clock += CADENCE_SECONDS;
+        clock += TICK_SECONDS;
         sim.advance_to(clock);
     }
     assert!(tracked.is_empty(), "jobs left tracked: {tracked:?}");
