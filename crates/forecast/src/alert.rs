@@ -5,10 +5,17 @@
 //! records `forecast_burst_clear`. A forecast sitting above threshold does
 //! not flood the event ring, and consumers (the `/forecast` ops route) read
 //! the level-triggered [`BurstAlerter::alerting`] flag.
+//!
+//! The threshold is the paper's mean + 1σ over a trailing window of
+//! actuals, kept as compensated running sums of the window's values and
+//! squares: a minute costs one push and one evict, whatever the window.
+//! It agrees with [`burst_threshold`](prionn_sched::burst::burst_threshold)
+//! over the same window to within its last bits (relative error ~1e-8
+//! where the window is flat and `Σx²/n − mean²` cancels), so a forecast
+//! that close to the threshold can edge differently than a rescan would.
 
 use std::collections::VecDeque;
 
-use prionn_sched::burst::burst_threshold;
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 /// Alerting policy.
@@ -43,12 +50,90 @@ pub enum AlertTransition {
     Cleared,
 }
 
+/// A running sum that carries each addition's rounding error (Knuth's
+/// TwoSum) in a second word. Adding and later subtracting the same terms
+/// (a window sliding past a 10⁴× burst) leaves a residue of ~ε² of the
+/// largest sum held, where a plain sum leaves ~ε of it.
+#[derive(Clone, Copy, Debug, Default)]
+struct CompensatedSum {
+    sum: f64,
+    err: f64,
+}
+
+impl CompensatedSum {
+    fn add(&mut self, x: f64) {
+        let s = self.sum + x;
+        let b = s - self.sum;
+        self.err += (self.sum - (s - b)) + (x - b);
+        self.sum = s;
+    }
+
+    fn value(&self) -> f64 {
+        self.sum + self.err
+    }
+}
+
+/// Σx² this far below its peak since the sums were last re-summed means
+/// their error words may carry residue of values long gone.
+const RESUM_BELOW: f64 = 1.0 / (1u64 << 32) as f64;
+
+/// The trailing window of actuals with its Σx and Σx² kept as it slides.
+#[derive(Debug, Default)]
+struct Window {
+    values: VecDeque<f64>,
+    sum: CompensatedSum,
+    sum_sq: CompensatedSum,
+    /// Largest Σx² since the sums were last re-summed from `values`.
+    peak_sq: f64,
+}
+
+impl Window {
+    /// Append `x`, evicting the oldest value first when `cap` are held.
+    fn push(&mut self, x: f64, cap: usize) {
+        if self.values.len() >= cap {
+            if let Some(old) = self.values.pop_front() {
+                self.sum.add(-old);
+                self.sum_sq.add(-(old * old));
+            }
+        }
+        self.values.push_back(x);
+        self.sum.add(x);
+        self.sum_sq.add(x * x);
+    }
+
+    /// Mean + 1σ (population) of the window; 0 when empty.
+    fn threshold(&mut self) -> f64 {
+        // The compensated sums are exact to ~ε² of the largest sum they
+        // have held. Once Σx² has fallen far below that peak (a burst slid
+        // out of a quiet window) or reads NaN (an overflowed square slid
+        // out), re-sum what the window holds. A burst takes a window's
+        // length to slide out, so this costs O(1) amortised.
+        let sq = self.sum_sq.value();
+        self.peak_sq = self.peak_sq.max(sq);
+        if sq.is_nan() || sq < self.peak_sq * RESUM_BELOW {
+            self.sum = CompensatedSum::default();
+            self.sum_sq = CompensatedSum::default();
+            for &x in &self.values {
+                self.sum.add(x);
+                self.sum_sq.add(x * x);
+            }
+            self.peak_sq = self.sum_sq.value();
+        }
+        let n = self.values.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let mean = self.sum.value() / n as f64;
+        let var = self.sum_sq.value() / n as f64 - mean * mean;
+        mean + var.max(0.0).sqrt()
+    }
+}
+
 /// Edge-triggered burst alerter fed one (actual, forecast) pair per minute.
 pub struct BurstAlerter {
     cfg: AlertConfig,
     telemetry: Telemetry,
-    trailing: VecDeque<f64>,
-    trailing_sum: f64,
+    trailing: Window,
     alerting: bool,
     threshold: f64,
     // instruments
@@ -68,8 +153,10 @@ impl BurstAlerter {
     /// Build an alerter registering its instruments in `telemetry`.
     pub fn new(telemetry: &Telemetry, cfg: AlertConfig) -> Self {
         BurstAlerter {
-            trailing: VecDeque::with_capacity(cfg.threshold_window.max(1)),
-            trailing_sum: 0.0,
+            trailing: Window {
+                values: VecDeque::with_capacity(cfg.threshold_window.max(1)),
+                ..Window::default()
+            },
             alerting: false,
             threshold: cfg.threshold_override.unwrap_or(0.0),
             aggregate_gauge: telemetry.gauge(
@@ -152,25 +239,14 @@ impl BurstAlerter {
         self.pending.push_back((minute + horizon, forecast));
 
         // Slide the trailing-actual window and refresh the threshold.
-        if self.trailing.len() >= self.cfg.threshold_window.max(1) {
-            if let Some(old) = self.trailing.pop_front() {
-                self.trailing_sum -= old;
-            }
-        }
-        self.trailing.push_back(actual);
-        self.trailing_sum += actual;
+        self.trailing.push(actual, self.cfg.threshold_window.max(1));
         self.threshold = match self.cfg.threshold_override {
             Some(t) => t,
-            None => {
-                // One O(window) pass per minute: cheap (window ≤ a few
-                // hundred) and exactly the paper's mean+1σ definition.
-                self.trailing.make_contiguous();
-                burst_threshold(self.trailing.as_slices().0)
-            }
+            None => self.trailing.threshold(),
         };
         self.threshold_gauge.set(self.threshold);
 
-        if self.trailing.len() < self.cfg.min_samples.max(1) {
+        if self.trailing.values.len() < self.cfg.min_samples.max(1) {
             return None;
         }
         let burst = forecast > self.threshold;

@@ -74,6 +74,25 @@ impl PredictionInterval {
         }
     }
 
+    /// The interval around `point` from conformal score quantiles
+    /// `(q_lo, q_hi)` ([`ConformalCalibrator::quantiles`]):
+    /// `[p · q_lo, p · q_hi]` with `p` floored at [`SCORE_EPSILON`];
+    /// degenerate when there are none. Take the quantiles once to wrap
+    /// many points at one coverage.
+    pub(crate) fn from_quantiles(point: f64, quantiles: Option<(f64, f64)>) -> Self {
+        match quantiles {
+            Some((q_lo, q_hi)) => {
+                let base = point.max(SCORE_EPSILON);
+                PredictionInterval {
+                    lo: base * q_lo,
+                    point,
+                    hi: base * q_hi,
+                }
+            }
+            None => PredictionInterval::degenerate(point),
+        }
+    }
+
     /// Does the interval cover `truth`?
     pub fn contains(&self, truth: f64) -> bool {
         self.lo <= truth && truth <= self.hi
@@ -206,17 +225,7 @@ impl ConformalCalibrator {
     /// The calibrated interval around `point` at `coverage`; degenerate
     /// when uncalibrated.
     pub fn interval(&self, point: f64, coverage: f64) -> PredictionInterval {
-        match self.quantiles(coverage) {
-            Some((q_lo, q_hi)) => {
-                let base = point.max(SCORE_EPSILON);
-                PredictionInterval {
-                    lo: base * q_lo,
-                    point,
-                    hi: base * q_hi,
-                }
-            }
-            None => PredictionInterval::degenerate(point),
-        }
+        PredictionInterval::from_quantiles(point, self.quantiles(coverage))
     }
 }
 

@@ -25,13 +25,16 @@
 //!
 //! A tick costs what changed since the last one: the calibrator follows
 //! the drift window by sorted insert and evict (nothing when no outcome
-//! arrived), each running job costs one lookup of its record, and the
-//! sweep visits only the simulator's departures.
+//! arrived) and gives its quantiles once, each running job costs one
+//! lookup of its record and is installed at the slot the pass saw it in,
+//! the tick's interval widths are recorded in one batch, and the sweep
+//! visits only the simulator's departures.
 //!
 //! Everything exports under the `revise_*` metric prefix and the
 //! [`ops_probe`](ReviseEngine::ops_probe) JSON served at `/revise`.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use prionn_core::ResourcePrediction;
@@ -214,6 +217,28 @@ impl Instruments {
     }
 }
 
+/// Hashes a simulator job id with one multiply (Fibonacci hashing): ids
+/// come from the simulator, not the network, so SipHash's flooding
+/// resistance buys nothing on the tick's per-job lookup.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Everything the engine keeps about one tracked job.
 struct Tracked {
     job: TrackedJob,
@@ -227,15 +252,19 @@ struct Tracked {
 /// its interval installed and the kill policy applied.
 struct Due {
     job: TrackedJob,
+    /// Where the pass saw the job in the simulator's running set.
+    slot: usize,
     obs: ProgressObs,
     revised: ResourcePrediction,
     interval: PredictionInterval,
 }
 
 struct EngineInner {
-    tracked: HashMap<u64, Tracked>,
+    tracked: HashMap<u64, Tracked, BuildHasherDefault<IdHasher>>,
     /// The due jobs of the current tick (kept to reuse its allocation).
     due: Vec<Due>,
+    /// The current tick's interval widths, recorded in one batch.
+    widths: Vec<f64>,
     drift: Option<DriftMonitor>,
     calibrator: ConformalCalibrator,
     covered: u64,
@@ -268,8 +297,9 @@ impl ReviseEngine {
     pub fn new(telemetry: &Telemetry, cfg: ReviseConfig) -> Self {
         ReviseEngine {
             inner: Arc::new(Mutex::new(EngineInner {
-                tracked: HashMap::new(),
+                tracked: HashMap::default(),
                 due: Vec::new(),
+                widths: Vec::new(),
                 drift: None,
                 calibrator: ConformalCalibrator::default(),
                 covered: 0,
@@ -331,6 +361,13 @@ impl ReviseEngine {
             .calibration_samples
             .set(inner.calibrator.len() as f64);
         let calibrated = inner.calibrator.len() >= cfg.min_calibration;
+        // The conformal quantiles depend on the scores and the coverage
+        // only: take them once and wrap every due job with them.
+        let quantiles = if calibrated {
+            inner.calibrator.quantiles(cfg.coverage)
+        } else {
+            None
+        };
 
         // One pass over the running set, one lookup per job: observe every
         // tracked job that has run and is a cadence past its last
@@ -339,7 +376,8 @@ impl ReviseEngine {
         // kill reshapes the running set.
         let now = sim.now();
         inner.due.clear();
-        for r in sim.running_info() {
+        inner.widths.clear();
+        for (slot, r) in sim.running_info().enumerate() {
             let Some(t) = inner.tracked.get_mut(&r.id) else {
                 continue;
             };
@@ -350,41 +388,41 @@ impl ReviseEngine {
             t.last_obs = Some(now);
             let obs = t.job.truth.progress(r.id, elapsed);
             let revised = self.reviser.revise(&t.job.prediction, &obs);
-            let mut interval = if calibrated {
-                inner
-                    .calibrator
-                    .interval(revised.runtime_minutes, cfg.coverage)
-            } else {
-                PredictionInterval::degenerate(revised.runtime_minutes)
-            };
+            let mut interval =
+                PredictionInterval::from_quantiles(revised.runtime_minutes, quantiles);
             // The elapsed floor binds the interval too: the job has
             // already run this long.
             interval.lo = interval.lo.max(obs.elapsed_seconds / 60.0);
             interval.hi = interval.hi.max(interval.lo);
             t.latest = Some(interval);
+            inner.widths.push(interval.width());
             inner.due.push(Due {
                 job: t.job,
+                slot,
                 obs,
                 revised,
                 interval,
             });
         }
         self.instruments.revisions.add(inner.due.len() as u64);
+        self.instruments.interval_width.observe_many(&inner.widths);
 
         // Install and kill in running order: a kill runs a scheduling pass
-        // that reads the estimates installed before it.
+        // that reads the estimates installed before it. A kill's
+        // `swap_remove` can move a later job out of the slot the pass saw;
+        // the install then finds it by search.
         report.revisions.reserve(inner.due.len());
         for &Due {
             job,
+            slot,
             obs,
             revised,
             interval,
         } in &inner.due
         {
-            self.instruments.interval_width.observe(interval.width());
             let lo_seconds = (interval.lo * 60.0).ceil() as u64;
             let hi_seconds = ((interval.hi * 60.0).ceil() as u64).max(lo_seconds);
-            sim.set_estimate_interval(job.id, lo_seconds, hi_seconds);
+            sim.set_estimate_interval(job.id, lo_seconds, hi_seconds, Some(slot));
 
             // Kill policy: a calibrated lower bound beyond the requested
             // walltime means the job cannot finish inside its limit.
@@ -717,6 +755,61 @@ mod tests {
             "revise_interval_width_minutes_bucket{le=\"2048\"} 1",
         ] {
             assert!(text.contains(bucket), "missing {bucket}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn tick_intervals_equal_the_calibrators_over_windows_and_points() {
+        let cfg = ReviseConfig {
+            cadence_seconds: 60,
+            kill_enabled: false,
+            ..ReviseConfig::default()
+        };
+        let m = cfg.min_calibration;
+        for n in [0, 1, 2, m - 1, m, m + 1, 57, 200] {
+            let t = Telemetry::new();
+            let engine = ReviseEngine::new(&t, cfg.clone());
+            let drift = DriftMonitor::with_defaults(&t);
+            for i in 0..n {
+                let truth = 10.0 + (i * 37 % 23) as f64;
+                drift.record(DriftHead::Runtime, truth, 12.0 + (i % 5) as f64);
+            }
+            engine.attach_drift(&drift);
+            let reference =
+                ConformalCalibrator::from_window(&drift.outcome_window(DriftHead::Runtime));
+            // Points from half a minute to ~8 hours, one job each.
+            let mut sim = SimEngine::new(64);
+            for id in 0..24u64 {
+                let predicted = 0.5 * 1.35f64.powi(id as i32);
+                engine.track(tracked(id, predicted, 1_000_000, 600));
+                sim.submit(SimJob {
+                    id,
+                    submit: 0,
+                    nodes: 1,
+                    runtime: 600,
+                    estimate: 600,
+                });
+            }
+            sim.advance_to(90);
+            let report = engine.tick(&mut sim);
+            assert_eq!(report.revisions.len(), 24);
+            for rev in &report.revisions {
+                let point = rev.revised.runtime_minutes;
+                let mut expected = if reference.len() >= m {
+                    reference.interval(point, cfg.coverage)
+                } else {
+                    PredictionInterval::degenerate(point)
+                };
+                expected.lo = expected.lo.max(rev.elapsed_seconds / 60.0);
+                expected.hi = expected.hi.max(expected.lo);
+                let bits = |iv: PredictionInterval| [iv.lo, iv.point, iv.hi].map(f64::to_bits);
+                assert_eq!(
+                    bits(rev.runtime_interval),
+                    bits(expected),
+                    "window {n}, job {}",
+                    rev.job_id
+                );
+            }
         }
     }
 

@@ -239,10 +239,24 @@ impl SimEngine {
     /// for backfill and reserve `hi` once started. Re-calling replaces the
     /// previous interval. Returns true if the job is currently running or
     /// queued.
-    pub fn set_estimate_interval(&mut self, id: u64, lo_seconds: u64, hi_seconds: u64) -> bool {
+    ///
+    /// `slot` is where [`running_info`](Self::running_info) listed the job,
+    /// if the caller knows: a hit installs without searching the running
+    /// set, and a miss (`None`, or a slot a kill or completion has since
+    /// moved another job into) falls back to the search.
+    pub fn set_estimate_interval(
+        &mut self,
+        id: u64,
+        lo_seconds: u64,
+        hi_seconds: u64,
+        slot: Option<usize>,
+    ) -> bool {
         let lo = lo_seconds.max(1);
         let hi = hi_seconds.max(lo);
-        if let Some(r) = self.running.iter_mut().find(|r| r.id == id) {
+        let at = slot
+            .filter(|&i| self.running.get(i).is_some_and(|r| r.id == id))
+            .or_else(|| self.running.iter().position(|r| r.id == id));
+        if let Some(r) = at.map(|i| &mut self.running[i]) {
             // Never plan an end in the past: a job that already outlived
             // `hi` is treated as ending imminently. The side table is
             // read only when a job starts or is tried for backfill, so a
@@ -762,7 +776,7 @@ mod tests {
         engine.submit(job(1, 1, 8, 100, 100)); // head, reserved at t=100
         let mut pessimist = engine.clone();
         // Candidate requests 500s but a revision bounds it to [10, 40].
-        engine.set_estimate_interval(2, 10, 40);
+        engine.set_estimate_interval(2, 10, 40, None);
         engine.submit(job(2, 2, 2, 30, 500));
         pessimist.submit(job(2, 2, 2, 30, 500));
         let s = engine.drain();
@@ -778,13 +792,42 @@ mod tests {
         engine.submit(job(1, 1, 8, 100, 100)); // head, shadow at t=100
                                                // Revision: job 0 actually ends near t=300, so the backfill window
                                                // behind the head's new t=300 reservation is wide open.
-        assert!(engine.set_estimate_interval(0, 250, 320));
+        assert!(engine.set_estimate_interval(0, 250, 320, None));
         engine.submit(job(2, 2, 2, 150, 150));
         let s = engine.drain();
         assert_eq!(
             s.entries[2].start, 2,
             "hi moved the shadow out, the 150s candidate fits"
         );
+    }
+
+    #[test]
+    fn a_stale_slot_after_a_kill_installs_on_the_right_job() {
+        // Five 2-node jobs fill the machine and a sixth waits.
+        let mut engine = SimEngine::new(10);
+        for id in 0..6 {
+            engine.submit(job(id, 0, 2, 1000, 1000));
+        }
+        engine.advance_to(10);
+        let seen: Vec<u64> = engine.running_info().map(|r| r.id).collect();
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+        // The kill moves job 4 into slot 0, and job 5 starts in slot 4.
+        engine.kill_running(0).expect("running");
+        let mut searched = engine.clone();
+        for (slot, &id) in seen.iter().enumerate().skip(1) {
+            let hi = 200 + 100 * id;
+            assert!(engine.set_estimate_interval(id, 50, hi, Some(slot)));
+            assert!(searched.set_estimate_interval(id, 50, hi, None));
+        }
+        let installed: Vec<RunningJob> = engine.running_info().collect();
+        assert_eq!(installed, searched.running_info().collect::<Vec<_>>());
+        for r in &installed {
+            let expected = match r.id {
+                5 => r.start + 1000,
+                id => r.start + 200 + 100 * id,
+            };
+            assert_eq!(r.end_estimated, expected, "job {}", r.id);
+        }
     }
 
     #[test]

@@ -165,6 +165,46 @@ struct HistInner {
     shards: Vec<HistShard>,
 }
 
+impl HistShard {
+    /// Replace the sum with `next(sum)`: a relaxed CAS loop on the
+    /// shard-local sum, whose contention is bounded by the (small) number
+    /// of threads mapped to this shard.
+    #[inline]
+    fn add_to_sum(&self, next: impl Fn(f64) -> f64) {
+        let mut cur = self.sum_bits.load(Ordering::Relaxed);
+        loop {
+            let new = next(f64::from_bits(cur)).to_bits();
+            match self.sum_bits.compare_exchange_weak(
+                cur,
+                new,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
+        }
+    }
+}
+
+impl HistInner {
+    /// The bucket `v` counts in: the first whose bound is `>= v`.
+    #[inline]
+    fn bucket(&self, v: f64) -> usize {
+        self.bounds.partition_point(|&b| b < v)
+    }
+}
+
+/// What a histogram records for `v`: negatives as 0, non-finite as 0.
+#[inline]
+fn clamp_observation(v: f64) -> f64 {
+    if v.is_finite() {
+        v.max(0.0)
+    } else {
+        0.0
+    }
+}
+
 /// A fixed-bucket histogram with logarithmically spaced bounds.
 ///
 /// The bucket layout is frozen at construction — observation is a binary
@@ -262,25 +302,29 @@ impl Histogram {
 
     /// Record one observation.
     pub fn observe(&self, v: f64) {
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        let idx = self.inner.bounds.partition_point(|&b| b < v);
+        let v = clamp_observation(v);
         let shard = &self.inner.shards[thread_shard()];
-        shard.counts[idx].fetch_add(1, Ordering::Relaxed);
-        // Relaxed CAS loop on the shard-local sum; contention is bounded by
-        // the (small) number of threads mapped to this shard.
-        let mut cur = shard.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match shard.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
+        shard.counts[self.inner.bucket(v)].fetch_add(1, Ordering::Relaxed);
+        shard.add_to_sum(|sum| sum + v);
+    }
+
+    /// Record a batch of observations with one shard lookup and one sum
+    /// update. Counts, and the sum's bits, are those of calling
+    /// [`observe`](Self::observe) on each value in order.
+    pub fn observe_many(&self, values: &[f64]) {
+        if values.is_empty() {
+            return;
         }
+        let shard = &self.inner.shards[thread_shard()];
+        for &v in values {
+            let idx = self.inner.bucket(clamp_observation(v));
+            shard.counts[idx].fetch_add(1, Ordering::Relaxed);
+        }
+        shard.add_to_sum(|sum| {
+            values
+                .iter()
+                .fold(sum, |sum, &v| sum + clamp_observation(v))
+        });
     }
 
     /// Record a duration in seconds.
@@ -462,6 +506,40 @@ mod tests {
         h.observe(9.0); // -> overflow
         assert_eq!(h.merged_counts(), vec![1, 2, 0, 0, 1]);
         assert_eq!(h.count(), 4);
+    }
+
+    #[test]
+    fn observe_many_equals_sequential_observe_to_the_bit() {
+        // Sums that round at every step, bounds hit exactly, and values
+        // `observe` clamps (negative, NaN, infinite), in uneven batches.
+        let values: Vec<f64> = (0..500)
+            .map(|i| match i % 7 {
+                0 => 0.1 * i as f64,
+                1 => 1.0 / (i as f64 + 3.0),
+                2 => 2f64.powi(i % 12 - 2),
+                3 => -(i as f64),
+                4 if i % 35 == 4 => f64::NAN,
+                5 if i % 35 == 5 => f64::INFINITY,
+                _ => 1e3 * (i as f64).sqrt(),
+            })
+            .collect();
+        let batched = Histogram::with_log_buckets(1e-3, 1e3, 2);
+        let one_by_one = Histogram::with_log_buckets(1e-3, 1e3, 2);
+        let mut rest = &values[..];
+        for size in (0..).map(|k| k % 23) {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            batched.observe_many(batch);
+            rest = tail;
+        }
+        for &v in &values {
+            one_by_one.observe(v);
+        }
+        assert_eq!(batched.merged_counts(), one_by_one.merged_counts());
+        assert_eq!(batched.count(), 500);
+        assert_eq!(batched.sum().to_bits(), one_by_one.sum().to_bits());
     }
 
     #[test]
