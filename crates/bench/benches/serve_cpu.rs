@@ -18,6 +18,7 @@
 //! | `gateway_tracing`: one client, tracer ÷ none | traced ÷ untraced | 1.15 |
 //! | `router_tracing`: one client over TCP to 2 shards, router tracer ÷ none | traced ÷ untraced | 1.15 |
 //! | `telemetry`: `Prionn::predict` of 16 scripts, registry ÷ none | instrumented ÷ bare | 1.1 |
+//! | `swap`: `apply_weights_checkpoint` of the serving model's weights ÷ copying the same payload bytes | apply ÷ copy | 3 |
 //!
 //! Method: both sides of a comparison stay alive together and rounds
 //! alternate off/on, so frequency phases hit both. The ratio is the median
@@ -26,8 +27,9 @@
 //! carried (`distinct_script`), so `Prionn::predict`'s memo never answers
 //! and each side pays a forward pass. The serving model is the paper's
 //! default architecture (`serving_model`); the fleet's shards serve the
-//! fleet test model, as the fleet tests do. Wall time per request is
-//! recorded beside each figure and not gated.
+//! fleet test model, as the fleet tests do. In `swap` a "request" is one
+//! apply (or one copy) of the whole weights payload. Wall time per request
+//! is recorded beside each figure and not gated.
 
 use prionn_bench::support::{distinct_script, process_cpu_seconds, serving_model};
 use prionn_core::Prionn;
@@ -39,6 +41,7 @@ use prionn_telemetry::Telemetry;
 use prionn_workload::stats::percentile;
 use serde_json::json;
 use std::cell::Cell;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
@@ -52,6 +55,12 @@ const FUSION_CEILING: f64 = 1.2;
 const TRACING_CEILING: f64 = 1.15;
 /// Per-layer timers, counters and histograms on the predict path.
 const TELEMETRY_CEILING: f64 = 1.1;
+/// A hot-swap checks the payload against the live model, then decodes it
+/// straight into the live tensors: about one copy of the payload. A
+/// decode into fresh tensors plus clones reads several times that.
+const SWAP_CEILING: f64 = 3.0;
+/// Applies (or copies) of the weights payload per round of `swap`.
+const SWAPS_PER_ROUND: usize = 8;
 
 /// One comparison's result: cpu-ms and wall-ms per request on each side
 /// (all rounds pooled) and the median of the per-round-pair cpu ratios.
@@ -289,6 +298,35 @@ fn main() {
         || predict16(&mut instrumented),
     );
 
+    // Swap: the serving model's weights applied onto a model of the same
+    // architecture, against a plain copy of the same payload bytes into
+    // buffers already allocated.
+    let weights = bare.weights_checkpoint().unwrap();
+    let payload: Vec<&[u8]> = weights
+        .section_names()
+        .map(|name| weights.get(name).unwrap())
+        .collect();
+    let mut copies: Vec<Vec<u8>> = payload.iter().map(|p| vec![0; p.len()]).collect();
+    let mut copy_payload = || {
+        for _ in 0..SWAPS_PER_ROUND {
+            for (dst, src) in copies.iter_mut().zip(&payload) {
+                dst.copy_from_slice(black_box(src));
+            }
+            black_box(&mut copies);
+        }
+        SWAPS_PER_ROUND
+    };
+    let mut apply = || {
+        for _ in 0..SWAPS_PER_ROUND {
+            bare.apply_weights_checkpoint(black_box(&weights)).unwrap();
+        }
+        SWAPS_PER_ROUND
+    };
+    copy_payload();
+    apply();
+    let swap = alternate("swap", SWAP_CEILING, rounds, copy_payload, apply);
+    let payload_bytes: usize = payload.iter().map(|p| p.len()).sum();
+
     let report = json!({
         "bench": "serve_cpu",
         "mode": mode,
@@ -301,6 +339,8 @@ fn main() {
         "gateway_tracing": gateway_tracing.json(),
         "router_tracing": router_tracing.json(),
         "telemetry": telemetry.json(),
+        "swap_payload_bytes": payload_bytes,
+        "swap": swap.json(),
     });
     let out = std::env::var("BENCH_SERVE_CPU_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve_cpu.json").into()
@@ -309,7 +349,7 @@ fn main() {
     println!("wrote {out}");
 
     if enforce {
-        let all = [fusion, gateway_tracing, router_tracing, telemetry];
+        let all = [fusion, gateway_tracing, router_tracing, telemetry, swap];
         let failed: Vec<&Comparison> = all.iter().filter(|c| c.ratio > c.ceiling).collect();
         for c in &failed {
             eprintln!(
@@ -320,6 +360,6 @@ fn main() {
         if !failed.is_empty() {
             std::process::exit(1);
         }
-        println!("enforce: every cpu-ms ratio within its ceiling OK");
+        println!("enforce: fusion, tracing, telemetry and swap ratios within their ceilings OK");
     }
 }

@@ -14,10 +14,9 @@
 
 use crate::bins::ValueBins;
 use crate::predictor::{HeadKind, PrionnConfig};
-use prionn_nn::{ModelKind, OptimizerState};
+use prionn_nn::{ModelKind, OptimizerState, Sequential};
 use prionn_store::wire::{self, Reader};
 use prionn_store::StoreError;
-use prionn_tensor::Tensor;
 use prionn_text::{TransformKind, Word2vecConfig};
 
 /// Result alias for checkpoint (de)serialisation.
@@ -190,39 +189,99 @@ pub fn decode_bins(r: &mut Reader<'_>) -> CkptResult<ValueBins> {
     }
 }
 
-/// Serialise a model state dict (`Sequential::state_dict` output): entry
-/// count, then per entry the layer path, the shape, and the raw weights.
-pub fn encode_state_dict(dict: &[(String, Tensor)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wire::put_u64(&mut buf, dict.len() as u64);
-    for (key, tensor) in dict {
+/// Serialise a model's persisted tensors, borrowed from its live layers
+/// ([`Sequential::state_views`]): entry count, then per entry the layer
+/// path, the dims, and the raw weights. The buffer is sized up front, so the
+/// weights are copied once.
+pub fn encode_model(model: &Sequential) -> Vec<u8> {
+    let state = model.state_views();
+    let len = 8 + state
+        .iter()
+        .map(|(key, v)| 4 + key.len() + 8 + 8 * v.dims.len() + 8 + 4 * v.data.len())
+        .sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
+    wire::put_u64(&mut buf, state.len() as u64);
+    for (key, v) in &state {
         wire::put_str(&mut buf, key);
-        let dims: Vec<u64> = tensor.dims().iter().map(|&d| d as u64).collect();
-        wire::put_u64_slice(&mut buf, &dims);
-        wire::put_f32_slice(&mut buf, tensor.as_slice());
+        wire::put_u64(&mut buf, v.dims.len() as u64);
+        for &d in v.dims {
+            wire::put_u64(&mut buf, d as u64);
+        }
+        wire::put_f32_slice(&mut buf, v.data);
     }
+    debug_assert_eq!(buf.len(), len);
     buf
 }
 
-/// Decode a state dict written by [`encode_state_dict`].
-pub fn decode_state_dict(payload: &[u8]) -> CkptResult<Vec<(String, Tensor)>> {
+/// A model section written by [`encode_model`], checked against the model
+/// it is meant for: each entry's weight bytes, borrowed from the payload,
+/// in the model's state order. Only [`check_model`] builds one.
+pub struct CheckedModel<'a>(Vec<&'a [u8]>);
+
+/// Check that `payload`, the section named `section`, is a model section
+/// for `model` without touching it: the entry count, every key path, every
+/// dims list and every data length must match the model's own state, and
+/// nothing may trail. A section that passes cannot fail to
+/// [write](CheckedModel::write_into).
+pub fn check_model<'a>(
+    section: &str,
+    payload: &'a [u8],
+    model: &Sequential,
+) -> CkptResult<CheckedModel<'a>> {
     let mut r = Reader::new(payload);
+    let state = model.state_views();
     let count = r.get_usize("state_dict.count")?;
-    let mut dict = Vec::new();
-    for _ in 0..count {
-        let key = r.get_str("state_dict.key")?.to_string();
-        let dims: Vec<usize> = r
-            .get_u64_vec("state_dict.dims")?
-            .iter()
-            .map(|&d| d as usize)
-            .collect();
-        let data = r.get_f32_vec("state_dict.data")?;
-        let tensor = Tensor::from_vec(dims, data)
-            .map_err(|e| StoreError::Corrupt(format!("state_dict entry {key}: {e}")))?;
-        dict.push((key, tensor));
+    if count != state.len() {
+        return Err(StoreError::Corrupt(format!(
+            "{section}: {count} entries for a model of {}",
+            state.len()
+        )));
+    }
+    let mut data = Vec::with_capacity(count);
+    for (path, v) in &state {
+        let key = r.get_str("state_dict.key")?;
+        if key != path {
+            return Err(StoreError::Corrupt(format!(
+                "{section}: key mismatch: expected {path}, found {key}"
+            )));
+        }
+        let dims_differ = || {
+            StoreError::Corrupt(format!(
+                "{section}: entry {path}: dims differ from the model's {:?}",
+                v.dims
+            ))
+        };
+        if r.get_usize("state_dict.dims")? != v.dims.len() {
+            return Err(dims_differ());
+        }
+        for &d in v.dims {
+            if r.get_u64("state_dict.dims")? != d as u64 {
+                return Err(dims_differ());
+            }
+        }
+        let bytes = r.get_f32_bytes("state_dict.data")?;
+        if bytes.len() != 4 * v.data.len() {
+            return Err(StoreError::Corrupt(format!(
+                "{section}: entry {path}: {} values for {:?}",
+                bytes.len() / 4,
+                v.dims
+            )));
+        }
+        data.push(bytes);
     }
     r.expect_end("state_dict")?;
-    Ok(dict)
+    Ok(CheckedModel(data))
+}
+
+impl CheckedModel<'_> {
+    /// Copy the checked weights into `model`'s live tensors, one copy per
+    /// entry. `model` must be the one [`check_model`] passed (or share its
+    /// architecture).
+    pub fn write_into(&self, model: &mut Sequential) {
+        for (dst, bytes) in model.state_mut().into_iter().zip(&self.0) {
+            wire::f32s_from_le(bytes, dst);
+        }
+    }
 }
 
 /// Serialise an [`OptimizerState`] (step + per-slot moment buffers).
@@ -258,7 +317,7 @@ pub fn decode_opt_state(payload: &[u8]) -> CkptResult<OptimizerState> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -335,41 +394,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn state_dict_round_trips_bitwise() {
-        let dict = vec![
-            (
-                "0.dense.w".to_string(),
-                Tensor::from_vec([2, 3], vec![1.0, -0.0, 2.5, 3e-8, -7.0, 0.1]).unwrap(),
-            ),
-            (
-                "0.dense.b".to_string(),
-                Tensor::from_slice(&[0.5, -0.5, 9.0]),
-            ),
-        ];
-        let encoded = encode_state_dict(&dict);
-        let back = decode_state_dict(&encoded).unwrap();
-        assert_eq!(back.len(), 2);
-        for ((ka, ta), (kb, tb)) in dict.iter().zip(&back) {
-            assert_eq!(ka, kb);
-            assert_eq!(ta.dims(), tb.dims());
-            for (a, b) in ta.as_slice().iter().zip(tb.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+    /// A dense layer, a batch norm (running stats included) and a dense
+    /// head, seeded.
+    fn small_model(seed: u64) -> Sequential {
+        use prionn_nn::layer::{BatchNorm, Dense};
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        Sequential::new()
+            .push(Dense::new(3, 4, &mut rng))
+            .push(BatchNorm::new(4).unwrap())
+            .push(Dense::new(4, 2, &mut rng))
+    }
+
+    /// The section layout as the clone-based codec wrote it: entry count,
+    /// then per `state_dict` entry the key, the dims list and the data.
+    pub(crate) fn reference_encoding(model: &Sequential) -> Vec<u8> {
+        let dict = model.state_dict();
+        let mut buf = Vec::new();
+        wire::put_u64(&mut buf, dict.len() as u64);
+        for (key, tensor) in &dict {
+            wire::put_str(&mut buf, key);
+            wire::put_u64(&mut buf, tensor.dims().len() as u64);
+            for &d in tensor.dims() {
+                buf.extend_from_slice(&(d as u64).to_le_bytes());
             }
+            wire::put_f32_slice(&mut buf, tensor.as_slice());
         }
-        // Re-encoding is byte-identical (save -> load -> save stability).
-        assert_eq!(encode_state_dict(&back), encoded);
+        buf
+    }
+
+    fn bits(model: &Sequential) -> Vec<u32> {
+        model
+            .state_views()
+            .iter()
+            .flat_map(|(_, v)| v.data.iter().map(|x| x.to_bits()))
+            .collect()
     }
 
     #[test]
-    fn state_dict_rejects_shape_data_mismatch() {
-        let dict = vec![("k".to_string(), Tensor::from_slice(&[1.0, 2.0]))];
-        let mut encoded = encode_state_dict(&dict);
-        // Shrink the declared dim without touching the data length.
-        // Layout: count u64, key len u32 + "k", dims len u64, dims[0] u64...
-        let dims0_offset = 8 + 4 + 1 + 8;
-        encoded[dims0_offset] = 3;
-        assert!(decode_state_dict(&encoded).is_err());
+    fn model_section_keeps_the_state_dict_layout() {
+        let mut m = small_model(1);
+        // Odd bits must survive: -0.0, a NaN payload, a subnormal.
+        let running_var = &mut m.state_mut()[5];
+        running_var[0] = -0.0;
+        running_var[1] = f32::from_bits(0x7fc0_1234);
+        running_var[2] = 1e-42;
+        assert_eq!(encode_model(&m), reference_encoding(&m));
+    }
+
+    #[test]
+    fn model_section_round_trips_bitwise_into_the_live_tensors() {
+        let mut a = small_model(1);
+        a.state_mut()[4][3] = f32::from_bits(0x7fc0_0042);
+        let mut b = small_model(2);
+        assert_ne!(bits(&a), bits(&b));
+        let encoded = encode_model(&a);
+        check_model("m", &encoded, &b).unwrap().write_into(&mut b);
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(encode_model(&b), encoded);
+    }
+
+    #[test]
+    fn check_model_rejects_every_mismatch_and_truncation() {
+        let m = small_model(1);
+        let good = encode_model(&m);
+        for len in 0..good.len() {
+            assert!(check_model("m", &good[..len], &m).is_err(), "prefix {len}");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(check_model("m", &trailing, &m).is_err());
+        // Layout: count u64, key len u32 + "0.dense.w", rank u64, dims...
+        let dims0 = 8 + 4 + "0.dense.w".len() + 8;
+        let mut wrong_dims = good.clone();
+        wrong_dims[dims0] = 4;
+        assert!(check_model("m", &wrong_dims, &m).is_err());
+        let mut wrong_count = good.clone();
+        wrong_count[0] -= 1;
+        assert!(check_model("m", &wrong_count, &m).is_err());
+        let mut wrong_key = good.clone();
+        wrong_key[8 + 4] = b'1';
+        assert!(check_model("m", &wrong_key, &m).is_err());
+        let wide = small_model(1).push(prionn_nn::layer::ReLU::new());
+        assert!(
+            check_model("m", &good, &wide).is_ok(),
+            "a parameterless layer adds no entry"
+        );
     }
 
     #[test]

@@ -681,10 +681,7 @@ impl Prionn {
         ck.insert("bins", bins)?;
 
         for head in &self.heads {
-            ck.insert(
-                head.model_section(),
-                checkpoint::encode_state_dict(&head.model.state_dict()),
-            )?;
+            ck.insert(head.model_section(), checkpoint::encode_model(&head.model))?;
             ck.insert(
                 head.opt_section(),
                 checkpoint::encode_opt_state(&head.opt.export_state()),
@@ -719,36 +716,29 @@ impl Prionn {
     pub fn weights_checkpoint(&self) -> CkptResult<Checkpoint> {
         let mut ck = Checkpoint::new();
         for head in &self.heads {
-            ck.insert(
-                head.model_section(),
-                checkpoint::encode_state_dict(&head.model.state_dict()),
-            )?;
+            ck.insert(head.model_section(), checkpoint::encode_model(&head.model))?;
         }
         Ok(ck)
     }
 
     /// Apply a weight set produced by [`Prionn::weights_checkpoint`] on a
-    /// predictor with the identical architecture. Every head is decoded and
-    /// shape-checked *before* any weight is written, so a mismatched or
-    /// corrupt payload leaves the current weights fully intact — the
-    /// all-or-nothing property the replica hot-swap protocol relies on.
-    /// An accepted payload also forgets every answer the old weights gave.
+    /// predictor with the identical architecture. Every head's section is
+    /// checked — keys, dims and lengths — *before* any weight is written, so
+    /// a mismatched or corrupt payload leaves the current weights fully
+    /// intact: the all-or-nothing property the replica hot-swap protocol
+    /// relies on. An accepted payload is then copied straight into the live
+    /// tensors, once, and forgets every answer the old weights gave.
     pub fn apply_weights_checkpoint(&mut self, ck: &Checkpoint) -> CkptResult<()> {
-        let mut states = Vec::with_capacity(self.heads.len());
+        let mut checked = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
             let section = head.model_section();
-            let dict = checkpoint::decode_state_dict(ck.require(&section)?)?;
-            head.model
-                .check_state_dict(&dict)
-                .map_err(|e| mismatch(&section, e))?;
-            states.push(dict.into_iter().map(|(_, t)| t).collect::<Vec<Tensor>>());
+            let payload = ck.require(&section)?;
+            checked.push(checkpoint::check_model(&section, payload, &head.model)?);
         }
-        // Every dict passed its head's check, so no load below can fail.
+        // Every section passed its head's check, so no write below can fail.
         self.memo.clear();
-        for (head, state) in self.heads.iter_mut().zip(&states) {
-            head.model
-                .load_state(state)
-                .map_err(|e| mismatch(&head.model_section(), e))?;
+        for (head, weights) in self.heads.iter_mut().zip(&checked) {
+            weights.write_into(&mut head.model);
         }
         Ok(())
     }
@@ -1390,6 +1380,94 @@ mod tests {
         let after = a.weights_checkpoint().unwrap();
         for section in ["model.runtime", "model.read", "model.write"] {
             assert!(after.get(section) == before.get(section), "{section}");
+        }
+    }
+
+    /// The model sections a full and a weights checkpoint carry are the
+    /// bytes the clone-based codec wrote for the same model, and a restore
+    /// from those bytes predicts bit for bit what the model does.
+    #[test]
+    fn checkpoint_bytes_keep_the_state_dict_encoding() {
+        let scripts = corpus();
+        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+        let mut p = Prionn::new(tiny_cfg(), &refs).unwrap();
+        let io = vec![1e9; refs.len()];
+        p.retrain(&refs, &vec![45.0; refs.len()], &io, &io).unwrap();
+        let full = p.to_checkpoint().unwrap();
+        let weights = p.weights_checkpoint().unwrap();
+        assert_eq!(weights.len(), p.heads.len());
+        for head in &p.heads {
+            let want = crate::checkpoint::tests::reference_encoding(&head.model);
+            let section = head.model_section();
+            assert!(full.get(&section) == Some(&want[..]), "{section}");
+            assert!(weights.get(&section) == Some(&want[..]), "{section}");
+        }
+        let bytes = full.to_bytes();
+        let mut restored =
+            Prionn::from_checkpoint(&prionn_store::Checkpoint::from_bytes(&bytes).unwrap())
+                .unwrap();
+        assert_eq!(restored.to_checkpoint().unwrap().to_bytes(), bytes);
+        assert_eq!(
+            bits(&restored.predict(&refs).unwrap()),
+            bits(&p.predict(&refs).unwrap())
+        );
+    }
+
+    /// A last head whose section is truncated, misshapen or miscounted is
+    /// refused before the heads ahead of it are written.
+    #[test]
+    fn apply_refuses_truncated_misshapen_and_miscounted_sections_untouched() {
+        let scripts = corpus();
+        let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+        let mut a = Prionn::new(tiny_cfg(), &refs).unwrap();
+        let mut donor = Prionn::new(tiny_cfg(), &refs).unwrap();
+        let io = vec![1e8; refs.len()];
+        a.retrain(&refs, &vec![60.0; refs.len()], &io, &io).unwrap();
+        let other = vec![3e12; refs.len()];
+        donor
+            .retrain(&refs, &vec![900.0; refs.len()], &other, &other)
+            .unwrap();
+        let good = donor.weights_checkpoint().unwrap();
+        let write = good.get("model.write").unwrap();
+        // Offset of the first entry's first dim: count, then the key.
+        let mut r = wire::Reader::new(write);
+        r.get_u64("count").unwrap();
+        r.get_str("key").unwrap();
+        let dims0 = write.len() - r.remaining() + 8;
+
+        let mut misshapen = write.to_vec();
+        misshapen[dims0] ^= 1;
+        let mut miscounted = write.to_vec();
+        miscounted[0] += 1;
+        let mut undercounted = write.to_vec();
+        undercounted[0] -= 1;
+        let cases = [
+            ("truncated", write[..write.len() - 1].to_vec()),
+            ("truncated mid-entry", write[..dims0].to_vec()),
+            ("misshapen", misshapen),
+            ("miscounted", miscounted),
+            ("undercounted", undercounted),
+        ];
+        let before = a.weights_checkpoint().unwrap();
+        let answers = bits(&a.predict(&refs).unwrap());
+        for (what, bad) in cases {
+            let mut mixed = prionn_store::Checkpoint::new();
+            for section in ["model.runtime", "model.read"] {
+                assert!(good.get(section) != before.get(section), "{section}");
+                mixed
+                    .insert(section, good.get(section).unwrap().to_vec())
+                    .unwrap();
+            }
+            mixed.insert("model.write", bad).unwrap();
+            assert!(a.apply_weights_checkpoint(&mixed).is_err(), "{what}");
+            let after = a.weights_checkpoint().unwrap();
+            for section in ["model.runtime", "model.read", "model.write"] {
+                assert!(
+                    after.get(section) == before.get(section),
+                    "{what}: {section}"
+                );
+            }
+            assert_eq!(bits(&a.predict(&refs).unwrap()), answers, "{what}");
         }
     }
 

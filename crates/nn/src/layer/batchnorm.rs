@@ -1,6 +1,6 @@
 //! Batch normalisation (Ioffe & Szegedy, 2015).
 
-use super::Layer;
+use super::{Layer, StateView};
 use crate::Result;
 use prionn_tensor::{Scratch, Tensor, TensorError};
 
@@ -184,40 +184,31 @@ impl Layer for BatchNorm {
         "batchnorm"
     }
 
-    fn state_keys(&self) -> &'static [&'static str] {
-        &["gamma", "beta", "running_mean", "running_var"]
-    }
-
-    fn state(&self) -> Vec<Tensor> {
+    fn state_views(&self) -> Vec<StateView<'_>> {
+        let channels = std::slice::from_ref(&self.channels);
         vec![
-            self.gamma.clone(),
-            self.beta.clone(),
-            Tensor::from_slice(&self.running_mean),
-            Tensor::from_slice(&self.running_var),
+            StateView::of("gamma", &self.gamma),
+            StateView::of("beta", &self.beta),
+            StateView {
+                key: "running_mean",
+                dims: channels,
+                data: &self.running_mean,
+            },
+            StateView {
+                key: "running_var",
+                dims: channels,
+                data: &self.running_var,
+            },
         ]
     }
 
-    fn load_state(&mut self, state: &[Tensor]) -> Result<usize> {
-        let [g, b, rm, rv, ..] = state else {
-            return Err(TensorError::InvalidArgument(
-                "batchnorm state needs 4 tensors".into(),
-            ));
-        };
-        if g.len() != self.channels
-            || b.len() != self.channels
-            || rm.len() != self.channels
-            || rv.len() != self.channels
-        {
-            return Err(TensorError::LengthMismatch {
-                expected: self.channels,
-                actual: g.len(),
-            });
-        }
-        self.gamma = g.clone();
-        self.beta = b.clone();
-        self.running_mean = rm.as_slice().to_vec();
-        self.running_var = rv.as_slice().to_vec();
-        Ok(4)
+    fn state_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![
+            self.gamma.as_mut_slice(),
+            self.beta.as_mut_slice(),
+            &mut self.running_mean,
+            &mut self.running_var,
+        ]
     }
 }
 
@@ -314,7 +305,11 @@ mod tests {
             a.forward(&x, true, &mut s).unwrap();
         }
         let mut b = BatchNorm::new(2).unwrap();
-        assert_eq!(b.load_state(&a.state()).unwrap(), 4);
+        let keys: Vec<&str> = a.state_views().iter().map(|v| v.key).collect();
+        assert_eq!(keys, ["gamma", "beta", "running_mean", "running_var"]);
+        for (dst, src) in b.state_mut().into_iter().zip(a.state_views()) {
+            dst.copy_from_slice(src.data);
+        }
         let probe = prionn_tensor::init::normal([4, 2], 5.0, 1.0, &mut rng());
         assert_eq!(
             a.forward(&probe, false, &mut s).unwrap(),

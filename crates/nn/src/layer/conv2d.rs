@@ -12,7 +12,7 @@
 //! the *input* (`C·H·W` floats per sample) for backward, which rebuilds the
 //! cols from it; train and eval run the same forward.
 
-use super::{sample_groups, Layer};
+use super::{sample_groups, Layer, StateView};
 use crate::Result;
 use prionn_tensor::ops::gemm::{self, Epilogue, GemmWorkspace, Layout};
 use prionn_tensor::ops::{self, conv3x3, Conv2dGeom};
@@ -457,30 +457,12 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn state_keys(&self) -> &'static [&'static str] {
-        &["w", "b"]
+    fn state_views(&self) -> Vec<StateView<'_>> {
+        vec![StateView::of("w", &self.w), StateView::of("b", &self.b)]
     }
 
-    fn state(&self) -> Vec<Tensor> {
-        vec![self.w.clone(), self.b.clone()]
-    }
-
-    fn load_state(&mut self, state: &[Tensor]) -> Result<usize> {
-        let [w, b, ..] = state else {
-            return Err(TensorError::InvalidArgument(
-                "conv2d state needs 2 tensors".into(),
-            ));
-        };
-        if w.shape() != self.w.shape() || b.shape() != self.b.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d_load_state",
-                lhs: self.w.dims().to_vec(),
-                rhs: w.dims().to_vec(),
-            });
-        }
-        self.w = w.clone();
-        self.b = b.clone();
-        Ok(2)
+    fn state_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![self.w.as_mut_slice(), self.b.as_mut_slice()]
     }
 }
 
@@ -587,7 +569,9 @@ mod tests {
         let mut a = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut rng()).unwrap();
         let mut b = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut ChaCha8Rng::seed_from_u64(5)).unwrap();
         let mut s = Scratch::new();
-        b.load_state(&a.state()).unwrap();
+        for (dst, src) in b.state_mut().into_iter().zip(a.state_views()) {
+            dst.copy_from_slice(src.data);
+        }
         let x = prionn_tensor::init::uniform([1, 1, 4, 4], -1.0, 1.0, &mut rng());
         assert_eq!(
             a.forward(&x, false, &mut s).unwrap(),

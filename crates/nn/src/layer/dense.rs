@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use super::Layer;
+use super::{Layer, StateView};
 use crate::Result;
 use prionn_tensor::ops;
 use prionn_tensor::{Scratch, Tensor, TensorError};
@@ -113,30 +113,12 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn state_keys(&self) -> &'static [&'static str] {
-        &["w", "b"]
+    fn state_views(&self) -> Vec<StateView<'_>> {
+        vec![StateView::of("w", &self.w), StateView::of("b", &self.b)]
     }
 
-    fn state(&self) -> Vec<Tensor> {
-        vec![self.w.clone(), self.b.clone()]
-    }
-
-    fn load_state(&mut self, state: &[Tensor]) -> Result<usize> {
-        let [w, b, ..] = state else {
-            return Err(TensorError::InvalidArgument(
-                "dense state needs 2 tensors".into(),
-            ));
-        };
-        if w.shape() != self.w.shape() || b.shape() != self.b.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "dense_load_state",
-                lhs: self.w.dims().to_vec(),
-                rhs: w.dims().to_vec(),
-            });
-        }
-        self.w = w.clone();
-        self.b = b.clone();
-        Ok(2)
+    fn state_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![self.w.as_mut_slice(), self.b.as_mut_slice()]
     }
 }
 
@@ -219,17 +201,23 @@ mod tests {
         let a = Dense::new(3, 2, &mut rng());
         let mut b = Dense::new(3, 2, &mut ChaCha8Rng::seed_from_u64(99));
         assert_ne!(a.w, b.w);
-        let consumed = b.load_state(&a.state()).unwrap();
-        assert_eq!(consumed, 2);
+        let mut dst = b.state_mut();
+        assert_eq!(dst.len(), 2);
+        for (dst, src) in dst.iter_mut().zip(a.state_views()) {
+            dst.copy_from_slice(src.data);
+        }
         assert_eq!(a.w, b.w);
         assert_eq!(a.b, b.b);
     }
 
     #[test]
-    fn load_state_rejects_wrong_shape() {
-        let mut d = Dense::new(3, 2, &mut rng());
-        let bad = vec![Tensor::zeros([2, 2]), Tensor::zeros([2])];
-        assert!(d.load_state(&bad).is_err());
+    fn state_borrows_the_live_weights_in_key_order() {
+        let d = Dense::new(3, 2, &mut rng());
+        let state = d.state_views();
+        let keys: Vec<_> = state.iter().map(|v| (v.key, v.dims.to_vec())).collect();
+        assert_eq!(keys, [("w", vec![3, 2]), ("b", vec![2])]);
+        assert_eq!(state[0].data.as_ptr(), d.w.as_slice().as_ptr());
+        assert_eq!(state[1].data.as_ptr(), d.b.as_slice().as_ptr());
     }
 
     #[test]

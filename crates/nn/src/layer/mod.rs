@@ -38,8 +38,9 @@ fn sample_groups(batch: usize) -> usize {
 /// 2. `visit_params` yields `(parameter, gradient)` pairs in a stable order
 ///    across calls — optimiser state (momentum/Adam moments) is keyed by that
 ///    order;
-/// 3. `state` / `load_state` round-trip all learned parameters, enabling the
-///    paper's warm-started online retraining;
+/// 3. `state` / `state_mut` expose all learned parameters in place, so a
+///    checkpoint encodes from and decodes into the live tensors (the
+///    paper's warm-started online retraining, the replica hot-swap);
 /// 4. both passes draw every sizeable temporary from the shared [`Scratch`]
 ///    workspace and recycle buffers they are done with, so steady-state
 ///    training over fixed shapes performs no heap allocation.
@@ -81,24 +82,42 @@ pub trait Layer: Send {
         1
     }
 
-    /// Stable names for the tensors yielded by [`Layer::state`], in the
-    /// same order. Parameterless layers return the empty slice. Checkpoint
-    /// code keys persisted tensors by `{layer_index}.{name}.{state_key}`
-    /// (the index counts [`Layer::positions`]),
-    /// so these strings are part of the on-disk format — never reorder or
-    /// rename them without bumping the checkpoint format version.
-    fn state_keys(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    /// Snapshot learned parameters (possibly empty).
-    fn state(&self) -> Vec<Tensor> {
+    /// The persisted tensors, borrowed from the live layer in a stable
+    /// order: learned parameters and any running statistics, each with its
+    /// key, dims and data. Parameterless layers return none. Checkpoint code
+    /// keys persisted tensors by `{layer_index}.{name}.{key}` (the index
+    /// counts [`Layer::positions`]), so the keys and their order are part of
+    /// the on-disk format — never reorder or rename them without bumping the
+    /// checkpoint format version.
+    fn state_views(&self) -> Vec<StateView<'_>> {
         Vec::new()
     }
 
-    /// Restore parameters from the front of `state`; returns how many
-    /// tensors were consumed.
-    fn load_state(&mut self, _state: &[Tensor]) -> Result<usize> {
-        Ok(0)
+    /// The data of the tensors [`Layer::state_views`] yields, in the same order,
+    /// for writing in place. A writer must keep every length.
+    fn state_mut(&mut self) -> Vec<&mut [f32]> {
+        Vec::new()
+    }
+}
+
+/// One persisted tensor of a layer, borrowed: see [`Layer::state_views`].
+#[derive(Debug, Clone, Copy)]
+pub struct StateView<'a> {
+    /// Stable name within the layer (e.g. `w`, `running_mean`).
+    pub key: &'static str,
+    /// Logical dims of the tensor.
+    pub dims: &'a [usize],
+    /// Row-major values; `dims` multiply to its length.
+    pub data: &'a [f32],
+}
+
+impl<'a> StateView<'a> {
+    /// A view of `tensor` under `key`.
+    pub fn of(key: &'static str, tensor: &'a Tensor) -> Self {
+        StateView {
+            key,
+            dims: tensor.dims(),
+            data: tensor.as_slice(),
+        }
     }
 }

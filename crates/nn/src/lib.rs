@@ -32,7 +32,7 @@ pub mod model;
 pub mod optim;
 
 pub use arch::{build_cnn1d, build_cnn2d, build_nn, ArchConfig, ModelKind};
-pub use layer::Layer;
+pub use layer::{Layer, StateView};
 pub use loss::{Loss, LossTarget, MseLoss, SoftmaxCrossEntropy};
 pub use model::Sequential;
 pub use optim::{Adam, Optimizer, OptimizerState, Sgd};

@@ -1,7 +1,7 @@
 //! The [`Sequential`] model container: forward/backward plumbing, batched
 //! training with shuffling, prediction, and weight export/import.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, StateView};
 use crate::loss::{Loss, LossTarget};
 use crate::optim::Optimizer;
 use crate::Result;
@@ -459,100 +459,79 @@ impl Sequential {
         ops::argmax_rows(&logits)
     }
 
-    /// Snapshot all learned parameters, layer by layer.
-    pub fn state(&self) -> Vec<Tensor> {
-        self.layers.iter().flat_map(|l| l.state()).collect()
-    }
-
-    /// Restore parameters from a [`Sequential::state`] snapshot taken from a
-    /// model with the identical architecture.
-    pub fn load_state(&mut self, state: &[Tensor]) -> Result<()> {
-        let mut offset = 0usize;
-        for layer in &mut self.layers {
-            offset += layer.load_state(&state[offset..])?;
-        }
-        if offset != state.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: offset,
-                actual: state.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Snapshot all learned parameters keyed by stable layer paths of the
-    /// form `{layer_index}.{layer_name}.{state_key}` (e.g. `3.dense.w`), the
-    /// index counting [`Layer::positions`].
+    /// Every persisted tensor, borrowed from the live layers in checkpoint
+    /// order and keyed by a stable layer path of the form
+    /// `{layer_index}.{layer_name}.{state_key}` (e.g. `3.dense.w`), the index
+    /// counting [`Layer::positions`].
     ///
-    /// Unlike the positional [`Sequential::state`], the keys make persisted
-    /// checkpoints self-describing: loading against a different architecture
-    /// fails with the first mismatching path instead of silently assigning
-    /// tensors to the wrong layers.
-    pub fn state_dict(&self) -> Vec<(String, Tensor)> {
-        let mut dict = Vec::new();
-        for (i, layer) in indexed(&self.layers) {
-            let keys = layer.state_keys();
-            let tensors = layer.state();
-            debug_assert_eq!(
-                keys.len(),
-                tensors.len(),
-                "{}: state_keys out of sync with state",
-                layer.name()
-            );
-            for (key, t) in keys.iter().zip(tensors) {
-                dict.push((format!("{i}.{}.{key}", layer.name()), t));
-            }
-        }
-        dict
+    /// The keys make persisted checkpoints self-describing: loading against
+    /// a different architecture fails with the first mismatching path
+    /// instead of silently assigning tensors to the wrong layers. Nothing is
+    /// copied, so a checkpoint encodes straight from the weights.
+    pub fn state_views(&self) -> Vec<(String, StateView<'_>)> {
+        indexed(&self.layers)
+            .flat_map(|(i, layer)| {
+                layer
+                    .state_views()
+                    .into_iter()
+                    .map(move |v| (format!("{i}.{}.{}", layer.name(), v.key), v))
+            })
+            .collect()
     }
 
-    /// Check a [`Sequential::state_dict`] snapshot against this model
-    /// without touching it: keys must match the model's own layer paths in
-    /// order, and each tensor must have the shape of the parameter it would
-    /// replace. A dict that passes cannot fail to load.
-    pub fn check_state_dict(&self, dict: &[(String, Tensor)]) -> Result<()> {
-        let mut cursor = 0usize;
-        for (i, layer) in indexed(&self.layers) {
-            let keys = layer.state_keys();
-            let current = layer.state();
-            for (key, cur) in keys.iter().zip(&current) {
-                let expected = format!("{i}.{}.{key}", layer.name());
-                let Some((name, t)) = dict.get(cursor) else {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "state dict ends before entry {expected}"
-                    )));
-                };
-                if name != &expected {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "state dict key mismatch: expected {expected}, found {name}"
-                    )));
-                }
-                if t.shape() != cur.shape() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "load_state_dict",
-                        lhs: cur.dims().to_vec(),
-                        rhs: t.dims().to_vec(),
-                    });
-                }
-                cursor += 1;
-            }
-        }
-        if cursor != dict.len() {
+    /// The data of every tensor [`Sequential::state_views`] yields, in the same
+    /// order, for writing in place. A writer must keep every length.
+    pub fn state_mut(&mut self) -> Vec<&mut [f32]> {
+        self.layers.iter_mut().flat_map(|l| l.state_mut()).collect()
+    }
+
+    /// An owned copy of [`Sequential::state_views`], one tensor per key.
+    pub fn state_dict(&self) -> Vec<(String, Tensor)> {
+        self.state_views()
+            .into_iter()
+            .map(|(key, v)| {
+                let t = Tensor::from_vec(v.dims.to_vec(), v.data.to_vec())
+                    .expect("a layer's state dims match its data");
+                (key, t)
+            })
+            .collect()
+    }
+
+    /// [`Sequential::state_dict`] without the keys.
+    pub fn state(&self) -> Vec<Tensor> {
+        self.state_dict().into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// Restore parameters from a [`Sequential::state_dict`] snapshot. Keys
+    /// must match this model's own paths in order and each tensor the dims
+    /// of the one it replaces; the whole dict is checked before any layer
+    /// is touched, so a mismatch cannot leave the model half-loaded.
+    pub fn load_state_dict(&mut self, dict: &[(String, Tensor)]) -> Result<()> {
+        let state = self.state_views();
+        if dict.len() != state.len() {
             return Err(TensorError::LengthMismatch {
-                expected: cursor,
+                expected: state.len(),
                 actual: dict.len(),
             });
         }
+        for ((name, t), (expected, cur)) in dict.iter().zip(&state) {
+            if name != expected {
+                return Err(TensorError::InvalidArgument(format!(
+                    "state dict key mismatch: expected {expected}, found {name}"
+                )));
+            }
+            if t.dims() != cur.dims {
+                return Err(TensorError::ShapeMismatch {
+                    op: "load_state_dict",
+                    lhs: cur.dims.to_vec(),
+                    rhs: t.dims().to_vec(),
+                });
+            }
+        }
+        for (dst, (_, t)) in self.state_mut().into_iter().zip(dict) {
+            dst.copy_from_slice(t.as_slice());
+        }
         Ok(())
-    }
-
-    /// Restore parameters from a [`Sequential::state_dict`] snapshot. The
-    /// whole dict passes [`Sequential::check_state_dict`] before any layer
-    /// is touched, so a mismatch cannot leave the model half-loaded.
-    pub fn load_state_dict(&mut self, dict: &[(String, Tensor)]) -> Result<()> {
-        self.check_state_dict(dict)?;
-        let tensors: Vec<Tensor> = dict.iter().map(|(_, t)| t.clone()).collect();
-        self.load_state(&tensors)
     }
 }
 
@@ -611,16 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_reproduces_outputs() {
-        let mut a = xor_model(5);
-        let mut b = xor_model(99);
-        let (x, _) = xor_data();
-        assert_ne!(a.forward(&x, false).unwrap(), b.forward(&x, false).unwrap());
-        b.load_state(&a.state()).unwrap();
-        assert_eq!(a.forward(&x, false).unwrap(), b.forward(&x, false).unwrap());
-    }
-
-    #[test]
     fn state_dict_keys_are_stable_layer_paths() {
         let m = xor_model(5);
         let keys: Vec<String> = m.state_dict().into_iter().map(|(k, _)| k).collect();
@@ -650,14 +619,24 @@ mod tests {
         let mut truncated = m.state_dict();
         truncated.pop();
         assert!(m.load_state_dict(&truncated).is_err());
+
+        let mut extra = m.state_dict();
+        extra.push(("4.dense.w".into(), Tensor::zeros([1])));
+        assert!(m.load_state_dict(&extra).is_err());
     }
 
     #[test]
-    fn load_state_rejects_extra_tensors() {
-        let mut m = xor_model(1);
-        let mut state = m.state();
-        state.push(Tensor::zeros([1]));
-        assert!(m.load_state(&state).is_err());
+    fn state_borrows_the_live_weights() {
+        let mut m = xor_model(2);
+        let keys: Vec<String> = m.state_views().into_iter().map(|(k, _)| k).collect();
+        let ptrs: Vec<*const f32> = m
+            .state_views()
+            .iter()
+            .map(|(_, v)| v.data.as_ptr())
+            .collect();
+        let ptrs_mut: Vec<*const f32> = m.state_mut().iter().map(|d| d.as_ptr()).collect();
+        assert_eq!(keys, ["0.dense.w", "0.dense.b", "2.dense.w", "2.dense.b"]);
+        assert_eq!(ptrs, ptrs_mut);
     }
 
     #[test]

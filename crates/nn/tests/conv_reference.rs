@@ -81,16 +81,17 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut conv =
             Conv2d::new(in_c, out_c, h, wid, k, stride, pad, &mut rng).unwrap();
-        // Give the layer a random bias too (state round-trip sets it).
-        let mut state = conv.state();
-        state[1] = prionn_tensor::init::uniform([out_c], -1.0, 1.0, &mut rng);
-        conv.load_state(&state).unwrap();
+        // Give the layer a random bias too, written in place.
+        let bias = prionn_tensor::init::uniform([out_c], -1.0, 1.0, &mut rng);
+        conv.state_mut()[1].copy_from_slice(bias.as_slice());
+        let w = conv.state_views()[0];
+        let w = Tensor::from_vec(w.dims.to_vec(), w.data.to_vec()).unwrap();
 
         let x = prionn_tensor::init::uniform([2, in_c, h, wid], -1.0, 1.0, &mut rng);
         let fast = conv
             .forward(&x, false, &mut prionn_tensor::Scratch::new())
             .unwrap();
-        let naive = naive_conv(&x, &state[0], state[1].as_slice(), in_c, k, stride, pad);
+        let naive = naive_conv(&x, &w, bias.as_slice(), in_c, k, stride, pad);
         prop_assert_eq!(fast.len(), naive.len());
         for (i, (a, b)) in fast.as_slice().iter().zip(&naive).enumerate() {
             prop_assert!((a - b).abs() < 1e-4, "elem {i}: {a} vs {b}");
@@ -267,12 +268,12 @@ fn assert_matches_reference(
     dy: &Tensor,
     what: &str,
 ) -> [Vec<f32>; 4] {
-    let state = conv.state();
+    let state = conv.state_views();
     let batch = x.dims()[0];
     let want = materialised_reference(
         g,
-        state[0].as_slice(),
-        state[1].as_slice(),
+        state[0].data,
+        state[1].data,
         x.as_slice(),
         dy.as_slice(),
         batch,
@@ -309,9 +310,8 @@ fn assert_matches_reference(
 /// A layer on `g` with seeded weights and a random bias.
 fn layer(g: Conv2dGeom, out_c: usize, rng: &mut ChaCha8Rng) -> Conv2d {
     let mut conv = Conv2d::from_geom(g, out_c, rng).unwrap();
-    let mut state = conv.state();
-    state[1] = prionn_tensor::init::uniform([out_c], -1.0, 1.0, rng);
-    conv.load_state(&state).unwrap();
+    let bias = prionn_tensor::init::uniform([out_c], -1.0, 1.0, rng);
+    conv.state_mut()[1].copy_from_slice(bias.as_slice());
     conv
 }
 
@@ -493,15 +493,14 @@ fn non_finite_operands_keep_the_reference_bits_and_the_dx_border_rule() {
         gemm::force_kernel_tier(Some(tier));
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut conv = layer(g, out_c, &mut rng);
-        let mut state = conv.state();
         let k = g.col_rows();
-        let w = state[0].as_mut_slice();
+        let mut state = conv.state_mut();
+        let w = &mut *state[0];
         // Tap (0, 0) of channel 0 for output 0, tap (2, 2) of channel 2 for
         // output 3, tap (1, 0) of channel 1 for output 4.
         w[0] = f32::INFINITY;
         w[3 * k + 2 * 9 + 8] = f32::NEG_INFINITY;
         w[4 * k + 9 + 3] = f32::INFINITY;
-        conv.load_state(&state).unwrap();
         let (x, mut dy) = operands(&g, out_c, 2, &mut rng);
         // One NaN inside sample 1's gradient of output 2.
         let plane = g.in_h * g.in_w;

@@ -108,20 +108,20 @@ fn full_network_weight_gradients_match_finite_differences() {
     // or a ReLU sign, and the secant then straddles a kink where the
     // analytic gradient legitimately disagrees.
     let eps = 2e-3f32;
-    let state = m.state();
+    let state = m.state_dict();
     for (slot, grads) in &analytic {
         let probe_idx = grads.len() / 2;
         let mut perturbed_up = state.clone();
-        perturbed_up[*slot].as_mut_slice()[probe_idx] += eps;
+        perturbed_up[*slot].1.as_mut_slice()[probe_idx] += eps;
         let mut perturbed_dn = state.clone();
-        perturbed_dn[*slot].as_mut_slice()[probe_idx] -= eps;
+        perturbed_dn[*slot].1.as_mut_slice()[probe_idx] -= eps;
 
         let mut rng2 = ChaCha8Rng::seed_from_u64(24);
         let mut m_up = model(&mut rng2);
-        m_up.load_state(&perturbed_up).unwrap();
+        m_up.load_state_dict(&perturbed_up).unwrap();
         let mut rng3 = ChaCha8Rng::seed_from_u64(24);
         let mut m_dn = model(&mut rng3);
-        m_dn.load_state(&perturbed_dn).unwrap();
+        m_dn.load_state_dict(&perturbed_dn).unwrap();
 
         let numeric = (loss_of(&mut m_up, &x, &y) - loss_of(&mut m_dn, &x, &y)) / (2.0 * eps);
         let a = grads[probe_idx];
@@ -132,7 +132,7 @@ fn full_network_weight_gradients_match_finite_differences() {
     }
 
     // Verify the sum of per-parameter element counts matches param_count.
-    let total: usize = state.iter().map(|t| t.len()).sum();
+    let total: usize = state.iter().map(|(_, t)| t.len()).sum();
     assert_eq!(total, m.param_count());
 }
 

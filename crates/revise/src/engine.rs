@@ -420,8 +420,8 @@ impl ReviseEngine {
             interval,
         } in &inner.due
         {
-            let lo_seconds = (interval.lo * 60.0).ceil() as u64;
-            let hi_seconds = ((interval.hi * 60.0).ceil() as u64).max(lo_seconds);
+            let lo_seconds = ceil_u64(interval.lo * 60.0);
+            let hi_seconds = ceil_u64(interval.hi * 60.0).max(lo_seconds);
             sim.set_estimate_interval(job.id, lo_seconds, hi_seconds, Some(slot));
 
             // Kill policy: a calibrated lower bound beyond the requested
@@ -541,6 +541,16 @@ impl ReviseEngine {
     }
 }
 
+/// `x.ceil() as u64` in integer arithmetic, with no libm call: NaN and
+/// anything at or below zero give 0, and anything at or past 2⁶⁴
+/// saturates. The cast truncates toward zero (saturating); a positive value
+/// left above its truncation then needs one more.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 /// Feed an outcome to the attached drift monitor, if any.
 fn record_outcome(
     drift: Option<&DriftMonitor>,
@@ -570,6 +580,51 @@ fn record_outcome(
 mod tests {
     use super::*;
     use prionn_sched::SimJob;
+
+    #[test]
+    fn integer_ceil_is_the_saturating_cast_of_ceil() {
+        let two_64 = 18_446_744_073_709_551_616.0f64;
+        let just_above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut cases = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -1.0,
+            -0.5,
+            -1e-300,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.5,
+            1.0,
+            2.0,
+            59.999_999_999,
+            60.0,
+            123_456.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            4_503_599_627_370_495.5,
+            two_64 / 2.0,
+            f64::from_bits(two_64.to_bits() - 1),
+            two_64,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for x in [0.0, 1.0, 2.0, 60.0, 123_456.0, 4_503_599_627_370_495.0] {
+            cases.push(just_above(x));
+        }
+        for i in 0..10_000u32 {
+            cases.push(f64::from(i) * 0.37 - 100.0);
+            cases.push(f64::from(i) / 60.0 * 60.0);
+        }
+        for x in cases {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e} ({:#x})", x.to_bits());
+        }
+    }
 
     fn tracked(id: u64, predicted_min: f64, requested_s: u64, truth_s: u64) -> TrackedJob {
         TrackedJob {

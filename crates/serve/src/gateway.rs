@@ -229,6 +229,118 @@ impl Drop for Job {
     }
 }
 
+/// What the request channel carries: an admitted request, or a wake that
+/// makes an idle replica apply a newly published epoch.
+// A wake is rare and sits in a slot sized for a request either way; boxing
+// the request would cost an allocation per predict.
+#[allow(clippy::large_enum_variant)]
+enum Queued {
+    Request(Job),
+    Wake,
+}
+
+/// The request queue, shared by the admission door, the replicas and every
+/// publisher of weights. Admission, the depth gauge and readiness read
+/// `depth`, which counts requests only, so a wake never takes a request's
+/// place: the channel holds `cap` requests plus one wake per replica.
+struct Queue {
+    /// `None` once shutdown has begun: dropping the only sender is what
+    /// lets the replicas drain the channel and exit.
+    tx: Mutex<Option<Sender<Queued>>>,
+    rx: Receiver<Queued>,
+    cap: usize,
+    replicas: usize,
+    /// Requests admitted and not yet taken by a replica.
+    depth: AtomicUsize,
+    /// Wakes sent and not yet taken by a replica.
+    wakes: AtomicUsize,
+}
+
+impl Queue {
+    fn new(cap: usize, replicas: usize) -> Self {
+        let (tx, rx) = bounded(cap + replicas);
+        Queue {
+            tx: Mutex::new(Some(tx)),
+            rx,
+            cap,
+            replicas,
+            depth: AtomicUsize::new(0),
+            wakes: AtomicUsize::new(0),
+        }
+    }
+
+    fn depth(&self) -> usize {
+        self.depth.load(Ordering::SeqCst)
+    }
+
+    /// Uncount what a replica (or a drain) just took off the channel.
+    fn took(&self, msg: Queued) -> Queued {
+        let counter = match msg {
+            Queued::Request(_) => &self.depth,
+            Queued::Wake => &self.wakes,
+        };
+        counter.fetch_sub(1, Ordering::SeqCst);
+        msg
+    }
+
+    fn recv(&self) -> Option<Queued> {
+        self.rx.recv().ok().map(|m| self.took(m))
+    }
+
+    fn try_recv(&self) -> Result<Queued, TryRecvError> {
+        self.rx.try_recv().map(|m| self.took(m))
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Queued> {
+        self.rx.recv_timeout(timeout).ok().map(|m| self.took(m))
+    }
+
+    /// Wake the idle replicas after a publish, without polling: one wake
+    /// per replica not already owed one, sent only while no request is
+    /// queued — a replica about to serve a request applies the epoch before
+    /// its batch anyway. Sent under the admission lock, through the one
+    /// sender, so a wake can neither outlive shutdown nor fill a slot a
+    /// request could need.
+    fn wake_idle(&self) {
+        let guard = self.tx.lock();
+        let Some(tx) = guard.as_ref() else { return };
+        if self.depth() > 0 {
+            return;
+        }
+        while self.wakes.load(Ordering::SeqCst) < self.replicas {
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            if tx.try_send(Queued::Wake).is_err() {
+                self.wakes.fetch_sub(1, Ordering::SeqCst);
+                return;
+            }
+        }
+    }
+}
+
+/// Publishing a weight epoch, the one way both publishers do it (the
+/// trainer after a retrain, [`Gateway::hot_swap_checkpoint`]): put it on the
+/// bus, set the epoch gauge, mark the drift monitor and wake the idle
+/// replicas so they apply it before the next request arrives.
+#[derive(Clone)]
+struct Publisher {
+    bus: WeightBus,
+    queue: Arc<Queue>,
+    swap_epoch: Gauge,
+    drift: Option<DriftMonitor>,
+}
+
+impl Publisher {
+    fn publish(&self, ck: Checkpoint) -> u64 {
+        let epoch = self.bus.publish(ck);
+        self.swap_epoch.set(epoch as f64);
+        if let Some(d) = &self.drift {
+            d.mark_weight_update();
+        }
+        self.queue.wake_idle();
+        epoch
+    }
+}
+
 /// Telemetry instruments shared by the admission path and the workers.
 #[derive(Clone)]
 struct Instruments {
@@ -336,23 +448,19 @@ enum TrainerCmd {
 /// `&self`; the gateway is meant to be shared across submitting threads
 /// (e.g. behind an `Arc`).
 pub struct Gateway {
-    req_tx: Mutex<Option<Sender<Job>>>,
-    req_rx: Receiver<Job>,
+    queue: Arc<Queue>,
     retrain_tx: Sender<TrainingBatch>,
     retrain_rx: Receiver<TrainingBatch>,
     trainer_tx: Sender<TrainerCmd>,
     trainer_handle: Mutex<Option<JoinHandle<()>>>,
     replica_handles: Mutex<Vec<JoinHandle<()>>>,
-    bus: WeightBus,
+    publisher: Publisher,
     last_error: Arc<Mutex<Option<String>>>,
     stopped: Arc<AtomicBool>,
     telemetry: Telemetry,
     tracer: Tracer,
-    drift: Option<DriftMonitor>,
     instruments: Instruments,
     live_replicas: Arc<AtomicUsize>,
-    configured_replicas: usize,
-    queue_cap: usize,
 }
 
 /// Count a thread lost to a panic and keep its message for `last_error`.
@@ -384,10 +492,15 @@ impl Gateway {
         let telemetry = cfg.telemetry.clone().unwrap_or_default();
         let tracer = cfg.tracer.clone().unwrap_or_default();
         let instruments = Instruments::build(&telemetry, cfg.max_batch, cfg.replicas);
-        let (req_tx, req_rx) = bounded::<Job>(cfg.queue_cap.max(1));
+        let queue = Arc::new(Queue::new(cfg.queue_cap.max(1), cfg.replicas));
         let (retrain_tx, retrain_rx) = bounded::<TrainingBatch>(cfg.retrain_queue_cap.max(1));
         let (trainer_tx, trainer_rx) = unbounded::<TrainerCmd>();
-        let bus = WeightBus::new();
+        let publisher = Publisher {
+            bus: WeightBus::new(),
+            queue: Arc::clone(&queue),
+            swap_epoch: instruments.swap_epoch.clone(),
+            drift: cfg.drift,
+        };
         let last_error = Arc::new(Mutex::new(None));
         let stopped = Arc::new(AtomicBool::new(false));
         let live_replicas = Arc::new(AtomicUsize::new(cfg.replicas));
@@ -397,8 +510,8 @@ impl Gateway {
         for i in 0..cfg.replicas {
             let mut replica = Prionn::from_checkpoint(&master_ck).map_err(|e| spawn_err(&e))?;
             replica.set_telemetry(&telemetry);
-            let rx = req_rx.clone();
-            let bus = bus.clone();
+            let queue = Arc::clone(&queue);
+            let bus = publisher.bus.clone();
             let last_error = Arc::clone(&last_error);
             let live = Arc::clone(&live_replicas);
             let instr = instruments.clone();
@@ -410,7 +523,7 @@ impl Gateway {
                     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         replica_loop(
                             replica,
-                            &rx,
+                            &queue,
                             &bus,
                             max_batch,
                             cfg.max_wait,
@@ -431,8 +544,8 @@ impl Gateway {
                         // shutdown. Without this, callers wait on
                         // completions that never run.
                         if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            while let Ok(job) = rx.recv() {
-                                drop(job);
+                            while let Some(msg) = queue.recv() {
+                                drop(msg);
                             }
                         }
                     } else {
@@ -448,11 +561,10 @@ impl Gateway {
             master.set_telemetry(&telemetry);
             let rx = trainer_rx;
             let batches = retrain_rx.clone();
-            let bus = bus.clone();
+            let publisher = publisher.clone();
             let last_error = Arc::clone(&last_error);
             let instr = instruments.clone();
             let events = telemetry.clone();
-            let trainer_drift = cfg.drift.clone();
             std::thread::Builder::new()
                 .name("prionn-serve-trainer".to_string())
                 .spawn(move || {
@@ -461,11 +573,10 @@ impl Gateway {
                             &mut master,
                             &rx,
                             &batches,
-                            &bus,
+                            &publisher,
                             &last_error,
                             &instr,
                             &events,
-                            trainer_drift.as_ref(),
                         );
                     }));
                     if let Err(payload) = result {
@@ -485,23 +596,19 @@ impl Gateway {
         };
 
         Ok(Gateway {
-            req_tx: Mutex::new(Some(req_tx)),
-            req_rx,
+            queue,
             retrain_tx,
             retrain_rx,
             trainer_tx,
             trainer_handle: Mutex::new(Some(trainer_handle)),
             replica_handles: Mutex::new(replica_handles),
-            bus,
+            publisher,
             last_error,
             stopped,
             telemetry,
             tracer,
-            drift: cfg.drift,
             instruments,
             live_replicas,
-            configured_replicas: cfg.replicas,
-            queue_cap: cfg.queue_cap.max(1),
         })
     }
 
@@ -566,7 +673,7 @@ impl Gateway {
         if req.scripts.is_empty() {
             return done(Ok(PredictionReply {
                 predictions: Vec::new(),
-                epoch: self.bus.epoch(),
+                epoch: self.publisher.bus.epoch(),
             }));
         }
         if self.stopped.load(Ordering::SeqCst) {
@@ -586,12 +693,14 @@ impl Gateway {
         let mut admission = root.child("admission");
         // Admission happens under the sender lock so shutdown's
         // take-then-drain cannot race a straggling enqueue. Every send
-        // happens under it too, which makes the depth checks exact: the
-        // queue can only have shrunk by the time the job is sent.
-        let guard = self.req_tx.lock();
+        // and every count of a request happens under it too, so the queue
+        // can only have shrunk by the time the job is sent. (A replica
+        // uncounts a request just after taking it, so for that instant the
+        // depth reads one high: as if the request arrived just before.)
+        let guard = self.queue.tx.lock();
         let admitted = match guard.as_ref() {
             None => Err(ServeError::Stopped),
-            Some(tx) => self.admit(self.req_rx.len(), &mut admission).map(|()| tx),
+            Some(tx) => self.admit(self.queue.depth(), &mut admission).map(|()| tx),
         };
         match admitted {
             Ok(tx) => {
@@ -610,12 +719,14 @@ impl Gateway {
                         done: Box::new(done),
                     }),
                 };
-                let unsent = tx.try_send(job).err();
+                self.queue.depth.fetch_add(1, Ordering::SeqCst);
+                let unsent = tx.try_send(Queued::Request(job)).err();
                 drop(guard);
                 drop(admission);
-                self.instruments.queue_depth.set(self.req_rx.len() as f64);
-                // The depth check rules a failed send out; were it ever
-                // wrong, the job still must not complete under the lock.
+                self.instruments.queue_depth.set(self.queue.depth() as f64);
+                // The depth check and the wake slots rule a failed send out;
+                // were it ever wrong, the job still must not complete under
+                // the lock.
                 drop(unsent);
             }
             Err(e) => {
@@ -631,11 +742,11 @@ impl Gateway {
     /// The queue-depth half of admission: `Ok` when a request may join a
     /// queue currently `depth` deep.
     fn admit(&self, depth: usize, admission: &mut Span) -> ServeResult<()> {
-        if depth >= self.queue_cap {
+        if depth >= self.queue.cap {
             self.instruments.shed_overload.inc();
             admission.set_detail("shed=overloaded");
             return Err(ServeError::Overloaded {
-                queue_cap: self.queue_cap,
+                queue_cap: self.queue.cap,
             });
         }
         Ok(())
@@ -647,7 +758,7 @@ impl Gateway {
     /// [`GatewayStats::retrains_dropped`]) — under a backlog, training on
     /// the freshest jobs matters more than training on all of them.
     /// After a successful retrain the trainer publishes the new weights;
-    /// replicas pick them up before their next batch.
+    /// idle replicas apply them at once, busy ones before their next batch.
     pub fn retrain_async(&self, mut batch: TrainingBatch) {
         self.instruments.retrain_queue_depth.add(1.0);
         loop {
@@ -694,7 +805,8 @@ impl Gateway {
     }
 
     /// Publish `model`'s weights to every replica as a new epoch. Returns
-    /// the epoch. The architecture must match the serving model; replicas
+    /// the epoch. Idle replicas apply it at once, busy ones before their
+    /// next batch. The architecture must match the serving model; replicas
     /// reject (and log via [`last_error`](Self::last_error)) mismatched
     /// checkpoints and keep serving their current weights.
     pub fn hot_swap(&self, model: &Prionn) -> ServeResult<u64> {
@@ -707,22 +819,17 @@ impl Gateway {
     /// Publish an already-encoded weights checkpoint (the
     /// [`Prionn::weights_checkpoint`] section format) as a new epoch.
     pub fn hot_swap_checkpoint(&self, ck: Checkpoint) -> u64 {
-        let epoch = self.bus.publish(ck);
-        self.instruments.swap_epoch.set(epoch as f64);
-        if let Some(d) = &self.drift {
-            d.mark_weight_update();
-        }
-        epoch
+        self.publisher.publish(ck)
     }
 
     /// Latest weight epoch published on the bus (0 = spawn weights).
     pub fn epoch(&self) -> u64 {
-        self.bus.epoch()
+        self.publisher.bus.epoch()
     }
 
     /// Requests currently sitting in the admission queue.
     pub fn queue_depth(&self) -> usize {
-        self.req_rx.len()
+        self.queue.depth()
     }
 
     /// The counters as of now. A view, not a second ledger: every field is
@@ -741,7 +848,7 @@ impl Gateway {
             retrains_done: count(&i.retrains_total),
             retrains_pending: i.retrain_queue_depth.value() as usize,
             retrains_dropped: count(&i.retrains_dropped),
-            swaps_published: self.bus.epoch() as usize,
+            swaps_published: self.publisher.bus.epoch() as usize,
             swaps_applied: i.swaps_applied.iter().map(count).sum(),
             replica_panics: count(&i.replica_panics),
         }
@@ -768,7 +875,9 @@ impl Gateway {
         read_bytes: f64,
         write_bytes: f64,
     ) {
-        let Some(d) = &self.drift else { return };
+        let Some(d) = &self.publisher.drift else {
+            return;
+        };
         d.record(
             DriftHead::Runtime,
             runtime_minutes,
@@ -789,16 +898,15 @@ impl Gateway {
     /// probe body shows.
     pub fn readiness(&self) -> (bool, String) {
         let live = self.live_replicas();
-        let depth = self.req_rx.len();
+        let depth = self.queue.depth();
         let stopped = self.stopped.load(Ordering::SeqCst);
-        let ready =
-            !stopped && (self.configured_replicas == 0 || live > 0) && depth < self.queue_cap;
+        let configured = self.queue.replicas;
+        let ready = !stopped && (configured == 0 || live > 0) && depth < self.queue.cap;
         (
             ready,
             format!(
-                "live_replicas={live}/{} queue={depth}/{}{}",
-                self.configured_replicas,
-                self.queue_cap,
+                "live_replicas={live}/{configured} queue={depth}/{}{}",
+                self.queue.cap,
                 if stopped { " stopped" } else { "" }
             ),
         )
@@ -816,15 +924,15 @@ impl Gateway {
     /// thread sharing the gateway; also runs on `Drop`.
     pub fn shutdown(&self) {
         self.stopped.store(true, Ordering::SeqCst);
-        let tx = self.req_tx.lock().take();
+        let tx = self.queue.tx.lock().take();
         drop(tx);
         let mut handles = self.replica_handles.lock();
         if handles.is_empty() {
             // No replica will ever serve the queue: drop what is queued,
             // which completes each request with `Stopped`. New enqueues
-            // are impossible (sender taken).
-            while let Ok(job) = self.req_rx.try_recv() {
-                drop(job);
+            // and wakes are impossible (sender taken).
+            while let Ok(msg) = self.queue.try_recv() {
+                drop(msg);
             }
         }
         for handle in handles.drain(..) {
@@ -844,13 +952,48 @@ impl Drop for Gateway {
     }
 }
 
+/// Apply the newest published weights when `local_epoch` is behind, under
+/// the span `open_span` makes. The bus payload is an immutable snapshot and
+/// the apply is all-or-nothing, so the model holds entirely old or entirely
+/// new weights — never a mix. On a rejected checkpoint the replica keeps its
+/// current weights and will retry at the next epoch.
+fn catch_up(
+    model: &mut Prionn,
+    local_epoch: &mut u64,
+    bus: &WeightBus,
+    swaps_applied: &Counter,
+    last_error: &Mutex<Option<String>>,
+    open_span: impl FnOnce() -> Span,
+) {
+    let latest = bus.latest();
+    if latest.epoch == *local_epoch {
+        return;
+    }
+    let Some(payload) = latest.payload.as_deref() else {
+        return;
+    };
+    let mut swap_span = open_span();
+    match model.apply_weights_checkpoint(payload) {
+        Ok(()) => {
+            *local_epoch = latest.epoch;
+            swaps_applied.inc();
+            swap_span.set_detail(format!("epoch={}", latest.epoch));
+        }
+        Err(e) => {
+            swap_span.set_detail("rejected");
+            *last_error.lock() = Some(format!("hot-swap rejected: {e}"));
+        }
+    }
+}
+
 /// Worker loop for one replica: collect a micro-batch, catch up to the
 /// latest published weights, run one fused forward, settle each request
-/// with its share of the answers.
+/// with its share of the answers. A wake with no request behind it
+/// applies a newly published epoch while the replica is idle.
 #[allow(clippy::too_many_arguments)]
 fn replica_loop(
     mut model: Prionn,
-    rx: &Receiver<Job>,
+    queue: &Queue,
     bus: &WeightBus,
     max_batch: usize,
     max_wait: Duration,
@@ -866,36 +1009,48 @@ fn replica_loop(
     // epoch tag exact and torn reads impossible.
     let mut local_epoch = 0u64;
     loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => break, // gateway dropped the sender: drained, exit
+        let first = match queue.recv() {
+            Some(Queued::Request(job)) => job,
+            Some(Queued::Wake) => {
+                catch_up(
+                    &mut model,
+                    &mut local_epoch,
+                    bus,
+                    swaps_applied,
+                    last_error,
+                    || tracer.root("weight_swap"),
+                );
+                continue;
+            }
+            None => break, // gateway dropped the sender: drained, exit
         };
         let mut jobs = vec![first];
         let mut n_scripts = jobs[0].scripts.len();
         let linger_until = jobs[0].enqueued + max_wait;
+        // A wake met while lingering is dropped: the pre-batch check below
+        // applies the epoch it announced.
         while n_scripts < max_batch {
-            match rx.try_recv() {
-                Ok(job) => {
-                    n_scripts += job.scripts.len();
-                    jobs.push(job);
-                }
+            let next = match queue.try_recv() {
+                Ok(msg) => Some(msg),
                 Err(TryRecvError::Empty) => {
                     let now = Instant::now();
                     if now >= linger_until {
                         break;
                     }
-                    match rx.recv_timeout(linger_until - now) {
-                        Ok(job) => {
-                            n_scripts += job.scripts.len();
-                            jobs.push(job);
-                        }
-                        Err(_) => break, // linger expired (or disconnected)
-                    }
+                    queue.recv_timeout(linger_until - now)
                 }
-                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Disconnected) => None,
+            };
+            match next {
+                Some(Queued::Request(job)) => {
+                    n_scripts += job.scripts.len();
+                    jobs.push(job);
+                }
+                Some(Queued::Wake) => {}
+                None => break, // linger expired (or disconnected)
             }
         }
-        instr.queue_depth.set(rx.len() as f64);
+        instr.queue_depth.set(queue.depth() as f64);
 
         // Shed expired requests before spending a forward pass on them.
         let now = Instant::now();
@@ -954,28 +1109,16 @@ fn replica_loop(
             panic!("injected replica panic");
         }
 
-        // Pre-batch epoch check: catch up to the latest published weights.
-        // The bus payload is an immutable snapshot and the apply is
-        // all-or-nothing, so the batch runs entirely on old or entirely on
-        // new weights — never a mix. On a rejected checkpoint the replica
-        // keeps its current weights and will retry at the next epoch.
-        let latest = bus.latest();
-        if latest.epoch != local_epoch {
-            if let Some(payload) = latest.payload.as_deref() {
-                let mut swap_span = fused.child("weight_swap");
-                match model.apply_weights_checkpoint(payload) {
-                    Ok(()) => {
-                        local_epoch = latest.epoch;
-                        swaps_applied.inc();
-                        swap_span.set_detail(format!("epoch={}", latest.epoch));
-                    }
-                    Err(e) => {
-                        swap_span.set_detail("rejected");
-                        *last_error.lock() = Some(format!("hot-swap rejected: {e}"));
-                    }
-                }
-            }
-        }
+        // Pre-batch epoch check, the fallback for an epoch published while
+        // this replica was busy: the batch runs entirely on one epoch.
+        catch_up(
+            &mut model,
+            &mut local_epoch,
+            bus,
+            swaps_applied,
+            last_error,
+            || fused.child("weight_swap"),
+        );
         let epoch = local_epoch;
 
         for job in &live {
@@ -1029,11 +1172,10 @@ fn trainer_loop(
     master: &mut Prionn,
     cmd_rx: &Receiver<TrainerCmd>,
     batches: &Receiver<TrainingBatch>,
-    bus: &WeightBus,
+    publisher: &Publisher,
     last_error: &Mutex<Option<String>>,
     instr: &Instruments,
     telemetry: &Telemetry,
-    drift: Option<&DriftMonitor>,
 ) {
     while let Ok(cmd) = cmd_rx.recv() {
         match cmd {
@@ -1059,11 +1201,7 @@ fn trainer_loop(
                         instr.retrains_total.inc();
                         match master.weights_checkpoint() {
                             Ok(ck) => {
-                                let epoch = bus.publish(ck);
-                                instr.swap_epoch.set(epoch as f64);
-                                if let Some(d) = drift {
-                                    d.mark_weight_update();
-                                }
+                                let epoch = publisher.publish(ck);
                                 telemetry.events().record(
                                     "serve_hot_swap",
                                     format!("epoch={epoch}"),

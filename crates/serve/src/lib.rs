@@ -26,9 +26,11 @@
 //! * **Hot-swap** — a background trainer thread retrains on completed-job
 //!   batches (latest-wins bounded queue) and publishes the new weights
 //!   through [`prionn_store::broadcast::WeightBus`] as an epoch-tagged
-//!   immutable checkpoint. Replicas apply the swap between batches,
-//!   all-or-nothing, so a prediction can never observe a half-updated
-//!   model; every reply carries the weight epoch that served it. The same
+//!   immutable checkpoint. A publish wakes the idle replicas, which apply
+//!   it at once, so no request waits for a swap; a busy replica applies it
+//!   before its next batch. Every apply is all-or-nothing, so a prediction
+//!   can never observe a half-updated model; every reply carries the
+//!   weight epoch that served it. The same
 //!   thread writes [`Gateway::snapshot`] files for warm restarts.
 //!
 //! ```no_run

@@ -255,6 +255,113 @@ fn background_retrain_publishes_and_replicas_catch_up() {
     gw.shutdown();
 }
 
+/// A published epoch reaches an idle replica with no request in flight,
+/// from either publisher: the swap counter moves while nothing is queued,
+/// and the next reply is served on that epoch without another apply. The
+/// wake that carried it is not a request: no batch, no queue wait.
+#[test]
+fn an_idle_replica_applies_a_published_epoch_with_no_request_in_flight() {
+    let mut donor = trained_model(3);
+    let gw = Gateway::spawn(
+        trained_model(1),
+        GatewayConfig {
+            replicas: 1,
+            max_wait: Duration::from_micros(200),
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap();
+    let applied_within = |want: usize| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while gw.stats().swaps_applied < want {
+            assert!(Instant::now() < deadline, "no idle apply of epoch {want}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let epoch = gw.hot_swap(&donor).unwrap();
+    applied_within(1);
+    let stats = gw.stats();
+    assert_eq!((stats.requests_admitted, stats.batches_served), (0, 0));
+
+    let scripts = corpus();
+    let refs: Vec<&str> = scripts[..2].iter().map(|s| s.as_str()).collect();
+    let reply = gw.predict_detailed(&scripts[..2], None).unwrap();
+    assert_eq!(reply.epoch, epoch);
+    assert_eq!(reply.predictions, donor.predict(&refs).unwrap());
+    assert_eq!(
+        gw.stats().swaps_applied,
+        1,
+        "the batch found the epoch applied"
+    );
+
+    // The trainer's publish wakes the replica the same way.
+    gw.retrain_async(retrain_batch(true));
+    applied_within(2);
+    assert_eq!(gw.epoch(), 2);
+    let reply = gw.predict_detailed(&scripts[..2], None).unwrap();
+    assert_eq!(reply.epoch, 2);
+    assert_eq!(gw.stats().swaps_applied, 2);
+
+    let text = gw.telemetry().prometheus();
+    assert!(text.contains("serve_batches_total 2"), "{text}");
+    assert!(text.contains("serve_queue_wait_seconds_count 2"), "{text}");
+    assert!(text.contains("serve_queue_depth 0"), "{text}");
+    assert!(
+        text.contains("serve_swaps_applied_total{replica=\"0\"} 2"),
+        "{text}"
+    );
+    assert!(gw.last_error().is_none(), "{:?}", gw.last_error());
+    gw.shutdown();
+}
+
+/// A wake never takes a request's place: at `queue_cap: 1`, publishes in
+/// step with requests and a burst of them from another thread shed
+/// nothing, and shutting down with a wake still queued returns.
+#[test]
+fn wakes_never_shed_a_request_at_queue_cap_one() {
+    let donor = trained_model(2);
+    let weights = donor.weights_checkpoint().unwrap();
+    let gw = Gateway::spawn(
+        trained_model(1),
+        GatewayConfig {
+            replicas: 1,
+            queue_cap: 1,
+            max_wait: Duration::from_micros(100),
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap();
+    let scripts = corpus();
+    for i in 0..20 {
+        gw.hot_swap(&donor).unwrap();
+        let reply = gw.predict_detailed(&scripts[i % 16..][..1], None).unwrap();
+        assert!(
+            reply.epoch >= 1,
+            "request {i} ran before the epoch it followed"
+        );
+    }
+    std::thread::scope(|s| {
+        let burst = s.spawn(|| {
+            for _ in 0..200 {
+                gw.hot_swap_checkpoint(weights.clone());
+            }
+        });
+        for i in 0..60 {
+            gw.predict(&scripts[i % 16..][..1])
+                .unwrap_or_else(|e| panic!("request {i} refused: {e}"));
+        }
+        burst.join().unwrap();
+    });
+    assert_eq!(gw.stats().requests_shed_overload, 0);
+    assert_eq!(gw.stats().requests_admitted, 80);
+    assert_eq!(gw.queue_depth(), 0);
+
+    gw.hot_swap_checkpoint(weights);
+    gw.shutdown();
+    assert_eq!(gw.predict(&scripts[..1]).unwrap_err(), ServeError::Stopped);
+}
+
 /// A hot-swap whose architecture does not match is rejected whole: the
 /// replica keeps serving its spawn weights and reports the rejection.
 #[test]

@@ -78,11 +78,12 @@ pub fn put_f32_slice(buf: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
-/// Length-prefixed list of u64 values.
-pub fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
-    put_u64(buf, values.len() as u64);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// Decode little-endian f32s from `bytes` into `dst`, element by element
+/// while both last (a decoder checks the lengths first). On little-endian
+/// targets the loop compiles to a plain copy.
+pub fn f32s_from_le(bytes: &[u8], dst: &mut [f32]) {
+    for (d, chunk) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+        *d = f32::from_le_bytes(chunk.try_into().expect("chunked by 4"));
     }
 }
 
@@ -188,29 +189,21 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed f32 buffer (see [`put_f32_slice`]).
     pub fn get_f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>> {
+        let bytes = self.get_f32_bytes(what)?;
+        let mut out = vec![0.0; bytes.len() / 4];
+        f32s_from_le(bytes, &mut out);
+        Ok(out)
+    }
+
+    /// The little-endian bytes of a length-prefixed f32 buffer (see
+    /// [`put_f32_slice`]), borrowed: a decoder that already owns the
+    /// destination copies them once with [`f32s_from_le`].
+    pub fn get_f32_bytes(&mut self, what: &'static str) -> Result<&'a [u8]> {
         let len = self.get_usize(what)?;
         let byte_len = len
             .checked_mul(4)
             .ok_or_else(|| StoreError::Corrupt(format!("{what}: length {len} overflows")))?;
-        let bytes = self.get_bytes(byte_len, what)?;
-        let mut out = Vec::with_capacity(len);
-        for chunk in bytes.chunks_exact(4) {
-            out.push(f32::from_le_bytes(chunk.try_into().expect("chunked by 4")));
-        }
-        Ok(out)
-    }
-
-    /// Length-prefixed u64 list (see [`put_u64_slice`]).
-    pub fn get_u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>> {
-        let len = self.get_usize(what)?;
-        let byte_len = len
-            .checked_mul(8)
-            .ok_or_else(|| StoreError::Corrupt(format!("{what}: length {len} overflows")))?;
-        let bytes = self.get_bytes(byte_len, what)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("chunked by 8")))
-            .collect())
+        self.get_bytes(byte_len, what)
     }
 
     /// Length-prefixed raw bytes (see [`put_bytes`]).
@@ -371,7 +364,6 @@ mod tests {
         put_f64(&mut buf, -1.25e300);
         put_str(&mut buf, "layer/0.w");
         put_f32_slice(&mut buf, &[1.5, -2.5, f32::MIN_POSITIVE]);
-        put_u64_slice(&mut buf, &[1, 2, 3]);
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8("a").unwrap(), 7);
@@ -385,8 +377,19 @@ mod tests {
             r.get_f32_vec("h").unwrap(),
             vec![1.5, -2.5, f32::MIN_POSITIVE]
         );
-        assert_eq!(r.get_u64_vec("i").unwrap(), vec![1, 2, 3]);
         r.expect_end("test payload").unwrap();
+    }
+
+    #[test]
+    fn f32_bytes_copy_into_a_destination_bit_for_bit() {
+        let values = [-0.0, f32::from_bits(0x7fc0_1234), 1e-42, f32::INFINITY];
+        let mut buf = Vec::new();
+        put_f32_slice(&mut buf, &values);
+        let bytes = Reader::new(&buf).get_f32_bytes("x").unwrap();
+        let mut dst = [7.0f32; 4];
+        f32s_from_le(bytes, &mut dst);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dst), bits(&values));
     }
 
     #[test]

@@ -26,6 +26,7 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
+#[inline]
 fn thread_shard() -> usize {
     THREAD_SLOT.with(|s| *s)
 }

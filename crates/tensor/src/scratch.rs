@@ -86,17 +86,25 @@ pub struct Scratch {
     grows: u64,
 }
 
-/// Best-fit lookup: index of the smallest pooled buffer with enough
-/// capacity, or `None`.
+/// Best-fit lookup: the pooled buffer with the smallest capacity for
+/// `len` — unless handing it out would zero-fill it up to `len` (it is
+/// shorter): then one already exactly `len` long, if any, which writes
+/// nothing. The smallest buffer is usually the one a recent take of this
+/// size used, still in cache, so it is kept whenever it costs no fill.
+/// `None` when no buffer fits.
 fn best_fit<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, buf) in pool.iter().enumerate() {
-        let cap = buf.capacity();
-        if cap >= len && best.is_none_or(|(_, bcap)| cap < bcap) {
-            best = Some((i, cap));
-        }
+    let fits = || {
+        pool.iter()
+            .enumerate()
+            .filter(|(_, buf)| buf.capacity() >= len)
+    };
+    let (smallest, buf) = fits().min_by_key(|(_, buf)| buf.capacity())?;
+    if buf.len() >= len {
+        return Some(smallest);
     }
-    best.map(|(i, _)| i)
+    fits()
+        .min_by_key(|(_, buf)| (buf.len() != len, buf.capacity()))
+        .map(|(i, _)| i)
 }
 
 impl Scratch {
@@ -259,6 +267,26 @@ mod tests {
         s.recycle(small);
         let got = s.take(8);
         assert_eq!(got.as_ptr(), small_ptr);
+    }
+
+    #[test]
+    fn a_buffer_already_that_long_is_reused_before_a_smaller_capacity() {
+        let mut s = Scratch::new();
+        let mut that_long = Vec::with_capacity(256);
+        that_long.resize(48, 7.0);
+        let mut shorter = Vec::with_capacity(64);
+        shorter.resize(10, 1.0);
+        let ptr = that_long.as_ptr();
+        s.recycle(shorter);
+        s.recycle(that_long);
+        // Capacity alone would pick `shorter` and zero-fill 38 elements.
+        for _ in 0..3 {
+            let buf = s.take(48);
+            assert_eq!(buf.as_ptr(), ptr);
+            assert_eq!(buf, vec![7.0; 48], "nothing was written");
+            s.recycle(buf);
+        }
+        assert_eq!(s.stats().grows, 0);
     }
 
     #[test]

@@ -121,9 +121,9 @@ fn paper_convs_forward_and_backward_are_bit_equal_to_the_materialised_lowering()
     {
         let mut rng = ChaCha8Rng::seed_from_u64(40 + li as u64);
         let mut conv = Conv2d::new(in_c, out_c, side, side, 3, 1, 1, &mut rng).unwrap();
-        let mut state = conv.state();
-        state[1] = init::uniform([out_c], -1.0, 1.0, &mut rng);
-        conv.load_state(&state).unwrap();
+        let bias = init::uniform([out_c], -1.0, 1.0, &mut rng);
+        conv.state_mut()[1].copy_from_slice(bias.as_slice());
+        let state: Vec<Vec<f32>> = conv.state_views().iter().map(|v| v.data.to_vec()).collect();
         let x = init::uniform([batch, in_c, side, side], -1.0, 1.0, &mut rng);
         let dy = init::uniform([batch, out_c, side, side], -1.0, 1.0, &mut rng);
         let want = materialised(
