@@ -16,6 +16,7 @@
 pub mod baselines;
 pub mod bins;
 pub mod checkpoint;
+mod fit_threads;
 pub mod metrics;
 pub mod online;
 pub mod predictor;
@@ -25,3 +26,7 @@ pub use bins::ValueBins;
 pub use metrics::{mean_absolute_error, relative_accuracy, relative_accuracy_vec};
 pub use online::{resume_online_prionn, run_online_prionn, JobPrediction, OnlineConfig};
 pub use predictor::{HeadKind, Prionn, PrionnConfig, ResourcePrediction, TrainingBatch};
+/// The size of the process-wide compute pool every `par_iter` of training
+/// and predicting shares, callers included. The first call starts the
+/// pool's workers on the calling thread, at its scheduling priority.
+pub use rayon::current_num_threads as compute_threads;

@@ -2,6 +2,7 @@
 
 use crate::bins::ValueBins;
 use crate::checkpoint::{self, CkptResult};
+use crate::fit_threads;
 use prionn_nn::{
     Adam, ArchConfig, Loss, LossTarget, ModelKind, MseLoss, Optimizer, Sequential,
     SoftmaxCrossEntropy,
@@ -15,6 +16,8 @@ use prionn_text::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc};
 
 /// Result alias matching the tensor substrate.
 pub type Result<T> = prionn_tensor::Result<T>;
@@ -479,12 +482,81 @@ impl Prionn {
         }
     }
 
-    /// Warm-started fit of every served head that `targets` names, in table
-    /// order on the shared RNG. Every target slice is checked before the
+    /// Warm-started fit of every served head that `targets` names, all at
+    /// once: the first on the calling thread, each further one moved to a
+    /// helper thread of the caller's (`fit_threads`) for the length of its
+    /// fit, every one reading the one mapped batch. Each head shuffles with a
+    /// clone of the RNG taken where the heads before it in table order leave
+    /// the stream when they fit one after another, and the RNG ends past all
+    /// of them, so the weights, moments, losses and RNG are the bits of
+    /// fitting the heads in turn. Every target slice is checked before the
     /// scripts are mapped or any head trains, so a malformed batch leaves
     /// weights, optimiser moments, the RNG and the memo untouched. Returns
-    /// the final-epoch loss of each head fitted.
+    /// the final-epoch loss of each head fitted; the first head (in table
+    /// order) that failed gives the error, and a fit that panicked panics
+    /// here once every head is back in its row.
     fn fit_heads(&mut self, scripts: &[&str], targets: &[(&str, &[f64])]) -> Result<Vec<f32>> {
+        let x = Arc::new(self.prepare_fit(scripts, targets)?);
+        // Every row stays in `heads` but the targeted ones, which move into
+        // their fit and come back through `finished`.
+        let mut heads: Vec<Option<Head>> = Vec::with_capacity(self.heads.len());
+        let (done, finished) = mpsc::channel();
+        let mut tasks: Vec<fit_threads::Task> = Vec::new();
+        for (row, mut head) in std::mem::take(&mut self.heads).into_iter().enumerate() {
+            let Some((_, values)) = targets.iter().find(|(name, _)| *name == head.name) else {
+                heads.push(Some(head));
+                continue;
+            };
+            heads.push(None);
+            let mut rng = self.rng.clone();
+            Sequential::skip_fit_draws(&mut self.rng, scripts.len(), self.cfg.epochs);
+            let (x, values, bins, cfg, done) = (
+                Arc::clone(&x),
+                values.to_vec(),
+                self.bins.clone(),
+                self.cfg.clone(),
+                done.clone(),
+            );
+            tasks.push(Box::new(move || {
+                // Window the kernel counters to this fit so the GEMM gauges
+                // report per-retrain efficiency.
+                head.model.reset_scratch_stats();
+                let fitted = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    head.fit(&x, &values, &bins, &cfg, &mut rng)
+                }));
+                // The receiver waits for every task, so this cannot fail.
+                let _ = done.send((row, head, fitted));
+            }));
+        }
+        let fitting = tasks.len();
+        let mut tasks = tasks.into_iter();
+        let on_caller = tasks.next();
+        let refused: Vec<_> = tasks
+            .enumerate()
+            .filter_map(|(helper, task)| fit_threads::hand_to_helper(helper, task))
+            .collect();
+        on_caller.into_iter().chain(refused).for_each(|task| task());
+        let mut fitted: Vec<_> = finished.iter().take(fitting).collect();
+        fitted.sort_by_key(|(row, _, _)| *row);
+        let mut outcomes = Vec::with_capacity(fitting);
+        for (row, head, outcome) in fitted {
+            heads[row] = Some(head);
+            outcomes.push(outcome);
+        }
+        self.heads = heads.into_iter().flatten().collect();
+        debug_assert_eq!(outcomes.len(), fitting, "every head came back");
+        outcomes
+            .into_iter()
+            .map(|outcome| {
+                let losses = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+                Ok(losses.last().copied().unwrap_or(f32::NAN))
+            })
+            .collect()
+    }
+
+    /// What every fit does first: check the batch against the targets,
+    /// forget the memo and map the scripts.
+    fn prepare_fit(&mut self, scripts: &[&str], targets: &[(&str, &[f64])]) -> Result<Tensor> {
         if scripts.is_empty() {
             return Err(TensorError::InvalidArgument(
                 "retrain on empty batch".into(),
@@ -505,18 +577,7 @@ impl Prionn {
         if let Some(tel) = &self.telemetry {
             tel.map_seconds.observe(map_started.elapsed().as_secs_f64());
         }
-        let mut final_losses = Vec::new();
-        for head in &mut self.heads {
-            let Some((_, values)) = target_of(head) else {
-                continue;
-            };
-            // Window the kernel counters to this fit so the GEMM gauges
-            // report per-retrain efficiency.
-            head.model.reset_scratch_stats();
-            let losses = head.fit(&x, values, &self.bins, &self.cfg, &mut self.rng)?;
-            final_losses.push(losses.last().copied().unwrap_or(f32::NAN));
-        }
-        Ok(final_losses)
+        Ok(x)
     }
 
     /// Warm-started retraining on recently completed jobs. IO targets may be
@@ -538,7 +599,7 @@ impl Prionn {
             ],
         )?;
         self.retrain_count += 1;
-        // The gauges describe the runtime head: row 0, fitted first.
+        // The gauges describe the runtime head: row 0, fitted on this thread.
         if let (Some(tel), Some(runtime)) = (&self.telemetry, self.heads.first()) {
             let secs = started.elapsed().as_secs_f64();
             let last_loss = final_losses.first().copied().unwrap_or(f32::NAN);
@@ -1080,6 +1141,83 @@ mod tests {
             p.predict(&batch).unwrap();
             assert_eq!(memo_hits(&registry), hits, "{batch:?}");
             assert_eq!(predictions.value(), answered, "{batch:?}");
+        }
+    }
+
+    impl Prionn {
+        /// The heads fitted one after another on the shared RNG: the bits
+        /// [`Prionn::fit_heads`] must give.
+        fn fit_heads_in_turn(
+            &mut self,
+            scripts: &[&str],
+            targets: &[(&str, &[f64])],
+        ) -> Result<Vec<f32>> {
+            let x = self.prepare_fit(scripts, targets)?;
+            let mut final_losses = Vec::new();
+            for head in &mut self.heads {
+                let Some(&(_, values)) = targets.iter().find(|(name, _)| *name == head.name) else {
+                    continue;
+                };
+                head.model.reset_scratch_stats();
+                let losses = head.fit(&x, values, &self.bins, &self.cfg, &mut self.rng)?;
+                final_losses.push(losses.last().copied().unwrap_or(f32::NAN));
+            }
+            Ok(final_losses)
+        }
+    }
+
+    #[test]
+    fn heads_fitted_at_once_give_the_bits_of_heads_fitted_in_turn() {
+        let jobs = trace_slice(60);
+        let scripts: Vec<&str> = jobs.iter().map(|j| j.script.as_str()).collect();
+        let runtimes: Vec<f64> = jobs.iter().map(|j| j.runtime_minutes()).collect();
+        let reads: Vec<f64> = jobs.iter().map(|j| j.bytes_read).collect();
+        let writes: Vec<f64> = jobs.iter().map(|j| j.bytes_written).collect();
+        let targets = [
+            ("runtime", runtimes.as_slice()),
+            ("read", reads.as_slice()),
+            ("write", writes.as_slice()),
+        ];
+        for head in [HeadKind::Classifier, HeadKind::Regressor] {
+            for predict_io in [false, true] {
+                let cfg = PrionnConfig {
+                    head,
+                    predict_io,
+                    epochs: 3,
+                    ..tiny_cfg()
+                };
+                let case = format!("{head:?} predict_io={predict_io}");
+                let mut at_once = Prionn::new(cfg, &scripts[..8]).unwrap();
+                let mut in_turn = at_once.fork_replica().unwrap();
+                assert_eq!(at_once.heads.len(), if predict_io { 3 } else { 1 });
+                // Warm rounds on shifting windows, so moments carry over.
+                for round in 0..3 {
+                    let rows = 20 + 10 * round..;
+                    let window: Vec<(&str, &[f64])> = targets
+                        .iter()
+                        .map(|&(n, v)| (n, &v[rows.clone()]))
+                        .collect();
+                    let a = at_once.fit_heads(&scripts[rows.clone()], &window).unwrap();
+                    let b = in_turn.fit_heads_in_turn(&scripts[rows], &window).unwrap();
+                    let loss_bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(loss_bits(&a), loss_bits(&b), "{case} round {round} losses");
+                    assert_eq!(
+                        at_once.rng.get_word_pos(),
+                        in_turn.rng.get_word_pos(),
+                        "{case} round {round} rng"
+                    );
+                }
+                // Weights, Adam moments and the RNG, section by section.
+                let (a, b) = (
+                    at_once.to_checkpoint().unwrap(),
+                    in_turn.to_checkpoint().unwrap(),
+                );
+                assert!(a.section_names().any(|n| n.starts_with("opt.")));
+                assert!(a.section_names().eq(b.section_names()), "{case}");
+                for name in a.section_names() {
+                    assert!(a.get(name) == b.get(name), "{case}: section {name} differs");
+                }
+            }
         }
     }
 

@@ -417,6 +417,17 @@ impl Sequential {
         Ok(epoch_losses)
     }
 
+    /// Advance `rng` past what a successful [`fit`](Self::fit) of `epochs`
+    /// epochs over `rows` rows draws from it: one shuffle of the row order
+    /// per epoch, `rows − 1` `next_u64` calls each. Several fits that would
+    /// share one generator in turn can then run at once, each on a clone
+    /// taken where the fits before it would have left the stream.
+    pub fn skip_fit_draws(rng: &mut impl Rng, rows: usize, epochs: usize) {
+        for _ in 0..epochs * rows.saturating_sub(1) {
+            rng.next_u64();
+        }
+    }
+
     /// Run inference (eval mode) in bounded batches; returns the stacked
     /// raw output (e.g. logits).
     pub fn predict(&mut self, x: &Tensor, batch_size: usize) -> Result<Tensor> {
@@ -541,7 +552,7 @@ mod tests {
     use crate::layer::{Dense, ReLU};
     use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Sgd;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn xor_model(seed: u64) -> Sequential {
@@ -810,5 +821,35 @@ mod tests {
         let first = fit_xor(&mut m, &mut opt, 50, &mut rng);
         let second = fit_xor(&mut m, &mut opt, 50, &mut rng);
         assert!(second.first().unwrap() <= first.first().unwrap());
+    }
+
+    #[test]
+    fn skip_fit_draws_leaves_the_stream_where_fit_leaves_it() {
+        for (rows, epochs) in [(0, 3), (1, 2), (4, 7), (33, 2)] {
+            let x = Tensor::zeros([rows, 2]);
+            let classes = vec![0usize; rows];
+            let mut m = xor_model(1);
+            let mut opt = Sgd::with_momentum(0.1, 0.9);
+            let mut fitted = ChaCha8Rng::seed_from_u64(5);
+            fitted.next_u32(); // start off a 64-bit boundary
+            let mut skipped = fitted.clone();
+            m.fit(
+                &x,
+                &LossTarget::Classes(&classes),
+                &SoftmaxCrossEntropy,
+                &mut opt,
+                epochs,
+                3,
+                &mut fitted,
+            )
+            .unwrap();
+            Sequential::skip_fit_draws(&mut skipped, rows, epochs);
+            assert_eq!(
+                fitted.get_word_pos(),
+                skipped.get_word_pos(),
+                "rows={rows} epochs={epochs}"
+            );
+            assert_eq!(fitted.next_u64(), skipped.next_u64());
+        }
     }
 }

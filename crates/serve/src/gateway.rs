@@ -556,6 +556,10 @@ impl Gateway {
             replica_handles.push(handle);
         }
 
+        // Start the compute pool here, so that its workers are created by
+        // this thread at its priority rather than by the trainer after the
+        // trainer has lowered its own (a thread inherits its creator's).
+        prionn_core::compute_threads();
         let trainer_handle = {
             let mut master = model;
             master.set_telemetry(&telemetry);
@@ -568,6 +572,7 @@ impl Gateway {
             std::thread::Builder::new()
                 .name("prionn-serve-trainer".to_string())
                 .spawn(move || {
+                    lower_own_priority();
                     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         trainer_loop(
                             &mut master,
@@ -952,21 +957,32 @@ impl Drop for Gateway {
     }
 }
 
-/// Apply the newest published weights when `local_epoch` is behind, under
-/// the span `open_span` makes. The bus payload is an immutable snapshot and
-/// the apply is all-or-nothing, so the model holds entirely old or entirely
-/// new weights — never a mix. On a rejected checkpoint the replica keeps its
-/// current weights and will retry at the next epoch.
+/// The bus epochs one replica has dealt with.
+#[derive(Default)]
+struct Epochs {
+    /// Epoch of the weights it serves (0 = its spawn weights): the tag on
+    /// every reply.
+    applied: u64,
+    /// Latest epoch whose payload it rejected (0 = none), not checked again.
+    rejected: u64,
+}
+
+/// Apply the newest published weights when the replica is behind and has
+/// not already rejected them, under the span `open_span` makes. The bus
+/// payload is an immutable snapshot and the apply is all-or-nothing, so the
+/// model holds entirely old or entirely new weights — never a mix. On a
+/// rejected checkpoint the replica keeps its current weights, reports the
+/// rejection once, and waits for a newer epoch.
 fn catch_up(
     model: &mut Prionn,
-    local_epoch: &mut u64,
+    epochs: &mut Epochs,
     bus: &WeightBus,
     swaps_applied: &Counter,
     last_error: &Mutex<Option<String>>,
     open_span: impl FnOnce() -> Span,
 ) {
     let latest = bus.latest();
-    if latest.epoch == *local_epoch {
+    if latest.epoch == epochs.applied || latest.epoch == epochs.rejected {
         return;
     }
     let Some(payload) = latest.payload.as_deref() else {
@@ -975,11 +991,12 @@ fn catch_up(
     let mut swap_span = open_span();
     match model.apply_weights_checkpoint(payload) {
         Ok(()) => {
-            *local_epoch = latest.epoch;
+            epochs.applied = latest.epoch;
             swaps_applied.inc();
             swap_span.set_detail(format!("epoch={}", latest.epoch));
         }
         Err(e) => {
+            epochs.rejected = latest.epoch;
             swap_span.set_detail("rejected");
             *last_error.lock() = Some(format!("hot-swap rejected: {e}"));
         }
@@ -1003,18 +1020,17 @@ fn replica_loop(
     tracer: &Tracer,
     test_panic_marker: bool,
 ) {
-    // Epoch of the weights this replica currently serves. Only this loop
-    // mutates `model`, so between the pre-batch swap and the reply the
-    // weights cannot change — that ownership is what makes the per-reply
-    // epoch tag exact and torn reads impossible.
-    let mut local_epoch = 0u64;
+    // Only this loop mutates `model`, so between the pre-batch swap and the
+    // reply the weights cannot change — that ownership is what makes the
+    // per-reply epoch tag exact and torn reads impossible.
+    let mut epochs = Epochs::default();
     loop {
         let first = match queue.recv() {
             Some(Queued::Request(job)) => job,
             Some(Queued::Wake) => {
                 catch_up(
                     &mut model,
-                    &mut local_epoch,
+                    &mut epochs,
                     bus,
                     swaps_applied,
                     last_error,
@@ -1113,13 +1129,13 @@ fn replica_loop(
         // this replica was busy: the batch runs entirely on one epoch.
         catch_up(
             &mut model,
-            &mut local_epoch,
+            &mut epochs,
             bus,
             swaps_applied,
             last_error,
             || fused.child("weight_swap"),
         );
-        let epoch = local_epoch;
+        let epoch = epochs.applied;
 
         for job in &live {
             instr
@@ -1145,7 +1161,7 @@ fn replica_loop(
             Ok(mut preds) => {
                 // Post-batch epoch check: this loop owns the weights, so
                 // the epoch cannot have moved under the forward pass.
-                debug_assert_eq!(epoch, local_epoch, "weights mutated mid-batch");
+                debug_assert_eq!(epoch, epochs.applied, "weights mutated mid-batch");
                 instr.batches_total.inc();
                 for mut job in live {
                     let rest = preds.split_off(job.scripts.len());
@@ -1163,6 +1179,29 @@ fn replica_loop(
         }
     }
 }
+
+/// Give the calling thread the lowest scheduling priority (nice 19), so it
+/// runs on what CPU the replicas and the compute pool leave. Linux keeps a
+/// nice value per thread, so this leaves the rest of the process alone; the
+/// threads this one creates later (a retrain's head fits) inherit it. Best
+/// effort: a refusal leaves the priority as it was.
+#[cfg(target_os = "linux")]
+fn lower_own_priority() {
+    extern "C" {
+        // From the C library std already links.
+        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+    }
+    const PRIO_PROCESS: i32 = 0;
+    // SAFETY: plain integer arguments; `who` 0 names the calling thread; the
+    // call touches no memory of ours.
+    unsafe {
+        setpriority(PRIO_PROCESS, 0, 19);
+    }
+}
+
+/// Thread priorities are left alone off Linux.
+#[cfg(not(target_os = "linux"))]
+fn lower_own_priority() {}
 
 /// Trainer loop: drain retrain batches (latest-wins queue), retrain the
 /// master model, publish the new weights as the next epoch; write the

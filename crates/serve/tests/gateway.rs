@@ -363,9 +363,12 @@ fn wakes_never_shed_a_request_at_queue_cap_one() {
 }
 
 /// A hot-swap whose architecture does not match is rejected whole: the
-/// replica keeps serving its spawn weights and reports the rejection.
+/// replica keeps serving its spawn weights and reports the rejection, once
+/// per published epoch however many batches and wakes follow it.
 #[test]
 fn mismatched_hot_swap_is_rejected_not_applied() {
+    use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
+
     let model = trained_model(1);
     let mut reference = model.fork_replica().unwrap();
     let scripts = corpus();
@@ -383,23 +386,35 @@ fn mismatched_hot_swap_is_rejected_not_applied() {
         Prionn::new(cfg, &refs).unwrap()
     };
 
+    let rec = FlightRecorder::new(FlightConfig::default());
     let gw = Gateway::spawn(
         model,
         GatewayConfig {
             replicas: 1,
             max_wait: Duration::from_micros(200),
+            tracer: Some(Tracer::new(&rec)),
             ..GatewayConfig::default()
         },
     )
     .unwrap();
-    let epoch = gw.hot_swap(&donor).unwrap();
-    assert_eq!(epoch, 1);
-
-    let reply = gw.predict_detailed(&scripts[..2], None).unwrap();
-    // The swap was rejected: epoch stays at the spawn weights and the
-    // predictions are untouched.
-    assert_eq!(reply.epoch, 0);
-    assert_eq!(reply.predictions, expected);
+    let rejections = || {
+        rec.snapshot()
+            .iter()
+            .filter(|s| s.name == "weight_swap" && s.detail == "rejected")
+            .count()
+    };
+    for published in 1..=2u64 {
+        assert_eq!(gw.hot_swap(&donor).unwrap(), published);
+        for _ in 0..3 {
+            let reply = gw.predict_detailed(&scripts[..2], None).unwrap();
+            // The swap was rejected: epoch stays at the spawn weights and
+            // the predictions are untouched.
+            assert_eq!(reply.epoch, 0);
+            assert_eq!(reply.predictions, expected);
+        }
+        // The wake and the three batches met the epoch; one checked it.
+        assert_eq!(rejections(), published as usize, "epoch {published}");
+    }
     let err = gw.last_error().expect("rejection must be reported");
     assert!(err.contains("hot-swap rejected"), "{err}");
     assert_eq!(gw.stats().swaps_applied, 0);
@@ -563,5 +578,65 @@ fn prometheus_export_carries_the_serve_metric_surface() {
     // The shared registry also carries the model-level metrics, proving
     // the replicas report into the same export.
     assert!(text.contains("prionn_predict_seconds"), "{text}");
+    gw.shutdown();
+}
+
+/// Nice value of every thread of this process whose name starts with
+/// `prefix` (Linux truncates thread names to 15 bytes).
+#[cfg(target_os = "linux")]
+fn nice_of_threads(prefix: &str) -> Vec<i64> {
+    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .flatten()
+        .filter(|task| read(task.path().join("comm")).starts_with(prefix))
+        .filter_map(|task| {
+            // The name is in parentheses and may hold spaces: count fields
+            // from the closing one. `nice` is field 19, the 17th after it.
+            let stat = read(task.path().join("stat"));
+            let (_, rest) = stat.rsplit_once(')')?;
+            rest.split_whitespace().nth(16)?.parse().ok()
+        })
+        .collect()
+}
+
+/// Spare CPU goes to training and a request never waits on it: the trainer
+/// runs at nice 19, the replicas and the compute pool at nice 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_trainer_yields_the_cpu_to_the_request_path() {
+    let gw = Gateway::spawn(
+        trained_model(1),
+        GatewayConfig {
+            replicas: 1,
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap();
+    // The trainer lowers itself as it starts, which may not have happened
+    // yet (nor in another test's gateway).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let trainers = nice_of_threads("prionn-serve-tr");
+        if !trainers.is_empty() && trainers.iter().all(|&nice| nice == 19) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "trainer nice values {trainers:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let replicas = nice_of_threads("prionn-serve-re");
+    assert!(!replicas.is_empty());
+    assert!(
+        replicas.iter().all(|&nice| nice == 0),
+        "replicas {replicas:?}"
+    );
+    let pool = nice_of_threads("compute-");
+    // The pool's size is the host's parallelism, callers included.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(pool.len(), cores - 1);
+    assert!(pool.iter().all(|&nice| nice == 0), "compute pool {pool:?}");
     gw.shutdown();
 }

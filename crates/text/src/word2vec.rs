@@ -39,6 +39,97 @@ impl Default for Word2vecConfig {
     }
 }
 
+/// Buckets of [`NegativeSampler`]'s guide table.
+const GUIDE_BUCKETS: usize = 4096;
+
+/// Inverse-CDF sampling of a vocabulary row that answers, for every draw,
+/// exactly what `cdf.partition_point(|&c| c < u).min(VOCAB - 1)` answers.
+/// A guide table holds that search's answer at the left edge of each of
+/// [`GUIDE_BUCKETS`] equal buckets of `[0, 1)`. Since `cdf` never
+/// decreases, the answer for any draw in a bucket is at or after its
+/// bucket's entry, so a draw starts there and scans forward (usually not at
+/// all) to the first row whose `cdf` reaches it.
+struct NegativeSampler {
+    cdf: Vec<f64>,
+    guide: Vec<u16>,
+}
+
+impl NegativeSampler {
+    fn new(cdf: Vec<f64>) -> Self {
+        let guide = (0..GUIDE_BUCKETS)
+            .map(|b| {
+                // `b / GUIDE_BUCKETS` is exact: the bucket's left edge.
+                let edge = b as f64 / GUIDE_BUCKETS as f64;
+                cdf.partition_point(|&c| c < edge) as u16
+            })
+            .collect();
+        NegativeSampler { cdf, guide }
+    }
+
+    #[inline]
+    fn sample(&self, rng: &mut ChaCha8Rng) -> usize {
+        let u: f64 = rng.gen();
+        // Scaling by a power of two is exact, so the bucket's edge is ≤ `u`.
+        let bucket = ((u * GUIDE_BUCKETS as f64) as usize).min(GUIDE_BUCKETS - 1);
+        let mut i = self.guide[bucket] as usize;
+        while i < self.cdf.len() && self.cdf[i] < u {
+            i += 1;
+        }
+        i.min(VOCAB - 1)
+    }
+}
+
+/// Skip-gram with negative sampling over every (centre, context) pair of
+/// `scripts` (vocabulary rows), `cfg.epochs` times, updating the `input`
+/// (centre) table in place beside an output (context) table that starts at
+/// zero. `DIM` is the embedding width when nonzero; 0 reads `cfg.dim`.
+fn skip_gram<const DIM: usize>(
+    scripts: &[Vec<u8>],
+    cfg: &Word2vecConfig,
+    sampler: &NegativeSampler,
+    rng: &mut ChaCha8Rng,
+    input: &mut [f32],
+) {
+    let dim = if DIM == 0 { cfg.dim } else { DIM };
+    let mut output = vec![0.0f32; VOCAB * dim];
+    let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
+    let mut grad_centre = vec![0.0f32; dim];
+    for _ in 0..cfg.epochs.max(1) {
+        for bytes in scripts {
+            for (i, &centre) in bytes.iter().enumerate() {
+                let centre = centre as usize;
+                let lo = i.saturating_sub(cfg.window);
+                let hi = (i + cfg.window + 1).min(bytes.len());
+                for (j, &context) in bytes.iter().enumerate().take(hi).skip(lo) {
+                    if j == i {
+                        continue;
+                    }
+                    grad_centre.iter_mut().for_each(|g| *g = 0.0);
+                    // One positive + k negative logistic updates.
+                    for k in 0..=cfg.negatives {
+                        let (target, label) = if k == 0 {
+                            (context as usize, 1.0f32)
+                        } else {
+                            (sampler.sample(rng), 0.0f32)
+                        };
+                        let (ci, oi) = (centre * dim, target * dim);
+                        let dot: f32 = (0..dim).map(|d| input[ci + d] * output[oi + d]).sum();
+                        let err = (sigmoid(dot) - label) * cfg.lr;
+                        for d in 0..dim {
+                            grad_centre[d] += err * output[oi + d];
+                            output[oi + d] -= err * input[ci + d];
+                        }
+                    }
+                    let ci = centre * dim;
+                    for d in 0..dim {
+                        input[ci + d] -= grad_centre[d];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A trained character embedding table: one `dim`-wide vector per ASCII
 /// character.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,8 +150,6 @@ impl CharEmbedding {
         let mut input: Vec<f32> = (0..VOCAB * cfg.dim)
             .map(|_| rng.gen_range(-scale..scale))
             .collect();
-        let mut output = vec![0.0f32; VOCAB * cfg.dim];
-
         // Unigram distribution (3/4 power) for negative sampling.
         let mut counts = [1.0f64; VOCAB];
         for s in corpus {
@@ -77,50 +166,25 @@ impl CharEmbedding {
             acc += w / total;
             cdf.push(acc);
         }
-        let sample_negative = |rng: &mut ChaCha8Rng| -> usize {
-            let u: f64 = rng.gen();
-            cdf.partition_point(|&c| c < u).min(VOCAB - 1)
+        let sampler = NegativeSampler::new(cdf);
+        // Each script's characters as vocabulary rows, mapped once.
+        let scripts: Vec<Vec<u8>> = corpus
+            .iter()
+            .map(|s| s.bytes().map(|b| b % VOCAB as u8).collect())
+            .collect();
+        // The paper's widths run a pass compiled for them, which unrolls the
+        // per-pair loops; any other width runs the same arithmetic in the
+        // same order with the width read at run time.
+        let fit = match cfg.dim {
+            4 => skip_gram::<4>,
+            8 => skip_gram::<8>,
+            _ => skip_gram::<0>,
         };
-
-        let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
-        let dim = cfg.dim;
-        let mut grad_centre = vec![0.0f32; dim];
-
-        for _ in 0..cfg.epochs.max(1) {
-            for s in corpus {
-                let bytes: Vec<usize> = s.bytes().map(|b| (b as usize) % VOCAB).collect();
-                for (i, &centre) in bytes.iter().enumerate() {
-                    let lo = i.saturating_sub(cfg.window);
-                    let hi = (i + cfg.window + 1).min(bytes.len());
-                    for (j, &context) in bytes.iter().enumerate().take(hi).skip(lo) {
-                        if j == i {
-                            continue;
-                        }
-                        grad_centre.iter_mut().for_each(|g| *g = 0.0);
-                        // One positive + k negative logistic updates.
-                        for k in 0..=cfg.negatives {
-                            let (target, label) = if k == 0 {
-                                (context, 1.0f32)
-                            } else {
-                                (sample_negative(&mut rng), 0.0f32)
-                            };
-                            let (ci, oi) = (centre * dim, target * dim);
-                            let dot: f32 = (0..dim).map(|d| input[ci + d] * output[oi + d]).sum();
-                            let err = (sigmoid(dot) - label) * cfg.lr;
-                            for d in 0..dim {
-                                grad_centre[d] += err * output[oi + d];
-                                output[oi + d] -= err * input[ci + d];
-                            }
-                        }
-                        let ci = centre * dim;
-                        for d in 0..dim {
-                            input[ci + d] -= grad_centre[d];
-                        }
-                    }
-                }
-            }
+        fit(&scripts, cfg, &sampler, &mut rng, &mut input);
+        CharEmbedding {
+            dim: cfg.dim,
+            table: input,
         }
-        CharEmbedding { dim, table: input }
     }
 
     /// Rebuild an embedding from a persisted table (`VOCAB × dim`,
@@ -212,6 +276,129 @@ mod tests {
             "#!/bin/bash\n#SBATCH -N 8\n#SBATCH -t 01:30:00\nsrun ./sim run.cfg\n",
             "#!/bin/bash\n#SBATCH -N 2\n#SBATCH -t 00:45:00\nsrun python train.py\n",
         ]
+    }
+
+    /// The trainer as it was before negative sampling got its guide table
+    /// and the corpus was mapped once: a binary search per draw, each
+    /// script's bytes mapped again every epoch.
+    fn train_by_binary_search(corpus: &[&str], cfg: &Word2vecConfig) -> Vec<f32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let scale = 0.5 / cfg.dim as f32;
+        let mut input: Vec<f32> = (0..VOCAB * cfg.dim)
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect();
+        let mut output = vec![0.0f32; VOCAB * cfg.dim];
+        let mut counts = [1.0f64; VOCAB];
+        for s in corpus {
+            for b in s.bytes() {
+                counts[(b as usize) % VOCAB] += 1.0;
+            }
+        }
+        let weights: Vec<f64> = counts.iter().map(|c| c.powf(0.75)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut cdf = Vec::with_capacity(VOCAB);
+        let mut acc = 0.0f64;
+        for w in &weights {
+            acc += w / total;
+            cdf.push(acc);
+        }
+        let sample_negative = |rng: &mut ChaCha8Rng| -> usize {
+            let u: f64 = rng.gen();
+            cdf.partition_point(|&c| c < u).min(VOCAB - 1)
+        };
+        let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
+        let dim = cfg.dim;
+        let mut grad_centre = vec![0.0f32; dim];
+        for _ in 0..cfg.epochs.max(1) {
+            for s in corpus {
+                let bytes: Vec<usize> = s.bytes().map(|b| (b as usize) % VOCAB).collect();
+                for (i, &centre) in bytes.iter().enumerate() {
+                    let lo = i.saturating_sub(cfg.window);
+                    let hi = (i + cfg.window + 1).min(bytes.len());
+                    for (j, &context) in bytes.iter().enumerate().take(hi).skip(lo) {
+                        if j == i {
+                            continue;
+                        }
+                        grad_centre.iter_mut().for_each(|g| *g = 0.0);
+                        for k in 0..=cfg.negatives {
+                            let (target, label) = if k == 0 {
+                                (context, 1.0f32)
+                            } else {
+                                (sample_negative(&mut rng), 0.0f32)
+                            };
+                            let (ci, oi) = (centre * dim, target * dim);
+                            let dot: f32 = (0..dim).map(|d| input[ci + d] * output[oi + d]).sum();
+                            let err = (sigmoid(dot) - label) * cfg.lr;
+                            for d in 0..dim {
+                                grad_centre[d] += err * output[oi + d];
+                                output[oi + d] -= err * input[ci + d];
+                            }
+                        }
+                        let ci = centre * dim;
+                        for d in 0..dim {
+                            input[ci + d] -= grad_centre[d];
+                        }
+                    }
+                }
+            }
+        }
+        input
+    }
+
+    #[test]
+    fn table_is_the_bits_of_the_binary_search_trainer() {
+        let digits: String = (0..200)
+            .map(|i| format!("#SBATCH -N {}\n", i % 10))
+            .collect();
+        // Every byte value, multi-byte UTF-8 included (rows wrap mod VOCAB),
+        // and one character so frequent that the CDF jumps across buckets.
+        let wide: String = (0u8..128).map(char::from).chain("é→λ✓".chars()).collect();
+        let skewed = format!("{}{wide}", "x".repeat(3000));
+        let corpora: [Vec<&str>; 4] = [
+            tiny_corpus(),
+            vec![digits.as_str(), "echo hello_world\n"],
+            vec![wide.as_str(), skewed.as_str(), ""],
+            vec![],
+        ];
+        for corpus in &corpora {
+            for seed in [0x77, 11] {
+                // 4 and 8 run passes compiled for their width; 3 the other.
+                for dim in [3, 4, 8] {
+                    let cfg = Word2vecConfig {
+                        dim,
+                        seed,
+                        ..Default::default()
+                    };
+                    let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(CharEmbedding::train(corpus, &cfg).table()),
+                        bits(&train_by_binary_search(corpus, &cfg)),
+                        "corpus of {} scripts, seed {seed}, dim {dim}",
+                        corpus.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_sampling_is_the_binary_search() {
+        // A CDF with flat runs, steep jumps and a last entry short of 1.
+        let mut cdf: Vec<f64> = (0..VOCAB)
+            .map(|i| ((i / 7) as f64 / 19.0).min(0.9999))
+            .collect();
+        cdf[VOCAB / 2] = cdf[VOCAB / 2 - 1];
+        let sampler = NegativeSampler::new(cdf.clone());
+        let mut a = ChaCha8Rng::seed_from_u64(3);
+        let mut b = a.clone();
+        for _ in 0..100_000 {
+            let u: f64 = b.gen();
+            assert_eq!(
+                sampler.sample(&mut a),
+                cdf.partition_point(|&c| c < u).min(VOCAB - 1),
+                "u = {u}"
+            );
+        }
     }
 
     #[test]

@@ -75,6 +75,44 @@ fn save_load_save_through_the_filesystem_is_byte_identical() {
     let _ = std::fs::remove_file(&path_b);
 }
 
+/// A restart between two retrains changes nothing: with the IO heads on,
+/// `retrain → save → load → retrain` writes the checkpoint bytes (every
+/// head's weights and Adam moments, the RNG position) of `retrain →
+/// retrain`.
+#[test]
+fn a_restart_between_retrains_continues_bit_for_bit() {
+    let (scripts, runtimes, reads, writes) = workload();
+    let refs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
+    assert!(tiny_cfg().predict_io);
+    let mut uninterrupted = Prionn::new(tiny_cfg(), &refs).unwrap();
+    uninterrupted
+        .retrain(&refs, &runtimes, &reads, &writes)
+        .unwrap();
+    let path = tmp_path("restart");
+    uninterrupted.save(&path).unwrap();
+    let mut restarted = Prionn::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    let half = refs.len() / 2;
+    for model in [&mut uninterrupted, &mut restarted] {
+        model
+            .retrain(
+                &refs[half..],
+                &runtimes[half..],
+                &reads[half..],
+                &writes[half..],
+            )
+            .unwrap();
+    }
+    let digest = |m: &Prionn| {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        m.to_checkpoint().unwrap().to_bytes().hash(&mut h);
+        h.finish()
+    };
+    assert_eq!(digest(&restarted), digest(&uninterrupted));
+}
+
 #[test]
 fn restored_predictor_serves_bit_identical_predictions() {
     let (scripts, runtimes, reads, writes) = workload();
