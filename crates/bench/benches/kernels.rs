@@ -3,7 +3,8 @@
 //! dispatch sweep, the convolution scoreboard (forward, filter gradient
 //! with the bias gradient, and input gradient of the direct 3×3 kernels
 //! against the GEMM lowering, each beside its roofline line) at the paper's
-//! four conv shapes, the fused ReLU + 2×2 max-pool tail of each conv stage
+//! four conv shapes, the same kernels on mapped scripts against inputs with
+//! no equal rows, the fused ReLU + 2×2 max-pool tail of each conv stage
 //! beside its bandwidth line, and one full train step of the PRIONN 2D-CNN
 //! on a 64×64 input at batch 32.
 //!
@@ -26,13 +27,17 @@
 //!      within 3× its bandwidth line;
 //!   7. where two samples' channels fit one vector at conv1 (avx512), its
 //!      batch-32 filter gradient ≥ 1.3× the same kernel fed one sample at a
-//!      time.
+//!      time;
+//!   8. conv1's batch-32 filter gradient on 32 mapped CabLike scripts ≤
+//!      0.5× the same kernel on a same-shape input with no equal rows
+//!      (`conv_script_rows`).
 //!
 //! The `pre_pr_baseline` and `pre_simd_baseline` blocks freeze numbers
 //! measured on this machine immediately before the respective changes
 //! landed, so the committed JSON documents each speedup without rebuilding
 //! old code.
 
+use prionn_core::{Prionn, PrionnConfig};
 use prionn_nn::layer::ReluPool;
 use prionn_nn::{ArchConfig, Layer, LossTarget, ModelKind, Sgd, SoftmaxCrossEntropy};
 use prionn_tensor::ops::gemm::{
@@ -320,7 +325,7 @@ fn main() {
                 let (direct, direct_min) = time_runs(reps, || {
                     if pass == "filter_grad" {
                         let (x, dy) = (x.as_slice(), dy.as_slice());
-                        conv3x3::filter_grad(&mut ws, &g, dy, x, &mut dw);
+                        conv3x3::filter_grad(&mut ws, &g, dy, x, &mut dw, false);
                         conv3x3::bias_grad(dy, n_pos, &mut db);
                     } else {
                         for (i, (x_i, dy_i)) in samples().enumerate() {
@@ -352,11 +357,18 @@ fn main() {
                     let (mut batched, mut single) = (Vec::new(), Vec::new());
                     for _ in 0..reps.max(15) {
                         let t = Instant::now();
-                        conv3x3::filter_grad(&mut ws, &g, dy.as_slice(), x.as_slice(), &mut dw);
+                        conv3x3::filter_grad(
+                            &mut ws,
+                            &g,
+                            dy.as_slice(),
+                            x.as_slice(),
+                            &mut dw,
+                            false,
+                        );
                         batched.push(t.elapsed().as_secs_f64());
                         let t = Instant::now();
                         for (x_i, dy_i) in samples() {
-                            conv3x3::filter_grad(&mut ws, &g, dy_i, x_i, &mut dw);
+                            conv3x3::filter_grad(&mut ws, &g, dy_i, x_i, &mut dw, false);
                         }
                         single.push(t.elapsed().as_secs_f64());
                         std::hint::black_box(&dw);
@@ -483,6 +495,134 @@ fn main() {
             }
         }
     }
+
+    // The 3×3 kernels on what the paper model sees: 32 mapped CabLike
+    // scripts at conv1 (a few of the 64 grid rows filled, the rest +0), and
+    // their conv1 output after ReLU + pool at conv2 (a bottom run of equal
+    // rows), each against the same kernel on a same-shape uniform input,
+    // which has no two equal rows. Forward one sample after another; dW
+    // over the batch in one call, told that dY is finite as `Conv2d` tells
+    // it. The two sides alternate rep by rep.
+    let trace = prionn_bench::support::cab_trace(200);
+    let scripts: Vec<&str> = trace
+        .executed_jobs()
+        .map(|j| j.script.as_str())
+        .take(32)
+        .collect();
+    let mapper = Prionn::new(PrionnConfig::default(), &scripts).unwrap();
+    let conv1_in = mapper.map_scripts(&scripts).unwrap();
+    let mut filled_rows: Vec<usize> = conv1_in
+        .as_slice()
+        .chunks_exact(4 * 64 * 64)
+        .map(|x| {
+            let row_zero = |r: usize| {
+                (0..4).all(|c| {
+                    x[(c * 64 + r) * 64..][..64]
+                        .iter()
+                        .all(|v| v.to_bits() == 0)
+                })
+            };
+            (0..64).rev().find(|&r| !row_zero(r)).map_or(0, |r| r + 1)
+        })
+        .collect();
+    filled_rows.sort_unstable();
+    let (g1, g2) = (
+        Conv2dGeom::new(4, 64, 64, 3, 3, 1, 1).unwrap(),
+        Conv2dGeom::new(8, 32, 32, 3, 3, 1, 1).unwrap(),
+    );
+    let (w1, b1) = (
+        init::uniform([8, 36], -1.0, 1.0, &mut rng),
+        init::uniform([8], -1.0, 1.0, &mut rng),
+    );
+    let (w2, b2) = (
+        init::uniform([16, 72], -1.0, 1.0, &mut rng),
+        init::uniform([16], -1.0, 1.0, &mut rng),
+    );
+    let conv2_in = {
+        let mut ws = GemmWorkspace::new();
+        let mut y1 = vec![0.0f32; 32 * 8 * 64 * 64];
+        for (x, y) in conv1_in
+            .as_slice()
+            .chunks_exact(4 * 64 * 64)
+            .zip(y1.chunks_exact_mut(8 * 64 * 64))
+        {
+            conv3x3::forward(&mut ws, &g1, w1.as_slice(), b1.as_slice(), x, y);
+        }
+        let y1 = Tensor::from_vec([32, 8, 64, 64], y1).unwrap();
+        ReluPool::new()
+            .forward(&y1, false, &mut Scratch::new())
+            .unwrap()
+    };
+    let mut script_rows_results = Vec::new();
+    let mut script_rows_gate = None;
+    for (layer, pass) in [
+        ("conv1", "forward"),
+        ("conv2", "forward"),
+        ("conv1", "filter_grad"),
+    ] {
+        let (g, w, bias, scripts_in) = match layer {
+            "conv1" => (&g1, &w1, &b1, &conv1_in),
+            _ => (&g2, &w2, &b2, &conv2_in),
+        };
+        let (w, bias) = (w.as_slice(), bias.as_slice());
+        let out_c = bias.len();
+        let (x_len, y_len) = (g.in_channels * g.col_cols(), out_c * g.col_cols());
+        let mut ws = GemmWorkspace::new();
+        let mut dw = vec![0.0f32; out_c * g.col_rows()];
+        for batch in [1usize, 32] {
+            let script_x = &scripts_in.as_slice()[..batch * x_len];
+            let uniform_x = init::uniform([batch * x_len], -1.0, 1.0, &mut rng);
+            let dy = init::uniform([batch * y_len], -1.0, 1.0, &mut rng);
+            let mut y = vec![0.0f32; batch * y_len];
+            let mut run = |x: &[f32]| {
+                if pass == "filter_grad" {
+                    conv3x3::filter_grad(&mut ws, g, dy.as_slice(), x, &mut dw, true);
+                } else {
+                    for (x, y) in x.chunks_exact(x_len).zip(y.chunks_exact_mut(y_len)) {
+                        conv3x3::forward(&mut ws, g, w, bias, x, y);
+                    }
+                }
+                std::hint::black_box((&y, &dw));
+            };
+            let reps = if batch == 1 {
+                gemm_reps * 20
+            } else {
+                gemm_reps * 2
+            };
+            let (mut on_scripts, mut on_uniform) = (Vec::new(), Vec::new());
+            for _ in 0..reps {
+                let t = Instant::now();
+                run(script_x);
+                on_scripts.push(t.elapsed().as_secs_f64());
+                let t = Instant::now();
+                run(uniform_x.as_slice());
+                on_uniform.push(t.elapsed().as_secs_f64());
+            }
+            for v in [&mut on_scripts, &mut on_uniform] {
+                v.sort_by(|a, b| a.total_cmp(b));
+            }
+            let (scripts_ms, uniform_ms) = (on_scripts[reps / 2] * 1e3, on_uniform[reps / 2] * 1e3);
+            let min_ratio = on_scripts[0] / on_uniform[0];
+            println!(
+                "  conv_script_rows {layer} b{batch} {pass}: scripts {scripts_ms:.3} ms, \
+                 uniform input {uniform_ms:.3} ms, {:.2}x",
+                scripts_ms / uniform_ms
+            );
+            if (layer, pass, batch) == ("conv1", "filter_grad", 32) {
+                script_rows_gate = Some(min_ratio);
+            }
+            script_rows_results.push(json!({
+                "layer": layer,
+                "pass": pass,
+                "batch": batch,
+                "scripts_ms": scripts_ms,
+                "uniform_ms": uniform_ms,
+                "ratio": scripts_ms / uniform_ms,
+                "min_of_reps_ratio": min_ratio,
+            }));
+        }
+    }
+    let script_rows_gate = script_rows_gate.expect("conv1 b32 dW timed");
 
     // The fused ReLU + 2×2 max-pool after each conv, on that conv's output,
     // as `Sequential` runs it (a training forward, then backward), at the
@@ -615,6 +755,15 @@ fn main() {
         },
         "conv_lowering": conv_results,
         "relu_pool": relu_pool_results,
+        "conv_script_rows": {
+            "note": "32 mapped CabLike scripts (conv1) and their conv1 output after ReLU + pool (conv2), against a same-shape uniform input; one core",
+            "filled_rows": {
+                "min": filled_rows[0],
+                "median": filled_rows[filled_rows.len() / 2],
+                "max": filled_rows[filled_rows.len() - 1],
+            },
+            "rows": script_rows_results,
+        },
         "train_step_2dcnn_64x64_b32": {
             "ms": train_secs * 1e3,
             "pre_pr_ms": pre_pr_train_ms,
@@ -711,6 +860,13 @@ fn main() {
             Some(_) => {}
             None => println!("enforce: conv1 runs no pairs on this tier, pair gate skipped"),
         }
+        if script_rows_gate > 0.5 {
+            eprintln!(
+                "FAIL: conv1 b32 filter gradient on mapped scripts is {script_rows_gate:.2}x \
+                 the same kernel on a uniform input (> 0.5x ceiling)"
+            );
+            failed = true;
+        }
         if steady_grows != warm_grows {
             eprintln!("FAIL: steady-state train step grew the scratch pool");
             failed = true;
@@ -722,7 +878,8 @@ fn main() {
             "enforce: 256^3 speedup {speedup_256_vs_pre_pr:.2}x >= 3.0x vs pre-PR naive, \
              blocked >= naive at every size, direct conv1-3 forward >= 1.5x, \
              relu_pool {relu_pool_gate:.2}x its line (<= 3x), conv1 b32 pairs {} the one-sample \
-             calls, zero-alloc hot path OK",
+             calls, conv1 b32 dW on scripts {script_rows_gate:.2}x a uniform input (<= 0.5x), \
+             zero-alloc hot path OK",
             pair_gate.map_or("not run against".into(), |s| format!("{s:.2}x (>= 1.3x)"))
         );
     }

@@ -20,6 +20,7 @@
 //! | `telemetry`: `Prionn::predict` of 16 scripts, registry ÷ none | instrumented ÷ bare | 1.1 |
 //! | `swap`: `apply_weights_checkpoint` of the serving model's weights ÷ copying the same payload bytes | apply ÷ copy | 3 |
 //! | `retrain`: a 120-job retrain of the paper model, three heads ÷ the runtime head alone | per head fitted | 1.15 |
+//! | `predict`: 200 batch-1 predicts of the paper model, three heads ÷ the runtime head alone | per head run | 1.15 |
 //!
 //! Method: both sides of a comparison stay alive together and rounds
 //! alternate off/on, so frequency phases hit both. The ratio is the median
@@ -29,9 +30,9 @@
 //! and each side pays a forward pass. The serving model is the paper's
 //! default architecture (`serving_model`); the fleet's shards serve the
 //! fleet test model, as the fleet tests do. In `swap` a "request" is one
-//! apply (or one copy) of the whole weights payload, and in `retrain` one
-//! head fitted, so its ratio is the 3-head retrain's CPU ÷ 3 × the 1-head
-//! one's. Wall time per request, and its on ÷ off ratio (`wall_ratio`), are
+//! apply (or one copy) of the whole weights payload, and in `retrain` and
+//! `predict` one head fitted or run, so their ratios are the 3-head CPU ÷
+//! 3 × the 1-head one's. Wall time per request, and its on ÷ off ratio (`wall_ratio`), are
 //! recorded beside each figure and not gated.
 
 use prionn_bench::support::{distinct_script, process_cpu_seconds, serving_model};
@@ -72,6 +73,13 @@ const RETRAIN_CEILING: f64 = 1.15;
 /// Jobs in a `retrain` batch: the retrain window of the benchmark's
 /// `online_protocol` at its 15-second run.
 const RETRAIN_JOBS: usize = 120;
+/// `Prionn::predict` runs its heads at once too, the first on the caller
+/// and each further one on a kept helper; handing a batch-1 head over and
+/// back must not cost CPU over running it in turn. The script is mapped
+/// once for all heads.
+const PREDICT_CEILING: f64 = 1.15;
+/// Batch-1 predicts per side over the whole `predict` comparison.
+const PREDICTS: usize = 200;
 
 /// One comparison's result: cpu-ms and wall-ms per request on each side
 /// (all rounds pooled) and the median of the per-round-pair cpu ratios.
@@ -370,6 +378,25 @@ fn main() {
         || fit(&mut three_heads, 3),
     );
 
+    // Predict: batch-1 predicts of fresh scripts by the same two models,
+    // PREDICTS per side over all rounds.
+    let per_round = PREDICTS.div_ceil(rounds);
+    let predict1 = |m: &mut Prionn, heads: usize| {
+        for script in fresh(per_round) {
+            m.predict(&[script.as_str()]).unwrap();
+        }
+        heads * per_round
+    };
+    predict1(&mut one_head, 1);
+    predict1(&mut three_heads, 3);
+    let predict = alternate(
+        "predict",
+        PREDICT_CEILING,
+        rounds,
+        || predict1(&mut one_head, 1),
+        || predict1(&mut three_heads, 3),
+    );
+
     let report = json!({
         "bench": "serve_cpu",
         "mode": mode,
@@ -386,6 +413,8 @@ fn main() {
         "swap": swap.json(),
         "retrain_jobs": RETRAIN_JOBS,
         "retrain": retrain.json(),
+        "predicts_per_side": per_round * rounds,
+        "predict": predict.json(),
     });
     let out = std::env::var("BENCH_SERVE_CPU_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve_cpu.json").into()
@@ -401,6 +430,7 @@ fn main() {
             telemetry,
             swap,
             retrain,
+            predict,
         ];
         let failed: Vec<&Comparison> = all.iter().filter(|c| c.ratio > c.ceiling).collect();
         for c in &failed {
@@ -413,7 +443,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "enforce: fusion, tracing, telemetry, swap and retrain ratios within their ceilings OK"
+            "enforce: fusion, tracing, telemetry, swap, retrain and predict ratios within their \
+             ceilings OK"
         );
     }
 }

@@ -16,7 +16,7 @@
 pub mod baselines;
 pub mod bins;
 pub mod checkpoint;
-mod fit_threads;
+mod head_threads;
 pub mod metrics;
 pub mod online;
 pub mod predictor;

@@ -2,7 +2,7 @@
 
 use crate::bins::ValueBins;
 use crate::checkpoint::{self, CkptResult};
-use crate::fit_threads;
+use crate::head_threads;
 use prionn_nn::{
     Adam, ArchConfig, Loss, LossTarget, ModelKind, MseLoss, Optimizer, Sequential,
     SoftmaxCrossEntropy,
@@ -16,8 +16,7 @@ use prionn_text::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
-use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Result alias matching the tensor substrate.
 pub type Result<T> = prionn_tensor::Result<T>;
@@ -483,74 +482,66 @@ impl Prionn {
     }
 
     /// Warm-started fit of every served head that `targets` names, all at
-    /// once: the first on the calling thread, each further one moved to a
-    /// helper thread of the caller's (`fit_threads`) for the length of its
-    /// fit, every one reading the one mapped batch. Each head shuffles with a
-    /// clone of the RNG taken where the heads before it in table order leave
-    /// the stream when they fit one after another, and the RNG ends past all
-    /// of them, so the weights, moments, losses and RNG are the bits of
-    /// fitting the heads in turn. Every target slice is checked before the
-    /// scripts are mapped or any head trains, so a malformed batch leaves
-    /// weights, optimiser moments, the RNG and the memo untouched. Returns
-    /// the final-epoch loss of each head fitted; the first head (in table
-    /// order) that failed gives the error, and a fit that panicked panics
-    /// here once every head is back in its row.
+    /// once ([`head_threads::at_once`]), every one reading the one mapped
+    /// batch. Each head shuffles with a clone of the RNG taken where the
+    /// heads before it in table order leave the stream when they fit one
+    /// after another, and the RNG ends past all of them, so the weights,
+    /// moments, losses and RNG are the bits of fitting the heads in turn.
+    /// Every target slice is checked before the scripts are mapped or any
+    /// head trains, so a malformed batch leaves weights, optimiser moments,
+    /// the RNG and the memo untouched. Returns the final-epoch loss of each
+    /// head fitted; the first head (in table order) that failed gives the
+    /// error, and a fit that panicked panics here once every head is back in
+    /// its row.
     fn fit_heads(&mut self, scripts: &[&str], targets: &[(&str, &[f64])]) -> Result<Vec<f32>> {
         let x = Arc::new(self.prepare_fit(scripts, targets)?);
         // Every row stays in `heads` but the targeted ones, which move into
-        // their fit and come back through `finished`.
+        // their fit with their values and their clone of the RNG.
         let mut heads: Vec<Option<Head>> = Vec::with_capacity(self.heads.len());
-        let (done, finished) = mpsc::channel();
-        let mut tasks: Vec<fit_threads::Task> = Vec::new();
-        for (row, mut head) in std::mem::take(&mut self.heads).into_iter().enumerate() {
+        let mut fits = Vec::new();
+        for (row, head) in std::mem::take(&mut self.heads).into_iter().enumerate() {
             let Some((_, values)) = targets.iter().find(|(name, _)| *name == head.name) else {
                 heads.push(Some(head));
                 continue;
             };
             heads.push(None);
-            let mut rng = self.rng.clone();
+            let rng = self.rng.clone();
             Sequential::skip_fit_draws(&mut self.rng, scripts.len(), self.cfg.epochs);
-            let (x, values, bins, cfg, done) = (
-                Arc::clone(&x),
-                values.to_vec(),
-                self.bins.clone(),
-                self.cfg.clone(),
-                done.clone(),
-            );
-            tasks.push(Box::new(move || {
-                // Window the kernel counters to this fit so the GEMM gauges
-                // report per-retrain efficiency.
-                head.model.reset_scratch_stats();
-                let fitted = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    head.fit(&x, &values, &bins, &cfg, &mut rng)
-                }));
-                // The receiver waits for every task, so this cannot fail.
-                let _ = done.send((row, head, fitted));
-            }));
+            fits.push((row, head, values.to_vec(), rng));
         }
-        let fitting = tasks.len();
-        let mut tasks = tasks.into_iter();
-        let on_caller = tasks.next();
-        let refused: Vec<_> = tasks
-            .enumerate()
-            .filter_map(|(helper, task)| fit_threads::hand_to_helper(helper, task))
-            .collect();
-        on_caller.into_iter().chain(refused).for_each(|task| task());
-        let mut fitted: Vec<_> = finished.iter().take(fitting).collect();
-        fitted.sort_by_key(|(row, _, _)| *row);
-        let mut outcomes = Vec::with_capacity(fitting);
-        for (row, head, outcome) in fitted {
+        let (bins, cfg) = (self.bins.clone(), self.cfg.clone());
+        let fitted = head_threads::at_once(fits, move |(_, head, values, rng)| {
+            // Window the kernel counters to this fit so the GEMM gauges
+            // report per-retrain efficiency.
+            head.model.reset_scratch_stats();
+            head.fit(&x, values, &bins, &cfg, rng)
+        });
+        let outcomes = self.put_back(heads, fitted, |(row, head, _, _)| (row, head));
+        outcomes
+            .into_iter()
+            .map(|losses| Ok(losses?.last().copied().unwrap_or(f32::NAN)))
+            .collect()
+    }
+
+    /// Put every head [`head_threads::at_once`] gave back into its row of
+    /// `heads`, make that the table, then re-raise the first panic in table
+    /// order, if any; else the outcomes, in table order.
+    fn put_back<S, T>(
+        &mut self,
+        mut heads: Vec<Option<Head>>,
+        back: Vec<(S, std::thread::Result<T>)>,
+        row_of: impl Fn(S) -> (usize, Head),
+    ) -> Vec<T> {
+        let mut outcomes = Vec::with_capacity(back.len());
+        for (item, outcome) in back {
+            let (row, head) = row_of(item);
             heads[row] = Some(head);
             outcomes.push(outcome);
         }
         self.heads = heads.into_iter().flatten().collect();
-        debug_assert_eq!(outcomes.len(), fitting, "every head came back");
         outcomes
             .into_iter()
-            .map(|outcome| {
-                let losses = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
-                Ok(losses.last().copied().unwrap_or(f32::NAN))
-            })
+            .map(|outcome| outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     }
 
@@ -666,17 +657,29 @@ impl Prionn {
         Ok(preds)
     }
 
-    /// Map `scripts` and run every head.
+    /// Map `scripts` and run every head at once
+    /// ([`head_threads::at_once`]), every one reading the one mapped batch.
+    /// The values are those of running the heads in turn; the first head
+    /// (in table order) that failed gives the error, and a head that
+    /// panicked panics here once every head is back in its row.
     fn forward(&mut self, scripts: &[&str]) -> Result<Vec<ResourcePrediction>> {
-        let x = {
+        let x = Arc::new({
             let _span = prionn_observe::trace::child_of_current(|| "map".to_string());
             self.map_scripts(scripts)?
-        };
+        });
         let batch_size = self.cfg.batch_size.max(1);
+        let bins = self.bins.clone();
+        let rows = std::mem::take(&mut self.heads)
+            .into_iter()
+            .enumerate()
+            .collect();
+        let back =
+            head_threads::at_once(rows, move |(_, head)| head.predict(&x, &bins, batch_size));
+        let heads = std::iter::repeat_with(|| None).take(back.len()).collect();
+        let outcomes = self.put_back(heads, back, |(row, head)| (row, head));
         let mut preds = vec![ResourcePrediction::default(); scripts.len()];
-        for head in &mut self.heads {
-            let values = head.predict(&x, &self.bins, batch_size)?;
-            for (pred, value) in preds.iter_mut().zip(values) {
+        for (head, values) in self.heads.iter().zip(outcomes) {
+            for (pred, value) in preds.iter_mut().zip(values?) {
                 *(head.field)(pred) = value;
             }
         }
@@ -1217,6 +1220,47 @@ mod tests {
                 for name in a.section_names() {
                     assert!(a.get(name) == b.get(name), "{case}: section {name} differs");
                 }
+            }
+        }
+    }
+
+    impl Prionn {
+        /// Every head run one after another on the calling thread: the bits
+        /// [`Prionn::forward`] must give.
+        fn forward_in_turn(&mut self, scripts: &[&str]) -> Result<Vec<ResourcePrediction>> {
+            let x = self.map_scripts(scripts)?;
+            let batch_size = self.cfg.batch_size.max(1);
+            let mut preds = vec![ResourcePrediction::default(); scripts.len()];
+            for head in &mut self.heads {
+                let values = head.predict(&x, &self.bins, batch_size)?;
+                for (pred, value) in preds.iter_mut().zip(values) {
+                    *(head.field)(pred) = value;
+                }
+            }
+            Ok(preds)
+        }
+    }
+
+    #[test]
+    fn heads_run_at_once_give_the_bits_of_heads_run_in_turn() {
+        let jobs = trace_slice(80);
+        let scripts: Vec<&str> = jobs.iter().map(|j| j.script.as_str()).collect();
+        for predict_io in [false, true] {
+            let cfg = PrionnConfig {
+                predict_io,
+                epochs: 2,
+                ..tiny_cfg()
+            };
+            let mut at_once = Prionn::new(cfg, &scripts[..8]).unwrap();
+            retrain_on(&mut at_once, &jobs[..40]);
+            let mut in_turn = at_once.fork_replica().unwrap();
+            assert_eq!(at_once.heads.len(), if predict_io { 3 } else { 1 });
+            for batch in [1, 4, 32] {
+                let window = &scripts[40..40 + batch];
+                let a = at_once.forward(window).unwrap();
+                let b = in_turn.forward_in_turn(window).unwrap();
+                assert_eq!(bits(&a), bits(&b), "predict_io={predict_io} b{batch}");
+                assert_eq!(at_once.heads.len(), in_turn.heads.len());
             }
         }
     }

@@ -260,16 +260,19 @@ impl Conv2d {
             .map(|(s0, take, xchunk, dw, db, cols, ws)| {
                 let group = s0..s0 + take;
                 let dys = &go[group.start * out_sample..group.end * out_sample];
+                // db += row sums of dY, one chain per channel. A finite sum
+                // from +0 means every dY of the group is finite.
+                conv3x3::bias_grad(dys, n_pos, db);
                 // dW += dY ⋆ x over the group's samples, in order: directly
-                // (two samples to a vector where they fit), or per sample as
-                // dY · cols(x_i)ᵀ below, the cols rebuilt from the cached
-                // input.
+                // (two samples to a vector where they fit, skipping the
+                // positions that read only +0 rows when dY is finite), or
+                // per sample as dY · cols(x_i)ᵀ below, the cols rebuilt from
+                // the cached input.
                 if direct {
                     let xg = &xs[group.start * sample_len..group.end * sample_len];
-                    conv3x3::filter_grad(ws, &g, dys, xg, dw);
+                    let dy_finite = db.iter().all(|v| v.is_finite());
+                    conv3x3::filter_grad(ws, &g, dys, xg, dw, dy_finite);
                 }
-                // db += row sums of dY, one chain per channel.
-                conv3x3::bias_grad(dys, n_pos, db);
                 for i in group {
                     let dy = &go[i * out_sample..(i + 1) * out_sample];
                     if !direct {

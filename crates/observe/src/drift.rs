@@ -13,7 +13,8 @@
 //! * **per-bin calibration error** — the window is partitioned into bins by
 //!   the true value's magnitude, and the count-weighted mean of each bin's
 //!   relative bias `|mean_pred − mean_true| / max(mean_true, mean_pred)`
-//!   becomes `drift_calibration_error{head=...}`. A model can hold a good
+//!   becomes `drift_calibration_error{head=...}` (set when a scrape asks,
+//!   [`DriftMonitor::refresh_gauges`]). A model can hold a good
 //!   *average* accuracy while systematically over-predicting short jobs and
 //!   under-predicting long ones; binning catches exactly that;
 //! * **weight-epoch staleness** — seconds since the serving weights last
@@ -340,8 +341,6 @@ impl DriftMonitor {
 
         let rolling = s.sum_acc / s.window.len() as f64;
         s.acc_gauge.set(rolling);
-        let calib = calibration_error(&s.bins);
-        s.calib_gauge.set(calib);
 
         if s.window.len() >= cfg.min_samples.max(1) {
             if rolling < cfg.accuracy_threshold && !s.alerting {
@@ -382,12 +381,23 @@ impl DriftMonitor {
         self.inner.staleness.set(0.0);
     }
 
-    /// Recompute and return weight staleness in seconds (gauges are pull
-    /// snapshots, so scrape paths call this before export).
+    /// Recompute and return weight staleness in seconds.
     pub fn refresh_staleness(&self) -> f64 {
         let secs = lock(&self.inner.last_weight_update).elapsed().as_secs_f64();
         self.inner.staleness.set(secs);
         secs
+    }
+
+    /// Set the gauges that are pull snapshots: weight staleness and each
+    /// head's calibration error, which a record leaves alone so that it
+    /// costs the same whatever the bin count. Scrape paths call this
+    /// before export.
+    pub fn refresh_gauges(&self) {
+        for head in &self.inner.heads {
+            let s = lock(head);
+            s.calib_gauge.set(calibration_error(&s.bins));
+        }
+        self.refresh_staleness();
     }
 
     /// Copy of `head`'s rolling outcome window, oldest first — one window,
@@ -624,6 +634,51 @@ mod tests {
             "calib={}",
             snap.heads[0].calibration_error
         );
+    }
+
+    #[test]
+    fn calibration_error_is_the_bins_value_whenever_it_is_read() {
+        let t = Telemetry::new();
+        let d = DriftMonitor::new(
+            &t,
+            DriftConfig {
+                window: 16,
+                runtime_bin_max: 100.0,
+                io_bin_max: 100.0,
+                ..DriftConfig::default()
+            },
+        );
+        let opts = crate::ops::OpsOptions {
+            telemetry: Some(t.clone()),
+            drift: Some(d.clone()),
+            ..Default::default()
+        };
+        let gauge = |body: &str, head: &str| -> f64 {
+            let series = format!("drift_calibration_error{{head=\"{head}\"}} ");
+            let line = body.lines().find(|l| l.starts_with(&series)).unwrap();
+            line[series.len()..].parse().unwrap()
+        };
+        // Enough samples that the window slides and bins empty again.
+        for i in 0..40u32 {
+            let truth = f64::from(i * 7 % 97) + 1.0;
+            d.record(
+                DriftHead::Runtime,
+                truth,
+                truth * (1.0 + f64::from(i % 5) / 4.0),
+            );
+            d.record(DriftHead::Read, truth, truth / 2.0);
+            if i % 9 == 0 {
+                let want = HEADS.map(|h| calibration_error(&lock(&d.inner.heads[h.index()]).bins));
+                let snap = d.snapshot();
+                let (_, _, body) = crate::ops::route("/metrics", None, &opts);
+                for (h, want) in HEADS.iter().zip(want) {
+                    let read = snap.heads[h.index()].calibration_error;
+                    assert_eq!(read.to_bits(), want.to_bits(), "snapshot {h:?} at {i}");
+                    let scraped = gauge(&body, h.label());
+                    assert_eq!(scraped.to_bits(), want.to_bits(), "/metrics {h:?} at {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub struct OpsOptions {
     pub telemetry: Option<Telemetry>,
     /// Flight recorder behind `/traces` and `/flight`.
     pub recorder: Option<FlightRecorder>,
-    /// Drift monitor; when present its staleness gauge is refreshed on
-    /// every `/metrics` scrape so the exported value is current.
+    /// Drift monitor; when present its pull gauges (staleness, calibration
+    /// error) are refreshed on every `/metrics` scrape so the exported
+    /// values are current.
     pub drift: Option<DriftMonitor>,
     /// Readiness probe behind `/readyz` (absent = always ready).
     pub readiness: Option<ReadyProbe>,
@@ -185,7 +186,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<(
     stream.flush()
 }
 
-fn route(
+pub(crate) fn route(
     path: &str,
     query: Option<&str>,
     opts: &OpsOptions,
@@ -197,7 +198,7 @@ fn route(
         "/metrics" => match &opts.telemetry {
             Some(t) => {
                 if let Some(d) = &opts.drift {
-                    d.refresh_staleness();
+                    d.refresh_gauges();
                 }
                 (
                     OK,

@@ -321,6 +321,12 @@ pub fn push_current(tracer: &Tracer, ctx: SpanCtx) -> CurrentGuard {
     CurrentGuard { pushed: true }
 }
 
+/// This thread's implicit context, if any: what another thread pushes with
+/// [`push_current`] to record its spans under the same parent.
+pub fn current() -> Option<(Tracer, SpanCtx)> {
+    CURRENT.with(|c| c.borrow().last().cloned())
+}
+
 /// True when this thread has an implicit trace context. Cheap enough to
 /// call per layer on the forward path.
 pub fn active() -> bool {

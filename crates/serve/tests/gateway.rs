@@ -601,7 +601,8 @@ fn nice_of_threads(prefix: &str) -> Vec<i64> {
 }
 
 /// Spare CPU goes to training and a request never waits on it: the trainer
-/// runs at nice 19, the replicas and the compute pool at nice 0.
+/// and the helpers it fits heads on run at nice 19; the replicas, the
+/// helpers they run heads on and the compute pool at nice 0.
 #[cfg(target_os = "linux")]
 #[test]
 fn the_trainer_yields_the_cpu_to_the_request_path() {
@@ -638,5 +639,27 @@ fn the_trainer_yields_the_cpu_to_the_request_path() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(pool.len(), cores - 1);
     assert!(pool.iter().all(|&nice| nice == 0), "compute pool {pool:?}");
+    // A three-head model: the replica's first predict starts its helpers,
+    // the trainer's first retrain its own.
+    gw.predict(&corpus()[..1]).unwrap();
+    gw.retrain_async(retrain_batch(false));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while nice_of_threads("serve-trainer+").len() < 2 {
+        assert!(Instant::now() < deadline, "the trainer started no helpers");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let trainer_helpers = nice_of_threads("serve-trainer+");
+    assert!(
+        trainer_helpers.iter().all(|&nice| nice == 19),
+        "trainer helpers {trainer_helpers:?}"
+    );
+    // A replica's helpers are named `serve-replica-{i}+{j}`, cut to 15
+    // bytes; the replicas themselves keep their `prionn-` prefix.
+    let replica_helpers = nice_of_threads("serve-replica-");
+    assert!(replica_helpers.len() >= 2, "{replica_helpers:?}");
+    assert!(
+        replica_helpers.iter().all(|&nice| nice == 0),
+        "replica helpers {replica_helpers:?}"
+    );
     gw.shutdown();
 }

@@ -318,7 +318,8 @@ fn section_crc(name: &str, payload: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven, eight bytes a
+/// step ("slicing by 8").
 pub struct Crc32 {
     state: u32,
 }
@@ -335,12 +336,27 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Fold more bytes into the running checksum.
+    /// Fold more bytes into the running checksum: eight at a time through
+    /// the eight tables, the rest one at a time through the first. The
+    /// value is that of the one-byte-a-step loop.
     pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc32_table();
+        let t = &CRC32_TABLES;
         let mut s = self.state;
-        for &b in bytes {
-            s = (s >> 8) ^ table[((s ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = s ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            s = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            s = (s >> 8) ^ t[0][((s ^ b as u32) & 0xFF) as usize];
         }
         self.state = s;
     }
@@ -358,24 +374,38 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// Table `0` steps the state over one byte; table `k` over one byte
+/// followed by `k` zero bytes, so eight lookups step it over eight bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -401,6 +431,40 @@ mod tests {
         c.update(&data[7..20]);
         c.update(&data[20..]);
         assert_eq!(c.finish(), crc32(data));
+    }
+
+    /// The one-byte-a-step loop the sliced update must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut s = !0u32;
+        for &b in bytes {
+            s = (s >> 8) ^ CRC32_TABLES[0][((s ^ b as u32) & 0xFF) as usize];
+        }
+        !s
+    }
+
+    #[test]
+    fn sliced_crc_is_the_bytewise_crc_at_every_length_and_alignment() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(32);
+        let mut buf = vec![0u8; 1024 + 8];
+        rng.fill_bytes(&mut buf);
+        for start in 0..8 {
+            for len in 0..1024 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // Split anywhere, the running state carries across updates.
+        for split in 0..64 {
+            let mut c = Crc32::new();
+            c.update(&buf[..split]);
+            c.update(&buf[split..]);
+            assert_eq!(c.finish(), crc32_bytewise(&buf), "split {split}");
+        }
     }
 
     fn sample() -> Checkpoint {

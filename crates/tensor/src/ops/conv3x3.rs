@@ -30,6 +30,18 @@
 //! * **bias gradient** — one add chain per channel over the positions in
 //!   order, sample after sample, eight channels to a vector.
 //!
+//! A sample's rows often repeat: a mapped script fills a few of the grid's
+//! rows and leaves the rest +0, and the layers after it see a run of rows
+//! equal to the ReLU of the bias. Every output element is its own chain
+//! over its window, so output rows whose windows are bitwise equal have
+//! equal bits: [`forward`] finds a sample's bottom run of bitwise-equal
+//! rows (one whole-row compare per row, bottom-up) and computes each run of
+//! equal windows once. In [`filter_grad`], a position whose window holds
+//! only +0 rows adds `dY · (+0) = ±0` to its chains when `dY` is finite.
+//! That can change a chain only when it is zero, and then only its sign,
+//! which `dW + chain` does not show while `dW` holds no −0; so a caller
+//! that knows `dY` is finite lets it skip them.
+//!
 //! The multiply-add is fused on the avx512 / avx2 tiers and `acc + a·b` on
 //! the portable one, matching each tier's GEMM microkernel; the tier is
 //! [`kernel_tier`], so forcing one picks these kernels' tier too.
@@ -48,6 +60,11 @@ pub fn applies(g: &Conv2dGeom) -> bool {
 /// `y = W ∗ x + b` for one `[C, H, W]` sample: `w` is `[out_c, C·9]`,
 /// `bias` `[out_c]` (which sets `out_c`), `y` `[out_c, H, W]`, overwritten.
 ///
+/// Output rows whose three input rows are bitwise equal to another's get
+/// that row's bits, so within the sample's bottom run of equal rows each
+/// output row is copied from the first, and only the padded rows the
+/// computed rows read are staged.
+///
 /// # Panics
 /// Panics when `g` is not a geometry [`applies`] takes or a slice has the
 /// wrong length.
@@ -59,6 +76,19 @@ pub fn forward(
     x: &[f32],
     y: &mut [f32],
 ) {
+    forward_rows(ws, g, w, bias, x, y, true);
+}
+
+/// [`forward`], copying the rows of the bottom run only when `runs`.
+fn forward_rows(
+    ws: &mut GemmWorkspace,
+    g: &Conv2dGeom,
+    w: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    y: &mut [f32],
+    runs: bool,
+) {
     let out_c = bias.len();
     let tier = kernel_tier();
     let s = Shape::new(g, out_c, lanes(tier));
@@ -66,22 +96,99 @@ pub fn forward(
     assert_eq!(x.len(), s.c * s.hw(), "conv3x3: x is not C·H·W long");
     assert_eq!(y.len(), out_c * s.hw(), "conv3x3: y is not out_c·H·W long");
     let t0 = Instant::now();
+    let copies = if runs {
+        forward_copies(x, &s)
+    } else {
+        s.h..s.h
+    };
     let (xp, _) = ws.buffers(s.c * s.plane, 0);
-    pad_planes(tier, x, &s, xp);
-    // SAFETY: the asserts above and `pad_planes` establish the lengths
-    // `forward_impl` documents, for the lanes of the one `tier` read above;
-    // `kernel_tier` only names a SIMD tier after runtime detection found its
-    // features.
-    unsafe {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => x86::forward_avx512(&s, w, bias, xp, y),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => x86::forward_avx2(&s, w, bias, xp, y),
-            _ => forward_impl::<Portable, 4, 1>(&s, w, bias, xp, y),
+    for rows in [0..copies.start, copies.end..s.h] {
+        if rows.is_empty() {
+            continue;
+        }
+        // Output row r reads padded rows r..r + 3.
+        pad_rows(tier, x, &s, xp, rows.start..rows.end + 2);
+        // SAFETY: the asserts above and `pad_rows` establish the lengths
+        // `forward_impl` documents, for the lanes of the one `tier` read
+        // above, with every padded row the rows read staged; `kernel_tier`
+        // only names a SIMD tier after runtime detection found its features.
+        unsafe {
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                KernelTier::Avx512 => x86::forward_avx512(&s, w, bias, xp, y, rows),
+                #[cfg(target_arch = "x86_64")]
+                KernelTier::Avx2 => x86::forward_avx2(&s, w, bias, xp, y, rows),
+                _ => forward_impl::<Portable, 4, 1>(&s, w, bias, xp, y, rows),
+            }
         }
     }
-    record(ws, &s, 1, t0);
+    if !copies.is_empty() {
+        let from = copies.start - 1;
+        for plane in y.chunks_exact_mut(s.hw()) {
+            for r in copies.clone() {
+                plane.copy_within(from * s.w..(from + 1) * s.w, r * s.w);
+            }
+        }
+    }
+    record(ws, &s, 1, (s.h - copies.len()) * s.w, t0);
+}
+
+/// The output rows [`forward`] copies from the row just above them rather
+/// than computes, empty at `h` when there are none. Output row `r` reads
+/// input rows `r − 1..=r + 1`, the padding zeros multiplied like any other
+/// entry, so from row `a + 1` of a bottom run `a..h` every row reads the
+/// run's row three times, up to the last row, which reads the padding below
+/// too, unless the run is itself +0.
+fn forward_copies(x: &[f32], s: &Shape) -> Range<usize> {
+    let Some((a, zero)) = row_runs(x, s) else {
+        return s.h..s.h;
+    };
+    let end = if zero { s.h } else { s.h - 1 };
+    if a + 2 < end {
+        a + 2..end
+    } else {
+        s.h..s.h
+    }
+}
+
+/// The bottom run of one `[C, H, W]` sample: the least row `a` such that
+/// rows `a..h` of every channel are bitwise equal to row `h − 1`, and
+/// whether that row is +0 throughout (so the zero padding below continues
+/// the run). Scanned bottom-up a whole row at a time, as `u32` slices, up
+/// to the first row that differs. `None` for an empty image.
+fn row_runs(x: &[f32], s: &Shape) -> Option<(usize, bool)> {
+    if s.hw() == 0 {
+        return None;
+    }
+    // SAFETY: `f32` and `u32` have the same size and alignment, and every
+    // bit pattern is a valid `u32`.
+    let bits: &[u32] = unsafe { std::slice::from_raw_parts(x.as_ptr().cast(), x.len()) };
+    let row = |c: usize, r: usize| &bits[c * s.hw() + r * s.w..][..s.w];
+    let last = s.h - 1;
+    let mut a = last;
+    while a > 0 && (0..s.c).all(|c| row(c, a - 1) == row(c, last)) {
+        a -= 1;
+    }
+    let zero = (0..s.c).all(|c| row(c, last).iter().all(|&b| b == 0));
+    Some((a, zero))
+}
+
+/// The positions `0..end` of one `[C, H, W]` sample that [`filter_grad`]
+/// visits: all of them, or, when `dy_finite`, those before the first output
+/// row whose window is all +0 rows (the image's +0 bottom run, then the
+/// padding). A skipped position multiplies each finite `dY` by +0, adding
+/// ±0 to a chain; that moves no chain but a zero one, and then only its
+/// sign, which `dW + chain` cannot show while `dW` holds no −0.
+fn dw_positions(x: &[f32], s: &Shape, dy_finite: bool) -> usize {
+    match row_runs(x, s) {
+        Some((a, true)) if dy_finite => {
+            // Row a − 1 differs from the zero row, so row a reads it; with
+            // a = 0 even row 0 reads only zeros.
+            let first = if a == 0 { 0 } else { a + 1 };
+            first * s.w
+        }
+        _ => s.hw(),
+    }
 }
 
 /// `dW += dY ⋆ x` over a run of samples, in order: `dy` holds their
@@ -92,10 +199,23 @@ pub fn forward(
 /// on avx512, ≤ 8 otherwise), the samples go through the kernel in pairs
 /// and an odd last one alone; the bits are those of one sample at a time.
 ///
+/// With `dy_finite`, the caller vouches that every `dY` is finite, and the
+/// output positions whose whole window lies in a sample's +0 bottom rows
+/// are skipped (with only the padded rows the rest read staged). That
+/// gives the full pass's bits whenever no entry of `dw` is −0, as none of a
+/// zeroed buffer summed onto ever is; without it every position is visited.
+///
 /// # Panics
 /// Panics when `g` is not a geometry [`applies`] takes or a slice has the
 /// wrong length.
-pub fn filter_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, dy: &[f32], x: &[f32], dw: &mut [f32]) {
+pub fn filter_grad(
+    ws: &mut GemmWorkspace,
+    g: &Conv2dGeom,
+    dy: &[f32],
+    x: &[f32],
+    dw: &mut [f32],
+    dy_finite: bool,
+) {
     let tier = kernel_tier();
     let lanes = lanes(tier);
     let k = g.in_channels * 9;
@@ -120,6 +240,7 @@ pub fn filter_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, dy: &[f32], x: &[f32]
     } else {
         0
     };
+    let mut positions = 0;
     // dYᵀ is staged one `KC` block of positions at a time, in rows of whole
     // vectors: `out_c` channels of one sample, or `2·out_c` interleaved
     // channels of two, rounded up. The extra lanes are computed from zeros
@@ -136,17 +257,25 @@ pub fn filter_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, dy: &[f32], x: &[f32]
             .chunks_exact(2 * x_len)
             .zip(dy.chunks_exact(2 * dy_len))
         {
+            let (xa, xb) = x.split_at(x_len);
+            let end = dw_positions(xa, &s, dy_finite).max(dw_positions(xb, &s, dy_finite));
+            positions += 2 * end;
+            if end == 0 {
+                continue;
+            }
             // SAFETY: as in `forward`, for the lengths
             // `filter_grad_pair_impl` documents.
             unsafe {
                 match tier {
                     #[cfg(target_arch = "x86_64")]
                     KernelTier::Avx512 => {
-                        x86::filter_grad_pair_avx512(&s, dy, x, dyt, xp, later, dw)
+                        x86::filter_grad_pair_avx512(&s, dy, x, dyt, xp, later, dw, end)
                     }
                     #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => x86::filter_grad_pair_avx2(&s, dy, x, dyt, xp, later, dw),
-                    _ => filter_grad_pair_impl::<Portable, 4>(&s, dy, x, dyt, xp, later, dw),
+                    KernelTier::Avx2 => {
+                        x86::filter_grad_pair_avx2(&s, dy, x, dyt, xp, later, dw, end)
+                    }
+                    _ => filter_grad_pair_impl::<Portable, 4>(&s, dy, x, dyt, xp, later, dw, end),
                 }
             }
         }
@@ -162,21 +291,26 @@ pub fn filter_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, dy: &[f32], x: &[f32]
             .zip(dy.chunks_exact(dy_len))
             .skip(paired)
         {
-            pad_planes(tier, x, &s, xp);
+            let end = dw_positions(x, &s, dy_finite);
+            positions += end;
+            if end == 0 {
+                continue;
+            }
+            pad_rows(tier, x, &s, xp, read_rows(&s, end));
             // SAFETY: as in `forward`, for the lengths `filter_grad_impl`
             // documents.
             unsafe {
                 match tier {
                     #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx512 => x86::filter_grad_avx512(&s, dy, ld, dyt, xp, dw),
+                    KernelTier::Avx512 => x86::filter_grad_avx512(&s, dy, ld, dyt, xp, dw, end),
                     #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => x86::filter_grad_avx2(&s, dy, ld, dyt, xp, dw),
-                    _ => filter_grad_impl::<Portable, 4>(&s, dy, ld, dyt, xp, dw),
+                    KernelTier::Avx2 => x86::filter_grad_avx2(&s, dy, ld, dyt, xp, dw, end),
+                    _ => filter_grad_impl::<Portable, 4>(&s, dy, ld, dyt, xp, dw, end),
                 }
             }
         }
     }
-    record(ws, &s, samples, t0);
+    record(ws, &s, samples, positions, t0);
 }
 
 /// `db += Σ dY` over a run of samples, for a convolution of any geometry:
@@ -228,7 +362,7 @@ pub fn input_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, w: &[f32], dy: &[f32],
     assert_eq!(dx.len(), s.c * s.hw(), "conv3x3: dX is not C·H·W long");
     let t0 = Instant::now();
     let (dyp, _) = ws.buffers(out_c * s.plane, 0);
-    pad_planes(tier, dy, &s, dyp);
+    pad_rows(tier, dy, &s, dyp, 0..s.h + 2);
     // SAFETY: as in `forward`, for the lengths `input_grad_impl` documents.
     unsafe {
         match tier {
@@ -239,7 +373,7 @@ pub fn input_grad(ws: &mut GemmWorkspace, g: &Conv2dGeom, w: &[f32], dy: &[f32],
             _ => input_grad_impl::<Portable, 2, 1>(&s, w, dyp, dx),
         }
     }
-    record(ws, &s, 1, t0);
+    record(ws, &s, 1, s.hw(), t0);
 }
 
 /// Vector width of `tier`'s kernels: 16 on avx512, else 8. A call reads
@@ -252,11 +386,12 @@ fn lanes(tier: KernelTier) -> usize {
 }
 
 /// Count a kernel call over `samples` samples in the workspace's GEMM
-/// counters as that many calls: each sample's `2·out_c·C·9·H·W` FLOPs, and
-/// the wall time, with no pack time.
-fn record(ws: &mut GemmWorkspace, s: &Shape, samples: usize, t0: Instant) {
+/// counters as that many calls: `2·out_c·C·9` FLOPs for each of the
+/// `positions` output positions computed (copied rows and skipped
+/// positions cost none), and the wall time, with no pack time.
+fn record(ws: &mut GemmWorkspace, s: &Shape, samples: usize, positions: usize, t0: Instant) {
     ws.stats.calls += samples as u64;
-    ws.stats.flops += samples as f64 * gemm_flops(s.out_c, s.hw(), s.k);
+    ws.stats.flops += gemm_flops(s.out_c, positions, s.k);
     ws.stats.total_seconds += t0.elapsed().as_secs_f64();
 }
 
@@ -300,41 +435,45 @@ impl Shape {
     }
 }
 
-/// Copy `[planes, h, w]` into `dst` as zero-bordered planes of `s.plane`
-/// floats: pixel `(y, x)` of plane `p` lands at `p·plane + (y+1)·pw + x+1`.
-/// Each float is written once: the image, or a zero of the one-pixel ring
-/// and the slack columns right of it.
-fn pad_planes(tier: KernelTier, src: &[f32], s: &Shape, dst: &mut [f32]) {
-    // SAFETY: `pad_planes_impl` reads and writes only inside the planes it
-    // is given; `tier` is the one `s` was built for.
+/// Copy the padded rows `rows` of `[planes, h, w]` into `dst` as
+/// zero-bordered planes of `s.plane` floats: pixel `(y, x)` of plane `p`
+/// lands at `p·plane + (y+1)·pw + x+1`, and padded rows `0` and `h + 1`
+/// are zeros. Each float of those rows is written once: the image, or a
+/// zero of the one-pixel ring and the slack columns right of it. The other
+/// rows of `dst` are left as they are.
+fn pad_rows(tier: KernelTier, src: &[f32], s: &Shape, dst: &mut [f32], rows: Range<usize>) {
+    let rows = rows.start..rows.end.min(s.h + 2);
+    // SAFETY: `pad_rows_impl` reads and writes only inside the planes it is
+    // given; `tier` is the one `s` was built for.
     unsafe {
         match tier {
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => x86::pad_planes_avx512(src, s, dst),
+            KernelTier::Avx512 => x86::pad_rows_avx512(src, s, dst, rows),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => x86::pad_planes_avx2(src, s, dst),
-            _ => pad_planes_impl::<Portable>(src, s, dst),
+            KernelTier::Avx2 => x86::pad_rows_avx2(src, s, dst, rows),
+            _ => pad_rows_impl::<Portable>(src, s, dst, rows),
         }
     }
 }
 
-/// [`pad_planes`] a vector at a time: each padded row is written with
-/// whole vectors from a masked load of the image row, so the ring costs no
-/// extra pass and no `memset` call per row.
+/// [`pad_rows`] a vector at a time: each padded row is written with whole
+/// vectors from a masked load of the image row, so the ring costs no extra
+/// pass and no `memset` call per row.
 ///
 /// # Safety
-/// `V`'s features are available and `s` was built with `V::N` lanes.
+/// `V`'s features are available, `s` was built with `V::N` lanes and
+/// `rows` lies in `0..h + 2`.
 #[inline(always)]
-unsafe fn pad_planes_impl<V: Lanes>(src: &[f32], s: &Shape, dst: &mut [f32]) {
+unsafe fn pad_rows_impl<V: Lanes>(src: &[f32], s: &Shape, dst: &mut [f32], rows: Range<usize>) {
     for (plane, dst) in src.chunks_exact(s.hw()).zip(dst.chunks_exact_mut(s.plane)) {
-        dst[..s.pw].fill(0.0);
-        dst[(s.h + 1) * s.pw..].fill(0.0);
-        for (row, dst) in plane
-            .chunks_exact(s.w)
-            .zip(dst[s.pw..].chunks_exact_mut(s.pw))
-        {
+        for r in rows.clone() {
+            let dst = &mut dst[r * s.pw..(r + 1) * s.pw];
+            if r == 0 || r == s.h + 1 {
+                dst.fill(0.0);
+                continue;
+            }
             // Padded column x holds image column x − 1, for x in 1..=w.
-            let at = row.as_ptr().wrapping_sub(1);
+            let at = plane.as_ptr().add((r - 1) * s.w).wrapping_sub(1);
             for x0 in (0..s.pw).step_by(V::N) {
                 let image = usize::from(x0 == 0)..(s.w + 1).saturating_sub(x0).min(V::N);
                 V::load_span(at.wrapping_add(x0), image)
@@ -499,13 +638,15 @@ impl Lanes for Portable {
     }
 }
 
-/// The forward over every tile: `OC` output channels × `R` output rows ×
-/// one vector of columns, remainders in 1-channel / 1-row tiles.
+/// The forward over the output rows `rows`, tile by tile: `OC` output
+/// channels × `R` output rows × one vector of columns, remainders in
+/// 1-channel / 1-row tiles.
 ///
 /// # Safety
 /// `V`'s features are available; `w` is `out_c·k`, `bias` `out_c`, `xp`
-/// `c` padded planes and `y` `out_c·h·w` floats, for `s` built with
-/// `V::N` lanes.
+/// `c` padded planes (with the padded rows `rows` reads staged) and `y`
+/// `out_c·h·w` floats, for `s` built with `V::N` lanes; `rows` lies in
+/// `0..h`.
 #[inline(always)]
 unsafe fn forward_impl<V: Lanes, const OC: usize, const R: usize>(
     s: &Shape,
@@ -513,21 +654,22 @@ unsafe fn forward_impl<V: Lanes, const OC: usize, const R: usize>(
     bias: &[f32],
     xp: &[f32],
     y: &mut [f32],
+    rows: Range<usize>,
 ) {
     let (w, bias, xp, y) = (w.as_ptr(), bias.as_ptr(), xp.as_ptr(), y.as_mut_ptr());
-    for oy0 in (0..s.h).step_by(R) {
-        let rows = R.min(s.h - oy0);
+    for oy0 in rows.clone().step_by(R) {
+        let tile_rows = R.min(rows.end - oy0);
         for x0 in (0..s.w).step_by(V::N) {
             let n = V::N.min(s.w - x0);
             let mut o0 = 0;
             while o0 < s.out_c {
                 let oc = if s.out_c - o0 >= OC { OC } else { 1 };
-                for r0 in (0..rows).step_by(if rows == R { R } else { 1 }) {
+                for r0 in (0..tile_rows).step_by(if tile_rows == R { R } else { 1 }) {
                     // Tap (0, 0) of output (oy, ox) is padded pixel (oy, ox).
                     let xt = xp.add((oy0 + r0) * s.pw + x0);
                     let wt = w.add(o0 * s.k);
                     let yt = y.add(o0 * s.hw() + (oy0 + r0) * s.w + x0);
-                    match (oc == OC, rows == R) {
+                    match (oc == OC, tile_rows == R) {
                         (true, true) => forward_tile::<V, OC, R>(s, wt, bias.add(o0), xt, yt, n),
                         (true, false) => forward_tile::<V, OC, 1>(s, wt, bias.add(o0), xt, yt, n),
                         (false, true) => forward_tile::<V, 1, R>(s, wt, bias.add(o0), xt, yt, n),
@@ -603,14 +745,15 @@ unsafe fn forward_tile<V: Lanes, const OC: usize, const R: usize>(
     }
 }
 
-/// The filter gradient over every `KC` block of positions, channel and
-/// vector of output channels.
+/// The filter gradient over the positions `0..end`: every `KC` block of
+/// them (the last one cut at `end`), channel and vector of output channels.
 ///
 /// # Safety
 /// `V`'s features are available; `dy` is `out_c·h·w` floats, `dyt` `KC`
 /// rows of `ld` floats (`ld` a multiple of `V::N`, at least `out_c`, the
-/// lanes from `out_c` zero), `xp` `c` padded planes and `dw` `out_c·k`
-/// floats, for `s` built with `V::N` lanes.
+/// lanes from `out_c` zero), `xp` `c` padded planes (with the padded rows
+/// the positions `0..end` read staged) and `dw` `out_c·k` floats, for `s`
+/// built with `V::N` lanes; `end <= h·w`.
 #[inline(always)]
 unsafe fn filter_grad_impl<V: Lanes, const P: usize>(
     s: &Shape,
@@ -619,9 +762,10 @@ unsafe fn filter_grad_impl<V: Lanes, const P: usize>(
     dyt: &mut [f32],
     xp: &[f32],
     dw: &mut [f32],
+    end: usize,
 ) {
-    for q0 in (0..s.hw()).step_by(KC) {
-        let q1 = (q0 + KC).min(s.hw());
+    for q0 in (0..end).step_by(KC) {
+        let q1 = (q0 + KC).min(end);
         stage_dyt::<V>(s, dy, q0..q1, dyt, ld);
         for c in 0..s.c {
             for o0 in (0..s.out_c).step_by(V::N) {
@@ -640,19 +784,20 @@ unsafe fn filter_grad_impl<V: Lanes, const P: usize>(
     }
 }
 
-/// The filter gradient of two samples, `a` then `b`, in one pass: lane
-/// `2o + s` of every vector holds output channel `o` of sample `s`. Each
-/// `KC` block's chain of `a` folds into `dW` as it ends, as in
-/// [`filter_grad_impl`]; `b`'s waits in `later` and folds, block by block,
-/// after all of `a`'s, so every `dW` element sees the sequence of two
-/// one-sample calls.
+/// The filter gradient of two samples, `a` then `b`, in one pass over the
+/// positions `0..end`: lane `2o + s` of every vector holds output channel
+/// `o` of sample `s`. Each `KC` block's chain of `a` folds into `dW` as it
+/// ends, as in [`filter_grad_impl`]; `b`'s waits in `later` and folds,
+/// block by block, after all of `a`'s, so every `dW` element sees the
+/// sequence of two one-sample calls over the blocks computed.
 ///
 /// # Safety
 /// `V`'s features are available; `2·out_c <= V::N`; `dy` is `2·out_c·h·w`
 /// floats, `x` `2·c·h·w`, `dyt` `KC` rows of `V::N` floats (the lanes from
 /// `2·out_c` zero), `xp` `2·c` padded planes, `later` `ceil(h·w / KC)·k·out_c`
-/// and `dw` `out_c·k` floats, for `s` built with `V::N` lanes.
+/// and `dw` `out_c·k` floats, for `s` built with `V::N` lanes; `end <= h·w`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn filter_grad_pair_impl<V: Lanes, const P: usize>(
     s: &Shape,
     dy: &[f32],
@@ -661,14 +806,16 @@ unsafe fn filter_grad_pair_impl<V: Lanes, const P: usize>(
     xp: &mut [f32],
     later: &mut [f32],
     dw: &mut [f32],
+    end: usize,
 ) {
-    stage_pair_image::<V>(s, x, xp);
+    stage_pair_image::<V>(s, x, xp, read_rows(s, end));
     let xp = &*xp;
-    let blocks = (0..s.hw())
+    let later = &mut later[..end.div_ceil(KC) * s.k * s.out_c];
+    let blocks = (0..end)
         .step_by(KC)
         .zip(later.chunks_exact_mut(s.k * s.out_c));
     for (q0, later) in blocks {
-        let q1 = (q0 + KC).min(s.hw());
+        let q1 = (q0 + KC).min(end);
         stage_pair_dyt::<V>(s, dy, q0..q1, dyt);
         for c in 0..s.c {
             let acc = filter_grad_chains::<V, P, 2>(s, V::N, dyt, xp, c, 0, q0..q1);
@@ -692,24 +839,34 @@ unsafe fn filter_grad_pair_impl<V: Lanes, const P: usize>(
     }
 }
 
-/// Stage a pair's images for [`filter_grad_pair_impl`]: padded, and
-/// interleaved pixel by pixel (float `2i + s` of `xp` is padded pixel `i`
-/// of sample `s`), only the one-pixel ring and the slack columns zeroed.
+/// The padded rows that the output positions `0..end` read: output row `r`
+/// reads padded rows `r..r + 3`.
+fn read_rows(s: &Shape, end: usize) -> Range<usize> {
+    0..(end.div_ceil(s.w) + 2).min(s.h + 2)
+}
+
+/// Stage the padded rows `rows` of a pair's images for
+/// [`filter_grad_pair_impl`]: padded, and interleaved pixel by pixel (float
+/// `2i + s` of `xp` is padded pixel `i` of sample `s`), only the one-pixel
+/// ring and the slack columns zeroed.
 ///
 /// # Safety
-/// As [`filter_grad_pair_impl`].
+/// As [`filter_grad_pair_impl`], with `rows` in `0..h + 2`.
 #[inline(always)]
-unsafe fn stage_pair_image<V: Lanes>(s: &Shape, x: &[f32], xp: &mut [f32]) {
+unsafe fn stage_pair_image<V: Lanes>(s: &Shape, x: &[f32], xp: &mut [f32], rows: Range<usize>) {
     let (xa, xb) = x.split_at(s.c * s.hw());
     for ((a, b), plane) in xa
         .chunks_exact(s.hw())
         .zip(xb.chunks_exact(s.hw()))
         .zip(xp.chunks_exact_mut(2 * s.plane))
     {
-        plane[..2 * s.pw].fill(0.0);
-        plane[2 * (s.h + 1) * s.pw..].fill(0.0);
-        let rows = plane[2 * s.pw..].chunks_exact_mut(2 * s.pw);
-        for ((a, b), row) in a.chunks_exact(s.w).zip(b.chunks_exact(s.w)).zip(rows) {
+        for r in rows.clone() {
+            let row = &mut plane[2 * r * s.pw..2 * (r + 1) * s.pw];
+            if r == 0 || r == s.h + 1 {
+                row.fill(0.0);
+                continue;
+            }
+            let (a, b) = (&a[(r - 1) * s.w..r * s.w], &b[(r - 1) * s.w..r * s.w]);
             zero_row_padding::<2>(row, s.w);
             let w8 = s.w / 8 * 8;
             for i in (0..w8).step_by(8) {
@@ -1324,18 +1481,27 @@ mod x86 {
     }
 
     /// # Safety
-    /// AVX-512F, AVX2 and FMA are available; lengths as
-    /// [`pad_planes_impl`].
+    /// AVX-512F, AVX2 and FMA are available; lengths as [`pad_rows_impl`].
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn pad_planes_avx512(src: &[f32], s: &Shape, dst: &mut [f32]) {
-        pad_planes_impl::<F32x16>(src, s, dst);
+    pub(super) unsafe fn pad_rows_avx512(
+        src: &[f32],
+        s: &Shape,
+        dst: &mut [f32],
+        rows: Range<usize>,
+    ) {
+        pad_rows_impl::<F32x16>(src, s, dst, rows);
     }
 
     /// # Safety
-    /// AVX2 and FMA are available; lengths as [`pad_planes_impl`].
+    /// AVX2 and FMA are available; lengths as [`pad_rows_impl`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pad_planes_avx2(src: &[f32], s: &Shape, dst: &mut [f32]) {
-        pad_planes_impl::<F32x8>(src, s, dst);
+    pub(super) unsafe fn pad_rows_avx2(
+        src: &[f32],
+        s: &Shape,
+        dst: &mut [f32],
+        rows: Range<usize>,
+    ) {
+        pad_rows_impl::<F32x8>(src, s, dst, rows);
     }
 
     /// # Safety
@@ -1347,8 +1513,9 @@ mod x86 {
         bias: &[f32],
         xp: &[f32],
         y: &mut [f32],
+        rows: Range<usize>,
     ) {
-        forward_impl::<F32x16, 8, 3>(s, w, bias, xp, y);
+        forward_impl::<F32x16, 8, 3>(s, w, bias, xp, y, rows);
     }
 
     /// # Safety
@@ -1360,8 +1527,9 @@ mod x86 {
         bias: &[f32],
         xp: &[f32],
         y: &mut [f32],
+        rows: Range<usize>,
     ) {
-        forward_impl::<F32x8, 4, 3>(s, w, bias, xp, y);
+        forward_impl::<F32x8, 4, 3>(s, w, bias, xp, y, rows);
     }
 
     /// # Safety
@@ -1374,8 +1542,9 @@ mod x86 {
         dyt: &mut [f32],
         xp: &[f32],
         dw: &mut [f32],
+        end: usize,
     ) {
-        filter_grad_impl::<F32x16, 8>(s, dy, ld, dyt, xp, dw);
+        filter_grad_impl::<F32x16, 8>(s, dy, ld, dyt, xp, dw, end);
     }
 
     /// # Safety
@@ -1388,14 +1557,16 @@ mod x86 {
         dyt: &mut [f32],
         xp: &[f32],
         dw: &mut [f32],
+        end: usize,
     ) {
-        filter_grad_impl::<F32x8, 4>(s, dy, ld, dyt, xp, dw);
+        filter_grad_impl::<F32x8, 4>(s, dy, ld, dyt, xp, dw, end);
     }
 
     /// # Safety
     /// AVX-512F, AVX2 and FMA are available; lengths as
     /// [`filter_grad_pair_impl`].
     #[target_feature(enable = "avx512f,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn filter_grad_pair_avx512(
         s: &Shape,
         dy: &[f32],
@@ -1404,13 +1575,15 @@ mod x86 {
         xp: &mut [f32],
         later: &mut [f32],
         dw: &mut [f32],
+        end: usize,
     ) {
-        filter_grad_pair_impl::<F32x16, 8>(s, dy, x, dyt, xp, later, dw);
+        filter_grad_pair_impl::<F32x16, 8>(s, dy, x, dyt, xp, later, dw, end);
     }
 
     /// # Safety
     /// AVX2 and FMA are available; lengths as [`filter_grad_pair_impl`].
     #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn filter_grad_pair_avx2(
         s: &Shape,
         dy: &[f32],
@@ -1419,8 +1592,9 @@ mod x86 {
         xp: &mut [f32],
         later: &mut [f32],
         dw: &mut [f32],
+        end: usize,
     ) {
-        filter_grad_pair_impl::<F32x8, 4>(s, dy, x, dyt, xp, later, dw);
+        filter_grad_pair_impl::<F32x8, 4>(s, dy, x, dyt, xp, later, dw, end);
     }
 
     /// # Safety
@@ -1442,5 +1616,259 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn input_grad_avx2(s: &Shape, w: &[f32], dyp: &[f32], dx: &mut [f32]) {
         input_grad_impl::<F32x8, 4, 2>(s, w, dyp, dx);
+    }
+}
+
+/// The row-run suite: [`forward`] and [`filter_grad`] against their
+/// full-row twins (every row computed, every position visited) on every
+/// tier, bit for bit, over images whose rows repeat.
+#[cfg(test)]
+mod row_run_tests {
+    use super::*;
+    use crate::ops::gemm::force_kernel_tier;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The tests force the process-wide tier; one at a time.
+    fn tier_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    const TIERS: [KernelTier; 3] = [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Portable];
+
+    /// What a sample's rows hold, from the top: `(rows, fill)`.
+    #[derive(Clone, Copy, Debug)]
+    enum Fill {
+        /// Fresh random values in every row.
+        Random,
+        /// One random row, repeated.
+        Same,
+        /// A constant in every entry.
+        Value(f32),
+    }
+
+    /// A `[c, h, w]` image built from `(rows, fill)` bands, top down.
+    fn image(
+        c: usize,
+        h: usize,
+        w: usize,
+        bands: &[(usize, Fill)],
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<f32> {
+        assert_eq!(bands.iter().map(|b| b.0).sum::<usize>(), h, "{bands:?}");
+        let mut x = vec![0.0f32; c * h * w];
+        for plane in x.chunks_exact_mut(h * w) {
+            let mut rows = plane.chunks_exact_mut(w);
+            for &(n, fill) in bands {
+                let same: Vec<f32> = (0..w).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                for row in rows.by_ref().take(n) {
+                    for (i, v) in row.iter_mut().enumerate() {
+                        *v = match fill {
+                            Fill::Random => rng.gen_range(-1.0..1.0),
+                            Fill::Same => same[i],
+                            Fill::Value(v) => v,
+                        };
+                    }
+                }
+            }
+        }
+        x
+    }
+
+    fn random(n: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
+        (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `forward` and its full-row twin agree on `x` on every tier.
+    fn check_forward(c: usize, out_c: usize, h: usize, w: usize, x: &[f32], case: &str) {
+        let g = Conv2dGeom::new(c, h, w, 3, 3, 1, 1).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let (wt, bias) = (random(out_c * c * 9, &mut rng), random(out_c, &mut rng));
+        let mut ws = GemmWorkspace::new();
+        for tier in TIERS {
+            force_kernel_tier(Some(tier));
+            let mut got = vec![f32::NAN; out_c * h * w];
+            let mut want = vec![f32::NAN; out_c * h * w];
+            forward(&mut ws, &g, &wt, &bias, x, &mut got);
+            forward_rows(&mut ws, &g, &wt, &bias, x, &mut want, false);
+            assert_eq!(bits(&got), bits(&want), "{case} forward on {tier:?}");
+        }
+        force_kernel_tier(None);
+    }
+
+    /// `filter_grad` over `x` (samples back to back), told whether `dy` is
+    /// finite as `Conv2d` tells it (every `dY` checked here), against the
+    /// full pass, starting from a `dW` that holds no −0, on every tier.
+    fn check_filter_grad(
+        c: usize,
+        out_c: usize,
+        h: usize,
+        w: usize,
+        x: &[f32],
+        dy: &[f32],
+        case: &str,
+    ) {
+        let g = Conv2dGeom::new(c, h, w, 3, 3, 1, 1).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let start: Vec<f32> = random(out_c * c * 9, &mut rng)
+            .into_iter()
+            .map(|v| if v == 0.0 { 0.0 } else { v })
+            .collect();
+        let finite = dy.iter().all(|v| v.is_finite());
+        let mut ws = GemmWorkspace::new();
+        for tier in TIERS {
+            force_kernel_tier(Some(tier));
+            for dw0 in [vec![0.0f32; start.len()], start.clone()] {
+                let (mut got, mut want) = (dw0.clone(), dw0);
+                filter_grad(&mut ws, &g, dy, x, &mut got, finite);
+                filter_grad(&mut ws, &g, dy, x, &mut want, false);
+                assert_eq!(bits(&got), bits(&want), "{case} dW on {tier:?}");
+            }
+        }
+        force_kernel_tier(None);
+    }
+
+    /// Both kernels over one sample, and `dW` over it twice (a pair where
+    /// the tier pairs `out_c`) and three times (a pair and one alone).
+    fn check(c: usize, out_c: usize, h: usize, w: usize, x: &[f32], case: &str) {
+        check_forward(c, out_c, h, w, x, case);
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for samples in 1..=3 {
+            let xs = x.repeat(samples);
+            let dy = random(samples * out_c * h * w, &mut rng);
+            check_filter_grad(c, out_c, h, w, &xs, &dy, case);
+        }
+    }
+
+    use Fill::*;
+
+    #[test]
+    fn zero_tails_and_middle_runs_give_the_full_row_bits() {
+        let _lock = tier_lock();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        // Widths off the vector, heights off the 3-row tile, and out_c
+        // that pairs on every tier (4), on avx512 only (8) and nowhere (12).
+        for (c, out_c, h, w) in [
+            (4, 8, 20, 24),
+            (3, 4, 10, 13),
+            (2, 12, 7, 20),
+            (1, 4, 16, 9),
+        ] {
+            let cases: Vec<(&str, Vec<(usize, Fill)>)> = vec![
+                ("zero tail", vec![(h / 3, Random), (h - h / 3, Value(0.0))]),
+                ("one zero row", vec![(h - 1, Random), (1, Value(0.0))]),
+                ("two zero rows", vec![(h - 2, Random), (2, Value(0.0))]),
+                ("middle run", vec![(2, Random), (h - 4, Same), (2, Random)]),
+                (
+                    "middle zeros",
+                    vec![(2, Random), (h - 4, Value(0.0)), (2, Random)],
+                ),
+                ("run from the top", vec![(h - 2, Same), (2, Random)]),
+                ("run to the bottom", vec![(2, Random), (h - 2, Same)]),
+                ("all rows equal", vec![(h, Same)]),
+                ("all rows zero", vec![(h, Value(0.0))]),
+                ("constant", vec![(h, Value(0.5))]),
+            ];
+            for (name, bands) in cases {
+                let x = image(c, h, w, &bands, &mut rng);
+                check(c, out_c, h, w, &x, &format!("{name} {c}x{h}x{w}->{out_c}"));
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_and_nan_rows_give_the_full_row_bits() {
+        let _lock = tier_lock();
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let (c, out_c, h, w) = (4, 8, 12, 19);
+        let cases: Vec<(&str, Vec<(usize, Fill)>)> = vec![
+            ("-0 tail", vec![(4, Random), (h - 4, Value(-0.0))]),
+            (
+                "-0 under +0",
+                vec![(4, Random), (4, Value(0.0)), (h - 8, Value(-0.0))],
+            ),
+            (
+                "+0 under -0",
+                vec![(4, Random), (4, Value(-0.0)), (h - 8, Value(0.0))],
+            ),
+            ("NaN tail", vec![(4, Random), (h - 4, Value(f32::NAN))]),
+            (
+                "NaN then zeros",
+                vec![(3, Random), (2, Value(f32::NAN)), (h - 5, Value(0.0))],
+            ),
+            ("inf tail", vec![(4, Random), (h - 4, Value(f32::INFINITY))]),
+        ];
+        for (name, bands) in cases {
+            let x = image(c, h, w, &bands, &mut rng);
+            check(c, out_c, h, w, &x, name);
+        }
+        // One −0 in a +0 row breaks the run there and nowhere else.
+        let mut x = image(c, h, w, &[(4, Random), (h - 4, Value(0.0))], &mut rng);
+        x[(c - 1) * h * w + 8 * w + 3] = -0.0;
+        check(c, out_c, h, w, &x, "one -0 in the zero tail");
+    }
+
+    #[test]
+    fn non_finite_dy_over_skippable_rows_takes_the_full_pass() {
+        let _lock = tier_lock();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let (c, out_c, h, w) = (4, 8, 16, 16);
+        for samples in 1..=3 {
+            let xs = image(c, h, w, &[(5, Random), (h - 5, Value(0.0))], &mut rng).repeat(samples);
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let mut dy = random(samples * out_c * h * w, &mut rng);
+                // Output row 12 reads only zero rows: a skippable position.
+                dy[12 * w + 5] = bad;
+                check_filter_grad(c, out_c, h, w, &xs, &dy, &format!("{bad} in dY"));
+                // The full pass multiplies it by +0, which shows in dW.
+                let g = Conv2dGeom::new(c, h, w, 3, 3, 1, 1).unwrap();
+                let mut dw = vec![0.0f32; out_c * c * 9];
+                filter_grad(&mut GemmWorkspace::new(), &g, &dy, &xs, &mut dw, false);
+                assert!(dw.iter().any(|v| v.is_nan()), "{bad}: no NaN in dW");
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_with_different_tails_give_the_full_row_bits() {
+        let _lock = tier_lock();
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        // 40 × 40 positions make several `KC` blocks, which the tails cut
+        // at and between block edges.
+        let (c, h, w) = (4, 40, 40);
+        let tails = [3usize, 11, 12, 30, 40, 0];
+        for out_c in [4, 8] {
+            let xs: Vec<f32> = tails
+                .iter()
+                .flat_map(|&filled| {
+                    let bands = if filled == h {
+                        vec![(h, Random)]
+                    } else {
+                        vec![(filled, Random), (h - filled, Value(0.0))]
+                    };
+                    let bands: Vec<_> = bands.into_iter().filter(|b| b.0 > 0).collect();
+                    image(c, h, w, &bands, &mut rng)
+                })
+                .collect();
+            let dy = random(tails.len() * out_c * h * w, &mut rng);
+            check_filter_grad(
+                c,
+                out_c,
+                h,
+                w,
+                &xs,
+                &dy,
+                &format!("tails {tails:?} -> {out_c}"),
+            );
+            // An odd count leaves the last sample alone.
+            let odd = 5 * c * h * w;
+            check_filter_grad(c, out_c, h, w, &xs[..odd], &dy[..5 * out_c * h * w], "odd");
+        }
     }
 }
