@@ -54,8 +54,9 @@ const CLIENTS: usize = 8;
 /// ratio reads about 1; what fusion buys is wall time, by spreading one
 /// batch over the compute pool.
 const FUSION_CEILING: f64 = 1.2;
-/// Full tracing: span trees for every request and layer, on a batch-1
-/// path where nothing amortises them.
+/// Full tracing: a span tree for every request and its fused batch
+/// (assembly, mapping, one span per head), on a batch-1 path where nothing
+/// amortises them.
 const TRACING_CEILING: f64 = 1.15;
 /// Per-layer timers, counters and histograms on the predict path.
 const TELEMETRY_CEILING: f64 = 1.1;

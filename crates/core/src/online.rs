@@ -23,11 +23,10 @@ pub struct OnlineConfig {
     /// Re-initialise the model at every retraining event instead of
     /// warm-starting (ablation of §2.3's knowledge-retention claim).
     pub cold_start: bool,
-    /// Optional telemetry registry. When set, the protocol records
-    /// `online_retrain_seconds` / `online_submissions_total` /
+    /// Optional telemetry registry. When set, the protocol counts
     /// `online_fallback_predictions_total` and attaches the registry to the
-    /// model (per-layer timers, retrain events); see
-    /// `docs/OBSERVABILITY.md`.
+    /// model (retrain and predict timings, per-layer timers, retrain
+    /// events); see `docs/OBSERVABILITY.md`.
     pub telemetry: Option<Telemetry>,
     /// Optional model-quality drift monitor. When set, each job's prediction
     /// (made at submission) is scored against its true usage at *completion*
@@ -100,21 +99,11 @@ pub fn resume_online_prionn(
     let w2v_corpus: Vec<&str> = jobs.iter().take(200).map(|j| j.script.as_str()).collect();
     let mut predictions = Vec::with_capacity(jobs.len());
 
-    // Protocol-level instruments (the model adds its own when attached).
-    let instruments = cfg.telemetry.as_ref().map(|t| {
-        (
-            t.histogram(
-                "online_retrain_seconds",
-                "Wall time of one online-protocol retraining event",
-            ),
-            t.counter(
-                "online_submissions_total",
-                "Non-cancelled job submissions processed",
-            ),
-            t.counter(
-                "online_fallback_predictions_total",
-                "Predictions served from the user request (model untrained)",
-            ),
+    // The protocol's own instrument (the model adds its own when attached).
+    let fallbacks = cfg.telemetry.as_ref().map(|t| {
+        t.counter(
+            "online_fallback_predictions_total",
+            "Predictions served from the user request (model untrained)",
         )
     });
     if let Some(t) = &cfg.telemetry {
@@ -182,11 +171,7 @@ pub fn resume_online_prionn(
             } else {
                 (Vec::new(), Vec::new())
             };
-            let retrain_started = std::time::Instant::now();
             model.retrain(&scripts, &runtimes, &reads, &writes)?;
-            if let Some((retrain_seconds, _, _)) = &instruments {
-                retrain_seconds.observe(retrain_started.elapsed().as_secs_f64());
-            }
             if let Some(drift) = &cfg.drift {
                 drift.mark_weight_update();
             }
@@ -216,9 +201,8 @@ pub fn resume_online_prionn(
                 model_trained: false,
             }
         };
-        if let Some((_, submissions, fallbacks)) = &instruments {
-            submissions.inc();
-            if !prediction.model_trained {
+        if !prediction.model_trained {
+            if let Some(fallbacks) = &fallbacks {
                 fallbacks.inc();
             }
         }

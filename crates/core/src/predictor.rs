@@ -220,20 +220,15 @@ impl Head {
             .fit(x, &target, loss, &mut self.opt, epochs, batch_size, rng)
     }
 
-    /// Forward `x` and decode the outputs to values. The `head:<name>` span
-    /// is pushed as the implicit context so the per-layer spans opened
-    /// inside `Sequential::forward` nest under it.
+    /// Forward `x` and decode the outputs to values, under a `head:<name>`
+    /// span when the thread carries a trace context.
     fn predict(
         &mut self,
         x: &Tensor,
         bins: &[ValueBins; 3],
         batch_size: usize,
     ) -> Result<Vec<f64>> {
-        let span = prionn_observe::trace::child_of_current(|| format!("head:{}", self.name));
-        let _ctx = prionn_observe::trace::extend_current(
-            span.as_ref()
-                .map_or(prionn_observe::SpanCtx::NONE, |s| s.ctx()),
-        );
+        let _span = prionn_observe::trace::child_of_current(|| format!("head:{}", self.name));
         Ok(match self.codec {
             Codec::Bins(entry) => self
                 .model
@@ -944,21 +939,21 @@ mod tests {
         drop(root);
 
         let spans = rec.snapshot();
-        let map = spans.iter().find(|s| s.name == "map").unwrap();
-        assert_eq!(map.trace_id, root_ctx.trace_id);
-        assert_eq!(map.parent_id, root_ctx.span_id);
-        for head in ["head:runtime", "head:read", "head:write"] {
-            let span = spans
-                .iter()
-                .find(|s| s.name == head)
-                .unwrap_or_else(|| panic!("missing {head} span"));
-            assert_eq!(span.parent_id, root_ctx.span_id);
-            // Per-layer spans nest under the head span, not the root.
+        // The exact inventory: the root, `map`, and one span per head, every
+        // one a leaf under the root.
+        let mut names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["head:read", "head:runtime", "head:write", "map", "predict"]
+        );
+        for span in spans.iter().filter(|s| s.name != "predict") {
+            assert_eq!(span.trace_id, root_ctx.trace_id);
+            assert_eq!(span.parent_id, root_ctx.span_id, "{}", span.name);
             assert!(
-                spans
-                    .iter()
-                    .any(|s| s.parent_id == span.span_id && s.name.starts_with("layer:")),
-                "no layer spans under {head}"
+                spans.iter().all(|s| s.parent_id != span.span_id),
+                "{} has a child",
+                span.name
             );
         }
         // A batch the memo answers whole maps nothing and runs no head: its

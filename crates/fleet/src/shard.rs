@@ -72,10 +72,6 @@ impl Default for ShardConfig {
 /// `/metrics` scrape shows the serve and fleet surfaces together.
 struct ShardMetrics {
     connections: Gauge,
-    frames_rx: Counter,
-    frames_tx: Counter,
-    bytes_rx: Counter,
-    bytes_tx: Counter,
     requests: Counter,
     shed_draining: Counter,
     failover_arrivals: Counter,
@@ -89,26 +85,6 @@ impl ShardMetrics {
         let t = gateway.telemetry();
         ShardMetrics {
             connections: t.gauge("fleet_shard_connections", "Open fleet protocol connections"),
-            frames_rx: t.counter_with(
-                "fleet_shard_frames_total",
-                "Wire frames by direction",
-                &[("dir", "rx")],
-            ),
-            frames_tx: t.counter_with(
-                "fleet_shard_frames_total",
-                "Wire frames by direction",
-                &[("dir", "tx")],
-            ),
-            bytes_rx: t.counter_with(
-                "fleet_shard_bytes_total",
-                "Wire bytes by direction (headers included)",
-                &[("dir", "rx")],
-            ),
-            bytes_tx: t.counter_with(
-                "fleet_shard_bytes_total",
-                "Wire bytes by direction (headers included)",
-                &[("dir", "tx")],
-            ),
             requests: t.counter(
                 "fleet_shard_requests_total",
                 "Predict requests received over the wire",
@@ -143,7 +119,6 @@ struct ShardInner {
     in_flight: AtomicUsize,
     requests_served: AtomicU64,
     requests_shed: AtomicU64,
-    failover_arrivals: AtomicU64,
     /// Live connection streams keyed by token, for prompt close at
     /// shutdown. A connection removes itself when its thread exits, so
     /// the map does not grow with connection churn.
@@ -175,7 +150,6 @@ impl ShardServer {
             in_flight: AtomicUsize::new(0),
             requests_served: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
-            failover_arrivals: AtomicU64::new(0),
             conns: Mutex::new(std::collections::HashMap::new()),
             conn_tokens: AtomicU64::new(0),
             conn_handles: Mutex::new(Vec::new()),
@@ -326,28 +300,21 @@ fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) -> std::io::Resu
     let write_stream = stream.try_clone()?;
 
     // Writer: drain the reply channel, flush once per lull.
-    let writer_metrics_tx = inner.metrics.frames_tx.clone();
-    let writer_bytes_tx = inner.metrics.bytes_tx.clone();
     let writer = std::thread::Builder::new()
         .name("prionn-shard-writer".to_string())
         .spawn(move || {
             let mut out = BufWriter::new(write_stream);
             while let Ok(frame) = reply_rx.recv() {
-                let mut wrote = frame.len();
                 if out.write_all(&frame).is_err() {
                     return;
                 }
-                writer_metrics_tx.inc();
                 // Opportunistically batch everything already queued into
                 // the same flush.
                 while let Ok(next) = reply_rx.try_recv() {
                     if out.write_all(&next).is_err() {
                         return;
                     }
-                    writer_metrics_tx.inc();
-                    wrote += next.len();
                 }
-                writer_bytes_tx.add(wrote as u64);
                 if out.flush().is_err() {
                     return;
                 }
@@ -362,11 +329,6 @@ fn serve_connection(stream: TcpStream, inner: &Arc<ShardInner>) -> std::io::Resu
         match read_frame(&mut read_stream, inner.cfg.max_payload) {
             Ok(None) => break,
             Ok(Some(frame)) => {
-                inner.metrics.frames_rx.inc();
-                inner
-                    .metrics
-                    .bytes_rx
-                    .add((prionn_store::wire::FRAME_HEADER_LEN + frame.payload.len()) as u64);
                 if !dispatch_frame(frame, inner, &reply_tx) {
                     break;
                 }
@@ -424,7 +386,6 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
             inner.metrics.requests.inc();
             if let Some(t) = &trace {
                 if t.hop > 0 {
-                    inner.failover_arrivals.fetch_add(1, Ordering::SeqCst);
                     inner.metrics.failover_arrivals.inc();
                 }
             }
@@ -498,7 +459,7 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
                 requests_served: inner.requests_served.load(Ordering::SeqCst),
                 draining: inner.draining.load(Ordering::SeqCst),
                 requests_shed: inner.requests_shed.load(Ordering::SeqCst),
-                failover_arrivals: inner.failover_arrivals.load(Ordering::SeqCst),
+                failover_arrivals: inner.metrics.failover_arrivals.value(),
             };
             send(encode_frame(KIND_STATS_REPLY, id, &encode_stats(&stats)))
         }

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use prionn_telemetry::{Counter, Gauge, Telemetry};
 
 /// Alerting policy.
 #[derive(Debug, Clone)]
@@ -143,10 +143,6 @@ pub struct BurstAlerter {
     active_gauge: Gauge,
     alerts_total: Counter,
     samples_total: Counter,
-    error_hist: Histogram,
-    // forecasts waiting for their target minute's actual, oldest first,
-    // as (target_minute, forecast) — scored into `error_hist` on arrival.
-    pending: VecDeque<(u64, f64)>,
 }
 
 impl BurstAlerter {
@@ -183,13 +179,8 @@ impl BurstAlerter {
                 "forecast_samples_total",
                 "Per-minute aggregate samples folded into the forecaster",
             ),
-            error_hist: telemetry.histogram(
-                "forecast_abs_error",
-                "Absolute forecast error |actual - forecast| scored when the target minute arrives (B/s)",
-            ),
             telemetry: telemetry.clone(),
             cfg,
-            pending: VecDeque::new(),
         }
     }
 
@@ -223,20 +214,6 @@ impl BurstAlerter {
         self.samples_total.inc();
         self.aggregate_gauge.set(actual);
         self.horizon_gauge.set(forecast);
-
-        // Score every pending forecast whose target minute has arrived.
-        // Same-minute aggregates only: a forecast for a *later* minute
-        // stays queued.
-        while let Some(&(target, f)) = self.pending.front() {
-            if target > minute {
-                break;
-            }
-            self.pending.pop_front();
-            if target == minute {
-                self.error_hist.observe((actual - f).abs());
-            }
-        }
-        self.pending.push_back((minute + horizon, forecast));
 
         // Slide the trailing-actual window and refresh the threshold.
         self.trailing.push(actual, self.cfg.threshold_window.max(1));
@@ -340,29 +317,6 @@ mod tests {
             assert_eq!(a.observe(m, 1.0, 5, 1e9), None, "minute {m}");
         }
         assert!(!a.alerting());
-    }
-
-    #[test]
-    fn forecast_errors_are_scored_when_the_target_minute_arrives() {
-        let t = Telemetry::new();
-        let mut a = BurstAlerter::new(
-            &t,
-            AlertConfig {
-                threshold_window: 8,
-                min_samples: 2,
-                threshold_override: Some(1e12),
-            },
-        );
-        // Forecast 10.0 for minute 2; actual at minute 2 is 14.0 -> |err| 4.
-        a.observe(0, 5.0, 2, 10.0);
-        a.observe(1, 5.0, 2, 10.0);
-        a.observe(2, 14.0, 2, 10.0);
-        let text = t.prometheus();
-        assert!(
-            text.contains("forecast_abs_error_count 1"),
-            "one scored forecast:\n{text}"
-        );
-        assert!(text.contains("forecast_abs_error_sum 4"), "{text}");
     }
 
     #[test]

@@ -33,16 +33,6 @@ impl FeatureMatrix {
         Ok(FeatureMatrix { n_cols, data })
     }
 
-    /// Build from per-row slices.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Result<Self> {
-        let n_cols = rows.first().map(|r| r.len()).unwrap_or(1);
-        let mut m = FeatureMatrix::new(n_cols.max(1));
-        for r in rows {
-            m.push_row(r)?;
-        }
-        Ok(m)
-    }
-
     /// Append one row.
     pub fn push_row(&mut self, row: &[f32]) -> Result<()> {
         if row.len() != self.n_cols {

@@ -333,19 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_labels_and_spans_use_the_state_dict_index() {
-        use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
+    fn telemetry_labels_use_the_state_dict_index() {
         let t = prionn_telemetry::Telemetry::new();
         let mut m = build_cnn2d(&cfg()).unwrap();
         m.set_telemetry(&t, "runtime");
-        let rec = FlightRecorder::new(FlightConfig::default());
-        let tracer = Tracer::new(&rec);
-        let root = tracer.root("fused_forward");
-        {
-            let _ctx = prionn_observe::trace::push_current(&tracer, root.ctx());
-            m.forward(&Tensor::zeros([1, 4, 32, 32]), false).unwrap();
-        }
-        let spans: Vec<String> = rec.snapshot().into_iter().map(|s| s.name).collect();
+        m.forward(&Tensor::zeros([1, 4, 32, 32]), false).unwrap();
         let labels = [
             "0.conv2d",
             "1.relu_pool",
@@ -364,8 +356,6 @@ mod tests {
             "18.relu",
             "19.dense",
         ];
-        let want: Vec<String> = labels.iter().map(|l| format!("layer:{l}")).collect();
-        assert_eq!(&spans[..want.len()], &want[..]);
         let text = t.prometheus();
         for label in labels {
             assert!(

@@ -21,8 +21,8 @@ struct LayerInstruments {
 }
 
 /// Each layer beside its index: its first position, every layer counting
-/// [`Layer::positions`]. State keys, telemetry labels and trace spans all
-/// name a layer by this index.
+/// [`Layer::positions`]. State keys and telemetry labels both name a layer
+/// by this index.
 fn indexed(layers: &[Box<dyn Layer>]) -> impl Iterator<Item = (usize, &dyn Layer)> {
     layers.iter().scan(0usize, |next, l| {
         let i = *next;
@@ -120,11 +120,6 @@ impl Sequential {
         self.telemetry = Some(mt);
     }
 
-    /// Detach telemetry (instrumentation becomes zero-cost again).
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry = None;
-    }
-
     /// Rebuild the per-layer instrument cache if layers changed since
     /// attachment; no-op in the common case.
     fn refresh_telemetry(&mut self) {
@@ -196,13 +191,6 @@ impl Sequential {
     /// Run the full forward pass. Intermediate activations are recycled
     /// into the model's scratch pool as soon as the next layer has consumed
     /// them.
-    ///
-    /// When the calling thread carries an implicit trace context (the
-    /// serving gateway sets one around each fused batch via
-    /// `prionn_observe::trace::push_current`), every layer additionally
-    /// records a `layer:<index>.<name>` child span (indexed as in
-    /// [`Sequential::state_dict`]); without a context the only cost is one
-    /// thread-local check per layer.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
         self.refresh_telemetry();
         let Sequential {
@@ -211,19 +199,10 @@ impl Sequential {
             scratch,
         } = self;
         let insts = telemetry.as_ref().map(|mt| &mt.per_layer);
-        let tracing = prionn_observe::trace::active();
         let mut cur: Option<Tensor> = None;
-        let mut at = 0usize;
         for (i, layer) in layers.iter_mut().enumerate() {
             let t = insts.map(|_| std::time::Instant::now());
-            let span = if tracing {
-                prionn_observe::trace::child_of_current(|| format!("layer:{at}.{}", layer.name()))
-            } else {
-                None
-            };
-            at += layer.positions();
             let next = layer.forward(cur.as_ref().unwrap_or(x), train, scratch)?;
-            drop(span);
             if let (Some(insts), Some(t)) = (insts, t) {
                 insts[i].forward.observe(t.elapsed().as_secs_f64());
             }
@@ -701,33 +680,6 @@ mod tests {
             "final loss {:?}",
             losses.last()
         );
-    }
-
-    #[test]
-    fn forward_attaches_per_layer_spans_under_a_trace_context() {
-        use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
-        let rec = FlightRecorder::new(FlightConfig::default());
-        let tracer = Tracer::new(&rec);
-        let mut m = xor_model(3);
-        let (x, _) = xor_data();
-
-        // No context: nothing recorded.
-        m.forward(&x, false).unwrap();
-        assert!(rec.snapshot().is_empty());
-
-        let root = tracer.root("fused_forward");
-        {
-            let _ctx = prionn_observe::trace::push_current(&tracer, root.ctx());
-            m.forward(&x, false).unwrap();
-        }
-        let spans = rec.snapshot();
-        let layers: Vec<&str> = spans
-            .iter()
-            .filter(|s| s.trace_id == root.ctx().trace_id)
-            .map(|s| s.name.as_str())
-            .collect();
-        assert_eq!(layers, ["layer:0.dense", "layer:1.relu", "layer:2.dense"]);
-        assert!(spans.iter().all(|s| s.parent_id == root.ctx().span_id));
     }
 
     #[test]

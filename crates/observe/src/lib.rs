@@ -8,8 +8,9 @@
 //! * [`trace`] — request-scoped span trees. A [`Tracer`] hands every
 //!   `Gateway::predict` call a fresh trace id that follows the request
 //!   through queue admission, micro-batch fusion (the fused forward pass
-//!   is its own trace, *linked* to every caller it fans in), and per-layer
-//!   forward timings via an implicit thread-local context.
+//!   is its own trace, *linked* to every caller it fans in), and the
+//!   predictor's `map` and `head:<name>` stages via an implicit
+//!   thread-local context.
 //! * [`flight`] — the flight recorder: bounded per-thread span rings
 //!   written through a never-blocking `try_lock`, plus a chained global
 //!   panic hook that dumps the recent window and a metric snapshot to
@@ -47,9 +48,9 @@
 //! ```
 //!
 //! The crate depends only on `prionn-telemetry` and `std`, so it slots
-//! *below* `nn`/`core`/`serve` in the dependency graph — which is what
-//! lets the neural-net forward loop attach per-layer spans without a
-//! dependency cycle. See `docs/OBSERVABILITY.md` and `DESIGN.md` §13.
+//! *below* `core`/`serve` in the dependency graph — which is what lets the
+//! predictor attach its spans without a dependency cycle. See
+//! `docs/OBSERVABILITY.md` and `DESIGN.md` §13.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -70,6 +71,6 @@ pub use flight::{FlightConfig, FlightRecorder};
 pub use ops::{JsonProbe, OpsOptions, OpsServer, Readiness, ReadyProbe};
 pub use slo::{BurnWindows, SloEngine, SloSource, SloSpec, SloStatus};
 pub use trace::{
-    active, child_of_current, push_current, render_trace_tree, CurrentGuard, Span, SpanCtx,
-    SpanRecord, Tracer,
+    child_of_current, push_current, render_trace_tree, CurrentGuard, Span, SpanCtx, SpanRecord,
+    Tracer,
 };

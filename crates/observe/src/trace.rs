@@ -11,10 +11,10 @@
 //!   carries a [`SpanCtx`] *link* to every caller trace it fans in, while
 //!   each caller's tree gains a `fused` child linking back — the two trees
 //!   reference each other without either owning the other;
-//! * per-layer forward timings attach to the fused trace through an
-//!   *implicit* thread-local context ([`push_current`] / [`child_of_current`]),
-//!   so the neural-net substrate needs no tracing parameters threaded
-//!   through its API.
+//! * the predictor's `map` and `head:<name>` spans attach to the fused trace
+//!   through an *implicit* thread-local context ([`push_current`] /
+//!   [`child_of_current`]), so the predictor needs no tracing parameters
+//!   threaded through its API.
 //!
 //! A disabled tracer ([`Tracer::disabled`]) costs one branch per call site:
 //! spans are zero-sized no-ops and no allocation happens.
@@ -60,7 +60,7 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id within the same trace; 0 for roots.
     pub parent_id: u64,
-    /// Span name, e.g. `predict`, `admission`, `layer:3.conv2d`.
+    /// Span name, e.g. `predict`, `admission`, `head:runtime`.
     pub name: String,
     /// Free-form detail, e.g. `scripts=4`.
     pub detail: String,
@@ -289,8 +289,8 @@ impl Drop for Span {
     }
 }
 
-// The implicit context stack: lets deep layers (the nn crate's forward
-// loop) attach child spans without tracing parameters in their signatures.
+// The implicit context stack: lets the predictor attach child spans without
+// tracing parameters in its signatures.
 thread_local! {
     static CURRENT: RefCell<Vec<(Tracer, SpanCtx)>> = const { RefCell::new(Vec::new()) };
 }
@@ -312,7 +312,7 @@ impl Drop for CurrentGuard {
 
 /// Make `(tracer, ctx)` the current implicit context for this thread until
 /// the returned guard drops. Disabled tracers and untraced contexts push
-/// nothing, keeping [`active`] a reliable fast-path check.
+/// nothing.
 pub fn push_current(tracer: &Tracer, ctx: SpanCtx) -> CurrentGuard {
     if !tracer.enabled() || ctx.is_none() {
         return CurrentGuard { pushed: false };
@@ -327,12 +327,6 @@ pub fn current() -> Option<(Tracer, SpanCtx)> {
     CURRENT.with(|c| c.borrow().last().cloned())
 }
 
-/// True when this thread has an implicit trace context. Cheap enough to
-/// call per layer on the forward path.
-pub fn active() -> bool {
-    CURRENT.with(|c| !c.borrow().is_empty())
-}
-
 /// Open a child span under the current implicit context, or `None` when no
 /// context is active. The name closure only runs when a span is actually
 /// opened, so callers can defer `format!` off the untraced fast path.
@@ -341,25 +335,6 @@ pub fn child_of_current(name: impl FnOnce() -> String) -> Option<Span> {
         let cur = c.borrow();
         let (tracer, ctx) = cur.last()?;
         Some(tracer.span_within(*ctx, name()))
-    })
-}
-
-/// Narrow the implicit context to `ctx` (a span of the already-current
-/// trace), reusing the active tracer, until the guard drops. Lets an
-/// intermediate layer nest *its callees'* spans under its own span without
-/// holding a tracer handle. No-op when no context is active or `ctx` is
-/// untraced.
-pub fn extend_current(ctx: SpanCtx) -> CurrentGuard {
-    CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        match cur.last() {
-            Some((tracer, _)) if !ctx.is_none() => {
-                let tracer = tracer.clone();
-                cur.push((tracer, ctx));
-                CurrentGuard { pushed: true }
-            }
-            _ => CurrentGuard { pushed: false },
-        }
     })
 }
 
@@ -416,38 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_current_narrows_the_implicit_context() {
-        let rec = recorder();
-        let t = Tracer::new(&rec);
-        let root = t.root("r");
-        let root_ctx = root.ctx();
-        {
-            let _g = push_current(&t, root_ctx);
-            let mid = child_of_current(|| "mid".to_string()).unwrap();
-            {
-                let _n = extend_current(mid.ctx());
-                let leaf = child_of_current(|| "leaf".to_string()).unwrap();
-                assert_eq!(leaf.ctx().trace_id, root_ctx.trace_id);
-            }
-            // Context restored after the guard drops.
-            let sibling = child_of_current(|| "sibling".to_string()).unwrap();
-            drop(sibling);
-            drop(mid);
-        }
-        // Outside any context the narrowing guard is a no-op.
-        let _noop = extend_current(root_ctx);
-        assert!(child_of_current(|| "orphan".to_string()).is_none());
-        drop(root);
-        let spans = rec.snapshot();
-        let mid = spans.iter().find(|s| s.name == "mid").unwrap();
-        let leaf = spans.iter().find(|s| s.name == "leaf").unwrap();
-        let sibling = spans.iter().find(|s| s.name == "sibling").unwrap();
-        assert_eq!(leaf.parent_id, mid.span_id);
-        assert_eq!(sibling.parent_id, root_ctx.span_id);
-        assert_eq!(mid.parent_id, root_ctx.span_id);
-    }
-
-    #[test]
     fn root_and_children_share_a_trace() {
         let rec = recorder();
         let t = Tracer::new(&rec);
@@ -487,19 +430,19 @@ mod tests {
     fn implicit_context_nests_and_restores() {
         let rec = recorder();
         let t = Tracer::new(&rec);
-        assert!(!active());
+        assert!(current().is_none());
         assert!(child_of_current(|| unreachable!()).is_none());
         let root = t.root("outer");
         {
             let _g = push_current(&t, root.ctx());
-            assert!(active());
-            let layer = child_of_current(|| "layer:0.conv".to_string()).unwrap();
-            assert_eq!(layer.ctx().trace_id, root.ctx().trace_id);
+            assert_eq!(current().map(|(_, ctx)| ctx), Some(root.ctx()));
+            let head = child_of_current(|| "head:runtime".to_string()).unwrap();
+            assert_eq!(head.ctx().trace_id, root.ctx().trace_id);
         }
-        assert!(!active());
-        // Disabled tracers never push, so `active` stays a cheap gate.
+        assert!(current().is_none());
+        // Disabled tracers never push.
         let _g = push_current(&Tracer::disabled(), SpanCtx::NONE);
-        assert!(!active());
+        assert!(current().is_none());
     }
 
     #[test]

@@ -256,15 +256,14 @@ fn forecast_metric_names_are_pinned_and_forecast_route_serves_json() {
         "# TYPE forecast_burst_active gauge",
         "# TYPE forecast_burst_alerts_total counter",
         "# TYPE forecast_samples_total counter",
-        "# TYPE forecast_abs_error histogram",
         "# TYPE forecast_resident_jobs gauge",
         "# TYPE forecast_truncated_jobs gauge",
         "forecast_samples_total 1",
         "forecast_resident_jobs 1",
-        "forecast_abs_error_count",
     ] {
         assert!(text.contains(series), "missing `{series}` in:\n{text}");
     }
+    assert!(!text.contains("forecast_abs_error"), "{text}");
 
     let server = OpsServer::start(
         "127.0.0.1:0",

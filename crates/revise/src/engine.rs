@@ -163,7 +163,6 @@ struct Instruments {
     interval_width: Histogram,
     outcomes_covered: Counter,
     outcomes_missed: Counter,
-    empirical_coverage: Gauge,
     calibration_samples: Gauge,
 }
 
@@ -204,10 +203,6 @@ impl Instruments {
                 "revise_outcomes_total",
                 "Completed tracked jobs checked against their last served interval",
                 &[("covered", "false")],
-            ),
-            empirical_coverage: t.gauge(
-                "revise_empirical_coverage",
-                "Fraction of completed jobs whose truth fell inside the served interval",
             ),
             calibration_samples: t.gauge(
                 "revise_calibration_samples",
@@ -498,9 +493,6 @@ impl ReviseEngine {
                 } else {
                     self.instruments.outcomes_missed.inc();
                 }
-                self.instruments
-                    .empirical_coverage
-                    .set(inner.covered as f64 / inner.observed as f64);
             }
             record_outcome(
                 inner.drift.as_ref(),

@@ -1,6 +1,5 @@
 //! The incremental scheduling engine: FCFS with EASY backfilling.
 
-use prionn_telemetry::{Counter, Histogram, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
@@ -104,47 +103,6 @@ impl KilledJob {
     }
 }
 
-/// Simulator instruments, resolved once when telemetry is attached.
-#[derive(Debug, Clone)]
-struct SchedInstruments {
-    jobs_submitted: Counter,
-    jobs_started: Counter,
-    jobs_backfilled: Counter,
-    jobs_killed: Counter,
-    jobs_requeued: Counter,
-    sim_steps: Counter,
-    submit_seconds: Histogram,
-}
-
-impl SchedInstruments {
-    fn build(t: &Telemetry) -> Self {
-        SchedInstruments {
-            jobs_submitted: t.counter("sched_jobs_submitted_total", "Jobs submitted to the engine"),
-            jobs_started: t.counter("sched_jobs_started_total", "Jobs placed on nodes"),
-            jobs_backfilled: t.counter(
-                "sched_jobs_backfilled_total",
-                "Jobs started by EASY backfill ahead of the queue head",
-            ),
-            jobs_killed: t.counter(
-                "sched_jobs_killed_total",
-                "Running jobs terminated early by the kill policy",
-            ),
-            jobs_requeued: t.counter(
-                "sched_jobs_requeued_total",
-                "Killed jobs placed back on the queue for another attempt",
-            ),
-            sim_steps: t.counter(
-                "sched_sim_steps_total",
-                "Discrete simulation steps (completion sweeps + scheduling passes)",
-            ),
-            submit_seconds: t.histogram(
-                "sched_submit_seconds",
-                "Wall time of one submit() call (clock advance + scheduling pass)",
-            ),
-        }
-    }
-}
-
 /// The incremental FCFS + EASY-backfill engine.
 ///
 /// Cloneable by design: the snapshot turnaround predictor clones the live
@@ -166,7 +124,6 @@ pub struct SimEngine {
     /// Ids of jobs that left the machine (natural end or `kill_running`)
     /// since the last [`SimEngine::take_departures`], in departure order.
     departed: Vec<u64>,
-    telemetry: Option<SchedInstruments>,
 }
 
 impl SimEngine {
@@ -182,19 +139,7 @@ impl SimEngine {
             finished: Vec::new(),
             intervals: HashMap::new(),
             departed: Vec::new(),
-            telemetry: None,
         }
-    }
-
-    /// Attach a telemetry registry: the engine publishes
-    /// `sched_jobs_submitted_total`, `sched_jobs_started_total`,
-    /// `sched_jobs_backfilled_total`, `sched_sim_steps_total`, and the
-    /// `sched_submit_seconds` latency histogram (sim-step throughput =
-    /// `sched_sim_steps_total / sched_submit_seconds_sum`). Speculative
-    /// forks made by [`SimEngine::fork_with_predictions`] never record —
-    /// only the live engine's work counts.
-    pub fn attach_telemetry(&mut self, t: &Telemetry) {
-        self.telemetry = Some(SchedInstruments::build(t));
     }
 
     /// Current simulation time.
@@ -205,14 +150,6 @@ impl SimEngine {
     /// Free node count.
     pub fn free_nodes(&self) -> u32 {
         self.free_nodes
-    }
-
-    /// Jobs currently executing: `(id, nodes, start-implied elapsed)` view.
-    pub fn running_jobs(&self) -> impl Iterator<Item = (u64, u32, u64, u64)> + '_ {
-        // (id, nodes, end_actual, end_estimated)
-        self.running
-            .iter()
-            .map(|r| (r.id, r.nodes, r.end_actual, r.end_estimated))
     }
 
     /// Jobs currently executing, with start times — the view progress taps
@@ -288,9 +225,6 @@ impl SimEngine {
         let r = self.running.swap_remove(idx);
         self.free_nodes += r.nodes;
         self.intervals.remove(&id);
-        if let Some(tel) = &self.telemetry {
-            tel.jobs_killed.inc();
-        }
         // The entry pushed at start assumed a natural completion; the job
         // actually held its nodes only until now.
         if let Some(e) = self
@@ -319,9 +253,6 @@ impl SimEngine {
         let killed = self.evict(id)?;
         // The pass a plain kill runs, before the retry joins the queue.
         self.try_schedule();
-        if let Some(tel) = &self.telemetry {
-            tel.jobs_requeued.inc();
-        }
         // Drop the truncated first-attempt entry: the retry's entry will
         // replace it when the job starts again.
         if let Some(pos) = self
@@ -363,9 +294,6 @@ impl SimEngine {
             let next_end = self.running.iter().map(|r| r.end_actual).min();
             match next_end {
                 Some(end) if end <= t => {
-                    if let Some(tel) = &self.telemetry {
-                        tel.sim_steps.inc();
-                    }
                     self.now = end;
                     let mut i = 0;
                     while i < self.running.len() {
@@ -389,17 +317,9 @@ impl SimEngine {
     /// Submit a job at its `submit` time (the clock is advanced there) and
     /// run the scheduling pass.
     pub fn submit(&mut self, job: SimJob) {
-        let timer = self
-            .telemetry
-            .as_ref()
-            .map(|t| (t.jobs_submitted.clone(), t.submit_seconds.start_timer()));
         self.advance_to(job.submit.max(self.now));
         self.queue.push_back(job);
         self.try_schedule();
-        if let Some((submitted, timer)) = timer {
-            submitted.inc();
-            timer.stop();
-        }
     }
 
     /// Run until all submitted work has completed and return the schedule.
@@ -430,9 +350,7 @@ impl SimEngine {
     /// imminent (one second from now).
     pub fn fork_with_predictions(&self, predicted: impl Fn(u64) -> u64) -> SimEngine {
         let mut fork = self.clone();
-        // Speculative what-if rollouts must not pollute the live metrics,
-        // and the supplied predictions supersede any revised intervals.
-        fork.telemetry = None;
+        // The supplied predictions supersede any revised intervals.
         fork.finished.clear();
         fork.intervals.clear();
         fork.departed.clear();
@@ -472,9 +390,6 @@ impl SimEngine {
     }
 
     fn start_job(&mut self, job: SimJob) {
-        if let Some(tel) = &self.telemetry {
-            tel.jobs_started.inc();
-        }
         self.free_nodes -= job.nodes;
         let start = self.now;
         // A revised interval's `hi` is the reservation the scheduler
@@ -500,9 +415,6 @@ impl SimEngine {
 
     /// FCFS with conservative EASY backfill.
     fn try_schedule(&mut self) {
-        if let Some(tel) = &self.telemetry {
-            tel.sim_steps.inc();
-        }
         // FCFS: start queue-head jobs while they fit.
         while let Some(head) = self.queue.front() {
             let nodes = head.nodes.min(self.total_nodes);
@@ -550,9 +462,6 @@ impl SimEngine {
             };
             if cand.nodes <= self.free_nodes && self.now.saturating_add(fit) <= shadow {
                 self.queue.remove(i);
-                if let Some(tel) = &self.telemetry {
-                    tel.jobs_backfilled.inc();
-                }
                 self.start_job(cand);
                 // A start never frees nodes, so the head still does not fit;
                 // the shadow computed from estimated ends is unchanged by
@@ -570,23 +479,6 @@ impl SimEngine {
 /// machine (matching how real schedulers reject-or-clamp oversized asks).
 pub fn simulate(total_nodes: u32, jobs: &[SimJob]) -> Schedule {
     let mut engine = SimEngine::new(total_nodes);
-    let mut sorted: Vec<SimJob> = jobs.to_vec();
-    sorted.sort_by_key(|j| (j.submit, j.id));
-    for job in sorted {
-        engine.submit(job);
-    }
-    engine.drain()
-}
-
-/// [`simulate`] with an instrumented engine: submission/start/backfill
-/// counters, sim-step totals, and per-submit latency land in `telemetry`.
-pub fn simulate_with_telemetry(
-    total_nodes: u32,
-    jobs: &[SimJob],
-    telemetry: &Telemetry,
-) -> Schedule {
-    let mut engine = SimEngine::new(total_nodes);
-    engine.attach_telemetry(telemetry);
     let mut sorted: Vec<SimJob> = jobs.to_vec();
     sorted.sort_by_key(|j| (j.submit, j.id));
     for job in sorted {
@@ -726,47 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_submissions_starts_and_backfills() {
-        let t = Telemetry::default();
-        let jobs = [
-            job(0, 0, 8, 100, 100), // runs now
-            job(1, 1, 8, 100, 100), // head, waits
-            job(2, 2, 2, 10, 10),   // backfills
-        ];
-        let instrumented = simulate_with_telemetry(10, &jobs, &t);
-        let plain = simulate(10, &jobs);
-        assert_eq!(
-            instrumented.entries, plain.entries,
-            "instrumentation must not perturb the schedule"
-        );
-
-        let text = t.prometheus();
-        assert!(text.contains("sched_jobs_submitted_total 3"), "{text}");
-        assert!(text.contains("sched_jobs_started_total 3"), "{text}");
-        assert!(text.contains("sched_jobs_backfilled_total 1"), "{text}");
-        assert!(text.contains("sched_submit_seconds_count 3"), "{text}");
-        // Every submission triggers at least one scheduling pass.
-        assert!(!text.contains("sched_sim_steps_total 0"), "{text}");
-    }
-
-    #[test]
-    fn speculative_forks_do_not_record_telemetry() {
-        let t = Telemetry::default();
-        let mut engine = SimEngine::new(10);
-        engine.attach_telemetry(&t);
-        engine.submit(job(0, 0, 8, 100, 100));
-        engine.submit(job(1, 1, 8, 100, 100));
-        let before = t.prometheus();
-        let fork = engine.fork_with_predictions(|_| 50);
-        fork.run_until_finished(u64::MAX);
-        assert_eq!(
-            t.prometheus(),
-            before,
-            "fork rollout leaked into live metrics"
-        );
-    }
-
-    #[test]
     fn interval_lo_admits_backfill_the_point_estimate_refused() {
         // Same shape as backfill_does_not_delay_head_reservation, but the
         // candidate's revised interval says it is actually short: the
@@ -832,9 +683,7 @@ mod tests {
 
     #[test]
     fn kill_running_frees_nodes_and_truncates_the_entry() {
-        let t = Telemetry::default();
         let mut engine = SimEngine::new(10);
-        engine.attach_telemetry(&t);
         engine.submit(job(0, 0, 8, 1000, 1000));
         engine.submit(job(1, 1, 8, 50, 50)); // blocked behind job 0
         engine.advance_to(10);
@@ -849,16 +698,11 @@ mod tests {
             s.entries[1].start, 10,
             "blocked job starts on the freed nodes"
         );
-        let text = t.prometheus();
-        assert!(text.contains("sched_jobs_killed_total 1"), "{text}");
-        assert!(text.contains("sched_jobs_requeued_total 0"), "{text}");
     }
 
     #[test]
     fn kill_and_requeue_reruns_the_job_from_scratch() {
-        let t = Telemetry::default();
         let mut engine = SimEngine::new(10);
-        engine.attach_telemetry(&t);
         engine.submit(job(0, 0, 10, 100, 100));
         engine.advance_to(30);
         let killed = engine.kill_and_requeue(0, 120).expect("running");
@@ -867,7 +711,6 @@ mod tests {
         assert_eq!(s.entries.len(), 1, "one entry for the successful attempt");
         assert_eq!(s.entries[0].start, 30, "restarts at the kill time");
         assert_eq!(s.entries[0].end, 130, "full runtime again");
-        assert!(t.prometheus().contains("sched_jobs_requeued_total 1"));
     }
 
     #[test]

@@ -19,9 +19,7 @@ pub mod io_aware;
 pub mod snapshot;
 
 pub use burst::{burst_metrics, burst_threshold, BurstMetrics};
-pub use engine::{
-    simulate_with_telemetry, KilledJob, RunningJob, Schedule, ScheduleEntry, SimEngine, SimJob,
-};
+pub use engine::{KilledJob, RunningJob, Schedule, ScheduleEntry, SimEngine, SimJob};
 pub use io::{horizon_minutes, io_timeline, minute_contribution, JobIoInterval};
 pub use io_aware::{simulate_io_aware, IoAwareConfig, IoAwareEngine};
 pub use snapshot::predict_turnarounds;

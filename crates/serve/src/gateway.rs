@@ -96,7 +96,7 @@ pub struct GatewayConfig {
     /// Span tracer; `None` disables request tracing (zero per-request
     /// cost beyond one branch per call site). Pass a
     /// [`Tracer`] backed by a flight recorder to get per-request span
-    /// trees through admission, fusion, and the per-layer forward.
+    /// trees through admission, fusion, mapping and each head's forward.
     pub tracer: Option<Tracer>,
     /// Drift monitor; when present the trainer marks every published
     /// weight epoch on it and [`Gateway::record_outcome`] feeds completed
@@ -1152,8 +1152,8 @@ fn replica_loop(
             .iter()
             .flat_map(|j| j.scripts.iter().map(String::as_str))
             .collect();
-        // The implicit context makes the per-layer forward spans children
-        // of the fused span without any nn-crate API change.
+        // The implicit context makes the predictor's `map` and `head:<name>`
+        // spans children of the fused span without a tracing parameter.
         let ctx_guard = trace::push_current(tracer, fused.ctx());
         let predicted = model.predict(&refs);
         drop(ctx_guard);

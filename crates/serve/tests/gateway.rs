@@ -499,7 +499,9 @@ fn concurrent_fused_predictions_carry_complete_linked_span_trees() {
     );
 
     // The fused forward passes are their own traces, linking back to every
-    // participating caller, with per-layer spans nested beneath them.
+    // participating caller. Each records exactly its assembly marker, the
+    // mapping and one span per served head, and a head span is a leaf:
+    // per-layer time lives in the `nn_layer_*` histograms, not in traces.
     let fused_roots: Vec<_> = spans.iter().filter(|s| s.name == "fused_forward").collect();
     assert!(!fused_roots.is_empty());
     let linked_callers: usize = fused_roots.iter().map(|f| f.links.len()).sum();
@@ -511,12 +513,27 @@ fn concurrent_fused_predictions_carry_complete_linked_span_trees() {
                 "fused_forward links an unknown trace"
             );
         }
-        assert!(
-            spans
-                .iter()
-                .any(|s| s.trace_id == f.trace_id && s.name.starts_with("layer:")),
-            "no per-layer spans under fused_forward"
+        let batch: Vec<_> = spans.iter().filter(|s| s.trace_id == f.trace_id).collect();
+        let mut names: Vec<&str> = batch.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "batch_assembled",
+                "fused_forward",
+                "head:read",
+                "head:runtime",
+                "head:write",
+                "map"
+            ]
         );
+        for head in batch.iter().filter(|s| s.name.starts_with("head:")) {
+            assert!(
+                batch.iter().all(|s| s.parent_id != head.span_id),
+                "{} has a child",
+                head.name
+            );
+        }
     }
 }
 

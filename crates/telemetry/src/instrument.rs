@@ -328,11 +328,6 @@ impl Histogram {
         });
     }
 
-    /// Record a duration in seconds.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Start a timer that records the elapsed seconds when dropped.
     ///
     /// ```

@@ -282,13 +282,6 @@ impl Tensor {
         Tensor::from_vec([c, r], out)
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// A new tensor with `f` applied elementwise.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         Tensor {

@@ -1,7 +1,6 @@
 //! Dump the full telemetry surface: run a short train/predict session
-//! through a [`Gateway`] and the instrumented cluster simulator, then
-//! print the span-event log and both export formats (Prometheus text
-//! exposition and JSON).
+//! through a [`Gateway`], then print the span-event log and both export
+//! formats (Prometheus text exposition and JSON).
 //!
 //! ```text
 //! cargo run --release --example metrics_dump
@@ -9,19 +8,17 @@
 //!
 //! The output includes per-layer forward/backward timings
 //! (`nn_layer_forward_seconds` / `nn_layer_backward_seconds`), the
-//! predict-latency histogram with p50/p90/p99 estimates in the JSON view,
-//! and the scheduler work counters. `docs/OBSERVABILITY.md` documents every
-//! metric that appears here.
+//! and the predict-latency histogram with p50/p90/p99 estimates in the JSON
+//! view. `docs/OBSERVABILITY.md` documents every metric that appears here.
 
 use prionn::core::{Prionn, PrionnConfig, TrainingBatch};
-use prionn::sched::{simulate_with_telemetry, SimJob};
 use prionn::serve::{Gateway, GatewayConfig};
 use prionn::telemetry::Telemetry;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
 
 fn main() {
-    // One registry shared by the gateway, the models inside it, and the
-    // simulator — exactly how an operator would wire a scrape endpoint.
+    // One registry shared by the gateway and the models inside it — exactly
+    // how an operator would wire a scrape endpoint.
     let telemetry = Telemetry::default();
 
     // 1. A small synthetic workload (stand-in for a live submission stream).
@@ -65,34 +62,12 @@ fn main() {
     let _ = std::fs::remove_file(&snapshot);
 
     // 4. ... then a stream of predicts fills the latency histograms.
-    let mut predicted_minutes = Vec::with_capacity(incoming.len());
     for chunk in incoming.chunks(8) {
         let scripts: Vec<String> = chunk.iter().map(|j| j.script.clone()).collect();
-        let preds = gateway.predict(&scripts).expect("predict");
-        predicted_minutes.extend(preds.iter().map(|p| p.runtime_minutes));
+        gateway.predict(&scripts).expect("predict");
     }
 
-    // 5. Feed the predictions into the instrumented cluster simulator so
-    //    the sched_* counters are populated too.
-    let sim_jobs: Vec<SimJob> = incoming
-        .iter()
-        .zip(&predicted_minutes)
-        .map(|(j, mins)| SimJob {
-            id: j.id,
-            submit: j.submit_time,
-            nodes: j.nodes,
-            runtime: j.runtime_seconds,
-            estimate: (mins * 60.0).max(1.0) as u64,
-        })
-        .collect();
-    let schedule = simulate_with_telemetry(64, &sim_jobs, &telemetry);
-    println!(
-        "simulated {} predicted jobs; makespan {} s",
-        schedule.entries.len(),
-        schedule.entries.iter().map(|e| e.end).max().unwrap_or(0)
-    );
-
-    // 6. The structured event log: timestamped spans for retrains, weight
+    // 5. The structured event log: timestamped spans for retrains, weight
     //    swaps and snapshots.
     println!("\n== span events ==");
     for ev in telemetry.events().drain() {
@@ -102,7 +77,7 @@ fn main() {
         );
     }
 
-    // 7. Both export formats, from the same registry.
+    // 6. Both export formats, from the same registry.
     println!(
         "\n== prometheus text exposition ==\n{}",
         telemetry.prometheus()

@@ -10,7 +10,7 @@
 //!
 //! Prints `OPS_ADDR=<ip:port>` as soon as the endpoint is up (CI curls
 //! it), one request's full span tree — admission → batch fusion → the
-//! fused forward with per-layer timings — and the drift readout.
+//! fused forward with its mapping and head timings — and the drift readout.
 //! `--serve-seconds N` keeps the process (and the endpoint) alive for N
 //! extra seconds after the load so external scrapers can poke it.
 
@@ -183,8 +183,9 @@ fn main() {
     );
 
     // 6. One request, end to end: its own trace (admission → queue wait →
-    //    fused stage) and the shared fused forward it rode, with per-layer
-    //    timings. The `-> link` annotations are the fan-in edges.
+    //    fused stage) and the shared fused forward it rode, with its `map`
+    //    and `head:<name>` timings. The `-> link` annotations are the fan-in
+    //    edges.
     let spans = recorder.snapshot();
     if let Some(sample) = spans
         .iter()
