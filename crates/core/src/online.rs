@@ -25,8 +25,8 @@ pub struct OnlineConfig {
     pub cold_start: bool,
     /// Optional telemetry registry. When set, the protocol counts
     /// `online_fallback_predictions_total` and attaches the registry to the
-    /// model (retrain and predict timings, per-layer timers, retrain
-    /// events); see `docs/OBSERVABILITY.md`.
+    /// model (retrain and predict timings, per-layer timers); see
+    /// `docs/OBSERVABILITY.md`.
     pub telemetry: Option<Telemetry>,
     /// Optional model-quality drift monitor. When set, each job's prediction
     /// (made at submission) is scored against its true usage at *completion*

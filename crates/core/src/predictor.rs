@@ -315,7 +315,6 @@ pub struct Prionn {
 
 /// Instrument handles for one predictor, resolved once at attach time.
 struct PredictorTelemetry {
-    registry: prionn_telemetry::Telemetry,
     retrain_seconds: prionn_telemetry::Histogram,
     retrains_total: prionn_telemetry::Counter,
     predict_seconds: prionn_telemetry::Histogram,
@@ -411,11 +410,9 @@ impl Prionn {
     /// `model=runtime|read|write`), and the predictor itself records
     /// `prionn_retrain_seconds`, `prionn_predict_seconds`,
     /// `prionn_map_seconds`, the matching `_total` counters,
-    /// `prionn_predict_memo_hits_total`, the
-    /// `prionn_last_epoch_loss` gauge, and one `retrain` span event per
-    /// training event. Telemetry is process-local state: it is *not*
-    /// persisted by [`Prionn::save`] and must be re-attached after a
-    /// restore.
+    /// `prionn_predict_memo_hits_total` and the `prionn_last_epoch_loss`
+    /// gauge. Telemetry is process-local state: it is *not* persisted by
+    /// [`Prionn::save`] and must be re-attached after a restore.
     pub fn set_telemetry(&mut self, registry: &prionn_telemetry::Telemetry) {
         for head in &mut self.heads {
             head.model.set_telemetry(registry, head.name);
@@ -456,7 +453,6 @@ impl Prionn {
                 "prionn_gemm_pack_share",
                 "Fraction of runtime-head kernel time spent packing GEMM panels",
             ),
-            registry: registry.clone(),
         });
     }
 
@@ -587,9 +583,8 @@ impl Prionn {
         self.retrain_count += 1;
         // The gauges describe the runtime head: row 0, fitted on this thread.
         if let (Some(tel), Some(runtime)) = (&self.telemetry, self.heads.first()) {
-            let secs = started.elapsed().as_secs_f64();
             let last_loss = final_losses.first().copied().unwrap_or(f32::NAN);
-            tel.retrain_seconds.observe(secs);
+            tel.retrain_seconds.observe(started.elapsed().as_secs_f64());
             tel.retrains_total.inc();
             if last_loss.is_finite() {
                 tel.last_epoch_loss.set(last_loss as f64);
@@ -597,15 +592,6 @@ impl Prionn {
             let kstats = runtime.model.scratch_stats();
             tel.gemm_gflops.set(kstats.gemm_gflops());
             tel.gemm_pack_share.set(kstats.gemm_pack_share());
-            tel.registry.events().record(
-                "retrain",
-                format!(
-                    "jobs={} epochs={} last_epoch_loss={last_loss:.4}",
-                    scripts.len(),
-                    self.cfg.epochs
-                ),
-                (secs * 1e6) as u64,
-            );
         }
         Ok(())
     }

@@ -100,29 +100,17 @@ impl<'a> FleetCoordinator<'a> {
         match self.router.swap_weights(shard, bytes, self.swap_timeout) {
             Ok(epoch) => {
                 self.rollout_epoch.set(epoch as f64);
-                self.router.telemetry().events().record(
-                    "fleet_rollout_shard",
-                    format!("shard={shard} epoch={epoch}"),
-                    0,
-                );
                 ShardRollout {
                     shard,
                     epoch: Some(epoch),
                     error: None,
                 }
             }
-            Err(error) => {
-                self.router.telemetry().events().record(
-                    "fleet_rollout_shard_failed",
-                    format!("shard={shard} error={error}"),
-                    0,
-                );
-                ShardRollout {
-                    shard,
-                    epoch: None,
-                    error: Some(error),
-                }
-            }
+            Err(error) => ShardRollout {
+                shard,
+                epoch: None,
+                error: Some(error),
+            },
         }
     }
 

@@ -76,6 +76,7 @@ struct ShardMetrics {
     shed_draining: Counter,
     failover_arrivals: Counter,
     decode_errors: Counter,
+    conn_failures: Counter,
     draining: Gauge,
     in_flight: Gauge,
 }
@@ -101,6 +102,10 @@ impl ShardMetrics {
             decode_errors: t.counter(
                 "fleet_shard_decode_errors_total",
                 "Connections dropped on malformed frames",
+            ),
+            conn_failures: t.counter(
+                "fleet_shard_conn_failures_total",
+                "Connections closed at setup for want of a descriptor or a thread",
             ),
             draining: t.gauge("fleet_shard_draining", "1 while draining, else 0"),
             in_flight: t.gauge(
@@ -173,7 +178,7 @@ impl ShardServer {
                             handles.retain(|h| !h.is_finished());
                             handles.push(handle);
                         }
-                        Err(e) => accept_inner.conn_failed(&e),
+                        Err(_) => accept_inner.metrics.conn_failures.inc(),
                     }
                 }
             })?;
@@ -204,7 +209,7 @@ impl ShardServer {
     /// [`ErrorCode::Draining`] error. Returns true if the shard fully
     /// quiesced within the grace period.
     pub fn drain(&self, grace: Duration) -> bool {
-        self.enter_draining();
+        self.inner.enter_draining();
         let deadline = Instant::now() + grace;
         while self.inner.in_flight.load(Ordering::SeqCst) > 0 {
             if Instant::now() >= deadline {
@@ -213,17 +218,6 @@ impl ShardServer {
             std::thread::sleep(Duration::from_millis(1));
         }
         true
-    }
-
-    fn enter_draining(&self) {
-        if !self.inner.draining.swap(true, Ordering::SeqCst) {
-            self.inner.metrics.draining.set(1.0);
-            self.inner.gateway.telemetry().events().record(
-                "fleet_shard_drain",
-                format!("addr={}", self.addr),
-                0,
-            );
-        }
     }
 
     /// Stop accepting, close every connection, join every thread.
@@ -254,12 +248,11 @@ impl Drop for ShardServer {
 type OutFrame = Vec<u8>;
 
 impl ShardInner {
-    /// Record a connection lost to descriptor or thread exhaustion.
-    fn conn_failed(&self, e: &std::io::Error) {
-        self.gateway
-            .telemetry()
-            .events()
-            .record("fleet_shard_conn_failed", e.to_string(), 0);
+    /// Answer new predicts with a typed Draining error from now on.
+    fn enter_draining(&self) {
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            self.metrics.draining.set(1.0);
+        }
     }
 
     /// Forget a connection: close the registry's dup of its stream (or the
@@ -283,8 +276,8 @@ fn open_connection(stream: TcpStream, inner: &Arc<ShardInner>) -> std::io::Resul
     std::thread::Builder::new()
         .name("prionn-shard-conn".to_string())
         .spawn(move || {
-            if let Err(e) = serve_connection(stream, &conn_inner) {
-                conn_inner.conn_failed(&e);
+            if serve_connection(stream, &conn_inner).is_err() {
+                conn_inner.metrics.conn_failures.inc();
             }
             conn_inner.close_connection(token);
         })
@@ -466,11 +459,6 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
         KIND_SWAP_WEIGHTS => match Checkpoint::from_bytes(payload) {
             Ok(ck) => {
                 let epoch = inner.gateway.hot_swap_checkpoint(ck);
-                inner.gateway.telemetry().events().record(
-                    "fleet_shard_swap",
-                    format!("epoch={epoch}"),
-                    0,
-                );
                 send(encode_frame(KIND_SWAP_ACK, id, &encode_swap_ack(epoch)))
             }
             Err(e) => {
@@ -483,14 +471,7 @@ fn dispatch_frame(frame: Frame, inner: &Arc<ShardInner>, reply_tx: &Sender<OutFr
             }
         },
         KIND_DRAIN => {
-            if !inner.draining.swap(true, Ordering::SeqCst) {
-                inner.metrics.draining.set(1.0);
-                inner
-                    .gateway
-                    .telemetry()
-                    .events()
-                    .record("fleet_shard_drain", "remote", 0);
-            }
+            inner.enter_draining();
             send(encode_frame(KIND_DRAIN_ACK, id, &[]))
         }
         other => {

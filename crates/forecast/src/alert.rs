@@ -1,10 +1,11 @@
 //! Edge-triggered burst alerts over the forecast stream, mirroring the
 //! drift-alert machinery in `prionn-observe`: crossing into a forecast
-//! burst records one `forecast_burst_alert` event in the shared telemetry
-//! span log (and bumps `forecast_burst_alerts_total`); crossing back out
-//! records `forecast_burst_clear`. A forecast sitting above threshold does
-//! not flood the event ring, and consumers (the `/forecast` ops route) read
-//! the level-triggered [`BurstAlerter::alerting`] flag.
+//! burst returns [`AlertTransition::Raised`], bumps
+//! `forecast_burst_alerts_total` and sets `forecast_burst_active` to 1;
+//! crossing back out returns [`AlertTransition::Cleared`] and sets it to
+//! 0. A forecast sitting above threshold counts one alert, not one per
+//! minute, and consumers (the `/forecast` ops route) read the
+//! level-triggered [`BurstAlerter::alerting`] flag.
 //!
 //! The threshold is the paper's mean + 1σ over a trailing window of
 //! actuals, kept as compensated running sums of the window's values and
@@ -132,7 +133,6 @@ impl Window {
 /// Edge-triggered burst alerter fed one (actual, forecast) pair per minute.
 pub struct BurstAlerter {
     cfg: AlertConfig,
-    telemetry: Telemetry,
     trailing: Window,
     alerting: bool,
     threshold: f64,
@@ -179,7 +179,6 @@ impl BurstAlerter {
                 "forecast_samples_total",
                 "Per-minute aggregate samples folded into the forecaster",
             ),
-            telemetry: telemetry.clone(),
             cfg,
         }
     }
@@ -199,15 +198,9 @@ impl BurstAlerter {
         self.threshold
     }
 
-    /// Fold in minute `minute`'s observed aggregate and the forecast for
-    /// `minute + horizon`. Returns the edge, if one fired.
-    pub fn observe(
-        &mut self,
-        minute: u64,
-        actual: f64,
-        horizon: u64,
-        forecast: f64,
-    ) -> Option<AlertTransition> {
+    /// Fold in a minute's observed aggregate and the forecast for the lead
+    /// horizon ahead of it. Returns the edge, if one fired.
+    pub fn observe(&mut self, actual: f64, forecast: f64) -> Option<AlertTransition> {
         if !actual.is_finite() || !forecast.is_finite() {
             return None;
         }
@@ -231,26 +224,10 @@ impl BurstAlerter {
             self.alerting = true;
             self.active_gauge.set(1.0);
             self.alerts_total.inc();
-            self.telemetry.events().record(
-                "forecast_burst_alert",
-                format!(
-                    "minute={minute} horizon={horizon} forecast={forecast:.3e} threshold={:.3e}",
-                    self.threshold
-                ),
-                0,
-            );
             Some(AlertTransition::Raised)
         } else if !burst && self.alerting {
             self.alerting = false;
             self.active_gauge.set(0.0);
-            self.telemetry.events().record(
-                "forecast_burst_clear",
-                format!(
-                    "minute={minute} forecast={forecast:.3e} threshold={:.3e}",
-                    self.threshold
-                ),
-                0,
-            );
             Some(AlertTransition::Cleared)
         } else {
             None
@@ -279,34 +256,21 @@ mod tests {
         let mut a = alerter(&t);
         // Quiet baseline, then a sustained forecast burst, then calm.
         for m in 0..16u64 {
-            assert_eq!(a.observe(m, 1.0 + (m % 3) as f64 * 0.1, 5, 1.0), None);
+            assert_eq!(a.observe(1.0 + (m % 3) as f64 * 0.1, 1.0), None);
         }
         assert!(!a.alerting());
-        let raised = a.observe(16, 1.0, 5, 500.0);
+        let raised = a.observe(1.0, 500.0);
         assert_eq!(raised, Some(AlertTransition::Raised));
         // Still bursting: no second edge.
-        assert_eq!(a.observe(17, 1.0, 5, 500.0), None);
+        assert_eq!(a.observe(1.0, 500.0), None);
         assert!(a.alerting());
-        let cleared = a.observe(18, 1.0, 5, 1.0);
+        assert!(t.prometheus().contains("forecast_burst_active 1"));
+        let cleared = a.observe(1.0, 1.0);
         assert_eq!(cleared, Some(AlertTransition::Cleared));
         assert!(!a.alerting());
-
-        let events = t.events().drain();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == "forecast_burst_alert")
-                .count(),
-            1
-        );
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == "forecast_burst_clear")
-                .count(),
-            1
-        );
-        assert!(t.prometheus().contains("forecast_burst_alerts_total 1"));
+        let prom = t.prometheus();
+        assert!(prom.contains("forecast_burst_alerts_total 1"), "{prom}");
+        assert!(prom.contains("forecast_burst_active 0"), "{prom}");
     }
 
     #[test]
@@ -314,7 +278,7 @@ mod tests {
         let t = Telemetry::new();
         let mut a = alerter(&t);
         for m in 0..7u64 {
-            assert_eq!(a.observe(m, 1.0, 5, 1e9), None, "minute {m}");
+            assert_eq!(a.observe(1.0, 1e9), None, "minute {m}");
         }
         assert!(!a.alerting());
     }
@@ -330,8 +294,8 @@ mod tests {
                 threshold_override: Some(100.0),
             },
         );
-        assert_eq!(a.observe(0, 1.0, 5, 99.0), None);
-        assert_eq!(a.observe(1, 1.0, 5, 101.0), Some(AlertTransition::Raised));
+        assert_eq!(a.observe(1.0, 99.0), None);
+        assert_eq!(a.observe(1.0, 101.0), Some(AlertTransition::Raised));
         assert_eq!(a.threshold(), 100.0);
     }
 
@@ -339,8 +303,8 @@ mod tests {
     fn non_finite_inputs_are_ignored() {
         let t = Telemetry::new();
         let mut a = alerter(&t);
-        assert_eq!(a.observe(0, f64::NAN, 5, 1.0), None);
-        assert_eq!(a.observe(0, 1.0, 5, f64::INFINITY), None);
+        assert_eq!(a.observe(f64::NAN, 1.0), None);
+        assert_eq!(a.observe(1.0, f64::INFINITY), None);
         assert!(!a.alerting());
     }
 }

@@ -172,9 +172,8 @@ impl EngineInner {
         self.clock += 1;
         let aggregate = self.aggregator.advance_to(minute as usize);
         self.forecaster.observe(aggregate);
-        let lead = self.lead_minutes;
-        let forecast = self.forecaster.forecast(lead as usize);
-        let transition = self.alerter.observe(minute, aggregate, lead, forecast);
+        let forecast = self.forecaster.forecast(self.lead_minutes as usize);
+        let transition = self.alerter.observe(aggregate, forecast);
         self.last_aggregate = aggregate;
         self.last_forecast = forecast;
         ForecastTick {

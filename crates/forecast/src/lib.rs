@@ -17,9 +17,9 @@
 //!   [`SeasonalNaive`] baseline, with the horizon × window burst
 //!   sensitivity/precision sweep ([`evaluate`]) reusing
 //!   `prionn_sched::burst`.
-//! * [`alert`] — [`BurstAlerter`]: edge-triggered `forecast_burst_alert` /
-//!   `forecast_burst_clear` events in the shared telemetry span log (the
-//!   same machinery as `prionn-observe`'s drift alerts) plus the
+//! * [`alert`] — [`BurstAlerter`]: edge-triggered burst alerts returned as
+//!   [`AlertTransition`]s and counted in `forecast_burst_alerts_total` (the
+//!   same machinery as `prionn-observe`'s drift alerts), plus the
 //!   `forecast_*` gauge/counter/histogram surface.
 //! * [`engine`] — [`ForecastEngine`]: everything behind one thread-safe
 //!   handle, exposing a JSON snapshot probe for `prionn-observe`'s

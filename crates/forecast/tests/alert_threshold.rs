@@ -87,7 +87,7 @@ fn running_sum_threshold_matches_the_rescan_and_edges_identically() {
     };
     let (mut worst, mut raised, mut cleared) = (0.0f64, 0, 0);
     for (minute, (actual, forecast)) in stream(41).into_iter().enumerate() {
-        let edge = alerter.observe(minute as u64, actual, 10, forecast);
+        let edge = alerter.observe(actual, forecast);
         let (threshold, expected) = reference.observe(actual, forecast);
         let got = alerter.threshold();
         let rel = (got - threshold).abs() / threshold.abs().max(f64::MIN_POSITIVE);
@@ -123,13 +123,13 @@ fn a_window_of_zeros_and_one_of_constants_read_their_value() {
     };
     let mut alerter = BurstAlerter::new(&Telemetry::new(), cfg);
     // A burst passes through, then the window fills with zeros.
-    alerter.observe(0, 1.0e12, 1, 0.0);
-    for m in 1..=64 {
-        alerter.observe(m, 0.0, 1, 0.0);
+    alerter.observe(1.0e12, 0.0);
+    for _ in 0..64 {
+        alerter.observe(0.0, 0.0);
     }
     assert_eq!(alerter.threshold(), 0.0);
-    for m in 65..=128 {
-        alerter.observe(m, 3.0e8, 1, 0.0);
+    for _ in 0..64 {
+        alerter.observe(3.0e8, 0.0);
     }
     let rel = (alerter.threshold() - 3.0e8).abs() / 3.0e8;
     assert!(
@@ -147,9 +147,9 @@ fn an_overflowing_square_does_not_poison_the_threshold() {
         threshold_override: None,
     };
     let mut alerter = BurstAlerter::new(&Telemetry::new(), cfg);
-    alerter.observe(0, 1.0e200, 1, 0.0);
-    for m in 1..=8 {
-        alerter.observe(m, 5.0, 1, 0.0);
+    alerter.observe(1.0e200, 0.0);
+    for _ in 0..8 {
+        alerter.observe(5.0, 0.0);
     }
     assert_eq!(alerter.threshold(), 5.0, "window is all 5.0 again");
 }

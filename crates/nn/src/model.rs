@@ -16,7 +16,6 @@ struct LayerInstruments {
     forward: Histogram,
     backward: Histogram,
     /// Absent for parameterless layers (ReLU, ReLU + pooling, reshapes).
-    param_norm: Option<Gauge>,
     grad_norm: Option<Gauge>,
 }
 
@@ -59,13 +58,6 @@ impl ModelTelemetry {
                         "Per-layer backward pass wall time",
                         &labels,
                     ),
-                    param_norm: (l.param_count() > 0).then(|| {
-                        self.registry.gauge_with(
-                            "nn_param_norm",
-                            "L2 norm of the layer's parameters after the last step",
-                            &labels,
-                        )
-                    }),
                     grad_norm: (l.param_count() > 0).then(|| {
                         self.registry.gauge_with(
                             "nn_grad_norm",
@@ -103,7 +95,7 @@ impl Sequential {
 
     /// Attach a telemetry registry: every layer gains
     /// `nn_layer_forward_seconds` / `nn_layer_backward_seconds` histograms
-    /// and `nn_param_norm` / `nn_grad_norm` gauges, all labelled
+    /// and an `nn_grad_norm` gauge, all labelled
     /// `{model=<model_label>, layer=<index>.<name>}` (the index counts
     /// [`Layer::positions`], so a `relu_pool` at 1 is followed by a layer at
     /// 3). Instruments are resolved once here; the hot loops only pay one
@@ -279,20 +271,19 @@ impl Sequential {
 
     /// Apply one optimiser step using the gradients from the last backward.
     ///
-    /// With telemetry attached, each parameterised layer's L2 parameter and
-    /// gradient norms are published as gauges (`nn_param_norm`,
-    /// `nn_grad_norm`) — the norm reduction only runs when instrumented.
+    /// With telemetry attached, each parameterised layer's L2 gradient norm
+    /// is published as the `nn_grad_norm` gauge — the norm reduction only
+    /// runs when instrumented.
     pub fn step(&mut self, opt: &mut dyn Optimizer) {
         self.refresh_telemetry();
         opt.begin_step();
         let mut slot = 0usize;
         let telemetry = self.telemetry.as_ref();
         for (li, layer) in self.layers.iter_mut().enumerate() {
-            let inst = telemetry.map(|mt| &mt.per_layer[li]);
-            let mut p_sq = 0f64;
+            let grad_norm = telemetry.and_then(|mt| mt.per_layer[li].grad_norm.as_ref());
             let mut g_sq = 0f64;
             layer.visit_params(&mut |param, grad| {
-                if inst.is_some() {
+                if grad_norm.is_some() {
                     g_sq += grad
                         .as_slice()
                         .iter()
@@ -300,20 +291,10 @@ impl Sequential {
                         .sum::<f64>();
                 }
                 opt.update(slot, param, grad);
-                if inst.is_some() {
-                    p_sq += param
-                        .as_slice()
-                        .iter()
-                        .map(|&v| v as f64 * v as f64)
-                        .sum::<f64>();
-                }
                 slot += 1;
             });
-            if let Some(inst) = inst {
-                if let (Some(p), Some(g)) = (&inst.param_norm, &inst.grad_norm) {
-                    p.set(p_sq.sqrt());
-                    g.set(g_sq.sqrt());
-                }
+            if let Some(g) = grad_norm {
+                g.set(g_sq.sqrt());
             }
         }
     }
@@ -699,8 +680,8 @@ mod tests {
         );
         assert!(text.contains("nn_layer_backward_seconds_bucket{layer=\"2.dense\""));
         // ReLU has no parameters: only the dense layers publish norms.
-        assert!(text.contains("nn_param_norm{layer=\"0.dense\""));
-        assert!(!text.contains("nn_param_norm{layer=\"1.relu\""));
+        assert!(text.contains("nn_grad_norm{layer=\"0.dense\""));
+        assert!(!text.contains("nn_grad_norm{layer=\"1.relu\""));
         let h = t.histogram_with(
             "nn_layer_forward_seconds",
             "",

@@ -100,6 +100,7 @@ struct CollectorInner {
     /// Merged shard view from the latest round.
     merged: Mutex<MetricsSnapshot>,
     rounds: Counter,
+    merge_skipped: Counter,
     shards_up: Gauge,
 }
 
@@ -174,6 +175,10 @@ impl FleetCollector {
             })
             .collect();
         let rounds = telemetry.counter("fleet_obs_rounds_total", "Completed scrape rounds");
+        let merge_skipped = telemetry.counter(
+            "fleet_obs_merge_skipped_total",
+            "Histogram families left out of a round's merge because shards disagreed on buckets",
+        );
         let shards_up = telemetry.gauge(
             "fleet_obs_shards_up",
             "Shards whose latest scrape succeeded",
@@ -187,6 +192,7 @@ impl FleetCollector {
                 stop: AtomicBool::new(false),
                 merged: Mutex::new(MetricsSnapshot::default()),
                 rounds,
+                merge_skipped,
                 shards_up,
                 cfg,
             }),
@@ -212,12 +218,9 @@ impl FleetCollector {
     }
 
     /// The merged fleet view in Prometheus text exposition, with the
-    /// collector's own instruments folded in — one scrape shows federated
-    /// shard metrics, scrape health, and SLO burn together. A counter the
-    /// shards also export (every registry's
-    /// `telemetry_events_dropped_total`) is summed into their total, so each
-    /// series is written once; the collector's gauges and histograms keep
-    /// their own labels.
+    /// collector's own `fleet_obs_*` and `slo_*` instruments added — one
+    /// scrape shows federated shard metrics, scrape health, and SLO burn
+    /// together.
     pub fn merged_prometheus(&self) -> String {
         let mut view = self
             .inner
@@ -226,16 +229,7 @@ impl FleetCollector {
             .unwrap_or_else(|e| e.into_inner())
             .clone();
         let own = self.inner.telemetry.snapshot();
-        for c in own.counters {
-            match view
-                .counters
-                .iter_mut()
-                .find(|v| v.name == c.name && v.labels == c.labels)
-            {
-                Some(v) => v.value += c.value,
-                None => view.counters.push(c),
-            }
-        }
+        view.counters.extend(own.counters);
         view.gauges.extend(own.gauges);
         view.histograms.extend(own.histograms);
         for (name, help) in own.help {
@@ -353,12 +347,7 @@ fn scrape_round(inner: &CollectorInner) -> usize {
     inner.shards_up.set(up as f64);
     inner.rounds.inc();
     let merged = merge_shards(&merged_inputs);
-    for family in &merged.skipped {
-        inner
-            .telemetry
-            .events()
-            .record("fleet_obs_merge_skipped", format!("family={family}"), 0);
-    }
+    inner.merge_skipped.add(merged.skipped.len() as u64);
     let now_s = inner.epoch.elapsed().as_secs_f64();
     feed_slos(inner, &merged.snapshot, now_s);
     inner.slo.evaluate(now_s);

@@ -21,10 +21,10 @@
 //!   changed (`drift_weight_staleness_seconds`), the "has the online loop
 //!   stalled" alarm.
 //!
-//! Crossing the accuracy threshold downward records a `drift_alert` event
-//! in the telemetry span log (and bumps `drift_alerts_total`); crossing
-//! back up records `drift_recovered`. Alerts are edge-triggered so a model
-//! sitting below threshold does not flood the event ring.
+//! Crossing the accuracy threshold downward bumps `drift_alerts_total`;
+//! crossing back up re-arms the alert. Alerts are edge-triggered, so the
+//! counter reads the number of times the model fell below threshold, not
+//! the number of samples it spent there.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -63,48 +63,6 @@ impl DriftHead {
 
 const HEADS: [DriftHead; 3] = [DriftHead::Runtime, DriftHead::Read, DriftHead::Write];
 
-/// How an observed job left the system. Killed/requeued jobs still carry a
-/// truth-vs-prediction pair (truth is whatever was observed at termination),
-/// and folding them into the window keeps drift statistics and conformal
-/// calibration free of survivorship bias — a monitor that only ever sees
-/// jobs that ran to completion will happily report a well-calibrated model
-/// while the kill policy silently eats its worst mistakes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OutcomeStatus {
-    /// Job ran to natural completion.
-    Completed,
-    /// Job was terminated by the kill policy (revised lo exceeded the
-    /// requested walltime) or by the user.
-    Killed,
-    /// Job was killed and put back on the queue for another attempt.
-    Requeued,
-}
-
-impl OutcomeStatus {
-    /// The metric label for this terminal status.
-    pub fn label(self) -> &'static str {
-        match self {
-            OutcomeStatus::Completed => "completed",
-            OutcomeStatus::Killed => "killed",
-            OutcomeStatus::Requeued => "requeued",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            OutcomeStatus::Completed => 0,
-            OutcomeStatus::Killed => 1,
-            OutcomeStatus::Requeued => 2,
-        }
-    }
-}
-
-const STATUSES: [OutcomeStatus; 3] = [
-    OutcomeStatus::Completed,
-    OutcomeStatus::Killed,
-    OutcomeStatus::Requeued,
-];
-
 /// One (truth, prediction) pair from a head's rolling window, exposed so
 /// the conformal calibrator in `prionn-revise` can reuse the monitor's
 /// window instead of maintaining a duplicate one.
@@ -138,7 +96,8 @@ pub struct DriftConfig {
     pub window: usize,
     /// Samples required in a head's window before alerts can fire.
     pub min_samples: usize,
-    /// Rolling relativeAccuracy below this raises `drift_alert`.
+    /// Rolling relativeAccuracy below this counts a `drift_alerts_total`
+    /// edge.
     pub accuracy_threshold: f64,
     /// Calibration bins per head.
     pub bins: usize,
@@ -188,12 +147,10 @@ struct HeadState {
     calib_gauge: Gauge,
     sample_counter: Counter,
     alert_counter: Counter,
-    status_counters: [Counter; 3],
 }
 
 struct DriftInner {
     cfg: DriftConfig,
-    telemetry: Telemetry,
     heads: [Mutex<HeadState>; 3],
     staleness: Gauge,
     weight_updates: Counter,
@@ -244,18 +201,10 @@ impl DriftMonitor {
                     "Rolling accuracy fell below the alert threshold",
                     &l,
                 ),
-                status_counters: STATUSES.map(|st| {
-                    telemetry.counter_with(
-                        "drift_outcomes_total",
-                        "Observed outcomes folded into the drift monitor, by terminal status",
-                        &[("head", h.label()), ("status", st.label())],
-                    )
-                }),
             })
         };
         DriftMonitor {
             inner: Arc::new(DriftInner {
-                telemetry: telemetry.clone(),
                 staleness: telemetry.gauge(
                     "drift_weight_staleness_seconds",
                     "Seconds since serving weights last changed",
@@ -292,25 +241,14 @@ impl DriftMonitor {
         (((truth / max) * bins as f64) as usize).min(bins - 1)
     }
 
-    /// Fold one completed job (truth vs. the prediction that was served
-    /// for it) into `head`'s window, updating gauges and firing
-    /// threshold-crossing events.
-    pub fn record(&self, head: DriftHead, truth: f64, predicted: f64) {
-        self.record_with_status(head, truth, predicted, OutcomeStatus::Completed);
-    }
-
-    /// [`record`](Self::record) with an explicit terminal status. Killed
-    /// and requeued jobs enter the same rolling window as completed ones
-    /// (truth is whatever was observed at termination) so the statistics
-    /// downstream — drift gauges and conformal calibration — are not
+    /// Fold one observed job (truth vs. the prediction that was served
+    /// for it) into `head`'s window, updating the accuracy gauge and, on a
+    /// downward threshold crossing, `drift_alerts_total`. Killed and
+    /// requeued jobs enter the window like completed ones (truth is
+    /// whatever was observed at termination), so the statistics downstream
+    /// — drift gauges and conformal calibration — are not
     /// survivorship-biased toward jobs the kill policy spared.
-    pub fn record_with_status(
-        &self,
-        head: DriftHead,
-        truth: f64,
-        predicted: f64,
-        status: OutcomeStatus,
-    ) {
+    pub fn record(&self, head: DriftHead, truth: f64, predicted: f64) {
         if !truth.is_finite() || !predicted.is_finite() {
             return;
         }
@@ -337,7 +275,6 @@ impl DriftMonitor {
         }
         s.samples += 1;
         s.sample_counter.inc();
-        s.status_counters[status.index()].inc();
 
         let rolling = s.sum_acc / s.window.len() as f64;
         s.acc_gauge.set(rolling);
@@ -346,27 +283,8 @@ impl DriftMonitor {
             if rolling < cfg.accuracy_threshold && !s.alerting {
                 s.alerting = true;
                 s.alert_counter.inc();
-                self.inner.telemetry.events().record(
-                    "drift_alert",
-                    format!(
-                        "head={} relative_accuracy={rolling:.4} threshold={} window={}",
-                        head.label(),
-                        cfg.accuracy_threshold,
-                        s.window.len()
-                    ),
-                    0,
-                );
             } else if rolling >= cfg.accuracy_threshold && s.alerting {
                 s.alerting = false;
-                self.inner.telemetry.events().record(
-                    "drift_recovered",
-                    format!(
-                        "head={} relative_accuracy={rolling:.4} threshold={}",
-                        head.label(),
-                        cfg.accuracy_threshold
-                    ),
-                    0,
-                );
             }
         }
         drop(s);
@@ -578,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn alerts_are_edge_triggered_and_logged() {
+    fn alerts_are_edge_triggered_and_counted() {
         let t = Telemetry::new();
         let d = DriftMonitor::new(
             &t,
@@ -589,25 +507,27 @@ mod tests {
                 ..DriftConfig::default()
             },
         );
+        let alerts = |n: u64| {
+            let want = format!("drift_alerts_total{{head=\"runtime\"}} {n}");
+            let text = t.prometheus();
+            assert!(text.contains(&want), "want `{want}` in:\n{text}");
+            assert!(text.contains("drift_alerts_total{head=\"read\"} 0"));
+        };
         for _ in 0..6 {
             d.record(DriftHead::Runtime, 100.0, 10.0);
         }
-        let events = t.events().drain();
-        let alerts: Vec<_> = events.iter().filter(|e| e.name == "drift_alert").collect();
-        assert_eq!(alerts.len(), 1, "alert fires once, not per sample");
-        assert!(
-            alerts[0].detail.contains("head=runtime"),
-            "{}",
-            alerts[0].detail
-        );
+        assert!(d.snapshot().heads[0].alerting);
+        alerts(1); // once, not per sample
         for _ in 0..60 {
             d.record(DriftHead::Runtime, 100.0, 100.0);
         }
-        let events = t.events().drain();
-        assert!(events.iter().any(|e| e.name == "drift_recovered"));
-        assert!(t
-            .prometheus()
-            .contains("drift_alerts_total{head=\"runtime\"} 1"));
+        assert!(!d.snapshot().heads[0].alerting, "recovered");
+        alerts(1);
+        for _ in 0..16 {
+            d.record(DriftHead::Runtime, 100.0, 10.0);
+        }
+        assert!(d.snapshot().heads[0].alerting);
+        alerts(2); // the recovery re-armed the edge
     }
 
     #[test]
@@ -746,21 +666,21 @@ mod tests {
     }
 
     #[test]
-    fn killed_outcomes_enter_the_window_and_are_counted_by_status() {
+    fn killed_outcomes_enter_the_window_and_are_counted() {
         let t = Telemetry::new();
         let d = DriftMonitor::with_defaults(&t);
         d.record(DriftHead::Runtime, 30.0, 30.0);
-        d.record_with_status(DriftHead::Runtime, 120.0, 20.0, OutcomeStatus::Killed);
-        d.record_with_status(DriftHead::Runtime, 90.0, 15.0, OutcomeStatus::Requeued);
+        // Truth observed at a kill or a requeue: far past the prediction.
+        d.record(DriftHead::Runtime, 120.0, 20.0);
+        d.record(DriftHead::Runtime, 90.0, 15.0);
         assert_eq!(
             d.outcome_window(DriftHead::Runtime).len(),
             3,
             "killed/requeued samples share the window with completed ones"
         );
-        let prom = t.prometheus();
-        assert!(prom.contains("drift_outcomes_total{head=\"runtime\",status=\"completed\"} 1"));
-        assert!(prom.contains("drift_outcomes_total{head=\"runtime\",status=\"killed\"} 1"));
-        assert!(prom.contains("drift_outcomes_total{head=\"runtime\",status=\"requeued\"} 1"));
+        assert!(t
+            .prometheus()
+            .contains("drift_samples_total{head=\"runtime\"} 3"));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   panics later contained by `catch_unwind`.
 //! * [`drift`] — model-quality monitors: rolling-window relativeAccuracy
 //!   (paper Eq. 1) per prediction head, per-bin calibration error,
-//!   weight-epoch staleness, and edge-triggered threshold events.
+//!   weight-epoch staleness, and an edge-triggered alert counter.
 //! * [`ops`] — a dependency-free `std::net` HTTP endpoint serving
 //!   `/metrics`, `/healthz`, `/readyz`, `/traces`, and `/flight` from one
 //!   background thread — plus `/fleet/metrics`, `/fleet/healthz`, and
@@ -29,7 +29,7 @@
 //!   `/traces?trace_id=N` for the one trace.
 //! * [`slo`] — declarative SLO specs evaluated with multi-window
 //!   burn-rate alerting (fast 5m/1h pair, slow 6h), exported as `slo_*`
-//!   metrics and edge-triggered events a rollout can gate on.
+//!   metrics and edge-triggered alert transitions a rollout can gate on.
 //!
 //! ```
 //! use prionn_observe::{FlightConfig, FlightRecorder, Tracer};
@@ -65,7 +65,6 @@ pub mod trace;
 pub use collector::{CollectorConfig, FleetCollector, ShardTarget};
 pub use drift::{
     DriftConfig, DriftHead, DriftMonitor, DriftSnapshot, HeadSnapshot, OutcomeDelta, OutcomeSample,
-    OutcomeStatus,
 };
 pub use flight::{FlightConfig, FlightRecorder};
 pub use ops::{JsonProbe, OpsOptions, OpsServer, Readiness, ReadyProbe};

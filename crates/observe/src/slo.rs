@@ -7,9 +7,9 @@
 //! rate the error budget is being spent, `bad_fraction / (1 - objective)`
 //! — over a fast window pair (5m *and* 1h must both burn hot, the
 //! standard guard against paging on a blip) and a slow 6h window for
-//! sustained, slower burns. Alerts are edge-triggered: one telemetry
-//! event when a burn starts, one when it clears, with `slo_*` gauges
-//! carrying the continuous values in between. Consumers like the fleet
+//! sustained, slower burns. Alerts are edge-triggered: a start bumps
+//! `slo_alerts_total`, the `slo_alert` gauge reads 1 until the burn
+//! clears, and [`SloStatus::edge`] marks the evaluation of each flip. Consumers like the fleet
 //! coordinator read [`SloEngine::any_alert`] to pause weight rollouts
 //! while the budget is burning.
 //!
@@ -114,7 +114,8 @@ impl SloSpec {
     }
 }
 
-/// One evaluation's verdict for one SLO.
+/// One evaluation's verdict for one SLO: the one record of when an alert
+/// starts and clears (the `slo_*` series carry levels and counts only).
 #[derive(Debug, Clone)]
 pub struct SloStatus {
     /// The spec's name.
@@ -125,9 +126,10 @@ pub struct SloStatus {
     pub burn_fast_long: f64,
     /// Burn rate over the slow window.
     pub burn_slow: f64,
-    /// True while the alert condition holds.
+    /// True while the alert condition holds (the `slo_alert` gauge).
     pub firing: bool,
-    /// True only on the evaluation where `firing` flipped.
+    /// True only on the evaluation where `firing` flipped; an edge into
+    /// `firing` is one `slo_alerts_total` increment.
     pub edge: bool,
 }
 
@@ -159,7 +161,6 @@ struct SloEngineInner {
     specs: Vec<SloSpec>,
     state: Mutex<HashMap<String, SeriesState>>,
     instruments: HashMap<String, SloInstruments>,
-    telemetry: Telemetry,
 }
 
 impl SloEngine {
@@ -215,7 +216,6 @@ impl SloEngine {
                 specs,
                 state: Mutex::new(state),
                 instruments,
-                telemetry: telemetry.clone(),
             }),
         }
     }
@@ -254,9 +254,9 @@ impl SloEngine {
         }
     }
 
-    /// Evaluate every SLO at `now_s`: update `slo_*` gauges, emit
-    /// edge-triggered `slo_alert` / `slo_alert_clear` telemetry events,
-    /// and return the per-SLO statuses.
+    /// Evaluate every SLO at `now_s`: update the `slo_*` gauges, count an
+    /// alert that starts in `slo_alerts_total`, and return the per-SLO
+    /// statuses.
     pub fn evaluate(&self, now_s: f64) -> Vec<SloStatus> {
         let mut out = Vec::with_capacity(self.inner.specs.len());
         let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -307,16 +307,6 @@ impl SloEngine {
                 if edge && firing {
                     ins.alerts_total.inc();
                 }
-            }
-            if edge {
-                self.inner.telemetry.events().record(
-                    if firing { "slo_alert" } else { "slo_alert_clear" },
-                    format!(
-                        "slo={} burn_fast={burn_fast_short:.1}/{burn_fast_long:.1} burn_slow={burn_slow:.1}",
-                        spec.name
-                    ),
-                    0,
-                );
             }
             out.push(SloStatus {
                 slo: spec.name.clone(),
@@ -392,6 +382,9 @@ mod tests {
         assert!(st.burn_fast_short > 14.4 && st.burn_fast_long > 14.4);
         assert!(e.alert_active("predict_latency"));
         assert_eq!(e.any_alert().as_deref(), Some("predict_latency"));
+        assert!(t
+            .prometheus()
+            .contains("slo_alert{slo=\"predict_latency\"} 1"));
         // Still firing next round, but no new edge.
         let st = &e.evaluate(3660.0)[0];
         assert!(st.firing && !st.edge);
@@ -411,13 +404,6 @@ mod tests {
             prom.contains("slo_alerts_total{slo=\"predict_latency\"} 1"),
             "{prom}"
         );
-        let fired: Vec<_> = t
-            .events()
-            .peek()
-            .into_iter()
-            .filter(|ev| ev.name.starts_with("slo_alert"))
-            .collect();
-        assert_eq!(fired.len(), 2, "{fired:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! HTTP-level integration tests for the embedded ops endpoint, plus the
-//! pinned metric surface of the observe crate: every drift_* series (and
-//! the event-log drop counter) must appear in the Prometheus export with
-//! exactly the documented names and labels — renaming a metric breaks
-//! dashboards, so renames must break this test first.
+//! pinned metric surface of the observe crate: every drift_* series must
+//! appear in the Prometheus export with exactly the documented names and
+//! labels — renaming a metric breaks dashboards, so renames must break
+//! this test first.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -151,7 +151,6 @@ fn observe_metric_names_and_labels_are_pinned() {
         "# TYPE drift_alerts_total counter",
         "# TYPE drift_weight_staleness_seconds gauge",
         "# TYPE drift_weight_updates_total counter",
-        "# TYPE telemetry_events_dropped_total counter",
         r#"drift_relative_accuracy{head="runtime"}"#,
         r#"drift_relative_accuracy{head="read"}"#,
         r#"drift_relative_accuracy{head="write"}"#,
@@ -160,10 +159,6 @@ fn observe_metric_names_and_labels_are_pinned() {
         r#"drift_samples_total{head="read"} 4"#,
         r#"drift_samples_total{head="write"} 4"#,
         r#"drift_alerts_total{head="runtime"} 0"#,
-        "# TYPE drift_outcomes_total counter",
-        r#"drift_outcomes_total{head="runtime",status="completed"} 4"#,
-        r#"drift_outcomes_total{head="runtime",status="killed"} 0"#,
-        r#"drift_outcomes_total{head="runtime",status="requeued"} 0"#,
         "drift_weight_updates_total 1",
     ] {
         assert!(text.contains(series), "missing `{series}` in:\n{text}");
@@ -207,6 +202,7 @@ fn fleet_plane_metric_names_and_labels_are_pinned() {
         "# TYPE fleet_obs_scrapes_total counter",
         "# TYPE fleet_obs_rounds_total counter",
         "# TYPE fleet_obs_shards_up gauge",
+        "# TYPE fleet_obs_merge_skipped_total counter",
         "# TYPE slo_burn_rate gauge",
         "# TYPE slo_alert gauge",
         "# TYPE slo_alerts_total counter",
@@ -214,6 +210,7 @@ fn fleet_plane_metric_names_and_labels_are_pinned() {
         r#"fleet_obs_scrapes_total{outcome="error",shard="0"} 1"#,
         "fleet_obs_rounds_total 1",
         "fleet_obs_shards_up 0",
+        "fleet_obs_merge_skipped_total 0",
         r#"slo_burn_rate{slo="predict_p99",window="fast_short"}"#,
         r#"slo_burn_rate{slo="predict_p99",window="fast_long"}"#,
         r#"slo_burn_rate{slo="predict_p99",window="slow"}"#,
@@ -354,6 +351,58 @@ fn fleet_trace_lookup_reaches_traces_older_than_max_traces() {
     }
 }
 
+/// Two shards that disagree on a histogram's buckets: the round leaves
+/// that family out of the merged view, keeps the rest, and counts the
+/// skip in `fleet_obs_merge_skipped_total`.
+#[test]
+fn a_histogram_whose_buckets_disagree_is_skipped_and_counted() {
+    use prionn_observe::{CollectorConfig, FleetCollector, ShardTarget};
+    use prionn_telemetry::Histogram;
+
+    let shards: Vec<OpsServer> = [1.0, 2.0]
+        .into_iter()
+        .map(|first_bound| {
+            let telemetry = Telemetry::new();
+            telemetry
+                .histogram_custom("mismatched_seconds", "", &[], || {
+                    Histogram::with_log_buckets(first_bound, 64.0, 1)
+                })
+                .observe(1.5);
+            telemetry.counter("requests_total", "").inc();
+            OpsServer::start(
+                "127.0.0.1:0",
+                OpsOptions {
+                    telemetry: Some(telemetry),
+                    ..OpsOptions::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let collector = FleetCollector::new(CollectorConfig {
+        shards: shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardTarget {
+                name: i.to_string(),
+                ops_addr: s.addr().to_string(),
+            })
+            .collect(),
+        ..CollectorConfig::default()
+    });
+    assert_eq!(collector.scrape_once(), 2);
+    let merged = collector.merged_prometheus();
+    assert!(merged.contains("requests_total 2"), "{merged}");
+    assert!(!merged.contains("mismatched_seconds"), "{merged}");
+    assert!(
+        merged.contains("fleet_obs_merge_skipped_total 1"),
+        "{merged}"
+    );
+    for s in &shards {
+        s.shutdown();
+    }
+}
+
 /// Every string the JSON documents carry, with each character JSON must
 /// escape: quote, backslash, newline, tab and a bare control character.
 const HOSTILE: &str = "q\"b\\s\nl\tt\u{1}end";
@@ -366,7 +415,6 @@ fn json_documents_parse_and_round_trip_hostile_strings() {
     telemetry
         .counter_with("hostile_total", "", &[("path", HOSTILE)])
         .inc();
-    telemetry.events().record(HOSTILE, HOSTILE, 3);
     let rec = FlightRecorder::new(FlightConfig::default());
     rec.attach_telemetry(&telemetry);
     let writer = rec.clone();
@@ -390,9 +438,6 @@ fn json_documents_parse_and_round_trip_hostile_strings() {
             text(metric.get("labels").unwrap(), "path").as_deref(),
             Some(HOSTILE)
         );
-        let event = &list(doc, "events")[0];
-        assert_eq!(text(event, "name").as_deref(), Some(HOSTILE));
-        assert_eq!(text(event, "detail").as_deref(), Some(HOSTILE));
     };
     let check_span = |span: &Value| {
         assert_eq!(text(span, "name").as_deref(), Some(HOSTILE));

@@ -16,7 +16,7 @@
 //! 3. a job whose interval `lo` exceeds its requested walltime is
 //!    *hopeless* — it will be killed at the walltime limit anyway, so the
 //!    engine kills it now, reclaiming the nodes it would have burned, and
-//!    records the partial outcome (tagged killed/requeued) so calibration
+//!    records the partial outcome in the drift window so calibration
 //!    stays honest;
 //! 4. tracked jobs the simulator reports as departed since the last tick
 //!    are swept, their truth checked against the last served interval
@@ -38,7 +38,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use prionn_core::ResourcePrediction;
-use prionn_observe::{DriftHead, DriftMonitor, OutcomeStatus};
+use prionn_observe::{DriftHead, DriftMonitor};
 use prionn_sched::{KilledJob, SimEngine};
 use prionn_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
@@ -347,8 +347,8 @@ impl ReviseEngine {
         let inner = &mut *inner;
 
         // Catch the calibrator up with the drift monitor's rolling window
-        // (killed/requeued outcomes included — that is the point of the
-        // status-tagged record path).
+        // (killed/requeued outcomes included, so the intervals are not
+        // calibrated only on the jobs the kill policy spared).
         if let Some(d) = &inner.drift {
             inner.calibrator.follow(d, DriftHead::Runtime);
         }
@@ -443,12 +443,9 @@ impl ReviseEngine {
                 report.revisions.last_mut().expect("just pushed").killed = false;
                 continue;
             };
-            let status = if cfg.requeue_killed {
+            if cfg.requeue_killed {
                 self.instruments.requeues.inc();
-                OutcomeStatus::Requeued
-            } else {
-                OutcomeStatus::Killed
-            };
+            }
             self.instruments.kills.inc();
             // Without early termination the job runs until its walltime
             // limit (or its natural end, whichever comes first): the
@@ -468,7 +465,6 @@ impl ReviseEngine {
                 obs.elapsed_seconds / 60.0,
                 obs.read_bytes_so_far,
                 obs.write_bytes_so_far,
-                status,
             );
             inner.tracked.remove(&job.id);
             report.kills.push(killed);
@@ -500,7 +496,6 @@ impl ReviseEngine {
                 truth_minutes,
                 t.job.truth.read_bytes,
                 t.job.truth.write_bytes,
-                OutcomeStatus::Completed,
             );
             report.completions += 1;
         }
@@ -550,22 +545,15 @@ fn record_outcome(
     runtime_minutes: f64,
     read_bytes: f64,
     write_bytes: f64,
-    status: OutcomeStatus,
 ) {
     let Some(d) = drift else { return };
-    d.record_with_status(
+    d.record(
         DriftHead::Runtime,
         runtime_minutes,
         prediction.runtime_minutes,
-        status,
     );
-    d.record_with_status(DriftHead::Read, read_bytes, prediction.read_bytes, status);
-    d.record_with_status(
-        DriftHead::Write,
-        write_bytes,
-        prediction.write_bytes,
-        status,
-    );
+    d.record(DriftHead::Read, read_bytes, prediction.read_bytes);
+    d.record(DriftHead::Write, write_bytes, prediction.write_bytes);
 }
 
 #[cfg(test)]
@@ -721,7 +709,7 @@ mod tests {
         let text = t.prometheus();
         assert!(text.contains("revise_kills_total 1"), "{text}");
         assert!(
-            text.contains("drift_outcomes_total{head=\"runtime\",status=\"killed\"} 1"),
+            text.contains("drift_samples_total{head=\"runtime\"} 65"),
             "{text}"
         );
     }
@@ -766,7 +754,7 @@ mod tests {
         );
         // The completion fed the drift window too.
         assert!(
-            text.contains("drift_outcomes_total{head=\"runtime\",status=\"completed\"} 65"),
+            text.contains("drift_samples_total{head=\"runtime\"} 65"),
             "{text}"
         );
     }

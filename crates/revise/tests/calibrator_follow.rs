@@ -1,7 +1,7 @@
 //! A calibrator that follows a drift window by sorted insert and evict
 //! must answer exactly what a rebuild over the same window answers.
 //!
-//! Each case drives a seeded stream of `record_with_status` calls into a
+//! Each case drives a seeded stream of `record` calls into a
 //! `DriftMonitor` and, after every burst of them, checks the followed
 //! calibrator's quantiles against `ConformalCalibrator::from_window` bit
 //! for bit. The stream mixes filtered scores (zero truths), ε-floored
@@ -9,7 +9,7 @@
 //! window, and a switch to a second monitor with a different window, on
 //! window lengths 1, 256 and one drawn per case.
 
-use prionn_observe::{DriftConfig, DriftHead, DriftMonitor, OutcomeStatus};
+use prionn_observe::{DriftConfig, DriftHead, DriftMonitor};
 use prionn_revise::ConformalCalibrator;
 use prionn_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -40,12 +40,7 @@ fn record_one(d: &DriftMonitor, rng: &mut ChaCha8Rng) {
         2 | 3 => (predicted, predicted),
         _ => (predicted * 2f64.powf(rng.gen_range(-2.0..2.0)), predicted),
     };
-    let status = match rng.gen_range(0..3u32) {
-        0 => OutcomeStatus::Completed,
-        1 => OutcomeStatus::Killed,
-        _ => OutcomeStatus::Requeued,
-    };
-    d.record_with_status(HEAD, truth, predicted, status);
+    d.record(HEAD, truth, predicted);
 }
 
 fn bits(q: Option<(f64, f64)>) -> Option<(u64, u64)> {

@@ -568,21 +568,12 @@ impl Gateway {
             let publisher = publisher.clone();
             let last_error = Arc::clone(&last_error);
             let instr = instruments.clone();
-            let events = telemetry.clone();
             std::thread::Builder::new()
                 .name("prionn-serve-trainer".to_string())
                 .spawn(move || {
                     lower_own_priority();
                     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        trainer_loop(
-                            &mut master,
-                            &rx,
-                            &batches,
-                            &publisher,
-                            &last_error,
-                            &instr,
-                            &events,
-                        );
+                        trainer_loop(&mut master, &rx, &batches, &publisher, &last_error, &instr);
                     }));
                     if let Err(payload) = result {
                         record_panic("trainer", payload.as_ref(), &instr, &last_error);
@@ -797,8 +788,7 @@ impl Gateway {
     /// [spawned from it](Self::spawn_from_checkpoint) predicts
     /// bit-identically to this one at the snapshot's epoch. A failed write
     /// returns [`ServeError::Snapshot`], is kept in
-    /// [`last_error`](Self::last_error) and leaves the gateway serving;
-    /// either way a `snapshot` / `snapshot_failed` span event records it.
+    /// [`last_error`](Self::last_error) and leaves the gateway serving.
     pub fn snapshot(&self, path: impl AsRef<Path>) -> ServeResult<()> {
         let (reply, written) = bounded(1);
         let cmd = TrainerCmd::Snapshot {
@@ -1206,7 +1196,6 @@ fn lower_own_priority() {}
 /// Trainer loop: drain retrain batches (latest-wins queue), retrain the
 /// master model, publish the new weights as the next epoch; write the
 /// master model out when a snapshot is asked for.
-#[allow(clippy::too_many_arguments)]
 fn trainer_loop(
     master: &mut Prionn,
     cmd_rx: &Receiver<TrainerCmd>,
@@ -1214,7 +1203,6 @@ fn trainer_loop(
     publisher: &Publisher,
     last_error: &Mutex<Option<String>>,
     instr: &Instruments,
-    telemetry: &Telemetry,
 ) {
     while let Ok(cmd) = cmd_rx.recv() {
         match cmd {
@@ -1240,12 +1228,7 @@ fn trainer_loop(
                         instr.retrains_total.inc();
                         match master.weights_checkpoint() {
                             Ok(ck) => {
-                                let epoch = publisher.publish(ck);
-                                telemetry.events().record(
-                                    "serve_hot_swap",
-                                    format!("epoch={epoch}"),
-                                    started.elapsed().as_micros() as u64,
-                                );
+                                publisher.publish(ck);
                             }
                             Err(e) => {
                                 *last_error.lock() = Some(format!("weight publish failed: {e}"));
@@ -1261,21 +1244,10 @@ fn trainer_loop(
                 instr.retrain_queue_depth.add(-1.0);
             }
             TrainerCmd::Snapshot { path, reply } => {
-                let started = Instant::now();
-                let result = master.save(&path);
-                let micros = started.elapsed().as_micros() as u64;
-                let events = telemetry.events();
-                let _ = reply.send(match result {
-                    Ok(()) => {
-                        events.record("snapshot", format!("path={}", path.display()), micros);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        events.record("snapshot_failed", e.to_string(), micros);
-                        *last_error.lock() = Some(format!("snapshot failed: {e}"));
-                        Err(ServeError::Snapshot(e.to_string()))
-                    }
-                });
+                let _ = reply.send(master.save(&path).map_err(|e| {
+                    *last_error.lock() = Some(format!("snapshot failed: {e}"));
+                    ServeError::Snapshot(e.to_string())
+                }));
             }
             TrainerCmd::Shutdown => break,
         }

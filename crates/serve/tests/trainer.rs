@@ -251,18 +251,11 @@ fn snapshot_round_trips_bit_identically_and_the_restored_gateway_keeps_learning(
     // after the retrain queued before it, and returns once it is on disk.
     gw.snapshot(&path).unwrap();
     assert_eq!(gw.stats().retrains_done, 1);
-    let events = telemetry.events().drain();
-    let written = events
-        .iter()
-        .find(|e| e.name == "snapshot")
-        .expect("snapshot span event");
+    assert!(path.exists(), "`Ok` means the file is on disk");
+    assert!(gw.last_error().is_none(), "{:?}", gw.last_error());
     assert!(
-        written.detail.contains(path.to_str().unwrap()),
-        "{written:?}"
-    );
-    assert!(
-        !telemetry.prometheus().contains("snapshot_seconds"),
-        "the span event is the record; no histogram beside it"
+        !telemetry.prometheus().contains("snapshot"),
+        "the caller's `Result` is the record; no instrument beside it"
     );
     let before = gw.predict_detailed(&corpus[..3], None).unwrap();
     assert_eq!(before.epoch, 1, "served by the snapshot's weights");
@@ -310,15 +303,7 @@ fn spawn_from_checkpoint_rejects_garbage_files() {
 #[test]
 fn snapshot_to_an_unwritable_path_fails_typed_and_the_gateway_keeps_serving() {
     let corpus = scripts(8);
-    let telemetry = Telemetry::new();
-    let gw = gateway_over(
-        &corpus,
-        tiny_cfg(),
-        GatewayConfig {
-            telemetry: Some(telemetry.clone()),
-            ..GatewayConfig::default()
-        },
-    );
+    let gw = gateway_over(&corpus, tiny_cfg(), GatewayConfig::default());
     let path = std::env::temp_dir()
         .join(format!("prionn-gw-no-such-dir-{}", std::process::id()))
         .join("model.ckpt");
@@ -326,11 +311,6 @@ fn snapshot_to_an_unwritable_path_fails_typed_and_the_gateway_keeps_serving() {
     assert!(matches!(err, ServeError::Snapshot(_)), "{err}");
     let reported = gw.last_error().expect("failed snapshot is reported");
     assert!(reported.contains("snapshot failed"), "{reported}");
-    assert!(telemetry
-        .events()
-        .drain()
-        .iter()
-        .any(|e| e.name == "snapshot_failed"));
     assert!(!path.exists());
     assert_eq!(gw.predict(&corpus[..2]).unwrap().len(), 2);
     assert_eq!(gw.stats().replica_panics, 0);

@@ -10,12 +10,9 @@
 //!
 //! * [`Counter`] — monotonic totals (predictions served, retrains, sim
 //!   steps), striped across cache-padded atomic shards;
-//! * [`Gauge`] — last-write-wins values (queue depth, parameter norms,
-//!   last epoch loss);
+//! * [`Gauge`] — last-write-wins values (queue depth, last epoch loss);
 //! * [`Histogram`] — fixed log-scale-bucket latency distributions with
 //!   mergeable shards and quantile estimates;
-//! * [`SpanLog`] — a bounded ring of timestamped span events (one retrain,
-//!   one snapshot), drainable from the service API;
 //! * [`Telemetry`] — the registry tying them together, exporting snapshots
 //!   as JSON and Prometheus text exposition format;
 //! * [`MetricsSnapshot`] — a typed point-in-time view, read from a live
@@ -38,7 +35,6 @@
 //!     let _timer = lat.start_timer(); // records on drop
 //! }
 //! t.counter("predictions_served_total", "Requests").inc();
-//! t.events().record("retrain", "batch=500", 120_000);
 //!
 //! let prom = t.prometheus(); // scrape-ready text
 //! assert!(prom.contains("predict_seconds_bucket"));
@@ -49,12 +45,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod events;
 mod instrument;
 pub mod merge;
 mod registry;
 
-pub use events::{SpanEvent, SpanGuard, SpanLog};
 pub use instrument::{Counter, Gauge, HistTimer, Histogram};
 pub use merge::{merge_histograms, merge_shards, MergedMetrics, MetricsSnapshot};
 pub use registry::{json_str, Labels, Telemetry};

@@ -1,5 +1,4 @@
-//! The [`Telemetry`] registry: named instruments plus the span log, with
-//! snapshot export to JSON and Prometheus text exposition format.
+//! The [`Telemetry`] registry: named instruments, with snapshot export to JSON and Prometheus text exposition format.
 //!
 //! Registration (`counter` / `gauge` / `histogram`) takes a short mutex on
 //! a flat entry list and is expected to happen once, at wiring time; the
@@ -7,7 +6,6 @@
 //! (name, labels) pair always resolves to the same underlying instrument,
 //! so independent components can share a metric safely.
 
-use crate::events::SpanLog;
 use crate::instrument::{Counter, Gauge, Histogram};
 use crate::merge::{fmt_f64, HistogramSeries, MetricsSnapshot, ScalarSeries};
 use std::sync::{Arc, Mutex};
@@ -43,7 +41,6 @@ struct Entry {
 struct RegistryInner {
     start: Instant,
     entries: Mutex<Vec<Entry>>,
-    events: SpanLog,
 }
 
 /// The telemetry registry handle. Cloning is cheap and shares all state, so
@@ -67,30 +64,14 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty registry with a default-capacity span log.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_event_capacity(SpanLog::DEFAULT_CAPACITY)
-    }
-
-    /// An empty registry whose span log holds at most `cap` events.
-    ///
-    /// When the log fills, the oldest event is evicted (recent history
-    /// wins) and the always-registered `telemetry_events_dropped_total`
-    /// counter is incremented, so span loss shows up on `/metrics`.
-    pub fn with_event_capacity(cap: usize) -> Self {
-        let t = Telemetry {
+        Telemetry {
             inner: Arc::new(RegistryInner {
                 start: Instant::now(),
                 entries: Mutex::new(Vec::new()),
-                events: SpanLog::with_capacity(cap),
             }),
-        };
-        let dropped = t.counter(
-            "telemetry_events_dropped_total",
-            "Span events evicted from the bounded event log",
-        );
-        t.inner.events.set_drop_counter(dropped);
-        t
+        }
     }
 
     /// Get or register the counter `name` with no labels.
@@ -184,12 +165,6 @@ impl Telemetry {
         inst
     }
 
-    /// The registry's span log (shared; record from anywhere, drain from
-    /// the operator side).
-    pub fn events(&self) -> &SpanLog {
-        &self.inner.events
-    }
-
     /// Seconds since the registry was created.
     pub fn uptime_seconds(&self) -> f64 {
         self.inner.start.elapsed().as_secs_f64()
@@ -251,9 +226,8 @@ impl Telemetry {
         self.snapshot().to_prometheus()
     }
 
-    /// Render a point-in-time snapshot as a JSON object: uptime, every
-    /// metric (histograms include p50/p90/p99 estimates), and a *peek* of
-    /// the span log (events are not drained).
+    /// Render a point-in-time snapshot as a JSON object: uptime and every
+    /// metric (histograms include p50/p90/p99 estimates).
     pub fn json(&self) -> String {
         let snap = self.snapshot();
         let labels_json = |labels: &Labels| {
@@ -287,26 +261,10 @@ impl Telemetry {
                 fmt_f64(h.quantile(0.99)),
             ));
         }
-        let events: Vec<String> = self
-            .inner
-            .events
-            .peek()
-            .iter()
-            .map(|ev| {
-                format!(
-                    "{{\"at_micros\":{},\"name\":{},\"detail\":{},\"duration_micros\":{}}}",
-                    ev.at_micros,
-                    json_str(&ev.name),
-                    json_str(&ev.detail),
-                    ev.duration_micros
-                )
-            })
-            .collect();
         format!(
-            "{{\"uptime_seconds\":{},\"metrics\":[{}],\"events\":[{}]}}",
+            "{{\"uptime_seconds\":{},\"metrics\":[{}]}}",
             fmt_f64(self.uptime_seconds()),
-            metrics.join(","),
-            events.join(",")
+            metrics.join(",")
         )
     }
 }
@@ -325,10 +283,7 @@ impl std::fmt::Debug for Telemetry {
             .lock()
             .map(|e| e.len())
             .unwrap_or_default();
-        f.debug_struct("Telemetry")
-            .field("metrics", &n)
-            .field("events", &self.inner.events.len())
-            .finish()
+        f.debug_struct("Telemetry").field("metrics", &n).finish()
     }
 }
 
@@ -411,20 +366,8 @@ queue_depth{queue=\"retrain\"} 2
 # HELP requests_total Requests served
 # TYPE requests_total counter
 requests_total 3
-# HELP telemetry_events_dropped_total Span events evicted from the bounded event log
-# TYPE telemetry_events_dropped_total counter
-telemetry_events_dropped_total 0
 ";
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn event_eviction_is_visible_on_the_metric_surface() {
-        let t = Telemetry::with_event_capacity(2);
-        for i in 0..5 {
-            t.events().record("e", format!("{i}"), 0);
-        }
-        assert!(t.prometheus().contains("telemetry_events_dropped_total 3"));
     }
 
     #[test]
@@ -441,18 +384,13 @@ telemetry_events_dropped_total 0
     }
 
     #[test]
-    fn json_snapshot_contains_quantiles_and_events() {
+    fn json_snapshot_contains_quantiles() {
         let t = Telemetry::new();
         let h = t.histogram("predict_seconds", "Predict latency");
         h.observe(0.01);
-        t.events().record("retrain", "batch=10", 1234);
         let json = t.json();
         assert!(json.contains("\"name\":\"predict_seconds\""));
         assert!(json.contains("\"p99\":"));
-        assert!(json.contains("\"name\":\"retrain\""));
-        assert!(json.contains("\"duration_micros\":1234"));
-        // Snapshot must not drain the event log.
-        assert_eq!(t.events().len(), 1);
     }
 
     #[test]

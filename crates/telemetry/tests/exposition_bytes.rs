@@ -110,9 +110,6 @@ ratio 0.125
 # TYPE requests_total counter
 requests_total 5
 requests_total{route="/a\"b}c"} 2
-# HELP telemetry_events_dropped_total Span events evicted from the bounded event log
-# TYPE telemetry_events_dropped_total counter
-telemetry_events_dropped_total 0
 "##;
 
 #[test]

@@ -1,6 +1,6 @@
 //! Dump the full telemetry surface: run a short train/predict session
-//! through a [`Gateway`], then print the span-event log and both export
-//! formats (Prometheus text exposition and JSON).
+//! through a [`Gateway`], then print both export formats (Prometheus text
+//! exposition and JSON).
 //!
 //! ```text
 //! cargo run --release --example metrics_dump
@@ -8,7 +8,7 @@
 //!
 //! The output includes per-layer forward/backward timings
 //! (`nn_layer_forward_seconds` / `nn_layer_backward_seconds`), the
-//! and the predict-latency histogram with p50/p90/p99 estimates in the JSON
+//! retrain counters and histograms, and the predict-latency histogram with p50/p90/p99 estimates in the JSON
 //! view. `docs/OBSERVABILITY.md` documents every metric that appears here.
 
 use prionn::core::{Prionn, PrionnConfig, TrainingBatch};
@@ -67,17 +67,7 @@ fn main() {
         gateway.predict(&scripts).expect("predict");
     }
 
-    // 5. The structured event log: timestamped spans for retrains, weight
-    //    swaps and snapshots.
-    println!("\n== span events ==");
-    for ev in telemetry.events().drain() {
-        println!(
-            "  +{:>8} us  {:<10} {:>8} us  {}",
-            ev.at_micros, ev.name, ev.duration_micros, ev.detail
-        );
-    }
-
-    // 6. Both export formats, from the same registry.
+    // 5. Both export formats, from the same registry.
     println!(
         "\n== prometheus text exposition ==\n{}",
         telemetry.prometheus()
