@@ -129,8 +129,8 @@ pub fn build_nn(cfg: &ArchConfig) -> Result<Sequential> {
 }
 
 /// The 1-D CNN: reshape to `[emb, 1, H·W]`, two strided `1×k` convolutions
-/// each followed by ReLU and `1×2` max pooling (one [`ReluPool`]), then two
-/// fully connected layers.
+/// each followed by ReLU and `1×2` max pooling (folded into the conv,
+/// [`Conv2d::with_relu_pool`]), then two fully connected layers.
 pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
     cfg.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -145,10 +145,8 @@ pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
     let flat = 2 * w * l2p;
     Ok(Sequential::new()
         .push(Reshape::new([cfg.emb_dim, 1, len]))
-        .push(conv1)
-        .push(ReluPool::one_d())
-        .push(conv2)
-        .push(ReluPool::one_d())
+        .push(conv1.with_relu_pool(ReluPool::one_d())?)
+        .push(conv2.with_relu_pool(ReluPool::one_d())?)
         .push(Flatten::new())
         .push(Dense::new(flat, 16 * w, &mut rng))
         .push(ReLU::new())
@@ -156,8 +154,9 @@ pub fn build_cnn1d(cfg: &ArchConfig) -> Result<Sequential> {
 }
 
 /// The 2-D CNN (PRIONN's production model): four `3×3` convolutions, each
-/// followed by ReLU and `2×2` max pooling (one [`ReluPool`]), then four fully
-/// connected layers.
+/// followed by ReLU and `2×2` max pooling, then four fully connected layers.
+/// The ReLU and pool fold into the conv ([`Conv2d::with_relu_pool`]); with
+/// batch norm, which sits between the two, they are one [`ReluPool`] layer.
 pub fn build_cnn2d(cfg: &ArchConfig) -> Result<Sequential> {
     cfg.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -178,12 +177,13 @@ pub fn build_cnn2d(cfg: &ArchConfig) -> Result<Sequential> {
 
     let mut m = Sequential::new();
     let stage = |m: &mut Sequential, conv: Conv2d, out_c: usize| -> Result<()> {
-        let bn = cfg.batch_norm;
-        m.push_boxed(Box::new(conv));
-        if bn {
+        if cfg.batch_norm {
+            m.push_boxed(Box::new(conv));
             m.push_boxed(Box::new(BatchNorm::new(out_c)?));
+            m.push_boxed(Box::new(ReluPool::new()));
+        } else {
+            m.push_boxed(Box::new(conv.with_relu_pool(ReluPool::new())?));
         }
-        m.push_boxed(Box::new(ReluPool::new()));
         Ok(())
     };
     stage(&mut m, conv1, w)?;
@@ -275,8 +275,10 @@ mod tests {
 
     #[test]
     fn state_dict_keys_keep_the_unfused_layer_numbering() {
-        // Each `relu_pool` stands where a relu and a maxpool2d stood and
-        // counts as both, so checkpoints written before the fusion load.
+        // A conv stage stands where a conv, a relu and a maxpool2d stood,
+        // and a `relu_pool` behind batch norm where the last two stood; each
+        // counts as all of them, so checkpoints written before the fusions
+        // load.
         let keys = |kind, batch_norm| -> Vec<String> {
             let cfg = ArchConfig {
                 batch_norm,
@@ -334,19 +336,29 @@ mod tests {
 
     #[test]
     fn telemetry_labels_use_the_state_dict_index() {
-        let t = prionn_telemetry::Telemetry::new();
-        let mut m = build_cnn2d(&cfg()).unwrap();
-        m.set_telemetry(&t, "runtime");
-        m.forward(&Tensor::zeros([1, 4, 32, 32]), false).unwrap();
-        let labels = [
+        // A conv stage is one `conv2d` series; with batch norm between the
+        // conv and the pool, the pool is a `relu_pool` layer of its own.
+        let series = |batch_norm: bool| -> Vec<String> {
+            let t = prionn_telemetry::Telemetry::new();
+            let mut m = build_cnn2d(&ArchConfig {
+                batch_norm,
+                ..cfg()
+            })
+            .unwrap();
+            m.set_telemetry(&t, "runtime");
+            m.forward(&Tensor::zeros([1, 4, 32, 32]), false).unwrap();
+            let text = t.prometheus();
+            let prefix = "nn_layer_forward_seconds_count{layer=\"";
+            text.lines()
+                .filter_map(|l| l.strip_prefix(prefix))
+                .map(|l| l[..l.find('"').unwrap()].to_string())
+                .collect()
+        };
+        let fused = [
             "0.conv2d",
-            "1.relu_pool",
             "3.conv2d",
-            "4.relu_pool",
             "6.conv2d",
-            "7.relu_pool",
             "9.conv2d",
-            "10.relu_pool",
             "12.flatten",
             "13.dense",
             "14.relu",
@@ -356,15 +368,30 @@ mod tests {
             "18.relu",
             "19.dense",
         ];
-        let text = t.prometheus();
-        for label in labels {
-            assert!(
-                text.contains(&format!(
-                    "nn_layer_forward_seconds_count{{layer=\"{label}\""
-                )),
-                "no series for {label}"
-            );
-        }
+        assert_eq!(series(false), fused);
+        let with_bn = [
+            "0.conv2d",
+            "1.batchnorm",
+            "2.relu_pool",
+            "4.conv2d",
+            "5.batchnorm",
+            "6.relu_pool",
+            "8.conv2d",
+            "9.batchnorm",
+            "10.relu_pool",
+            "12.conv2d",
+            "13.batchnorm",
+            "14.relu_pool",
+            "16.flatten",
+            "17.dense",
+            "18.relu",
+            "19.dense",
+            "20.relu",
+            "21.dense",
+            "22.relu",
+            "23.dense",
+        ];
+        assert_eq!(series(true), with_bn);
     }
 
     #[test]

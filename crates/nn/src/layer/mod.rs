@@ -50,6 +50,16 @@ pub trait Layer: Send {
     /// GEMM pack workspaces; outputs may be built from pooled storage.
     fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor>;
 
+    /// [`Layer::forward`] for a caller that is done with `x`: a layer that
+    /// keeps its input for backward keeps `x` itself rather than a copy.
+    /// Every other layer recycles it once the output exists, which is what
+    /// the default does.
+    fn forward_owned(&mut self, x: Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor> {
+        let y = self.forward(&x, train, scratch);
+        scratch.recycle_tensor(x);
+        y
+    }
+
     /// Propagate the loss gradient; returns the gradient w.r.t. the input.
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor>;
 

@@ -6,6 +6,12 @@
 //! dX to scatter into and then mask). Forward keeps one byte per pooled
 //! output; backward writes every input gradient once.
 //!
+//! It is a layer of its own only where a `BatchNorm` sits between the
+//! convolution and the pool. Every other conv stage folds it into the
+//! convolution's write-back ([`Conv2d::with_relu_pool`](super::Conv2d::with_relu_pool)),
+//! which runs the same [`forward_planes`] and [`backward_planes`] on one
+//! sample's (or a pair of samples') planes at a time.
+//!
 //! Why the bits agree. ReLU maps a tap `v` to `r = v > 0 ? v : +0.0`, so
 //! every `r` is `+0.0` or positive, never NaN. The pool's scan (`best =
 //! -inf`, take a tap when `r > best`) therefore ends on the first tap that
@@ -33,12 +39,13 @@ const POSITIVE: u8 = 0x80;
 /// Batch rows are sharded across the compute pool by `Conv2d`'s rule, so a
 /// batch of one runs on the calling thread.
 pub struct ReluPool {
-    rows: usize,
+    // Window rows: 2 for the 2-D CNN, 1 for the 1-D CNN.
+    pub(super) rows: usize,
     // Input dims of the last training forward, until backward consumes them.
     in_dims: Option<[usize; 4]>,
-    // One code per pooled output of that forward; the layer keeps the
-    // capacity across steps.
-    codes: Vec<u8>,
+    // One code per pooled output of that forward; the layer (or the conv
+    // it is folded into) keeps the capacity across steps.
+    pub(super) codes: Vec<u8>,
 }
 
 impl ReluPool {
@@ -61,7 +68,7 @@ impl ReluPool {
     }
 
     /// Output spatial dims for a given input.
-    fn out_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
+    pub(super) fn out_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
         (in_h / self.rows, in_w / 2)
     }
 }
@@ -116,7 +123,7 @@ fn group_chunks(b: usize, in_sample: usize, out_sample: usize) -> (usize, usize)
 
 /// Forward over `rows × 2` windows of whole `h × w` channel planes: `x`
 /// holds the planes, `out` and `codes` their pooled planes.
-fn forward_planes(
+pub(super) fn forward_planes(
     rows: usize,
     x: &[f32],
     (h, w): (usize, usize),
@@ -151,7 +158,13 @@ fn forward_planes(
 /// once, one input row at a time. Each window's gradient `(0.0 + g) · mask`
 /// lands on its winning tap and `+0.0` on the others, chosen by selects: a
 /// branch on the winner would mispredict on every other window.
-fn backward_planes(rows: usize, g: &[f32], codes: &[u8], (h, w): (usize, usize), dx: &mut [f32]) {
+pub(super) fn backward_planes(
+    rows: usize,
+    g: &[f32],
+    codes: &[u8],
+    (h, w): (usize, usize),
+    dx: &mut [f32],
+) {
     let (oh, ow) = (h / rows, w / 2);
     for ((gp, cp), dp) in g
         .chunks_exact(oh * ow)

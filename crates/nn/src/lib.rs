@@ -8,8 +8,10 @@
 //! This crate provides everything those models need and nothing more:
 //!
 //! * [`layer`] — the [`Layer`] trait plus `Dense`, `Conv2d` (with a 1-D
-//!   convenience constructor), `ReluPool` (ReLU and max pooling in one
-//!   pass), `ReLU`, `BatchNorm`, `Dropout`, `Flatten`, and `Reshape`,
+//!   convenience constructor, and as a conv stage with its ReLU and max
+//!   pool folded into the write-back), `ReluPool` (ReLU and max pooling in
+//!   one pass, the stage tail behind a `BatchNorm`), `ReLU`, `BatchNorm`,
+//!   `Dropout`, `Flatten`, and `Reshape`,
 //! * [`loss`] — softmax cross-entropy (classifier head) and MSE (regression
 //!   ablation),
 //! * [`optim`] — SGD with momentum and Adam, with state keyed by parameter

@@ -9,6 +9,7 @@ use prionn_telemetry::{Gauge, Histogram, Telemetry};
 use prionn_tensor::{ops, Scratch, ScratchStats, Tensor, TensorError};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Per-layer instruments, built once when telemetry is attached so the
 /// forward/backward hot loops never touch the registry.
@@ -180,10 +181,15 @@ impl Sequential {
         s
     }
 
-    /// Run the full forward pass. Intermediate activations are recycled
-    /// into the model's scratch pool as soon as the next layer has consumed
-    /// them.
+    /// Run the full forward pass. Each intermediate activation is handed to
+    /// the next layer ([`Layer::forward_owned`]), which keeps it for its
+    /// backward or recycles it into the model's scratch pool.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
+        self.forward_from(Cow::Borrowed(x), train)
+    }
+
+    /// [`Sequential::forward`] from an input the first layer may own.
+    fn forward_from(&mut self, x: Cow<'_, Tensor>, train: bool) -> Result<Tensor> {
         self.refresh_telemetry();
         let Sequential {
             layers,
@@ -191,21 +197,19 @@ impl Sequential {
             scratch,
         } = self;
         let insts = telemetry.as_ref().map(|mt| &mt.per_layer);
-        let mut cur: Option<Tensor> = None;
+        let mut cur = x;
         for (i, layer) in layers.iter_mut().enumerate() {
             let t = insts.map(|_| std::time::Instant::now());
-            let next = layer.forward(cur.as_ref().unwrap_or(x), train, scratch)?;
+            let next = match cur {
+                Cow::Borrowed(x) => layer.forward(x, train, scratch)?,
+                Cow::Owned(x) => layer.forward_owned(x, train, scratch)?,
+            };
             if let (Some(insts), Some(t)) = (insts, t) {
                 insts[i].forward.observe(t.elapsed().as_secs_f64());
             }
-            if let Some(prev) = cur.replace(next) {
-                scratch.recycle_tensor(prev);
-            }
+            cur = Cow::Owned(next);
         }
-        Ok(match cur {
-            Some(out) => out,
-            None => x.clone(),
-        })
+        Ok(cur.into_owned())
     }
 
     /// Run the full backward pass from an output gradient, recycling
@@ -307,7 +311,18 @@ impl Sequential {
         loss: &dyn Loss,
         opt: &mut dyn Optimizer,
     ) -> Result<f32> {
-        let out = self.forward(x, true)?;
+        self.train_step(Cow::Borrowed(x), target, loss, opt)
+    }
+
+    /// [`Sequential::train_batch`] on a batch the first layer may own.
+    fn train_step(
+        &mut self,
+        x: Cow<'_, Tensor>,
+        target: &LossTarget<'_>,
+        loss: &dyn Loss,
+        opt: &mut dyn Optimizer,
+    ) -> Result<f32> {
+        let out = self.forward_from(x, true)?;
         let (loss_val, grad) = loss.loss_and_grad(&out, target, &mut self.scratch)?;
         self.scratch.recycle_tensor(out);
         let dx = self.backward_sweep(&grad, false)?;
@@ -353,23 +368,24 @@ impl Sequential {
             let mut total = 0.0f32;
             let mut batches = 0usize;
             for chunk in order.chunks(batch_size) {
-                let bx = Self::gather_rows(&mut self.scratch, x, chunk)?;
+                // The gathered batch goes to the first layer, which keeps it
+                // for its backward or recycles it.
+                let bx = Cow::Owned(Self::gather_rows(&mut self.scratch, x, chunk)?);
                 match target {
                     LossTarget::Classes(classes) => {
                         let mut by = self.scratch.take_idx(chunk.len());
                         for (slot, &i) in by.iter_mut().zip(chunk) {
                             *slot = classes[i];
                         }
-                        total += self.train_batch(&bx, &LossTarget::Classes(&by), loss, opt)?;
+                        total += self.train_step(bx, &LossTarget::Classes(&by), loss, opt)?;
                         self.scratch.recycle_idx(by);
                     }
                     LossTarget::Values(values) => {
                         let by = Self::gather_rows(&mut self.scratch, values, chunk)?;
-                        total += self.train_batch(&bx, &LossTarget::Values(&by), loss, opt)?;
+                        total += self.train_step(bx, &LossTarget::Values(&by), loss, opt)?;
                         self.scratch.recycle_tensor(by);
                     }
                 }
-                self.scratch.recycle_tensor(bx);
                 batches += 1;
             }
             epoch_losses.push(total / batches.max(1) as f32);
@@ -407,8 +423,7 @@ impl Sequential {
             let mut bdims = x.dims().to_vec();
             bdims[0] = end - start;
             let bx = Tensor::from_vec(bdims, bbuf)?;
-            let out = self.forward(&bx, false)?;
-            self.scratch.recycle_tensor(bx);
+            let out = self.forward_from(Cow::Owned(bx), false)?;
             if out_dims.is_none() {
                 out_dims = Some(out.dims().to_vec());
                 data.reserve(n.div_ceil(out.dims()[0].max(1)) * out.len());

@@ -87,7 +87,8 @@ fn gemm_throughput_counters_populate() {
 /// The paper-shaped step at the retrain batch size: pool-stable after one
 /// warm step, and nothing in the pool is anywhere near a batch of conv1 cols
 /// matrices (`4·9 × 64·64` floats per sample — what the layer cached before
-/// it packed GEMM panels straight from its input). Its four convs run the
+/// it packed GEMM panels straight from its input) or of conv1's
+/// full-resolution outputs. Its four convs run the
 /// direct 3×3 kernels, which stage the padded image, `dYᵀ` and the padded
 /// `dY` in the workspaces' pack buffers: those stop growing too.
 #[test]
@@ -122,12 +123,20 @@ fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
         after.largest_pooled,
         conv1_cols * batch
     );
-    // The largest thing a step holds is conv1's output (8·64·64 per sample).
-    assert!(after.largest_pooled >= 8 * 64 * 64 * batch);
+    // No step holds conv1's full-resolution output (8·64·64 per sample) or
+    // its gradient: the conv stage pools one sample at a time and expands
+    // the pooled gradient two samples at a time.
+    assert!(
+        after.largest_pooled < 8 * 64 * 64 * batch,
+        "a pooled buffer of {} floats is as large as conv1's output ({})",
+        after.largest_pooled,
+        8 * 64 * 64 * batch
+    );
 }
 
-/// The other two models whose conv stages end in a `ReluPool` — the 1-D CNN
-/// and the batch-norm 2-D CNN — are pool-stable after one warm step too.
+/// The other two models whose conv stages pool — the 1-D CNN (its strided
+/// convs fold the pool in too) and the batch-norm 2-D CNN (a `ReluPool`
+/// layer behind each `BatchNorm`) — are pool-stable after one warm step too.
 /// (The pooling codes are the layer's own bytes, kept across steps.)
 #[test]
 fn fused_relu_pool_models_are_pool_stable() {

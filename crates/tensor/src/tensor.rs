@@ -238,31 +238,6 @@ impl Tensor {
         Tensor::from_vec(dims, data)
     }
 
-    /// Stack rank-`k` tensors with identical shapes into one rank-`k+1`
-    /// tensor along a new leading axis.
-    pub fn stack(items: &[Tensor]) -> Result<Tensor> {
-        let first = items
-            .first()
-            .ok_or_else(|| TensorError::InvalidArgument("stack of zero tensors".to_string()))?;
-        let mut data = Vec::with_capacity(first.len() * items.len());
-        for t in items {
-            if t.shape != first.shape {
-                return Err(TensorError::ShapeMismatch {
-                    op: "stack",
-                    lhs: first.dims().to_vec(),
-                    rhs: t.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(&t.data);
-        }
-        let mut dims = vec![items.len()];
-        dims.extend_from_slice(first.dims());
-        Ok(Tensor {
-            shape: Shape::from(dims),
-            data,
-        })
-    }
-
     /// Transpose a rank-2 tensor.
     pub fn transpose2(&self) -> Result<Tensor> {
         if self.rank() != 2 {
@@ -428,27 +403,6 @@ mod tests {
     fn gather_axis0_rejects_out_of_range() {
         let t = Tensor::zeros([3, 2]);
         assert!(t.gather_axis0(&[3]).is_err());
-    }
-
-    #[test]
-    fn stack_builds_leading_axis() {
-        let a = Tensor::from_vec([2], vec![1., 2.]).unwrap();
-        let b = Tensor::from_vec([2], vec![3., 4.]).unwrap();
-        let s = Tensor::stack(&[a, b]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.as_slice(), &[1., 2., 3., 4.]);
-    }
-
-    #[test]
-    fn stack_rejects_mixed_shapes() {
-        let a = Tensor::zeros([2]);
-        let b = Tensor::zeros([3]);
-        assert!(Tensor::stack(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn stack_rejects_empty() {
-        assert!(Tensor::stack(&[]).is_err());
     }
 
     #[test]

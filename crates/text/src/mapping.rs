@@ -7,8 +7,69 @@
 use crate::grid::ScriptGrid;
 use crate::transform::CharTransform;
 use crate::Result;
-use prionn_tensor::Tensor;
+use prionn_tensor::{Tensor, TensorError};
 use rayon::prelude::*;
+
+/// The centred encoding of every ASCII character as a sparse
+/// `(channel, value)` list: each channel where the character's encoding
+/// differs from the space character's, and by how much. One-hot encodings
+/// touch 2 of 128 channels, so writing only the non-zero deltas avoids a
+/// 64× cache-hostile blowup.
+type SparseTable = Vec<Vec<(usize, f32)>>;
+
+fn sparse_table(transform: &dyn CharTransform) -> SparseTable {
+    let dim = transform.dim();
+    let mut space = vec![0.0f32; dim];
+    transform.encode(b' ', &mut space);
+    let mut enc = vec![0.0f32; dim];
+    (0u8..128)
+        .map(|c| {
+            transform.encode(c, &mut enc);
+            enc.iter()
+                .zip(&space)
+                .enumerate()
+                .filter_map(|(d, (&v, &s))| (v != s).then_some((d, v - s)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Write one script's centred `[dim, rows, cols]` mapping into `out`, which
+/// holds zeros.
+fn write_script(text: &str, sparse: &SparseTable, rows: usize, cols: usize, out: &mut [f32]) {
+    let grid = ScriptGrid::from_text(text, rows, cols);
+    let plane = rows * cols;
+    for (i, &c) in grid.cells().iter().enumerate() {
+        if c == b' ' {
+            continue; // centred padding is exactly zero
+        }
+        for &(d, v) in &sparse[(c as usize) % 128] {
+            out[d * plane + i] = v;
+        }
+    }
+}
+
+/// Map a corpus into one `[n, dim·rows·cols]` buffer, each script written
+/// into its own row in parallel, with one sparse table for the corpus.
+fn map_corpus(
+    scripts: &[&str],
+    transform: &dyn CharTransform,
+    rows: usize,
+    cols: usize,
+) -> Result<Vec<f32>> {
+    if scripts.is_empty() {
+        return Err(TensorError::InvalidArgument("map of zero scripts".into()));
+    }
+    let sample = transform.dim() * rows * cols;
+    let mut data = vec![0.0f32; scripts.len() * sample];
+    if sample > 0 {
+        let sparse = sparse_table(transform);
+        data.par_chunks_mut(sample)
+            .enumerate()
+            .for_each(|(i, out)| write_script(scripts[i], &sparse, rows, cols, out));
+    }
+    Ok(data)
+}
 
 /// Map one script to the 2-D-preserving representation `[dim, rows, cols]`.
 ///
@@ -24,37 +85,9 @@ pub fn map_script_2d(
     rows: usize,
     cols: usize,
 ) -> Result<Tensor> {
-    let grid = ScriptGrid::from_text(text, rows, cols);
-    let dim = transform.dim();
-    let plane = rows * cols;
-    let mut data = vec![0.0f32; dim * plane];
-
-    // Precompute the centred encoding of every ASCII character as a sparse
-    // (channel, value) list. One-hot encodings touch 2 of 128 channels, so
-    // writing only the non-zero deltas avoids a 64× cache-hostile blowup.
-    let mut space = vec![0.0f32; dim];
-    transform.encode(b' ', &mut space);
-    let mut enc = vec![0.0f32; dim];
-    let sparse: Vec<Vec<(usize, f32)>> = (0u8..128)
-        .map(|c| {
-            transform.encode(c, &mut enc);
-            enc.iter()
-                .zip(&space)
-                .enumerate()
-                .filter_map(|(d, (&v, &s))| (v != s).then_some((d, v - s)))
-                .collect()
-        })
-        .collect();
-
-    for (i, &c) in grid.cells().iter().enumerate() {
-        if c == b' ' {
-            continue; // centred padding is exactly zero
-        }
-        for &(d, v) in &sparse[(c as usize) % 128] {
-            data[d * plane + i] = v;
-        }
-    }
-    Tensor::from_vec([dim, rows, cols], data)
+    let mut data = vec![0.0f32; transform.dim() * rows * cols];
+    write_script(text, &sparse_table(transform), rows, cols, &mut data);
+    Tensor::from_vec([transform.dim(), rows, cols], data)
 }
 
 /// Map one script to the flattened 1-D representation `[dim, rows·cols]`.
@@ -78,11 +111,10 @@ pub fn map_corpus_2d(
     rows: usize,
     cols: usize,
 ) -> Result<Tensor> {
-    let mapped: Result<Vec<Tensor>> = scripts
-        .par_iter()
-        .map(|s| map_script_2d(s, transform, rows, cols))
-        .collect();
-    Tensor::stack(&mapped?)
+    Tensor::from_vec(
+        [scripts.len(), transform.dim(), rows, cols],
+        map_corpus(scripts, transform, rows, cols)?,
+    )
 }
 
 /// Map a corpus to a `[n, dim, rows·cols]` batch tensor, in parallel.
@@ -92,11 +124,10 @@ pub fn map_corpus_1d(
     rows: usize,
     cols: usize,
 ) -> Result<Tensor> {
-    let mapped: Result<Vec<Tensor>> = scripts
-        .par_iter()
-        .map(|s| map_script_1d(s, transform, rows, cols))
-        .collect();
-    Tensor::stack(&mapped?)
+    Tensor::from_vec(
+        [scripts.len(), transform.dim(), rows * cols],
+        map_corpus(scripts, transform, rows, cols)?,
+    )
 }
 
 #[cfg(test)]
@@ -173,6 +204,36 @@ mod tests {
                 "script {i}"
             );
         }
+    }
+
+    #[test]
+    fn corpus_mapping_2d_matches_individual_maps() {
+        let scripts = [
+            "#!/bin/bash\n#SBATCH -N 4\n\tsrun ./app --x=1",
+            "",
+            "a\nb\nc\nd\ne\nf (cropped)",
+            "caf\u{e9} \x07 srun ./app",
+        ];
+        let transforms: Vec<Box<dyn crate::transform::CharTransform>> = vec![
+            Box::new(BinaryTransform),
+            Box::new(SimpleTransform),
+            Box::new(OneHotTransform),
+        ];
+        for t in &transforms {
+            let batch = map_corpus_2d(&scripts, t.as_ref(), 5, 8).unwrap();
+            assert_eq!(batch.dims(), &[scripts.len(), t.dim(), 5, 8]);
+            for (i, s) in scripts.iter().enumerate() {
+                let single = map_script_2d(s, t.as_ref(), 5, 8).unwrap();
+                let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+                assert_eq!(
+                    bits(batch.slice_axis0(i, i + 1).unwrap().as_slice()),
+                    bits(single.as_slice()),
+                    "{} script {i}",
+                    t.name()
+                );
+            }
+        }
+        assert!(map_corpus_2d(&[], &BinaryTransform, 5, 8).is_err());
     }
 
     #[test]
