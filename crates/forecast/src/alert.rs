@@ -27,9 +27,6 @@ pub struct AlertConfig {
     pub threshold_window: usize,
     /// Actual samples required before alerts may fire.
     pub min_samples: usize,
-    /// Fixed threshold override (B/s); `None` derives mean+1σ from the
-    /// trailing window.
-    pub threshold_override: Option<f64>,
 }
 
 impl Default for AlertConfig {
@@ -37,7 +34,6 @@ impl Default for AlertConfig {
         AlertConfig {
             threshold_window: 360, // six hours of minutes
             min_samples: 30,
-            threshold_override: None,
         }
     }
 }
@@ -154,7 +150,7 @@ impl BurstAlerter {
                 ..Window::default()
             },
             alerting: false,
-            threshold: cfg.threshold_override.unwrap_or(0.0),
+            threshold: 0.0,
             aggregate_gauge: telemetry.gauge(
                 "forecast_aggregate_bandwidth",
                 "Cluster-wide per-minute IO bandwidth aggregate (B/s) at the forecast clock",
@@ -210,10 +206,7 @@ impl BurstAlerter {
 
         // Slide the trailing-actual window and refresh the threshold.
         self.trailing.push(actual, self.cfg.threshold_window.max(1));
-        self.threshold = match self.cfg.threshold_override {
-            Some(t) => t,
-            None => self.trailing.threshold(),
-        };
+        self.threshold = self.trailing.threshold();
         self.threshold_gauge.set(self.threshold);
 
         if self.trailing.values.len() < self.cfg.min_samples.max(1) {
@@ -245,7 +238,6 @@ mod tests {
             AlertConfig {
                 threshold_window: 32,
                 min_samples: 8,
-                threshold_override: None,
             },
         )
     }
@@ -281,22 +273,6 @@ mod tests {
             assert_eq!(a.observe(1.0, 1e9), None, "minute {m}");
         }
         assert!(!a.alerting());
-    }
-
-    #[test]
-    fn fixed_threshold_override_is_respected() {
-        let t = Telemetry::new();
-        let mut a = BurstAlerter::new(
-            &t,
-            AlertConfig {
-                threshold_window: 8,
-                min_samples: 1,
-                threshold_override: Some(100.0),
-            },
-        );
-        assert_eq!(a.observe(1.0, 99.0), None);
-        assert_eq!(a.observe(1.0, 101.0), Some(AlertTransition::Raised));
-        assert_eq!(a.threshold(), 100.0);
     }
 
     #[test]

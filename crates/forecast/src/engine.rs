@@ -1,4 +1,4 @@
-//! [`ForecastEngine`]: the aggregator, a forecaster, and the alerter glued
+//! [`ForecastEngine`]: the aggregator, Holt, and the alerter glued
 //! behind one shared, thread-safe handle — the object the scheduler
 //! simulator feeds (job started / finished), the minute clock drives
 //! ([`ForecastEngine::tick`]), and the `/forecast` ops route snapshots
@@ -11,39 +11,7 @@ use prionn_telemetry::{Gauge, Telemetry};
 
 use crate::aggregate::IoAggregator;
 use crate::alert::{AlertConfig, AlertTransition, BurstAlerter};
-use crate::forecaster::{Ewma, Forecaster, Holt, SeasonalNaive};
-
-/// Which forecaster the engine runs over the live aggregate.
-#[derive(Debug, Clone, Copy)]
-pub enum ForecasterKind {
-    /// Exponentially weighted moving average at weight `alpha`.
-    Ewma {
-        /// Weight of the newest observation, `(0, 1]`.
-        alpha: f64,
-    },
-    /// Holt double-exponential smoothing (level `alpha`, trend `beta`).
-    Holt {
-        /// Level smoothing weight, `(0, 1]`.
-        alpha: f64,
-        /// Trend smoothing weight, `(0, 1]`.
-        beta: f64,
-    },
-    /// Seasonal-naive at `period` minutes.
-    SeasonalNaive {
-        /// Season length in minutes (e.g. 1440 = daily).
-        period: usize,
-    },
-}
-
-impl ForecasterKind {
-    fn build(self) -> Box<dyn Forecaster + Send> {
-        match self {
-            ForecasterKind::Ewma { alpha } => Box::new(Ewma::new(alpha)),
-            ForecasterKind::Holt { alpha, beta } => Box::new(Holt::new(alpha, beta)),
-            ForecasterKind::SeasonalNaive { period } => Box::new(SeasonalNaive::new(period)),
-        }
-    }
-}
+use crate::forecaster::{Holt, HOLT_ALPHA, HOLT_BETA};
 
 /// Engine tuning.
 #[derive(Debug, Clone)]
@@ -53,8 +21,6 @@ pub struct ForecastConfig {
     /// Forecast lead time, minutes: alerts fire when the aggregate
     /// `lead_minutes` ahead is predicted to burst.
     pub lead_minutes: u64,
-    /// The forecaster over the live aggregate.
-    pub forecaster: ForecasterKind,
     /// Alerting policy.
     pub alert: AlertConfig,
 }
@@ -64,10 +30,6 @@ impl Default for ForecastConfig {
         ForecastConfig {
             horizon_minutes: 7 * 24 * 60, // one week of minutes
             lead_minutes: 10,
-            forecaster: ForecasterKind::Holt {
-                alpha: 0.5,
-                beta: 0.3,
-            },
             alert: AlertConfig::default(),
         }
     }
@@ -111,8 +73,6 @@ pub struct ForecastSnapshot {
     pub total_bandwidth: f64,
     /// Jobs clipped at the aggregation horizon so far.
     pub truncated_jobs: u64,
-    /// Forecaster display name.
-    pub forecaster: &'static str,
 }
 
 impl ForecastSnapshot {
@@ -123,7 +83,7 @@ impl ForecastSnapshot {
                 "{{\"minute\":{},\"lead_minutes\":{},\"aggregate_bps\":{:.6},",
                 "\"forecast_bps\":{:.6},\"threshold_bps\":{:.6},\"alerting\":{},",
                 "\"active_jobs\":{},\"total_bandwidth_bps\":{:.6},",
-                "\"truncated_jobs\":{},\"forecaster\":\"{}\"}}"
+                "\"truncated_jobs\":{}}}"
             ),
             self.minute,
             self.lead_minutes,
@@ -133,8 +93,7 @@ impl ForecastSnapshot {
             self.alerting,
             self.active_jobs,
             self.total_bandwidth,
-            self.truncated_jobs,
-            self.forecaster
+            self.truncated_jobs
         )
     }
 
@@ -155,7 +114,7 @@ impl ForecastSnapshot {
 
 struct EngineInner {
     aggregator: IoAggregator,
-    forecaster: Box<dyn Forecaster + Send>,
+    holt: Holt,
     alerter: BurstAlerter,
     lead_minutes: u64,
     clock: u64,
@@ -171,8 +130,8 @@ impl EngineInner {
         let minute = self.clock;
         self.clock += 1;
         let aggregate = self.aggregator.advance_to(minute as usize);
-        self.forecaster.observe(aggregate);
-        let forecast = self.forecaster.forecast(self.lead_minutes as usize);
+        self.holt.observe(aggregate);
+        let forecast = self.holt.forecast(self.lead_minutes as usize);
         let transition = self.alerter.observe(aggregate, forecast);
         self.last_aggregate = aggregate;
         self.last_forecast = forecast;
@@ -210,7 +169,7 @@ impl ForecastEngine {
         ForecastEngine {
             inner: Arc::new(Mutex::new(EngineInner {
                 aggregator: IoAggregator::new(cfg.horizon_minutes),
-                forecaster: cfg.forecaster.build(),
+                holt: Holt::new(HOLT_ALPHA, HOLT_BETA),
                 alerter: BurstAlerter::new(telemetry, cfg.alert),
                 lead_minutes: cfg.lead_minutes.max(1),
                 clock: 0,
@@ -285,7 +244,6 @@ impl ForecastEngine {
             active_jobs: s.aggregator.active_jobs(),
             total_bandwidth: s.aggregator.total_bandwidth(),
             truncated_jobs: s.aggregator.truncated_jobs(),
-            forecaster: s.forecaster.name(),
         }
     }
 
@@ -305,11 +263,9 @@ mod tests {
         ForecastConfig {
             horizon_minutes: 120,
             lead_minutes: 5,
-            forecaster: ForecasterKind::Ewma { alpha: 1.0 },
             alert: AlertConfig {
                 threshold_window: 64,
                 min_samples: 4,
-                threshold_override: Some(100.0),
             },
         }
     }
@@ -322,30 +278,83 @@ mod tests {
         }
     }
 
+    /// The default engine is `IoAggregator` → `Holt(0.5, 0.3)` →
+    /// `BurstAlerter` and nothing else: the bare composition, fed the same
+    /// seeded starts and finishes, reads the same bits every minute.
     #[test]
-    fn ticks_observe_the_aggregate_and_raise_the_alert() {
-        let t = Telemetry::new();
-        let engine = ForecastEngine::new(&t, cfg());
-        // Calm minutes 0..10, then a 200 B/s burst from minute 10.
-        engine.job_started(&iv(0, 120 * 60, 10.0));
-        engine.job_started(&iv(10 * 60, 20 * 60, 200.0));
+    fn default_engine_is_the_aggregator_holt_alerter_composition() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
 
-        let at9 = engine.tick_to(10).unwrap();
-        assert!((at9.aggregate - 10.0).abs() < 1e-9);
-        assert!(!at9.alerting);
+        const MINUTES: u64 = 2_000;
+        let defaults = ForecastConfig::default();
+        let engine = ForecastEngine::with_defaults(&Telemetry::new());
+        let mut aggregator = IoAggregator::new(defaults.horizon_minutes);
+        let mut holt = Holt::new(0.5, 0.3);
+        let mut alerter = BurstAlerter::new(&Telemetry::new(), defaults.alert.clone());
 
-        // With alpha=1 EWMA the forecast equals the last observation:
-        // minute 10 observes 210 B/s > the 100 B/s override -> alert.
-        let at10 = engine.tick();
-        assert!((at10.aggregate - 210.0).abs() < 1e-9);
-        assert_eq!(at10.transition, Some(AlertTransition::Raised));
-        assert!(at10.alerting && engine.snapshot().alerting);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+        let mut running: Vec<JobIoInterval> = Vec::new();
+        let (mut raised, mut cleared) = (0, 0);
+        for minute in 0..MINUTES {
+            // Up to three starts a minute, one job in 40 a 100× one.
+            for _ in 0..rng.gen_range(0..=3) {
+                let start = minute * 60 + rng.gen_range(0..60u64);
+                let scale = if rng.gen_range(0..40) == 0 { 1e8 } else { 1e6 };
+                let job = iv(
+                    start,
+                    start + rng.gen_range(60..7_200u64),
+                    scale * rng.gen_range(0.5..1.5),
+                );
+                engine.job_started(&job);
+                aggregator.add(&job);
+                running.push(job);
+            }
+            // A job leaves at its end, or early (a kill) one minute in 50.
+            let mut i = 0;
+            while i < running.len() {
+                if running[i].end <= minute * 60 || rng.gen_range(0..50) == 0 {
+                    let job = running.swap_remove(i);
+                    engine.job_finished(&job);
+                    aggregator.remove(&job);
+                } else {
+                    i += 1;
+                }
+            }
 
-        // The burst ends at minute 20: the alert clears.
-        let at20 = engine.tick_to(21).unwrap();
-        assert!((at20.aggregate - 10.0).abs() < 1e-9);
-        assert_eq!(at20.transition, Some(AlertTransition::Cleared));
-        assert!(!at20.alerting && !engine.snapshot().alerting);
+            let tick = engine.tick();
+            let aggregate = aggregator.advance_to(minute as usize);
+            holt.observe(aggregate);
+            let forecast = holt.forecast(defaults.lead_minutes as usize);
+            let transition = alerter.observe(aggregate, forecast);
+            assert_eq!(tick.minute, minute);
+            assert_eq!(
+                tick.aggregate.to_bits(),
+                aggregate.to_bits(),
+                "minute {minute}"
+            );
+            assert_eq!(
+                tick.forecast.to_bits(),
+                forecast.to_bits(),
+                "minute {minute}"
+            );
+            assert_eq!(
+                tick.threshold.to_bits(),
+                alerter.threshold().to_bits(),
+                "minute {minute}"
+            );
+            assert_eq!(tick.transition, transition, "minute {minute}");
+            assert_eq!(tick.alerting, alerter.alerting(), "minute {minute}");
+            match transition {
+                Some(AlertTransition::Raised) => raised += 1,
+                Some(AlertTransition::Cleared) => cleared += 1,
+                None => {}
+            }
+        }
+        assert!(
+            raised > 0 && cleared > 0,
+            "the stream never edged: {raised} raised, {cleared} cleared"
+        );
     }
 
     #[test]
@@ -412,7 +421,6 @@ mod tests {
             "\"threshold_bps\":",
             "\"alerting\":false",
             "\"active_jobs\":1",
-            "\"forecaster\":\"ewma\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -1,77 +1,20 @@
-//! The forecaster family over the live aggregate: EWMA, Holt
-//! double-exponential smoothing, and a seasonal-naive baseline.
+//! Holt double-exponential smoothing over the live aggregate.
 //!
-//! All three are *online* models — O(1) state, one `observe` per minute —
+//! Holt is an *online* model — O(1) state, one `observe` per minute —
 //! because the input is the unbounded stream the [`crate::IoAggregator`]
-//! produces as simulated time advances, not a fixed array. They forecast
+//! produces as simulated time advances, not a fixed array. It forecasts
 //! `h` minutes ahead; [`forecast_timeline`] turns a historical aggregate
-//! into the per-minute forecast series a burst evaluation needs, and
-//! [`evaluate`] sweeps horizons × matching windows to produce the paper's
-//! Fig. 10-style sensitivity/precision table via
-//! [`prionn_sched::burst_metrics`].
+//! into the per-minute forecast series a burst evaluation needs (the
+//! demo scores it with [`prionn_sched::burst_metrics`]).
 
-use prionn_sched::burst::{burst_metrics, BurstMetrics};
-
-/// An online per-minute bandwidth forecaster.
-pub trait Forecaster {
-    /// Fold in the aggregate observed for the current minute.
-    fn observe(&mut self, value: f64);
-    /// Forecast the aggregate `steps_ahead` minutes past the last
-    /// observation (`steps_ahead >= 1`). Before any observation the
-    /// forecast is `0.0`.
-    fn forecast(&self, steps_ahead: usize) -> f64;
-    /// Stable display name (`ewma` / `holt` / `seasonal_naive`).
-    fn name(&self) -> &'static str;
-    /// Reset to the pre-observation state.
-    fn reset(&mut self);
-}
-
-/// Exponentially weighted moving average: flat-line forecast at the
-/// smoothed level. The paper-adjacent baseline — cheap, robust, blind to
-/// trends.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    level: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` in `(0, 1]`: weight of the newest observation.
-    pub fn new(alpha: f64) -> Self {
-        Ewma {
-            alpha: alpha.clamp(f64::EPSILON, 1.0),
-            level: None,
-        }
-    }
-}
-
-impl Forecaster for Ewma {
-    fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.level = Some(match self.level {
-            None => value,
-            Some(l) => l + self.alpha * (value - l),
-        });
-    }
-
-    fn forecast(&self, _steps_ahead: usize) -> f64 {
-        self.level.unwrap_or(0.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-
-    fn reset(&mut self) {
-        self.level = None;
-    }
-}
+/// Level weight of the Holt the [`crate::ForecastEngine`] runs.
+pub const HOLT_ALPHA: f64 = 0.5;
+/// Trend weight of the Holt the [`crate::ForecastEngine`] runs.
+pub const HOLT_BETA: f64 = 0.3;
 
 /// Holt double-exponential smoothing: level + trend, so a *rising* IO ramp
-/// is extrapolated upward instead of lagged — exactly what catches the
-/// leading edge of a burst earlier than EWMA does.
+/// is extrapolated upward instead of lagged — the leading edge of a burst
+/// is caught before the level alone reaches it.
 #[derive(Debug, Clone)]
 pub struct Holt {
     alpha: f64,
@@ -88,10 +31,10 @@ impl Holt {
             state: None,
         }
     }
-}
 
-impl Forecaster for Holt {
-    fn observe(&mut self, value: f64) {
+    /// Fold in the aggregate observed for the current minute. Non-finite
+    /// values are ignored.
+    pub fn observe(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -105,168 +48,37 @@ impl Forecaster for Holt {
         });
     }
 
-    fn forecast(&self, steps_ahead: usize) -> f64 {
+    /// Forecast the aggregate `steps_ahead` minutes past the last
+    /// observation. Before any observation the forecast is `0.0`.
+    pub fn forecast(&self, steps_ahead: usize) -> f64 {
         match self.state {
             None => 0.0,
             // Bandwidth cannot go negative: clamp the extrapolation.
             Some((level, trend)) => (level + steps_ahead as f64 * trend).max(0.0),
         }
     }
-
-    fn name(&self) -> &'static str {
-        "holt"
-    }
-
-    fn reset(&mut self) {
-        self.state = None;
-    }
 }
 
-/// Seasonal-naive baseline: "the next minute looks like the same minute
-/// one period ago" (e.g. period 1440 = same time yesterday). The honesty
-/// check every learned forecaster has to beat on periodic workloads.
-#[derive(Debug, Clone)]
-pub struct SeasonalNaive {
-    period: usize,
-    history: std::collections::VecDeque<f64>,
-}
-
-impl SeasonalNaive {
-    /// `period` in minutes (clamped to ≥ 1).
-    pub fn new(period: usize) -> Self {
-        let period = period.max(1);
-        SeasonalNaive {
-            period,
-            history: std::collections::VecDeque::with_capacity(period),
-        }
-    }
-}
-
-impl Forecaster for SeasonalNaive {
-    fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        if self.history.len() == self.period {
-            self.history.pop_front();
-        }
-        self.history.push_back(value);
-    }
-
-    fn forecast(&self, steps_ahead: usize) -> f64 {
-        if self.history.is_empty() {
-            return 0.0;
-        }
-        if self.history.len() < self.period {
-            // No full season yet: fall back to the last observation.
-            return *self.history.back().unwrap();
-        }
-        // The observation `period` minutes before the forecast target:
-        // target t+h, reference t+h-period, which sits `period - h` back
-        // from the newest observation (wrapping for h > period).
-        let steps = steps_ahead.max(1);
-        let back = (self.period - 1) - ((steps - 1) % self.period);
-        self.history[self.history.len() - 1 - back]
-    }
-
-    fn name(&self) -> &'static str {
-        "seasonal_naive"
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-}
-
-/// Run `forecaster` over `actual`, emitting the per-minute series of
-/// `horizon`-minute-ahead forecasts: `out[t]` is what the forecaster said
-/// at time `t - horizon` about time `t`. The first `horizon` minutes have
-/// no forecast yet and are `0.0` (scored as non-burst — the warm-up
-/// window).
-pub fn forecast_timeline(
-    forecaster: &mut dyn Forecaster,
-    actual: &[f64],
-    horizon: usize,
-) -> Vec<f64> {
-    forecaster.reset();
+/// Run `holt` over `actual`, emitting the per-minute series of
+/// `horizon`-minute-ahead forecasts: `out[t]` is what it said at time
+/// `t - horizon` about time `t`. The first `horizon` minutes have no
+/// forecast yet and are `0.0` (scored as non-burst — the warm-up window).
+pub fn forecast_timeline(mut holt: Holt, actual: &[f64], horizon: usize) -> Vec<f64> {
     let horizon = horizon.max(1);
     let mut out = vec![0.0; actual.len()];
     for (t, &v) in actual.iter().enumerate() {
-        forecaster.observe(v);
+        holt.observe(v);
         let target = t + horizon;
         if target < out.len() {
-            out[target] = forecaster.forecast(horizon);
+            out[target] = holt.forecast(horizon);
         }
     }
     out
 }
 
-/// One row of the horizon × window evaluation sweep.
-#[derive(Debug, Clone)]
-pub struct ForecastEval {
-    /// Forecaster display name.
-    pub forecaster: &'static str,
-    /// Forecast lead time, minutes.
-    pub horizon: usize,
-    /// Burst matching window (full width, minutes).
-    pub window: usize,
-    /// Burst sensitivity/precision of the forecast series vs the actuals.
-    pub metrics: BurstMetrics,
-    /// Mean absolute forecast error over the scored minutes (B/s).
-    pub mae: f64,
-}
-
-/// Sweep `horizons` × `windows`, scoring `forecaster` against `actual`
-/// with the paper's burst sensitivity/precision (threshold always from
-/// the actual series) — the Fig. 10-style table for the live aggregate.
-pub fn evaluate(
-    forecaster: &mut dyn Forecaster,
-    actual: &[f64],
-    horizons: &[usize],
-    windows: &[usize],
-) -> Vec<ForecastEval> {
-    let mut rows = Vec::with_capacity(horizons.len() * windows.len());
-    for &h in horizons {
-        let predicted = forecast_timeline(forecaster, actual, h);
-        let scored = actual.len().saturating_sub(h);
-        let mae = if scored == 0 {
-            0.0
-        } else {
-            actual
-                .iter()
-                .zip(&predicted)
-                .skip(h)
-                .map(|(a, p)| (a - p).abs())
-                .sum::<f64>()
-                / scored as f64
-        };
-        for &w in windows {
-            rows.push(ForecastEval {
-                forecaster: forecaster.name(),
-                horizon: h,
-                window: w,
-                metrics: burst_metrics(actual, &predicted, w),
-                mae,
-            });
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut f = Ewma::new(0.3);
-        assert_eq!(f.forecast(1), 0.0);
-        for _ in 0..200 {
-            f.observe(42.0);
-        }
-        assert!((f.forecast(1) - 42.0).abs() < 1e-9);
-        assert!((f.forecast(30) - 42.0).abs() < 1e-9, "flat across horizons");
-    }
 
     #[test]
     fn holt_extrapolates_a_linear_ramp() {
@@ -291,64 +103,27 @@ mod tests {
     }
 
     #[test]
-    fn seasonal_naive_repeats_the_period() {
-        let mut f = SeasonalNaive::new(4);
-        for &v in &[1.0, 2.0, 3.0, 4.0] {
-            f.observe(v);
-        }
-        // Forecast h steps ahead = value h into the last season.
-        assert_eq!(f.forecast(1), 1.0);
-        assert_eq!(f.forecast(2), 2.0);
-        assert_eq!(f.forecast(4), 4.0);
-        assert_eq!(f.forecast(5), 1.0, "wraps past one period");
-        f.observe(10.0); // season slides: [2,3,4,10]
-        assert_eq!(f.forecast(1), 2.0);
-    }
-
-    #[test]
     fn forecast_timeline_aligns_lead_time() {
-        // A step at t=5; an EWMA with alpha=1 is "last value", so the
-        // 2-ahead forecast reproduces the step shifted by exactly 2.
+        // A step at t=5. With both weights 1 the level is the last value
+        // and the trend the last difference, so the 2-ahead forecast made
+        // at t lands at t+2 as `x[t] + 2·(x[t] − x[t−1])`.
         let actual = [0.0, 0.0, 0.0, 0.0, 0.0, 9.0, 9.0, 9.0, 9.0, 9.0];
-        let mut f = Ewma::new(1.0);
-        let pred = forecast_timeline(&mut f, &actual, 2);
-        assert_eq!(pred[6], 0.0);
-        assert_eq!(pred[7], 9.0);
+        let pred = forecast_timeline(Holt::new(1.0, 1.0), &actual, 2);
         assert_eq!(pred[..2], [0.0, 0.0], "warm-up window is zero");
-    }
-
-    #[test]
-    fn evaluate_produces_full_sweep_with_perfect_scores_on_periodic_input() {
-        // Period-8 signal with one burst per period: seasonal-naive at any
-        // horizon nails it once a full season is seen.
-        let mut actual = Vec::new();
-        for _ in 0..16 {
-            actual.extend_from_slice(&[1.0, 1.0, 1.0, 50.0, 1.0, 1.0, 1.0, 1.0]);
-        }
-        let mut f = SeasonalNaive::new(8);
-        let rows = evaluate(&mut f, &actual, &[1, 8], &[3, 5]);
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(
-                row.metrics.sensitivity > 0.9,
-                "h={} w={} sens={}",
-                row.horizon,
-                row.window,
-                row.metrics.sensitivity
-            );
-            assert!(row.mae.is_finite());
-        }
+        assert_eq!(pred[6], 0.0, "made at t=4, before the step");
+        assert_eq!(pred[7], 27.0, "made at t=5, on the step");
+        assert_eq!(pred[8], 9.0, "made at t=6, past the step");
     }
 
     #[test]
     fn non_finite_observations_are_ignored() {
-        let mut f = Ewma::new(0.5);
-        f.observe(10.0);
-        f.observe(f64::NAN);
-        f.observe(f64::INFINITY);
-        assert!((f.forecast(1) - 10.0).abs() < 1e-12);
         let mut h = Holt::new(0.5, 0.5);
         h.observe(f64::NAN);
         assert_eq!(h.forecast(1), 0.0);
+        h.observe(10.0);
+        h.observe(f64::NAN);
+        h.observe(f64::INFINITY);
+        h.observe(f64::NEG_INFINITY);
+        assert_eq!(h.forecast(1), 10.0);
     }
 }

@@ -12,11 +12,9 @@
 //!   interval, O(1) streaming reads, batch-identical snapshots (the
 //!   randomized parity suite in `tests/parity.rs` holds it bit-for-bit
 //!   against `io_timeline` on exact inputs).
-//! * [`forecaster`] — an online forecaster family over the live
-//!   aggregate: [`Ewma`], [`Holt`] double-exponential smoothing, and a
-//!   [`SeasonalNaive`] baseline, with the horizon × window burst
-//!   sensitivity/precision sweep ([`evaluate`]) reusing
-//!   `prionn_sched::burst`.
+//! * [`forecaster`] — [`Holt`] double-exponential smoothing over the live
+//!   aggregate, and [`forecast_timeline`], which replays it over a
+//!   historical aggregate for scoring with `prionn_sched::burst`.
 //! * [`alert`] — [`BurstAlerter`]: edge-triggered burst alerts returned as
 //!   [`AlertTransition`]s and counted in `forecast_burst_alerts_total` (the
 //!   same machinery as `prionn-observe`'s drift alerts), plus the
@@ -26,7 +24,7 @@
 //!   `/forecast` ops route.
 //!
 //! ```
-//! use prionn_forecast::{ForecastConfig, ForecastEngine, ForecasterKind};
+//! use prionn_forecast::{ForecastConfig, ForecastEngine};
 //! use prionn_sched::JobIoInterval;
 //! use prionn_telemetry::Telemetry;
 //!
@@ -36,7 +34,6 @@
 //!     ForecastConfig {
 //!         horizon_minutes: 60,
 //!         lead_minutes: 5,
-//!         forecaster: ForecasterKind::Ewma { alpha: 0.5 },
 //!         ..ForecastConfig::default()
 //!     },
 //! );
@@ -62,8 +59,6 @@ pub use aggregate::IoAggregator;
 // Re-exported so downstream users of the engine (`job_started` /
 // `job_finished` take one) don't need a direct `prionn-sched` dependency.
 pub use alert::{AlertConfig, AlertTransition, BurstAlerter};
-pub use engine::{ForecastConfig, ForecastEngine, ForecastSnapshot, ForecastTick, ForecasterKind};
-pub use forecaster::{
-    evaluate, forecast_timeline, Ewma, ForecastEval, Forecaster, Holt, SeasonalNaive,
-};
+pub use engine::{ForecastConfig, ForecastEngine, ForecastSnapshot, ForecastTick};
+pub use forecaster::{forecast_timeline, Holt, HOLT_ALPHA, HOLT_BETA};
 pub use prionn_sched::io::JobIoInterval;

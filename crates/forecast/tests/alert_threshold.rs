@@ -119,7 +119,6 @@ fn a_window_of_zeros_and_one_of_constants_read_their_value() {
     let cfg = AlertConfig {
         threshold_window: 64,
         min_samples: 1,
-        threshold_override: None,
     };
     let mut alerter = BurstAlerter::new(&Telemetry::new(), cfg);
     // A burst passes through, then the window fills with zeros.
@@ -144,7 +143,6 @@ fn an_overflowing_square_does_not_poison_the_threshold() {
     let cfg = AlertConfig {
         threshold_window: 8,
         min_samples: 1,
-        threshold_override: None,
     };
     let mut alerter = BurstAlerter::new(&Telemetry::new(), cfg);
     alerter.observe(1.0e200, 0.0);

@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn training_step_runs_end_to_end_on_cnn2d() {
         use crate::loss::{LossTarget, SoftmaxCrossEntropy};
-        use crate::optim::Sgd;
+        use crate::optim::Adam;
         let mut m = build_cnn2d(&cfg()).unwrap();
         let x = prionn_tensor::init::uniform(
             [4, 4, 32, 32],
@@ -475,7 +475,7 @@ mod tests {
             &mut rand_chacha::ChaCha8Rng::seed_from_u64(2),
         );
         let y = [0usize, 1, 2, 3];
-        let mut opt = Sgd::new(0.01);
+        let mut opt = Adam::new(0.01);
         let l1 = m
             .train_batch(&x, &LossTarget::Classes(&y), &SoftmaxCrossEntropy, &mut opt)
             .unwrap();

@@ -4,7 +4,6 @@ mod activation;
 mod batchnorm;
 mod conv2d;
 mod dense;
-mod dropout;
 mod pool;
 mod shape_ops;
 
@@ -12,7 +11,6 @@ pub use activation::ReLU;
 pub use batchnorm::BatchNorm;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use pool::ReluPool;
 pub use shape_ops::{Flatten, Reshape};
 
@@ -46,7 +44,7 @@ fn sample_groups(batch: usize) -> usize {
 ///    training over fixed shapes performs no heap allocation.
 pub trait Layer: Send {
     /// Compute the layer output for a batch. `train` toggles train-only
-    /// behaviour (dropout sampling). `scratch` supplies pooled buffers and
+    /// behaviour (batch-norm batch statistics). `scratch` supplies pooled buffers and
     /// GEMM pack workspaces; outputs may be built from pooled storage.
     fn forward(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Result<Tensor>;
 

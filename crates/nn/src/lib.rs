@@ -11,12 +11,12 @@
 //!   convenience constructor, and as a conv stage with its ReLU and max
 //!   pool folded into the write-back), `ReluPool` (ReLU and max pooling in
 //!   one pass, the stage tail behind a `BatchNorm`), `ReLU`, `BatchNorm`,
-//!   `Dropout`, `Flatten`, and `Reshape`,
+//!   `Flatten`, and `Reshape`,
 //! * [`loss`] — softmax cross-entropy (classifier head) and MSE (regression
 //!   ablation),
-//! * [`optim`] — SGD with momentum and Adam, with state keyed by parameter
-//!   slot so warm-started retraining (the paper's online protocol) keeps
-//!   optimiser state coherent,
+//! * [`optim`] — the [`Optimizer`] interface and Adam, with state keyed by
+//!   parameter slot so warm-started retraining (the paper's online
+//!   protocol) keeps optimiser state coherent,
 //! * [`model`] — a [`Sequential`] container with batched
 //!   training, prediction, and weight export/import,
 //! * [`arch`] — the paper's three architectures behind one [`arch::ArchConfig`].
@@ -37,7 +37,7 @@ pub use arch::{build_cnn1d, build_cnn2d, build_nn, ArchConfig, ModelKind};
 pub use layer::{Layer, StateView};
 pub use loss::{Loss, LossTarget, MseLoss, SoftmaxCrossEntropy};
 pub use model::Sequential;
-pub use optim::{Adam, Optimizer, OptimizerState, Sgd};
+pub use optim::{Adam, Optimizer, OptimizerState};
 
 /// Errors bubbled up from the tensor substrate.
 pub type Result<T> = prionn_tensor::Result<T>;

@@ -526,7 +526,7 @@ mod tests {
     use super::*;
     use crate::layer::{Dense, ReLU};
     use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::Sgd;
+    use crate::optim::Adam;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -544,7 +544,12 @@ mod tests {
     }
 
     /// `epochs` of full-batch cross-entropy training on the XOR data.
-    fn fit_xor(m: &mut Sequential, opt: &mut Sgd, epochs: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
+    fn fit_xor(
+        m: &mut Sequential,
+        opt: &mut Adam,
+        epochs: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<f32> {
         let (x, y) = xor_data();
         let target = LossTarget::Classes(&y);
         m.fit(&x, &target, &SoftmaxCrossEntropy, opt, epochs, 4, rng)
@@ -555,7 +560,7 @@ mod tests {
     fn learns_xor() {
         let mut m = xor_model(3);
         let (x, y) = xor_data();
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
+        let mut opt = Adam::new(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let losses = fit_xor(&mut m, &mut opt, 300, &mut rng);
         assert!(
@@ -569,7 +574,7 @@ mod tests {
     #[test]
     fn loss_decreases_during_training() {
         let mut m = xor_model(4);
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
+        let mut opt = Adam::new(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let losses = fit_xor(&mut m, &mut opt, 100, &mut rng);
         assert!(losses.last().unwrap() < losses.first().unwrap());
@@ -640,7 +645,7 @@ mod tests {
     fn fit_rejects_mismatched_targets() {
         let mut m = xor_model(1);
         let (x, _) = xor_data();
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.01);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let short = LossTarget::Classes(&[0, 1]);
         assert!(m
@@ -665,7 +670,7 @@ mod tests {
         let ys: Vec<f32> = xs.chunks(2).map(|p| p[0] - 2.0 * p[1]).collect();
         let x = Tensor::from_vec([40, 2], xs).unwrap();
         let y = Tensor::from_vec([40, 1], ys).unwrap();
-        let mut opt = Sgd::new(0.3);
+        let mut opt = Adam::new(0.01);
         let mut shuffle_rng = ChaCha8Rng::seed_from_u64(0);
         let target = LossTarget::Values(&y);
         let losses = m
@@ -685,7 +690,7 @@ mod tests {
         let mut m = xor_model(3);
         m.set_telemetry(&t, "runtime");
         let (x, _) = xor_data();
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
+        let mut opt = Adam::new(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         fit_xor(&mut m, &mut opt, 2, &mut rng);
         let text = t.prometheus();
@@ -706,7 +711,7 @@ mod tests {
         assert_eq!(h.count(), 2);
         // Instrumented and uninstrumented training agree bit-for-bit.
         let mut plain = xor_model(3);
-        let mut opt2 = Sgd::with_momentum(0.5, 0.9);
+        let mut opt2 = Adam::new(0.05);
         let mut rng2 = ChaCha8Rng::seed_from_u64(0);
         fit_xor(&mut plain, &mut opt2, 2, &mut rng2);
         assert_eq!(
@@ -730,8 +735,7 @@ mod tests {
                 .push(Dense::new(27, 5, &mut rng))
         };
         let (mut fast, mut full) = (build(), build());
-        let (mut opt_fast, mut opt_full) =
-            (Sgd::with_momentum(0.1, 0.9), Sgd::with_momentum(0.1, 0.9));
+        let (mut opt_fast, mut opt_full) = (Adam::new(0.01), Adam::new(0.01));
         let mut scratch = Scratch::new();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         for _ in 0..3 {
@@ -764,7 +768,7 @@ mod tests {
         // Train briefly, snapshot loss; continue training; loss keeps falling
         // rather than restarting at the cold-start level.
         let mut m = xor_model(7);
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
+        let mut opt = Adam::new(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let first = fit_xor(&mut m, &mut opt, 50, &mut rng);
         let second = fit_xor(&mut m, &mut opt, 50, &mut rng);
@@ -777,7 +781,7 @@ mod tests {
             let x = Tensor::zeros([rows, 2]);
             let classes = vec![0usize; rows];
             let mut m = xor_model(1);
-            let mut opt = Sgd::with_momentum(0.1, 0.9);
+            let mut opt = Adam::new(0.01);
             let mut fitted = ChaCha8Rng::seed_from_u64(5);
             fitted.next_u32(); // start off a 64-bit boundary
             let mut skipped = fitted.clone();

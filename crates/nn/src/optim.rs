@@ -1,4 +1,5 @@
-//! Optimisers: SGD with momentum and Adam.
+//! The optimiser interface and Adam, the optimiser every PRIONN head trains
+//! with.
 //!
 //! State is keyed by *parameter slot* — the position of the parameter in the
 //! model's stable `visit_params` traversal — so optimiser state survives the
@@ -12,11 +13,10 @@ use prionn_tensor::{Tensor, TensorError};
 /// buffers of every parameter slot, in slot order.
 ///
 /// Each slot holds zero or more same-length `f32` buffers: zero when the
-/// slot was never touched (lazy init), one velocity buffer for SGD with
-/// momentum, and the `[m, v]` pair for Adam. Checkpointing this alongside
-/// the weights is what keeps warm-started retraining bit-identical across a
-/// save/load cycle — Adam's effective step size depends on `t` and both
-/// moment estimates.
+/// slot was never touched (lazy init) and the `[m, v]` pair for Adam.
+/// Checkpointing this alongside the weights is what keeps warm-started
+/// retraining bit-identical across a save/load cycle — Adam's effective
+/// step size depends on `t` and both moment estimates.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OptimizerState {
     /// Time step (`t` in Adam's bias correction); 0 for stateless optimisers.
@@ -34,12 +34,6 @@ pub trait Optimizer: Send {
     /// Apply one update to the parameter in `slot` given its gradient.
     fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor);
 
-    /// Learning rate currently in effect.
-    fn learning_rate(&self) -> f32;
-
-    /// Replace the learning rate (for simple decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-
     /// Snapshot the moment buffers for checkpointing. Stateless optimisers
     /// return the default (empty) state.
     fn export_state(&self) -> OptimizerState {
@@ -54,101 +48,6 @@ pub trait Optimizer: Send {
                 "optimizer has no state to restore into".into(),
             ));
         }
-        Ok(())
-    }
-}
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Vec<f32>>>,
-}
-
-impl Sgd {
-    /// Plain SGD (`momentum = 0`).
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum `mu` (typically 0.9).
-    pub fn with_momentum(lr: f32, mu: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: mu,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self) {}
-
-    fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
-        debug_assert_eq!(param.len(), grad.len());
-        if self.momentum == 0.0 {
-            for (p, &g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() <= slot {
-            self.velocity.resize(slot + 1, None);
-        }
-        let v = self.velocity[slot].get_or_insert_with(|| vec![0.0; param.len()]);
-        debug_assert_eq!(v.len(), param.len());
-        for ((p, &g), vi) in param
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad.as_slice())
-            .zip(v.iter_mut())
-        {
-            *vi = self.momentum * *vi - self.lr * g;
-            *p += *vi;
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            step: 0,
-            slots: self
-                .velocity
-                .iter()
-                .map(|slot| match slot {
-                    Some(v) => vec![v.clone()],
-                    None => Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
-    fn import_state(&mut self, state: &OptimizerState) -> Result<()> {
-        let mut velocity = Vec::with_capacity(state.slots.len());
-        for (i, slot) in state.slots.iter().enumerate() {
-            velocity.push(match slot.as_slice() {
-                [] => None,
-                [v] => Some(v.clone()),
-                _ => {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "sgd slot {i}: expected at most one velocity buffer, got {}",
-                        slot.len()
-                    )))
-                }
-            });
-        }
-        self.velocity = velocity;
         Ok(())
     }
 }
@@ -207,14 +106,6 @@ impl Optimizer for Adam {
         }
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn export_state(&self) -> OptimizerState {
         OptimizerState {
             step: self.t,
@@ -271,31 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(quadratic_descent(&mut opt, 100).abs() < 1e-4);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!(quadratic_descent(&mut opt, 200).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.3);
         assert!(quadratic_descent(&mut opt, 200).abs() < 1e-2);
-    }
-
-    #[test]
-    fn sgd_single_step_is_lr_times_grad() {
-        let mut opt = Sgd::new(0.5);
-        let mut p = Tensor::from_slice(&[1.0, 2.0]);
-        let g = Tensor::from_slice(&[1.0, -2.0]);
-        opt.begin_step();
-        opt.update(0, &mut p, &g);
-        assert_eq!(p.as_slice(), &[0.5, 3.0]);
     }
 
     #[test]
@@ -317,7 +186,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
+        let mut opt = Adam::new(0.1);
         let mut a = Tensor::from_slice(&[1.0]);
         let mut b = Tensor::from_slice(&[1.0, 1.0]);
         let ga = Tensor::from_slice(&[1.0]);
@@ -329,29 +198,21 @@ mod tests {
         assert_eq!(b.as_slice(), &[1.0, 1.0]);
     }
 
+    /// Adam handed its state halfway through a quadratic descent lands
+    /// on the bits of an uninterrupted run.
     #[test]
-    fn learning_rate_is_adjustable() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    /// Run `steps` quadratic-descent steps on two optimisers that share a
-    /// state hand-off halfway and assert they land on the same value as an
-    /// uninterrupted run.
-    fn state_transfer_matches_uninterrupted(mut make: impl FnMut() -> Box<dyn Optimizer>) {
+    fn adam_state_round_trips_bit_identically() {
         let total = 60;
-        let mut reference = make();
-        let x_ref = quadratic_descent(reference.as_mut(), total);
+        let x_ref = quadratic_descent(&mut Adam::new(0.3), total);
 
-        let mut first = make();
+        let mut first = Adam::new(0.3);
         let mut x = Tensor::from_slice(&[5.0]);
         for _ in 0..total / 2 {
             first.begin_step();
             let g = Tensor::from_slice(&[2.0 * x.as_slice()[0]]);
             first.update(0, &mut x, &g);
         }
-        let mut second = make();
+        let mut second = Adam::new(0.3);
         second.import_state(&first.export_state()).unwrap();
         for _ in 0..total / 2 {
             second.begin_step();
@@ -359,16 +220,6 @@ mod tests {
             second.update(0, &mut x, &g);
         }
         assert_eq!(x.as_slice()[0], x_ref, "state hand-off diverged");
-    }
-
-    #[test]
-    fn sgd_momentum_state_round_trips_bit_identically() {
-        state_transfer_matches_uninterrupted(|| Box::new(Sgd::with_momentum(0.05, 0.9)));
-    }
-
-    #[test]
-    fn adam_state_round_trips_bit_identically() {
-        state_transfer_matches_uninterrupted(|| Box::new(Adam::new(0.3)));
     }
 
     #[test]
@@ -390,15 +241,5 @@ mod tests {
         };
         opt.import_state(&empty_ok).unwrap();
         assert_eq!(opt.export_state().step, 7);
-    }
-
-    #[test]
-    fn sgd_import_rejects_extra_buffers() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        let bad = OptimizerState {
-            step: 0,
-            slots: vec![vec![vec![0.0], vec![0.0]]],
-        };
-        assert!(opt.import_state(&bad).is_err());
     }
 }

@@ -91,10 +91,6 @@ fn full_network_weight_gradients_match_finite_differences() {
             fn update(&mut self, slot: usize, _p: &mut Tensor, g: &Tensor) {
                 self.0.push((slot, g.as_slice().to_vec()));
             }
-            fn learning_rate(&self) -> f32 {
-                0.0
-            }
-            fn set_learning_rate(&mut self, _lr: f32) {}
         }
         let mut probe = Probe(&mut analytic);
         m.step(&mut probe);
@@ -148,10 +144,6 @@ fn ordering_of_visit_params_is_stable_across_steps() {
         fn update(&mut self, _slot: usize, p: &mut Tensor, _g: &Tensor) {
             self.0.push(p.dims().to_vec());
         }
-        fn learning_rate(&self) -> f32 {
-            0.0
-        }
-        fn set_learning_rate(&mut self, _lr: f32) {}
     }
     let mut first = Shapes(Vec::new());
     let mut second = Shapes(Vec::new());

@@ -2,17 +2,16 @@
 //! training steps over fixed shapes must be served entirely from the
 //! [`prionn_tensor::Scratch`] pool — `ScratchStats::grows` stays flat.
 
-use prionn_nn::layer::{Conv2d, Dense, Dropout, Flatten, ReluPool};
-use prionn_nn::{ArchConfig, LossTarget, ModelKind, Sequential, Sgd, SoftmaxCrossEntropy};
+use prionn_nn::layer::{Conv2d, Dense, Flatten, ReluPool};
+use prionn_nn::{Adam, ArchConfig, LossTarget, ModelKind, Sequential, SoftmaxCrossEntropy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn small_cnn(rng: &mut ChaCha8Rng) -> Sequential {
-    // 1x8x8 input -> conv(4,k3,p1) -> relu+pool2 -> dropout -> flatten -> dense(10).
+    // 1x8x8 input -> conv(4,k3,p1) -> relu+pool2 -> flatten -> dense(10).
     Sequential::new()
         .push(Conv2d::new(1, 4, 8, 8, 3, 1, 1, rng).unwrap())
         .push(ReluPool::new())
-        .push(Dropout::new(0.25, 42).unwrap())
         .push(Flatten::new())
         .push(Dense::new(4 * 4 * 4, 10, rng))
 }
@@ -21,7 +20,7 @@ fn small_cnn(rng: &mut ChaCha8Rng) -> Sequential {
 fn steady_state_training_does_not_grow_the_pool() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut model = small_cnn(&mut rng);
-    let mut opt = Sgd::new(0.01);
+    let mut opt = Adam::new(0.01);
     let loss = SoftmaxCrossEntropy;
     let x = prionn_tensor::init::uniform([6, 1, 8, 8], -1.0, 1.0, &mut rng);
     let classes: Vec<usize> = (0..6).map(|i| i % 10).collect();
@@ -99,7 +98,7 @@ fn paper_shaped_step_is_pool_stable_and_holds_no_cols_sized_buffer() {
     let x = prionn_tensor::init::uniform([batch, 4, 64, 64], -1.0, 1.0, &mut rng);
     let classes: Vec<usize> = (0..batch).map(|i| i * 30).collect();
     let target = LossTarget::Classes(&classes);
-    let mut opt = Sgd::new(0.01);
+    let mut opt = Adam::new(0.01);
     let loss = SoftmaxCrossEntropy;
 
     model.train_batch(&x, &target, &loss, &mut opt).unwrap();
@@ -157,7 +156,7 @@ fn fused_relu_pool_models_are_pool_stable() {
         let x = prionn_tensor::init::uniform(dims, -1.0, 1.0, &mut rng);
         let classes: Vec<usize> = (0..6).collect();
         let target = LossTarget::Classes(&classes);
-        let mut opt = Sgd::new(0.01);
+        let mut opt = Adam::new(0.01);
         model
             .train_batch(&x, &target, &SoftmaxCrossEntropy, &mut opt)
             .unwrap();

@@ -1,7 +1,7 @@
 //! Cluster-scale IO burst forecasting end to end: a synthetic workload's
 //! per-job predicted IO intervals stream through the incremental
-//! aggregator as jobs start and finish, the live aggregate feeds the
-//! forecaster family, edge-triggered pre-burst alerts fire ahead of the
+//! aggregator as jobs start and finish, the live aggregate feeds Holt
+//! smoothing, edge-triggered pre-burst alerts fire ahead of the
 //! bursts, and the embedded ops endpoint serves the `/forecast` snapshot
 //! next to `/metrics`.
 //!
@@ -11,16 +11,15 @@
 //!
 //! Prints `OPS_ADDR=<ip:port>` as soon as the endpoint is up (CI curls
 //! it), the live walk's alert edges, and the paper's Fig. 10-style burst
-//! sensitivity/precision table for EWMA, Holt, and seasonal-naive across
-//! the standard ±window sweep. `--serve-seconds N` keeps the endpoint
+//! sensitivity/precision table for the engine's Holt across the standard
+//! ±window sweep. `--serve-seconds N` keeps the endpoint
 //! alive for N extra seconds after the walk.
 
 use prionn::forecast::{
-    evaluate, AlertTransition, Ewma, ForecastConfig, ForecastEngine, Forecaster, Holt,
-    SeasonalNaive,
+    forecast_timeline, AlertTransition, ForecastConfig, ForecastEngine, Holt, HOLT_ALPHA, HOLT_BETA,
 };
 use prionn::observe::{OpsOptions, OpsServer};
-use prionn::sched::{horizon_minutes, io_timeline, JobIoInterval};
+use prionn::sched::{burst_metrics, horizon_minutes, io_timeline, JobIoInterval};
 use prionn::telemetry::Telemetry;
 use prionn::workload::{Trace, TraceConfig, TracePreset};
 
@@ -124,36 +123,24 @@ fn main() {
     println!("live walk: {raised} burst alerts raised, {cleared} cleared over {horizon} minutes");
     println!("final state: {}", engine.snapshot().render());
 
-    // 4. The Fig. 10-style table: each forecaster's h-minute-ahead series
+    // 4. The Fig. 10-style table: the engine's h-minute-ahead series
     //    scored against the actual aggregate with the paper's burst
     //    sensitivity/precision at the standard ±window sweep.
     let actual = io_timeline(&intervals, horizon);
-    let mut forecasters: Vec<Box<dyn Forecaster>> = vec![
-        Box::new(Ewma::new(0.5)),
-        Box::new(Holt::new(0.5, 0.3)),
-        Box::new(SeasonalNaive::new(1440)),
-    ];
     println!("\n--- burst forecast quality (sensitivity / precision by ±window) ---");
     print!("{:<16}{:>8}", "forecaster", "lead");
     for w in WINDOWS {
         print!("{:>12}", format!("±{w}m"));
     }
     println!();
-    for f in forecasters.iter_mut() {
-        for h in HORIZONS {
-            let rows = evaluate(f.as_mut(), &actual, &[h], &WINDOWS);
-            print!("{:<16}{:>7}m", rows[0].forecaster, h);
-            for row in &rows {
-                print!(
-                    "{:>12}",
-                    format!(
-                        "{:.2}/{:.2}",
-                        row.metrics.sensitivity, row.metrics.precision
-                    )
-                );
-            }
-            println!();
+    for h in HORIZONS {
+        let predicted = forecast_timeline(Holt::new(HOLT_ALPHA, HOLT_BETA), &actual, h);
+        print!("{:<16}{:>7}m", "holt", h);
+        for w in WINDOWS {
+            let m = burst_metrics(&actual, &predicted, w);
+            print!("{:>12}", format!("{:.2}/{:.2}", m.sensitivity, m.precision));
         }
+        println!();
     }
 
     // 5. The forecast-specific metric surface.

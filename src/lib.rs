@@ -34,9 +34,9 @@
 //!   coordinator that rolls weight epochs shard-by-shard (see
 //!   `docs/SERVING.md` § Distributed fleet);
 //! * [`forecast`] — cluster-scale IO burst forecasting: the incremental
-//!   per-minute aggregator (O(log n) per job arrival/completion), the
-//!   EWMA / Holt / seasonal-naive forecaster family, and edge-triggered
-//!   burst alerts served at `/forecast` (see `DESIGN.md` §14);
+//!   per-minute aggregator (O(log n) per job arrival/completion), Holt
+//!   smoothing over it, and edge-triggered burst alerts served at
+//!   `/forecast` (see `DESIGN.md` §14);
 //! * [`revise`] — continuous in-flight re-prediction: progress taps on
 //!   the simulator, recency-weighted revision, split-conformal
 //!   `[lo, point, hi]` intervals calibrated on the drift window,

@@ -9,7 +9,7 @@
 //! paper-shaped fit.
 
 use prionn::nn::layer::{Conv2d, Dense, Flatten, ReLU, ReluPool};
-use prionn::nn::{ArchConfig, Layer, LossTarget, ModelKind, Sequential, Sgd, SoftmaxCrossEntropy};
+use prionn::nn::{Adam, ArchConfig, Layer, LossTarget, ModelKind, Sequential, SoftmaxCrossEntropy};
 use prionn::tensor::{init, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -245,7 +245,7 @@ fn paper_shaped_fit_matches_the_unfolded_stages() {
     let classes: Vec<usize> = (0..8).map(|i| i * 97 % 960).collect();
     let target = LossTarget::Classes(&classes);
     let fit = |m: &mut Sequential| -> Vec<f32> {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
+        let mut opt = Adam::new(0.001);
         let mut shuffle = ChaCha8Rng::seed_from_u64(27);
         m.fit(
             &x,

@@ -1,7 +1,7 @@
 //! Integration between the text mapping and the deep-learning substrate:
 //! every (transform, model) combination flows end to end.
 
-use prionn::nn::{ArchConfig, LossTarget, ModelKind, Sgd, SoftmaxCrossEntropy};
+use prionn::nn::{Adam, ArchConfig, LossTarget, ModelKind, SoftmaxCrossEntropy};
 use prionn::text::{
     map_corpus_1d, map_corpus_2d, BinaryTransform, CharTransform, OneHotTransform, SimpleTransform,
     Word2vecConfig, Word2vecTransform,
@@ -64,7 +64,7 @@ fn one_training_step_reduces_loss_on_mapped_scripts() {
         seed: 3,
     };
     let mut model = cfg.build(ModelKind::Cnn2d).unwrap();
-    let mut opt = Sgd::with_momentum(0.05, 0.9);
+    let mut opt = Adam::new(0.001);
     let mut losses = Vec::new();
     for _ in 0..30 {
         losses.push(

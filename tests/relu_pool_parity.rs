@@ -5,7 +5,7 @@
 //! windows, batch 1 and 32) where a shortcut would show.
 
 use prionn::nn::layer::{Conv2d, Dense, Flatten, ReLU, ReluPool};
-use prionn::nn::{ArchConfig, Layer, LossTarget, ModelKind, Sequential, Sgd, SoftmaxCrossEntropy};
+use prionn::nn::{Adam, ArchConfig, Layer, LossTarget, ModelKind, Sequential, SoftmaxCrossEntropy};
 use prionn::tensor::{init, Result, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -216,7 +216,7 @@ fn paper_shaped_fit_matches_the_unfused_composition() {
     let classes: Vec<usize> = (0..8).map(|i| i * 113 % 960).collect();
     let target = LossTarget::Classes(&classes);
     let fit = |m: &mut Sequential| -> Vec<f32> {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
+        let mut opt = Adam::new(0.001);
         let mut shuffle = ChaCha8Rng::seed_from_u64(10);
         m.fit(
             &x,
